@@ -1,9 +1,11 @@
 """The wallet smart contract as a deterministic state machine.
 
 Every public method either applies its full effect or raises Revert with a
-category; the ledger executes calls against a snapshot and rolls back on
-revert, so effects are atomic. Primitive usage (hashes, storage words,
-signature checks) is counted into a CallTrace for the cost model.
+category. The ledger runs each call on a `snapshot()` of the contract and
+keeps the untouched original for revert, so effects are atomic; blocks
+share a contract object until a transaction in a later block addresses it.
+Primitive usage (hashes, storage words, signature checks) is counted into a
+CallTrace for the cost model.
 
 Token balances live in the ledger's account map; the contract reads and
 moves them through the ChainEnv it is called with.
@@ -11,7 +13,8 @@ moves them through the ChainEnv it is called with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -52,7 +55,7 @@ class OpType(Enum):
     SET_LAST_RESORT_ADDRESS = "lr-address"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperationRecord:
     addr: str
     param: int
@@ -120,6 +123,19 @@ class WalletContract:
         trace.hashes += tally.hashes + 1            # +1 for the contract id
         trace.sstore_new += BASE_STATE_WORDS + len(self.sublayer.nodes)
 
+    def snapshot(self) -> "WalletContract":
+        """A copy that a call can change without touching this contract.
+
+        Only the mutable containers are copied: the operations map (its
+        records are frozen), L1, L2 and the cached sublayer. Digests, keys,
+        parameters and scalars are shared.
+        """
+        twin = copy.copy(self)
+        twin.operations = dict(self.operations)
+        twin.l1, twin.l2 = list(self.l1), list(self.l2)
+        twin.sublayer = self.sublayer.copy()
+        return twin
+
     # -- helpers -------------------------------------------------------------
 
     def _alive(self):
@@ -176,7 +192,7 @@ class WalletContract:
             raise Revert("layer", f"iteration layer {layer} is already invalidated")
         self._verify_otp_cached(otp, proof, op_id, trace)
         self._exec(record, env, trace)
-        record.pending = False
+        self.operations[op_id] = replace(record, pending=False)
         self.current_layer = layer
         self.last_activity = env.timestamp
         trace.sstore_update += 3                    # pending, layer, lastActivity

@@ -2,9 +2,22 @@
 
 The simulator advances only by explicit mine_block calls, so every run is a
 pure function of the submission order, fees, timestamp deltas, and the
-fork/reorg schedule. Each block snapshots the full post-state; forks clone
-a chain prefix, and a reorg promotes a strictly longer branch, returning
-orphaned transactions to the mempool.
+fork/reorg schedule. Forks clone a chain prefix, and a reorg promotes a
+strictly longer branch, returning orphaned transactions to the mempool.
+
+Block states share structure. A new block starts from shallow copies of
+its parent's account, nonce and contract maps, so it shares every contract
+object with the parent. A transaction that addresses a contract runs on a
+`WalletContract.snapshot()` of it, which replaces the shared object in the
+new block only; on revert the pre-call maps come back untouched. No block's
+state is ever mutated after the block is mined. That holds only while head
+state changes by executing transactions alone: mutating a contract reached
+through `Ledger.contract(cid)` directly would leak into older blocks that
+share it.
+
+Each branch keeps a txid -> height index, filled as blocks are mined and
+copied up to the fork point by `fork`, so confirmation queries do not scan
+the chain.
 
 Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
@@ -12,7 +25,6 @@ never debited, so the sum of all account balances is conserved exactly.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,6 +97,8 @@ class Transaction:
     signature: bytes | None = None
     nonce: int = 0
     seq: int = field(default=-1, compare=False)   # submission order
+    _txid: str | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     @property
     def fn(self) -> str:
@@ -97,7 +111,11 @@ class Transaction:
 
     @property
     def txid(self) -> str:
-        return truncated_hash(self.signing_bytes()).hex()[:16]
+        # Computed once: the sender, nonce and call are never changed after
+        # construction.
+        if self._txid is None:
+            self._txid = truncated_hash(self.signing_bytes()).hex()[:16]
+        return self._txid
 
 
 @dataclass
@@ -134,6 +152,8 @@ class Ledger:
         genesis_state = LedgerState(accounts=dict(initial_accounts or {}))
         genesis = Block(0, GENESIS_TIME, [], genesis_state)
         self.branches: dict[str, list[Block]] = {MAIN: [genesis]}
+        # Per branch: txid -> height of its first executed receipt.
+        self.tx_heights: dict[str, dict[str, int]] = {MAIN: {}}
         self.canonical = MAIN
         self.mempool: list[Transaction] = []
         self.block_delta = block_delta
@@ -158,6 +178,8 @@ class Ledger:
         return self.head.state.accounts
 
     def contract(self, contract_id: str) -> WalletContract:
+        """The head block's contract, for reading only: older blocks may
+        share the object, so change it by submitting transactions."""
         try:
             return self.head.state.contracts[contract_id]
         except KeyError as exc:
@@ -207,7 +229,9 @@ class Ledger:
         timestamp = parent.timestamp + delta + self.pending_time_skip
         self.pending_time_skip = 0
 
-        state = copy.deepcopy(parent.state)
+        state = LedgerState(dict(parent.state.accounts),
+                            dict(parent.state.nonces),
+                            dict(parent.state.contracts))
         ordered = sorted(self.mempool, key=lambda t: (-t.fee, t.seq))
         receipts = []
         for tx in ordered:
@@ -215,6 +239,10 @@ class Ledger:
         self.mempool = []
         block = Block(parent.height + 1, timestamp, receipts, state)
         chain.append(block)
+        heights = self.tx_heights[branch]
+        for r in receipts:
+            if r.status != "invalid-nonce":
+                heights.setdefault(r.txid, block.height)
         return block
 
     def _execute(self, tx: Transaction, state: LedgerState,
@@ -225,14 +253,21 @@ class Ledger:
                              "invalid-nonce", tx=tx)
         state.nonces[tx.sender] = expected + 1
 
-        snapshot = copy.deepcopy((state.accounts, state.contracts))
+        # The call runs on copies of the two maps and of the one contract it
+        # addresses; the originals, possibly shared with the parent block,
+        # are never written and are what a revert restores.
+        accounts, contracts = state.accounts, state.contracts
+        state.accounts, state.contracts = dict(accounts), dict(contracts)
+        cid = tx.call.get("contract")
+        if cid in contracts:
+            state.contracts[cid] = contracts[cid].snapshot()
         trace = CallTrace(tx.fn, payload_bytes=payload_size(tx.call))
         try:
             result = self._dispatch(tx, state, timestamp, trace)
             return TxReceipt(tx.txid, tx.sender, tx.nonce, tx.fn, tx.fee,
                              "ok", result=result, trace=trace, tx=tx)
         except Revert as exc:
-            state.accounts, state.contracts = snapshot
+            state.accounts, state.contracts = accounts, contracts
             return TxReceipt(tx.txid, tx.sender, tx.nonce, tx.fn, tx.fee,
                              f"revert:{exc.category}", result=str(exc),
                              trace=trace, tx=tx)
@@ -309,6 +344,9 @@ class Ledger:
         self._branch_counter += 1
         name = f"branch{self._branch_counter}"
         self.branches[name] = list(self.chain[:from_height + 1])
+        self.tx_heights[name] = {txid: h for txid, h
+                                 in self.tx_heights[self.canonical].items()
+                                 if h <= from_height}
         return name
 
     def reorg(self, branch: str) -> None:
@@ -336,11 +374,12 @@ class Ledger:
     # -- queries ------------------------------------------------------------------------------
 
     def find_tx(self, txid: str) -> tuple[Block, TxReceipt] | None:
-        for blk in self.chain:
-            for receipt in blk.receipts:
-                if receipt.txid == txid and receipt.status != "invalid-nonce":
-                    return blk, receipt
-        return None
+        height = self.tx_heights[self.canonical].get(txid)
+        if height is None:
+            return None
+        blk = self.chain[height]
+        return blk, next(r for r in blk.receipts
+                         if r.txid == txid and r.status != "invalid-nonce")
 
     def confirmations(self, txid: str) -> int | None:
         """Blocks on top of the tx's block; None when not on the canonical

@@ -427,3 +427,26 @@ def test_unconfigured_last_resort_reverts(world):
     with pytest.raises(Revert) as err:
         world.wallet.send_to_last_resort(world.env("acct:anyone"))
     assert err.value.category == "timeout"
+
+
+# -- snapshots ---------------------------------------------------------------------------
+
+def test_snapshot_isolates_a_confirmation(world):
+    op = world.init()
+    original = world.wallet
+    lines = original.state_lines()
+    world.wallet = original.snapshot()
+    world.confirm(op)
+    assert not world.wallet.operations[op].pending
+    assert original.operations[op].pending
+    assert original.state_lines() == lines
+
+
+def test_snapshot_isolates_a_rotation(world):
+    drive_to_tree_boundary(world)
+    original = world.wallet
+    lines = original.state_lines()
+    world.wallet = original.snapshot()
+    assert world.rotate_root()
+    assert world.wallet.root != original.root
+    assert original.state_lines() == lines

@@ -2,6 +2,9 @@
 
 import pytest
 
+from otpwallet import signing
+from otpwallet.authenticator import Authenticator
+from otpwallet.client import ClientStore
 from otpwallet.contract import OpType
 from otpwallet.ledger import (
     Ledger,
@@ -10,7 +13,7 @@ from otpwallet.ledger import (
     payload_size,
     run_script,
 )
-from otpwallet.merkle import MerkleProof
+from otpwallet.merkle import MerkleProof, TreeParams
 
 
 def pay(frm, to, amount, fee, nonce):
@@ -21,6 +24,43 @@ def pay(frm, to, amount, fee, nonce):
 @pytest.fixture
 def ledger():
     return Ledger(initial_accounts={"a": 100, "b": 100, "adv": 100})
+
+
+class WalletChain:
+    """A ledger with one deployed wallet, driven by signed transactions."""
+
+    def __init__(self):
+        self.params = TreeParams(S=128, N=16, P=2, N_S=8, L_S=1)
+        self.kp = signing.keygen(bytes([9]) * 32)
+        self.owner = signing.account_of(self.kp.public)
+        self.ledger = Ledger(initial_accounts={self.owner: 100, "acct:bob": 0})
+        self.store = ClientStore.bootstrap_secure(bytes(range(16)), self.params)
+        self.auth = Authenticator(bytes(range(16)), self.params,
+                                  eta=self.store.eta)
+        root, sublayer, proof_sr = self.store.constructor_args()
+        self.submit({"fn": "deploy_wallet", "root": root, "pk": self.kp.public,
+                     "sublayer": sublayer, "proof_sr": proof_sr,
+                     "params": self.params})
+        self.cid = self.ledger.mine_block().receipts[0].result
+        self.submit({"fn": "transfer", "to": self.cid, "amount": 50})
+        self.ledger.mine_block()
+
+    def submit(self, call, sign=False):
+        tx = Transaction(self.owner, call, nonce=self.ledger.next_nonce(self.owner))
+        if sign:
+            tx.signature = self.kp.sign(tx.signing_bytes())
+        return self.ledger.submit(tx)
+
+    def init(self, param, op_type=OpType.TRANSFER):
+        return self.submit({"fn": "init_op", "contract": self.cid,
+                            "addr": "acct:bob", "param": param,
+                            "type": op_type}, sign=True)
+
+    def confirm(self, op_id):
+        payload = self.store.build_confirm(op_id, self.auth.get_otp(op_id))
+        return self.submit({"fn": "confirm_op", "contract": self.cid,
+                            "otp": payload.otp, "proof": payload.proof,
+                            "op_id": op_id})
 
 
 def test_fee_priority_orders_conflicting_transactions(ledger):
@@ -197,34 +237,13 @@ def test_payload_size_rules():
 
 
 def test_signature_audit_flags_a_tampered_record():
-    from otpwallet import signing
-    from otpwallet.client import ClientStore
-    from otpwallet.merkle import TreeParams
-
-    params = TreeParams(S=128, N=16, P=2, N_S=8, L_S=1)
-    kp = signing.keygen(bytes([8]) * 32)
-    owner = signing.account_of(kp.public)
-    ledger = Ledger(initial_accounts={owner: 100})
-    store = ClientStore.bootstrap_secure(bytes(range(16)), params)
-    root, sublayer, proof_sr = store.constructor_args()
-    tx = Transaction(owner, {"fn": "deploy_wallet", "root": root,
-                             "pk": kp.public, "sublayer": sublayer,
-                             "proof_sr": proof_sr, "params": params},
-                     nonce=0)
-    ledger.submit(tx)
-    ledger.mine_block()
-    cid = ledger.chain[-1].receipts[0].result
-
-    init = Transaction(owner, {"fn": "init_op", "contract": cid,
-                               "addr": "acct:bob", "param": 1,
-                               "type": OpType.TRANSFER}, nonce=1)
-    init.signature = kp.sign(init.signing_bytes())
-    ledger.submit(init)
-    ledger.mine_block()
-    assert ledger.audit_signatures() == []
+    w = WalletChain()
+    w.init(1)
+    w.ledger.mine_block()
+    assert w.ledger.audit_signatures() == []
     # Doctor the recorded transaction; the post-run checker must notice.
-    ledger.chain[-1].receipts[0].tx.signature = bytes(64)
-    assert ledger.audit_signatures() != []
+    w.ledger.chain[-1].receipts[0].tx.signature = bytes(64)
+    assert w.ledger.audit_signatures() != []
 
 
 def test_canonical_tx_text_is_frozen():
@@ -235,3 +254,137 @@ def test_canonical_tx_text_is_frozen():
                      fee=2, nonce=1)
     assert tx.signing_bytes() == \
         b"acct:a|1|init_op|addr=acct:b contract=cc param=7 type=transfer"
+
+
+# -- history isolation: blocks share state but never see later changes -------
+
+def block_view(blk, cid):
+    contract = blk.state.contracts[cid]
+    return (dict(blk.state.accounts), dict(blk.state.nonces),
+            contract.state_lines(),
+            {i: r.pending for i, r in contract.operations.items()})
+
+
+def test_later_blocks_and_forks_leave_earlier_block_state_unchanged():
+    w = WalletChain()
+    led = w.ledger
+    w.init(5)
+    init_block = led.mine_block()
+    led.mine_block()
+    views = {blk.height: block_view(blk, w.cid) for blk in led.chain[1:]}
+    assert views[init_block.height][3] == {0: True}
+
+    # Confirm on a branch from the init block: main must not see it.
+    branch = led.fork(init_block.height)
+    w.confirm(0)
+    fork_head = led.mine_block(branch=branch)
+    fork_view = block_view(fork_head, w.cid)
+    assert fork_view[3] == {0: False}
+    for blk in led.chain[1:]:
+        assert block_view(blk, w.cid) == views[blk.height]
+
+    # Confirm on main too, then keep mining: history stays as recorded.
+    w.confirm(0)
+    led.mine_block()
+    for _ in range(3):
+        led.mine_block()
+    assert not led.contract(w.cid).operations[0].pending
+    assert led.accounts["acct:bob"] == 5
+    for blk in led.chain[1:init_block.height + 2]:
+        assert block_view(blk, w.cid) == views[blk.height]
+    assert block_view(fork_head, w.cid) == fork_view
+
+
+def test_reverted_contract_call_restores_contract_and_accounts_exactly():
+    w = WalletChain()
+    led = w.ledger
+    w.init(3, OpType.SET_DAILY_LIMIT)
+    led.mine_block()
+    w.confirm(0)
+    led.mine_block()
+    w.init(5)                                    # above the daily limit
+    led.mine_block()
+    before = led.head
+    lines, accounts = led.contract(w.cid).state_lines(), dict(led.accounts)
+
+    # A new day: confirm_op rolls the day index over, then reverts on the
+    # limit; the rollover must not survive the revert.
+    led.pending_time_skip = 86400
+    w.confirm(1)
+    blk = led.mine_block()
+    assert blk.receipts[0].status == "revert:daily-limit"
+    assert led.contract(w.cid).state_lines() == lines
+    assert led.accounts == accounts
+    assert led.head.state.nonces[w.owner] == before.state.nonces[w.owner] + 1
+    # Nothing was copied that survives the revert: the block shares the
+    # parent's contract object.
+    assert led.contract(w.cid) is before.state.contracts[w.cid]
+
+
+def scan_chain(led, txid):
+    """Reference lookup: the first executed receipt on the canonical chain."""
+    for blk in led.chain:
+        for r in blk.receipts:
+            if r.txid == txid and r.status != "invalid-nonce":
+                return led.head.height - blk.height, r
+    return None, None
+
+
+def test_index_lookups_agree_with_a_chain_scan_across_fork_and_reorg(ledger):
+    txids = []
+
+    def check():
+        for txid in txids + ["missing"]:
+            confs, receipt = scan_chain(ledger, txid)
+            assert ledger.confirmations(txid) == confs
+            assert ledger.receipt(txid) is receipt
+
+    # a:1 outbids a:0, so it is first executed with a wrong nonce.
+    txids.append(ledger.submit(pay("a", "b", 1, 1, 0)))
+    late = pay("a", "b", 2, 9, 1)
+    txids.append(ledger.submit(late))
+    blk = ledger.mine_block()
+    assert [r.status for r in blk.receipts] == ["invalid-nonce", "ok"]
+    check()
+    ledger.submit(Transaction(late.sender, late.call, late.fee, nonce=late.nonce))
+    ledger.mine_block()
+    txids.append(ledger.submit(pay("b", "a", 3, 1, 0)))
+    ledger.mine_block()
+    ledger.mine_block()
+    check()
+
+    branch = ledger.fork(1)
+    txids.append(ledger.submit(pay("adv", "a", 4, 1, 0)))
+    for _ in range(4):
+        ledger.mine_block(branch=branch)
+    check()                                      # main is still canonical
+    ledger.reorg(branch)
+    check()                                      # a:1 and b:0 orphaned
+    assert ledger.confirmations(txids[1]) is None
+    ledger.mine_block()                          # re-mined on the new chain
+    ledger.mine_block()
+    check()
+    assert ledger.confirmations(txids[1]) == 1
+
+
+def test_txid_is_hashed_once_per_transaction(ledger, monkeypatch):
+    import otpwallet.ledger as ledger_mod
+
+    calls = []
+    real = ledger_mod.truncated_hash
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ledger_mod, "truncated_hash", counting)
+    tx = pay("a", "b", 1, 1, 0)
+    txid = tx.txid
+    assert tx.txid == txid
+    ledger.submit(tx)
+    ledger.submit(pay("b", "a", 1, 1, 0))
+    for _ in range(3):
+        ledger.mine_block()
+        ledger.confirmations(txid)
+    assert ledger.receipt(txid).txid == txid
+    assert len(calls) == 2
