@@ -1,9 +1,12 @@
 """The client party: stores leaves, builds proofs and transaction payloads.
 
-The client keeps only the N/P public leaves of the current generation
-(proofs are recomputed on demand), plus the metadata needed to talk to one
-wallet contract. The secure bootstrap derives the leaves from the seed and
-then forgets the seed and every OTP.
+The client keeps only public data: the Merkle tree over the N/P leaves of
+the current generation, built once when the leaves arrive (bootstrap,
+`load`), and the tree of the staged next generation during a rotation,
+plus the metadata needed to talk to one wallet contract. Every root,
+sublayer and proof is a read of those levels, so no payload costs a hash.
+The secure bootstrap derives the leaves from the seed and then forgets the
+seed and every OTP.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+# Trees are built as merkle.build_levels, the binding bench/tracing.py wraps.
+from . import merkle
 from .hashing import DEFAULT_BASE_HASH, Digest, DomainError, HashFn, Seed, truncated_hash
 from .merkle import (
     MerkleProof,
@@ -19,13 +24,12 @@ from .merkle import (
     all_leaves,
     beta,
     dump_leaf_file,
-    gen_proof,
     parse_leaf_file,
-    proof_to_sublayer,
-    reduce_mt,
-    sublayer_of,
-    subtree_root_proof,
+    path,
+    sublayer_in,
 )
+# Not called here; kept bound because bench/tracing.py wraps them on this module.
+from .merkle import gen_proof, proof_to_sublayer, reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
 
 DEFAULT_CONFIRMATION_DEPTH = 12
 
@@ -59,14 +63,14 @@ class NewRootStages:
 
 @dataclass
 class ClientStore:
-    leaves: list[Digest]
+    levels: list[list[Digest]]           # current generation's tree, leaves first
     params: TreeParams
     eta: int = 0
     contract_id: str = ""
     confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH
     current_subtree: int = 0             # relative to the current generation
     base: HashFn = field(default=DEFAULT_BASE_HASH, repr=False)
-    _staged_leaves: list[Digest] | None = field(default=None, repr=False)
+    _staged_levels: list[list[Digest]] | None = field(default=None, repr=False)
 
     # -- bootstrap ---------------------------------------------------------
 
@@ -74,27 +78,32 @@ class ClientStore:
     def bootstrap_secure(cls, k: Seed, params: TreeParams,
                          base: HashFn = DEFAULT_BASE_HASH) -> "ClientStore":
         """Derive the leaves from the seed; keep no OTP and no seed."""
-        leaves = all_leaves(k, params, 0, base)
-        return cls(leaves=leaves, params=params, base=base)
+        levels = merkle.build_levels(all_leaves(k, params, 0, base), base)
+        return cls(levels=levels, params=params, base=base)
 
     @classmethod
     def bootstrap_insecure(cls, leaf_file: str, params: TreeParams,
                            base: HashFn = DEFAULT_BASE_HASH) -> "ClientStore":
         """Ingest a leaf-export file produced by the authenticator."""
         leaves, eta = parse_leaf_file(leaf_file, params)
-        return cls(leaves=leaves, params=params, eta=eta, base=base)
+        return cls(levels=merkle.build_levels(leaves, base), params=params,
+                   eta=eta, base=base)
 
     # -- views -------------------------------------------------------------
 
     @property
+    def leaves(self) -> list[Digest]:
+        return self.levels[0]
+
+    @property
     def root(self) -> Digest:
-        return reduce_mt(self.leaves, self.base)
+        return self.levels[-1][0]
 
     def sublayer(self, subtree: int) -> SubtreeLayer:
-        return sublayer_of(self.leaves, subtree, self.params, self.base)
+        return sublayer_in(self.levels, subtree, self.params)
 
     def sublayer_proof(self, subtree: int) -> MerkleProof:
-        return subtree_root_proof(self.leaves, subtree, self.params, self.base)
+        return path(self.levels, subtree, self.params.H_S, self.params.H)
 
     def constructor_args(self) -> tuple[Digest, SubtreeLayer, MerkleProof]:
         return self.root, self.sublayer(0), self.sublayer_proof(0)
@@ -118,9 +127,8 @@ class ClientStore:
             raise DomainError(
                 f"operation {op_id} is not in the current subtree "
                 f"({subtree} != {self.current_subtree})")
-        leaf_in_subtree = rel % self.params.subtree_leaves
-        proof = proof_to_sublayer(self.leaves, subtree, leaf_in_subtree,
-                                  self.params, self.base)
+        proof = path(self.levels, beta(rel, self.params), 0,
+                     self.params.H_S - self.params.L_S)
         return ConfirmPayload(otp=otp, proof=proof, op_id=op_id)
 
     def build_next_subtree(self, op_id: int, otp: Digest) -> SubtreePayload:
@@ -134,7 +142,7 @@ class ClientStore:
         return SubtreePayload(
             next_sublayer=self.sublayer(nxt),
             otp=otp,
-            proof_otp=gen_proof(self.leaves, beta(rel, self.params), 0, self.base),
+            proof_otp=path(self.levels, beta(rel, self.params), 0, self.params.H),
             proof_sr=self.sublayer_proof(nxt),
             op_id=op_id,
         )
@@ -153,34 +161,30 @@ class ClientStore:
             if eta != self.eta + 1:
                 raise DomainError(
                     f"leaf file is for generation {eta}, expected {self.eta + 1}")
-        self._staged_leaves = leaves
-        return reduce_mt(leaves, self.base)
+        self._staged_levels = merkle.build_levels(leaves, self.base)
+        return self._staged_levels[-1][0]
 
     def build_new_root_stages(self, op_id: int, new_root: Digest,
                               otp: Digest) -> NewRootStages:
         rel = self._relative(op_id)
         if rel % self.params.N != self.params.N - 1:
             raise DomainError(f"operation {op_id} does not end the parent tree")
-        if self._staged_leaves is None:
+        staged = self._staged_levels
+        if staged is None:
             raise DomainError("no staged next-generation leaves; call stage_rotation")
-        staged_root = reduce_mt(self._staged_leaves, self.base)
-        if staged_root != new_root:
+        if staged[-1][0] != new_root:
             raise DomainError("staged leaves do not match the announced new root")
-        new_sublayer = sublayer_of(self._staged_leaves, 0, self.params, self.base)
-        proof_sr = subtree_root_proof(self._staged_leaves, 0, self.params, self.base)
         # The contract checks stage-3 OTPs against the cached sublayer of
         # the (last) current subtree, so the proof stops at that depth.
-        last_subtree = rel // self.params.N_S
         return NewRootStages(
             h_root_and_otp=truncated_hash(new_root + otp,
                                           self.params.digest_bytes, self.base),
             new_root=new_root,
             otp=otp,
-            proof_otp=proof_to_sublayer(self.leaves, last_subtree,
-                                        rel % self.params.subtree_leaves,
-                                        self.params, self.base),
-            new_sublayer=new_sublayer,
-            proof_sr=proof_sr,
+            proof_otp=path(self.levels, beta(rel, self.params), 0,
+                           self.params.H_S - self.params.L_S),
+            new_sublayer=sublayer_in(staged, 0, self.params),
+            proof_sr=path(staged, 0, self.params.H_S, self.params.H),
             op_id=op_id,
         )
 
@@ -192,10 +196,10 @@ class ClientStore:
         self.current_subtree += 1
 
     def commit_rotation(self) -> None:
-        if self._staged_leaves is None:
+        if self._staged_levels is None:
             raise DomainError("no staged rotation to commit")
-        self.leaves = self._staged_leaves
-        self._staged_leaves = None
+        self.levels = self._staged_levels
+        self._staged_levels = None
         self.eta += 1
         self.current_subtree = 0
 
@@ -223,7 +227,7 @@ class ClientStore:
         leaves, eta = parse_leaf_file(leaf_file, params)
         if eta != meta["eta"]:
             raise DomainError("sidecar and leaf file disagree on the generation")
-        return cls(leaves=leaves, params=params, eta=eta,
-                   contract_id=meta["contractId"],
+        return cls(levels=merkle.build_levels(leaves, base), params=params,
+                   eta=eta, contract_id=meta["contractId"],
                    confirmation_depth=meta["confirmationDepth"],
                    current_subtree=meta.get("currentSubtree", 0), base=base)

@@ -6,6 +6,13 @@ Leaves are grouped into subtrees of N_S/P leaves (height H_S); the 2^L_S
 nodes at depth L_S of the current subtree are cached on-chain so confirm
 proofs stop early (length H_S - L_S).
 
+Levels. `build_levels` hashes a tree once into its levels, leaves first;
+every proof and cached sublayer is then a read of those levels: `path`
+walks siblings from one level up to another, `sublayer_in` slices level
+H_S - L_S. A holder of the levels (the client) pays no hash per proof. The
+leaf-list functions `gen_proof`, `sublayer_of`, `subtree_root_proof` and
+`proof_to_sublayer` build the levels and read them once, for one-shot use.
+
 Proof encoding. A proof sibling's least significant bit (bit 0 of its last
 byte) is overwritten with the sibling's parity: 1 means the sibling is the
 right child. The node pair hash therefore masks that bit of both children
@@ -18,7 +25,8 @@ convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from .hashing import (
     DEFAULT_BASE_HASH,
@@ -183,51 +191,55 @@ def all_leaves(k: Seed, params: TreeParams, eta: int = 0,
     return [leaf_of_chain(k, i, params, eta, base) for i in range(params.leaves)]
 
 
-def reduce_mt(nodes: list[Digest], base: HashFn = DEFAULT_BASE_HASH,
-              tally: CostTally | None = None) -> Digest:
-    """Pairwise reduction of a power-of-two node list to a single root."""
+def _levels(nodes: list[Digest], base: HashFn,
+            tally: CostTally | None = None) -> Iterator[list[Digest]]:
+    """Tree levels of a power-of-two node list, bottom-up, one at a time."""
     n = len(nodes)
     if n < 1 or n & (n - 1):
         raise DomainError(f"node count must be a power of two: {n}")
     level = list(nodes)
+    yield level
     while len(level) > 1:
         level = [pair_hash(level[2 * i], level[2 * i + 1], base, tally)
                  for i in range(len(level) // 2)]
+        yield level
+
+
+def reduce_mt(nodes: list[Digest], base: HashFn = DEFAULT_BASE_HASH,
+              tally: CostTally | None = None) -> Digest:
+    """Pairwise reduction of a power-of-two node list to a single root,
+    keeping one level at a time."""
+    for level in _levels(nodes, base, tally):
+        pass
     return level[0]
 
 
 def build_levels(leaves: list[Digest],
                  base: HashFn = DEFAULT_BASE_HASH) -> list[list[Digest]]:
     """All tree levels, leaves first, root level last."""
-    n = len(leaves)
-    if n < 1 or n & (n - 1):
-        raise DomainError(f"leaf count must be a power of two: {n}")
-    levels = [list(leaves)]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        levels.append([pair_hash(prev[2 * i], prev[2 * i + 1], base)
-                       for i in range(len(prev) // 2)])
-    return levels
+    return list(_levels(leaves, base))
+
+
+def path(levels: list[list[Digest]], idx: int, lo: int,
+         hi: int) -> MerkleProof:
+    """Authentication path of node `idx` of level `lo` up to level `hi`:
+    one sibling per level, its LSB overwritten with its parity
+    (1 = right child)."""
+    if not (0 <= lo <= hi < len(levels) and 0 <= idx < len(levels[lo])):
+        raise DomainError(f"no path from node {idx} of level {lo} to level {hi}")
+    sibs = []
+    for lvl in range(lo, hi):
+        sibs.append(with_lsb(levels[lvl][idx ^ 1], idx & 1 ^ 1))
+        idx >>= 1
+    return MerkleProof(tuple(sibs))
 
 
 def gen_proof(leaves: list[Digest], idx: int, stop_depth: int = 0,
               base: HashFn = DEFAULT_BASE_HASH) -> MerkleProof:
     """Authentication path for leaf `idx`, stopping `stop_depth` levels
-    below the root; each sibling's LSB is overwritten with its parity
-    (1 = right child)."""
+    below the root."""
     levels = build_levels(leaves, base)
-    height = len(levels) - 1
-    if not 0 <= idx < len(leaves):
-        raise DomainError(f"leaf index out of range: {idx}")
-    if not 0 <= stop_depth <= height:
-        raise DomainError(f"stop depth out of range: {stop_depth}")
-    sibs = []
-    pos = idx
-    for lvl in range(height - stop_depth):
-        sib = levels[lvl][pos ^ 1]
-        sibs.append(with_lsb(sib, pos & 1 ^ 1))
-        pos >>= 1
-    return MerkleProof(tuple(sibs))
+    return path(levels, idx, 0, len(levels) - 1 - stop_depth)
 
 
 def fold_proof(start: Digest, proof: MerkleProof,
@@ -258,9 +270,6 @@ def derive_idx(proof: MerkleProof) -> int:
         if lsb(sib) == 1:
             idx |= 1 << i
     return idx
-
-
-derive_idx_in_cache = derive_idx
 
 
 def expected_parity_pattern(position: int, length: int) -> int:
@@ -321,7 +330,7 @@ def derive_node_in_cache(otp: Digest, proof: MerkleProof, op_id: int,
     child = op_id % params.subtree_leaves
     expect = expected_parity_pattern(expected_idx_in_cache_loop(child, params),
                                      want_len)
-    if derive_idx_in_cache(proof) != expect:
+    if derive_idx(proof) != expect:
         raise DomainError("proof does not match the expected cached-node slot")
     a = chain_offset(op_id, params)
     leaf = chain_extend(otp, params.P - 1 - a, params.P, base, tally)
@@ -336,37 +345,39 @@ def subtree_consistency(sub_root: Digest, proof: MerkleProof,
 
 
 # ---------------------------------------------------------------------------
-# Subtree views over a full leaf list
+# Subtree views over a parent tree's levels, or built from its full leaf list
 
-def subtree_slice(leaves: list[Digest], subtree: int,
-                  params: TreeParams) -> list[Digest]:
-    w = params.subtree_leaves
+def sublayer_in(levels: list[list[Digest]], subtree: int,
+                params: TreeParams) -> SubtreeLayer:
+    """The 2^L_S nodes at depth L_S of the given subtree, as a fresh list."""
     if not 0 <= subtree < params.subtree_count:
         raise DomainError(f"subtree index out of range: {subtree}")
-    return leaves[subtree * w:(subtree + 1) * w]
+    layer = levels[params.H_S - params.L_S]
+    return SubtreeLayer(layer[subtree << params.L_S:(subtree + 1) << params.L_S],
+                        subtree)
 
 
 def sublayer_of(leaves: list[Digest], subtree: int, params: TreeParams,
                 base: HashFn = DEFAULT_BASE_HASH) -> SubtreeLayer:
     """The 2^L_S nodes at depth L_S of the given subtree."""
-    levels = build_levels(subtree_slice(leaves, subtree, params), base)
-    return SubtreeLayer(list(levels[params.H_S - params.L_S]), subtree)
+    return sublayer_in(build_levels(leaves, base), subtree, params)
 
 
 def subtree_root_proof(leaves: list[Digest], subtree: int, params: TreeParams,
                        base: HashFn = DEFAULT_BASE_HASH) -> MerkleProof:
     """Proof of a subtree's root against the parent root (length H - H_S)."""
-    levels = build_levels(leaves, base)
-    roots = levels[params.H_S]
-    return gen_proof(roots, subtree, 0, base) if len(roots) > 1 else MerkleProof(())
+    return path(build_levels(leaves, base), subtree, params.H_S, params.H)
 
 
 def proof_to_sublayer(leaves: list[Digest], subtree: int, leaf_in_subtree: int,
                       params: TreeParams,
                       base: HashFn = DEFAULT_BASE_HASH) -> MerkleProof:
     """Confirm-stage proof: from a subtree leaf up to the cached sublayer."""
-    return gen_proof(subtree_slice(leaves, subtree, params), leaf_in_subtree,
-                     params.L_S, base)
+    if not 0 <= leaf_in_subtree < params.subtree_leaves:
+        raise DomainError(f"leaf index out of range: {leaf_in_subtree}")
+    return path(build_levels(leaves, base),
+                subtree * params.subtree_leaves + leaf_in_subtree, 0,
+                params.H_S - params.L_S)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +405,13 @@ def parse_leaf_file(text: str, params: TreeParams) -> tuple[list[Digest], int]:
             fields[key] = int(val)
         except ValueError as exc:
             raise DomainError(f"bad header field: {part!r}") from exc
+    if fields.keys() != {"S", "N", "P", "NS", "eta"} or fields["eta"] < 0:
+        raise DomainError(f"bad leaf file header: {lines[0]!r}")
     want = {"S": params.S, "N": params.N, "P": params.P, "NS": params.N_S}
     for key, val in want.items():
-        if fields.get(key) != val:
+        if fields[key] != val:
             raise DomainError(
-                f"leaf file header {key}={fields.get(key)} != params {key}={val}")
+                f"leaf file header {key}={fields[key]} != params {key}={val}")
     leaves = []
     for ln in lines[1:]:
         try:
@@ -410,4 +423,4 @@ def parse_leaf_file(text: str, params: TreeParams) -> tuple[list[Digest], int]:
         leaves.append(leaf)
     if len(leaves) != params.leaves:
         raise DomainError(f"leaf file has {len(leaves)} leaves, want {params.leaves}")
-    return leaves, fields.get("eta", 0)
+    return leaves, fields["eta"]

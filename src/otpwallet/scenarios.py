@@ -11,11 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import signing
+# Trees are built as merkle.build_levels, the binding bench/tracing.py wraps.
+from . import merkle, signing
 from .contract import OpType
 from .hashing import random_seed, truncated_hash
 from .ledger import Transaction
-from .merkle import SubtreeLayer, TreeParams, all_leaves, reduce_mt, sublayer_of, subtree_root_proof
+from .merkle import SubtreeLayer, TreeParams, all_leaves, path, sublayer_in
+# Not called here; kept bound because bench/tracing.py wraps them on this module.
+from .merkle import reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
 from .protocols import (
     DEFAULT_PARAMS,
     ProtocolAbort,
@@ -241,10 +244,10 @@ def theorem3(seed: int = 0) -> ScenarioResult:
     # Adversary's own candidate tree.
     rng = random.Random(seed + 31337)
     adv_seed = random_seed(rng)
-    adv_leaves = all_leaves(adv_seed, params, 0)
-    adv_root = reduce_mt(adv_leaves)
-    adv_sublayer = sublayer_of(adv_leaves, 0, params)
-    adv_proof_sr = subtree_root_proof(adv_leaves, 0, params)
+    adv_levels = merkle.build_levels(all_leaves(adv_seed, params, 0))
+    adv_root = adv_levels[-1][0]
+    adv_sublayer = sublayer_in(adv_levels, 0, params)
+    adv_proof_sr = path(adv_levels, 0, params.H_S, params.H)
     attacked = {}
 
     def intercept(mem_tx: Transaction):

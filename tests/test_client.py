@@ -1,5 +1,7 @@
 """Client store: bootstrap paths, payload builders, persistence hygiene."""
 
+import hashlib
+
 import pytest
 
 from otpwallet.authenticator import Authenticator
@@ -7,12 +9,18 @@ from otpwallet.client import ClientStore
 from otpwallet.hashing import DomainError, chain_extend, prf
 from otpwallet.merkle import (
     TreeParams,
+    all_leaves,
     alpha,
     beta,
     derive_node_in_cache,
     expected_idx_in_cache,
+    fold_proof,
+    gen_proof,
+    proof_to_sublayer,
     reduce_mt,
+    sublayer_of,
     subtree_consistency,
+    subtree_root_proof,
 )
 
 K = bytes(range(16))
@@ -161,3 +169,116 @@ def test_relative_op_window_tracks_generation(store):
         store.build_confirm(0, otp_for(0))               # old generation id
     payload = store.build_confirm(PARAMS.N, otp_for(0, eta=1))
     assert payload.op_id == PARAMS.N
+
+
+# -- one tree per generation -------------------------------------------------------
+
+class CountingHash:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, data: bytes) -> bytes:
+        self.calls += 1
+        return hashlib.sha3_256(data).digest()
+
+
+def walk_generation(store, params, eta, on_op):
+    """Visit every operation of one generation in order, advancing the
+    store's subtree as the protocol would; returns the last op's otp."""
+    for rel in range(params.N):
+        if rel // params.N_S != store.current_subtree:
+            store.advance_subtree()
+        otp = otp_for(rel, params, eta)
+        on_op(eta * params.N + rel, rel, otp)
+    return otp
+
+
+@pytest.mark.parametrize("params", [TreeParams(128, 16, 2, 8, 1),
+                                    TreeParams(128, 64, 4, 16, 0)])
+def test_each_generation_hashes_its_tree_once(params):
+    # One chain walk per leaf (PRF + P steps) plus one pair hash per node.
+    tree = params.leaves * (params.P + 1) + params.leaves - 1
+    count = CountingHash()
+    store = ClientStore.bootstrap_secure(K, params, base=count)
+    assert count.calls == tree
+    count.calls = 0
+    store.constructor_args()
+
+    def payloads(op_id, rel, otp):
+        store.build_confirm(op_id, otp)
+        if rel % params.N_S == params.N_S - 1 and rel != params.N - 1:
+            store.build_next_subtree(op_id, otp)
+    otp = walk_generation(store, params, 0, payloads)
+    assert count.calls == 0
+    new_root = store.stage_rotation(K)
+    assert count.calls == tree
+    count.calls = 0
+    store.build_new_root_stages(params.N - 1, new_root, otp)
+    assert count.calls == 1                  # the stage-1 commitment h(root || otp)
+
+
+@pytest.mark.parametrize("params", [TreeParams(128, 16, 2, 8, 0),
+                                    TreeParams(128, 16, 2, 8, 2),
+                                    TreeParams(128, 64, 4, 16, 0),
+                                    TreeParams(128, 64, 4, 16, 2)])
+def test_cached_views_equal_the_one_shot_functions(params):
+    """Every view read from the cached tree equals the leaf-list function
+    that builds the tree afresh, and folds to the node it proves: a
+    confirm proof to its cached node, hashed from the leaves without the
+    tree, and every other proof to the root. Each returned sublayer is
+    overwritten after the check, so a view that shared the cache would
+    corrupt a later check."""
+    def same_layer(layer, want):
+        assert layer == want
+        layer.nodes[:] = [bytes(16)] * len(layer.nodes)
+
+    def proves_root(layer, proof_sr, root):
+        assert fold_proof(reduce_mt(layer.nodes), proof_sr) == root
+
+    w, c = params.subtree_leaves, 1 << (params.H_S - params.L_S)
+    store = ClientStore.bootstrap_secure(K, params)
+    for eta in (0, 1):
+        leaves = all_leaves(K, params, eta)
+        root = reduce_mt(leaves)
+
+        def cached_node(b, leaves=leaves):
+            """The cached-sublayer node above leaf b."""
+            return reduce_mt(leaves[b - b % c:b - b % c + c])
+
+        root_, layer, proof_sr = store.constructor_args()
+        assert (root_, proof_sr) == (root, subtree_root_proof(leaves, 0, params))
+        proves_root(layer, proof_sr, root)
+        same_layer(layer, sublayer_of(leaves, 0, params))
+        for s in range(params.subtree_count):
+            layer, proof_sr = store.sublayer(s), store.sublayer_proof(s)
+            assert layer.nodes == [cached_node(b) for b in range(s * w, (s + 1) * w, c)]
+            proves_root(layer, proof_sr, root)
+            same_layer(layer, sublayer_of(leaves, s, params))
+            assert proof_sr == subtree_root_proof(leaves, s, params)
+
+        def payloads(op_id, rel, otp):
+            subtree, leaf, b = rel // params.N_S, rel % w, beta(rel, params)
+            proof = store.build_confirm(op_id, otp).proof
+            assert proof == proof_to_sublayer(leaves, subtree, leaf, params)
+            assert fold_proof(leaves[b], proof) == cached_node(b)
+            if rel % params.N_S == params.N_S - 1 and rel != params.N - 1:
+                payload = store.build_next_subtree(op_id, otp)
+                assert fold_proof(leaves[b], payload.proof_otp) == root
+                proves_root(payload.next_sublayer, payload.proof_sr, root)
+                same_layer(payload.next_sublayer, sublayer_of(leaves, subtree + 1, params))
+                assert payload.proof_otp == gen_proof(leaves, b)
+                assert payload.proof_sr == subtree_root_proof(leaves, subtree + 1, params)
+        otp = walk_generation(store, params, eta, payloads)
+
+        new_leaves = all_leaves(K, params, eta + 1)
+        new_root = store.stage_rotation(K)
+        assert new_root == reduce_mt(new_leaves)
+        stages = store.build_new_root_stages((eta + 1) * params.N - 1, new_root, otp)
+        proves_root(stages.new_sublayer, stages.proof_sr, new_root)
+        same_layer(stages.new_sublayer, sublayer_of(new_leaves, 0, params))
+        assert stages.proof_sr == subtree_root_proof(new_leaves, 0, params)
+        assert fold_proof(leaves[-1], stages.proof_otp) == cached_node(params.leaves - 1)
+        assert stages.proof_otp == proof_to_sublayer(
+            leaves, params.subtree_count - 1, w - 1, params)
+        assert store.leaves == leaves and store.root == root
+        store.commit_rotation()

@@ -139,8 +139,9 @@ def test_every_proof_reproduces_the_oracle_root(n):
 
 
 def test_gen_proof_rejects_bad_index():
-    with pytest.raises(DomainError):
-        gen_proof(rand_leaves(4), 4, 0)
+    for idx, stop_depth in ((4, 0), (-1, 0), (0, -1), (0, 3)):
+        with pytest.raises(DomainError):
+            gen_proof(rand_leaves(4), idx, stop_depth)
 
 
 # -- parity-derived indexes -----------------------------------------------------
@@ -398,6 +399,11 @@ def test_leaf_file_garbage_rejected():
     with pytest.raises(DomainError):
         parse_leaf_file("smartotps-leaves v1 S=128 N=16 P=2 NS=8 eta=0\nzz\n",
                         PARAMS)
+    body = "".join(leaf.hex() + "\n" for leaf in all_leaves(K, PARAMS))
+    for fields in ("S=128 N=16 P=2 NS=8 foo=3", "S=128 N=16 P=2 NS=8 S=128",
+                   "S=128 N=16 P=2 NS=8 eta=-1", "S=128 N=16 P=2 eta=0 eta=1"):
+        with pytest.raises(DomainError):
+            parse_leaf_file(f"smartotps-leaves v1 {fields}\n{body}", PARAMS)
 
 
 # -- params validation ------------------------------------------------------------------
