@@ -86,6 +86,17 @@ class ChainEnv:
     tx_signature: bytes | None = None
 
 
+def _sublayer_under(sublayer: SubtreeLayer, proof_sr: MerkleProof,
+                    root: Digest, base: HashFn, tally: CostTally) -> bool:
+    """Whether the sublayer reduces to a subtree root that `proof_sr` folds
+    up to `root`; False also when a node or sibling is not a digest."""
+    try:
+        sub_root = reduce_mt(sublayer.nodes, base, tally)
+        return subtree_consistency(sub_root, proof_sr, root, base, tally)
+    except ValueError:
+        return False
+
+
 class WalletContract:
     def __init__(self, root: Digest, pk: bytes, cache_sublayer: SubtreeLayer,
                  proof_sr: MerkleProof, params: TreeParams, env: ChainEnv,
@@ -95,8 +106,7 @@ class WalletContract:
         tally = CostTally()
         if len(cache_sublayer.nodes) != 2 ** params.L_S:
             raise Revert("consistency", "cached sublayer has the wrong size")
-        sub_root = reduce_mt(cache_sublayer.nodes, base, tally)
-        if not subtree_consistency(sub_root, proof_sr, root, base, tally):
+        if not _sublayer_under(cache_sublayer, proof_sr, root, base, tally):
             raise Revert("consistency", "cached sublayer does not match the root")
 
         self.params = params
@@ -265,8 +275,8 @@ class WalletContract:
         trace.sload += 1                            # root
         if derived != self.root:
             raise Revert("otp", "OTP does not verify against the parent root")
-        sub_root = reduce_mt(next_sublayer.nodes, self.base, tally)
-        if not subtree_consistency(sub_root, proof_sr, self.root, self.base, tally):
+        if not _sublayer_under(next_sublayer, proof_sr, self.root, self.base,
+                               tally):
             trace.hashes += tally.hashes
             raise Revert("consistency", "new sublayer does not match the root")
         trace.hashes += tally.hashes
@@ -338,8 +348,8 @@ class WalletContract:
             return False
         new_root = self.l2[match[0]]
         tally = CostTally()
-        sub_root = reduce_mt(new_sublayer.nodes, self.base, tally)
-        if not subtree_consistency(sub_root, proof_sr, new_root, self.base, tally):
+        if not _sublayer_under(new_sublayer, proof_sr, new_root, self.base,
+                               tally):
             trace.hashes += tally.hashes
             raise Revert("consistency", "new sublayer does not match the new root")
         trace.hashes += tally.hashes

@@ -141,14 +141,19 @@ def confirm_mean_counts(params: TreeParams) -> tuple[Counts, float]:
     return mean, (params.P + 1) / 2 + (params.H_S - params.L_S)
 
 
+def _single_tree_costs(L: int, N: int, P: int, table: CostTable,
+                       S: int) -> tuple[float, float, float]:
+    """(deployment, init, mean confirm) cost of a single-tree wallet."""
+    params = TreeParams(S=S, N=N, P=P, N_S=N, L_S=L)
+    mean, mean_hashes = confirm_mean_counts(params)
+    return (deploy_counts(params).cost(table), init_counts(params).cost(table),
+            mean.cost(table) + mean_hashes * table.hash_eval)
+
+
 def transfer_cost(L: int, N: int, P: int, table: CostTable = DEFAULT_TABLE,
                   S: int = 128) -> float:
     """Mean per-transfer cost plus amortized deployment, single tree."""
-    params = TreeParams(S=S, N=N, P=P, N_S=N, L_S=L)
-    deploy = deploy_counts(params).cost(table)
-    init = init_counts(params).cost(table)
-    mean, mean_hashes = confirm_mean_counts(params)
-    confirm = mean.cost(table) + mean_hashes * table.hash_eval
+    deploy, init, confirm = _single_tree_costs(L, N, P, table, S)
     return init + confirm + deploy / N
 
 
@@ -191,11 +196,7 @@ def sweep(hs: list[int], ps: list[int], ls: list[int] | None = None,
             for L in depths:
                 if L > H:
                     continue
-                params = TreeParams(S=S, N=N, P=P, N_S=N, L_S=L)
-                deploy = deploy_counts(params).cost(table)
-                init = init_counts(params).cost(table)
-                mean, mean_hashes = confirm_mean_counts(params)
-                confirm = mean.cost(table) + mean_hashes * table.hash_eval
+                deploy, init, confirm = _single_tree_costs(L, N, P, table, S)
                 ot = init + confirm + deploy / N
                 rows.append(f"{H},{H},{P},{L},{N},{deploy:.2f},{init:.2f},"
                             f"{confirm:.2f},{ot:.2f}")

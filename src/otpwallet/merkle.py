@@ -30,13 +30,12 @@ from dataclasses import dataclass
 
 from .hashing import (
     DEFAULT_BASE_HASH,
+    SEED_BYTES,
     Digest,
     DomainError,
     HashFn,
     Seed,
     chain_extend,
-    prf,
-    truncated_hash,
 )
 
 LEAF_FILE_MAGIC = "smartotps-leaves"
@@ -153,25 +152,62 @@ def layer_of(i: int, params: TreeParams) -> int:
 # Parity bit helpers and the node pair hash
 
 def lsb(d: Digest) -> int:
+    if not d:
+        raise DomainError("an empty digest has no parity bit")
     return d[-1] & 1
 
 def with_lsb(d: Digest, bit: int) -> Digest:
     return d[:-1] + bytes([(d[-1] & 0xFE) | bit])
 
+# _CLEARED[b] is byte b with its parity bit cleared, as a one-byte string.
+_CLEARED = tuple(bytes([b & 0xFE]) for b in range(256))
+
 def _mask(d: Digest) -> Digest:
-    return with_lsb(d, 0)
+    return d[:-1] + _CLEARED[d[-1]]
 
 
 def pair_hash(left: Digest, right: Digest, base: HashFn = DEFAULT_BASE_HASH,
               tally: CostTally | None = None) -> Digest:
-    """Parent node value; the LSB of each child is outside hash coverage."""
+    """Parent node value; the LSB of each child is outside hash coverage.
+
+    Both children must be digests of one size in 16..32 bytes; the parent
+    has that size too.
+    """
+    n = len(left)
+    if n != len(right) or not 16 <= n <= 32:
+        raise DomainError(f"children must be equal-size 16..32 byte digests: "
+                          f"{n} and {len(right)} bytes")
     if tally is not None:
         tally.hashes += 1
-    return truncated_hash(_mask(left) + _mask(right), len(left), base)
+    return base(_mask(left) + _mask(right))[:n]
 
 
 # ---------------------------------------------------------------------------
 # Tree construction and proofs
+
+def _chain_ends(k: Seed, first: int, count: int, params: TreeParams,
+                base: HashFn) -> list[Digest]:
+    """Chain ends (position P) for PRF points first .. first+count-1.
+
+    The one leaf derivation: prf, then P chain steps, inlined and checked
+    once per batch instead of once per hash.
+    """
+    if len(k) != SEED_BYTES:
+        raise DomainError(f"seed must be {SEED_BYTES} bytes, got {len(k)}")
+    if first < 0 or first + count > 2**32:
+        raise DomainError(f"prf inputs out of range: {first}..{first + count - 1}")
+    if params.P < 1:
+        raise DomainError(f"chain length must be >= 1: {params.P}")
+    nb = params.digest_bytes
+    tags = [j.to_bytes(4, "big") for j in range(1, params.P + 1)]
+    ends = []
+    for x in range(first, first + count):
+        d = base(k + x.to_bytes(4, "big"))[:nb]
+        for tag in tags:
+            d = base(tag + d)[:nb]
+        ends.append(d)
+    return ends
+
 
 def leaf_of_chain(k: Seed, idx: int, params: TreeParams, eta: int = 0,
                   base: HashFn = DEFAULT_BASE_HASH) -> Digest:
@@ -182,13 +218,12 @@ def leaf_of_chain(k: Seed, idx: int, params: TreeParams, eta: int = 0,
     """
     if not 0 <= idx < params.leaves:
         raise DomainError(f"chain index out of range: {idx}")
-    start = prf(k, eta * params.leaves + idx, params.digest_bytes, base)
-    return chain_extend(start, 0, params.P, base)
+    return _chain_ends(k, eta * params.leaves + idx, 1, params, base)[0]
 
 
 def all_leaves(k: Seed, params: TreeParams, eta: int = 0,
                base: HashFn = DEFAULT_BASE_HASH) -> list[Digest]:
-    return [leaf_of_chain(k, i, params, eta, base) for i in range(params.leaves)]
+    return _chain_ends(k, eta * params.leaves, params.leaves, params, base)
 
 
 def _levels(nodes: list[Digest], base: HashFn,
@@ -200,8 +235,9 @@ def _levels(nodes: list[Digest], base: HashFn,
     level = list(nodes)
     yield level
     while len(level) > 1:
-        level = [pair_hash(level[2 * i], level[2 * i + 1], base, tally)
-                 for i in range(len(level) // 2)]
+        pairs = iter(level)
+        level = [pair_hash(left, right, base, tally)
+                 for left, right in zip(pairs, pairs)]
         yield level
 
 

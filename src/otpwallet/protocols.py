@@ -91,11 +91,11 @@ def render_op(addr: str, param: int, op_type: OpType) -> str:
 
 @dataclass
 class System:
-    """One bootstrapped wallet world."""
+    """One wallet world; `client` is None until `bootstrap_system` runs."""
 
     params: TreeParams
     authenticator: Authenticator
-    client: ClientStore
+    client: ClientStore | None
     hw: HardwareWallet
     user: UserModel
     ledger: Ledger
@@ -120,15 +120,16 @@ class System:
 def make_parties_from_material(k: bytes, hw_seed: bytes,
                                params: TreeParams = DEFAULT_PARAMS,
                                funding: int = 1000) -> System:
+    """Parties around a fresh ledger, without a client: the client gets
+    its leaves, and builds its one tree, in `bootstrap_system`."""
     hw = HardwareWallet(signing.keygen(hw_seed))
     auth = Authenticator(k, params)
-    client = ClientStore.bootstrap_secure(k, params)
     ledger = Ledger(initial_accounts={
         signing.account_of(hw.public): funding,
         "acct:recipient": 0,
         "acct:adversary": 50,
     })
-    return System(params=params, authenticator=auth, client=client, hw=hw,
+    return System(params=params, authenticator=auth, client=None, hw=hw,
                   user=UserModel(), ledger=ledger)
 
 
@@ -148,8 +149,8 @@ def bootstrap_system(system: System, mode: str = "secure", funding: int = 1000,
     """Deploy a wallet for already-built parties; `tamper_root` simulates a
     client forging the root during the insecure protocol (caught by the
     user's display comparison)."""
-    auth, client, hw, user, ledger = (system.authenticator, system.client,
-                                      system.hw, system.user, system.ledger)
+    auth, hw, user, ledger = (system.authenticator, system.hw, system.user,
+                              system.ledger)
     params = system.params
 
     if mode == "secure":

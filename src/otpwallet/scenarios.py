@@ -54,16 +54,9 @@ class ScenarioResult:
         return out
 
 
-_TOKEN_BASELINE: dict[str, int] = {}
-
-
-def _track(system: System) -> None:
-    _TOKEN_BASELINE[system.contract_id] = system.ledger.total_tokens()
-
-
-def _finish(result: ScenarioResult, system: System) -> ScenarioResult:
-    baseline = _TOKEN_BASELINE.pop(system.contract_id,
-                                   system.ledger.total_tokens())
+def _finish(result: ScenarioResult, system: System,
+            baseline: int) -> ScenarioResult:
+    """Shared end checks; `baseline` is the token total after bootstrap."""
     result.check("token conservation",
                  system.ledger.total_tokens() == baseline,
                  "sum of balances constant")
@@ -111,7 +104,7 @@ def theorem1(seed: int = 0) -> ScenarioResult:
     """Key theft: the adversary can initiate operations but never confirm."""
     result = ScenarioResult("theorem1")
     system = run_bootstrap("secure", seed)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     stolen = system.hw.keypair
     ledger = system.ledger
@@ -163,14 +156,14 @@ def theorem1(seed: int = 0) -> ScenarioResult:
     result.check("adversary operation still pending",
                  system.contract.operations[adv_op].pending)
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 def theorem2(seed: int = 0) -> ScenarioResult:
     """Subtree-OTP interception: only the valid next sublayer can land."""
     result = ScenarioResult("theorem2")
     system = run_bootstrap("secure", seed)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     ledger = system.ledger
     params = system.params
@@ -180,7 +173,7 @@ def theorem2(seed: int = 0) -> ScenarioResult:
         outcome = run_operation(system, OpType.TRANSFER, system.recipient, 1)
         if not outcome["ok"]:
             result.check("depletion drive", False, str(outcome))
-            return _finish(result, system)
+            return _finish(result, system, tokens0)
 
     rng = random.Random(seed + 999)
     forged_nodes = [bytes(rng.getrandbits(8) for _ in range(params.digest_bytes))
@@ -222,7 +215,7 @@ def theorem2(seed: int = 0) -> ScenarioResult:
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 2)
     result.check("operations continue in subtree 1", outcome["ok"])
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 def theorem3(seed: int = 0) -> ScenarioResult:
@@ -230,7 +223,7 @@ def theorem3(seed: int = 0) -> ScenarioResult:
     result = ScenarioResult("theorem3")
     params = TreeParams(S=128, N=8, P=2, N_S=8, L_S=1)
     system = run_bootstrap("secure", seed, params=params)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     ledger = system.ledger
     stolen = system.hw.keypair
@@ -239,7 +232,7 @@ def theorem3(seed: int = 0) -> ScenarioResult:
         outcome = run_operation(system, OpType.TRANSFER, system.recipient, 1)
         if not outcome["ok"]:
             result.check("depletion drive", False, str(outcome))
-            return _finish(result, system)
+            return _finish(result, system, tokens0)
 
     # Adversary's own candidate tree.
     rng = random.Random(seed + 31337)
@@ -283,14 +276,14 @@ def theorem3(seed: int = 0) -> ScenarioResult:
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 3)
     result.check("new generation usable", outcome["ok"])
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 def theorem4(seed: int = 0) -> ScenarioResult:
     """Tampered client after bootstrap: the wallet display stops it."""
     result = ScenarioResult("theorem4")
     system = run_bootstrap("secure", seed)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     ops_before = dict(system.contract.operations)
 
@@ -309,7 +302,7 @@ def theorem4(seed: int = 0) -> ScenarioResult:
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 9)
     result.check("honest retry succeeds", outcome["ok"])
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 def theorem5(seed: int = 0) -> ScenarioResult:
@@ -325,21 +318,21 @@ def theorem5(seed: int = 0) -> ScenarioResult:
 
     # An honest insecure bootstrap from the same seed still works.
     system = run_bootstrap("insecure", seed)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     result.check("honest insecure bootstrap deploys",
                  system.contract_id != "")
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 4)
     result.check("deployed wallet operates", outcome["ok"])
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 def theorem6(seed: int = 0) -> ScenarioResult:
     """Stolen authenticator: OTPs alone initiate nothing."""
     result = ScenarioResult("theorem6")
     system = run_bootstrap("secure", seed)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     ledger = system.ledger
     wallet_lines_before = system.contract.state_lines()
@@ -377,14 +370,14 @@ def theorem6(seed: int = 0) -> ScenarioResult:
                  system.contract.state_lines() == wallet_lines_before)
     result.check("balances unchanged", _balances(system) == before)
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 def depletion(seed: int = 0) -> ScenarioResult:
     """Full lifecycle: all OTPs, one subtree introduction, one rotation."""
     result = ScenarioResult("depletion")
     system = run_bootstrap("secure", seed)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     params = system.params
     old_otp = system.authenticator.get_otp(3)
@@ -397,7 +390,7 @@ def depletion(seed: int = 0) -> ScenarioResult:
         outcome = run_operation(system, op_type, addr, param)
         if not outcome["ok"]:
             result.check(f"operation {op_type.value}", False, str(outcome))
-            return _finish(result, system)
+            return _finish(result, system, tokens0)
     result.check("subtree 0 depleted", system.contract.next_op_id == params.N_S - 1)
 
     outcome = run_next_subtree(system)                 # opID 7
@@ -407,7 +400,7 @@ def depletion(seed: int = 0) -> ScenarioResult:
         outcome = run_operation(system, OpType.TRANSFER, system.recipient, 1)
         if not outcome["ok"]:
             result.check("second subtree drive", False, str(outcome))
-            return _finish(result, system)
+            return _finish(result, system, tokens0)
 
     outcome = run_new_root(system, "secure")           # opID 15
     result.check("parent-root rotation", outcome["ok"])
@@ -438,14 +431,14 @@ def depletion(seed: int = 0) -> ScenarioResult:
     result.check("pre-rotation OTP rejected",
                  ledger.receipt(txid).status.startswith("revert:"))
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 def dos_pending(seed: int = 0) -> ScenarioResult:
     """Key theft flood: pending garbage, zero confirmable operations."""
     result = ScenarioResult("dos-pending")
     system = run_bootstrap("secure", seed)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     ledger = system.ledger
     stolen = system.hw.keypair
@@ -479,14 +472,14 @@ def dos_pending(seed: int = 0) -> ScenarioResult:
     result.check("flooded operations still pending",
                  all(system.contract.operations[i].pending for i in adv_ops))
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 def fork_replay(seed: int = 0) -> ScenarioResult:
     """Accidental fork during the wait: detect, resubmit, then confirm."""
     result = ScenarioResult("fork-replay")
     system = run_bootstrap("secure", seed)
-    _track(system)
+    tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     ledger = system.ledger
     params = system.params
@@ -537,7 +530,7 @@ def fork_replay(seed: int = 0) -> ScenarioResult:
                  all(c >= system.client.confirmation_depth
                      for _, c in system.depth_checks))
     _honest_funds_intact(result, system, before)
-    return _finish(result, system)
+    return _finish(result, system, tokens0)
 
 
 SCENARIOS = {

@@ -13,7 +13,7 @@ from otpwallet.ledger import (
     payload_size,
     run_script,
 )
-from otpwallet.merkle import MerkleProof, TreeParams
+from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, lsb, with_lsb
 
 
 def pay(frm, to, amount, fee, nonce):
@@ -388,3 +388,58 @@ def test_txid_is_hashed_once_per_transaction(ledger, monkeypatch):
         ledger.confirmations(txid)
     assert ledger.receipt(txid).txid == txid
     assert len(calls) == 2
+
+
+def resized(d, size):
+    """`d` cut or zero-padded to `size` bytes, keeping its parity bit."""
+    return with_lsb((d + bytes(size))[:size], lsb(d)) if size else b""
+
+
+@pytest.mark.parametrize("size", [0, 8, 40])
+def test_wrong_size_digests_revert_without_halting_the_chain(size):
+    w = WalletChain()
+    led = w.ledger
+    for _ in range(w.params.N_S - 1):            # up to the subtree boundary
+        w.init(1)
+    led.mine_block()
+    tokens = led.total_tokens()
+    sub_op = led.contract(w.cid).next_op_id
+    good = w.store.build_next_subtree(sub_op, w.auth.get_otp(sub_op))
+    confirm = w.store.build_confirm(0, w.auth.get_otp(0))
+    root, sublayer, proof_sr = w.store.constructor_args()
+
+    def bad_proof(proof):
+        return MerkleProof(tuple(resized(s, size) for s in proof.siblings))
+
+    def bad_layer(layer):
+        return SubtreeLayer([resized(layer.nodes[0], size)] + layer.nodes[1:],
+                            layer.index)
+
+    def next_subtree(sublayer, proof_otp):
+        return {"fn": "next_subtree", "contract": w.cid, "sublayer": sublayer,
+                "otp": good.otp, "proof_otp": proof_otp,
+                "proof_sr": good.proof_sr}
+
+    def deploy(sublayer, proof_sr):
+        return {"fn": "deploy_wallet", "root": root, "pk": w.kp.public,
+                "sublayer": sublayer, "proof_sr": proof_sr,
+                "params": w.params}
+
+    calls = [
+        ({"fn": "confirm_op", "contract": w.cid, "otp": confirm.otp,
+          "proof": bad_proof(confirm.proof), "op_id": 0}, "revert:otp"),
+        (next_subtree(good.next_sublayer, bad_proof(good.proof_otp)),
+         "revert:otp"),
+        (next_subtree(bad_layer(good.next_sublayer), good.proof_otp),
+         "revert:consistency"),
+        (deploy(bad_layer(sublayer), proof_sr), "revert:consistency"),
+        (deploy(sublayer, bad_proof(proof_sr)), "revert:consistency"),
+    ]
+    # Any account may send these; none of them is signed.
+    for nonce, (call, _) in enumerate(calls):
+        led.submit(Transaction("acct:bob", call, nonce=nonce))
+    blk = led.mine_block()
+    assert [r.status for r in blk.receipts] == [want for _, want in calls]
+    assert led.head is blk
+    assert led.total_tokens() == tokens
+    assert led.contract(w.cid).next_op_id == sub_op

@@ -32,6 +32,7 @@ from otpwallet.merkle import (
     layer_of,
     leaf_of_chain,
     lsb,
+    pair_hash,
     parse_leaf_file,
     proof_to_sublayer,
     reduce_mt,
@@ -219,6 +220,57 @@ def test_leaves_never_equal_any_otp():
     otps = {chain_extend(prf(K, beta(i, PARAMS)), 0, alpha(i, PARAMS))
             for i in range(PARAMS.N)}
     assert not leaves & otps
+
+
+def oracle_leaf(k, x, params):
+    """Chain end for PRF point x, straight on hashlib."""
+    nb = params.digest_bytes
+    d = hashlib.sha3_256(k + x.to_bytes(4, "big")).digest()[:nb]
+    for j in range(1, params.P + 1):
+        d = hashlib.sha3_256(j.to_bytes(4, "big") + d).digest()[:nb]
+    return d
+
+
+@pytest.mark.parametrize("S", [128, 256])
+@pytest.mark.parametrize("P", [1, 3])
+@pytest.mark.parametrize("eta", [0, 2])
+def test_leaves_match_a_hashlib_reference(S, P, eta):
+    params = TreeParams(S=S, N=8 * P, P=P, N_S=4 * P, L_S=1)
+    want = [oracle_leaf(K, eta * params.leaves + i, params)
+            for i in range(params.leaves)]
+    assert all_leaves(K, params, eta) == want
+    assert [leaf_of_chain(K, i, params, eta)
+            for i in range(params.leaves)] == want
+
+
+def test_leaf_derivation_checks_seed_and_prf_range():
+    with pytest.raises(DomainError):
+        all_leaves(K[:15], PARAMS)
+    with pytest.raises(DomainError):
+        leaf_of_chain(K + b"x", 0, PARAMS)
+    last_eta = 2**32 // PARAMS.leaves - 1
+    assert len(all_leaves(K, PARAMS, last_eta)) == PARAMS.leaves
+    with pytest.raises(DomainError):
+        all_leaves(K, PARAMS, last_eta + 1)
+    with pytest.raises(DomainError):
+        leaf_of_chain(K, 0, PARAMS, -1)
+
+
+@pytest.mark.parametrize("n", [16, 20, 32])
+def test_pair_hash_matches_a_hashlib_reference(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        left, right = (with_lsb(rng.randbytes(n), 1) for _ in range(2))
+        want = hashlib.sha3_256(_mask(left) + _mask(right)).digest()[:n]
+        assert pair_hash(left, right) == want
+
+
+@pytest.mark.parametrize("sizes", [(0, 0), (15, 15), (33, 33), (16, 17),
+                                   (32, 16), (16, 0)])
+def test_pair_hash_rejects_wrong_size_children(sizes):
+    left, right = (bytes(range(1, n + 1)) for n in sizes)
+    with pytest.raises(DomainError):
+        pair_hash(left, right)
 
 
 # -- derive_root_hash ----------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from otpwallet import signing
+from otpwallet import merkle, signing
+from otpwallet.cli import World, main
 from otpwallet.contract import OpType
 from otpwallet.hashing import truncated_hash
 from otpwallet.protocols import (
@@ -133,3 +134,26 @@ def test_rotation_refused_off_boundary():
 def test_render_op_puts_the_address_first():
     text = render_op("acct:bob", 5, OpType.TRANSFER)
     assert text.startswith("addr=acct:bob")
+
+
+def test_bootstrap_builds_the_client_tree_once(monkeypatch, tmp_path):
+    builds = []
+    real = merkle.build_levels
+
+    def counting(*args, **kwargs):
+        builds.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(merkle, "build_levels", counting)
+    for mode in ("secure", "insecure"):
+        builds.clear()
+        run_bootstrap(mode, seed=3)
+        assert builds == [8]
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(bytes(range(16)).hex() + "\n")
+    state_dir = tmp_path / "wallet"
+    assert main(["--state-dir", str(state_dir), "bootstrap",
+                 "--seed-file", str(seed_file)]) == 0
+    builds.clear()
+    World.load(state_dir)
+    assert len(builds) == 1
