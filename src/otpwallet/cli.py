@@ -29,12 +29,14 @@ from .protocols import (
     ProtocolAbort,
     System,
     bootstrap_system,
+    confirm_operation,
+    init_operation,
     make_parties_from_material,
-    render_op,
     run_new_root,
     run_next_subtree,
-    submit_signed,
 )
+# Not called here; kept bound because bench/tracing.py wraps it on this module.
+from .protocols import submit_signed  # noqa: F401
 from . import cost_model
 from .scenarios import SCENARIOS, run_scenario
 
@@ -155,41 +157,32 @@ class World:
         return result
 
     def save(self) -> None:
+        """Write each file to a temp file, then move it into place;
+        `world.json` goes last, so a failed save leaves the previous world."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self.data, indent=1, sort_keys=True))
         client = self.system.client
-        (self.state_dir / "client.leaves").write_text(client.dump_leaves())
-        (self.state_dir / "client.json").write_text(client.sidecar() + "\n")
+        for name, text in (
+                ("client.leaves", client.dump_leaves()),
+                ("client.json", client.sidecar() + "\n"),
+                ("world.json", json.dumps(self.data, indent=1, sort_keys=True))):
+            tmp = self.state_dir / (name + ".tmp")
+            tmp.write_text(text)
+            os.replace(tmp, self.state_dir / name)
 
 
 def _do_init(system: System, op_type: OpType, addr: str, param: int) -> dict:
-    system.user.expect(render_op(addr, param, op_type))
-    call = {"fn": "init_op", "contract": system.contract_id,
-            "addr": addr, "param": param, "type": op_type}
-    txid = submit_signed(system, call, render_op(addr, param, op_type))
-    system.ledger.mine_block()
-    receipt = system.ledger.receipt(txid)
-    if receipt.status != "ok":
-        raise CliError("protocol", f"init rejected: {receipt.status}")
-    return {"ok": True, "op_id": int(receipt.result), "txid": txid}
+    outcome = init_operation(system, op_type, addr, param)
+    if not outcome["ok"]:
+        raise CliError("protocol", f"init rejected: {outcome['status']}")
+    return outcome
 
 
 def _do_confirm(system: System, op_id: int, otp: bytes) -> dict:
-    ledger = system.ledger
-    # Background wait: mine until the head is deep enough past the init.
-    for _ in range(system.client.confirmation_depth):
-        ledger.mine_block()
-    payload = system.client.build_confirm(op_id, otp)
-    tx = Transaction(system.user_account, {
-        "fn": "confirm_op", "contract": system.contract_id,
-        "otp": payload.otp, "proof": payload.proof, "op_id": op_id,
-    }, fee=1, nonce=ledger.next_nonce(system.user_account))
-    txid = ledger.submit(tx)
-    ledger.mine_block()
-    receipt = ledger.receipt(txid)
-    if receipt.status != "ok":
-        raise CliError("protocol", f"confirmation rejected: {receipt.status}")
-    return {"ok": True, "op_id": op_id, "txid": txid}
+    outcome = confirm_operation(system, op_id, otp)
+    if not outcome["ok"]:
+        raise CliError("protocol",
+                       f"confirmation rejected: {outcome['status']}")
+    return outcome
 
 
 # ---------------------------------------------------------------------------

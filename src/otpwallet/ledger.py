@@ -38,6 +38,31 @@ MAIN = "main"
 
 SIGNED_CALLS = {"init_op", "new_root_stage1", "new_root_stage2"}
 
+# Call name -> argument keys, in the order the handler takes them. A call
+# lacking one reverts as malformed; a name not listed reverts on phase.
+CALL_ARGS = {
+    "transfer": ("to", "amount"),
+    "deploy_wallet": ("root", "pk", "sublayer", "proof_sr", "params"),
+    "init_op": ("addr", "param", "type"),
+    "confirm_op": ("otp", "proof", "op_id"),
+    "next_subtree": ("sublayer", "otp", "proof_otp", "proof_sr"),
+    "new_root_stage1": ("value",),
+    "new_root_stage2": ("value",),
+    "new_root_stage3": ("otp", "proof", "sublayer", "proof_sr"),
+    "send_to_last_resort": (),
+}
+
+# Contract call -> receipt result, from the call and the method's return.
+CALL_RESULTS = {
+    "init_op": lambda call, out: str(out),
+    "confirm_op": lambda call, out: str(call["op_id"]),
+    "next_subtree": lambda call, out: "",
+    "new_root_stage1": lambda call, out: "",
+    "new_root_stage2": lambda call, out: "",
+    "new_root_stage3": lambda call, out: "updated" if out else "no-update",
+    "send_to_last_resort": lambda call, out: str(out),
+}
+
 
 class LedgerError(Exception):
     pass
@@ -191,6 +216,8 @@ class Ledger:
     # -- submission --------------------------------------------------------------
 
     def submit(self, tx: Transaction) -> str:
+        if "fn" not in tx.call:
+            raise LedgerError(f"call without a function name from {tx.sender}")
         expected = self.head.state.nonces.get(tx.sender, 0)
         pending = sum(1 for t in self.mempool if t.sender == tx.sender)
         if tx.nonce < expected:
@@ -274,8 +301,13 @@ class Ledger:
 
     def _dispatch(self, tx: Transaction, state: LedgerState, timestamp: int,
                   trace: CallTrace) -> str:
-        call = tx.call
-        fn = tx.fn
+        call, fn = tx.call, tx.fn
+        if fn not in CALL_ARGS:
+            raise Revert("phase", f"unknown function {fn}")
+        try:
+            args = [call[key] for key in CALL_ARGS[fn]]
+        except KeyError as exc:
+            raise Revert("malformed", f"{fn} lacks {exc.args[0]}") from None
 
         def do_transfer(frm: str, to: str, amount: int):
             if amount < 0 or state.accounts.get(frm, 0) < amount:
@@ -284,7 +316,7 @@ class Ledger:
             state.accounts[to] = state.accounts.get(to, 0) + amount
 
         if fn == "transfer":
-            do_transfer(tx.sender, call["to"], call["amount"])
+            do_transfer(tx.sender, *args)
             return ""
 
         env = ChainEnv(
@@ -297,44 +329,19 @@ class Ledger:
         )
 
         if fn == "deploy_wallet":
-            contract = WalletContract(
-                call["root"], call["pk"], call["sublayer"], call["proof_sr"],
-                call["params"], env, trace=trace)
+            contract = WalletContract(*args, env, trace=trace)
             if contract.contract_id in state.contracts:
                 raise Revert("phase", "contract already deployed")
             state.contracts[contract.contract_id] = contract
             return contract.contract_id
 
-        contract = state.contracts.get(call["contract"])
+        cid = call.get("contract")
+        contract = state.contracts.get(cid)
         if contract is None:
-            raise Revert("phase", f"no contract {call['contract']}")
-        if fn == "init_op":
-            op_id = contract.init_op(call["addr"], call["param"],
-                                     call["type"], env, trace)
-            return str(op_id)
-        if fn == "confirm_op":
-            contract.confirm_op(call["otp"], call["proof"], call["op_id"],
-                                env, trace)
-            return str(call["op_id"])
-        if fn == "next_subtree":
-            contract.next_subtree(call["sublayer"], call["otp"],
-                                  call["proof_otp"], call["proof_sr"], env, trace)
-            return ""
-        if fn == "new_root_stage1":
-            contract.new_root_stage1(call["value"], env, trace)
-            return ""
-        if fn == "new_root_stage2":
-            contract.new_root_stage2(call["value"], env, trace)
-            return ""
-        if fn == "new_root_stage3":
-            updated = contract.new_root_stage3(
-                call["otp"], call["proof"], call["sublayer"], call["proof_sr"],
-                env, trace)
-            return "updated" if updated else "no-update"
-        if fn == "send_to_last_resort":
-            amount = contract.send_to_last_resort(env, trace)
-            return str(amount)
-        raise Revert("phase", f"unknown function {fn}")
+            raise Revert("phase", f"no contract {cid}")
+        # Looked up at call time, so wrappers set on the class apply.
+        out = getattr(contract, fn)(*args, env, trace)
+        return CALL_RESULTS[fn](call, out)
 
     # -- forks and reorgs ----------------------------------------------------------------
 

@@ -6,6 +6,13 @@ displays before approving, air-gapped values travel through the mnemonic
 codec, and the client waits out block confirmations before revealing an
 OTP. Adversary scenarios reuse the same machinery with stolen keys,
 mempool observation, and fork control.
+
+An operation runs in two steps, each one call here and nowhere else:
+`init_operation` sends the signed init and remembers its txid, and
+`confirm_operation` waits until that init is `confirmation_depth` deep,
+only then takes the OTP and sends the confirm. `run_operation` is the two
+in a row; the CLI runs them one command apart. Every owner transaction is
+sent and mined through `send`.
 """
 
 from __future__ import annotations
@@ -102,8 +109,10 @@ class System:
     contract_id: str = ""
     recipient: str = "acct:recipient"
     confirmed_transfers: list[tuple[str, int]] = field(default_factory=list)
+    # op id -> (init txid, type, addr, param) of each initialised operation.
+    initialised: dict[int, tuple[str, OpType, str, int]] = field(
+        default_factory=dict)
     depth_checks: list[tuple[int, int]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def user_account(self) -> str:
@@ -112,9 +121,6 @@ class System:
     @property
     def contract(self):
         return self.ledger.contract(self.contract_id)
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
 
 
 def make_parties_from_material(k: bytes, hw_seed: bytes,
@@ -149,8 +155,7 @@ def bootstrap_system(system: System, mode: str = "secure", funding: int = 1000,
     """Deploy a wallet for already-built parties; `tamper_root` simulates a
     client forging the root during the insecure protocol (caught by the
     user's display comparison)."""
-    auth, hw, user, ledger = (system.authenticator, system.hw, system.user,
-                              system.ledger)
+    auth, hw, user = system.authenticator, system.hw, system.user
     params = system.params
 
     if mode == "secure":
@@ -179,24 +184,17 @@ def bootstrap_system(system: System, mode: str = "secure", funding: int = 1000,
             raise ProtocolAbort("root displayed by the wallet does not match "
                                 "the authenticator; deployment refused")
 
-    tx = Transaction(system.user_account, {
+    receipt = send(system, {
         "fn": "deploy_wallet", "root": root, "pk": hw.public,
-        "sublayer": sublayer, "proof_sr": proof_sr, "params": params,
-    }, fee=1, nonce=ledger.next_nonce(system.user_account))
-    txid = ledger.submit(tx)
-    ledger.mine_block()
-    receipt = ledger.receipt(txid)
-    if receipt is None or receipt.status != "ok":
-        raise ProtocolAbort(f"deployment failed: {receipt and receipt.status}")
+        "sublayer": sublayer, "proof_sr": proof_sr, "params": params})
+    if _status(receipt) != "ok":
+        raise ProtocolAbort(f"deployment failed: {_status(receipt)}")
     system.contract_id = receipt.result
     client.contract_id = receipt.result
 
     # Fund the wallet from the user's account.
-    fund = Transaction(system.user_account, {
-        "fn": "transfer", "to": system.contract_id, "amount": funding // 2,
-    }, fee=1, nonce=ledger.next_nonce(system.user_account))
-    ledger.submit(fund)
-    ledger.mine_block()
+    send(system, {"fn": "transfer", "to": system.contract_id,
+                  "amount": funding // 2})
     return system
 
 
@@ -220,101 +218,134 @@ def submit_signed(system: System, call: dict, payload: str, fee: int = 1) -> str
     return system.ledger.submit(tx)
 
 
-def wait_confirmations(system: System, txid: str, resubmit: Transaction | None = None) -> None:
-    """Background wait until the tx sits under confirmation_depth blocks.
+def send(system: System, call: dict, display: str | None = None):
+    """Submit an owner transaction (fee 1) at the next nonce, signed on the
+    wallet's display when `display` is given, mine one block, and return
+    its receipt (None when the transaction did not land)."""
+    ledger = system.ledger
+    if display is None:
+        txid = ledger.submit(Transaction(
+            system.user_account, call, fee=1,
+            nonce=ledger.next_nonce(system.user_account)))
+    else:
+        txid = submit_signed(system, call, display)
+    ledger.mine_block()
+    return ledger.receipt(txid)
 
-    Detects a reorg that dropped the tx and resubmits it, as the client is
-    expected to do during the wait.
+
+def _status(receipt) -> str:
+    return receipt.status if receipt is not None else "missing"
+
+
+def wait_confirmations(system: System, txid: str) -> int:
+    """Background wait until the tx sits under confirmation_depth blocks;
+    returns its confirmations then.
+
+    A reorg that orphans the tx puts it back in the mempool, and the wait
+    mines it again; a tx that left both chain and mempool aborts. Missing
+    depth is mined in one batch: mining runs no observers, so nothing can
+    reorg between those blocks.
     """
     ledger = system.ledger
-    for _ in range(10 * system.client.confirmation_depth):
+    depth = system.client.confirmation_depth
+    mined = 0
+    while mined < 10 * depth:
         confs = ledger.confirmations(txid)
         if confs is None:
             if not any(t.txid == txid for t in ledger.mempool):
-                if resubmit is not None:
-                    ledger.submit(resubmit)
-                    system.note(f"resubmitted {txid} after reorg")
-                else:
-                    raise ProtocolAbort(f"transaction {txid} vanished")
-        elif confs >= system.client.confirmation_depth:
-            return
-        ledger.mine_block()
+                raise ProtocolAbort(f"transaction {txid} vanished")
+            batch = 1
+        elif confs >= depth:
+            return confs
+        else:
+            batch = depth - confs
+        for _ in range(batch):
+            ledger.mine_block()
+        mined += batch
     raise ProtocolAbort(f"transaction {txid} never reached depth")
+
+
+def init_operation(system: System, op_type: OpType, addr: str, param: int,
+                   tampered_addr: str | None = None,
+                   tampered_param: int | None = None) -> dict:
+    """First factor: the signed init, mined into one block.
+
+    The tampered_* arguments model a compromised client rewriting the
+    transaction after the user entered their intent.
+    """
+    system.user.expect(render_op(addr, param, op_type))
+    sent_addr = tampered_addr if tampered_addr is not None else addr
+    sent_param = tampered_param if tampered_param is not None else param
+    receipt = send(system, {"fn": "init_op", "contract": system.contract_id,
+                            "addr": sent_addr, "param": sent_param,
+                            "type": op_type},
+                   render_op(sent_addr, sent_param, op_type))
+    if _status(receipt) != "ok":
+        return {"ok": False, "stage": "init", "status": _status(receipt)}
+    op_id = int(receipt.result)
+    system.initialised[op_id] = (receipt.txid, op_type, addr, param)
+    return {"ok": True, "stage": "init", "op_id": op_id,
+            "txid": receipt.txid}
+
+
+def confirm_operation(system: System, op_id: int,
+                      otp: Digest | None = None) -> dict:
+    """Second factor: wait until the init is confirmation_depth deep, then
+    reveal the OTP (the authenticator's, or one the user typed) and confirm."""
+    if op_id not in system.initialised:
+        return {"ok": False, "stage": "confirm", "op_id": op_id,
+                "status": "not-initialised"}
+    init_txid, op_type, addr, param = system.initialised[op_id]
+    confs = wait_confirmations(system, init_txid)
+    if confs < system.client.confirmation_depth:
+        raise ProtocolAbort(
+            f"refusing to reveal an OTP at {confs} confirmations")
+    system.depth_checks.append((op_id, confs))
+
+    if otp is None:
+        otp = system.user.transfer_digest(
+            system.authenticator.get_otp(op_id % system.params.N))
+    payload = system.client.build_confirm(op_id, otp)
+    receipt = send(system, {"fn": "confirm_op", "contract": system.contract_id,
+                            "otp": payload.otp, "proof": payload.proof,
+                            "op_id": op_id})
+    ok = _status(receipt) == "ok"
+    if ok and op_type is OpType.TRANSFER:
+        system.confirmed_transfers.append((addr, param))
+    return {"ok": ok, "stage": "confirm", "op_id": op_id,
+            "status": _status(receipt),
+            "txid": receipt.txid if receipt is not None else None}
 
 
 def run_operation(system: System, op_type: OpType, addr: str, param: int,
                   tampered_addr: str | None = None,
                   tampered_param: int | None = None) -> dict:
-    """Two-stage operation: signed init, wait, OTP confirm.
-
-    The tampered_* arguments model a compromised client rewriting the
-    transaction after the user entered their intent.
-    """
-    ledger = system.ledger
-    intent = render_op(addr, param, op_type)
-    system.user.expect(intent)
-
-    sent_addr = tampered_addr if tampered_addr is not None else addr
-    sent_param = tampered_param if tampered_param is not None else param
-    call = {"fn": "init_op", "contract": system.contract_id,
-            "addr": sent_addr, "param": sent_param, "type": op_type}
-    init_txid = submit_signed(system, call, render_op(sent_addr, sent_param, op_type))
-    ledger.mine_block()
-    receipt = ledger.receipt(init_txid)
-    if receipt is None or receipt.status != "ok":
-        return {"ok": False, "stage": "init",
-                "status": receipt.status if receipt else "missing"}
-    op_id = int(receipt.result)
-
-    wait_confirmations(system, init_txid)
-
-    otp = system.authenticator.get_otp(op_id % system.params.N)
-    otp = system.user.transfer_digest(otp)
-    payload = system.client.build_confirm(op_id, otp)
-    confs = ledger.confirmations(init_txid)
-    if confs is None or confs < system.client.confirmation_depth:
-        raise ProtocolAbort(
-            f"refusing to reveal an OTP at {confs} confirmations")
-    system.depth_checks.append((op_id, confs))
-    confirm = Transaction(system.user_account, {
-        "fn": "confirm_op", "contract": system.contract_id,
-        "otp": payload.otp, "proof": payload.proof, "op_id": op_id,
-    }, fee=1, nonce=ledger.next_nonce(system.user_account))
-    confirm_txid = ledger.submit(confirm)
-    ledger.mine_block()
-    receipt = ledger.receipt(confirm_txid)
-    ok = receipt is not None and receipt.status == "ok"
-    if ok and op_type is OpType.TRANSFER:
-        system.confirmed_transfers.append((addr, param))
-    return {"ok": ok, "stage": "confirm", "op_id": op_id,
-            "status": receipt.status if receipt else "missing"}
+    """Two-stage operation: signed init, wait, OTP confirm."""
+    outcome = init_operation(system, op_type, addr, param,
+                             tampered_addr, tampered_param)
+    if not outcome["ok"]:
+        return outcome
+    return confirm_operation(system, outcome["op_id"])
 
 
 def run_next_subtree(system: System) -> dict:
     """Single-transaction introduction of the next subtree."""
-    ledger = system.ledger
     op_id = system.contract.next_op_id
     otp = system.authenticator.get_otp(op_id % system.params.N)
     otp = system.user.transfer_digest(otp)
     payload = system.client.build_next_subtree(op_id, otp)
-    tx = Transaction(system.user_account, {
+    receipt = send(system, {
         "fn": "next_subtree", "contract": system.contract_id,
         "sublayer": payload.next_sublayer, "otp": payload.otp,
-        "proof_otp": payload.proof_otp, "proof_sr": payload.proof_sr,
-    }, fee=1, nonce=ledger.next_nonce(system.user_account))
-    txid = ledger.submit(tx)
-    ledger.mine_block()
-    receipt = ledger.receipt(txid)
-    ok = receipt is not None and receipt.status == "ok"
+        "proof_otp": payload.proof_otp, "proof_sr": payload.proof_sr})
+    ok = _status(receipt) == "ok"
     if ok:
         system.client.advance_subtree()
-    return {"ok": ok, "op_id": op_id,
-            "status": receipt.status if receipt else "missing"}
+    return {"ok": ok, "op_id": op_id, "status": _status(receipt)}
 
 
 def run_new_root(system: System, mode: str = "secure") -> dict:
     """Three-stage parent-root replacement."""
-    ledger = system.ledger
     auth, client, user = system.authenticator, system.client, system.user
     op_id = system.contract.next_op_id
     rel = op_id % system.params.N
@@ -335,45 +366,28 @@ def run_new_root(system: System, mode: str = "secure") -> dict:
     otp = user.transfer_digest(auth.get_otp(rel))
     stages = client.build_new_root_stages(op_id, new_root, otp)
 
-    # Stage 1: the user holds the wallet's display against the
-    # authenticator's preview before signing (insecure environment).
-    if mode == "insecure":
-        shown = system.hw.shown(stages.h_root_and_otp.hex())
-        if not user.compare(shown, preview_h.hex()[: len(shown)]):
-            raise ProtocolAbort("stage-1 display mismatch between wallet and "
-                                "authenticator")
-    user.expect(stages.h_root_and_otp.hex())
-    tx1 = submit_signed(system, {
-        "fn": "new_root_stage1", "contract": system.contract_id,
-        "value": stages.h_root_and_otp}, stages.h_root_and_otp.hex())
-    ledger.mine_block()
-    if system.ledger.receipt(tx1).status != "ok":
-        return {"ok": False, "stage": 1, "status": ledger.receipt(tx1).status}
+    # Stages 1 and 2: in an insecure environment the user holds the wallet's
+    # display against the authenticator's preview before signing.
+    for stage, value, preview in ((1, stages.h_root_and_otp, preview_h),
+                                  (2, stages.new_root, preview_root)):
+        if mode == "insecure":
+            shown = system.hw.shown(value.hex())
+            if not user.compare(shown, preview.hex()[: len(shown)]):
+                raise ProtocolAbort(f"stage-{stage} display mismatch between "
+                                    "wallet and authenticator")
+        user.expect(value.hex())
+        receipt = send(system, {"fn": f"new_root_stage{stage}",
+                                "contract": system.contract_id,
+                                "value": value}, value.hex())
+        if _status(receipt) != "ok":
+            return {"ok": False, "stage": stage, "status": _status(receipt)}
 
-    if mode == "insecure":
-        shown = system.hw.shown(stages.new_root.hex())
-        if not user.compare(shown, preview_root.hex()[: len(shown)]):
-            raise ProtocolAbort("stage-2 display mismatch between wallet and "
-                                "authenticator")
-    user.expect(stages.new_root.hex())
-    tx2 = submit_signed(system, {
-        "fn": "new_root_stage2", "contract": system.contract_id,
-        "value": stages.new_root}, stages.new_root.hex())
-    ledger.mine_block()
-    if ledger.receipt(tx2).status != "ok":
-        return {"ok": False, "stage": 2, "status": ledger.receipt(tx2).status}
-
-    tx3 = Transaction(system.user_account, {
+    receipt = send(system, {
         "fn": "new_root_stage3", "contract": system.contract_id,
         "otp": stages.otp, "proof": stages.proof_otp,
-        "sublayer": stages.new_sublayer, "proof_sr": stages.proof_sr,
-    }, fee=1, nonce=ledger.next_nonce(system.user_account))
-    txid3 = ledger.submit(tx3)
-    ledger.mine_block()
-    receipt = ledger.receipt(txid3)
-    ok = receipt is not None and receipt.status == "ok" and receipt.result == "updated"
+        "sublayer": stages.new_sublayer, "proof_sr": stages.proof_sr})
+    ok = _status(receipt) == "ok" and receipt.result == "updated"
     if ok:
         client.commit_rotation()
         auth.advance_generation()
-    return {"ok": ok, "stage": 3,
-            "status": receipt.status if receipt else "missing"}
+    return {"ok": ok, "stage": 3, "status": _status(receipt)}

@@ -20,9 +20,10 @@ from .merkle import SubtreeLayer, TreeParams, all_leaves, path, sublayer_in
 # Not called here; kept bound because bench/tracing.py wraps them on this module.
 from .merkle import reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
 from .protocols import (
-    DEFAULT_PARAMS,
     ProtocolAbort,
     System,
+    confirm_operation,
+    init_operation,
     run_bootstrap,
     run_new_root,
     run_next_subtree,
@@ -61,7 +62,7 @@ def _finish(result: ScenarioResult, system: System,
                  system.ledger.total_tokens() == baseline,
                  "sum of balances constant")
     result.check("signature audit", not system.ledger.audit_signatures())
-    result.event_log = system.ledger.event_log() + system.notes
+    result.event_log = system.ledger.event_log()
     result.state_hash = system.ledger.state_hash()
     return result
 
@@ -413,14 +414,8 @@ def depletion(seed: int = 0) -> ScenarioResult:
 
     # A pre-rotation OTP cannot confirm anything any more.
     ledger = system.ledger
-    stale_op = system.contract.next_op_id
-    tx = Transaction(system.user_account, {
-        "fn": "init_op", "contract": system.contract_id,
-        "addr": system.recipient, "param": 1, "type": OpType.TRANSFER},
-        fee=1, nonce=ledger.next_nonce(system.user_account))
-    tx.signature = system.hw.keypair.sign(tx.signing_bytes())
-    ledger.submit(tx)
-    ledger.mine_block()
+    stale_op = init_operation(system, OpType.TRANSFER, system.recipient,
+                              1)["op_id"]
     payload = system.client.build_confirm(stale_op, old_otp)
     tx = Transaction(system.user_account, {
         "fn": "confirm_op", "contract": system.contract_id,
@@ -482,21 +477,12 @@ def fork_replay(seed: int = 0) -> ScenarioResult:
     tokens0 = system.ledger.total_tokens()
     before = _balances(system)
     ledger = system.ledger
-    params = system.params
 
-    system.user.expect("addr=acct:recipient param=5 type=transfer")
-    call = {"fn": "init_op", "contract": system.contract_id,
-            "addr": system.recipient, "param": 5, "type": OpType.TRANSFER}
-    tx = Transaction(system.user_account, call, fee=1,
-                     nonce=ledger.next_nonce(system.user_account))
-    system.hw.request_signature(tx, "addr=acct:recipient param=5 type=transfer",
-                                system.user.approve)
-    init_txid = ledger.submit(tx)
-    mined_at = ledger.mine_block().height
-    op_id = int(ledger.receipt(init_txid).result)
+    init = init_operation(system, OpType.TRANSFER, system.recipient, 5)
+    init_txid = init["txid"]
 
     # An accidental fork orphans the initialization.
-    branch = ledger.fork(mined_at - 1)
+    branch = ledger.fork(ledger.head.height - 1)
     ledger.mine_block(branch=branch)
     ledger.mine_block(branch=branch)
     ledger.reorg(branch)
@@ -509,23 +495,8 @@ def fork_replay(seed: int = 0) -> ScenarioResult:
     ledger.mine_block()
     result.check("resubmitted init mined again",
                  ledger.confirmations(init_txid) == 0)
-    while ledger.confirmations(init_txid) < system.client.confirmation_depth:
-        ledger.mine_block()
-
-    otp = system.authenticator.get_otp(op_id % params.N)
-    payload = system.client.build_confirm(op_id, otp)
-    confs = ledger.confirmations(init_txid)
-    system.depth_checks.append((op_id, confs))
-    tx = Transaction(system.user_account, {
-        "fn": "confirm_op", "contract": system.contract_id,
-        "otp": payload.otp, "proof": payload.proof, "op_id": op_id},
-        fee=1, nonce=ledger.next_nonce(system.user_account))
-    txid = ledger.submit(tx)
-    ledger.mine_block()
-    ok = ledger.receipt(txid).status == "ok"
-    if ok:
-        system.confirmed_transfers.append((system.recipient, 5))
-    result.check("confirmation after the wait succeeds", ok)
+    outcome = confirm_operation(system, init["op_id"])
+    result.check("confirmation after the wait succeeds", outcome["ok"])
     result.check("confirmation waited for full depth",
                  all(c >= system.client.confirmation_depth
                      for _, c in system.depth_checks))

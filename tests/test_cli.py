@@ -1,10 +1,11 @@
 """CLI surface: happy path, persistence, exit codes, golden stability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from otpwallet.cli import main, parse_grid, parse_params
+from otpwallet.cli import World, main, parse_grid, parse_params
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
 
@@ -188,3 +189,64 @@ def test_param_and_grid_parsing():
         parse_params("x,y")
     assert parse_grid("H=7..9,P=1+2,L=all") == ([7, 8, 9], [1, 2], None)
     assert parse_grid("H=7,P=1,L=0..2") == ([7], [1], [0, 1, 2])
+
+
+def _otp_hex(capsys, state_dir, op_id):
+    _, out, _ = run(capsys, "--state-dir", state_dir, "otp", "show",
+                    "--op-id", op_id)
+    return out.splitlines()[0].split(":", 1)[1].strip()
+
+
+def test_confirm_mines_only_the_missing_depth(state, capsys):
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    for op_id in (0, 1):
+        code, out, _ = run(capsys, "--state-dir", state_dir, "op", "init",
+                           "--type", "transfer", "--addr", "acct:bob",
+                           "--param", "1")
+        assert code == 0 and f"opID: {op_id}" in out
+    heights = []
+    for op_id in (0, 1):
+        code, _, _ = run(capsys, "--state-dir", state_dir, "op", "confirm",
+                         "--op-id", op_id, "--otp",
+                         _otp_hex(capsys, state_dir, op_id))
+        assert code == 0
+        heights.append(World.load(state_dir).system.ledger.head.height)
+    # Op 1's init sits under op 0's wait and confirm: 12 deep already.
+    assert heights[1] - heights[0] == 1
+
+
+def test_confirm_of_an_uninitialised_operation_leaves_the_world(state, capsys):
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    run(capsys, "--state-dir", state_dir, "op", "init", "--type", "transfer",
+        "--addr", "acct:bob", "--param", "5")
+    before = (state_dir / "world.json").read_bytes()
+    code, _, err = run(capsys, "--state-dir", state_dir, "op", "confirm",
+                       "--op-id", "3", "--otp", "00" * 16)
+    assert code == 1 and err.startswith("error: protocol:")
+    assert "not-initialised" in err          # refused before mining anything
+    assert (state_dir / "world.json").read_bytes() == before
+
+
+def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
+                                                             monkeypatch):
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    before = (state_dir / "world.json").read_bytes()
+    real = Path.write_text
+
+    def torn(path, text, *args, **kwargs):
+        if path.name.startswith("world.json"):
+            real(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+        return real(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    world = World.load(state_dir)
+    with pytest.raises(OSError):
+        world.commit({"cmd": "init", "type": "transfer", "addr": "acct:bob",
+                      "param": 5})
+    monkeypatch.undo()
+    assert (state_dir / "world.json").read_bytes() == before
+    assert World.load(state_dir).data["actions"] == []

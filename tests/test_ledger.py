@@ -443,3 +443,30 @@ def test_wrong_size_digests_revert_without_halting_the_chain(size):
     assert led.head is blk
     assert led.total_tokens() == tokens
     assert led.contract(w.cid).next_op_id == sub_op
+
+
+def test_malformed_calls_revert_without_halting_the_chain():
+    w = WalletChain()
+    led = w.ledger
+    tokens = led.total_tokens()
+    calls = [
+        ({"fn": "bogus"}, "revert:phase"),
+        ({"fn": "transfer", "amount": 1}, "revert:malformed"),
+        ({"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
+          "type": OpType.TRANSFER}, "revert:malformed"),
+        ({"fn": "send_to_last_resort"}, "revert:phase"),
+    ]
+    for call, _ in calls:
+        w.submit(call, sign=True)
+    blk = led.mine_block()
+    assert [r.status for r in blk.receipts] == [want for _, want in calls]
+    assert led.head is blk and not led.mempool
+    assert led.total_tokens() == tokens
+    assert led.mine_block().height == blk.height + 1
+
+
+def test_submit_refuses_a_call_without_a_function(ledger):
+    with pytest.raises(LedgerError):
+        ledger.submit(Transaction("a", {"to": "b", "amount": 1}, nonce=0))
+    assert ledger.mempool == []
+    assert ledger.mine_block().receipts == []

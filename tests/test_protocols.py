@@ -10,6 +10,8 @@ from otpwallet.protocols import (
     HardwareWallet,
     ProtocolAbort,
     UserModel,
+    confirm_operation,
+    init_operation,
     render_op,
     run_bootstrap,
     run_new_root,
@@ -157,3 +159,52 @@ def test_bootstrap_builds_the_client_tree_once(monkeypatch, tmp_path):
     builds.clear()
     World.load(state_dir)
     assert len(builds) == 1
+
+
+def test_split_steps_replay_run_operation_exactly():
+    whole = run_bootstrap("secure", seed=12)
+    split = run_bootstrap("secure", seed=12)
+    for amount in (1, 2):
+        assert run_operation(whole, OpType.TRANSFER, whole.recipient,
+                             amount)["ok"]
+        init = init_operation(split, OpType.TRANSFER, split.recipient, amount)
+        assert confirm_operation(split, init["op_id"])["ok"]
+    assert split.ledger.state_hash() == whole.ledger.state_hash()
+    assert split.ledger.event_log() == whole.ledger.event_log()
+    assert split.confirmed_transfers == whole.confirmed_transfers
+    assert split.depth_checks == whole.depth_checks
+
+
+def test_otp_is_requested_only_at_confirmation_depth(monkeypatch):
+    system = run_bootstrap("secure", seed=13)
+    depth = system.client.confirmation_depth
+    requested = []
+    real = system.authenticator.get_otp
+
+    def recording(rel):
+        init_txid = system.initialised[rel][0]
+        requested.append(system.ledger.confirmations(init_txid))
+        return real(rel)
+
+    monkeypatch.setattr(system.authenticator, "get_otp", recording)
+    first = init_operation(system, OpType.TRANSFER, system.recipient, 1)
+    second = init_operation(system, OpType.TRANSFER, system.recipient, 2)
+    assert requested == []
+    start = system.ledger.head.height
+    assert confirm_operation(system, first["op_id"])["ok"]
+    assert confirm_operation(system, second["op_id"])["ok"]
+    assert run_operation(system, OpType.TRANSFER, system.recipient, 3)["ok"]
+    assert requested == [depth] * 3
+    # The first wait mines the depth - 1 blocks its init lacks; with the
+    # first confirm on top, the second init is deep, so the second confirm
+    # mines only itself. run_operation mines init, depth, confirm.
+    assert system.ledger.head.height == start + (depth - 1 + 1) + 1 + (
+        1 + depth + 1)
+
+
+def test_confirm_of_an_unknown_operation_sends_nothing():
+    system = run_bootstrap("secure", seed=14)
+    height = system.ledger.head.height
+    outcome = confirm_operation(system, 5)
+    assert not outcome["ok"] and outcome["status"] == "not-initialised"
+    assert system.ledger.head.height == height and not system.ledger.mempool
