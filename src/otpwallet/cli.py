@@ -2,9 +2,16 @@
 
 The simulated world persists between invocations as a replayable action
 log: every command that changes state is appended to `world.json` in the
-state directory, and loading replays the log from genesis. Determinism of
-the whole stack makes the replay bit-exact, and the log doubles as an
-audit trail.
+state directory. Next to the log, each save writes the client's two files
+and `checkpoint.json`, the head of the world: the head ledger state, every
+block's receipts, and the protocol bookkeeping. `world.json`, written
+last, binds them: it records each file's SHA-256, the action count and
+the head `state_hash`, and the checkpoint records the SHA-256 of the log
+it was built from. Loading restores the checkpoint when all of these
+match and the restored ledger hashes to the recorded state; otherwise it
+replays the log from genesis, which determinism makes bit-exact, and a
+replay that lands anywhere but the recorded state is an error. The log
+doubles as an audit trail.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr), 2 usage.
@@ -13,6 +20,7 @@ Exit codes: 0 success, 1 protocol or state failure (one categorized
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -20,9 +28,10 @@ from pathlib import Path
 
 from . import mnemonic, security_calc
 from .authenticator import Authenticator
+from .client import ClientStore
 from .contract import OpType, Revert
 from .hashing import DomainError, base_hash_256, random_seed
-from .ledger import LedgerError, Transaction
+from .ledger import Ledger, LedgerError
 from .merkle import TreeParams
 from .mnemonic import MnemonicError
 from .protocols import (
@@ -47,6 +56,8 @@ DEFAULT_STATE_DIR = ".otpwallet"
 DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
 OP_TYPES = {t.value: t for t in OpType}
+# Written before world.json, which records the SHA-256 of each.
+HEAD_FILES = ("client.leaves", "client.json", "checkpoint.json")
 
 
 class CliError(Exception):
@@ -63,8 +74,12 @@ def parse_params(spec: str) -> TreeParams:
         raise CliError("usage", f"bad --params {spec!r}: {exc}") from exc
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
-# Persistent world: seeds + params + action log, replayed on load
+# Persistent world: seeds + params + action log, and a digest-bound head
 
 class World:
     def __init__(self, state_dir: Path, data: dict):
@@ -97,13 +112,17 @@ class World:
             raise CliError("state", f"no wallet state in {state_dir}; "
                                     "run `bootstrap` first")
         world = cls(state_dir, json.loads(path.read_text()))
-        world.replay()
+        if not world.restore():
+            world.replay()
+            recorded = world.data.get("head", {}).get("state_hash")
+            actual = world.system.ledger.state_hash()
+            if recorded is not None and actual != recorded:
+                raise CliError("state", f"the action log replays to state "
+                                        f"{actual}, not the recorded {recorded}")
         return world
 
     def params(self) -> TreeParams:
-        p = self.data["params"]
-        return TreeParams(S=p["S"], N=p["N"], P=p["P"], N_S=p["NS"],
-                          L_S=p["LS"], LEN_MAX=p.get("LEN_MAX", 8))
+        return TreeParams.from_dict(self.data["params"])
 
     def build_system(self) -> System:
         return make_parties_from_material(
@@ -139,15 +158,6 @@ class World:
                 raise CliError("protocol",
                                f"root rotation failed: {outcome['status']}")
             return outcome
-        if cmd == "fund":
-            ledger = system.ledger
-            tx = Transaction(action["from"], {
-                "fn": "transfer", "to": action["to"],
-                "amount": int(action["amount"])},
-                fee=1, nonce=ledger.next_nonce(action["from"]))
-            ledger.submit(tx)
-            ledger.mine_block()
-            return {"ok": True}
         raise CliError("state", f"unknown action in world log: {cmd}")
 
     def commit(self, action: dict) -> dict:
@@ -156,15 +166,77 @@ class World:
         self.save()
         return result
 
+    def actions_sha256(self) -> str:
+        return _sha256(json.dumps(self.data["actions"], sort_keys=True))
+
+    def checkpoint(self) -> dict:
+        """The head of the world, as `restore` reads it back."""
+        system = self.system
+        return {
+            "actions_sha256": self.actions_sha256(),
+            "ledger": system.ledger.checkpoint(),
+            "eta": system.authenticator.eta,
+            "initialised": [[op_id, txid, op_type.value, addr, param]
+                            for op_id, (txid, op_type, addr, param)
+                            in system.initialised.items()],
+            "confirmed_transfers": system.confirmed_transfers,
+            "depth_checks": system.depth_checks,
+        }
+
+    def restore(self) -> bool:
+        """Set up the system from the head files, without replaying; False
+        when `world.json` records no head, a file is missing or does not
+        match its digest, the checkpoint was built from another log or does
+        not parse, or the restored ledger hashes to another state."""
+        head = self.data.get("head")
+        if head is None:
+            return False
+        try:
+            texts = {name: (self.state_dir / name).read_text()
+                     for name in HEAD_FILES}
+            if head["actions"] != len(self.data["actions"]) or any(
+                    _sha256(texts[name]) != head["sha256"][name]
+                    for name in HEAD_FILES):
+                return False
+            point = json.loads(texts["checkpoint.json"])
+            if point["actions_sha256"] != self.actions_sha256():
+                return False
+            system = self.build_system()
+            system.ledger = Ledger.from_checkpoint(point["ledger"])
+            system.client = ClientStore.load(texts["client.leaves"],
+                                             texts["client.json"])
+            system.contract_id = system.client.contract_id
+            system.authenticator.eta = point["eta"]
+            system.initialised = {
+                op_id: (txid, OpType(op_type), addr, param)
+                for op_id, txid, op_type, addr, param in point["initialised"]}
+            system.confirmed_transfers = [
+                tuple(t) for t in point["confirmed_transfers"]]
+            system.depth_checks = [tuple(d) for d in point["depth_checks"]]
+            if system.ledger.state_hash() != head["state_hash"]:
+                return False
+        except (OSError, LookupError, TypeError, ValueError, LedgerError):
+            return False
+        self.system = system
+        return True
+
     def save(self) -> None:
-        """Write each file to a temp file, then move it into place;
-        `world.json` goes last, so a failed save leaves the previous world."""
+        """Write the client's files and the checkpoint, then `world.json`,
+        which records their digests and the head state; each goes to a
+        temp file moved into place, and `world.json` last, so a failed
+        save leaves the previous world."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
         client = self.system.client
-        for name, text in (
-                ("client.leaves", client.dump_leaves()),
-                ("client.json", client.sidecar() + "\n"),
-                ("world.json", json.dumps(self.data, indent=1, sort_keys=True))):
+        texts = dict(zip(HEAD_FILES, (
+            client.dump_leaves(), client.sidecar() + "\n",
+            json.dumps(self.checkpoint(), separators=(",", ":")))))
+        self.data["head"] = {
+            "actions": len(self.data["actions"]),
+            "state_hash": self.system.ledger.state_hash(),
+            "sha256": {name: _sha256(text) for name, text in texts.items()},
+        }
+        texts["world.json"] = json.dumps(self.data, indent=1, sort_keys=True)
+        for name, text in texts.items():
             tmp = self.state_dir / (name + ".tmp")
             tmp.write_text(text)
             os.replace(tmp, self.state_dir / name)

@@ -221,9 +221,7 @@ class ClientStore:
     def load(cls, leaf_file: str, sidecar: str,
              base: HashFn = DEFAULT_BASE_HASH) -> "ClientStore":
         meta = json.loads(sidecar)
-        p = meta["params"]
-        params = TreeParams(S=p["S"], N=p["N"], P=p["P"], N_S=p["NS"],
-                            L_S=p["LS"], LEN_MAX=p.get("LEN_MAX", 8))
+        params = TreeParams.from_dict(meta["params"])
         leaves, eta = parse_leaf_file(leaf_file, params)
         if eta != meta["eta"]:
             raise DomainError("sidecar and leaf file disagree on the generation")

@@ -407,3 +407,44 @@ class WalletContract:
             lines.append(f"op{op_id}={rec.type.value},{rec.addr},{rec.param},"
                          f"{int(rec.pending)}")
         return lines
+
+    @classmethod
+    def from_state_lines(cls, lines: list[str], params: TreeParams,
+                         base: HashFn = DEFAULT_BASE_HASH) -> "WalletContract":
+        """The contract that `state_lines` describes; the inverse of it for
+        the given parameters and base hash (neither is in the lines)."""
+        fields, operations = {}, {}
+        for line in lines:
+            key, _, value = line.partition("=")
+            if key.startswith("op") and key[2:].isdigit():
+                op_type, rest = value.split(",", 1)
+                addr, param, pending = rest.rsplit(",", 2)
+                operations[int(key[2:])] = OperationRecord(
+                    addr, int(param), pending == "1", OpType(op_type))
+            else:
+                fields[key] = value
+
+        def digests(key: str) -> list[Digest]:
+            return [bytes.fromhex(d) for d in fields[key].split(",") if d]
+
+        wallet = cls.__new__(cls)
+        wallet.params, wallet.base = params, base
+        wallet.contract_id = fields["contractId"]
+        wallet.root = bytes.fromhex(fields["root"])
+        wallet.pk = bytes.fromhex(fields["pk"])
+        wallet.owner_account = signing.account_of(wallet.pk)
+        wallet.next_op_id = int(fields["nextOpID"])
+        wallet.operations = operations
+        wallet.sublayer = SubtreeLayer(digests("sublayer"),
+                                       int(fields["sublayerIndex"]))
+        wallet.current_subtree = int(fields["currentSubtree"])
+        wallet.current_layer = int(fields["currentLayer"])
+        wallet.l1, wallet.l2 = digests("L1"), digests("L2")
+        wallet.daily_limit = int(fields["dailyLimit"])
+        wallet.spent_today = int(fields["spentToday"])
+        wallet.day_index = int(fields["dayIndex"])
+        wallet.last_resort_addr = fields["lastResortAddr"]
+        wallet.last_resort_timeout = int(fields["lastResortTimeout"])
+        wallet.last_activity = int(fields["lastActivity"])
+        wallet.destroyed = fields["destroyed"] == "1"
+        return wallet

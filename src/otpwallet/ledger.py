@@ -21,6 +21,11 @@ the chain.
 
 Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
+
+`checkpoint` writes the canonical chain as JSON-ready data: the head state
+and every block's receipts, each call encoded by the same typed schema
+that `_dispatch` checks. `from_checkpoint` reads it back with a state on
+the head block only, so the restored ledger cannot fork below its head.
 """
 
 from __future__ import annotations
@@ -38,17 +43,22 @@ MAIN = "main"
 
 SIGNED_CALLS = {"init_op", "new_root_stage1", "new_root_stage2"}
 
-# Call name -> argument keys, in the order the handler takes them. A call
-# lacking one reverts as malformed; a name not listed reverts on phase.
+# Call name -> (argument key, type) pairs, in the order the handler takes
+# them. A call lacking a key, or holding a value of another type (a bool is
+# not an int), reverts as malformed; a name not listed reverts on phase.
 CALL_ARGS = {
-    "transfer": ("to", "amount"),
-    "deploy_wallet": ("root", "pk", "sublayer", "proof_sr", "params"),
-    "init_op": ("addr", "param", "type"),
-    "confirm_op": ("otp", "proof", "op_id"),
-    "next_subtree": ("sublayer", "otp", "proof_otp", "proof_sr"),
-    "new_root_stage1": ("value",),
-    "new_root_stage2": ("value",),
-    "new_root_stage3": ("otp", "proof", "sublayer", "proof_sr"),
+    "transfer": (("to", str), ("amount", int)),
+    "deploy_wallet": (("root", bytes), ("pk", bytes),
+                      ("sublayer", SubtreeLayer), ("proof_sr", MerkleProof),
+                      ("params", TreeParams)),
+    "init_op": (("addr", str), ("param", int), ("type", OpType)),
+    "confirm_op": (("otp", bytes), ("proof", MerkleProof), ("op_id", int)),
+    "next_subtree": (("sublayer", SubtreeLayer), ("otp", bytes),
+                     ("proof_otp", MerkleProof), ("proof_sr", MerkleProof)),
+    "new_root_stage1": (("value", bytes),),
+    "new_root_stage2": (("value", bytes),),
+    "new_root_stage3": (("otp", bytes), ("proof", MerkleProof),
+                        ("sublayer", SubtreeLayer), ("proof_sr", MerkleProof)),
     "send_to_last_resort": (),
 }
 
@@ -168,7 +178,54 @@ class Block:
     height: int
     timestamp: int
     receipts: list[TxReceipt]
-    state: LedgerState
+    state: LedgerState | None       # None below a head restored from a checkpoint
+
+
+def _index(heights: dict[str, int], block: Block) -> None:
+    """Record the block's executed transactions in a branch's txid index."""
+    for r in block.receipts:
+        if r.status != "invalid-nonce":
+            heights.setdefault(r.txid, block.height)
+
+
+# Checkpoint codec: argument type -> (to JSON, from JSON). A call's keys and
+# their types come from CALL_ARGS, plus the function name and the contract.
+_CODECS = {
+    str: (str, str),
+    int: (int, int),
+    bytes: (bytes.hex, bytes.fromhex),
+    MerkleProof: (lambda p: [s.hex() for s in p.siblings],
+                  lambda j: MerkleProof(tuple(map(bytes.fromhex, j)))),
+    SubtreeLayer: (lambda s: [s.index, [n.hex() for n in s.nodes]],
+                   lambda j: SubtreeLayer(list(map(bytes.fromhex, j[1])), j[0])),
+    OpType: (lambda t: t.value, OpType),
+    TreeParams: (TreeParams.as_dict, TreeParams.from_dict),
+}
+_SCHEMAS = {fn: dict((("fn", str), ("contract", str)) + args)
+            for fn, args in CALL_ARGS.items()}
+
+
+def _schema_of(call: dict) -> dict:
+    schema = _SCHEMAS.get(call.get("fn"))
+    if schema is None or not call.keys() <= schema.keys():
+        raise LedgerError(f"call outside the schema: {sorted(call)}")
+    return schema
+
+
+def encode_call(call: dict) -> dict:
+    """A call of the schema as JSON-ready data; LedgerError for any other."""
+    schema, data = _schema_of(call), {}
+    for key, value in call.items():
+        if type(value) is not schema[key]:
+            raise LedgerError(f"{key} is not a {schema[key].__name__}")
+        data[key] = _CODECS[schema[key]][0](value)
+    return data
+
+
+def decode_call(data: dict) -> dict:
+    """The call that `encode_call` wrote."""
+    schema = _schema_of(data)
+    return {key: _CODECS[schema[key]][1](value) for key, value in data.items()}
 
 
 class Ledger:
@@ -266,10 +323,7 @@ class Ledger:
         self.mempool = []
         block = Block(parent.height + 1, timestamp, receipts, state)
         chain.append(block)
-        heights = self.tx_heights[branch]
-        for r in receipts:
-            if r.status != "invalid-nonce":
-                heights.setdefault(r.txid, block.height)
+        _index(self.tx_heights[branch], block)
         return block
 
     def _execute(self, tx: Transaction, state: LedgerState,
@@ -286,7 +340,7 @@ class Ledger:
         accounts, contracts = state.accounts, state.contracts
         state.accounts, state.contracts = dict(accounts), dict(contracts)
         cid = tx.call.get("contract")
-        if cid in contracts:
+        if type(cid) is str and cid in contracts:
             state.contracts[cid] = contracts[cid].snapshot()
         trace = CallTrace(tx.fn, payload_bytes=payload_size(tx.call))
         try:
@@ -304,10 +358,12 @@ class Ledger:
         call, fn = tx.call, tx.fn
         if fn not in CALL_ARGS:
             raise Revert("phase", f"unknown function {fn}")
-        try:
-            args = [call[key] for key in CALL_ARGS[fn]]
-        except KeyError as exc:
-            raise Revert("malformed", f"{fn} lacks {exc.args[0]}") from None
+        args = []
+        for key, kind in CALL_ARGS[fn]:
+            value = call.get(key)
+            if type(value) is not kind:
+                raise Revert("malformed", f"{fn} needs {key} as {kind.__name__}")
+            args.append(value)
 
         def do_transfer(frm: str, to: str, amount: int):
             if amount < 0 or state.accounts.get(frm, 0) < amount:
@@ -336,7 +392,7 @@ class Ledger:
             return contract.contract_id
 
         cid = call.get("contract")
-        contract = state.contracts.get(cid)
+        contract = state.contracts.get(cid) if type(cid) is str else None
         if contract is None:
             raise Revert("phase", f"no contract {cid}")
         # Looked up at call time, so wrappers set on the class apply.
@@ -348,6 +404,9 @@ class Ledger:
     def fork(self, from_height: int) -> str:
         if not 0 <= from_height < self.head.height:
             raise LedgerError(f"fork height must be below the head: {from_height}")
+        if self.chain[from_height].state is None:
+            raise LedgerError(f"no state at height {from_height}: the chain "
+                              "was restored from a checkpoint above it")
         self._branch_counter += 1
         name = f"branch{self._branch_counter}"
         self.branches[name] = list(self.chain[:from_height + 1])
@@ -399,6 +458,57 @@ class Ledger:
     def receipt(self, txid: str) -> TxReceipt | None:
         found = self.find_tx(txid)
         return found[1] if found else None
+
+    # -- checkpoints ------------------------------------------------------------------------
+
+    def checkpoint(self) -> dict:
+        """The canonical chain as JSON-ready data: the head's balances,
+        nonces and contracts, the submission counter, and each block's
+        timestamp and receipts (an empty block is its timestamp alone).
+        Older block states, other branches and call traces are left out."""
+        if self.mempool:
+            raise LedgerError("a checkpoint holds mined state only")
+        state = self.head.state
+        return {
+            "seq": self._seq,
+            "accounts": state.accounts,
+            "nonces": state.nonces,
+            "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
+                          for c in state.contracts.values()],
+            "blocks": [[blk.timestamp, [
+                [r.sender, r.nonce, r.fee, r.status, r.result,
+                 None if r.tx.signature is None else r.tx.signature.hex(),
+                 encode_call(r.tx.call)] for r in blk.receipts]]
+                if blk.receipts else blk.timestamp for blk in self.chain],
+        }
+
+    @classmethod
+    def from_checkpoint(cls, data: dict) -> "Ledger":
+        """The ledger `checkpoint` describes. Only the head carries a state,
+        so the chain cannot be forked below it. Each txid is recomputed
+        from its decoded transaction."""
+        ledger = cls()
+        chain, heights = [], {}
+        for height, entry in enumerate(data["blocks"]):
+            timestamp, rows = (entry, []) if type(entry) is int else entry
+            receipts = []
+            for sender, nonce, fee, status, result, sig, call in rows:
+                tx = Transaction(sender, decode_call(call), fee,
+                                 None if sig is None else bytes.fromhex(sig),
+                                 nonce)
+                receipts.append(TxReceipt(tx.txid, sender, nonce, tx.fn, fee,
+                                          status, result, tx=tx))
+            chain.append(Block(height, timestamp, receipts, None))
+            _index(heights, chain[-1])
+        contracts = (WalletContract.from_state_lines(
+            c["lines"], TreeParams.from_dict(c["params"]))
+            for c in data["contracts"])
+        chain[-1].state = LedgerState(dict(data["accounts"]),
+                                      dict(data["nonces"]),
+                                      {c.contract_id: c for c in contracts})
+        ledger.branches, ledger.tx_heights = {MAIN: chain}, {MAIN: heights}
+        ledger._seq = data["seq"]
+        return ledger
 
     # -- determinism and audit hooks --------------------------------------------------------------
 

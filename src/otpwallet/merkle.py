@@ -95,6 +95,12 @@ class TreeParams:
         return {"S": self.S, "N": self.N, "P": self.P,
                 "NS": self.N_S, "LS": self.L_S, "LEN_MAX": self.LEN_MAX}
 
+    @classmethod
+    def from_dict(cls, p: dict) -> "TreeParams":
+        """The inverse of `as_dict`; LEN_MAX defaults when absent."""
+        return cls(S=p["S"], N=p["N"], P=p["P"], N_S=p["NS"], L_S=p["LS"],
+                   LEN_MAX=p.get("LEN_MAX", 8))
+
 
 @dataclass(frozen=True)
 class MerkleProof:

@@ -233,20 +233,108 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
                                                              monkeypatch):
     state_dir, seed_file = state
     run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    run(capsys, "--state-dir", state_dir, "op", "init", "--type", "transfer",
+        "--addr", "acct:bob", "--param", "5")
     before = (state_dir / "world.json").read_bytes()
+    previous = World.load(state_dir).system.ledger.state_hash()
     real = Path.write_text
 
-    def torn(path, text, *args, **kwargs):
-        if path.name.startswith("world.json"):
-            real(path, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("disk full")
-        return real(path, text, *args, **kwargs)
+    # A tear at any of the four files, in the order a save writes them.
+    for name in ("client.leaves", "client.json", "checkpoint.json",
+                 "world.json"):
+        def torn(path, text, *args, name=name, **kwargs):
+            if path.name.startswith(name):
+                real(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return real(path, text, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", torn)
+        monkeypatch.setattr(Path, "write_text", torn)
+        world = World.load(state_dir)
+        with pytest.raises(OSError):
+            world.commit({"cmd": "init", "type": "transfer",
+                          "addr": "acct:bob", "param": 5})
+        monkeypatch.undo()
+        assert (state_dir / "world.json").read_bytes() == before, name
+        loaded = World.load(state_dir)
+        assert len(loaded.data["actions"]) == 1
+        assert loaded.system.ledger.state_hash() == previous
+
+
+@pytest.fixture
+def history(state, capsys):
+    """A world with a confirmed transfer and a pending one, and the
+    checkpoint its first save wrote."""
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    stale = (state_dir / "checkpoint.json").read_text()
+    for op_id in (0, 1):
+        run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+            "transfer", "--addr", "acct:bob", "--param", "5")
+    run(capsys, "--state-dir", state_dir, "op", "confirm", "--op-id", 0,
+        "--otp", _otp_hex(capsys, state_dir, 0))
+    return state_dir, stale
+
+
+def _count_replays(monkeypatch) -> list:
+    replays = []
+    real = World.replay
+    monkeypatch.setattr(World, "replay",
+                        lambda world: (replays.append(1), real(world))[1])
+    return replays
+
+
+def test_an_intact_head_loads_without_replay(history, monkeypatch):
+    state_dir, _ = history
+    replays = _count_replays(monkeypatch)
     world = World.load(state_dir)
-    with pytest.raises(OSError):
-        world.commit({"cmd": "init", "type": "transfer", "addr": "acct:bob",
-                      "param": 5})
-    monkeypatch.undo()
-    assert (state_dir / "world.json").read_bytes() == before
-    assert World.load(state_dir).data["actions"] == []
+    assert replays == []
+    recorded = json.loads((state_dir / "world.json").read_text())["head"]
+    assert world.system.ledger.state_hash() == recorded["state_hash"]
+    assert recorded["actions"] == 3
+
+
+@pytest.mark.parametrize("damage", ["one-byte-edit", "stale", "deleted",
+                                    "legacy"])
+def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
+                                                         damage):
+    state_dir, stale = history
+    checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
+    recorded = json.loads(world_file.read_text())["head"]["state_hash"]
+    if damage == "one-byte-edit":
+        data = bytearray(checkpoint.read_bytes())
+        data[len(data) // 2] ^= 1
+        checkpoint.write_bytes(bytes(data))
+    elif damage == "stale":
+        checkpoint.write_text(stale)
+    else:
+        checkpoint.unlink()
+    if damage == "legacy":                  # as written before checkpoints
+        data = json.loads(world_file.read_text())
+        del data["head"]
+        world_file.write_text(json.dumps(data, indent=1, sort_keys=True))
+    replays = _count_replays(monkeypatch)
+    world = World.load(state_dir)
+    assert replays == [1]
+    assert world.system.ledger.state_hash() == recorded
+
+
+def test_an_edited_action_log_is_a_state_error(history, capsys):
+    state_dir, _ = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    assert data["actions"][0]["param"] == 5
+    data["actions"][0]["param"] = 6
+    world_file.write_text(json.dumps(data))
+    code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 1 and err.startswith("error: state:")
+
+
+def test_a_fund_action_is_unknown(history, capsys):
+    state_dir, _ = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    data["actions"].append({"cmd": "fund", "from": "acct:adversary",
+                            "to": "acct:bob", "amount": 1})
+    world_file.write_text(json.dumps(data))
+    code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 1 and err.startswith("error: state: unknown action")

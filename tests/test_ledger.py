@@ -470,3 +470,32 @@ def test_submit_refuses_a_call_without_a_function(ledger):
         ledger.submit(Transaction("a", {"to": "b", "amount": 1}, nonce=0))
     assert ledger.mempool == []
     assert ledger.mine_block().receipts == []
+
+
+def test_mistyped_calls_revert_without_halting_the_chain():
+    w = WalletChain()
+    led = w.ledger
+    tokens = led.total_tokens()
+    confirm = w.store.build_confirm(0, w.auth.get_otp(0))
+
+    def confirm_op(**change):
+        return {"fn": "confirm_op", "contract": w.cid, "otp": confirm.otp,
+                "proof": confirm.proof, "op_id": 0, **change}
+
+    calls = [
+        ({"fn": "transfer", "to": "b", "amount": "1"}, "revert:malformed"),
+        ({"fn": "transfer", "to": "b", "amount": True}, "revert:malformed"),
+        ({"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
+          "param": "1", "type": OpType.TRANSFER}, "revert:malformed"),
+        (confirm_op(op_id="0"), "revert:malformed"),
+        (confirm_op(otp=confirm.otp.hex()), "revert:malformed"),
+        (confirm_op(proof=list(confirm.proof.siblings)), "revert:malformed"),
+        (confirm_op(contract=[w.cid]), "revert:phase"),
+    ]
+    for call, _ in calls:
+        w.submit(call, sign=True)
+    blk = led.mine_block()
+    assert [r.status for r in blk.receipts] == [want for _, want in calls]
+    assert led.head is blk and not led.mempool
+    assert led.total_tokens() == tokens
+    assert led.mine_block().height == blk.height + 1
