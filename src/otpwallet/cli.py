@@ -10,7 +10,9 @@ the head `state_hash`, and the checkpoint records the SHA-256 of the log
 it was built from. Loading restores the checkpoint when all of these
 match and the restored ledger hashes to the recorded state; otherwise it
 replays the log from genesis, which determinism makes bit-exact, and a
-replay that lands anywhere but the recorded state is an error. The log
+replay that lands anywhere but the recorded state is an error. A replay
+that lands on it, or on a log that records no head, saves a fresh head,
+so only the first command after a damaged checkpoint replays. The log
 doubles as an audit trail.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
@@ -119,6 +121,8 @@ class World:
             if recorded is not None and actual != recorded:
                 raise CliError("state", f"the action log replays to state "
                                         f"{actual}, not the recorded {recorded}")
+            # A fresh head, so the next command restores instead of replaying.
+            world.save()
         return world
 
     def params(self) -> TreeParams:
@@ -235,7 +239,8 @@ class World:
             "state_hash": self.system.ledger.state_hash(),
             "sha256": {name: _sha256(text) for name, text in texts.items()},
         }
-        texts["world.json"] = json.dumps(self.data, indent=1, sort_keys=True)
+        texts["world.json"] = json.dumps(self.data, separators=(",", ":"),
+                                         sort_keys=True)
         for name, text in texts.items():
             tmp = self.state_dir / (name + ".tmp")
             tmp.write_text(text)

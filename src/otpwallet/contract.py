@@ -5,7 +5,8 @@ category. The ledger runs each call on a `snapshot()` of the contract and
 keeps the untouched original for revert, so effects are atomic; blocks
 share a contract object until a transaction in a later block addresses it.
 Primitive usage (hashes, storage words, signature checks) is counted into a
-CallTrace for the cost model.
+CallTrace for the cost model as the call runs, so a call that reverts
+keeps the count of the work it did.
 
 Token balances live in the ledger's account map; the contract reads and
 moves them through the ChainEnv it is called with.
@@ -20,7 +21,6 @@ from typing import Callable
 
 from .hashing import DEFAULT_BASE_HASH, Digest, HashFn, truncated_hash
 from .merkle import (
-    CostTally,
     MerkleProof,
     SubtreeLayer,
     TreeParams,
@@ -87,12 +87,12 @@ class ChainEnv:
 
 
 def _sublayer_under(sublayer: SubtreeLayer, proof_sr: MerkleProof,
-                    root: Digest, base: HashFn, tally: CostTally) -> bool:
+                    root: Digest, base: HashFn, trace: CallTrace) -> bool:
     """Whether the sublayer reduces to a subtree root that `proof_sr` folds
     up to `root`; False also when a node or sibling is not a digest."""
     try:
-        sub_root = reduce_mt(sublayer.nodes, base, tally)
-        return subtree_consistency(sub_root, proof_sr, root, base, tally)
+        sub_root = reduce_mt(sublayer.nodes, base, trace)
+        return subtree_consistency(sub_root, proof_sr, root, base, trace)
     except ValueError:
         return False
 
@@ -103,10 +103,9 @@ class WalletContract:
                  base: HashFn = DEFAULT_BASE_HASH,
                  trace: CallTrace | None = None):
         trace = trace if trace is not None else CallTrace("constructor")
-        tally = CostTally()
         if len(cache_sublayer.nodes) != 2 ** params.L_S:
             raise Revert("consistency", "cached sublayer has the wrong size")
-        if not _sublayer_under(cache_sublayer, proof_sr, root, base, tally):
+        if not _sublayer_under(cache_sublayer, proof_sr, root, base, trace):
             raise Revert("consistency", "cached sublayer does not match the root")
 
         self.params = params
@@ -130,7 +129,7 @@ class WalletContract:
         self.last_activity = env.timestamp
         self.destroyed = False
 
-        trace.hashes += tally.hashes + 1            # +1 for the contract id
+        trace.hashes += 1                           # the contract id
         trace.sstore_new += BASE_STATE_WORDS + len(self.sublayer.nodes)
 
     def snapshot(self) -> "WalletContract":
@@ -209,14 +208,11 @@ class WalletContract:
 
     def _verify_otp_cached(self, otp: Digest, proof: MerkleProof, op_id: int,
                            trace: CallTrace) -> None:
-        tally = CostTally()
         try:
             node = derive_node_in_cache(otp, proof, op_id, self.params,
-                                        self.base, tally)
+                                        self.base, trace)
         except ValueError as exc:
-            trace.hashes += tally.hashes
             raise Revert("otp", str(exc)) from exc
-        trace.hashes += tally.hashes
         slot = expected_idx_in_cache(op_id % self.params.subtree_leaves,
                                      self.params)
         trace.sload += 1                            # cached node
@@ -265,21 +261,17 @@ class WalletContract:
             raise Revert("phase", "not at a subtree boundary")
         if len(next_sublayer.nodes) != len(self.sublayer.nodes):
             raise Revert("consistency", "sublayer size mismatch")
-        tally = CostTally()
         try:
             derived = derive_root_hash(otp, proof_otp, self.next_op_id,
-                                       self.params, self.base, tally)
+                                       self.params, self.base, trace)
         except ValueError as exc:
-            trace.hashes += tally.hashes
             raise Revert("otp", str(exc)) from exc
         trace.sload += 1                            # root
         if derived != self.root:
             raise Revert("otp", "OTP does not verify against the parent root")
         if not _sublayer_under(next_sublayer, proof_sr, self.root, self.base,
-                               tally):
-            trace.hashes += tally.hashes
+                               trace):
             raise Revert("consistency", "new sublayer does not match the root")
-        trace.hashes += tally.hashes
         self.sublayer = next_sublayer.copy()
         self.current_subtree += 1
         self.sublayer.index = self.current_subtree
@@ -331,28 +323,23 @@ class WalletContract:
             self.l1, self.l2 = [], []
             trace.sstore_update += 2
             return False
-        tally = CostTally()
         match = None
         for i, candidate_root in enumerate(self.l2):
             probe = truncated_hash(candidate_root + otp,
                                    self.params.digest_bytes, self.base)
-            tally.hashes += 1
+            trace.hashes += 1
             for j, entry in enumerate(self.l1):
                 if probe == entry:
                     match = (i, j)
                     break
             if match:
                 break
-        trace.hashes += tally.hashes
         if match is None:
             return False
         new_root = self.l2[match[0]]
-        tally = CostTally()
         if not _sublayer_under(new_sublayer, proof_sr, new_root, self.base,
-                               tally):
-            trace.hashes += tally.hashes
+                               trace):
             raise Revert("consistency", "new sublayer does not match the new root")
-        trace.hashes += tally.hashes
         self.root = new_root
         self.next_op_id += 1
         self.current_subtree = self.next_op_id // self.params.N_S

@@ -229,8 +229,7 @@ def decode_call(data: dict) -> dict:
 
 
 class Ledger:
-    def __init__(self, initial_accounts: dict[str, int] | None = None,
-                 block_delta: int = DEFAULT_BLOCK_DELTA):
+    def __init__(self, initial_accounts: dict[str, int] | None = None):
         genesis_state = LedgerState(accounts=dict(initial_accounts or {}))
         genesis = Block(0, GENESIS_TIME, [], genesis_state)
         self.branches: dict[str, list[Block]] = {MAIN: [genesis]}
@@ -238,7 +237,6 @@ class Ledger:
         self.tx_heights: dict[str, dict[str, int]] = {MAIN: {}}
         self.canonical = MAIN
         self.mempool: list[Transaction] = []
-        self.block_delta = block_delta
         self.pending_time_skip = 0
         self.observers: list[Callable[[Transaction], None]] = []
         self._seq = 0
@@ -309,7 +307,7 @@ class Ledger:
             raise LedgerError(f"unknown branch {branch}")
         chain = self.branches[branch]
         parent = chain[-1]
-        delta = self.block_delta if timestamp_delta is None else timestamp_delta
+        delta = DEFAULT_BLOCK_DELTA if timestamp_delta is None else timestamp_delta
         timestamp = parent.timestamp + delta + self.pending_time_skip
         self.pending_time_skip = 0
 

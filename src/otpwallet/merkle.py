@@ -21,6 +21,11 @@ gives up. The parity bits double as an index check: a proof's parity
 pattern is the bitwise complement of the leaf position it belongs to, and
 verifiers compare it against the expected position mapped through the same
 convention.
+
+Metering. The hashing functions take an optional `tally`, any object with
+a `hashes` counter, and add each hash they evaluate to it as it runs, so a
+call that fails partway still counts its work. The contract passes the
+`CallTrace` of the call it runs.
 """
 
 from __future__ import annotations
@@ -123,13 +128,6 @@ class SubtreeLayer:
         return SubtreeLayer(list(self.nodes), self.index)
 
 
-@dataclass
-class CostTally:
-    """Counts hash evaluations performed by the functions it is passed to."""
-
-    hashes: int = 0
-
-
 # ---------------------------------------------------------------------------
 # Operation-id index arithmetic (shared by authenticator, client, contract)
 
@@ -173,7 +171,7 @@ def _mask(d: Digest) -> Digest:
 
 
 def pair_hash(left: Digest, right: Digest, base: HashFn = DEFAULT_BASE_HASH,
-              tally: CostTally | None = None) -> Digest:
+              tally=None) -> Digest:
     """Parent node value; the LSB of each child is outside hash coverage.
 
     Both children must be digests of one size in 16..32 bytes; the parent
@@ -233,7 +231,7 @@ def all_leaves(k: Seed, params: TreeParams, eta: int = 0,
 
 
 def _levels(nodes: list[Digest], base: HashFn,
-            tally: CostTally | None = None) -> Iterator[list[Digest]]:
+            tally=None) -> Iterator[list[Digest]]:
     """Tree levels of a power-of-two node list, bottom-up, one at a time."""
     n = len(nodes)
     if n < 1 or n & (n - 1):
@@ -248,7 +246,7 @@ def _levels(nodes: list[Digest], base: HashFn,
 
 
 def reduce_mt(nodes: list[Digest], base: HashFn = DEFAULT_BASE_HASH,
-              tally: CostTally | None = None) -> Digest:
+              tally=None) -> Digest:
     """Pairwise reduction of a power-of-two node list to a single root,
     keeping one level at a time."""
     for level in _levels(nodes, base, tally):
@@ -286,7 +284,7 @@ def gen_proof(leaves: list[Digest], idx: int, stop_depth: int = 0,
 
 def fold_proof(start: Digest, proof: MerkleProof,
                base: HashFn = DEFAULT_BASE_HASH,
-               tally: CostTally | None = None) -> Digest:
+               tally=None) -> Digest:
     """Resolve a proof bottom-up, placing each sibling by its parity bit."""
     res = start
     for sib in proof.siblings:
@@ -345,7 +343,7 @@ def expected_idx_in_cache_loop(child_leaf_id: int, params: TreeParams) -> int:
 
 def derive_root_hash(otp: Digest, proof: MerkleProof, op_id: int,
                      params: TreeParams, base: HashFn = DEFAULT_BASE_HASH,
-                     tally: CostTally | None = None) -> Digest:
+                     tally=None) -> Digest:
     """Reconstruct the parent root from an OTP and a full-height proof.
 
     Runs the chain a(opID)+1 steps from position P-1-a(opID) up to the
@@ -364,7 +362,7 @@ def derive_root_hash(otp: Digest, proof: MerkleProof, op_id: int,
 
 def derive_node_in_cache(otp: Digest, proof: MerkleProof, op_id: int,
                          params: TreeParams, base: HashFn = DEFAULT_BASE_HASH,
-                         tally: CostTally | None = None) -> Digest:
+                         tally=None) -> Digest:
     """Reconstruct a cached-sublayer node from an OTP and a short proof."""
     want_len = params.H_S - params.L_S
     if len(proof) != want_len:
@@ -381,7 +379,7 @@ def derive_node_in_cache(otp: Digest, proof: MerkleProof, op_id: int,
 
 def subtree_consistency(sub_root: Digest, proof: MerkleProof,
                         parent_root: Digest, base: HashFn = DEFAULT_BASE_HASH,
-                        tally: CostTally | None = None) -> bool:
+                        tally=None) -> bool:
     """Fold a subtree root up to the parent root; False on mismatch."""
     return fold_proof(sub_root, proof, base, tally) == parent_root
 

@@ -72,7 +72,6 @@ class UserModel:
     """Policy callbacks of the honest user: compare, then approve."""
 
     expected_display: str = ""
-    use_mnemonic_transport: bool = True
 
     def expect(self, payload: str) -> None:
         self.expected_display = payload
@@ -86,7 +85,7 @@ class UserModel:
 
     def transfer_digest(self, value: Digest) -> Digest:
         """Air-gapped value pass; exercises the mnemonic codec en route."""
-        if not self.use_mnemonic_transport or len(value) * 8 not in mnemonic.SUPPORTED_BITS:
+        if len(value) * 8 not in mnemonic.SUPPORTED_BITS:
             return value
         return mnemonic.decode(mnemonic.encode(value))
 

@@ -4,6 +4,13 @@ Each scenario bootstraps a fresh world from a seed, runs one attack
 script, and checks both that honest funds end up intact (except for
 user-confirmed transfers) and that the attack fails in the specific way
 the analysis predicts. Everything is deterministic in the seed.
+
+Every scenario runs in one frame: `_start` bootstraps the world and takes
+the baseline balances, and `_finish`, on every exit, checks them against
+the confirmed transfers, conserves the tokens and audits the signatures.
+Adversary transactions come from one builder, `_adversary`: a wallet call
+at the sender's next nonce, signed with a stolen or forged key when the
+attack has one; `_mined` submits one and mines it.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .merkle import SubtreeLayer, TreeParams, all_leaves, path, sublayer_in
 # Not called here; kept bound because bench/tracing.py wraps them on this module.
 from .merkle import reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
 from .protocols import (
+    DEFAULT_PARAMS,
     ProtocolAbort,
     System,
     confirm_operation,
@@ -55,11 +63,33 @@ class ScenarioResult:
         return out
 
 
+def _start(name: str, seed: int, mode: str = "secure",
+           params: TreeParams | None = None
+           ) -> tuple[ScenarioResult, System, dict[str, int]]:
+    """A bootstrapped world and its baseline: every balance after the
+    bootstrap, whose sum is the token total."""
+    system = run_bootstrap(mode, seed, params=params or DEFAULT_PARAMS)
+    return ScenarioResult(name), system, dict(system.ledger.accounts)
+
+
 def _finish(result: ScenarioResult, system: System,
-            baseline: int) -> ScenarioResult:
-    """Shared end checks; `baseline` is the token total after bootstrap."""
+            baseline: dict[str, int]) -> ScenarioResult:
+    """The end checks every scenario shares. Honest balances may move only
+    by user-confirmed transfers, and the token total stays constant."""
+    accounts = system.ledger.accounts
+    spent = sum(amount for _, amount in system.confirmed_transfers)
+    received = sum(amount for addr, amount in system.confirmed_transfers
+                   if addr == ADVERSARY)
+    cid = system.contract_id
+    wallet_delta = accounts.get(cid, 0) - baseline.get(cid, 0)
+    result.check("wallet debited only by confirmed transfers",
+                 wallet_delta == -spent,
+                 f"delta {wallet_delta}, confirmed {-spent}")
+    adv_delta = accounts.get(ADVERSARY, 0) - baseline.get(ADVERSARY, 0)
+    result.check("adversary gained nothing beyond confirmed transfers",
+                 adv_delta <= received, f"delta {adv_delta}")
     result.check("token conservation",
-                 system.ledger.total_tokens() == baseline,
+                 system.ledger.total_tokens() == sum(baseline.values()),
                  "sum of balances constant")
     result.check("signature audit", not system.ledger.audit_signatures())
     result.event_log = system.ledger.event_log()
@@ -67,68 +97,56 @@ def _finish(result: ScenarioResult, system: System,
     return result
 
 
-def _honest_funds_intact(result: ScenarioResult, system: System,
-                         balances_before: dict[str, int]) -> None:
-    """Honest balances may move only by user-confirmed transfers."""
-    spent = sum(amount for addr, amount in system.confirmed_transfers)
-    received = {}
-    for addr, amount in system.confirmed_transfers:
-        received[addr] = received.get(addr, 0) + amount
-    accounts = system.ledger.accounts
-    wallet_delta = accounts.get(system.contract_id, 0) - balances_before.get(
-        system.contract_id, 0)
-    result.check("wallet debited only by confirmed transfers",
-                 wallet_delta == -spent,
-                 f"delta {wallet_delta}, confirmed {-spent}")
-    adv_delta = accounts.get(ADVERSARY, 0) - balances_before.get(ADVERSARY, 0)
-    adv_received = received.get(ADVERSARY, 0)
-    result.check("adversary gained nothing beyond confirmed transfers",
-                 adv_delta <= adv_received, f"delta {adv_delta}")
-
-
-def _stolen_key_tx(system: System, stolen: signing.KeyPair, call: dict,
-                   fee: int = 5) -> Transaction:
-    """A transaction signed with the user's stolen private key."""
-    tx = Transaction(ADVERSARY, call, fee=fee,
-                     nonce=system.ledger.next_nonce(ADVERSARY))
-    tx.signature = stolen.sign(tx.signing_bytes())
+def _adversary(system: System, fn: str, fee: int = 5,
+               key: signing.KeyPair | None = None, sender: str = ADVERSARY,
+               **args) -> Transaction:
+    """A wallet call `fn(**args)` from `sender` at its next nonce, signed
+    with `key` (a stolen or forged one) when given."""
+    tx = Transaction(sender, {"fn": fn, "contract": system.contract_id, **args},
+                     fee=fee, nonce=system.ledger.next_nonce(sender))
+    if key is not None:
+        tx.signature = key.sign(tx.signing_bytes())
     return tx
 
 
-def _balances(system: System) -> dict[str, int]:
-    return dict(system.ledger.accounts)
+def _mined(system: System, tx: Transaction) -> str:
+    """Submit `tx`, mine one block, and return its receipt status."""
+    txid = system.ledger.submit(tx)
+    system.ledger.mine_block()
+    return system.ledger.receipt(txid).status
+
+
+def _drive(result: ScenarioResult, system: System, count: int, amount: int,
+           label: str) -> bool:
+    """`count` honest transfers of `amount`; a failed one is a failed
+    check named `label`, and stops the drive."""
+    for _ in range(count):
+        outcome = run_operation(system, OpType.TRANSFER, system.recipient,
+                                amount)
+        if not outcome["ok"]:
+            result.check(label, False, str(outcome))
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 
 def theorem1(seed: int = 0) -> ScenarioResult:
     """Key theft: the adversary can initiate operations but never confirm."""
-    result = ScenarioResult("theorem1")
-    system = run_bootstrap("secure", seed)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
-    stolen = system.hw.keypair
+    result, system, baseline = _start("theorem1", seed)
     ledger = system.ledger
 
-    tx = _stolen_key_tx(system, stolen, {
-        "fn": "init_op", "contract": system.contract_id,
-        "addr": ADVERSARY, "param": 100, "type": OpType.TRANSFER})
-    init_txid = ledger.submit(tx)
-    ledger.mine_block()
-    receipt = ledger.receipt(init_txid)
-    result.check("stolen key can initiate", receipt.status == "ok")
-    adv_op = int(receipt.result)
+    tx = _adversary(system, "init_op", key=system.hw.keypair, addr=ADVERSARY,
+                    param=100, type=OpType.TRANSFER)
+    result.check("stolen key can initiate", _mined(system, tx) == "ok")
+    adv_op = int(ledger.receipt(tx.txid).result)
 
     # Guessing an OTP gets the adversary nowhere.
     guess = truncated_hash(b"guess")
-    proof = system.client.build_confirm(adv_op, guess).proof
-    tx = Transaction(ADVERSARY, {"fn": "confirm_op", "contract": system.contract_id,
-                                 "otp": guess, "proof": proof, "op_id": adv_op},
-                     fee=5, nonce=ledger.next_nonce(ADVERSARY))
-    txid = ledger.submit(tx)
-    ledger.mine_block()
+    tx = _adversary(system, "confirm_op", otp=guess, op_id=adv_op,
+                    proof=system.client.build_confirm(adv_op, guess).proof)
     result.check("guessed OTP rejected",
-                 ledger.receipt(txid).status.startswith("revert:"))
+                 _mined(system, tx).startswith("revert:"))
 
     # Front-running an intercepted OTP onto a different operation fails on
     # the linkage check: OTP_i never confirms O_j.
@@ -136,15 +154,9 @@ def theorem1(seed: int = 0) -> ScenarioResult:
 
     def intercept(mem_tx: Transaction):
         if mem_tx.fn == "confirm_op" and mem_tx.sender != ADVERSARY:
-            captured["otp"] = mem_tx.call["otp"]
-            captured["proof"] = mem_tx.call["proof"]
-            front = Transaction(ADVERSARY, {
-                "fn": "confirm_op", "contract": system.contract_id,
-                "otp": mem_tx.call["otp"], "proof": mem_tx.call["proof"],
-                "op_id": adv_op}, fee=50,
-                nonce=ledger.next_nonce(ADVERSARY))
-            ledger.submit(front)
-            captured["txid"] = front.txid
+            captured["txid"] = ledger.submit(_adversary(
+                system, "confirm_op", fee=50, otp=mem_tx.call["otp"],
+                proof=mem_tx.call["proof"], op_id=adv_op))
 
     ledger.observers.append(intercept)
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 7)
@@ -156,25 +168,18 @@ def theorem1(seed: int = 0) -> ScenarioResult:
                      ledger.receipt(captured["txid"]).status.startswith("revert:"))
     result.check("adversary operation still pending",
                  system.contract.operations[adv_op].pending)
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+    return _finish(result, system, baseline)
 
 
 def theorem2(seed: int = 0) -> ScenarioResult:
     """Subtree-OTP interception: only the valid next sublayer can land."""
-    result = ScenarioResult("theorem2")
-    system = run_bootstrap("secure", seed)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
+    result, system, baseline = _start("theorem2", seed)
     ledger = system.ledger
     params = system.params
 
     # Deplete subtree 0 up to the reserved slot.
-    for _ in range(params.N_S - 1):
-        outcome = run_operation(system, OpType.TRANSFER, system.recipient, 1)
-        if not outcome["ok"]:
-            result.check("depletion drive", False, str(outcome))
-            return _finish(result, system, tokens0)
+    if not _drive(result, system, params.N_S - 1, 1, "depletion drive"):
+        return _finish(result, system, baseline)
 
     rng = random.Random(seed + 999)
     forged_nodes = [bytes(rng.getrandbits(8) for _ in range(params.digest_bytes))
@@ -183,15 +188,11 @@ def theorem2(seed: int = 0) -> ScenarioResult:
 
     def intercept(mem_tx: Transaction):
         if mem_tx.fn == "next_subtree" and mem_tx.sender != ADVERSARY:
-            front = Transaction(ADVERSARY, {
-                "fn": "next_subtree", "contract": system.contract_id,
-                "sublayer": SubtreeLayer(list(forged_nodes), 1),
-                "otp": mem_tx.call["otp"],
-                "proof_otp": mem_tx.call["proof_otp"],
-                "proof_sr": mem_tx.call["proof_sr"],
-            }, fee=50, nonce=ledger.next_nonce(ADVERSARY))
-            ledger.submit(front)
-            attacked["txid"] = front.txid
+            attacked["txid"] = ledger.submit(_adversary(
+                system, "next_subtree", fee=50,
+                sublayer=SubtreeLayer(list(forged_nodes), 1),
+                otp=mem_tx.call["otp"], proof_otp=mem_tx.call["proof_otp"],
+                proof_sr=mem_tx.call["proof_sr"]))
             attacked["replay"] = mem_tx
 
     ledger.observers.append(intercept)
@@ -205,61 +206,45 @@ def theorem2(seed: int = 0) -> ScenarioResult:
                  system.contract.current_subtree == 1)
 
     # Replaying the honest payload after the fact hits the phase check.
-    replay_src = attacked["replay"]
-    replay = Transaction(ADVERSARY, dict(replay_src.call), fee=50,
-                         nonce=ledger.next_nonce(ADVERSARY))
-    txid = ledger.submit(replay)
-    ledger.mine_block()
+    replay = _adversary(system, fee=50, **attacked["replay"].call)
     result.check("replayed payload reverts on phase",
-                 ledger.receipt(txid).status == "revert:phase")
+                 _mined(system, replay) == "revert:phase")
 
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 2)
     result.check("operations continue in subtree 1", outcome["ok"])
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+    return _finish(result, system, baseline)
 
 
 def theorem3(seed: int = 0) -> ScenarioResult:
     """Parent-root race: first-match ordering defeats the later entries."""
-    result = ScenarioResult("theorem3")
     params = TreeParams(S=128, N=8, P=2, N_S=8, L_S=1)
-    system = run_bootstrap("secure", seed, params=params)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
+    result, system, baseline = _start("theorem3", seed, params=params)
     ledger = system.ledger
     stolen = system.hw.keypair
 
-    for _ in range(params.N - 1):
-        outcome = run_operation(system, OpType.TRANSFER, system.recipient, 1)
-        if not outcome["ok"]:
-            result.check("depletion drive", False, str(outcome))
-            return _finish(result, system, tokens0)
+    if not _drive(result, system, params.N - 1, 1, "depletion drive"):
+        return _finish(result, system, baseline)
 
     # Adversary's own candidate tree.
     rng = random.Random(seed + 31337)
     adv_seed = random_seed(rng)
     adv_levels = merkle.build_levels(all_leaves(adv_seed, params, 0))
     adv_root = adv_levels[-1][0]
-    adv_sublayer = sublayer_in(adv_levels, 0, params)
-    adv_proof_sr = path(adv_levels, 0, params.H_S, params.H)
     attacked = {}
 
     def intercept(mem_tx: Transaction):
         if mem_tx.fn == "new_root_stage3" and mem_tx.sender != ADVERSARY:
             otp = mem_tx.call["otp"]
             h = truncated_hash(adv_root + otp, params.digest_bytes)
-            for call in ({"fn": "new_root_stage1", "contract": system.contract_id,
-                          "value": h},
-                         {"fn": "new_root_stage2", "contract": system.contract_id,
-                          "value": adv_root}):
-                ledger.submit(_stolen_key_tx(system, stolen, call, fee=60))
-            front = Transaction(ADVERSARY, {
-                "fn": "new_root_stage3", "contract": system.contract_id,
-                "otp": otp, "proof": mem_tx.call["proof"],
-                "sublayer": adv_sublayer, "proof_sr": adv_proof_sr,
-            }, fee=40, nonce=ledger.next_nonce(ADVERSARY))
-            ledger.submit(front)
-            attacked["txid"] = front.txid
+            for stage, value in (("new_root_stage1", h),
+                                 ("new_root_stage2", adv_root)):
+                ledger.submit(_adversary(system, stage, fee=60, key=stolen,
+                                         value=value))
+            attacked["txid"] = ledger.submit(_adversary(
+                system, "new_root_stage3", fee=40, otp=otp,
+                proof=mem_tx.call["proof"],
+                sublayer=sublayer_in(adv_levels, 0, params),
+                proof_sr=path(adv_levels, 0, params.H_S, params.H)))
 
     ledger.observers.append(intercept)
     outcome = run_new_root(system, "secure")
@@ -276,16 +261,12 @@ def theorem3(seed: int = 0) -> ScenarioResult:
                  and system.contract.root != adv_root)
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 3)
     result.check("new generation usable", outcome["ok"])
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+    return _finish(result, system, baseline)
 
 
 def theorem4(seed: int = 0) -> ScenarioResult:
     """Tampered client after bootstrap: the wallet display stops it."""
-    result = ScenarioResult("theorem4")
-    system = run_bootstrap("secure", seed)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
+    result, system, baseline = _start("theorem4", seed)
     ops_before = dict(system.contract.operations)
 
     try:
@@ -302,63 +283,44 @@ def theorem4(seed: int = 0) -> ScenarioResult:
                      for t in system.ledger.mempool))
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 9)
     result.check("honest retry succeeds", outcome["ok"])
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+    return _finish(result, system, baseline)
 
 
 def theorem5(seed: int = 0) -> ScenarioResult:
     """Tampered client during insecure bootstrap: forged root is caught."""
-    result = ScenarioResult("theorem5")
     forged = truncated_hash(b"forged-root-candidate")
     try:
         run_bootstrap("insecure", seed, tamper_root=forged)
-        result.check("user aborted the deployment", False)
-        return result
+        aborted = (False, "")
     except ProtocolAbort as exc:
-        result.check("user aborted the deployment", True, str(exc))
+        aborted = (True, str(exc))
 
     # An honest insecure bootstrap from the same seed still works.
-    system = run_bootstrap("insecure", seed)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
+    result, system, baseline = _start("theorem5", seed, "insecure")
+    result.check("user aborted the deployment", *aborted)
     result.check("honest insecure bootstrap deploys",
                  system.contract_id != "")
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 4)
     result.check("deployed wallet operates", outcome["ok"])
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+    return _finish(result, system, baseline)
 
 
 def theorem6(seed: int = 0) -> ScenarioResult:
     """Stolen authenticator: OTPs alone initiate nothing."""
-    result = ScenarioResult("theorem6")
-    system = run_bootstrap("secure", seed)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
+    result, system, baseline = _start("theorem6", seed)
     ledger = system.ledger
     wallet_lines_before = system.contract.state_lines()
-    adv_kp = signing.keygen(bytes([7]) * 32)
 
     # The adversary holds the device, so OTPs are free - but initOp needs
     # the owner's signature.
     otp = system.authenticator.get_otp(0)
-    tx = Transaction(ADVERSARY, {
-        "fn": "init_op", "contract": system.contract_id,
-        "addr": ADVERSARY, "param": 50, "type": OpType.TRANSFER},
-        fee=5, nonce=ledger.next_nonce(ADVERSARY))
-    tx.signature = adv_kp.sign(tx.signing_bytes())
-    t1 = ledger.submit(tx)
-
-    tx = Transaction(ADVERSARY, {
-        "fn": "confirm_op", "contract": system.contract_id, "otp": otp,
-        "proof": system.client.build_confirm(0, otp).proof, "op_id": 0},
-        fee=5, nonce=ledger.next_nonce(ADVERSARY))
-    t2 = ledger.submit(tx)
-
-    tx = Transaction(ADVERSARY, {"fn": "send_to_last_resort",
-                                 "contract": system.contract_id},
-                     fee=5, nonce=ledger.next_nonce(ADVERSARY))
-    t3 = ledger.submit(tx)
+    t1 = ledger.submit(_adversary(system, "init_op",
+                                  key=signing.keygen(bytes([7]) * 32),
+                                  addr=ADVERSARY, param=50,
+                                  type=OpType.TRANSFER))
+    t2 = ledger.submit(_adversary(system, "confirm_op", otp=otp, op_id=0,
+                                  proof=system.client.build_confirm(0, otp).proof))
+    t3 = ledger.submit(_adversary(system, "send_to_last_resort"))
     ledger.mine_block()
 
     result.check("init without the owner key reverts",
@@ -369,17 +331,13 @@ def theorem6(seed: int = 0) -> ScenarioResult:
                  ledger.receipt(t3).status == "revert:timeout")
     result.check("wallet state unchanged",
                  system.contract.state_lines() == wallet_lines_before)
-    result.check("balances unchanged", _balances(system) == before)
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+    result.check("balances unchanged", ledger.accounts == baseline)
+    return _finish(result, system, baseline)
 
 
 def depletion(seed: int = 0) -> ScenarioResult:
     """Full lifecycle: all OTPs, one subtree introduction, one rotation."""
-    result = ScenarioResult("depletion")
-    system = run_bootstrap("secure", seed)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
+    result, system, baseline = _start("depletion", seed)
     params = system.params
     old_otp = system.authenticator.get_otp(3)
 
@@ -391,17 +349,15 @@ def depletion(seed: int = 0) -> ScenarioResult:
         outcome = run_operation(system, op_type, addr, param)
         if not outcome["ok"]:
             result.check(f"operation {op_type.value}", False, str(outcome))
-            return _finish(result, system, tokens0)
+            return _finish(result, system, baseline)
     result.check("subtree 0 depleted", system.contract.next_op_id == params.N_S - 1)
 
     outcome = run_next_subtree(system)                 # opID 7
     result.check("subtree introduction", outcome["ok"])
 
-    for _ in range(params.N_S - 1):                    # opIDs 8..14
-        outcome = run_operation(system, OpType.TRANSFER, system.recipient, 1)
-        if not outcome["ok"]:
-            result.check("second subtree drive", False, str(outcome))
-            return _finish(result, system, tokens0)
+    # opIDs 8..14
+    if not _drive(result, system, params.N_S - 1, 1, "second subtree drive"):
+        return _finish(result, system, baseline)
 
     outcome = run_new_root(system, "secure")           # opID 15
     result.check("parent-root rotation", outcome["ok"])
@@ -413,69 +369,47 @@ def depletion(seed: int = 0) -> ScenarioResult:
                  outcome["ok"])
 
     # A pre-rotation OTP cannot confirm anything any more.
-    ledger = system.ledger
     stale_op = init_operation(system, OpType.TRANSFER, system.recipient,
                               1)["op_id"]
     payload = system.client.build_confirm(stale_op, old_otp)
-    tx = Transaction(system.user_account, {
-        "fn": "confirm_op", "contract": system.contract_id,
-        "otp": payload.otp, "proof": payload.proof, "op_id": stale_op},
-        fee=1, nonce=ledger.next_nonce(system.user_account))
-    txid = ledger.submit(tx)
-    ledger.mine_block()
+    tx = _adversary(system, "confirm_op", fee=1, sender=system.user_account,
+                    otp=payload.otp, proof=payload.proof, op_id=stale_op)
     result.check("pre-rotation OTP rejected",
-                 ledger.receipt(txid).status.startswith("revert:"))
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+                 _mined(system, tx).startswith("revert:"))
+    return _finish(result, system, baseline)
 
 
 def dos_pending(seed: int = 0) -> ScenarioResult:
     """Key theft flood: pending garbage, zero confirmable operations."""
-    result = ScenarioResult("dos-pending")
-    system = run_bootstrap("secure", seed)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
+    result, system, baseline = _start("dos-pending", seed)
     ledger = system.ledger
-    stolen = system.hw.keypair
 
     adv_ops = []
     for _ in range(3):
-        tx = _stolen_key_tx(system, stolen, {
-            "fn": "init_op", "contract": system.contract_id,
-            "addr": ADVERSARY, "param": 25, "type": OpType.TRANSFER})
-        txid = ledger.submit(tx)
-        ledger.mine_block()
-        adv_ops.append(int(ledger.receipt(txid).result))
+        tx = _adversary(system, "init_op", key=system.hw.keypair,
+                        addr=ADVERSARY, param=25, type=OpType.TRANSFER)
+        _mined(system, tx)
+        adv_ops.append(int(ledger.receipt(tx.txid).result))
     result.check("adversary flooded pending operations", len(adv_ops) == 3)
 
     confirmed = 0
     for op_id in adv_ops:
         guess = truncated_hash(op_id.to_bytes(4, "big"))
-        proof = system.client.build_confirm(op_id, guess).proof
-        tx = Transaction(ADVERSARY, {
-            "fn": "confirm_op", "contract": system.contract_id,
-            "otp": guess, "proof": proof, "op_id": op_id},
-            fee=5, nonce=ledger.next_nonce(ADVERSARY))
-        txid = ledger.submit(tx)
-        ledger.mine_block()
-        if ledger.receipt(txid).status == "ok":
-            confirmed += 1
+        tx = _adversary(system, "confirm_op", otp=guess, op_id=op_id,
+                        proof=system.client.build_confirm(op_id, guess).proof)
+        confirmed += _mined(system, tx) == "ok"
     result.check("adversary confirmable operations = 0", confirmed == 0)
 
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 6)
     result.check("user operation succeeds after the flood", outcome["ok"])
     result.check("flooded operations still pending",
                  all(system.contract.operations[i].pending for i in adv_ops))
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+    return _finish(result, system, baseline)
 
 
 def fork_replay(seed: int = 0) -> ScenarioResult:
     """Accidental fork during the wait: detect, resubmit, then confirm."""
-    result = ScenarioResult("fork-replay")
-    system = run_bootstrap("secure", seed)
-    tokens0 = system.ledger.total_tokens()
-    before = _balances(system)
+    result, system, baseline = _start("fork-replay", seed)
     ledger = system.ledger
 
     init = init_operation(system, OpType.TRANSFER, system.recipient, 5)
@@ -500,8 +434,7 @@ def fork_replay(seed: int = 0) -> ScenarioResult:
     result.check("confirmation waited for full depth",
                  all(c >= system.client.confirmation_depth
                      for _, c in system.depth_checks))
-    _honest_funds_intact(result, system, before)
-    return _finish(result, system, tokens0)
+    return _finish(result, system, baseline)
 
 
 SCENARIOS = {

@@ -318,6 +318,36 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
     assert world.system.ledger.state_hash() == recorded
 
 
+@pytest.mark.parametrize("damage", ["deleted", "legacy"])
+def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
+                                             damage):
+    state_dir, _ = history
+    world_file = state_dir / "world.json"
+    (state_dir / "checkpoint.json").unlink()
+    if damage == "legacy":
+        data = json.loads(world_file.read_text())
+        del data["head"]
+        world_file.write_text(json.dumps(data))
+    replays = _count_replays(monkeypatch)
+    shown = [run(capsys, "--state-dir", state_dir, "root", "show")
+             for _ in range(3)]
+    assert replays == [1]
+    assert shown[0][0] == 0 and shown[0] == shown[1] == shown[2]
+    assert json.loads(world_file.read_text())["head"]["actions"] == 3
+
+
+def test_a_replay_off_the_recorded_state_saves_nothing(history, capsys):
+    state_dir, _ = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    data["actions"][0]["param"] = 6
+    world_file.write_text(json.dumps(data))
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 1 and err.startswith("error: state:")
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
 def test_an_edited_action_log_is_a_state_error(history, capsys):
     state_dir, _ = history
     world_file = state_dir / "world.json"

@@ -4,9 +4,11 @@ import pytest
 
 from otpwallet import signing
 from otpwallet.client import ClientStore
-from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
+from otpwallet.contract import (CallTrace, ChainEnv, OpType, Revert,
+                                WalletContract)
 from otpwallet.hashing import chain_step, truncated_hash
-from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, layer_of
+from otpwallet.merkle import (MerkleProof, SubtreeLayer, TreeParams,
+                              chain_offset, layer_of)
 
 from harness import K, T0, World as BaseWorld
 
@@ -43,6 +45,19 @@ def test_forged_sublayer_reverts_deployment():
         WalletContract(root, w.keypair.public, forged, proof_sr, PARAMS,
                        ChainEnv(T0, "x", lambda a: 0, lambda f, t, v: None))
     assert err.value.category == "consistency"
+
+
+def test_a_reverted_deployment_meters_its_hashes():
+    store = ClientStore.bootstrap_secure(K, PARAMS)
+    root, sublayer, proof_sr = store.constructor_args()
+    forged = SubtreeLayer([truncated_hash(b"junk")] * len(sublayer.nodes), 0)
+    trace = CallTrace("constructor")
+    with pytest.raises(Revert):
+        WalletContract(root, bytes(32), forged, proof_sr, PARAMS,
+                       ChainEnv(T0, "x", lambda a: 0, lambda f, t, v: None),
+                       trace=trace)
+    # The sublayer reduced to its subtree root, then folded up proof_sr.
+    assert trace.hashes == len(forged.nodes) - 1 + len(proof_sr)
 
 
 def test_degenerate_cache_is_the_root_itself():
@@ -249,6 +264,22 @@ def test_subtree_replay_hits_phase_check(world):
                                   payload.proof_otp, payload.proof_sr,
                                   world.env(world.owner))
     assert err.value.category == "phase"
+
+
+def test_a_subtree_otp_off_the_root_meters_its_hashes(world):
+    for _ in range(PARAMS.N_S - 1):
+        world.init(param=1)
+    op_id = world.wallet.next_op_id
+    payload = world.store.build_next_subtree(op_id, world.otp(op_id))
+    trace = CallTrace("next_subtree")
+    with pytest.raises(Revert) as err:
+        world.wallet.next_subtree(payload.next_sublayer,
+                                  truncated_hash(b"not the otp"),
+                                  payload.proof_otp, payload.proof_sr,
+                                  world.env(world.owner), trace)
+    assert err.value.category == "otp"
+    # The chain ran a(opID)+1 steps to the leaf, and the proof H folds.
+    assert trace.hashes == chain_offset(op_id, PARAMS) + 1 + PARAMS.H == 5
 
 
 def test_subtree_refused_at_parent_boundary(world):

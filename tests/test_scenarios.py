@@ -1,9 +1,11 @@
 """The scripted adversary suite must pass wholesale and deterministically."""
 
+import hashlib
 import time
 
 import pytest
 
+from otpwallet import scenarios
 from otpwallet.scenarios import SCENARIOS, run_all, run_scenario
 
 
@@ -31,8 +33,44 @@ def test_different_seeds_change_the_world():
     assert a.state_hash != b.state_hash
 
 
+@pytest.mark.parametrize("name", ["theorem2", "theorem3", "depletion"])
+def test_a_failed_drive_still_runs_the_end_checks(monkeypatch, name):
+    # Called through the module global, as a tracer rebinds it.
+    monkeypatch.setattr(scenarios, "run_operation",
+                        lambda *args, **kwargs: {"ok": False})
+    result = run_scenario(name)
+    assert [label for label, _, _ in result.checks][-4:] == [
+        "wallet debited only by confirmed transfers",
+        "adversary gained nothing beyond confirmed transfers",
+        "token conservation", "signature audit"]
+    assert not result.passed and result.state_hash
+
+
 def test_suite_runs_quickly():
     start = time.time()
     results = run_all(seed=0)
     assert all(r.passed for r in results)
     assert time.time() - start < 30.0
+
+
+# scenario -> SHA-256 of "\n".join(result.lines()). No check note carries
+# the seed, so seeds 0-3 print the same reports.
+REPORTS = {
+    "depletion": "1845b2c706105b6efce06066e59ef1da3b54359bb3f8ab3e3cd7643148ca728a",
+    "dos-pending": "4a7d30b890d4c652b87a11cd418c45ca619536ce94589665e613bca5f4f9b6a1",
+    "fork-replay": "ac3cf5129efcc977687f5b5bd4bfbed677d7e2deb191eb82395119adb14500b9",
+    "theorem1": "1f74f4caaf7b033a5a71912f341434bd77e4cc6b3b0272c4d6a9820935e92cc9",
+    "theorem2": "5879fd7db3fb6e26bb4f2e60d009d565ebdba04bb340e5e459cd95d9d2fe03e1",
+    "theorem3": "69f25ca76a01e37f28dcbf9fb005b7ae46fb34273db6ec587e32eb6fc0ba5510",
+    "theorem4": "be83fd8ee47e10fb5aac4ef837a802424fb892bb2e28f4ab6affda17d741f078",
+    "theorem5": "5743f0ada90d67f23896fca113ad7be15a6a0a553a1dd36673bf0560eb166e4b",
+    "theorem6": "53000b0836dc4f62c6c35279ca0ecab125968555f12a55ac6d01ee666c71d41d",
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reports_are_pinned(seed):
+    """Each report, its checks in order with their notes, byte for byte."""
+    reports = {r.name: hashlib.sha256("\n".join(r.lines()).encode()).hexdigest()
+               for r in run_all(seed)}
+    assert reports == REPORTS
