@@ -12,8 +12,15 @@ match and the restored ledger hashes to the recorded state; otherwise it
 replays the log from genesis, which determinism makes bit-exact, and a
 replay that lands anywhere but the recorded state is an error. A replay
 that lands on it, or on a log that records no head, saves a fresh head,
-so only the first command after a damaged checkpoint replays. The log
-doubles as an audit trail.
+once, so only the first command after a damaged checkpoint replays. The
+log doubles as an audit trail.
+
+A command pays for its own work and the blocks it adds. `main` builds the
+parser of the command that argv names, not all nine (the full parser only
+for help, usage errors at the top level and unknown commands). A save
+assembles `checkpoint.json` from the text each block cached when it was
+first encoded or read back, so it encodes only the new blocks and the
+head state; `state_hash` likewise reuses each block's cached line.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr), 2 usage.
@@ -108,7 +115,12 @@ class World:
         return cls(state_dir, data)
 
     @classmethod
-    def load(cls, state_dir: Path) -> "World":
+    def load(cls, state_dir: Path, save_replay: bool = True) -> "World":
+        """The world in `state_dir`, restored from its head or replayed.
+        A replay that lands on the recorded state saves a fresh head, so
+        the next command restores; a command that will `commit` passes
+        `save_replay=False`, because the commit saves (and when the commit
+        fails, nothing is saved and the next command replays again)."""
         path = state_dir / "world.json"
         if not path.exists():
             raise CliError("state", f"no wallet state in {state_dir}; "
@@ -121,8 +133,8 @@ class World:
             if recorded is not None and actual != recorded:
                 raise CliError("state", f"the action log replays to state "
                                         f"{actual}, not the recorded {recorded}")
-            # A fresh head, so the next command restores instead of replaying.
-            world.save()
+            if save_replay:
+                world.save()
         return world
 
     def params(self) -> TreeParams:
@@ -173,19 +185,18 @@ class World:
     def actions_sha256(self) -> str:
         return _sha256(json.dumps(self.data["actions"], sort_keys=True))
 
-    def checkpoint(self) -> dict:
-        """The head of the world, as `restore` reads it back."""
+    def checkpoint(self) -> str:
+        """The head of the world as JSON text, as `restore` reads it back:
+        the ledger's checkpoint, extended with the protocol bookkeeping."""
         system = self.system
-        return {
-            "actions_sha256": self.actions_sha256(),
-            "ledger": system.ledger.checkpoint(),
-            "eta": system.authenticator.eta,
-            "initialised": [[op_id, txid, op_type.value, addr, param]
-                            for op_id, (txid, op_type, addr, param)
-                            in system.initialised.items()],
-            "confirmed_transfers": system.confirmed_transfers,
-            "depth_checks": system.depth_checks,
-        }
+        return system.ledger.checkpoint(
+            actions_sha256=self.actions_sha256(),
+            eta=system.authenticator.eta,
+            initialised=[[op_id, txid, op_type.value, addr, param]
+                         for op_id, (txid, op_type, addr, param)
+                         in system.initialised.items()],
+            confirmed_transfers=system.confirmed_transfers,
+            depth_checks=system.depth_checks)
 
     def restore(self) -> bool:
         """Set up the system from the head files, without replaying; False
@@ -202,11 +213,11 @@ class World:
                     _sha256(texts[name]) != head["sha256"][name]
                     for name in HEAD_FILES):
                 return False
-            point = json.loads(texts["checkpoint.json"])
+            ledger, point = Ledger.from_checkpoint(texts["checkpoint.json"])
             if point["actions_sha256"] != self.actions_sha256():
                 return False
             system = self.build_system()
-            system.ledger = Ledger.from_checkpoint(point["ledger"])
+            system.ledger = ledger
             system.client = ClientStore.load(texts["client.leaves"],
                                              texts["client.json"])
             system.contract_id = system.client.contract_id
@@ -232,8 +243,7 @@ class World:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         client = self.system.client
         texts = dict(zip(HEAD_FILES, (
-            client.dump_leaves(), client.sidecar() + "\n",
-            json.dumps(self.checkpoint(), separators=(",", ":")))))
+            client.dump_leaves(), client.sidecar() + "\n", self.checkpoint())))
         self.data["head"] = {
             "actions": len(self.data["actions"]),
             "state_hash": self.system.ledger.state_hash(),
@@ -296,7 +306,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_op_init(args) -> int:
-    world = World.load(Path(args.state_dir))
+    world = World.load(Path(args.state_dir), save_replay=False)
     op_type = OP_TYPES.get(args.type)
     if op_type is None:
         raise CliError("usage", f"unknown operation type {args.type!r}")
@@ -307,7 +317,7 @@ def cmd_op_init(args) -> int:
 
 
 def cmd_op_confirm(args) -> int:
-    world = World.load(Path(args.state_dir))
+    world = World.load(Path(args.state_dir), save_replay=False)
     otp = mnemonic.parse_otp(args.otp, world.params().digest_bytes)
     result = world.commit({"cmd": "confirm", "op_id": args.op_id,
                            "otp": otp.hex()})
@@ -334,14 +344,14 @@ def cmd_root_show(args) -> int:
 
 
 def cmd_subtree_next(args) -> int:
-    world = World.load(Path(args.state_dir))
+    world = World.load(Path(args.state_dir), save_replay=False)
     world.commit({"cmd": "subtree"})
     print(f"current subtree: {world.system.contract.current_subtree}")
     return 0
 
 
 def cmd_root_rotate(args) -> int:
-    world = World.load(Path(args.state_dir))
+    world = World.load(Path(args.state_dir), save_replay=False)
     world.commit({"cmd": "rotate", "mode": args.mode})
     print(f"new root: {world.system.contract.root.hex()}")
     print(f"generation: {world.system.client.eta}")
@@ -406,16 +416,10 @@ def cmd_mnemonic(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="otpwallet",
-        description="Hash-chain OTP wallet protocol simulator")
-    parser.add_argument("--state-dir",
-                        default=os.environ.get(STATE_ENV, DEFAULT_STATE_DIR),
-                        help="wallet state directory (env OTPWALLET_STATE)")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's parser, built only when argv names it or the top-level
+# parser must list every command.
 
-    p = sub.add_parser("bootstrap", help="deploy a fresh wallet")
+def _bootstrap_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["secure", "insecure"], default="secure")
     p.add_argument("--params",
                    default=os.environ.get(PARAMS_ENV, DEFAULT_PARAMS_SPEC),
@@ -424,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--funding", type=int, default=1000)
     p.set_defaults(fn=cmd_bootstrap)
 
-    p = sub.add_parser("op", help="two-stage wallet operations")
+
+def _op_parser(p: argparse.ArgumentParser) -> None:
     op_sub = p.add_subparsers(dest="op_command", required=True)
     q = op_sub.add_parser("init", help="initialize (first factor)")
     q.add_argument("--type", required=True,
@@ -438,18 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hex digest or mnemonic words (quoted)")
     q.set_defaults(fn=cmd_op_confirm)
 
-    p = sub.add_parser("otp", help="authenticator displays")
+
+def _otp_parser(p: argparse.ArgumentParser) -> None:
     otp_sub = p.add_subparsers(dest="otp_command", required=True)
     q = otp_sub.add_parser("show")
     q.add_argument("--op-id", type=int, required=True)
     q.set_defaults(fn=cmd_otp_show)
 
-    p = sub.add_parser("subtree", help="subtree lifecycle")
+
+def _subtree_parser(p: argparse.ArgumentParser) -> None:
     st_sub = p.add_subparsers(dest="subtree_command", required=True)
     q = st_sub.add_parser("next", help="introduce the next subtree")
     q.set_defaults(fn=cmd_subtree_next)
 
-    p = sub.add_parser("root", help="parent-root lifecycle")
+
+def _root_parser(p: argparse.ArgumentParser) -> None:
     rt_sub = p.add_subparsers(dest="root_command", required=True)
     q = rt_sub.add_parser("rotate", help="replace the parent root")
     q.add_argument("--mode", choices=["secure", "insecure"], default="secure")
@@ -457,38 +465,100 @@ def build_parser() -> argparse.ArgumentParser:
     q = rt_sub.add_parser("show")
     q.set_defaults(fn=cmd_root_show)
 
-    p = sub.add_parser("attack", help="adversary scenarios")
+
+def _attack_parser(p: argparse.ArgumentParser) -> None:
     at_sub = p.add_subparsers(dest="attack_command", required=True)
     q = at_sub.add_parser("run")
     q.add_argument("scenario", choices=sorted(SCENARIOS) + ["all"])
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_attack_run)
 
-    p = sub.add_parser("cost", help="cost model")
+
+def _cost_parser(p: argparse.ArgumentParser) -> None:
     c_sub = p.add_subparsers(dest="cost_command", required=True)
     q = c_sub.add_parser("sweep")
     q.add_argument("--grid", default="H=7..10,P=1,L=all",
                    help='e.g. "H=7..10,P=1+2,L=all"')
     q.set_defaults(fn=cmd_cost_sweep)
 
-    p = sub.add_parser("security", help="security bounds")
+
+def _security_parser(p: argparse.ArgumentParser) -> None:
     s_sub = p.add_subparsers(dest="security_command", required=True)
     q = s_sub.add_parser("calc")
     q.add_argument("--lambda", dest="lambda_bits", type=int, required=True)
     q.add_argument("--leaves", type=int, required=True)
     q.set_defaults(fn=cmd_security_calc)
 
-    p = sub.add_parser("mnemonic", help="mnemonic codec")
+
+def _mnemonic_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("direction", choices=["encode", "decode"])
     p.add_argument("value", nargs="+",
                    help="hex string (encode) or words (decode)")
     p.set_defaults(fn=cmd_mnemonic)
+
+
+# Command -> (help, builder of its parser), in the order help lists them.
+COMMANDS = {
+    "bootstrap": ("deploy a fresh wallet", _bootstrap_parser),
+    "op": ("two-stage wallet operations", _op_parser),
+    "otp": ("authenticator displays", _otp_parser),
+    "subtree": ("subtree lifecycle", _subtree_parser),
+    "root": ("parent-root lifecycle", _root_parser),
+    "attack": ("adversary scenarios", _attack_parser),
+    "cost": ("cost model", _cost_parser),
+    "security": ("security bounds", _security_parser),
+    "mnemonic": ("mnemonic codec", _mnemonic_parser),
+}
+
+
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of `commands` (names of COMMANDS), by default of all."""
+    parser = argparse.ArgumentParser(
+        prog="otpwallet",
+        description="Hash-chain OTP wallet protocol simulator")
+    parser.add_argument("--state-dir",
+                        default=os.environ.get(STATE_ENV, DEFAULT_STATE_DIR),
+                        help="wallet state directory (env OTPWALLET_STATE)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        help_text, build = COMMANDS[name]
+        build(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _command_named(argv: list[str]) -> str | None:
+    """The command of argv when its only top-level options are
+    `--state-dir DIR` or `--state-dir=DIR`; None for any other form, such
+    as no command, an unknown one, top-level help or an abbreviation."""
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token.startswith("--state-dir="):
+            i += 1
+        elif token == "--state-dir":
+            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            i += 2
+        else:
+            return token if token in COMMANDS else None
+    return None
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, building the parser of the
+    named command only. Only the full parser reports a usage error at the
+    top level, because its usage line lists every command."""
+    name = _command_named(argv)
+    if name is None:
+        return build_parser().parse_args(argv)
+    args, extra = build_parser([name]).parse_known_args(argv)
+    if extra:
+        return build_parser().parse_args(argv)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except CliError as exc:

@@ -22,14 +22,26 @@ the chain.
 Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
 
-`checkpoint` writes the canonical chain as JSON-ready data: the head state
-and every block's receipts, each call encoded by the same typed schema
-that `_dispatch` checks. `from_checkpoint` reads it back with a state on
-the head block only, so the restored ledger cannot fork below its head.
+Receipts are immutable after mining: no code changes a mined block's
+receipts, their transactions or those transactions' calls. Three caches
+rely on it. A `Transaction` builds its signed bytes and its txid once, a
+`Block` builds its `state_hash` line and its checkpoint entry on first
+use, and a block restored from a checkpoint keeps the text it was read
+from.
+
+`checkpoint` writes the canonical chain as JSON text: every block's
+receipts, each call encoded by the same typed schema that `_dispatch`
+checks, then the head state. It joins the blocks' cached entries, so a
+chain that grew by a few blocks since its last checkpoint encodes only
+those. `from_checkpoint` reads it back with a state on the head block
+only, so the restored ledger cannot fork below its head, and every chain
+of it holds all the restored blocks: the head keeps their text as read,
+and the next checkpoint reuses it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -132,6 +144,8 @@ class Transaction:
     signature: bytes | None = None
     nonce: int = 0
     seq: int = field(default=-1, compare=False)   # submission order
+    _signing: bytes | None = field(default=None, init=False, repr=False,
+                                   compare=False)
     _txid: str | None = field(default=None, init=False, repr=False,
                               compare=False)
 
@@ -139,15 +153,19 @@ class Transaction:
     def fn(self) -> str:
         return self.call["fn"]
 
+    # Both computed once: the sender, nonce and call are never changed after
+    # construction.
+
     def signing_bytes(self) -> bytes:
-        return (f"{self.sender}|{self.nonce}|{self.fn}|"
+        if self._signing is None:
+            self._signing = (
+                f"{self.sender}|{self.nonce}|{self.fn}|"
                 f"{canon_args({k: v for k, v in self.call.items() if k != 'fn'})}"
-                ).encode()
+            ).encode()
+        return self._signing
 
     @property
     def txid(self) -> str:
-        # Computed once: the sender, nonce and call are never changed after
-        # construction.
         if self._txid is None:
             self._txid = truncated_hash(self.signing_bytes()).hex()[:16]
         return self._txid
@@ -179,6 +197,34 @@ class Block:
     timestamp: int
     receipts: list[TxReceipt]
     state: LedgerState | None       # None below a head restored from a checkpoint
+    # Built on first use; a restored head's `_chain_text` is the checkpoint
+    # text of the blocks from genesis up to it, as read back.
+    _line: str | None = field(default=None, init=False, repr=False,
+                              compare=False)
+    _entry: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
+    _chain_text: str | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def state_line(self) -> str:
+        """The block's line of `Ledger.state_hash`."""
+        line = self._line
+        if line is None:
+            line = self._line = f"blk {self.height} {self.timestamp} " + (
+                ",".join([r.txid + ":" + r.status for r in self.receipts])
+                if self.receipts else "")
+        return line
+
+    def entry(self) -> str:
+        """The block's checkpoint entry as JSON text: its timestamp alone
+        when empty, else the timestamp and each receipt with its call."""
+        if self._entry is None:
+            self._entry = _to_json([self.timestamp, [
+                [r.sender, r.nonce, r.fee, r.status, r.result,
+                 None if r.tx.signature is None else r.tx.signature.hex(),
+                 encode_call(r.tx.call)] for r in self.receipts]]
+            ) if self.receipts else str(self.timestamp)
+        return self._entry
 
 
 def _index(heights: dict[str, int], block: Block) -> None:
@@ -226,6 +272,29 @@ def decode_call(data: dict) -> dict:
     """The call that `encode_call` wrote."""
     schema = _schema_of(data)
     return {key: _CODECS[schema[key]][1](value) for key, value in data.items()}
+
+
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
+_scan_json = json.JSONDecoder().scan_once
+# A checkpoint opens with its blocks array, so that reading it can keep the
+# array's text without a second pass.
+_BLOCKS_KEY = '{"blocks":'
+
+
+def _read_checkpoint(text: str) -> tuple[dict, str | None]:
+    """The checkpoint document, and the text of the blocks array's items
+    when the document opens with `_BLOCKS_KEY` directly followed by the
+    array: the items exactly as parsed, in any layout. Any other layout
+    parses in full, without the text."""
+    if text.startswith(_BLOCKS_KEY + "["):
+        try:
+            blocks, end = _scan_json(text, len(_BLOCKS_KEY))
+        except StopIteration:       # malformed; json.loads raises the error
+            return json.loads(text), None
+        data = json.loads(_BLOCKS_KEY + "0" + text[end:])
+        data["blocks"] = blocks
+        return data, text[len(_BLOCKS_KEY) + 1:end - 1]
+    return json.loads(text), None
 
 
 class Ledger:
@@ -459,32 +528,40 @@ class Ledger:
 
     # -- checkpoints ------------------------------------------------------------------------
 
-    def checkpoint(self) -> dict:
-        """The canonical chain as JSON-ready data: the head's balances,
-        nonces and contracts, the submission counter, and each block's
-        timestamp and receipts (an empty block is its timestamp alone).
-        Older block states, other branches and call traces are left out."""
+    def checkpoint(self, **extra) -> str:
+        """The canonical chain as JSON text: an object whose first key,
+        "blocks", lists each block's `entry`, then the submission counter,
+        the head's balances, nonces and contracts, and the `extra` keys.
+        Older block states, other branches and call traces are left out.
+        Only the blocks after the newest one with a cached chain text are
+        joined from their entries."""
         if self.mempool:
             raise LedgerError("a checkpoint holds mined state only")
         state = self.head.state
-        return {
+        head = _to_json({
             "seq": self._seq,
             "accounts": state.accounts,
             "nonces": state.nonces,
             "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
                           for c in state.contracts.values()],
-            "blocks": [[blk.timestamp, [
-                [r.sender, r.nonce, r.fee, r.status, r.result,
-                 None if r.tx.signature is None else r.tx.signature.hex(),
-                 encode_call(r.tx.call)] for r in blk.receipts]]
-                if blk.receipts else blk.timestamp for blk in self.chain],
-        }
+            **extra,
+        })
+        entries = []
+        for blk in reversed(self.chain):
+            if blk._chain_text is not None:
+                entries.append(blk._chain_text)
+                break
+            entries.append(blk.entry())
+        entries.reverse()
+        return f'{_BLOCKS_KEY}[{",".join(entries)}],{head[1:]}'
 
     @classmethod
-    def from_checkpoint(cls, data: dict) -> "Ledger":
-        """The ledger `checkpoint` describes. Only the head carries a state,
-        so the chain cannot be forked below it. Each txid is recomputed
-        from its decoded transaction."""
+    def from_checkpoint(cls, text: str) -> tuple["Ledger", dict]:
+        """The ledger `checkpoint` wrote, and the parsed document, whose
+        `extra` keys are the caller's. Only the head carries a state, so
+        the chain cannot be forked below it. Each txid is recomputed from
+        its decoded transaction."""
+        data, chain_text = _read_checkpoint(text)
         ledger = cls()
         chain, heights = [], {}
         for height, entry in enumerate(data["blocks"]):
@@ -504,9 +581,10 @@ class Ledger:
         chain[-1].state = LedgerState(dict(data["accounts"]),
                                       dict(data["nonces"]),
                                       {c.contract_id: c for c in contracts})
+        chain[-1]._chain_text = chain_text
         ledger.branches, ledger.tx_heights = {MAIN: chain}, {MAIN: heights}
         ledger._seq = data["seq"]
-        return ledger
+        return ledger, data
 
     # -- determinism and audit hooks --------------------------------------------------------------
 
@@ -529,9 +607,7 @@ class Ledger:
             parts.append(f"nonce {addr} {state.nonces[addr]}")
         for cid in sorted(state.contracts):
             parts.extend(state.contracts[cid].state_lines())
-        for blk in self.chain:
-            parts.append(f"blk {blk.height} {blk.timestamp} "
-                         + ",".join(r.txid + ":" + r.status for r in blk.receipts))
+        parts += [blk._line or blk.state_line() for blk in self.chain]
         return truncated_hash("\n".join(parts).encode()).hex()
 
     def audit_signatures(self) -> list[str]:

@@ -1,9 +1,14 @@
-"""Shared direct-drive harness: a wallet contract without the ledger."""
+"""Shared test harness: a wallet contract driven without the ledger, and
+cache-free references for the ledger's state hash and checkpoint."""
+
+import json
 
 from otpwallet import signing
 from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
 from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
+from otpwallet.hashing import truncated_hash
+from otpwallet.ledger import encode_call
 K = bytes(range(16))
 T0 = 1_600_000_000
 
@@ -72,3 +77,38 @@ class World:
         if ok:
             self.store.commit_rotation()
         return ok
+
+
+def reference_state_hash(ledger) -> str:
+    """`Ledger.state_hash` built from scratch, line by line."""
+    state = ledger.head.state
+    parts = [f"acct {a} {state.accounts[a]}" for a in sorted(state.accounts)]
+    parts += [f"nonce {a} {state.nonces[a]}" for a in sorted(state.nonces)]
+    for cid in sorted(state.contracts):
+        parts.extend(state.contracts[cid].state_lines())
+    parts += [f"blk {blk.height} {blk.timestamp} "
+              + ",".join(r.txid + ":" + r.status for r in blk.receipts)
+              for blk in ledger.chain]
+    return truncated_hash("\n".join(parts).encode()).hex()
+
+
+def reference_blocks(ledger) -> list:
+    """The checkpoint entry of every canonical block, encoded from scratch."""
+    return [[blk.timestamp, [
+        [r.sender, r.nonce, r.fee, r.status, r.result,
+         None if r.tx.signature is None else r.tx.signature.hex(),
+         encode_call(r.tx.call)] for r in blk.receipts]]
+        if blk.receipts else blk.timestamp for blk in ledger.chain]
+
+
+def reference_checkpoint(ledger) -> str:
+    """`Ledger.checkpoint()` encoded from scratch, in its compact layout."""
+    state = ledger.head.state
+    return json.dumps({
+        "blocks": reference_blocks(ledger),
+        "seq": ledger._seq,
+        "accounts": state.accounts,
+        "nonces": state.nonces,
+        "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
+                      for c in state.contracts.values()],
+    }, separators=(",", ":"))

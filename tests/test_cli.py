@@ -1,13 +1,36 @@
 """CLI surface: happy path, persistence, exit codes, golden stability."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from otpwallet.cli import World, main, parse_grid, parse_params
+from otpwallet import cli, ledger as ledger_mod
+from otpwallet.cli import (
+    World,
+    build_parser,
+    main,
+    parse_args,
+    parse_grid,
+    parse_params,
+)
+
+from harness import reference_blocks
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
+
+
+@pytest.fixture(autouse=True)
+def parses_like_the_full_parser(monkeypatch):
+    """Every command line these tests run parses to the Namespace that the
+    parser of all commands gives."""
+    def checked(argv):
+        args = parse_args(argv)
+        assert args == build_parser().parse_args(argv)
+        return args
+
+    monkeypatch.setattr(cli, "parse_args", checked)
 
 
 @pytest.fixture
@@ -275,12 +298,16 @@ def history(state, capsys):
     return state_dir, stale
 
 
+def _count(monkeypatch, obj, name) -> list:
+    calls = []
+    real = getattr(obj, name)
+    monkeypatch.setattr(obj, name,
+                        lambda *a, **k: (calls.append(1), real(*a, **k))[1])
+    return calls
+
+
 def _count_replays(monkeypatch) -> list:
-    replays = []
-    real = World.replay
-    monkeypatch.setattr(World, "replay",
-                        lambda world: (replays.append(1), real(world))[1])
-    return replays
+    return _count(monkeypatch, World, "replay")
 
 
 def test_an_intact_head_loads_without_replay(history, monkeypatch):
@@ -368,3 +395,114 @@ def test_a_fund_action_is_unknown(history, capsys):
     world_file.write_text(json.dumps(data))
     code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
     assert code == 1 and err.startswith("error: state: unknown action")
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["op"], ["op", "--help"], ["op", "init"],
+    ["root", "show", "--help"], ["root", "show", "extra"],
+    ["--state-dir"], ["--state-dir", "-x", "root", "show"],
+    ["--state", "d", "root", "show"], ["--state-dir=d", "root", "show"],
+    ["--state-dir", "d", "otp", "show", "--op-id", "x"],
+    ["--", "root", "show"], ["-h", "root", "show"],
+    ["mnemonic", "encode", "00", "--bogus"], ["root", "--state-dir", "d", "show"],
+])
+def test_the_partial_parser_behaves_like_the_full_one(argv, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    partial = _parse_outcome(parse_args, argv, capsys)
+    full = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert partial == full
+    if argv and argv[0] in ("bogus", "--help", "-h", "--"):
+        assert "mnemonic" in partial[1] + partial[2]
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch):
+    built = []
+    for name, (help_text, build) in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, (
+            help_text, lambda p, name=name, build=build: (built.append(name),
+                                                          build(p))))
+    parse_args(["--state-dir", "d", "root", "show"])
+    assert built == ["root"]
+
+
+def test_a_write_after_a_replay_saves_once(history, monkeypatch, capsys):
+    state_dir, _ = history
+    (state_dir / "checkpoint.json").unlink()
+    saves = _count(monkeypatch, World, "save")
+    replays = _count_replays(monkeypatch)
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    assert code == 0 and replays == [1] and len(saves) == 1
+    World.load(state_dir)                    # the save left a fresh head
+    assert replays == [1]
+
+
+def _receipts(state_dir) -> int:
+    return sum(len(blk.receipts)
+               for blk in World.load(state_dir).system.ledger.chain)
+
+
+def test_a_save_encodes_only_the_new_blocks(history, monkeypatch, capsys):
+    state_dir, _ = history
+    before = _receipts(state_dir)
+    encoded = _count(monkeypatch, ledger_mod, "encode_call")
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    mined = _receipts(state_dir) - before
+    assert code == 0 and mined >= 1 and len(encoded) == mined
+
+
+def _relayout(text: str, layout: str) -> str:
+    doc = json.loads(text)
+    if layout == "indented":
+        return json.dumps(doc, indent=1)
+    if layout == "blocks-last":
+        blocks = doc.pop("blocks")
+        return json.dumps({**doc, "blocks": blocks})
+    # The compact opening kept, with spaces everywhere after it.
+    blocks = doc.pop("blocks")
+    return ('{"blocks":[ ' + " , ".join(json.dumps(b) for b in blocks)
+            + " ] , " + json.dumps(doc)[1:])
+
+
+@pytest.mark.parametrize("layout", ["indented", "blocks-last", "spaced"])
+def test_a_checkpoint_in_another_layout_restores_and_saves(history, monkeypatch,
+                                                           capsys, layout):
+    state_dir, _ = history
+    checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
+    text = _relayout(checkpoint.read_text(), layout)
+    assert text != checkpoint.read_text()
+    checkpoint.write_text(text)
+    data = json.loads(world_file.read_text())
+    data["head"]["sha256"]["checkpoint.json"] = hashlib.sha256(
+        text.encode()).hexdigest()
+    world_file.write_text(json.dumps(data))
+    recorded = data["head"]["state_hash"]
+
+    replays = _count_replays(monkeypatch)
+    assert World.load(state_dir).system.ledger.state_hash() == recorded
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    assert code == 0 and replays == []
+
+    # The save reused the blocks' text as read; it restores to the state a
+    # replay reaches, and it holds exactly the chain's entries.
+    restored = World.load(state_dir)
+    assert replays == []
+    recorded = json.loads(world_file.read_text())["head"]["state_hash"]
+    assert restored.system.ledger.state_hash() == recorded
+    assert (json.loads(checkpoint.read_text())["blocks"]
+            == reference_blocks(restored.system.ledger))
+    checkpoint.unlink()
+    assert World.load(state_dir).system.ledger.state_hash() == recorded
+    assert replays == [1]

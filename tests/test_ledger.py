@@ -1,5 +1,7 @@
 """Ledger simulator: ordering, forks, confirmations, determinism."""
 
+import random
+
 import pytest
 
 from otpwallet import signing
@@ -14,6 +16,8 @@ from otpwallet.ledger import (
     run_script,
 )
 from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, lsb, with_lsb
+
+from harness import reference_checkpoint, reference_state_hash
 
 
 def pay(frm, to, amount, fee, nonce):
@@ -388,6 +392,64 @@ def test_txid_is_hashed_once_per_transaction(ledger, monkeypatch):
         ledger.confirmations(txid)
     assert ledger.receipt(txid).txid == txid
     assert len(calls) == 2
+
+
+def test_signed_bytes_are_built_once_per_transaction(monkeypatch):
+    import otpwallet.ledger as ledger_mod
+
+    w = WalletChain()
+    calls = []
+    real = ledger_mod.canon_args
+    monkeypatch.setattr(ledger_mod, "canon_args",
+                        lambda args: (calls.append(1), real(args))[1])
+    # Signed, hashed into the txid, handed to the contract, audited.
+    w.init(1)
+    w.ledger.mine_block()
+    assert w.ledger.chain[-1].receipts[0].status == "ok"
+    assert w.ledger.audit_signatures() == []
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
+    """Mine, fork, reorg and restore at random; the state hash and the
+    checkpoint, built from the blocks' caches, always equal a reference
+    built from scratch."""
+    rng = random.Random(seed)
+    ledger = Ledger(initial_accounts={"a": 50, "b": 50, "adv": 50})
+    low = 0                     # no state below a restored head
+    moves = ["submit"] * 3 + ["mine"] * 3 + ["fork", "reorg", "restore"]
+    # A random run, then a fixed tail: restore, fork at the restored head,
+    # outgrow main on the branch and reorg to it.
+    tail = ["submit", "mine", "restore", "mine", "submit", "fork-low",
+            "submit", "mine-branch", "mine-branch", "reorg", "mine"]
+    for move in [rng.choice(moves) for _ in range(60)] + tail:
+        if move == "fork-low":
+            branch = ledger.fork(low)
+        elif move == "mine-branch":
+            ledger.mine_block(branch=branch)
+        elif move == "submit":
+            sender = rng.choice(["a", "b", "adv"])
+            ledger.submit(pay(sender, rng.choice(["a", "b", "c"]),
+                              rng.randint(0, 40), rng.randint(0, 3),
+                              ledger.next_nonce(sender)))
+        elif move == "mine":
+            ledger.mine_block(rng.choice([None, 7]),
+                              rng.choice(sorted(ledger.branches)))
+        elif move == "fork" and ledger.head.height > low:
+            ledger.fork(rng.randint(low, ledger.head.height - 1))
+        elif move == "reorg":
+            longer = sorted(name for name, chain in ledger.branches.items()
+                            if len(chain) > len(ledger.chain))
+            if longer:
+                ledger.reorg(rng.choice(longer))
+        elif move == "restore" and not ledger.mempool:
+            ledger, _ = Ledger.from_checkpoint(ledger.checkpoint())
+            low = ledger.head.height
+        assert ledger.state_hash() == reference_state_hash(ledger)
+        if not ledger.mempool:
+            assert ledger.checkpoint() == reference_checkpoint(ledger)
+    assert ledger.canonical == branch and ledger.head.height > low + 1
 
 
 def resized(d, size):
