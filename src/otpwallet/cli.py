@@ -3,24 +3,33 @@
 The simulated world persists between invocations as a replayable action
 log: every command that changes state is appended to `world.json` in the
 state directory. Next to the log, each save writes the client's two files
-and `checkpoint.json`, the head of the world: the head ledger state, every
-block's receipts, and the protocol bookkeeping. `world.json`, written
-last, binds them: it records each file's SHA-256, the action count and
-the head `state_hash`, and the checkpoint records the SHA-256 of the log
-it was built from. Loading restores the checkpoint when all of these
-match and the restored ledger hashes to the recorded state; otherwise it
-replays the log from genesis, which determinism makes bit-exact, and a
-replay that lands anywhere but the recorded state is an error. A replay
-that lands on it, or on a log that records no head, saves a fresh head,
-once, so only the first command after a damaged checkpoint replays. The
-log doubles as an audit trail.
+and `checkpoint.json`, the head of the world: the head ledger state with
+the head block's chained digest and the txid index, the protocol
+bookkeeping, and every block's receipts. `world.json`, written last,
+binds them: it records each file's SHA-256, the action count and the head
+`state_hash`, and the checkpoint records the SHA-256 of the log it was
+built from. Loading restores the checkpoint when all of these match and
+the restored ledger hashes to the recorded state; otherwise it replays
+the log from genesis, which determinism makes bit-exact, and a replay
+that lands anywhere but the recorded state is an error. A replay that
+lands on it, or on a log that records no head, saves a fresh head, once,
+so only the first command after a damaged checkpoint replays. The log
+doubles as an audit trail.
 
-A command pays for its own work and the blocks it adds. `main` builds the
-parser of the command that argv names, not all nine (the full parser only
-for help, usage errors at the top level and unknown commands). A save
-assembles `checkpoint.json` from the text each block cached when it was
-first encoded or read back, so it encodes only the new blocks and the
-head state; `state_hash` likewise reuses each block's cached line.
+`world.json` carries a format version, 2. A version-1 world recorded its
+head under a `state_hash` that walked every block; it loads as a world
+without a head: one unchecked replay, then a version-2 save.
+
+A command pays for its own work and the blocks it adds, not for the
+chain's length. `main` builds the parser of the command that argv names,
+not all nine (the full parser only for help, usage errors at the top
+level and unknown commands). A restore parses the checkpoint's head
+alone: `state_hash` hashes the head state with the stored head digest,
+and the blocks stay an undecoded archive (see `otpwallet.ledger`) that no
+command reads; an audit of the chain decodes and checks it. A save
+assembles `checkpoint.json` from the archive text and the entries of the
+new blocks, and skips each file whose text is the one the restore
+verified on disk.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr), 2 usage.
@@ -38,7 +47,7 @@ from pathlib import Path
 from . import mnemonic, security_calc
 from .authenticator import Authenticator
 from .client import ClientStore
-from .contract import OpType, Revert
+from .contract import OP_TYPES, OpType, Revert
 from .hashing import DomainError, base_hash_256, random_seed
 from .ledger import Ledger, LedgerError
 from .merkle import TreeParams
@@ -64,7 +73,7 @@ SEED_ENV = "OTPWALLET_SEED"
 DEFAULT_STATE_DIR = ".otpwallet"
 DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
-OP_TYPES = {t.value: t for t in OpType}
+WORLD_VERSION = 2
 # Written before world.json, which records the SHA-256 of each.
 HEAD_FILES = ("client.leaves", "client.json", "checkpoint.json")
 
@@ -95,6 +104,9 @@ class World:
         self.state_dir = state_dir
         self.data = data
         self.system: System | None = None
+        # File name -> SHA-256 of its text on disk, as `restore` verified it
+        # or the last `save` wrote it.
+        self.on_disk: dict[str, str] = {}
 
     @property
     def path(self) -> Path:
@@ -104,7 +116,7 @@ class World:
     def create(cls, state_dir: Path, mode: str, params: TreeParams,
                k: bytes, hw_seed: bytes, funding: int) -> "World":
         data = {
-            "version": 1,
+            "version": WORLD_VERSION,
             "mode": mode,
             "params": params.as_dict(),
             "seed_hex": k.hex(),
@@ -120,15 +132,19 @@ class World:
         A replay that lands on the recorded state saves a fresh head, so
         the next command restores; a command that will `commit` passes
         `save_replay=False`, because the commit saves (and when the commit
-        fails, nothing is saved and the next command replays again)."""
+        fails, nothing is saved and the next command replays again). A
+        world of another version replays unchecked: its head was recorded
+        under another `state_hash`."""
         path = state_dir / "world.json"
         if not path.exists():
             raise CliError("state", f"no wallet state in {state_dir}; "
                                     "run `bootstrap` first")
         world = cls(state_dir, json.loads(path.read_text()))
-        if not world.restore():
+        current = world.data.get("version") == WORLD_VERSION
+        if not (current and world.restore()):
             world.replay()
-            recorded = world.data.get("head", {}).get("state_hash")
+            recorded = (world.data.get("head", {}).get("state_hash")
+                        if current else None)
             actual = world.system.ledger.state_hash()
             if recorded is not None and actual != recorded:
                 raise CliError("state", f"the action log replays to state "
@@ -223,7 +239,7 @@ class World:
             system.contract_id = system.client.contract_id
             system.authenticator.eta = point["eta"]
             system.initialised = {
-                op_id: (txid, OpType(op_type), addr, param)
+                op_id: (txid, OP_TYPES[op_type], addr, param)
                 for op_id, txid, op_type, addr, param in point["initialised"]}
             system.confirmed_transfers = [
                 tuple(t) for t in point["confirmed_transfers"]]
@@ -233,28 +249,35 @@ class World:
         except (OSError, LookupError, TypeError, ValueError, LedgerError):
             return False
         self.system = system
+        self.on_disk = dict(head["sha256"])
         return True
 
     def save(self) -> None:
         """Write the client's files and the checkpoint, then `world.json`,
         which records their digests and the head state; each goes to a
         temp file moved into place, and `world.json` last, so a failed
-        save leaves the previous world."""
+        save leaves the previous world. A file whose text has the digest
+        of its text on disk (see `on_disk`) is left in place."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
         client = self.system.client
         texts = dict(zip(HEAD_FILES, (
             client.dump_leaves(), client.sidecar() + "\n", self.checkpoint())))
+        digests = {name: _sha256(text) for name, text in texts.items()}
+        self.data["version"] = WORLD_VERSION
         self.data["head"] = {
             "actions": len(self.data["actions"]),
             "state_hash": self.system.ledger.state_hash(),
-            "sha256": {name: _sha256(text) for name, text in texts.items()},
+            "sha256": digests,
         }
+        texts = {name: text for name, text in texts.items()
+                 if self.on_disk.get(name) != digests[name]}
         texts["world.json"] = json.dumps(self.data, separators=(",", ":"),
                                          sort_keys=True)
         for name, text in texts.items():
             tmp = self.state_dir / (name + ".tmp")
             tmp.write_text(text)
             os.replace(tmp, self.state_dir / name)
+        self.on_disk = digests
 
 
 def _do_init(system: System, op_type: OpType, addr: str, param: int) -> dict:
@@ -307,10 +330,7 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_op_init(args) -> int:
     world = World.load(Path(args.state_dir), save_replay=False)
-    op_type = OP_TYPES.get(args.type)
-    if op_type is None:
-        raise CliError("usage", f"unknown operation type {args.type!r}")
-    result = world.commit({"cmd": "init", "type": op_type.value,
+    result = world.commit({"cmd": "init", "type": args.type,
                            "addr": args.addr, "param": args.param})
     print(f"opID: {result['op_id']}")
     return 0

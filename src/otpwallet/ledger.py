@@ -23,20 +23,35 @@ Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
 
 Receipts are immutable after mining: no code changes a mined block's
-receipts, their transactions or those transactions' calls. Three caches
+receipts, their transactions or those transactions' calls. Four caches
 rely on it. A `Transaction` builds its signed bytes and its txid once, a
-`Block` builds its `state_hash` line and its checkpoint entry on first
-use, and a block restored from a checkpoint keeps the text it was read
-from.
+`Block` builds its `state_hash` line, its checkpoint entry and its digest
+on first use, and a block restored from a checkpoint keeps the text it was
+read from.
 
-`checkpoint` writes the canonical chain as JSON text: every block's
-receipts, each call encoded by the same typed schema that `_dispatch`
-checks, then the head state. It joins the blocks' cached entries, so a
-chain that grew by a few blocks since its last checkpoint encodes only
-those. `from_checkpoint` reads it back with a state on the head block
-only, so the restored ledger cannot fork below its head, and every chain
-of it holds all the restored blocks: the head keeps their text as read,
-and the next checkpoint reuses it.
+Blocks are chained as headers are: a block's digest is H(parent digest ||
+its state line), with fixed bytes as the genesis block's parent digest.
+Mining computes no digest; the first read walks back to the newest block
+that has one. `state_hash` is H(head state lines || head digest), so it
+reads the head and the blocks mined since the last digest, not the chain.
+
+`checkpoint` writes JSON text: a `head` object (the head state, height,
+timestamp and digest, and the canonical txid -> height index) and then a
+`blocks` array with every canonical block's receipts, each call encoded by
+the same typed schema that `_dispatch` checks. It joins the blocks' cached
+entries, so a chain that grew by a few blocks since its last checkpoint
+encodes only those. `from_checkpoint` parses the head object alone and
+keeps the blocks array as unparsed text, the archive. The canonical branch
+then starts at a base block, the restored head, with its state and its
+stored digest; its receipts stay in the archive. Head state, submission,
+mining, `confirmations`, `state_hash` and `checkpoint` never decode the
+archive. Reading `chain`, `event_log` or `audit_signatures`, looking up a
+receipt at or below the base, or forking decodes it once: every txid is
+recomputed from its decoded call, the base's receipts are filled in, the
+older blocks are prepended to the branches, and it raises `LedgerError`
+unless the recomputed base digest and txid index equal the stored ones.
+Blocks below the base carry no state, so the restored ledger cannot fork
+below its head.
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ from .hashing import truncated_hash
 from .merkle import MerkleProof, SubtreeLayer, TreeParams
 
 GENESIS_TIME = 1_600_000_000
+GENESIS_PARENT = bytes(16)          # the genesis block's parent digest
 DEFAULT_BLOCK_DELTA = 15
 MAIN = "main"
 
@@ -198,13 +214,16 @@ class Block:
     receipts: list[TxReceipt]
     state: LedgerState | None       # None below a head restored from a checkpoint
     # Built on first use; a restored head's `_chain_text` is the checkpoint
-    # text of the blocks from genesis up to it, as read back.
+    # text of the blocks from genesis up to it, as read back, and its
+    # `_digest` is the one stored with it.
     _line: str | None = field(default=None, init=False, repr=False,
                               compare=False)
     _entry: str | None = field(default=None, init=False, repr=False,
                                compare=False)
     _chain_text: str | None = field(default=None, init=False, repr=False,
                                     compare=False)
+    _digest: bytes | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def state_line(self) -> str:
         """The block's line of `Ledger.state_hash`."""
@@ -276,25 +295,38 @@ def decode_call(data: dict) -> dict:
 
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
 _scan_json = json.JSONDecoder().scan_once
-# A checkpoint opens with its blocks array, so that reading it can keep the
-# array's text without a second pass.
-_BLOCKS_KEY = '{"blocks":'
+# A checkpoint opens with its head object and closes with its blocks array,
+# so that reading it parses the head alone and keeps the array as text.
+_HEAD_KEY, _BLOCKS_KEY = '{"head":', ',"blocks":['
 
 
-def _read_checkpoint(text: str) -> tuple[dict, str | None]:
-    """The checkpoint document, and the text of the blocks array's items
-    when the document opens with `_BLOCKS_KEY` directly followed by the
-    array: the items exactly as parsed, in any layout. Any other layout
-    parses in full, without the text."""
-    if text.startswith(_BLOCKS_KEY + "["):
+def _read_checkpoint(text: str) -> tuple[dict, str]:
+    """The checkpoint's head object, and the text of its blocks array's
+    items. The layout `Ledger.checkpoint` writes parses the head alone and
+    keeps the items as they are; any other layout parses in full, and its
+    blocks are encoded again into the text `checkpoint` would write."""
+    if text.startswith(_HEAD_KEY) and text.endswith("]}"):
         try:
-            blocks, end = _scan_json(text, len(_BLOCKS_KEY))
+            head, end = _scan_json(text, len(_HEAD_KEY))
         except StopIteration:       # malformed; json.loads raises the error
-            return json.loads(text), None
-        data = json.loads(_BLOCKS_KEY + "0" + text[end:])
-        data["blocks"] = blocks
-        return data, text[len(_BLOCKS_KEY) + 1:end - 1]
-    return json.loads(text), None
+            end = 0
+        if end and text.startswith(_BLOCKS_KEY, end):
+            return head, text[end + len(_BLOCKS_KEY):-2]
+    data = json.loads(text)
+    return data["head"], ",".join(map(_to_json, data["blocks"]))
+
+
+def _decode_block(height: int, entry) -> Block:
+    """The block that `Block.entry` encoded, with no state; each txid is
+    recomputed from its decoded transaction."""
+    timestamp, rows = (entry, []) if type(entry) is int else entry
+    receipts = []
+    for sender, nonce, fee, status, result, sig, call in rows:
+        tx = Transaction(sender, decode_call(call), fee,
+                         None if sig is None else bytes.fromhex(sig), nonce)
+        receipts.append(TxReceipt(tx.txid, sender, nonce, tx.fn, fee, status,
+                                  result, tx=tx))
+    return Block(height, timestamp, receipts, None)
 
 
 class Ledger:
@@ -311,16 +343,22 @@ class Ledger:
         self._seq = 0
         self._branch_counter = 0
         self._in_observer = False
+        # A restored ledger's base block, until its archive is decoded; the
+        # chains then start at the base.
+        self._archive: Block | None = None
 
     # -- chain views -----------------------------------------------------------
 
     @property
     def chain(self) -> list[Block]:
+        """The canonical branch from genesis; decodes a pending archive."""
+        if self._archive is not None:
+            self._materialize()
         return self.branches[self.canonical]
 
     @property
     def head(self) -> Block:
-        return self.chain[-1]
+        return self.branches[self.canonical][-1]
 
     @property
     def accounts(self) -> dict[str, int]:
@@ -471,12 +509,13 @@ class Ledger:
     def fork(self, from_height: int) -> str:
         if not 0 <= from_height < self.head.height:
             raise LedgerError(f"fork height must be below the head: {from_height}")
-        if self.chain[from_height].state is None:
+        chain = self.chain
+        if chain[from_height].state is None:
             raise LedgerError(f"no state at height {from_height}: the chain "
                               "was restored from a checkpoint above it")
         self._branch_counter += 1
         name = f"branch{self._branch_counter}"
-        self.branches[name] = list(self.chain[:from_height + 1])
+        self.branches[name] = chain[:from_height + 1]
         self.tx_heights[name] = {txid: h for txid, h
                                  in self.tx_heights[self.canonical].items()
                                  if h <= from_height}
@@ -486,7 +525,7 @@ class Ledger:
         if branch not in self.branches:
             raise LedgerError(f"unknown branch {branch}")
         new_chain = self.branches[branch]
-        old_chain = self.chain
+        old_chain = self.branches[self.canonical]
         if len(new_chain) <= len(old_chain):
             raise LedgerError("reorg target must be strictly longer")
         common = 0
@@ -510,17 +549,18 @@ class Ledger:
         height = self.tx_heights[self.canonical].get(txid)
         if height is None:
             return None
-        blk = self.chain[height]
+        if self._archive is not None and height <= self._archive.height:
+            self._materialize()
+        chain = self.branches[self.canonical]
+        blk = chain[height - chain[0].height]
         return blk, next(r for r in blk.receipts
                          if r.txid == txid and r.status != "invalid-nonce")
 
     def confirmations(self, txid: str) -> int | None:
         """Blocks on top of the tx's block; None when not on the canonical
         chain."""
-        found = self.find_tx(txid)
-        if found is None:
-            return None
-        return self.head.height - found[0].height
+        height = self.tx_heights[self.canonical].get(txid)
+        return None if height is None else self.head.height - height
 
     def receipt(self, txid: str) -> TxReceipt | None:
         found = self.find_tx(txid)
@@ -529,62 +569,89 @@ class Ledger:
     # -- checkpoints ------------------------------------------------------------------------
 
     def checkpoint(self, **extra) -> str:
-        """The canonical chain as JSON text: an object whose first key,
-        "blocks", lists each block's `entry`, then the submission counter,
-        the head's balances, nonces and contracts, and the `extra` keys.
-        Older block states, other branches and call traces are left out.
-        Only the blocks after the newest one with a cached chain text are
-        joined from their entries."""
+        """The canonical chain as JSON text: an object whose "head" holds
+        the submission counter, the head's balances, nonces and contracts,
+        its height, timestamp and digest, the canonical txid index and the
+        `extra` keys, and whose "blocks" lists each block's `entry`. Older
+        block states, other branches and call traces are left out. Only the
+        blocks after the newest one with a cached chain text are joined
+        from their entries."""
         if self.mempool:
             raise LedgerError("a checkpoint holds mined state only")
-        state = self.head.state
-        head = _to_json({
+        chain = self.branches[self.canonical]
+        head, state = chain[-1], chain[-1].state
+        head_text = _to_json({
             "seq": self._seq,
             "accounts": state.accounts,
             "nonces": state.nonces,
             "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
                           for c in state.contracts.values()],
+            "height": head.height,
+            "timestamp": head.timestamp,
+            "digest": self._head_digest(chain).hex(),
+            "index": self.tx_heights[self.canonical],
             **extra,
         })
         entries = []
-        for blk in reversed(self.chain):
+        for blk in reversed(chain):
             if blk._chain_text is not None:
                 entries.append(blk._chain_text)
                 break
             entries.append(blk.entry())
         entries.reverse()
-        return f'{_BLOCKS_KEY}[{",".join(entries)}],{head[1:]}'
+        return f'{_HEAD_KEY}{head_text}{_BLOCKS_KEY}{",".join(entries)}]}}'
 
     @classmethod
     def from_checkpoint(cls, text: str) -> tuple["Ledger", dict]:
-        """The ledger `checkpoint` wrote, and the parsed document, whose
-        `extra` keys are the caller's. Only the head carries a state, so
-        the chain cannot be forked below it. Each txid is recomputed from
-        its decoded transaction."""
-        data, chain_text = _read_checkpoint(text)
+        """The ledger `checkpoint` wrote, and the parsed head object, whose
+        `extra` keys are the caller's. The chain starts at the restored
+        head, which keeps the blocks array's text as its archive; reading
+        older blocks decodes it (see `_materialize`)."""
+        head, archive = _read_checkpoint(text)
         ledger = cls()
-        chain, heights = [], {}
-        for height, entry in enumerate(data["blocks"]):
-            timestamp, rows = (entry, []) if type(entry) is int else entry
-            receipts = []
-            for sender, nonce, fee, status, result, sig, call in rows:
-                tx = Transaction(sender, decode_call(call), fee,
-                                 None if sig is None else bytes.fromhex(sig),
-                                 nonce)
-                receipts.append(TxReceipt(tx.txid, sender, nonce, tx.fn, fee,
-                                          status, result, tx=tx))
-            chain.append(Block(height, timestamp, receipts, None))
-            _index(heights, chain[-1])
         contracts = (WalletContract.from_state_lines(
             c["lines"], TreeParams.from_dict(c["params"]))
-            for c in data["contracts"])
-        chain[-1].state = LedgerState(dict(data["accounts"]),
-                                      dict(data["nonces"]),
-                                      {c.contract_id: c for c in contracts})
-        chain[-1]._chain_text = chain_text
-        ledger.branches, ledger.tx_heights = {MAIN: chain}, {MAIN: heights}
-        ledger._seq = data["seq"]
-        return ledger, data
+            for c in head["contracts"])
+        base = Block(head["height"], head["timestamp"], [],
+                     LedgerState(dict(head["accounts"]), dict(head["nonces"]),
+                                 {c.contract_id: c for c in contracts}))
+        base._digest = bytes.fromhex(head["digest"])
+        base._chain_text = archive
+        ledger.branches = {MAIN: [base]}
+        ledger.tx_heights = {MAIN: dict(head["index"])}
+        ledger._archive = base
+        ledger._seq = head["seq"]
+        return ledger, head
+
+    def _materialize(self) -> None:
+        """Decode the archive into the blocks from genesis to the base:
+        fill the base's receipts and prepend the older blocks to every
+        branch (all of them start at the base until now). LedgerError,
+        with the ledger left as it was, unless the decoded blocks chain to
+        the base's digest and index their txids as stored."""
+        base = self._archive
+        try:
+            blocks = [_decode_block(height, entry) for height, entry
+                      in enumerate(json.loads(f"[{base._chain_text}]"))]
+        except (LookupError, TypeError, ValueError) as exc:
+            raise LedgerError(f"the block archive does not decode: {exc}") from exc
+        heights = {}
+        for blk in blocks:
+            _index(heights, blk)
+        # Blocks mined since the restore all lie above the base.
+        index = {txid: height for txid, height
+                 in self.tx_heights[self.canonical].items()
+                 if height <= base.height}
+        if (not blocks or blocks[-1].height != base.height
+                or blocks[-1].timestamp != base.timestamp
+                or self._head_digest(blocks) != base._digest
+                or heights != index):
+            raise LedgerError("the block archive does not match the restored "
+                              "head's digest and txid index")
+        base.receipts = blocks[-1].receipts
+        for chain in self.branches.values():
+            chain[:0] = blocks[:-1]
+        self._archive = None
 
     # -- determinism and audit hooks --------------------------------------------------------------
 
@@ -598,7 +665,23 @@ class Ledger:
                     f"status={r.status} result={r.result}")
         return lines
 
+    @staticmethod
+    def _head_digest(chain: list[Block]) -> bytes:
+        """The digest of the chain's last block. Walks back to the newest
+        block with a digest (the first block of a chain is the genesis
+        block or a restored base, which stores one), then hashes forward,
+        caching each digest."""
+        i = len(chain)
+        while i and chain[i - 1]._digest is None:
+            i -= 1
+        digest = chain[i - 1]._digest if i else GENESIS_PARENT
+        for blk in chain[i:]:
+            digest = blk._digest = truncated_hash(
+                digest + blk.state_line().encode())
+        return digest
+
     def state_hash(self) -> str:
+        """H(head state lines || head digest)."""
         parts = []
         state = self.head.state
         for addr in sorted(state.accounts):
@@ -607,7 +690,7 @@ class Ledger:
             parts.append(f"nonce {addr} {state.nonces[addr]}")
         for cid in sorted(state.contracts):
             parts.extend(state.contracts[cid].state_lines())
-        parts += [blk._line or blk.state_line() for blk in self.chain]
+        parts.append(self._head_digest(self.branches[self.canonical]).hex())
         return truncated_hash("\n".join(parts).encode()).hex()
 
     def audit_signatures(self) -> list[str]:

@@ -328,7 +328,16 @@ def run_operation(system: System, op_type: OpType, addr: str, param: int,
 
 
 def run_next_subtree(system: System) -> dict:
-    """Single-transaction introduction of the next subtree."""
+    """Single-transaction introduction of the next subtree.
+
+    Unlike a confirmation, this reveals its OTP at once: it needs no wait
+    for any transaction to be `confirmation_depth` deep. The OTP sits in
+    slot `N_S - 1` of its subtree, where `init_op` reverts on `phase`, so no
+    operation can ever be confirmed with it. Its only effect is to admit
+    the one sublayer that lies under the committed root (theorem 2): an
+    adversary who reads it in the mempool can land nothing else, and a
+    reorg that drops the introduction can only apply it again.
+    """
     op_id = system.contract.next_op_id
     otp = system.authenticator.get_otp(op_id % system.params.N)
     otp = system.user.transfer_digest(otp)

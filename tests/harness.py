@@ -1,5 +1,6 @@
 """Shared test harness: a wallet contract driven without the ledger, and
-cache-free references for the ledger's state hash and checkpoint."""
+cache-free references for the ledger's chained digest, state hash and
+checkpoint."""
 
 import json
 
@@ -8,7 +9,9 @@ from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
 from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
 from otpwallet.hashing import truncated_hash
-from otpwallet.ledger import encode_call
+from otpwallet.ledger import (Block, Transaction, TxReceipt, decode_call,
+                              encode_call)
+
 K = bytes(range(16))
 T0 = 1_600_000_000
 
@@ -79,16 +82,45 @@ class World:
         return ok
 
 
+def reference_chain(ledger) -> list:
+    """The canonical blocks from genesis. While the ledger keeps a restored
+    archive undecoded, the archive's text is decoded here, leaving the
+    ledger as it is."""
+    chain = ledger.branches[ledger.canonical]
+    if ledger._archive is None:
+        return chain
+    archived = []
+    for height, entry in enumerate(json.loads(f"[{chain[0]._chain_text}]")):
+        timestamp, rows = (entry, []) if isinstance(entry, int) else entry
+        receipts = []
+        for sender, nonce, fee, status, result, sig, call in rows:
+            tx = Transaction(sender, decode_call(call), fee,
+                             None if sig is None else bytes.fromhex(sig), nonce)
+            receipts.append(TxReceipt(tx.txid, sender, nonce, tx.fn, fee,
+                                      status, result, tx=tx))
+        archived.append(Block(height, timestamp, receipts, None))
+    return archived + chain[1:]
+
+
+def reference_digest(ledger) -> bytes:
+    """The head block's chained digest, hashed from genesis."""
+    digest = bytes(16)
+    for blk in reference_chain(ledger):
+        line = f"blk {blk.height} {blk.timestamp} " + ",".join(
+            r.txid + ":" + r.status for r in blk.receipts)
+        digest = truncated_hash(digest + line.encode())
+    return digest
+
+
 def reference_state_hash(ledger) -> str:
-    """`Ledger.state_hash` built from scratch, line by line."""
+    """`Ledger.state_hash` built from scratch: the head state's lines and
+    the head digest."""
     state = ledger.head.state
     parts = [f"acct {a} {state.accounts[a]}" for a in sorted(state.accounts)]
     parts += [f"nonce {a} {state.nonces[a]}" for a in sorted(state.nonces)]
     for cid in sorted(state.contracts):
         parts.extend(state.contracts[cid].state_lines())
-    parts += [f"blk {blk.height} {blk.timestamp} "
-              + ",".join(r.txid + ":" + r.status for r in blk.receipts)
-              for blk in ledger.chain]
+    parts.append(reference_digest(ledger).hex())
     return truncated_hash("\n".join(parts).encode()).hex()
 
 
@@ -98,17 +130,30 @@ def reference_blocks(ledger) -> list:
         [r.sender, r.nonce, r.fee, r.status, r.result,
          None if r.tx.signature is None else r.tx.signature.hex(),
          encode_call(r.tx.call)] for r in blk.receipts]]
-        if blk.receipts else blk.timestamp for blk in ledger.chain]
+        if blk.receipts else blk.timestamp for blk in reference_chain(ledger)]
 
 
 def reference_checkpoint(ledger) -> str:
     """`Ledger.checkpoint()` encoded from scratch, in its compact layout."""
-    state = ledger.head.state
+    head = ledger.head
+    state = head.state
+    index = {}
+    for blk in reference_chain(ledger):
+        for r in blk.receipts:
+            if r.status != "invalid-nonce":
+                index.setdefault(r.txid, blk.height)
     return json.dumps({
+        "head": {
+            "seq": ledger._seq,
+            "accounts": state.accounts,
+            "nonces": state.nonces,
+            "contracts": [{"params": c.params.as_dict(),
+                           "lines": c.state_lines()}
+                          for c in state.contracts.values()],
+            "height": head.height,
+            "timestamp": head.timestamp,
+            "digest": reference_digest(ledger).hex(),
+            "index": index,
+        },
         "blocks": reference_blocks(ledger),
-        "seq": ledger._seq,
-        "accounts": state.accounts,
-        "nonces": state.nonces,
-        "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
-                      for c in state.contracts.values()],
     }, separators=(",", ":"))

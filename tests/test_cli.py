@@ -260,25 +260,37 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         "--addr", "acct:bob", "--param", "5")
     before = (state_dir / "world.json").read_bytes()
     previous = World.load(state_dir).system.ledger.state_hash()
+    client_files = ("client.leaves", "client.json")
     real = Path.write_text
 
-    # A tear at any of the four files, in the order a save writes them.
-    for name in ("client.leaves", "client.json", "checkpoint.json",
-                 "world.json"):
+    # A tear at any of the four files, in the order a save writes them. A
+    # restored world writes only the checkpoint and world.json (its client
+    # files are unchanged); a replayed world writes all four.
+    for name, restored in (("checkpoint.json", True), ("world.json", True),
+                           ("client.leaves", False), ("client.json", False),
+                           ("checkpoint.json", False), ("world.json", False)):
         def torn(path, text, *args, name=name, **kwargs):
             if path.name.startswith(name):
                 real(path, text[: len(text) // 2], *args, **kwargs)
                 raise OSError("disk full")
             return real(path, text, *args, **kwargs)
 
+        clients = {f: (state_dir / f).read_bytes() for f in client_files}
+        if not restored:
+            (state_dir / "checkpoint.json").unlink()
+        replays = _count_replays(monkeypatch)
         monkeypatch.setattr(Path, "write_text", torn)
-        world = World.load(state_dir)
+        world = World.load(state_dir, save_replay=False)
+        assert replays == ([] if restored else [1]), (name, restored)
         with pytest.raises(OSError):
             world.commit({"cmd": "init", "type": "transfer",
                           "addr": "acct:bob", "param": 5})
         monkeypatch.undo()
         assert (state_dir / "world.json").read_bytes() == before, name
-        loaded = World.load(state_dir)
+        if restored:
+            assert {f: (state_dir / f).read_bytes()
+                    for f in client_files} == clients, name
+        loaded = World.load(state_dir)     # a replay here saves a checkpoint
         assert len(loaded.data["actions"]) == 1
         assert loaded.system.ledger.state_hash() == previous
 
@@ -379,7 +391,7 @@ def test_an_edited_action_log_is_a_state_error(history, capsys):
     state_dir, _ = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
-    assert data["actions"][0]["param"] == 5
+    assert data["version"] == 2 and data["actions"][0]["param"] == 5
     data["actions"][0]["param"] = 6
     world_file.write_text(json.dumps(data))
     code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
@@ -506,3 +518,140 @@ def test_a_checkpoint_in_another_layout_restores_and_saves(history, monkeypatch,
     checkpoint.unlink()
     assert World.load(state_dir).system.ledger.state_hash() == recorded
     assert replays == [1]
+
+
+def test_a_version_1_world_replays_once_then_restores(history, monkeypatch,
+                                                      capsys):
+    state_dir, _ = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    recorded = data["head"]["state_hash"]
+    data["version"] = 1                 # its head hashes another way
+    world_file.write_text(json.dumps(data))
+    replays = _count_replays(monkeypatch)
+    shown = [run(capsys, "--state-dir", state_dir, "root", "show")
+             for _ in range(2)]
+    assert replays == [1] and shown[0][0] == 0 and shown[0] == shown[1]
+    data = json.loads(world_file.read_text())
+    assert data["version"] == 2 and data["head"]["state_hash"] == recorded
+
+
+def _written(monkeypatch) -> list:
+    names = []
+    real = Path.write_text
+    monkeypatch.setattr(Path, "write_text", lambda path, text, *a, **k: (
+        names.append(path.name), real(path, text, *a, **k))[1])
+    return names
+
+
+def test_a_write_on_a_restored_world_keeps_unchanged_client_files(
+        history, monkeypatch, capsys):
+    state_dir, _ = history
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    written = _written(monkeypatch)
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    assert code == 0
+    assert sorted(written) == ["checkpoint.json.tmp", "world.json.tmp"]
+    for name in ("client.leaves", "client.json"):
+        assert (state_dir / name).read_bytes() == before[name]
+
+
+def test_a_replay_rewrites_an_edited_client_file(history, monkeypatch,
+                                                 capsys):
+    state_dir, _ = history
+    sidecar = state_dir / "client.json"
+    original = sidecar.read_bytes()
+    edited = bytearray(original)
+    edited[-2] ^= 1
+    sidecar.write_bytes(bytes(edited))
+    replays = _count_replays(monkeypatch)
+    written = _written(monkeypatch)
+    code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 0 and replays == [1]
+    assert "client.json.tmp" in written and sidecar.read_bytes() == original
+    World.load(state_dir)
+    assert replays == [1]
+
+
+def test_an_unknown_operation_type_is_a_usage_error(history, capsys):
+    state_dir, _ = history
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        main(["--state-dir", str(state_dir), "op", "init", "--type", "bogus"])
+    assert exc.value.code == 2
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+# -- a restored ledger reads its head, not its chain ---------------------------
+
+def test_a_restore_and_a_read_command_decode_no_block(history, monkeypatch,
+                                                      capsys):
+    state_dir, _ = history
+    decoded = _count(monkeypatch, ledger_mod, "decode_call")
+    replays = _count_replays(monkeypatch)
+    world = World.load(state_dir)
+    code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 0 and replays == [] and decoded == []
+    assert len(world.system.ledger.chain) == world.system.ledger.head.height + 1
+    assert decoded                      # reading the chain decodes it
+
+
+def test_a_write_hashes_one_digest_per_block_it_mines(history, monkeypatch,
+                                                      capsys):
+    state_dir, _ = history
+    height = World.load(state_dir).system.ledger.head.height
+    digests = []
+    real = ledger_mod.truncated_hash
+
+    def counting(data, *args, **kwargs):
+        if data[16:].startswith(b"blk "):      # parent digest || block line
+            digests.append(data)
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(ledger_mod, "truncated_hash", counting)
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    monkeypatch.undo()
+    mined = World.load(state_dir).system.ledger.head.height - height
+    assert code == 0 and mined >= 1 and len(digests) == mined
+
+
+def test_confirmations_on_a_restored_world_decode_nothing(history,
+                                                          monkeypatch):
+    state_dir, _ = history
+    restored = World.load(state_dir).system
+    decoded = _count(monkeypatch, ledger_mod, "decode_call")
+    confs = {op_id: restored.ledger.confirmations(txid)
+             for op_id, (txid, *_) in restored.initialised.items()}
+    assert decoded == []
+    monkeypatch.undo()
+    (state_dir / "checkpoint.json").unlink()
+    replayed = World.load(state_dir).system.ledger
+    assert confs == {op_id: replayed.confirmations(txid)
+                     for op_id, (txid, *_) in restored.initialised.items()}
+    assert sorted(confs) == [0, 1] and confs[1] >= 0
+
+
+def test_a_consistently_tampered_archive_fails_when_read(history, monkeypatch):
+    state_dir, _ = history
+    checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
+    doc = json.loads(checkpoint.read_text())
+    assert json.dumps(doc, separators=(",", ":")) == checkpoint.read_text()
+    row = next(row for entry in doc["blocks"] if type(entry) is list
+               for row in entry[1] if row[3] == "ok")
+    row[3] = "revert:funds"
+    text = json.dumps(doc, separators=(",", ":"))
+    checkpoint.write_text(text)
+    data = json.loads(world_file.read_text())
+    data["head"]["sha256"]["checkpoint.json"] = hashlib.sha256(
+        text.encode()).hexdigest()
+    world_file.write_text(json.dumps(data))
+
+    replays = _count_replays(monkeypatch)
+    ledger = World.load(state_dir).system.ledger     # binds by the head alone
+    assert replays == []
+    for read in (lambda: ledger.chain, ledger.event_log,
+                 ledger.audit_signatures):
+        with pytest.raises(ledger_mod.LedgerError):
+            read()

@@ -1,5 +1,6 @@
 """Ledger simulator: ordering, forks, confirmations, determinism."""
 
+import json
 import random
 
 import pytest
@@ -413,11 +414,13 @@ def test_signed_bytes_are_built_once_per_transaction(monkeypatch):
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
     """Mine, fork, reorg and restore at random; the state hash and the
-    checkpoint, built from the blocks' caches, always equal a reference
-    built from scratch."""
+    checkpoint, built from the blocks' caches and digests, always equal a
+    reference built from scratch. A restored ledger keeps its archive
+    undecoded while it mines and checkpoints, until a fork decodes it."""
     rng = random.Random(seed)
     ledger = Ledger(initial_accounts={"a": 50, "b": 50, "adv": 50})
     low = 0                     # no state below a restored head
+    archived = False            # a restored archive not decoded yet
     moves = ["submit"] * 3 + ["mine"] * 3 + ["fork", "reorg", "restore"]
     # A random run, then a fixed tail: restore, fork at the restored head,
     # outgrow main on the branch and reorg to it.
@@ -426,6 +429,7 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
     for move in [rng.choice(moves) for _ in range(60)] + tail:
         if move == "fork-low":
             branch = ledger.fork(low)
+            archived = False
         elif move == "mine-branch":
             ledger.mine_block(branch=branch)
         elif move == "submit":
@@ -438,18 +442,59 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
                               rng.choice(sorted(ledger.branches)))
         elif move == "fork" and ledger.head.height > low:
             ledger.fork(rng.randint(low, ledger.head.height - 1))
+            archived = False
         elif move == "reorg":
             longer = sorted(name for name, chain in ledger.branches.items()
-                            if len(chain) > len(ledger.chain))
+                            if chain[-1].height > ledger.head.height)
             if longer:
                 ledger.reorg(rng.choice(longer))
         elif move == "restore" and not ledger.mempool:
             ledger, _ = Ledger.from_checkpoint(ledger.checkpoint())
-            low = ledger.head.height
+            low, archived = ledger.head.height, True
         assert ledger.state_hash() == reference_state_hash(ledger)
         if not ledger.mempool:
             assert ledger.checkpoint() == reference_checkpoint(ledger)
+        assert (ledger._archive is not None) == archived
     assert ledger.canonical == branch and ledger.head.height > low + 1
+    assert [blk.height for blk in ledger.chain] == list(
+        range(ledger.head.height + 1))
+
+
+def test_decoding_an_archive_checks_its_digest_and_index(ledger):
+    txids = [ledger.submit(pay("a", "b", 5, 1, 0)),
+             ledger.submit(pay("b", "a", 1, 2, 0))]
+    ledger.mine_block()
+    ledger.mine_block()
+    text = ledger.checkpoint()
+    doc = json.loads(text)
+    assert json.dumps(doc, separators=(",", ":")) == text
+
+    restored, _ = Ledger.from_checkpoint(text)
+    assert [restored.confirmations(t) for t in txids] == [1, 1]
+    assert restored.event_log() == ledger.event_log()
+    assert restored.receipt(txids[0]).txid == txids[0]
+
+    def tampered(change):
+        bad = json.loads(text)
+        change(bad)
+        return Ledger.from_checkpoint(json.dumps(bad, separators=(",", ":")))[0]
+
+    for change in (
+        lambda d: d["head"]["index"].pop(txids[1]),
+        lambda d: d["head"]["index"].update(f00d=1),
+        lambda d: d["blocks"][1][1][0][6].update(amount=6),     # a call
+        lambda d: d["blocks"][1][1][0].__setitem__(3, "revert:funds"),
+        lambda d: d["blocks"].__setitem__(2, d["blocks"][2] + 1),
+        lambda d: d["blocks"].pop(),
+        lambda d: d["head"].update(digest="00" * 16),
+    ):
+        bad = tampered(change)
+        bad.mine_block()
+        for _ in range(2):          # a failed decode leaves it undecoded
+            with pytest.raises(LedgerError):
+                bad.event_log()
+        with pytest.raises(LedgerError):
+            bad.fork(bad.head.height - 1)
 
 
 def resized(d, size):
