@@ -1,24 +1,26 @@
 """Command-line front door.
 
-The simulated world persists between invocations as a replayable action
-log: every command that changes state is appended to `world.json` in the
-state directory. Next to the log, each save writes the client's two files
-and `checkpoint.json`, the head of the world: the head ledger state with
-the head block's chained digest and the txid index, the protocol
-bookkeeping, and every block's receipts. `world.json`, written last,
-binds them: it records each file's SHA-256, the action count and the head
-`state_hash`, and the checkpoint records the SHA-256 of the log it was
-built from. Loading restores the checkpoint when all of these match and
-the restored ledger hashes to the recorded state; otherwise it replays
-the log from genesis, which determinism makes bit-exact, and a replay
-that lands anywhere but the recorded state is an error. A replay that
-lands on it, or on a log that records no head, saves a fresh head, once,
-so only the first command after a damaged checkpoint replays. The log
-doubles as an audit trail.
+The simulated world persists between invocations as two files in the
+state directory. `world.json` is the source of truth: the seeds, the
+params and a replayable log of every command that changed state.
+`checkpoint.json` is a derived cache of the world's head, and deleting it
+costs one replay: the head ledger state with the head block's chained
+digest and the txid index, the protocol bookkeeping (the generation, the
+client's current subtree and the contract id among it) and every block's
+receipts. `world.json`, written last, binds it: it records the
+checkpoint's SHA-256, the action count and the head `state_hash`, and the
+checkpoint records the SHA-256 of the log it was built from. The client
+holds nothing secret and is not stored: a restore derives its leaves from
+the world's seed at the checkpoint's generation.
 
-`world.json` carries a format version, 2. A version-1 world recorded its
-head under a `state_hash` that walked every block; it loads as a world
-without a head: one unchecked replay, then a version-2 save.
+Loading restores the checkpoint when all of these match and the restored
+ledger hashes to the recorded state; otherwise it replays the log from
+genesis, which determinism makes bit-exact, and a replay that lands
+anywhere but the recorded state is an error. A replay that lands on it
+saves a fresh head, once, so only the first command after a damaged
+checkpoint replays. A `world.json` that does not parse, is not format
+version 2 or records no head is an error as well, because there is no
+state to check its replay against. The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` builds the parser of the command that argv names,
@@ -28,8 +30,7 @@ alone: `state_hash` hashes the head state with the stored head digest,
 and the blocks stay an undecoded archive (see `otpwallet.ledger`) that no
 command reads; an audit of the chain decodes and checks it. A save
 assembles `checkpoint.json` from the archive text and the entries of the
-new blocks, and skips each file whose text is the one the restore
-verified on disk.
+new blocks.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr), 2 usage.
@@ -44,13 +45,13 @@ import os
 import sys
 from pathlib import Path
 
-from . import mnemonic, security_calc
+from . import merkle, mnemonic, security_calc
 from .authenticator import Authenticator
 from .client import ClientStore
 from .contract import OP_TYPES, OpType, Revert
 from .hashing import DomainError, base_hash_256, random_seed
 from .ledger import Ledger, LedgerError
-from .merkle import TreeParams
+from .merkle import TreeParams, all_leaves
 from .mnemonic import MnemonicError
 from .protocols import (
     ProtocolAbort,
@@ -74,8 +75,6 @@ DEFAULT_STATE_DIR = ".otpwallet"
 DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
 WORLD_VERSION = 2
-# Written before world.json, which records the SHA-256 of each.
-HEAD_FILES = ("client.leaves", "client.json", "checkpoint.json")
 
 
 class CliError(Exception):
@@ -97,20 +96,13 @@ def _sha256(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Persistent world: seeds + params + action log, and a digest-bound head
+# Persistent world: seeds + params + action log, and a digest-bound checkpoint
 
 class World:
     def __init__(self, state_dir: Path, data: dict):
         self.state_dir = state_dir
         self.data = data
         self.system: System | None = None
-        # File name -> SHA-256 of its text on disk, as `restore` verified it
-        # or the last `save` wrote it.
-        self.on_disk: dict[str, str] = {}
-
-    @property
-    def path(self) -> Path:
-        return self.state_dir / "world.json"
 
     @classmethod
     def create(cls, state_dir: Path, mode: str, params: TreeParams,
@@ -128,25 +120,30 @@ class World:
 
     @classmethod
     def load(cls, state_dir: Path, save_replay: bool = True) -> "World":
-        """The world in `state_dir`, restored from its head or replayed.
-        A replay that lands on the recorded state saves a fresh head, so
-        the next command restores; a command that will `commit` passes
-        `save_replay=False`, because the commit saves (and when the commit
-        fails, nothing is saved and the next command replays again). A
-        world of another version replays unchecked: its head was recorded
-        under another `state_hash`."""
+        """The world in `state_dir`, restored from its checkpoint or
+        replayed and checked against the recorded head state. A replay
+        that lands on it saves a fresh head, so the next command restores;
+        a command that will `commit` passes `save_replay=False`, because
+        the commit saves (and when the commit fails, nothing is saved and
+        the next command replays again)."""
         path = state_dir / "world.json"
         if not path.exists():
             raise CliError("state", f"no wallet state in {state_dir}; "
                                     "run `bootstrap` first")
-        world = cls(state_dir, json.loads(path.read_text()))
-        current = world.data.get("version") == WORLD_VERSION
-        if not (current and world.restore()):
+        try:
+            data = json.loads(path.read_text())
+            recorded = (data["head"]["state_hash"]
+                        if data["version"] == WORLD_VERSION else None)
+        except (LookupError, TypeError, ValueError):
+            recorded = None
+        if not isinstance(recorded, str):
+            raise CliError("state", f"{path} is not a version-{WORLD_VERSION} "
+                                    "world with a recorded head")
+        world = cls(state_dir, data)
+        if not world.restore():
             world.replay()
-            recorded = (world.data.get("head", {}).get("state_hash")
-                        if current else None)
             actual = world.system.ledger.state_hash()
-            if recorded is not None and actual != recorded:
+            if actual != recorded:
                 raise CliError("state", f"the action log replays to state "
                                         f"{actual}, not the recorded {recorded}")
             if save_replay:
@@ -208,6 +205,8 @@ class World:
         return system.ledger.checkpoint(
             actions_sha256=self.actions_sha256(),
             eta=system.authenticator.eta,
+            current_subtree=system.client.current_subtree,
+            contract_id=system.contract_id,
             initialised=[[op_id, txid, op_type.value, addr, param]
                          for op_id, (txid, op_type, addr, param)
                          in system.initialised.items()],
@@ -215,29 +214,30 @@ class World:
             depth_checks=system.depth_checks)
 
     def restore(self) -> bool:
-        """Set up the system from the head files, without replaying; False
-        when `world.json` records no head, a file is missing or does not
-        match its digest, the checkpoint was built from another log or does
-        not parse, or the restored ledger hashes to another state."""
-        head = self.data.get("head")
-        if head is None:
-            return False
+        """Set up the system from the checkpoint, without replaying; False
+        when it is missing, does not match the digest `world.json` records,
+        was built from another log or does not parse, or the restored
+        ledger hashes to another state. The client's tree is built from the
+        seed's leaves at the checkpoint's generation."""
+        head = self.data["head"]
         try:
-            texts = {name: (self.state_dir / name).read_text()
-                     for name in HEAD_FILES}
-            if head["actions"] != len(self.data["actions"]) or any(
-                    _sha256(texts[name]) != head["sha256"][name]
-                    for name in HEAD_FILES):
+            text = (self.state_dir / "checkpoint.json").read_text()
+            if (head["actions"] != len(self.data["actions"])
+                    or _sha256(text) != head["sha256"]):
                 return False
-            ledger, point = Ledger.from_checkpoint(texts["checkpoint.json"])
+            ledger, point = Ledger.from_checkpoint(text)
             if point["actions_sha256"] != self.actions_sha256():
                 return False
             system = self.build_system()
             system.ledger = ledger
-            system.client = ClientStore.load(texts["client.leaves"],
-                                             texts["client.json"])
-            system.contract_id = system.client.contract_id
-            system.authenticator.eta = point["eta"]
+            system.contract_id = point["contract_id"]
+            system.authenticator.eta = eta = point["eta"]
+            params = self.params()
+            system.client = ClientStore(
+                levels=merkle.build_levels(all_leaves(
+                    bytes.fromhex(self.data["seed_hex"]), params, eta)),
+                params=params, eta=eta, contract_id=system.contract_id,
+                current_subtree=point["current_subtree"])
             system.initialised = {
                 op_id: (txid, OP_TYPES[op_type], addr, param)
                 for op_id, txid, op_type, addr, param in point["initialised"]}
@@ -249,35 +249,25 @@ class World:
         except (OSError, LookupError, TypeError, ValueError, LedgerError):
             return False
         self.system = system
-        self.on_disk = dict(head["sha256"])
         return True
 
     def save(self) -> None:
-        """Write the client's files and the checkpoint, then `world.json`,
-        which records their digests and the head state; each goes to a
-        temp file moved into place, and `world.json` last, so a failed
-        save leaves the previous world. A file whose text has the digest
-        of its text on disk (see `on_disk`) is left in place."""
+        """Write the checkpoint, then `world.json`, which records its digest
+        and the head state; each goes to a temp file moved into place, and
+        `world.json` last, so a failed save leaves the previous world."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        client = self.system.client
-        texts = dict(zip(HEAD_FILES, (
-            client.dump_leaves(), client.sidecar() + "\n", self.checkpoint())))
-        digests = {name: _sha256(text) for name, text in texts.items()}
-        self.data["version"] = WORLD_VERSION
+        checkpoint = self.checkpoint()
         self.data["head"] = {
             "actions": len(self.data["actions"]),
             "state_hash": self.system.ledger.state_hash(),
-            "sha256": digests,
+            "sha256": _sha256(checkpoint),
         }
-        texts = {name: text for name, text in texts.items()
-                 if self.on_disk.get(name) != digests[name]}
-        texts["world.json"] = json.dumps(self.data, separators=(",", ":"),
-                                         sort_keys=True)
-        for name, text in texts.items():
+        world = json.dumps(self.data, separators=(",", ":"), sort_keys=True)
+        for name, text in (("checkpoint.json", checkpoint),
+                           ("world.json", world)):
             tmp = self.state_dir / (name + ".tmp")
             tmp.write_text(text)
             os.replace(tmp, self.state_dir / name)
-        self.on_disk = digests
 
 
 def _do_init(system: System, op_type: OpType, addr: str, param: int) -> dict:
@@ -298,25 +288,36 @@ def _do_confirm(system: System, op_id: int, otp: bytes) -> dict:
 # ---------------------------------------------------------------------------
 # Command handlers
 
+def read_seeds(seed_file: str | None) -> tuple[bytes, bytes]:
+    """The seed k and the signing-key seed, from `seed_file`, else from
+    OTPWALLET_SEED, else fresh: one hex word of 16 bytes, optionally
+    followed by a hex word of 32 bytes (derived from k when absent)."""
+    if seed_file:
+        try:
+            words = Path(seed_file).read_text().split()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliError("usage", f"cannot read --seed-file: {exc}") from exc
+    else:
+        words = (os.environ.get(SEED_ENV) or random_seed().hex()).split()
+    try:
+        seeds = [bytes.fromhex(word) for word in words]
+    except ValueError:
+        seeds = []
+    if not 1 <= len(seeds) <= 2 or any(
+            len(seed) != size for seed, size in zip(seeds, (16, 32))):
+        raise CliError("usage", "the seed must be a hex word of 16 bytes, "
+                                "optionally followed by a hex key seed of "
+                                "32 bytes")
+    k = seeds[0]
+    return k, seeds[1] if len(seeds) == 2 else base_hash_256(k + b"hw-key")
+
+
 def cmd_bootstrap(args) -> int:
     state_dir = Path(args.state_dir)
     if (state_dir / "world.json").exists():
         raise CliError("state", f"{state_dir} already holds a wallet")
     params = parse_params(args.params)
-    if args.seed_file:
-        lines = Path(args.seed_file).read_text().split()
-    elif os.environ.get(SEED_ENV):
-        lines = os.environ[SEED_ENV].split()
-    else:
-        lines = [random_seed().hex()]
-    try:
-        k = bytes.fromhex(lines[0])
-    except ValueError as exc:
-        raise CliError("usage", f"seed is not hex: {lines[0]!r}") from exc
-    if len(k) != 16:
-        raise CliError("usage", "seed must be 16 hex-encoded bytes")
-    hw_seed = (bytes.fromhex(lines[1]) if len(lines) > 1
-               else base_hash_256(k + b"hw-key"))
+    k, hw_seed = read_seeds(args.seed_file)
     world = World.create(state_dir, args.mode, params, k, hw_seed,
                          args.funding)
     world.system = world.build_system()
@@ -350,7 +351,8 @@ def cmd_op_confirm(args) -> int:
 def cmd_otp_show(args) -> int:
     world = World.load(Path(args.state_dir))
     auth: Authenticator = world.system.authenticator
-    otp = auth.get_otp(args.op_id % world.params().N)
+    # Only the current generation's operations; get_otp refuses the rest.
+    otp = auth.get_otp(args.op_id - auth.eta * world.params().N)
     print("otp hex:  ", otp.hex())
     print("otp words:", " ".join(mnemonic.encode(otp)))
     return 0

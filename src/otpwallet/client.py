@@ -1,17 +1,16 @@
 """The client party: stores leaves, builds proofs and transaction payloads.
 
 The client keeps only public data: the Merkle tree over the N/P leaves of
-the current generation, built once when the leaves arrive (bootstrap,
-`load`), and the tree of the staged next generation during a rotation,
-plus the metadata needed to talk to one wallet contract. Every root,
-sublayer and proof is a read of those levels, so no payload costs a hash.
-The secure bootstrap derives the leaves from the seed and then forgets the
-seed and every OTP.
+the current generation, built once when the leaves arrive (at bootstrap,
+or from the seed's leaves when the CLI restores a world), and the tree of
+the staged next generation during a rotation, plus the metadata needed to
+talk to one wallet contract. Every root, sublayer and proof is a read of
+those levels, so no payload costs a hash. The secure bootstrap derives the
+leaves from the seed and then forgets the seed and every OTP.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 # Trees are built as merkle.build_levels, the binding bench/tracing.py wraps.
@@ -23,7 +22,6 @@ from .merkle import (
     TreeParams,
     all_leaves,
     beta,
-    dump_leaf_file,
     parse_leaf_file,
     path,
     sublayer_in,
@@ -202,30 +200,3 @@ class ClientStore:
         self._staged_levels = None
         self.eta += 1
         self.current_subtree = 0
-
-    # -- persistence ---------------------------------------------------------
-
-    def dump_leaves(self) -> str:
-        return dump_leaf_file(self.leaves, self.params, self.eta)
-
-    def sidecar(self) -> str:
-        return json.dumps({
-            "contractId": self.contract_id,
-            "eta": self.eta,
-            "confirmationDepth": self.confirmation_depth,
-            "currentSubtree": self.current_subtree,
-            "params": self.params.as_dict(),
-        }, sort_keys=True)
-
-    @classmethod
-    def load(cls, leaf_file: str, sidecar: str,
-             base: HashFn = DEFAULT_BASE_HASH) -> "ClientStore":
-        meta = json.loads(sidecar)
-        params = TreeParams.from_dict(meta["params"])
-        leaves, eta = parse_leaf_file(leaf_file, params)
-        if eta != meta["eta"]:
-            raise DomainError("sidecar and leaf file disagree on the generation")
-        return cls(levels=merkle.build_levels(leaves, base), params=params,
-                   eta=eta, contract_id=meta["contractId"],
-                   confirmation_depth=meta["confirmationDepth"],
-                   current_subtree=meta.get("currentSubtree", 0), base=base)

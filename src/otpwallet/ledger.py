@@ -40,8 +40,9 @@ timestamp and digest, and the canonical txid -> height index) and then a
 `blocks` array with every canonical block's receipts, each call encoded by
 the same typed schema that `_dispatch` checks. It joins the blocks' cached
 entries, so a chain that grew by a few blocks since its last checkpoint
-encodes only those. `from_checkpoint` parses the head object alone and
-keeps the blocks array as unparsed text, the archive. The canonical branch
+encodes only those. `from_checkpoint` reads that layout only: it parses
+the head object alone and keeps the blocks array as unparsed text, the
+archive, and raises `LedgerError` for any other text. The canonical branch
 then starts at a base block, the restored head, with its state and its
 stored digest; its receipts stay in the archive. Head state, submission,
 mining, `confirmations`, `state_hash` and `checkpoint` never decode the
@@ -301,19 +302,17 @@ _HEAD_KEY, _BLOCKS_KEY = '{"head":', ',"blocks":['
 
 
 def _read_checkpoint(text: str) -> tuple[dict, str]:
-    """The checkpoint's head object, and the text of its blocks array's
-    items. The layout `Ledger.checkpoint` writes parses the head alone and
-    keeps the items as they are; any other layout parses in full, and its
-    blocks are encoded again into the text `checkpoint` would write."""
+    """The checkpoint's head object, parsed alone, and the text of its
+    blocks array's items, kept as they are. LedgerError for any text not in
+    the layout `Ledger.checkpoint` writes."""
     if text.startswith(_HEAD_KEY) and text.endswith("]}"):
         try:
             head, end = _scan_json(text, len(_HEAD_KEY))
-        except StopIteration:       # malformed; json.loads raises the error
+        except (StopIteration, ValueError):
             end = 0
         if end and text.startswith(_BLOCKS_KEY, end):
             return head, text[end + len(_BLOCKS_KEY):-2]
-    data = json.loads(text)
-    return data["head"], ",".join(map(_to_json, data["blocks"]))
+    raise LedgerError("not a checkpoint in the layout Ledger.checkpoint writes")
 
 
 def _decode_block(height: int, entry) -> Block:

@@ -24,7 +24,7 @@ from otpwallet.protocols import (
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
 PARAMS = "128,4,1,2,1"          # a subtree every 2 slots, a rotation every 4
 N, N_S = 4, 2
-HEAD_FILES = ("world.json", "client.leaves", "client.json", "checkpoint.json")
+STATE_FILES = ("checkpoint.json", "world.json")
 
 
 def cli(state_dir: Path, *argv) -> tuple[int, str]:
@@ -57,8 +57,11 @@ class Session:
     def confirm(self, op_id: int, honest: bool) -> list:
         otp = "00" * 16
         if honest:
-            _, shown = cli(self.dir, "otp", "show", "--op-id", op_id)
-            otp = shown.splitlines()[0].split(":", 1)[1].strip()
+            # The authenticator refuses ids outside the current generation
+            # (a pending id from before a rotation); that confirm is bogus.
+            code, shown = cli(self.dir, "otp", "show", "--op-id", op_id)
+            if code == 0:
+                otp = shown.splitlines()[0].split(":", 1)[1].strip()
         return ["op", "confirm", "--op-id", op_id, "--otp", otp]
 
     def argv(self, intent) -> list:
@@ -116,17 +119,26 @@ INTENTS = st.one_of(
 SEQUENCES = st.lists(st.one_of(STEP, INTENTS), min_size=1, max_size=16)
 
 
+def assert_same_client(a: World, b: World) -> None:
+    for world in a, b:
+        assert world.system.client.contract_id == world.system.contract_id
+        assert world.system.client.eta == world.system.authenticator.eta
+    ca, cb = a.system.client, b.system.client
+    assert ca.levels == cb.levels
+    assert ca.eta == cb.eta
+    assert ca.current_subtree == cb.current_subtree
+    assert ca.contract_id == cb.contract_id
+    assert ca.params == cb.params
+    assert ca.confirmation_depth == cb.confirmation_depth
+
+
 def assert_same_world(a: World, b: World) -> None:
     la, lb = a.system.ledger, b.system.ledger
     assert la.state_hash() == lb.state_hash()
     assert la.event_log() == lb.event_log()
     assert a.system.contract.state_lines() == b.system.contract.state_lines()
     assert la.audit_signatures() == [] and lb.audit_signatures() == []
-    for world in a, b:
-        assert world.system.client.contract_id == world.system.contract_id
-    ca, cb = a.system.client, b.system.client
-    assert (ca.sidecar(), ca.levels) == (cb.sidecar(), cb.levels)
-    assert a.system.authenticator.eta == b.system.authenticator.eta
+    assert_same_client(a, b)
     assert a.system.initialised == b.system.initialised
     assert a.system.confirmed_transfers == b.system.confirmed_transfers
     assert a.system.depth_checks == b.system.depth_checks
@@ -151,27 +163,32 @@ def test_a_restored_world_is_the_replayed_world(mode, intents, last):
         # The next command behaves the same, down to the files it writes.
         argv = session.argv(last)
         assert cli(session.dir, *argv) == cli(replayed_dir, *argv)
-        for name in HEAD_FILES:
+        assert sorted(p.name for p in session.dir.iterdir()) == list(STATE_FILES)
+        for name in STATE_FILES:
             if (replayed_dir / name).exists():      # written unless read-only
                 assert ((session.dir / name).read_bytes()
                         == (replayed_dir / name).read_bytes()), name
 
 
 def test_load_restores_without_replaying(tmp_path, monkeypatch):
-    session = Session(tmp_path / "w", "insecure")
-    # Two generations: transfers, subtrees, a secure and an insecure rotation.
-    for mode in ("secure", "insecure"):
-        for _ in range(6):
-            assert session.run(session.argv(("step", mode)))[0] == 0
-    assert load(session.dir, replay=False).system.authenticator.eta == 2
     replays = []
     real = World.replay
     monkeypatch.setattr(World, "replay",
                         lambda world: (replays.append(1), real(world))[1])
-    restored = load(session.dir, replay=False)
-    assert replays == []
-    assert_same_world(restored, load(session.dir, replay=True))
-    assert replays == [1]
+    for bootstrap in ("secure", "insecure"):
+        session = Session(tmp_path / bootstrap, bootstrap)
+        # Two generations: transfers, subtrees, a secure and an insecure
+        # rotation, then a transfer and a subtree in the third generation.
+        for mode in ["secure"] * 6 + ["insecure"] * 6 + ["secure"] * 3:
+            assert session.run(session.argv(("step", mode)))[0] == 0
+        replays.clear()
+        restored = load(session.dir, replay=False)
+        assert replays == []
+        client = restored.system.client
+        assert (client.eta, client.current_subtree) == (2, 1)
+        replayed = load(session.dir, replay=True)
+        assert replays == [1]
+        assert_same_world(restored, replayed)
 
 
 def test_a_restored_ledger_cannot_fork_below_its_head(tmp_path):

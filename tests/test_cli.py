@@ -70,15 +70,45 @@ def test_happy_path_transfer(state, capsys):
     assert "wallet balance: 495" in out
 
 
-def test_bootstrap_writes_client_store(state, capsys):
+STATE_FILES = ["checkpoint.json", "world.json"]
+
+
+def _files(state_dir) -> list[str]:
+    return sorted(p.name for p in state_dir.iterdir())
+
+
+def test_bootstrap_writes_the_world_and_its_checkpoint(state, capsys):
     state_dir, seed_file = state
     run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
-    leaves = (state_dir / "client.leaves").read_text()
-    assert leaves.startswith("smartotps-leaves v1")
-    sidecar = json.loads((state_dir / "client.json").read_text())
-    assert sidecar["confirmationDepth"] == 12
+    assert _files(state_dir) == STATE_FILES
     world = json.loads((state_dir / "world.json").read_text())
     assert world["seed_hex"] == SEED_HEX
+    assert world["head"]["sha256"] == hashlib.sha256(
+        (state_dir / "checkpoint.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("source, text", [
+    ("file", ""), ("file", " \n\t\n"), ("file", None), ("env", " "),
+    ("file", "xyz"), ("file", "00ff"), ("file", SEED_HEX + " zz"),
+    ("file", SEED_HEX + " 00ff"), ("file", f"{SEED_HEX} {'00' * 32} 00"),
+], ids=["empty-file", "blank-file", "missing-file", "blank-env",
+        "non-hex-seed", "short-seed", "non-hex-key-seed", "short-key-seed",
+        "three-words"])
+def test_a_bad_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, source,
+                                     text):
+    state_dir = tmp_path / "wallet"
+    argv = ["--state-dir", state_dir, "bootstrap"]
+    if source == "env":
+        monkeypatch.setenv("OTPWALLET_SEED", text)
+    else:
+        seed_file = tmp_path / "seed.txt"
+        if text is not None:
+            seed_file.write_text(text)
+        argv += ["--seed-file", seed_file]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+    assert not state_dir.exists()
 
 
 def test_bootstrap_refuses_to_overwrite(state, capsys):
@@ -140,6 +170,7 @@ def test_full_lifecycle_via_cli(state, capsys):
                        "--mode", "secure")
     assert code == 0 and "generation: 1" in out
     confirm_op(16)
+    assert _files(state_dir) == STATE_FILES
 
 
 def test_attack_run_exits_zero(state, capsys):
@@ -214,6 +245,38 @@ def test_param_and_grid_parsing():
     assert parse_grid("H=7,P=1,L=0..2") == ([7], [1], [0, 1, 2])
 
 
+def test_otp_show_refuses_operations_outside_the_generation(state, capsys):
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--params",
+        "128,4,1,2,1", "--seed-file", seed_file)
+
+    def shows(op_id) -> bool:
+        code, out, err = run(capsys, "--state-dir", state_dir, "otp", "show",
+                             "--op-id", op_id)
+        assert code in (0, 1) and (code == 0) == (err == "") == (out != "")
+        assert code == 0 or err.startswith("error: domain:")
+        return code == 0
+
+    # At generation 0, -1 would show slot N-1 (the rotation's OTP) and 4 op 0.
+    assert [shows(op_id) for op_id in (-1, 0, 3, 4)] == [False, True, True,
+                                                          False]
+    first = _otp_hex(capsys, state_dir, 0)
+    for op_id in (0, 2):
+        run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+            "transfer", "--addr", "acct:bob", "--param", 1)
+        code, _, _ = run(capsys, "--state-dir", state_dir, "op", "confirm",
+                         "--op-id", op_id, "--otp",
+                         _otp_hex(capsys, state_dir, op_id))
+        assert code == 0
+        code, _, _ = run(capsys, "--state-dir", state_dir,
+                         *(["subtree", "next"] if op_id == 0 else
+                           ["root", "rotate"]))
+        assert code == 0
+    assert [shows(op_id) for op_id in (3, 4, 7, 8)] == [False, True, True,
+                                                         False]
+    assert _otp_hex(capsys, state_dir, 4) != first
+
+
 def _otp_hex(capsys, state_dir, op_id):
     _, out, _ = run(capsys, "--state-dir", state_dir, "otp", "show",
                     "--op-id", op_id)
@@ -260,14 +323,11 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         "--addr", "acct:bob", "--param", "5")
     before = (state_dir / "world.json").read_bytes()
     previous = World.load(state_dir).system.ledger.state_hash()
-    client_files = ("client.leaves", "client.json")
     real = Path.write_text
 
-    # A tear at any of the four files, in the order a save writes them. A
-    # restored world writes only the checkpoint and world.json (its client
-    # files are unchanged); a replayed world writes all four.
+    # A tear at either file, in the order a save writes them, on a restored
+    # world and on a replayed one.
     for name, restored in (("checkpoint.json", True), ("world.json", True),
-                           ("client.leaves", False), ("client.json", False),
                            ("checkpoint.json", False), ("world.json", False)):
         def torn(path, text, *args, name=name, **kwargs):
             if path.name.startswith(name):
@@ -275,7 +335,6 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
                 raise OSError("disk full")
             return real(path, text, *args, **kwargs)
 
-        clients = {f: (state_dir / f).read_bytes() for f in client_files}
         if not restored:
             (state_dir / "checkpoint.json").unlink()
         replays = _count_replays(monkeypatch)
@@ -287,9 +346,6 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
                           "addr": "acct:bob", "param": 5})
         monkeypatch.undo()
         assert (state_dir / "world.json").read_bytes() == before, name
-        if restored:
-            assert {f: (state_dir / f).read_bytes()
-                    for f in client_files} == clients, name
         loaded = World.load(state_dir)     # a replay here saves a checkpoint
         assert len(loaded.data["actions"]) == 1
         assert loaded.system.ledger.state_hash() == previous
@@ -332,8 +388,7 @@ def test_an_intact_head_loads_without_replay(history, monkeypatch):
     assert recorded["actions"] == 3
 
 
-@pytest.mark.parametrize("damage", ["one-byte-edit", "stale", "deleted",
-                                    "legacy"])
+@pytest.mark.parametrize("damage", ["one-byte-edit", "stale", "deleted"])
 def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
                                                          damage):
     state_dir, stale = history
@@ -347,32 +402,79 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
         checkpoint.write_text(stale)
     else:
         checkpoint.unlink()
-    if damage == "legacy":                  # as written before checkpoints
-        data = json.loads(world_file.read_text())
-        del data["head"]
-        world_file.write_text(json.dumps(data, indent=1, sort_keys=True))
     replays = _count_replays(monkeypatch)
     world = World.load(state_dir)
     assert replays == [1]
     assert world.system.ledger.state_hash() == recorded
 
 
-@pytest.mark.parametrize("damage", ["deleted", "legacy"])
+@pytest.mark.parametrize("damage", ["deleted", "one-byte-edit"])
 def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
                                              damage):
     state_dir, _ = history
-    world_file = state_dir / "world.json"
-    (state_dir / "checkpoint.json").unlink()
-    if damage == "legacy":
-        data = json.loads(world_file.read_text())
-        del data["head"]
-        world_file.write_text(json.dumps(data))
+    world_file, checkpoint = state_dir / "world.json", state_dir / "checkpoint.json"
+    if damage == "deleted":
+        checkpoint.unlink()
+    else:
+        data = bytearray(checkpoint.read_bytes())
+        data[len(data) // 2] ^= 1
+        checkpoint.write_bytes(bytes(data))
     replays = _count_replays(monkeypatch)
     shown = [run(capsys, "--state-dir", state_dir, "root", "show")
              for _ in range(3)]
     assert replays == [1]
     assert shown[0][0] == 0 and shown[0] == shown[1] == shown[2]
     assert json.loads(world_file.read_text())["head"]["actions"] == 3
+    assert _files(state_dir) == STATE_FILES
+
+
+@pytest.mark.parametrize("damage", ["legacy", "version-1", "no-version",
+                                    "not-json", "not-an-object"])
+def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
+                                                            damage):
+    """Nothing to check a replay against: the command writes nothing."""
+    state_dir, _ = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    if damage == "legacy":                  # as written before checkpoints
+        del data["head"]
+    elif damage == "version-1":             # its head hashed every block
+        data["version"] = 1
+    elif damage == "no-version":
+        del data["version"]
+    text = {"not-json": world_file.read_text()[:-1],
+            "not-an-object": "[]"}.get(damage, json.dumps(data))
+    world_file.write_text(text)
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    for argv in (["root", "show"], ["op", "init", "--type", "transfer",
+                                    "--addr", "acct:bob", "--param", "5"]):
+        code, out, err = run(capsys, "--state-dir", state_dir, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: state:")
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+def test_client_files_of_an_older_world_are_ignored(history, monkeypatch,
+                                                    capsys):
+    """A world that bound its client's files as well loads by one checked
+    replay, then restores."""
+    state_dir, _ = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    data["head"]["sha256"] = {
+        "client.leaves": "0" * 64, "client.json": "0" * 64,
+        "checkpoint.json": data["head"]["sha256"]}
+    world_file.write_text(json.dumps(data))
+    for name in ("client.leaves", "client.json"):
+        (state_dir / name).write_text("stale\n")
+    replays = _count_replays(monkeypatch)
+    shown = [run(capsys, "--state-dir", state_dir, "root", "show")
+             for _ in range(2)]
+    assert replays == [1] and shown[0][0] == 0 and shown[0] == shown[1]
+    head = json.loads(world_file.read_text())["head"]
+    assert head["state_hash"] == data["head"]["state_hash"]
+    assert head["sha256"] == hashlib.sha256(
+        (state_dir / "checkpoint.json").read_bytes()).hexdigest()
 
 
 def test_a_replay_off_the_recorded_state_saves_nothing(history, capsys):
@@ -488,52 +590,31 @@ def _relayout(text: str, layout: str) -> str:
 
 
 @pytest.mark.parametrize("layout", ["indented", "blocks-last", "spaced"])
-def test_a_checkpoint_in_another_layout_restores_and_saves(history, monkeypatch,
-                                                           capsys, layout):
+def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
+        history, monkeypatch, capsys, layout):
     state_dir, _ = history
     checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
     text = _relayout(checkpoint.read_text(), layout)
     assert text != checkpoint.read_text()
+    with pytest.raises(ledger_mod.LedgerError):
+        ledger_mod.Ledger.from_checkpoint(text)
     checkpoint.write_text(text)
     data = json.loads(world_file.read_text())
-    data["head"]["sha256"]["checkpoint.json"] = hashlib.sha256(
-        text.encode()).hexdigest()
+    data["head"]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
     world_file.write_text(json.dumps(data))
     recorded = data["head"]["state_hash"]
 
     replays = _count_replays(monkeypatch)
-    assert World.load(state_dir).system.ledger.state_hash() == recorded
-    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
-                     "transfer", "--addr", "acct:bob", "--param", "5")
-    assert code == 0 and replays == []
+    code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 0 and replays == [1]
 
-    # The save reused the blocks' text as read; it restores to the state a
-    # replay reaches, and it holds exactly the chain's entries.
+    # The replay saved the checkpoint in the layout `checkpoint` writes,
+    # holding exactly the chain's entries, and the next load restores it.
     restored = World.load(state_dir)
-    assert replays == []
-    recorded = json.loads(world_file.read_text())["head"]["state_hash"]
+    assert replays == [1]
     assert restored.system.ledger.state_hash() == recorded
     assert (json.loads(checkpoint.read_text())["blocks"]
             == reference_blocks(restored.system.ledger))
-    checkpoint.unlink()
-    assert World.load(state_dir).system.ledger.state_hash() == recorded
-    assert replays == [1]
-
-
-def test_a_version_1_world_replays_once_then_restores(history, monkeypatch,
-                                                      capsys):
-    state_dir, _ = history
-    world_file = state_dir / "world.json"
-    data = json.loads(world_file.read_text())
-    recorded = data["head"]["state_hash"]
-    data["version"] = 1                 # its head hashes another way
-    world_file.write_text(json.dumps(data))
-    replays = _count_replays(monkeypatch)
-    shown = [run(capsys, "--state-dir", state_dir, "root", "show")
-             for _ in range(2)]
-    assert replays == [1] and shown[0][0] == 0 and shown[0] == shown[1]
-    data = json.loads(world_file.read_text())
-    assert data["version"] == 2 and data["head"]["state_hash"] == recorded
 
 
 def _written(monkeypatch) -> list:
@@ -544,34 +625,21 @@ def _written(monkeypatch) -> list:
     return names
 
 
-def test_a_write_on_a_restored_world_keeps_unchanged_client_files(
-        history, monkeypatch, capsys):
+def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
+                                               capsys):
     state_dir, _ = history
-    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
-    written = _written(monkeypatch)
-    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
-                     "transfer", "--addr", "acct:bob", "--param", "5")
-    assert code == 0
-    assert sorted(written) == ["checkpoint.json.tmp", "world.json.tmp"]
-    for name in ("client.leaves", "client.json"):
-        assert (state_dir / name).read_bytes() == before[name]
-
-
-def test_a_replay_rewrites_an_edited_client_file(history, monkeypatch,
-                                                 capsys):
-    state_dir, _ = history
-    sidecar = state_dir / "client.json"
-    original = sidecar.read_bytes()
-    edited = bytearray(original)
-    edited[-2] ^= 1
-    sidecar.write_bytes(bytes(edited))
-    replays = _count_replays(monkeypatch)
-    written = _written(monkeypatch)
-    code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
-    assert code == 0 and replays == [1]
-    assert "client.json.tmp" in written and sidecar.read_bytes() == original
-    World.load(state_dir)
-    assert replays == [1]
+    for restored in (True, False):
+        if not restored:
+            (state_dir / "checkpoint.json").unlink()
+        replays = _count_replays(monkeypatch)
+        written = _written(monkeypatch)
+        code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init",
+                         "--type", "transfer", "--addr", "acct:bob",
+                         "--param", "5")
+        monkeypatch.undo()
+        assert code == 0 and replays == ([] if restored else [1])
+        assert sorted(written) == ["checkpoint.json.tmp", "world.json.tmp"]
+        assert _files(state_dir) == STATE_FILES
 
 
 def test_an_unknown_operation_type_is_a_usage_error(history, capsys):
@@ -644,8 +712,7 @@ def test_a_consistently_tampered_archive_fails_when_read(history, monkeypatch):
     text = json.dumps(doc, separators=(",", ":"))
     checkpoint.write_text(text)
     data = json.loads(world_file.read_text())
-    data["head"]["sha256"]["checkpoint.json"] = hashlib.sha256(
-        text.encode()).hexdigest()
+    data["head"]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
     world_file.write_text(json.dumps(data))
 
     replays = _count_replays(monkeypatch)

@@ -1,5 +1,6 @@
 """Client store: bootstrap paths, payload builders, persistence hygiene."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -45,13 +46,18 @@ def test_secure_and_insecure_bootstraps_agree(store):
 
 
 def test_secure_store_holds_no_otp_and_no_seed(store):
-    serialized = store.dump_leaves() + store.sidecar()
-    assert K.hex() not in serialized
-    for i in range(PARAMS.N):
-        assert otp_for(i).hex() not in serialized
-    stored = set(store.leaves)
-    assert K not in stored
-    assert not stored & {otp_for(i) for i in range(PARAMS.N)}
+    """The store's fields are its public tree and metadata, nothing else."""
+    secrets = {K} | {otp_for(i) for i in range(PARAMS.N)}
+    names = [f.name for f in dataclasses.fields(store)]
+    assert names == ["levels", "params", "eta", "contract_id",
+                     "confirmation_depth", "current_subtree", "base",
+                     "_staged_levels"]
+    assert set(vars(store)) == set(names)
+    assert not {node for level in store.levels for node in level} & secrets
+    assert store._staged_levels is None
+    rendered = repr(vars(store))
+    assert not any(secret.hex() in rendered or repr(secret) in rendered
+                   for secret in secrets)
 
 
 def test_constructor_args_are_consistent(store):
@@ -150,16 +156,6 @@ def test_rotation_from_leaf_file():
     assert new_root == auth.new_parent_preview(PARAMS.N - 1)[0]
     with pytest.raises(DomainError):
         store.stage_rotation(auth.export_leaves())       # wrong generation
-
-
-def test_persistence_round_trip(store):
-    store.contract_id = "cafe" * 8
-    store.current_subtree = 0
-    loaded = ClientStore.load(store.dump_leaves(), store.sidecar())
-    assert loaded.leaves == store.leaves
-    assert loaded.contract_id == store.contract_id
-    assert loaded.confirmation_depth == store.confirmation_depth
-    assert loaded.params == store.params
 
 
 def test_relative_op_window_tracks_generation(store):
