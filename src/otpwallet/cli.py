@@ -20,7 +20,8 @@ anywhere but the recorded state is an error. A replay that lands on it
 saves a fresh head, once, so only the first command after a damaged
 checkpoint replays. A `world.json` that does not parse, is not format
 version 2 or records no head is an error as well, because there is no
-state to check its replay against. The log doubles as an audit trail.
+state to check its replay against, and so is one that lacks a key the
+restore or the replay reads. The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` builds the parser of the command that argv names,
@@ -46,9 +47,8 @@ import sys
 from pathlib import Path
 
 from . import merkle, mnemonic, security_calc
-from .authenticator import Authenticator
 from .client import ClientStore
-from .contract import OP_TYPES, OpType, Revert
+from .contract import OP_TYPES, Revert
 from .hashing import DomainError, base_hash_256, random_seed
 from .ledger import Ledger, LedgerError
 from .merkle import TreeParams, all_leaves
@@ -75,6 +75,10 @@ DEFAULT_STATE_DIR = ".otpwallet"
 DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
 WORLD_VERSION = 2
+# The keys of `world.json`, besides its version and head, that a restore or
+# a replay reads.
+WORLD_KEYS = {"actions", "funding", "hw_seed_hex", "mode", "params",
+              "seed_hex"}
 
 
 class CliError(Exception):
@@ -139,6 +143,9 @@ class World:
         if not isinstance(recorded, str):
             raise CliError("state", f"{path} is not a version-{WORLD_VERSION} "
                                     "world with a recorded head")
+        missing = sorted(WORLD_KEYS - data.keys())
+        if missing:
+            raise CliError("state", f"{path} lacks {', '.join(missing)}")
         world = cls(state_dir, data)
         if not world.restore():
             world.replay()
@@ -170,24 +177,24 @@ class World:
         system = self.system
         cmd = action["cmd"]
         if cmd == "init":
-            return _do_init(system, OP_TYPES[action["type"]],
-                            action["addr"], int(action["param"]))
-        if cmd == "confirm":
-            return _do_confirm(system, int(action["op_id"]),
-                               bytes.fromhex(action["otp"]))
-        if cmd == "subtree":
+            failed = "init rejected"
+            outcome = init_operation(system, OP_TYPES[action["type"]],
+                                     action["addr"], int(action["param"]))
+        elif cmd == "confirm":
+            failed = "confirmation rejected"
+            outcome = confirm_operation(system, int(action["op_id"]),
+                                        bytes.fromhex(action["otp"]))
+        elif cmd == "subtree":
+            failed = "subtree introduction failed"
             outcome = run_next_subtree(system)
-            if not outcome["ok"]:
-                raise CliError("protocol", f"subtree introduction failed: "
-                                           f"{outcome['status']}")
-            return outcome
-        if cmd == "rotate":
+        elif cmd == "rotate":
+            failed = "root rotation failed"
             outcome = run_new_root(system, action["mode"])
-            if not outcome["ok"]:
-                raise CliError("protocol",
-                               f"root rotation failed: {outcome['status']}")
-            return outcome
-        raise CliError("state", f"unknown action in world log: {cmd}")
+        else:
+            raise CliError("state", f"unknown action in world log: {cmd}")
+        if not outcome["ok"]:
+            raise CliError("protocol", f"{failed}: {outcome['status']}")
+        return outcome
 
     def commit(self, action: dict) -> dict:
         result = self.apply(action)
@@ -270,21 +277,6 @@ class World:
             os.replace(tmp, self.state_dir / name)
 
 
-def _do_init(system: System, op_type: OpType, addr: str, param: int) -> dict:
-    outcome = init_operation(system, op_type, addr, param)
-    if not outcome["ok"]:
-        raise CliError("protocol", f"init rejected: {outcome['status']}")
-    return outcome
-
-
-def _do_confirm(system: System, op_id: int, otp: bytes) -> dict:
-    outcome = confirm_operation(system, op_id, otp)
-    if not outcome["ok"]:
-        raise CliError("protocol",
-                       f"confirmation rejected: {outcome['status']}")
-    return outcome
-
-
 # ---------------------------------------------------------------------------
 # Command handlers
 
@@ -350,9 +342,10 @@ def cmd_op_confirm(args) -> int:
 
 def cmd_otp_show(args) -> int:
     world = World.load(Path(args.state_dir))
-    auth: Authenticator = world.system.authenticator
-    # Only the current generation's operations; get_otp refuses the rest.
-    otp = auth.get_otp(args.op_id - auth.eta * world.params().N)
+    system = world.system
+    # Only the current generation's operations: the client refuses the rest
+    # and names the id as typed.
+    otp = system.authenticator.get_otp(system.client._relative(args.op_id))
     print("otp hex:  ", otp.hex())
     print("otp words:", " ".join(mnemonic.encode(otp)))
     return 0
@@ -394,10 +387,13 @@ def parse_grid(spec: str) -> tuple[list[int], list[int], list[int] | None]:
     hs, ps, ls = [7, 8, 9, 10], [1], None
 
     def expand(val: str) -> list[int]:
-        if ".." in val:
-            lo, hi = val.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in val.split("+")]
+        try:
+            if ".." in val:
+                lo, hi = val.split("..")
+                return list(range(int(lo), int(hi) + 1))
+            return [int(x) for x in val.split("+")]
+        except ValueError as exc:
+            raise CliError("usage", f"bad --grid value {val!r}: {exc}") from exc
 
     for part in filter(None, spec.split(",")):
         key, _, val = part.partition("=")

@@ -67,12 +67,6 @@ class CostReport:
     confirm_mean: float = 0.0
     ot_cost: float = 0.0
 
-    def lines(self) -> list[str]:
-        out = [f"{name}: {cost:.1f}" for name, _, cost in self.per_call]
-        out.append(f"deployment={self.deployment:.1f} init_mean={self.init_mean:.1f} "
-                   f"confirm_mean={self.confirm_mean:.1f} ot_cost={self.ot_cost:.2f}")
-        return out
-
 
 def meter(traces: list[CallTrace], table: CostTable = DEFAULT_TABLE,
           n_ops: int | None = None) -> CostReport:

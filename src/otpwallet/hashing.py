@@ -99,14 +99,3 @@ def random_seed(rng=None) -> Seed:
         import os
         return os.urandom(SEED_BYTES)
     return bytes(rng.getrandbits(8) for _ in range(SEED_BYTES))
-
-
-def to_hex(d: bytes) -> str:
-    return d.hex()
-
-
-def from_hex(s: str) -> bytes:
-    try:
-        return bytes.fromhex(s.strip())
-    except ValueError as exc:
-        raise DomainError(f"not a hex digest: {s!r}") from exc

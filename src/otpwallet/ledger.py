@@ -198,7 +198,7 @@ class TxReceipt:
     status: str                     # ok | revert:<category> | invalid-nonce
     result: str = ""
     trace: CallTrace | None = None
-    tx: Transaction | None = None
+    tx: Transaction = field(kw_only=True)
 
 
 @dataclass
@@ -337,7 +337,6 @@ class Ledger:
         self.tx_heights: dict[str, dict[str, int]] = {MAIN: {}}
         self.canonical = MAIN
         self.mempool: list[Transaction] = []
-        self.pending_time_skip = 0
         self.observers: list[Callable[[Transaction], None]] = []
         self._seq = 0
         self._branch_counter = 0
@@ -414,8 +413,7 @@ class Ledger:
         chain = self.branches[branch]
         parent = chain[-1]
         delta = DEFAULT_BLOCK_DELTA if timestamp_delta is None else timestamp_delta
-        timestamp = parent.timestamp + delta + self.pending_time_skip
-        self.pending_time_skip = 0
+        timestamp = parent.timestamp + delta
 
         state = LedgerState(dict(parent.state.accounts),
                             dict(parent.state.nonces),
@@ -534,13 +532,11 @@ class Ledger:
             common += 1
         new_txids = {r.txid for blk in new_chain[common:] for r in blk.receipts}
         orphaned = [r.tx for blk in old_chain[common:] for r in blk.receipts
-                    if r.tx is not None and r.txid not in new_txids]
+                    if r.txid not in new_txids]
         self.canonical = branch
-        for tx in sorted(orphaned, key=lambda t: t.seq):
-            fresh = Transaction(tx.sender, tx.call, tx.fee, tx.signature,
-                                tx.nonce)
-            fresh.seq = tx.seq
-            self.mempool.append(fresh)
+        # A transaction never changes after submission, so the originals go
+        # back, with their submission order and cached txids.
+        self.mempool.extend(sorted(orphaned, key=lambda t: t.seq))
 
     # -- queries ------------------------------------------------------------------------------
 
@@ -698,7 +694,7 @@ class Ledger:
         problems = []
         for blk in self.chain:
             for r in blk.receipts:
-                if r.status != "ok" or r.fn not in SIGNED_CALLS or r.tx is None:
+                if r.status != "ok" or r.fn not in SIGNED_CALLS:
                     continue
                 contract = self.head.state.contracts.get(r.tx.call.get("contract"))
                 if contract is None:
@@ -708,48 +704,3 @@ class Ledger:
                         contract.pk, r.tx.signing_bytes(), r.tx.signature):
                     problems.append(f"{r.txid}: signature does not verify")
         return problems
-
-
-# -- scenario script files -------------------------------------------------------
-
-def run_script(ledger: Ledger, text: str,
-               tx_builder: Callable[[list[str]], Transaction] | None = None) -> list[str]:
-    """Drive a ledger from a line-oriented command script.
-
-    Commands: `mine [delta] [branch]`, `fork <height>`, `reorg <branch>`,
-    `advance-time <seconds>`, `transfer <from> <to> <amount> <fee>`, and
-    `submit <spec...>` when a tx_builder is supplied. Returns one result
-    line per command.
-    """
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        cmd = parts[0]
-        if cmd == "mine":
-            delta = int(parts[1]) if len(parts) > 1 else None
-            branch = parts[2] if len(parts) > 2 else None
-            blk = ledger.mine_block(delta, branch)
-            out.append(f"mined height={blk.height} txs={len(blk.receipts)}")
-        elif cmd == "fork":
-            name = ledger.fork(int(parts[1]))
-            out.append(f"forked {name}")
-        elif cmd == "reorg":
-            ledger.reorg(parts[1])
-            out.append(f"reorged to {parts[1]}")
-        elif cmd == "advance-time":
-            ledger.pending_time_skip += int(parts[1])
-            out.append(f"time +{parts[1]}")
-        elif cmd == "transfer":
-            frm, to, amount, fee = parts[1], parts[2], int(parts[3]), int(parts[4])
-            tx = Transaction(frm, {"fn": "transfer", "to": to, "amount": amount},
-                             fee=fee, nonce=ledger.next_nonce(frm))
-            out.append(f"submitted {ledger.submit(tx)}")
-        elif cmd == "submit" and tx_builder is not None:
-            tx = tx_builder(parts[1:])
-            out.append(f"submitted {ledger.submit(tx)}")
-        else:
-            raise LedgerError(f"unknown script command: {line!r}")
-    return out

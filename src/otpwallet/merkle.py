@@ -213,20 +213,13 @@ def _chain_ends(k: Seed, first: int, count: int, params: TreeParams,
     return ends
 
 
-def leaf_of_chain(k: Seed, idx: int, params: TreeParams, eta: int = 0,
-                  base: HashFn = DEFAULT_BASE_HASH) -> Digest:
-    """Public leaf for chain `idx`: the chain end at position P.
+def all_leaves(k: Seed, params: TreeParams, eta: int = 0,
+               base: HashFn = DEFAULT_BASE_HASH) -> list[Digest]:
+    """The public leaves of generation `eta`: each chain's end at position P.
 
     PRF points are offset by eta * (N/P) so successive parent-tree
     generations never reuse one.
     """
-    if not 0 <= idx < params.leaves:
-        raise DomainError(f"chain index out of range: {idx}")
-    return _chain_ends(k, eta * params.leaves + idx, 1, params, base)[0]
-
-
-def all_leaves(k: Seed, params: TreeParams, eta: int = 0,
-               base: HashFn = DEFAULT_BASE_HASH) -> list[Digest]:
     return _chain_ends(k, eta * params.leaves, params.leaves, params, base)
 
 

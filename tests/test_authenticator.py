@@ -7,10 +7,10 @@ from otpwallet.authenticator import Authenticator
 from otpwallet.hashing import DomainError, chain_extend, truncated_hash
 from otpwallet.merkle import (
     TreeParams,
+    all_leaves,
     alpha,
     beta,
     chain_offset,
-    leaf_of_chain,
     parse_leaf_file,
     reduce_mt,
 )
@@ -43,11 +43,12 @@ def test_otp_extended_to_the_leaf():
                    TreeParams(S=128, N=64, P=4, N_S=16, L_S=1),
                    TreeParams(S=128, N=64, P=1, N_S=64, L_S=2)):
         auth = Authenticator(K, params)
+        leaves = all_leaves(K, params)
         for i in range(params.N):
             otp = auth.get_otp(i)
             a = chain_offset(i, params)
             leaf = chain_extend(otp, params.P - 1 - a, params.P)
-            assert leaf == leaf_of_chain(K, beta(i, params), params)
+            assert leaf == leaves[beta(i, params)]
 
 
 def test_beta_covers_each_chain_once_per_layer():

@@ -234,7 +234,7 @@ def test_seed_env_var_is_honored(tmp_path, capsys, monkeypatch):
     assert "seed backup:" in out1
 
 
-def test_param_and_grid_parsing():
+def test_param_and_grid_parsing(capsys):
     params = parse_params("128,16,2,8,1")
     assert (params.S, params.N, params.P, params.N_S, params.L_S) == \
         (128, 16, 2, 8, 1)
@@ -243,6 +243,12 @@ def test_param_and_grid_parsing():
         parse_params("x,y")
     assert parse_grid("H=7..9,P=1+2,L=all") == ([7, 8, 9], [1, 2], None)
     assert parse_grid("H=7,P=1,L=0..2") == ([7], [1], [0, 1, 2])
+    for grid in ("Q=1", "H=x", "P=1+y", "H=3.."):
+        with pytest.raises(CliError) as info:
+            parse_grid(grid)
+        assert info.value.category == "usage"
+        code, out, err = run(capsys, "cost", "sweep", "--grid", grid)
+        assert code == 2 and out == "" and err.startswith("error: usage:")
 
 
 def test_otp_show_refuses_operations_outside_the_generation(state, capsys):
@@ -254,7 +260,8 @@ def test_otp_show_refuses_operations_outside_the_generation(state, capsys):
         code, out, err = run(capsys, "--state-dir", state_dir, "otp", "show",
                              "--op-id", op_id)
         assert code in (0, 1) and (code == 0) == (err == "") == (out != "")
-        assert code == 0 or err.startswith("error: domain:")
+        assert code == 0 or (err.startswith("error: domain:")
+                             and f"operation {op_id} " in err)
         return code == 0
 
     # At generation 0, -1 would show slot N-1 (the rotation's OTP) and 4 op 0.
@@ -428,11 +435,14 @@ def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
     assert _files(state_dir) == STATE_FILES
 
 
-@pytest.mark.parametrize("damage", ["legacy", "version-1", "no-version",
-                                    "not-json", "not-an-object"])
+@pytest.mark.parametrize("damage", [
+    "legacy", "version-1", "no-version", "not-json", "not-an-object",
+    "no-actions", "no-funding", "no-hw_seed_hex", "no-mode", "no-params",
+    "no-seed_hex"])
 def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                                                             damage):
-    """Nothing to check a replay against: the command writes nothing."""
+    """Nothing to check a replay against, or no key that a restore or a
+    replay reads: the command writes nothing."""
     state_dir, _ = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
@@ -440,8 +450,8 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
         del data["head"]
     elif damage == "version-1":             # its head hashed every block
         data["version"] = 1
-    elif damage == "no-version":
-        del data["version"]
+    elif damage.startswith("no-"):
+        del data[damage[3:]]
     text = {"not-json": world_file.read_text()[:-1],
             "not-an-object": "[]"}.get(damage, json.dumps(data))
     world_file.write_text(text)
@@ -450,7 +460,7 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                                     "--addr", "acct:bob", "--param", "5"]):
         code, out, err = run(capsys, "--state-dir", state_dir, *argv)
         assert code == 1 and out == "" and err.count("\n") == 1
-        assert err.startswith("error: state:")
+        assert err.startswith("error: state:") and "Traceback" not in err
     assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
 
 

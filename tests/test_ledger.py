@@ -14,7 +14,6 @@ from otpwallet.ledger import (
     LedgerError,
     Transaction,
     payload_size,
-    run_script,
 )
 from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, lsb, with_lsb
 
@@ -120,9 +119,10 @@ def test_timestamps_advance_by_delta(ledger):
     assert ledger.head.timestamp == t0 + 15
     ledger.mine_block(100)
     assert ledger.head.timestamp == t0 + 115
-    ledger.pending_time_skip = 1000
-    ledger.mine_block()
+    ledger.mine_block(15 + 1000)
     assert ledger.head.timestamp == t0 + 115 + 15 + 1000
+    branch = ledger.fork(1)
+    assert ledger.mine_block(7, branch).timestamp == t0 + 15 + 7
 
 
 def test_confirmations_count_blocks_on_top(ledger):
@@ -136,7 +136,8 @@ def test_confirmations_count_blocks_on_top(ledger):
 
 
 def test_fork_and_reorg_drop_and_return_transactions(ledger):
-    txid = ledger.submit(pay("a", "b", 5, 1, 0))
+    tx = pay("a", "b", 5, 1, 0)
+    txid = ledger.submit(tx)
     ledger.mine_block()
     assert ledger.accounts["b"] == 105
     branch = ledger.fork(0)
@@ -145,7 +146,7 @@ def test_fork_and_reorg_drop_and_return_transactions(ledger):
     ledger.reorg(branch)
     assert ledger.confirmations(txid) is None
     assert ledger.accounts["b"] == 100           # state follows the branch
-    assert any(t.txid == txid for t in ledger.mempool)
+    assert ledger.mempool == [tx] and ledger.mempool[0] is tx
     ledger.mine_block()
     assert ledger.confirmations(txid) == 0
     assert ledger.accounts["b"] == 105
@@ -211,28 +212,6 @@ def test_deterministic_replay_produces_identical_state_hash():
         return led.state_hash(), "\n".join(led.event_log())
 
     assert drive() == drive()
-
-
-def test_script_runner_drives_the_ledger(ledger):
-    out = run_script(ledger, """
-        # fund then fork away the payment
-        transfer a b 7 1
-        mine
-        fork 0
-        mine 15 branch1
-        mine 15 branch1
-        reorg branch1
-        advance-time 3600
-        mine
-    """)
-    assert out[0].startswith("submitted")
-    assert ledger.accounts["b"] == 107
-    assert ledger.head.timestamp >= 1_600_000_000 + 3600
-
-
-def test_script_rejects_unknown_commands(ledger):
-    with pytest.raises(LedgerError):
-        run_script(ledger, "explode now")
 
 
 def test_payload_size_rules():
@@ -314,9 +293,8 @@ def test_reverted_contract_call_restores_contract_and_accounts_exactly():
 
     # A new day: confirm_op rolls the day index over, then reverts on the
     # limit; the rollover must not survive the revert.
-    led.pending_time_skip = 86400
     w.confirm(1)
-    blk = led.mine_block()
+    blk = led.mine_block(86400)
     assert blk.receipts[0].status == "revert:daily-limit"
     assert led.contract(w.cid).state_lines() == lines
     assert led.accounts == accounts

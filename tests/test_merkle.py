@@ -30,7 +30,6 @@ from otpwallet.merkle import (
     expected_parity_pattern,
     gen_proof,
     layer_of,
-    leaf_of_chain,
     lsb,
     pair_hash,
     parse_leaf_file,
@@ -196,23 +195,23 @@ def test_layer_of_increases_within_a_subtree():
 
 def test_leaf_of_chain_is_chain_end():
     start = prf(K, 3)
-    assert leaf_of_chain(K, 3, PARAMS) == chain_extend(start, 0, PARAMS.P)
+    assert all_leaves(K, PARAMS)[3] == chain_extend(start, 0, PARAMS.P)
 
 
 def test_leaf_with_p1_is_hash_of_the_otp():
     params = TreeParams(S=128, N=8, P=1, N_S=8, L_S=0)
     otp = prf(K, 2)
-    assert leaf_of_chain(K, 2, params) == chain_step(otp, 1)
+    assert all_leaves(K, params)[2] == chain_step(otp, 1)
 
 
 def test_leaf_determinism_and_generation_offset():
-    assert leaf_of_chain(K, 1, PARAMS, eta=0) == leaf_of_chain(K, 1, PARAMS, eta=0)
-    assert leaf_of_chain(K, 1, PARAMS, eta=0) != leaf_of_chain(K, 1, PARAMS, eta=1)
+    assert all_leaves(K, PARAMS, eta=0) == all_leaves(K, PARAMS, eta=0)
+    assert all_leaves(K, PARAMS, eta=0)[1] != all_leaves(K, PARAMS, eta=1)[1]
 
 
 def test_penultimate_element_hashes_to_the_leaf():
     d = chain_extend(prf(K, 0), 0, PARAMS.P - 1)
-    assert chain_step(d, PARAMS.P) == leaf_of_chain(K, 0, PARAMS)
+    assert chain_step(d, PARAMS.P) == all_leaves(K, PARAMS)[0]
 
 
 def test_leaves_never_equal_any_otp():
@@ -239,21 +238,19 @@ def test_leaves_match_a_hashlib_reference(S, P, eta):
     want = [oracle_leaf(K, eta * params.leaves + i, params)
             for i in range(params.leaves)]
     assert all_leaves(K, params, eta) == want
-    assert [leaf_of_chain(K, i, params, eta)
-            for i in range(params.leaves)] == want
 
 
 def test_leaf_derivation_checks_seed_and_prf_range():
     with pytest.raises(DomainError):
         all_leaves(K[:15], PARAMS)
     with pytest.raises(DomainError):
-        leaf_of_chain(K + b"x", 0, PARAMS)
+        all_leaves(K + b"x", PARAMS)
     last_eta = 2**32 // PARAMS.leaves - 1
     assert len(all_leaves(K, PARAMS, last_eta)) == PARAMS.leaves
     with pytest.raises(DomainError):
         all_leaves(K, PARAMS, last_eta + 1)
     with pytest.raises(DomainError):
-        leaf_of_chain(K, 0, PARAMS, -1)
+        all_leaves(K, PARAMS, -1)
 
 
 @pytest.mark.parametrize("n", [16, 20, 32])
