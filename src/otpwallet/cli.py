@@ -21,7 +21,8 @@ saves a fresh head, once, so only the first command after a damaged
 checkpoint replays. A `world.json` that does not parse, is not format
 version 2 or records no head is an error as well, because there is no
 state to check its replay against, and so is one that lacks a key the
-restore or the replay reads. The log doubles as an audit trail.
+restore or the replay reads, holds one of another type, or logs an
+action that no command writes. The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` builds the parser of the command that argv names,
@@ -76,9 +77,17 @@ DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
 WORLD_VERSION = 2
 # The keys of `world.json`, besides its version and head, that a restore or
-# a replay reads.
-WORLD_KEYS = {"actions", "funding", "hw_seed_hex", "mode", "params",
-              "seed_hex"}
+# a replay reads, and their types (a bool is not an int).
+WORLD_KEYS = {"actions": list, "funding": int, "hw_seed_hex": str,
+              "mode": str, "params": dict, "seed_hex": str}
+# Logged command -> (key, type) pairs of its action besides "cmd", as the
+# command writes them.
+ACTION_KEYS = {
+    "init": (("type", str), ("addr", str), ("param", int)),
+    "confirm": (("op_id", int), ("otp", str)),
+    "subtree": (),
+    "rotate": (("mode", str),),
+}
 
 
 class CliError(Exception):
@@ -97,6 +106,22 @@ def parse_params(spec: str) -> TreeParams:
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _malformed(action) -> str | None:
+    """What keeps a logged action from being one that a command writes, or
+    None; an unknown command is left to `World.apply`."""
+    if type(action) is not dict:
+        return f"{type(action).__name__}, not an object"
+    cmd = action.get("cmd")
+    if type(cmd) is not str:
+        return "no command name"
+    for key, kind in ACTION_KEYS.get(cmd, ()):
+        if type(action.get(key)) is not kind:
+            return f"{cmd} needs {key} as {kind.__name__}"
+    if cmd == "init" and action["type"] not in OP_TYPES:
+        return f"unknown operation type {action['type']}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +168,14 @@ class World:
         if not isinstance(recorded, str):
             raise CliError("state", f"{path} is not a version-{WORLD_VERSION} "
                                     "world with a recorded head")
-        missing = sorted(WORLD_KEYS - data.keys())
+        missing = sorted(WORLD_KEYS.keys() - data.keys())
         if missing:
             raise CliError("state", f"{path} lacks {', '.join(missing)}")
+        for key, kind in WORLD_KEYS.items():
+            if type(data[key]) is not kind:
+                raise CliError("state", f"{path} holds {key} as "
+                                        f"{type(data[key]).__name__}, not "
+                                        f"{kind.__name__}")
         world = cls(state_dir, data)
         if not world.restore():
             world.replay()
@@ -170,7 +200,11 @@ class World:
         self.system = self.build_system()
         bootstrap_system(self.system, self.data["mode"],
                          self.data["funding"])
-        for action in self.data["actions"]:
+        for i, action in enumerate(self.data["actions"]):
+            problem = _malformed(action)
+            if problem:
+                raise CliError("state", f"malformed action {i} in world log: "
+                                        f"{problem}")
             self.apply(action)
 
     def apply(self, action: dict) -> dict:
@@ -179,10 +213,10 @@ class World:
         if cmd == "init":
             failed = "init rejected"
             outcome = init_operation(system, OP_TYPES[action["type"]],
-                                     action["addr"], int(action["param"]))
+                                     action["addr"], action["param"])
         elif cmd == "confirm":
             failed = "confirmation rejected"
-            outcome = confirm_operation(system, int(action["op_id"]),
+            outcome = confirm_operation(system, action["op_id"],
                                         bytes.fromhex(action["otp"]))
         elif cmd == "subtree":
             failed = "subtree introduction failed"

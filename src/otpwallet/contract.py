@@ -80,7 +80,10 @@ class CallTrace:
 
 @dataclass
 class ChainEnv:
-    """What the platform exposes to a contract call."""
+    """What the platform exposes to a contract call: the block time, the
+    sender, balance reads and transfers, the call's signed bytes and
+    signature, and the platform's signature check, `verify(public, message,
+    signature)`. A ledger passes its verified-signature memo as `verify`."""
 
     timestamp: int
     sender: str
@@ -88,6 +91,7 @@ class ChainEnv:
     transfer: Callable[[str, str, int], None]
     tx_signing_bytes: bytes = b""
     tx_signature: bytes | None = None
+    verify: Callable[[bytes, bytes, bytes], bool] = signing.verify
 
 
 def _sublayer_under(sublayer: SubtreeLayer, proof_sr: MerkleProof,
@@ -158,7 +162,7 @@ class WalletContract:
     def _check_sig(self, env: ChainEnv, trace: CallTrace):
         trace.sig_verifies += 1
         trace.sload += 1                            # pk
-        if env.tx_signature is None or not signing.verify(
+        if type(env.tx_signature) is not bytes or not env.verify(
                 self.pk, env.tx_signing_bytes, env.tx_signature):
             raise Revert("signature", "owner signature required")
 

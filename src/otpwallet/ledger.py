@@ -23,11 +23,18 @@ Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
 
 Receipts are immutable after mining: no code changes a mined block's
-receipts, their transactions or those transactions' calls. Four caches
+receipts, their transactions or those transactions' calls. Five caches
 rely on it. A `Transaction` builds its signed bytes and its txid once, a
 `Block` builds its `state_hash` line, its checkpoint entry and its digest
-on first use, and a block restored from a checkpoint keeps the text it was
-read from.
+on first use, a block restored from a checkpoint keeps the text it was
+read from, and the ledger remembers each (public key, signed bytes,
+signature) triple that verified on it. The contract's signature check,
+the re-execution of an orphaned transaction after a reorg and
+`audit_signatures` all go through that memo, so each signature is
+verified once per ledger. It is exact: a verify is a pure function of
+the whole triple, so any changed byte misses, and a failed verify is
+never stored. `from_checkpoint` starts it empty, so the signatures of a
+restored archive, which is untrusted input, are verified afresh.
 
 Blocks are chained as headers are: a block's digest is H(parent digest ||
 its state line), with fixed bytes as the genesis block's parent digest.
@@ -61,6 +68,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
+from . import signing
 from .contract import CallTrace, ChainEnv, OpType, Revert, WalletContract
 from .hashing import truncated_hash
 from .merkle import MerkleProof, SubtreeLayer, TreeParams
@@ -344,6 +352,8 @@ class Ledger:
         # A restored ledger's base block, until its archive is decoded; the
         # chains then start at the base.
         self._archive: Block | None = None
+        # (public key, signed bytes, signature) triples that verified here.
+        self._verified: set[tuple[bytes, bytes, bytes]] = set()
 
     # -- chain views -----------------------------------------------------------
 
@@ -484,6 +494,7 @@ class Ledger:
             transfer=do_transfer,
             tx_signing_bytes=tx.signing_bytes(),
             tx_signature=tx.signature,
+            verify=self._verify,
         )
 
         if fn == "deploy_wallet":
@@ -688,9 +699,23 @@ class Ledger:
         parts.append(self._head_digest(self.branches[self.canonical]).hex())
         return truncated_hash("\n".join(parts).encode()).hex()
 
+    def _verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
+        """`signing.verify`, remembering the triples that verified: a
+        verify is a pure function of its triple, and a failure is never
+        stored, so a remembered triple is one that verifies."""
+        triple = (public, message, signature)
+        if triple in self._verified:
+            return True
+        # Looked up at call time, so a wrapper set on the module applies.
+        if signing.verify(public, message, signature):
+            self._verified.add(triple)
+            return True
+        return False
+
     def audit_signatures(self) -> list[str]:
-        """Re-verify every executed signature-bearing call; returns failures."""
-        from . import signing
+        """Re-verify every executed signature-bearing call; returns failures.
+        A signature that already verified on this ledger is not verified
+        again."""
         problems = []
         for blk in self.chain:
             for r in blk.receipts:
@@ -700,7 +725,7 @@ class Ledger:
                 if contract is None:
                     problems.append(f"{r.txid}: contract missing for audit")
                     continue
-                if r.tx.signature is None or not signing.verify(
+                if type(r.tx.signature) is not bytes or not self._verify(
                         contract.pk, r.tx.signing_bytes(), r.tx.signature):
                     problems.append(f"{r.txid}: signature does not verify")
         return problems

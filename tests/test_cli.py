@@ -438,20 +438,33 @@ def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
 @pytest.mark.parametrize("damage", [
     "legacy", "version-1", "no-version", "not-json", "not-an-object",
     "no-actions", "no-funding", "no-hw_seed_hex", "no-mode", "no-params",
-    "no-seed_hex"])
+    "no-seed_hex", "actions-int", "params-list", "seed_hex-list",
+    "action-without-cmd", "action-int", "init-without-type",
+    "init-of-unknown-type"])
 def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                                                             damage):
-    """Nothing to check a replay against, or no key that a restore or a
-    replay reads: the command writes nothing."""
+    """Nothing to check a replay against, no key that a restore or a replay
+    reads, a key of another type or a malformed action: the command writes
+    nothing."""
     state_dir, _ = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
+    mistyped = {"actions-int": ("actions", 5), "params-list": ("params", [1]),
+                "seed_hex-list": ("seed_hex", [1])}
+    malformed = {"action-without-cmd": {"x": 1}, "action-int": 5,
+                 "init-without-type": {"cmd": "init"},
+                 "init-of-unknown-type": {**data["actions"][0], "type": "bogus"}}
     if damage == "legacy":                  # as written before checkpoints
         del data["head"]
     elif damage == "version-1":             # its head hashed every block
         data["version"] = 1
     elif damage.startswith("no-"):
         del data[damage[3:]]
+    elif damage in mistyped:
+        key, value = mistyped[damage]
+        data[key] = value
+    elif damage in malformed:
+        data["actions"][1] = malformed[damage]
     text = {"not-json": world_file.read_text()[:-1],
             "not-an-object": "[]"}.get(damage, json.dumps(data))
     world_file.write_text(text)

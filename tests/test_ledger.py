@@ -230,6 +230,105 @@ def test_signature_audit_flags_a_tampered_record():
     assert w.ledger.audit_signatures() != []
 
 
+def count_verifies(monkeypatch) -> list:
+    """Every real signature check, counted through the module attribute the
+    ledger looks up at call time."""
+    calls, real = [], signing.verify
+    monkeypatch.setattr(signing, "verify",
+                        lambda *args: (calls.append(1), real(*args))[1])
+    return calls
+
+
+def test_each_owner_signature_is_verified_once(monkeypatch):
+    w = WalletChain()
+    calls = count_verifies(monkeypatch)
+    for param in (1, 2, 3):
+        w.init(param)
+    w.ledger.mine_block()
+    assert [r.status for r in w.ledger.chain[-1].receipts] == ["ok"] * 3
+    assert len(calls) == 3
+    for _ in range(2):
+        assert w.ledger.audit_signatures() == []
+    assert len(calls) == 3
+
+
+def init_tx(w) -> Transaction:
+    """The owner's next init_op, unsigned."""
+    return Transaction(w.owner, {"fn": "init_op", "contract": w.cid,
+                                 "addr": "acct:bob", "param": 1,
+                                 "type": OpType.TRANSFER},
+                       nonce=w.ledger.next_nonce(w.owner))
+
+
+@pytest.mark.parametrize("signed, verifies", [(True, 1), (False, 2)])
+def test_a_reorg_reverifies_only_a_signature_that_failed(monkeypatch, signed,
+                                                         verifies):
+    """A reorg re-executes the orphaned init; a failed verify is not
+    remembered, so a bad signature is checked again."""
+    w = WalletChain()
+    calls = count_verifies(monkeypatch)
+    tx = init_tx(w)
+    tx.signature = w.kp.sign(tx.signing_bytes()) if signed else bytes(64)
+    w.ledger.submit(tx)
+    first = w.ledger.mine_block().receipts[0].status
+    assert first == ("ok" if signed else "revert:signature")
+    branch = w.ledger.fork(w.ledger.head.height - 1)
+    w.ledger.mine_block(branch=branch)
+    w.ledger.mine_block(branch=branch)
+    w.ledger.reorg(branch)
+    assert w.ledger.mempool == [tx]
+    assert w.ledger.mine_block().receipts[0].status == first
+    assert w.ledger.audit_signatures() == []
+    assert len(calls) == verifies
+
+
+@pytest.mark.parametrize("tamper", ["other-call", "other-key"])
+def test_signature_audit_flags_a_receipt_that_does_not_verify(tamper):
+    """A signature that verified for its own transaction proves nothing for
+    another call or another key."""
+    w = WalletChain()
+    w.init(1)
+    w.ledger.mine_block()
+    assert w.ledger.audit_signatures() == []
+    receipt = w.ledger.chain[-1].receipts[0]
+    if tamper == "other-call":
+        receipt.tx = Transaction(w.owner, {**receipt.tx.call, "param": 2},
+                                 nonce=receipt.nonce,
+                                 signature=receipt.tx.signature)
+    else:
+        receipt.tx.signature = signing.keygen(bytes([8]) * 32).sign(
+            receipt.tx.signing_bytes())
+    assert w.ledger.audit_signatures() == [
+        f"{receipt.txid}: signature does not verify"]
+
+
+def test_a_restored_ledger_verifies_every_archived_signature(monkeypatch):
+    w = WalletChain()
+    for param in (1, 2):
+        w.init(param)
+        w.ledger.mine_block()
+    text = w.ledger.checkpoint()
+    calls = count_verifies(monkeypatch)
+    restored, _ = Ledger.from_checkpoint(text)
+    assert restored.audit_signatures() == []
+    assert len(calls) == 2
+    # A signature swapped in the archive is bound by no digest; the audit of
+    # the restored ledger is what catches it.
+    doc = json.loads(text)
+    doc["blocks"][3][1][0][5] = bytes(64).hex()
+    forged, _ = Ledger.from_checkpoint(json.dumps(doc, separators=(",", ":")))
+    assert forged.state_hash() == w.ledger.state_hash()
+    assert len(forged.audit_signatures()) == 1
+
+
+def test_a_signature_that_is_not_bytes_reverts():
+    w = WalletChain()
+    tx = init_tx(w)
+    tx.signature = "00" * 64
+    w.ledger.submit(tx)
+    assert w.ledger.mine_block().receipts[0].status == "revert:signature"
+
+
 def test_canonical_tx_text_is_frozen():
     # The signable key=value rendering is a wire format; keep it pinned.
     tx = Transaction("acct:a", {"fn": "init_op", "contract": "cc",

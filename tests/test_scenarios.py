@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from otpwallet import scenarios
+from otpwallet import scenarios, signing
 from otpwallet.scenarios import SCENARIOS, run_all, run_scenario
 
 
@@ -74,3 +74,26 @@ def test_reports_are_pinned(seed):
     reports = {r.name: hashlib.sha256("\n".join(r.lines()).encode()).hexdigest()
                for r in run_all(seed)}
     assert reports == REPORTS
+
+
+# scenario -> distinct signature-bearing transactions it executes at seed 0,
+# the owner's and the adversary's.
+SIGNED_TXS = {
+    "depletion": 18, "dos-pending": 4, "fork-replay": 1, "theorem1": 2,
+    "theorem2": 8, "theorem3": 12, "theorem4": 1, "theorem5": 1,
+    "theorem6": 1,
+}
+
+
+def test_each_signature_is_verified_once(monkeypatch):
+    """The contract's check, a reorg's re-execution and the end-of-run
+    audit share one verify per signed transaction."""
+    calls, real = [], signing.verify
+    monkeypatch.setattr(signing, "verify",
+                        lambda *args: (calls.append(1), real(*args))[1])
+    verifies = {}
+    for name in sorted(SCENARIOS):
+        calls.clear()
+        assert run_scenario(name, seed=0).passed
+        verifies[name] = len(calls)
+    assert verifies == SIGNED_TXS
