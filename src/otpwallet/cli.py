@@ -19,10 +19,12 @@ genesis, which determinism makes bit-exact, and a replay that lands
 anywhere but the recorded state is an error. A replay that lands on it
 saves a fresh head, once, so only the first command after a damaged
 checkpoint replays. A `world.json` that does not parse, is not format
-version 2 or records no head is an error as well, because there is no
-state to check its replay against, and so is one that lacks a key the
-restore or the replay reads, holds one of another type, or logs an
-action that no command writes. The log doubles as an audit trail.
+version 3 or records no head is an error as well, because there is no
+state to check its replay against (a version-2 head hashes txids and
+block digests of an older encoding, which no replay reaches). So is one
+that lacks a key the restore or the replay reads, holds one of another
+type or a mode outside MODES, or logs an action that no command writes.
+The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` builds the parser of the command that argv names,
@@ -44,6 +46,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -75,7 +78,8 @@ SEED_ENV = "OTPWALLET_SEED"
 DEFAULT_STATE_DIR = ".otpwallet"
 DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
-WORLD_VERSION = 2
+WORLD_VERSION = 3
+MODES = ("secure", "insecure")
 # The keys of `world.json`, besides its version and head, that a restore or
 # a replay reads, and their types (a bool is not an int).
 WORLD_KEYS = {"actions": list, "funding": int, "hw_seed_hex": str,
@@ -121,6 +125,11 @@ def _malformed(action) -> str | None:
             return f"{cmd} needs {key} as {kind.__name__}"
     if cmd == "init" and action["type"] not in OP_TYPES:
         return f"unknown operation type {action['type']}"
+    if cmd == "confirm" and not re.fullmatch("(?:[0-9a-f]{2})*",
+                                             action["otp"]):
+        return f"otp {action['otp']!r} is not lowercase hex bytes"
+    if cmd == "rotate" and action["mode"] not in MODES:
+        return f"unknown mode {action['mode']}"
     return None
 
 
@@ -176,6 +185,9 @@ class World:
                 raise CliError("state", f"{path} holds {key} as "
                                         f"{type(data[key]).__name__}, not "
                                         f"{kind.__name__}")
+        if data["mode"] not in MODES:
+            raise CliError("state", f"{path} holds an unknown mode "
+                                    f"{data['mode']}")
         world = cls(state_dir, data)
         if not world.restore():
             world.replay()
@@ -472,7 +484,7 @@ def cmd_mnemonic(args) -> int:
 # parser must list every command.
 
 def _bootstrap_parser(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["secure", "insecure"], default="secure")
+    p.add_argument("--mode", choices=MODES, default="secure")
     p.add_argument("--params",
                    default=os.environ.get(PARAMS_ENV, DEFAULT_PARAMS_SPEC),
                    help="S,N,P,NS,LS (env OTPWALLET_PARAMS)")
@@ -512,7 +524,7 @@ def _subtree_parser(p: argparse.ArgumentParser) -> None:
 def _root_parser(p: argparse.ArgumentParser) -> None:
     rt_sub = p.add_subparsers(dest="root_command", required=True)
     q = rt_sub.add_parser("rotate", help="replace the parent root")
-    q.add_argument("--mode", choices=["secure", "insecure"], default="secure")
+    q.add_argument("--mode", choices=MODES, default="secure")
     q.set_defaults(fn=cmd_root_rotate)
     q = rt_sub.add_parser("show")
     q.set_defaults(fn=cmd_root_show)

@@ -22,44 +22,59 @@ the chain.
 Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
 
-Receipts are immutable after mining: no code changes a mined block's
-receipts, their transactions or those transactions' calls. Five caches
-rely on it. A `Transaction` builds its signed bytes and its txid once, a
-`Block` builds its `state_hash` line, its checkpoint entry and its digest
-on first use, a block restored from a checkpoint keeps the text it was
-read from, and the ledger remembers each (public key, signed bytes,
-signature) triple that verified on it. The contract's signature check,
-the re-execution of an orphaned transaction after a reorg and
-`audit_signatures` all go through that memo, so each signature is
-verified once per ledger. It is exact: a verify is a pure function of
-the whole triple, so any changed byte misses, and a failed verify is
-never stored. `from_checkpoint` starts it empty, so the signatures of a
-restored archive, which is untrusted input, are verified afresh.
+A call has one encoding, `encode_call`: JSON-ready data with sorted keys
+and a typed codec per argument, from the schema in CALL_ARGS. A
+transaction's signed bytes are the compact JSON text of [sender, nonce,
+fee, encoded call], and its txid hashes them, so the owner's signature and
+the txid cover the fee. `submit` reads the txid before it changes
+anything, so it refuses with `LedgerError` a call that has no encoding: no
+or an unknown function name, a key outside the schema or a value of
+another type. A call that lacks a key still encodes, and reverts as
+malformed on chain.
 
+Receipts are immutable after mining: no code changes a mined block's
+receipts, their transactions or those transactions' calls. Four caches
+rely on it. A `Transaction` builds its signed bytes and its txid once, a
+`Block` builds its entry and its digest on first use, a block restored
+from a checkpoint keeps the text it was read from, and the ledger
+remembers each (public key, signed bytes, signature) triple that verified
+on it. The contract's signature check, the re-execution of an orphaned
+transaction after a reorg and `audit_signatures` all go through that memo,
+so each signature is verified once per ledger. It is exact: a verify is a
+pure function of the whole triple, so any changed byte misses, and a
+failed verify is never stored. `from_checkpoint` starts it empty, so the
+signatures of a restored archive, which is untrusted input, are verified
+afresh.
+
+A block's entry is JSON text: its timestamp alone when it is empty, else
+[timestamp, rows] with one row per receipt, [signed text, status, result,
+signature], whose signed text is spliced in from the transaction's cache.
 Blocks are chained as headers are: a block's digest is H(parent digest ||
-its state line), with fixed bytes as the genesis block's parent digest.
-Mining computes no digest; the first read walks back to the newest block
-that has one. `state_hash` is H(head state lines || head digest), so it
-reads the head and the blocks mined since the last digest, not the chain.
+its entry), with fixed bytes as the genesis block's parent digest, so it
+covers every field of every receipt; the position in the chain fixes the
+height. Mining computes no digest; the first read walks back to the newest
+block that has one. `state_hash` is H(head state lines || head digest), so
+it reads the head and the blocks mined since the last digest, not the
+chain.
 
 `checkpoint` writes JSON text: a `head` object (the head state, height,
 timestamp and digest, and the canonical txid -> height index) and then a
-`blocks` array with every canonical block's receipts, each call encoded by
-the same typed schema that `_dispatch` checks. It joins the blocks' cached
-entries, so a chain that grew by a few blocks since its last checkpoint
-encodes only those. `from_checkpoint` reads that layout only: it parses
-the head object alone and keeps the blocks array as unparsed text, the
-archive, and raises `LedgerError` for any other text. The canonical branch
-then starts at a base block, the restored head, with its state and its
-stored digest; its receipts stay in the archive. Head state, submission,
-mining, `confirmations`, `state_hash` and `checkpoint` never decode the
-archive. Reading `chain`, `event_log` or `audit_signatures`, looking up a
-receipt at or below the base, or forking decodes it once: every txid is
-recomputed from its decoded call, the base's receipts are filled in, the
-older blocks are prepended to the branches, and it raises `LedgerError`
-unless the recomputed base digest and txid index equal the stored ones.
-Blocks below the base carry no state, so the restored ledger cannot fork
-below its head.
+`blocks` array with every canonical block's entry. It joins the blocks'
+cached entries, so a chain that grew by a few blocks since its last
+checkpoint encodes only those. `from_checkpoint` reads that layout only: it
+parses the head object alone and keeps the blocks array as unparsed text,
+the archive, and raises `LedgerError` for any other text. The canonical
+branch then starts at a base block, the restored head, with its state and
+its stored digest; its receipts stay in the archive. Head state,
+submission, mining, `confirmations`, `state_hash` and `checkpoint` never
+decode the archive. Reading `chain`, `event_log` or `audit_signatures`,
+looking up a receipt at or below the base, or forking decodes it once:
+every entry is re-encoded from its decoded rows, the base's receipts are
+filled in, the older blocks are prepended to the branches, and it raises
+`LedgerError` unless the digests of the re-encoded entries chain to the
+stored base digest and the recomputed txids index as stored. An edit to
+any field of a row therefore fails the decode. Blocks below the base carry
+no state, so the restored ledger cannot fork below its head.
 """
 
 from __future__ import annotations
@@ -81,8 +96,9 @@ MAIN = "main"
 SIGNED_CALLS = {"init_op", "new_root_stage1", "new_root_stage2"}
 
 # Call name -> (argument key, type) pairs, in the order the handler takes
-# them. A call lacking a key, or holding a value of another type (a bool is
-# not an int), reverts as malformed; a name not listed reverts on phase.
+# them. `submit` refuses a name not listed, a key not listed besides "fn" and
+# "contract", or a value of another type (a bool is not an int); a call
+# lacking a key reverts as malformed.
 CALL_ARGS = {
     "transfer": (("to", str), ("amount", int)),
     "deploy_wallet": (("root", bytes), ("pk", bytes),
@@ -115,24 +131,6 @@ class LedgerError(Exception):
     pass
 
 
-def canon_value(v) -> str:
-    if isinstance(v, (bytes, bytearray)):
-        return bytes(v).hex()
-    if isinstance(v, MerkleProof):
-        return ":".join(s.hex() for s in v.siblings)
-    if isinstance(v, SubtreeLayer):
-        return f"{v.index};" + ":".join(n.hex() for n in v.nodes)
-    if isinstance(v, OpType):
-        return v.value
-    if isinstance(v, TreeParams):
-        return ",".join(f"{k}={val}" for k, val in sorted(v.as_dict().items()))
-    return str(v)
-
-
-def canon_args(args: dict) -> str:
-    return " ".join(f"{k}={canon_value(args[k])}" for k in sorted(args))
-
-
 def payload_size(call: dict) -> int:
     """Semantic payload bytes: 4-byte selector plus sized arguments.
 
@@ -144,15 +142,13 @@ def payload_size(call: dict) -> int:
     for key, v in call.items():
         if key == "fn":
             continue
-        if isinstance(v, (bytes, bytearray)):
+        if isinstance(v, bytes):
             size += len(v)
         elif isinstance(v, MerkleProof):
             size += sum(len(s) for s in v.siblings)
         elif isinstance(v, SubtreeLayer):
             size += sum(len(n) for n in v.nodes) + 4
         elif isinstance(v, OpType):
-            size += 1
-        elif isinstance(v, bool):
             size += 1
         elif isinstance(v, int):
             size += 4
@@ -178,15 +174,18 @@ class Transaction:
     def fn(self) -> str:
         return self.call["fn"]
 
-    # Both computed once: the sender, nonce and call are never changed after
-    # construction.
+    # Both computed once: the sender, nonce, fee and call are never changed
+    # after construction.
 
     def signing_bytes(self) -> bytes:
+        """[sender, nonce, fee, encoded call] as compact JSON text;
+        LedgerError for a call that does not encode."""
         if self._signing is None:
-            self._signing = (
-                f"{self.sender}|{self.nonce}|{self.fn}|"
-                f"{canon_args({k: v for k, v in self.call.items() if k != 'fn'})}"
-            ).encode()
+            try:
+                self._signing = _to_json([self.sender, self.nonce, self.fee,
+                                          encode_call(self.call)]).encode()
+            except (AttributeError, TypeError) as exc:
+                raise LedgerError(f"the call does not encode: {exc}") from exc
         return self._signing
 
     @property
@@ -199,10 +198,7 @@ class Transaction:
 @dataclass
 class TxReceipt:
     txid: str
-    sender: str
-    nonce: int
     fn: str
-    fee: int
     status: str                     # ok | revert:<category> | invalid-nonce
     result: str = ""
     trace: CallTrace | None = None
@@ -225,8 +221,6 @@ class Block:
     # Built on first use; a restored head's `_chain_text` is the checkpoint
     # text of the blocks from genesis up to it, as read back, and its
     # `_digest` is the one stored with it.
-    _line: str | None = field(default=None, init=False, repr=False,
-                              compare=False)
     _entry: str | None = field(default=None, init=False, repr=False,
                                compare=False)
     _chain_text: str | None = field(default=None, init=False, repr=False,
@@ -234,24 +228,20 @@ class Block:
     _digest: bytes | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
-    def state_line(self) -> str:
-        """The block's line of `Ledger.state_hash`."""
-        line = self._line
-        if line is None:
-            line = self._line = f"blk {self.height} {self.timestamp} " + (
-                ",".join([r.txid + ":" + r.status for r in self.receipts])
-                if self.receipts else "")
-        return line
-
     def entry(self) -> str:
-        """The block's checkpoint entry as JSON text: its timestamp alone
-        when empty, else the timestamp and each receipt with its call."""
+        """The block's checkpoint entry and digest input as JSON text: its
+        timestamp alone when empty, else the timestamp and one row per
+        receipt, [signed text, status, result, signature]. A signature that
+        is not bytes is written as null: the contract treats it as none."""
         if self._entry is None:
-            self._entry = _to_json([self.timestamp, [
-                [r.sender, r.nonce, r.fee, r.status, r.result,
-                 None if r.tx.signature is None else r.tx.signature.hex(),
-                 encode_call(r.tx.call)] for r in self.receipts]]
-            ) if self.receipts else str(self.timestamp)
+            rows = ",".join([
+                f"[{r.tx.signing_bytes().decode()},{_to_json(r.status)},"
+                f"{_to_json(r.result)}," + (_to_json(r.tx.signature.hex())
+                                            if type(r.tx.signature) is bytes
+                                            else "null") + "]"
+                for r in self.receipts])
+            self._entry = (f"[{self.timestamp},[{rows}]]" if self.receipts
+                           else str(self.timestamp))
         return self._entry
 
 
@@ -287,9 +277,11 @@ def _schema_of(call: dict) -> dict:
 
 
 def encode_call(call: dict) -> dict:
-    """A call of the schema as JSON-ready data; LedgerError for any other."""
+    """A call of the schema as JSON-ready data with sorted keys; LedgerError
+    for any other."""
     schema, data = _schema_of(call), {}
-    for key, value in call.items():
+    for key in sorted(call):
+        value = call[key]
         if type(value) is not schema[key]:
             raise LedgerError(f"{key} is not a {schema[key].__name__}")
         data[key] = _CODECS[schema[key]][0](value)
@@ -328,11 +320,10 @@ def _decode_block(height: int, entry) -> Block:
     recomputed from its decoded transaction."""
     timestamp, rows = (entry, []) if type(entry) is int else entry
     receipts = []
-    for sender, nonce, fee, status, result, sig, call in rows:
+    for (sender, nonce, fee, call), status, result, sig in rows:
         tx = Transaction(sender, decode_call(call), fee,
                          None if sig is None else bytes.fromhex(sig), nonce)
-        receipts.append(TxReceipt(tx.txid, sender, nonce, tx.fn, fee, status,
-                                  result, tx=tx))
+        receipts.append(TxReceipt(tx.txid, tx.fn, status, result, tx=tx))
     return Block(height, timestamp, receipts, None)
 
 
@@ -386,8 +377,7 @@ class Ledger:
     # -- submission --------------------------------------------------------------
 
     def submit(self, tx: Transaction) -> str:
-        if "fn" not in tx.call:
-            raise LedgerError(f"call without a function name from {tx.sender}")
+        txid = tx.txid          # LedgerError for a call that does not encode
         expected = self.head.state.nonces.get(tx.sender, 0)
         pending = sum(1 for t in self.mempool if t.sender == tx.sender)
         if tx.nonce < expected:
@@ -407,7 +397,7 @@ class Ledger:
                     obs(tx)
             finally:
                 self._in_observer = False
-        return tx.txid
+        return txid
 
     def next_nonce(self, sender: str) -> int:
         mined = self.head.state.nonces.get(sender, 0)
@@ -442,8 +432,7 @@ class Ledger:
                  timestamp: int) -> TxReceipt:
         expected = state.nonces.get(tx.sender, 0)
         if tx.nonce != expected:
-            return TxReceipt(tx.txid, tx.sender, tx.nonce, tx.fn, tx.fee,
-                             "invalid-nonce", tx=tx)
+            return TxReceipt(tx.txid, tx.fn, "invalid-nonce", tx=tx)
         state.nonces[tx.sender] = expected + 1
 
         # The call runs on copies of the two maps and of the one contract it
@@ -452,24 +441,20 @@ class Ledger:
         accounts, contracts = state.accounts, state.contracts
         state.accounts, state.contracts = dict(accounts), dict(contracts)
         cid = tx.call.get("contract")
-        if type(cid) is str and cid in contracts:
+        if cid in contracts:
             state.contracts[cid] = contracts[cid].snapshot()
         trace = CallTrace(tx.fn, payload_bytes=payload_size(tx.call))
         try:
             result = self._dispatch(tx, state, timestamp, trace)
-            return TxReceipt(tx.txid, tx.sender, tx.nonce, tx.fn, tx.fee,
-                             "ok", result=result, trace=trace, tx=tx)
+            return TxReceipt(tx.txid, tx.fn, "ok", result, trace, tx=tx)
         except Revert as exc:
             state.accounts, state.contracts = accounts, contracts
-            return TxReceipt(tx.txid, tx.sender, tx.nonce, tx.fn, tx.fee,
-                             f"revert:{exc.category}", result=str(exc),
-                             trace=trace, tx=tx)
+            return TxReceipt(tx.txid, tx.fn, f"revert:{exc.category}",
+                             str(exc), trace, tx=tx)
 
     def _dispatch(self, tx: Transaction, state: LedgerState, timestamp: int,
                   trace: CallTrace) -> str:
         call, fn = tx.call, tx.fn
-        if fn not in CALL_ARGS:
-            raise Revert("phase", f"unknown function {fn}")
         args = []
         for key, kind in CALL_ARGS[fn]:
             value = call.get(key)
@@ -505,7 +490,7 @@ class Ledger:
             return contract.contract_id
 
         cid = call.get("contract")
-        contract = state.contracts.get(cid) if type(cid) is str else None
+        contract = state.contracts.get(cid)
         if contract is None:
             raise Revert("phase", f"no contract {cid}")
         # Looked up at call time, so wrappers set on the class apply.
@@ -667,7 +652,7 @@ class Ledger:
             for r in blk.receipts:
                 lines.append(
                     f"block={blk.height} ts={blk.timestamp} tx={r.txid} "
-                    f"sender={r.sender[:8]} fn={r.fn} fee={r.fee} "
+                    f"sender={r.tx.sender[:8]} fn={r.fn} fee={r.tx.fee} "
                     f"status={r.status} result={r.result}")
         return lines
 
@@ -683,7 +668,7 @@ class Ledger:
         digest = chain[i - 1]._digest if i else GENESIS_PARENT
         for blk in chain[i:]:
             digest = blk._digest = truncated_hash(
-                digest + blk.state_line().encode())
+                digest + blk.entry().encode())
         return digest
 
     def state_hash(self) -> str:

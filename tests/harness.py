@@ -93,22 +93,21 @@ def reference_chain(ledger) -> list:
     for height, entry in enumerate(json.loads(f"[{chain[0]._chain_text}]")):
         timestamp, rows = (entry, []) if isinstance(entry, int) else entry
         receipts = []
-        for sender, nonce, fee, status, result, sig, call in rows:
+        for (sender, nonce, fee, call), status, result, sig in rows:
             tx = Transaction(sender, decode_call(call), fee,
                              None if sig is None else bytes.fromhex(sig), nonce)
-            receipts.append(TxReceipt(tx.txid, sender, nonce, tx.fn, fee,
-                                      status, result, tx=tx))
+            receipts.append(TxReceipt(tx.txid, tx.fn, status, result, tx=tx))
         archived.append(Block(height, timestamp, receipts, None))
     return archived + chain[1:]
 
 
 def reference_digest(ledger) -> bytes:
-    """The head block's chained digest, hashed from genesis."""
+    """The head block's chained digest, hashed from genesis over each
+    block's entry."""
     digest = bytes(16)
-    for blk in reference_chain(ledger):
-        line = f"blk {blk.height} {blk.timestamp} " + ",".join(
-            r.txid + ":" + r.status for r in blk.receipts)
-        digest = truncated_hash(digest + line.encode())
+    for entry in reference_blocks(ledger):
+        text = json.dumps(entry, separators=(",", ":"), sort_keys=True)
+        digest = truncated_hash(digest + text.encode())
     return digest
 
 
@@ -127,9 +126,10 @@ def reference_state_hash(ledger) -> str:
 def reference_blocks(ledger) -> list:
     """The checkpoint entry of every canonical block, encoded from scratch."""
     return [[blk.timestamp, [
-        [r.sender, r.nonce, r.fee, r.status, r.result,
-         None if r.tx.signature is None else r.tx.signature.hex(),
-         encode_call(r.tx.call)] for r in blk.receipts]]
+        [[r.tx.sender, r.tx.nonce, r.tx.fee, encode_call(r.tx.call)],
+         r.status, r.result,
+         r.tx.signature.hex() if isinstance(r.tx.signature, bytes) else None]
+        for r in blk.receipts]]
         if blk.receipts else blk.timestamp for blk in reference_chain(ledger)]
 
 

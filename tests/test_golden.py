@@ -16,84 +16,84 @@ from otpwallet import scenarios
 # seed -> scenario -> (state_hash, sha256 of "\n".join(event_log))
 GOLDEN = {
     0: {
-        "depletion": ("a95672460023573be911b23a66e9806b",
-                      "2e8485eddfd0d312b18f08e45e312325c11d09e2e4b35d588389c254611916fa"),
-        "dos-pending": ("ff347b66a2fb9dd19f117ff038563a38",
-                        "f16f2aa96fe63396234f7642c2fac075bb5c9be47556904bd03f579361bbaaa3"),
-        "fork-replay": ("b4a125c3f38202f9addf633b63ea0ac8",
-                        "f8ff65b35e01fa655bddeff64cfb68c3507b26fe790f761b0bd136541f1e7cda"),
-        "theorem1": ("27a9231de71e14866296f6f925887e45",
-                     "68b128af649f73d290b37544259f0d0a4f5f9cb99dcfef4b36daa6ce52ed4e49"),
-        "theorem2": ("f6a700e208768c81fa990937cad82ecc",
-                     "168415f7caddf818831177667b1d416949ec7695a8ccc6bc300fc1ee09a8dc33"),
-        "theorem3": ("f8d227980a0ea79c11281018317d6800",
-                     "828707bc4a2e97783ba8bae516226fe9a24e02fc96b4e4e681aa9f2707d7d3c3"),
-        "theorem4": ("f78c7a144d9a77924d4a9611b82f0c1f",
-                     "723cc172402288d3f279e63d8fa8f7e2b6a6a1615caca03b8b11ed2174a5fe4d"),
-        "theorem5": ("3fb738b77ed20e50627299c05a0dbe90",
-                     "50e6b807ca5b34a7781a7dd7a4cac6adc598f799f433d68083bbba1b3205c3c4"),
-        "theorem6": ("cbf6ee6c68e1b01c7db17b050d3bd63e",
-                     "e7a4e89bf6edde9c3297bcf962b862dcb4d95584eddd7da593ee6a52c75db94e"),
+        "depletion": ("19c0edbd3730baf9d0fa0bd8f36be016",
+                      "0a43f72b33bbde89534e5770143504f2e01bc2e3cb72d45b03135bb338f918b3"),
+        "dos-pending": ("1c9473b228d763e74349b0846fe223ff",
+                        "36cfdb6126ea6b8b0bc861cf750e25ffd708514daf2837daf73070767662e25d"),
+        "fork-replay": ("492974b070812eaf68c7cdcf2b263025",
+                        "4f277223c396ca367d25c12d5b1ae92ecfd24c5dab8ac9b5376a0f27faf83a4f"),
+        "theorem1": ("e5bec95f8a4da6853b2c382af75cf418",
+                     "9d8c0842cd793ed0a51cf8ea6ee6cd1510a229efd7a261712cc931830f6bcab1"),
+        "theorem2": ("86270ec829c455ed9340b314d48619d3",
+                     "c100841704d7aa7d756b4dcbe4207d79736f9648d4d12b312129b65d0019928f"),
+        "theorem3": ("27856ac8adb2576925dccfc751d5fd39",
+                     "7826da949a209a406ade1cce08a5a1b7dc63339b2f67013f5457de566b4d8baa"),
+        "theorem4": ("6054345a5a6931cbbd572774d0572384",
+                     "5b23dd479ad72fc8fd8faf038061992c0671a9926701a9878fd4ba760e650a35"),
+        "theorem5": ("8ab897f4787abe82324fa7eaf17bb77a",
+                     "598b4bc2814c7d0cd945d15c89976f0f6c77930a6963a040c6d90e659cecf759"),
+        "theorem6": ("d9b0b377702aef1797a0731d693797ee",
+                     "2f213dfe787c44fa8651c2c5a6ac0a4b3c042d058ff8fad94f16a2e3e15f4171"),
     },
     1: {
-        "depletion": ("fb8bd9c78f981a19abae45c3ff824f74",
-                      "c602d81bb88ad5c0c7ab090f7be96395ad8f9ab55e2a68841cefa122102b601d"),
-        "dos-pending": ("e50442b11afa9668716cafb02122bb25",
-                        "dcd891e0fddf62b056beef26885e3b60d93f111c3feb48acc5506fc95a3ab296"),
-        "fork-replay": ("2c4f470247dc2b6646639afc1bacac3f",
-                        "f784af598b0a6f2161c169416f366d4911c61d3cbb09850b51dc42dbe0b18679"),
-        "theorem1": ("6d2bc7871a6f81a579717f72dce8eb1c",
-                     "768ae5bf79387fff0bdd7de67c0494d7ef0599a9bcff8cd209251d6cdc7f3d14"),
-        "theorem2": ("cb8c37ec9eee7eb9d718d5ea7ce739c8",
-                     "625695364ea89ea3f2bf95d11dae62d6cdff3e74afba1c7f98f50fba543e69df"),
-        "theorem3": ("87b03d7998c0bfe61f9b094ca95afc43",
-                     "21dc11ccd8e700db02541751f0c6acd47582365984f93fb977cf4d19f9621a09"),
-        "theorem4": ("add09f4749e470a504e5677c92916352",
-                     "e141e70394f71930087eacc260fab8aaeb1498bec0073edebc4d80fcf62d6830"),
-        "theorem5": ("417ce9560503699ddf546ca3a9926e05",
-                     "5f4b1ec370f6c92c4b0e6119b2068ed53eb525addc9cab9f03123ff6ec4d0bd2"),
-        "theorem6": ("9bbe9b6420750acca367faa6d6e04e20",
-                     "ca4eb658c3a92c22c046b6fe91c63d8c90a6f0546f33876c97689a01b28f0890"),
+        "depletion": ("430a3167deb0e62437b5a147ef39eaeb",
+                      "4e0eaa9ff369a18170dabbf5c2af1ee6020bd015ced588a0683143a16b89dc5d"),
+        "dos-pending": ("fc34d1f140a0584fd04f74c848c240df",
+                        "64be79ac3ad4e30be169422422b1374921cb3ce87c017647b46facec42a38141"),
+        "fork-replay": ("0a89d82f9b1c020f5f290b41f45744da",
+                        "472ee9186b1aa2c81c0f32ed814d8134b7328fa6982515e00016a33915280bf5"),
+        "theorem1": ("3beab6e5145a7b5f954e951e9dc2b761",
+                     "9d5132506658fe9ef73d86f0e273ec4046bd29632eb53b25c958bede6e1c9479"),
+        "theorem2": ("c6ad4af225cc1725c8d09a7ae9c20748",
+                     "1f919d1005484723cb9b37e64b73e8b2780263430c3185d48cd1bc3235f7946f"),
+        "theorem3": ("4852b120ffa41e0bf2a3b76137995216",
+                     "809ca7ae119d87459602d051b684932a521ce7ca05549e062f59102ce89e1068"),
+        "theorem4": ("8caa73e18c3d627cd0479242e990ff06",
+                     "6c8d2acc3ee892c72a9ac10d3476258454066f376b3f01fd93ec368d2a7e386f"),
+        "theorem5": ("49ccbe7dbb6020ffe697227462738b99",
+                     "90e9f45fa5b2d1c033423f0edf6a6801dadc54d699519f805feda7c87b686141"),
+        "theorem6": ("da6c207a08fef01074b9dbfa3c91ff89",
+                     "d898bd9d1fe2e2c31802dc77f09f676a615a0fbe94be1ea1032c62b30fc14943"),
     },
     2: {
-        "depletion": ("97c105a4d05fbc7d4c67f4d0c05b9ca5",
-                      "3ae99a8250a093f0de2fab5f5af158cafdd9f9e58d3ec1ea62ef171689f60a7c"),
-        "dos-pending": ("7151fcd59a780be5e780508e98899a27",
-                        "9f42692d352d3150f0ec20e2f6b4b2c8ed9bb92de6a42b762779c104437fe8e3"),
-        "fork-replay": ("0d94832e93a4544edd283dd6c1f796f4",
-                        "8f0d1c5916ad6b45c52a9ac9b4d63d8fcd15d18c3e1a35981c2819b14a3a3706"),
-        "theorem1": ("d044fc3845d36a747f933e38c9b1b670",
-                     "dd6bb69710185db5cf8fc0c49fd67613028f85d39e55494d5993dd6d6aa4b99e"),
-        "theorem2": ("95713201ad5b8dd5b5c6814b7c10a872",
-                     "ef9fdd6d63e25befc525ad01a6fb5b76cbdefc15f824d0644bd82f5648312391"),
-        "theorem3": ("e54bae123a3e1fc50da3a9f88f88cb23",
-                     "e0f0943b8003b4c9d83b7ac93f44245c52ccbfe85d235c8617dbed82a89a552b"),
-        "theorem4": ("bffed3574e1d33a2cd7e8bccbc904865",
-                     "ffbcf596f0cf371ef3a4649e6c2d6140c050cba392abdc18c54a5afb4272a381"),
-        "theorem5": ("ef459ce8811e1e47056794de9b0b37db",
-                     "a0748fab334061d54d9035fbcdeddb452d94475d216b5018b3d1dfa6c4b37ef3"),
-        "theorem6": ("ce48bc253370ecedb1415b8fc9417f0e",
-                     "914c717cfed51681b22584f1e1b031782fdd4306c38bbe1cf35cd8b2f9d43584"),
+        "depletion": ("bee64484cc82435c6731ab0958af00a3",
+                      "abcd11eb7dc7a2f5a1f355caf7cf2ab69b3b469e5ad1c1789ea78b70a50059d9"),
+        "dos-pending": ("43c4448ea9f02d71f61e0c274f6414b4",
+                        "7c60de93ca208415767abfb1d8f91889edfb392753b8eb5961aab3de10041b3e"),
+        "fork-replay": ("38e2c104814ba570c3b9fa71f0440546",
+                        "8b4c32aba59efc1a6c9471b9a58d7763fdcf2e694570f04a25ba94ad410abbd4"),
+        "theorem1": ("9e657ae0a14ad794b8aaeb3f2c7c45e9",
+                     "2c1bb267f1bc42240d77fea7f2d800f87b30066e4968d47d85bb8351a0738a40"),
+        "theorem2": ("157a3978e2ccd8abe8c74cab24266f47",
+                     "0759485e9e19e58c65c563d8643c6acab7983f3b51534f6d6a6940dbb4d05e33"),
+        "theorem3": ("34c15428bd7dd756413956429d9a313b",
+                     "b5a3fdfadf2f610aeb20b798c9e3283daae640f030f0d3991ee3a0d0787775d6"),
+        "theorem4": ("57f03c1fa67f22c8174ca8b14131a432",
+                     "3fe09787f36c84c6caf6763791a0ce01b006f832d59925a392fd26606e8e0bdc"),
+        "theorem5": ("f35ab007df82a81364ae826b34e528c6",
+                     "20d4abca9fe99b3b859ed44ef58f43c4204f90420a2825ea5abbbc33eb23ce26"),
+        "theorem6": ("a816655fe22ecaa07be712698aaf375c",
+                     "85cd2a0eb99f7c5f6cd59bb07caa95c025442edad31bcceb2f9c23862a28f800"),
     },
     3: {
-        "depletion": ("8a1330550bdb54a110d81d3d02d00edc",
-                      "829f4aec566dddc8fba910a6ef4f6d2b121a36de4dbe11e860d485538872b0ec"),
-        "dos-pending": ("0bbe2bfa994d091f1ea956bbf60ee27c",
-                        "0cbcd36a1bca5493e3183dad7b1843d9ba923e0b3f4244ae5f3f563e20a7d430"),
-        "fork-replay": ("d7c9fde9a8b2c24a53564553b18b2ff0",
-                        "c81169d7ef4ca817ed1abf9c8d12a68e8aaa15830cf7315dc59965c92c766bac"),
-        "theorem1": ("e70475636394f2e5ab89a921513ee068",
-                     "ebda232b1bb5ee278cd12fc0d55ed4312050d11987267c8886a71eb024475065"),
-        "theorem2": ("e8afac38f14f382f9c17f8a734cef7cb",
-                     "31944f1bcfb59797ce02eb165db8bb964e6e15aaed28cf43069431b2ea7e076a"),
-        "theorem3": ("e224b0e5a2e7b92bc0f28b84992f2efa",
-                     "c1e8aeeccda059234deea4fec9b9a85bcbc6d0c918d4a8be5d733c1d43ba9d52"),
-        "theorem4": ("c412eab1f6bec78ac074b1c7e92e7643",
-                     "4aaa68560bf3094d1289ea5e7184bf1da72846cdf52d8996fa50e419d0378c2e"),
-        "theorem5": ("bb065d3b0af0cf9e1edaab3225d1596b",
-                     "7b85264a2ec9dd8dc56c896bb621cdd4a35233dbf030ccfa42d5860fc2153085"),
-        "theorem6": ("b1f14d329241344fe6e2a2368c5f4bc6",
-                     "c70201c12ae2a1802305d78b41a05e6e412efe1f6e243b0abcfce561c91aafae"),
+        "depletion": ("158a90369a964235adb6934fddbcd4c4",
+                      "74a4c3523ca5ae1e9d7be2518343d7dee5d59ad34f43ad34ca8bf28513f646a2"),
+        "dos-pending": ("6bb76675ed4bfbabd660e85d3ab1c8fa",
+                        "f0831acfee5910418b31550a9c243a9db1d1ef5e8a5e46e5e22d11acecce6071"),
+        "fork-replay": ("47c0e0bd30cb2d51c72c2d9d4ee29a13",
+                        "b780265e447293edb6b88b10864a7ba55e66905850f4947f5e98faa8861fd3a2"),
+        "theorem1": ("312ae71ce9f5ad11e32a913237dd0b65",
+                     "fb0bdf38f380ebd9916a57ea3ccd47b87c02765184234faec144d690b01fe655"),
+        "theorem2": ("6334a065fe6ab554ee8a79a8e1699c03",
+                     "7e81098f7d9528a5000660e6d51317030bbdd47064f9fff18789e3191269ec1b"),
+        "theorem3": ("375ee0ff354c365c8d5c7107747b6f92",
+                     "ea83586a4d7e1b9d350f571854b7ab77bf2dfa1966982f55175d9b7714c6f75e"),
+        "theorem4": ("9e12e897edb7adba2c5327655a1ff170",
+                     "7714667288094737d88fb7d23555800c1b9947f4c9950351ed2546a10924a245"),
+        "theorem5": ("81113a2ec858a54c21c8a54688120c11",
+                     "8f2483537bb57fd8dbdad51a2b7711f4ef939879e27dd1e3ef4a2f07db0a1b05"),
+        "theorem6": ("938d4d952e85a8767c8d3bf18ec95729",
+                     "34db41e742c6090fc992ee406baeafb645f1c2d262fa154ee75b1408a244dc29"),
     },
 }
 

@@ -4,12 +4,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otpwallet import signing
 from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
 from otpwallet.contract import OpType
 from otpwallet.ledger import (
+    CALL_ARGS,
     Ledger,
     LedgerError,
     Transaction,
@@ -76,7 +79,7 @@ def test_fee_priority_orders_conflicting_transactions(ledger):
                               fee=9, nonce=0))
     ledger.accounts["a"] = 100
     blk = ledger.mine_block()
-    assert [r.sender for r in blk.receipts] == ["adv", "a"]
+    assert [r.tx.sender for r in blk.receipts] == ["adv", "a"]
     assert blk.receipts[0].status == "ok"
 
 
@@ -84,7 +87,7 @@ def test_tie_breaks_by_submission_order(ledger):
     ledger.submit(pay("a", "x", 1, 5, 0))
     ledger.submit(pay("b", "x", 1, 5, 0))
     blk = ledger.mine_block()
-    assert [r.sender for r in blk.receipts] == ["a", "b"]
+    assert [r.tx.sender for r in blk.receipts] == ["a", "b"]
 
 
 def test_empty_mempool_mines_empty_block(ledger):
@@ -196,7 +199,7 @@ def test_observer_sees_submissions_and_can_front_run(ledger):
     ledger.submit(pay("a", "y", 1, 1, 0))
     blk = ledger.mine_block()
     assert len(seen) == 1                        # no recursive observation
-    assert [r.sender for r in blk.receipts] == ["adv", "a"]
+    assert [r.tx.sender for r in blk.receipts] == ["adv", "a"]
 
 
 def test_deterministic_replay_produces_identical_state_hash():
@@ -293,7 +296,7 @@ def test_signature_audit_flags_a_receipt_that_does_not_verify(tamper):
     receipt = w.ledger.chain[-1].receipts[0]
     if tamper == "other-call":
         receipt.tx = Transaction(w.owner, {**receipt.tx.call, "param": 2},
-                                 nonce=receipt.nonce,
+                                 nonce=receipt.tx.nonce,
                                  signature=receipt.tx.signature)
     else:
         receipt.tx.signature = signing.keygen(bytes([8]) * 32).sign(
@@ -312,13 +315,15 @@ def test_a_restored_ledger_verifies_every_archived_signature(monkeypatch):
     restored, _ = Ledger.from_checkpoint(text)
     assert restored.audit_signatures() == []
     assert len(calls) == 2
-    # A signature swapped in the archive is bound by no digest; the audit of
-    # the restored ledger is what catches it.
+    # A signature swapped in the archive changes its block's digest, so the
+    # archive no longer decodes.
     doc = json.loads(text)
-    doc["blocks"][3][1][0][5] = bytes(64).hex()
+    doc["blocks"][3][1][0][3] = bytes(64).hex()
     forged, _ = Ledger.from_checkpoint(json.dumps(doc, separators=(",", ":")))
     assert forged.state_hash() == w.ledger.state_hash()
-    assert len(forged.audit_signatures()) == 1
+    with pytest.raises(LedgerError):
+        forged.audit_signatures()
+    assert len(calls) == 2
 
 
 def test_a_signature_that_is_not_bytes_reverts():
@@ -330,13 +335,38 @@ def test_a_signature_that_is_not_bytes_reverts():
 
 
 def test_canonical_tx_text_is_frozen():
-    # The signable key=value rendering is a wire format; keep it pinned.
+    # The signed text is a wire format; keep it pinned.
     tx = Transaction("acct:a", {"fn": "init_op", "contract": "cc",
                                 "addr": "acct:b", "param": 7,
                                 "type": OpType.TRANSFER},
                      fee=2, nonce=1)
-    assert tx.signing_bytes() == \
-        b"acct:a|1|init_op|addr=acct:b contract=cc param=7 type=transfer"
+    assert tx.signing_bytes() == (
+        b'["acct:a",1,2,{"addr":"acct:b","contract":"cc","fn":"init_op",'
+        b'"param":7,"type":"transfer"}]')
+
+
+def test_calls_that_differ_only_in_key_order_share_a_txid():
+    call = {"fn": "init_op", "contract": "cc", "addr": "acct:b", "param": 7,
+            "type": OpType.TRANSFER}
+    reordered = dict(reversed(call.items()))
+    assert list(reordered) != list(call)
+    txs = [Transaction("acct:a", c, fee=2, nonce=1) for c in (call, reordered)]
+    assert txs[0].signing_bytes() == txs[1].signing_bytes()
+    assert txs[0].txid == txs[1].txid
+    assert Transaction("acct:a", call, fee=3, nonce=1).txid != txs[0].txid
+
+
+def test_a_signed_init_repriced_after_signing_reverts():
+    """The fee is signed: a relay that raises it voids the signature."""
+    w = WalletChain()
+    signed = init_tx(w)
+    signed.fee = 1
+    signed.signature = w.kp.sign(signed.signing_bytes())
+    repriced = Transaction(signed.sender, signed.call, 60, signed.signature,
+                           signed.nonce)
+    assert repriced.txid != signed.txid
+    w.ledger.submit(repriced)
+    assert w.ledger.mine_block().receipts[0].status == "revert:signature"
 
 
 # -- history isolation: blocks share state but never see later changes -------
@@ -477,14 +507,17 @@ def test_signed_bytes_are_built_once_per_transaction(monkeypatch):
 
     w = WalletChain()
     calls = []
-    real = ledger_mod.canon_args
-    monkeypatch.setattr(ledger_mod, "canon_args",
-                        lambda args: (calls.append(1), real(args))[1])
-    # Signed, hashed into the txid, handed to the contract, audited.
+    real = ledger_mod.encode_call
+    monkeypatch.setattr(ledger_mod, "encode_call",
+                        lambda call: (calls.append(1), real(call))[1])
+    # Signed, hashed into the txid, handed to the contract, audited, hashed
+    # into the block digest and written to a checkpoint.
     w.init(1)
     w.ledger.mine_block()
     assert w.ledger.chain[-1].receipts[0].status == "ok"
     assert w.ledger.audit_signatures() == []
+    w.ledger.state_hash()
+    w.ledger.checkpoint()
     assert len(calls) == 1
 
 
@@ -556,11 +589,19 @@ def test_decoding_an_archive_checks_its_digest_and_index(ledger):
         change(bad)
         return Ledger.from_checkpoint(json.dumps(bad, separators=(",", ":")))[0]
 
+    def row(d):
+        return d["blocks"][1][1][0]
+
     for change in (
         lambda d: d["head"]["index"].pop(txids[1]),
         lambda d: d["head"]["index"].update(f00d=1),
-        lambda d: d["blocks"][1][1][0][6].update(amount=6),     # a call
-        lambda d: d["blocks"][1][1][0].__setitem__(3, "revert:funds"),
+        lambda d: row(d)[0].__setitem__(0, "adv"),              # sender
+        lambda d: row(d)[0].__setitem__(1, 1),                  # nonce
+        lambda d: row(d)[0].__setitem__(2, 7),                  # fee
+        lambda d: row(d)[0][3].update(amount=6),                # a call argument
+        lambda d: row(d).__setitem__(1, "revert:funds"),        # status
+        lambda d: row(d).__setitem__(2, "edited"),              # result
+        lambda d: row(d).__setitem__(3, bytes(64).hex()),       # signature
         lambda d: d["blocks"].__setitem__(2, d["blocks"][2] + 1),
         lambda d: d["blocks"].pop(),
         lambda d: d["head"].update(digest="00" * 16),
@@ -634,7 +675,6 @@ def test_malformed_calls_revert_without_halting_the_chain():
     led = w.ledger
     tokens = led.total_tokens()
     calls = [
-        ({"fn": "bogus"}, "revert:phase"),
         ({"fn": "transfer", "amount": 1}, "revert:malformed"),
         ({"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
           "type": OpType.TRANSFER}, "revert:malformed"),
@@ -656,10 +696,11 @@ def test_submit_refuses_a_call_without_a_function(ledger):
     assert ledger.mine_block().receipts == []
 
 
-def test_mistyped_calls_revert_without_halting_the_chain():
+def test_submit_refuses_mistyped_calls():
+    """A call that does not encode never reaches the mempool, so it can
+    neither halt the chain nor keep it from being checkpointed."""
     w = WalletChain()
     led = w.ledger
-    tokens = led.total_tokens()
     confirm = w.store.build_confirm(0, w.auth.get_otp(0))
 
     def confirm_op(**change):
@@ -667,19 +708,72 @@ def test_mistyped_calls_revert_without_halting_the_chain():
                 "proof": confirm.proof, "op_id": 0, **change}
 
     calls = [
-        ({"fn": "transfer", "to": "b", "amount": "1"}, "revert:malformed"),
-        ({"fn": "transfer", "to": "b", "amount": True}, "revert:malformed"),
-        ({"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
-          "param": "1", "type": OpType.TRANSFER}, "revert:malformed"),
-        (confirm_op(op_id="0"), "revert:malformed"),
-        (confirm_op(otp=confirm.otp.hex()), "revert:malformed"),
-        (confirm_op(proof=list(confirm.proof.siblings)), "revert:malformed"),
-        (confirm_op(contract=[w.cid]), "revert:phase"),
+        {"fn": "bogus"},
+        {"fn": ["transfer"], "to": "b", "amount": 1},
+        {"fn": "transfer", "to": "b", "amount": "1"},
+        {"fn": "transfer", "to": "b", "amount": True},
+        {"fn": "transfer", "to": "b", "amount": 1, "memo": "x"},
+        {"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
+         "param": "1", "type": OpType.TRANSFER},
+        confirm_op(op_id="0"),
+        confirm_op(otp=confirm.otp.hex()),
+        confirm_op(proof=list(confirm.proof.siblings)),
+        confirm_op(proof=MerkleProof(("00",))),
+        confirm_op(contract=[w.cid]),
+        {"fn": "next_subtree", "contract": w.cid,
+         "sublayer": SubtreeLayer([bytes(16)], b"0")},
     ]
-    for call, _ in calls:
-        w.submit(call, sign=True)
-    blk = led.mine_block()
-    assert [r.status for r in blk.receipts] == [want for _, want in calls]
-    assert led.head is blk and not led.mempool
-    assert led.total_tokens() == tokens
-    assert led.mine_block().height == blk.height + 1
+    height = led.head.height
+    for call in calls:
+        with pytest.raises(LedgerError):
+            led.submit(Transaction(w.owner, call,
+                                   nonce=led.next_nonce(w.owner)))
+        assert led.mempool == []
+    assert led.mine_block().height == height + 1
+    assert led.head.receipts == []
+
+
+ARGUMENT_VALUES = st.sampled_from(
+    [0, 1, -1, True, "acct:bob", "00", b"", bytes(16), None, [1],
+     OpType.TRANSFER, MerkleProof(()), SubtreeLayer([bytes(16)], 0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(sorted(CALL_ARGS) + ["bogus"]),
+    st.one_of(
+        st.dictionaries(st.sampled_from(["to", "amount", "addr", "param",
+                                         "type", "otp", "op_id", "value",
+                                         "contract", "memo"]),
+                        ARGUMENT_VALUES, max_size=4),
+        st.sampled_from([{"fn": "transfer", "to": "acct:bob", "amount": 1},
+                         {"fn": "init_op", "contract": "", "addr": "acct:bob",
+                          "param": 1, "type": OpType.TRANSFER}])),
+    st.integers(0, 3), st.sampled_from([None, "owner", "text"])),
+    max_size=12))
+def test_every_accepted_transaction_checkpoints_and_restores(txs):
+    """Whatever `submit` accepts, ok or reverted, is written to a checkpoint
+    and decodes from it to the same chain. A signature that is not bytes
+    counts as none, on chain and in the archive."""
+    w = WalletChain()
+    led = w.ledger
+    for fn, args, fee, sign in txs:
+        call = {"fn": fn, **args}
+        if "contract" in args and type(args["contract"]) is str:
+            call["contract"] = w.cid
+        tx = Transaction(w.owner, call, fee, nonce=led.next_nonce(w.owner))
+        try:
+            if sign == "owner":
+                tx.signature = w.kp.sign(tx.signing_bytes())
+            elif sign == "text":
+                tx.signature = "00" * 64
+            led.submit(tx)
+        except LedgerError:
+            assert tx not in led.mempool
+        if fee == 0:
+            led.mine_block()
+    led.mine_block()
+    restored, _ = Ledger.from_checkpoint(led.checkpoint())
+    assert restored.state_hash() == led.state_hash()
+    assert restored.event_log() == led.event_log()
+    assert restored.audit_signatures() == led.audit_signatures() == []
