@@ -22,9 +22,12 @@ checkpoint replays. A `world.json` that does not parse, is not format
 version 3 or records no head is an error as well, because there is no
 state to check its replay against (a version-2 head hashes txids and
 block digests of an older encoding, which no replay reaches). So is one
-that lacks a key the restore or the replay reads, holds one of another
-type or a mode outside MODES, or logs an action that no command writes.
-The log doubles as an audit trail.
+whose keys, or whose params' keys, are not exactly those a save writes,
+or that holds a value of another type, params outside their domain, a
+seed that is not lowercase hex of its size or a mode outside MODES, or
+logs an action that no command writes: another key set, an unknown
+operation type or mode, or a confirm OTP not of the digest size. The log
+doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` builds the parser of the command that argv names,
@@ -84,13 +87,14 @@ MODES = ("secure", "insecure")
 # a replay reads, and their types (a bool is not an int).
 WORLD_KEYS = {"actions": list, "funding": int, "hw_seed_hex": str,
               "mode": str, "params": dict, "seed_hex": str}
-# Logged command -> (key, type) pairs of its action besides "cmd", as the
-# command writes them.
+PARAMS_KEYS = dict.fromkeys(TreeParams().as_dict(), int)
+# Logged command -> the keys of its action besides "cmd", as the command
+# writes them, and their types.
 ACTION_KEYS = {
-    "init": (("type", str), ("addr", str), ("param", int)),
-    "confirm": (("op_id", int), ("otp", str)),
-    "subtree": (),
-    "rotate": (("mode", str),),
+    "init": {"type": str, "addr": str, "param": int},
+    "confirm": {"op_id": int, "otp": str},
+    "subtree": {},
+    "rotate": {"mode": str},
 }
 
 
@@ -112,22 +116,57 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _malformed(action) -> str | None:
+def _is_hex(text: str, nbytes: int) -> bool:
+    return re.fullmatch(f"[0-9a-f]{{{2 * nbytes}}}", text) is not None
+
+
+def _outside(obj: dict, schema: dict) -> str | None:
+    """What keeps `obj` from holding exactly the keys of `schema`, each with
+    a value of its type (a bool is not an int), or None."""
+    if obj.keys() != schema.keys():
+        return f"keys {sorted(obj)}, not {sorted(schema)}"
+    for key, kind in schema.items():
+        if type(obj[key]) is not kind:
+            return f"{key} as {type(obj[key]).__name__}, not {kind.__name__}"
+    return None
+
+
+def _world_problem(data: dict) -> str | None:
+    """What keeps a version-3 `world.json` with a head from holding what
+    `World.save` writes, or None; its actions are checked as they replay."""
+    problem = _outside(data, {**WORLD_KEYS, "version": int, "head": dict})
+    if problem:
+        return problem
+    problem = _outside(data["params"], PARAMS_KEYS)
+    if problem:
+        return f"params: {problem}"
+    if data["mode"] not in MODES:
+        return f"unknown mode {data['mode']}"
+    for key, nbytes in (("seed_hex", 16), ("hw_seed_hex", 32)):
+        if not _is_hex(data[key], nbytes):
+            return f"{key} is not {nbytes} bytes of lowercase hex"
+    try:
+        TreeParams.from_dict(data["params"])
+    except DomainError as exc:
+        return f"params: {exc}"
+    return None
+
+
+def _malformed(action, otp_bytes: int) -> str | None:
     """What keeps a logged action from being one that a command writes, or
     None; an unknown command is left to `World.apply`."""
-    if type(action) is not dict:
-        return f"{type(action).__name__}, not an object"
-    cmd = action.get("cmd")
-    if type(cmd) is not str:
-        return "no command name"
-    for key, kind in ACTION_KEYS.get(cmd, ()):
-        if type(action.get(key)) is not kind:
-            return f"{cmd} needs {key} as {kind.__name__}"
+    if type(action) is not dict or type(action.get("cmd")) is not str:
+        return "not an object with a command name"
+    cmd = action["cmd"]
+    if cmd not in ACTION_KEYS:
+        return None
+    problem = _outside(action, {"cmd": str, **ACTION_KEYS[cmd]})
+    if problem:
+        return f"{cmd}: {problem}"
     if cmd == "init" and action["type"] not in OP_TYPES:
         return f"unknown operation type {action['type']}"
-    if cmd == "confirm" and not re.fullmatch("(?:[0-9a-f]{2})*",
-                                             action["otp"]):
-        return f"otp {action['otp']!r} is not lowercase hex bytes"
+    if cmd == "confirm" and not _is_hex(action["otp"], otp_bytes):
+        return f"otp {action['otp']!r} is not {otp_bytes} bytes of lowercase hex"
     if cmd == "rotate" and action["mode"] not in MODES:
         return f"unknown mode {action['mode']}"
     return None
@@ -177,17 +216,9 @@ class World:
         if not isinstance(recorded, str):
             raise CliError("state", f"{path} is not a version-{WORLD_VERSION} "
                                     "world with a recorded head")
-        missing = sorted(WORLD_KEYS.keys() - data.keys())
-        if missing:
-            raise CliError("state", f"{path} lacks {', '.join(missing)}")
-        for key, kind in WORLD_KEYS.items():
-            if type(data[key]) is not kind:
-                raise CliError("state", f"{path} holds {key} as "
-                                        f"{type(data[key]).__name__}, not "
-                                        f"{kind.__name__}")
-        if data["mode"] not in MODES:
-            raise CliError("state", f"{path} holds an unknown mode "
-                                    f"{data['mode']}")
+        problem = _world_problem(data)
+        if problem:
+            raise CliError("state", f"{path}: {problem}")
         world = cls(state_dir, data)
         if not world.restore():
             world.replay()
@@ -212,8 +243,9 @@ class World:
         self.system = self.build_system()
         bootstrap_system(self.system, self.data["mode"],
                          self.data["funding"])
+        otp_bytes = self.params().digest_bytes
         for i, action in enumerate(self.data["actions"]):
-            problem = _malformed(action)
+            problem = _malformed(action, otp_bytes)
             if problem:
                 raise CliError("state", f"malformed action {i} in world log: "
                                         f"{problem}")

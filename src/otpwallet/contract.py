@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
-from .hashing import DEFAULT_BASE_HASH, Digest, HashFn, truncated_hash
+from .hashing import Digest, truncated_hash
 from .merkle import (
     MerkleProof,
     SubtreeLayer,
@@ -95,12 +95,12 @@ class ChainEnv:
 
 
 def _sublayer_under(sublayer: SubtreeLayer, proof_sr: MerkleProof,
-                    root: Digest, base: HashFn, trace: CallTrace) -> bool:
+                    root: Digest, trace: CallTrace) -> bool:
     """Whether the sublayer reduces to a subtree root that `proof_sr` folds
     up to `root`; False also when a node or sibling is not a digest."""
     try:
-        sub_root = reduce_mt(sublayer.nodes, base, trace)
-        return subtree_consistency(sub_root, proof_sr, root, base, trace)
+        sub_root = reduce_mt(sublayer.nodes, tally=trace)
+        return subtree_consistency(sub_root, proof_sr, root, tally=trace)
     except ValueError:
         return False
 
@@ -108,20 +108,18 @@ def _sublayer_under(sublayer: SubtreeLayer, proof_sr: MerkleProof,
 class WalletContract:
     def __init__(self, root: Digest, pk: bytes, cache_sublayer: SubtreeLayer,
                  proof_sr: MerkleProof, params: TreeParams, env: ChainEnv,
-                 base: HashFn = DEFAULT_BASE_HASH,
                  trace: CallTrace | None = None):
         trace = trace if trace is not None else CallTrace("constructor")
         if len(cache_sublayer.nodes) != 2 ** params.L_S:
             raise Revert("consistency", "cached sublayer has the wrong size")
-        if not _sublayer_under(cache_sublayer, proof_sr, root, base, trace):
+        if not _sublayer_under(cache_sublayer, proof_sr, root, trace):
             raise Revert("consistency", "cached sublayer does not match the root")
 
         self.params = params
-        self.base = base
         self.root = root
         self.pk = pk
         self.owner_account = signing.account_of(pk)
-        self.contract_id = truncated_hash(pk + root, params.digest_bytes, base).hex()
+        self.contract_id = truncated_hash(pk + root, params.digest_bytes).hex()
         self.next_op_id = 0
         self.operations: dict[int, OperationRecord] = {}
         self.sublayer = cache_sublayer.copy()
@@ -218,7 +216,7 @@ class WalletContract:
                            trace: CallTrace) -> None:
         try:
             node = derive_node_in_cache(otp, proof, op_id, self.params,
-                                        self.base, trace)
+                                        tally=trace)
         except ValueError as exc:
             raise Revert("otp", str(exc)) from exc
         slot = expected_idx_in_cache(op_id % self.params.subtree_leaves,
@@ -271,14 +269,13 @@ class WalletContract:
             raise Revert("consistency", "sublayer size mismatch")
         try:
             derived = derive_root_hash(otp, proof_otp, self.next_op_id,
-                                       self.params, self.base, trace)
+                                       self.params, tally=trace)
         except ValueError as exc:
             raise Revert("otp", str(exc)) from exc
         trace.sload += 1                            # root
         if derived != self.root:
             raise Revert("otp", "OTP does not verify against the parent root")
-        if not _sublayer_under(next_sublayer, proof_sr, self.root, self.base,
-                               trace):
+        if not _sublayer_under(next_sublayer, proof_sr, self.root, trace):
             raise Revert("consistency", "new sublayer does not match the root")
         self.sublayer = next_sublayer.copy()
         self.current_subtree += 1
@@ -334,7 +331,7 @@ class WalletContract:
         match = None
         for i, candidate_root in enumerate(self.l2):
             probe = truncated_hash(candidate_root + otp,
-                                   self.params.digest_bytes, self.base)
+                                   self.params.digest_bytes)
             trace.hashes += 1
             for j, entry in enumerate(self.l1):
                 if probe == entry:
@@ -345,8 +342,7 @@ class WalletContract:
         if match is None:
             return False
         new_root = self.l2[match[0]]
-        if not _sublayer_under(new_sublayer, proof_sr, new_root, self.base,
-                               trace):
+        if not _sublayer_under(new_sublayer, proof_sr, new_root, trace):
             raise Revert("consistency", "new sublayer does not match the new root")
         self.root = new_root
         self.next_op_id += 1
@@ -404,10 +400,10 @@ class WalletContract:
         return lines
 
     @classmethod
-    def from_state_lines(cls, lines: list[str], params: TreeParams,
-                         base: HashFn = DEFAULT_BASE_HASH) -> "WalletContract":
+    def from_state_lines(cls, lines: list[str],
+                         params: TreeParams) -> "WalletContract":
         """The contract that `state_lines` describes; the inverse of it for
-        the given parameters and base hash (neither is in the lines)."""
+        the given parameters (they are not in the lines)."""
         fields, operations = {}, {}
         for line in lines:
             key, _, value = line.partition("=")
@@ -423,7 +419,7 @@ class WalletContract:
             return [bytes.fromhex(d) for d in fields[key].split(",") if d]
 
         wallet = cls.__new__(cls)
-        wallet.params, wallet.base = params, base
+        wallet.params = params
         wallet.contract_id = fields["contractId"]
         wallet.root = bytes.fromhex(fields["root"])
         wallet.pk = bytes.fromhex(fields["pk"])

@@ -22,15 +22,16 @@ the chain.
 Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
 
-A call has one encoding, `encode_call`: JSON-ready data with sorted keys
-and a typed codec per argument, from the schema in CALL_ARGS. A
-transaction's signed bytes are the compact JSON text of [sender, nonce,
-fee, encoded call], and its txid hashes them, so the owner's signature and
-the txid cover the fee. `submit` reads the txid before it changes
-anything, so it refuses with `LedgerError` a call that has no encoding: no
-or an unknown function name, a key outside the schema or a value of
-another type. A call that lacks a key still encodes, and reverts as
-malformed on chain.
+A call's schema is its function name, the contract for a contract call,
+and its CALL_ARGS keys, each with one type. A call has one encoding,
+`encode_call`: JSON-ready data with sorted keys and a typed codec per
+argument. A transaction's signed bytes are the compact JSON text of
+[sender, nonce, fee, encoded call], and its txid hashes them, so the
+owner's signature and the txid cover the fee. `submit` reads the txid
+before it changes anything, so it refuses with `LedgerError` a call that
+has no encoding: no or an unknown function name, a key missing or outside
+the schema, or a value of another type. Execution therefore checks no
+argument.
 
 Receipts are immutable after mining: no code changes a mined block's
 receipts, their transactions or those transactions' calls. Four caches
@@ -96,9 +97,9 @@ MAIN = "main"
 SIGNED_CALLS = {"init_op", "new_root_stage1", "new_root_stage2"}
 
 # Call name -> (argument key, type) pairs, in the order the handler takes
-# them. `submit` refuses a name not listed, a key not listed besides "fn" and
-# "contract", or a value of another type (a bool is not an int); a call
-# lacking a key reverts as malformed.
+# them. A call holds exactly these keys, "fn", and "contract" for a call in
+# CALL_RESULTS; `submit` refuses any other call, and a value of another
+# type (a bool is not an int).
 CALL_ARGS = {
     "transfer": (("to", str), ("amount", int)),
     "deploy_wallet": (("root", bytes), ("pk", bytes),
@@ -129,32 +130,6 @@ CALL_RESULTS = {
 
 class LedgerError(Exception):
     pass
-
-
-def payload_size(call: dict) -> int:
-    """Semantic payload bytes: 4-byte selector plus sized arguments.
-
-    Digests take S/8 bytes, proof/sublayer elements one digest each,
-    integers 4, account ids 20, enum tags 1. Signatures ride outside the
-    payload, as on the modeled platform.
-    """
-    size = 4
-    for key, v in call.items():
-        if key == "fn":
-            continue
-        if isinstance(v, bytes):
-            size += len(v)
-        elif isinstance(v, MerkleProof):
-            size += sum(len(s) for s in v.siblings)
-        elif isinstance(v, SubtreeLayer):
-            size += sum(len(n) for n in v.nodes) + 4
-        elif isinstance(v, OpType):
-            size += 1
-        elif isinstance(v, int):
-            size += 4
-        elif isinstance(v, str):
-            size += 20
-    return size
 
 
 @dataclass
@@ -197,12 +172,18 @@ class Transaction:
 
 @dataclass
 class TxReceipt:
-    txid: str
-    fn: str
+    tx: Transaction
     status: str                     # ok | revert:<category> | invalid-nonce
     result: str = ""
     trace: CallTrace | None = None
-    tx: Transaction = field(kw_only=True)
+
+    @property
+    def txid(self) -> str:
+        return self.tx.txid
+
+    @property
+    def fn(self) -> str:
+        return self.tx.fn
 
 
 @dataclass
@@ -252,28 +233,40 @@ def _index(heights: dict[str, int], block: Block) -> None:
             heights.setdefault(r.txid, block.height)
 
 
-# Checkpoint codec: argument type -> (to JSON, from JSON). A call's keys and
-# their types come from CALL_ARGS, plus the function name and the contract.
+# Argument type -> (to JSON, from JSON, payload bytes). Payload bytes model
+# the calldata: account ids 20, integers 4, enum tags 1, digests by length,
+# a sublayer's index 4, and the parameters none.
 _CODECS = {
-    str: (str, str),
-    int: (int, int),
-    bytes: (bytes.hex, bytes.fromhex),
+    str: (str, str, lambda s: 20),
+    int: (int, int, lambda i: 4),
+    bytes: (bytes.hex, bytes.fromhex, len),
     MerkleProof: (lambda p: [s.hex() for s in p.siblings],
-                  lambda j: MerkleProof(tuple(map(bytes.fromhex, j)))),
+                  lambda j: MerkleProof(tuple(map(bytes.fromhex, j))),
+                  lambda p: sum(map(len, p.siblings))),
     SubtreeLayer: (lambda s: [s.index, [n.hex() for n in s.nodes]],
-                   lambda j: SubtreeLayer(list(map(bytes.fromhex, j[1])), j[0])),
-    OpType: (lambda t: t.value, OpType),
-    TreeParams: (TreeParams.as_dict, TreeParams.from_dict),
+                   lambda j: SubtreeLayer(list(map(bytes.fromhex, j[1])), j[0]),
+                   lambda s: sum(map(len, s.nodes)) + 4),
+    OpType: (lambda t: t.value, OpType, lambda t: 1),
+    TreeParams: (TreeParams.as_dict, TreeParams.from_dict, lambda p: 0),
 }
-_SCHEMAS = {fn: dict((("fn", str), ("contract", str)) + args)
+_SCHEMAS = {fn: dict((("fn", str),) + (("contract", str),) * (fn in CALL_RESULTS)
+                     + args)
             for fn, args in CALL_ARGS.items()}
 
 
 def _schema_of(call: dict) -> dict:
     schema = _SCHEMAS.get(call.get("fn"))
-    if schema is None or not call.keys() <= schema.keys():
+    if schema is None or call.keys() != schema.keys():
         raise LedgerError(f"call outside the schema: {sorted(call)}")
     return schema
+
+
+def payload_size(call: dict) -> int:
+    """Semantic payload bytes of a call of the schema: a 4-byte selector
+    plus each argument's size from `_CODECS`. Signatures ride outside the
+    payload, as on the modeled platform."""
+    return 4 + sum(_CODECS[kind][2](call[key])
+                   for key, kind in _schema_of(call).items() if key != "fn")
 
 
 def encode_call(call: dict) -> dict:
@@ -323,7 +316,7 @@ def _decode_block(height: int, entry) -> Block:
     for (sender, nonce, fee, call), status, result, sig in rows:
         tx = Transaction(sender, decode_call(call), fee,
                          None if sig is None else bytes.fromhex(sig), nonce)
-        receipts.append(TxReceipt(tx.txid, tx.fn, status, result, tx=tx))
+        receipts.append(TxReceipt(tx, status, result))
     return Block(height, timestamp, receipts, None)
 
 
@@ -432,35 +425,26 @@ class Ledger:
                  timestamp: int) -> TxReceipt:
         expected = state.nonces.get(tx.sender, 0)
         if tx.nonce != expected:
-            return TxReceipt(tx.txid, tx.fn, "invalid-nonce", tx=tx)
+            return TxReceipt(tx, "invalid-nonce")
         state.nonces[tx.sender] = expected + 1
 
         # The call runs on copies of the two maps and of the one contract it
-        # addresses; the originals, possibly shared with the parent block,
-        # are never written and are what a revert restores.
+        # addresses (see `_dispatch`); the originals, possibly shared with
+        # the parent block, are never written and are what a revert restores.
         accounts, contracts = state.accounts, state.contracts
         state.accounts, state.contracts = dict(accounts), dict(contracts)
-        cid = tx.call.get("contract")
-        if cid in contracts:
-            state.contracts[cid] = contracts[cid].snapshot()
         trace = CallTrace(tx.fn, payload_bytes=payload_size(tx.call))
         try:
             result = self._dispatch(tx, state, timestamp, trace)
-            return TxReceipt(tx.txid, tx.fn, "ok", result, trace, tx=tx)
+            return TxReceipt(tx, "ok", result, trace)
         except Revert as exc:
             state.accounts, state.contracts = accounts, contracts
-            return TxReceipt(tx.txid, tx.fn, f"revert:{exc.category}",
-                             str(exc), trace, tx=tx)
+            return TxReceipt(tx, f"revert:{exc.category}", str(exc), trace)
 
     def _dispatch(self, tx: Transaction, state: LedgerState, timestamp: int,
                   trace: CallTrace) -> str:
         call, fn = tx.call, tx.fn
-        args = []
-        for key, kind in CALL_ARGS[fn]:
-            value = call.get(key)
-            if type(value) is not kind:
-                raise Revert("malformed", f"{fn} needs {key} as {kind.__name__}")
-            args.append(value)
+        args = [call[key] for key, _ in CALL_ARGS[fn]]
 
         def do_transfer(frm: str, to: str, amount: int):
             if amount < 0 or state.accounts.get(frm, 0) < amount:
@@ -489,10 +473,10 @@ class Ledger:
             state.contracts[contract.contract_id] = contract
             return contract.contract_id
 
-        cid = call.get("contract")
-        contract = state.contracts.get(cid)
-        if contract is None:
+        cid = call["contract"]
+        if cid not in state.contracts:
             raise Revert("phase", f"no contract {cid}")
+        contract = state.contracts[cid] = state.contracts[cid].snapshot()
         # Looked up at call time, so wrappers set on the class apply.
         out = getattr(contract, fn)(*args, env, trace)
         return CALL_RESULTS[fn](call, out)
@@ -706,7 +690,7 @@ class Ledger:
             for r in blk.receipts:
                 if r.status != "ok" or r.fn not in SIGNED_CALLS:
                     continue
-                contract = self.head.state.contracts.get(r.tx.call.get("contract"))
+                contract = self.head.state.contracts.get(r.tx.call["contract"])
                 if contract is None:
                     problems.append(f"{r.txid}: contract missing for audit")
                     continue

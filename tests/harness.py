@@ -96,7 +96,7 @@ def reference_chain(ledger) -> list:
         for (sender, nonce, fee, call), status, result, sig in rows:
             tx = Transaction(sender, decode_call(call), fee,
                              None if sig is None else bytes.fromhex(sig), nonce)
-            receipts.append(TxReceipt(tx.txid, tx.fn, status, result, tx=tx))
+            receipts.append(TxReceipt(tx, status, result))
         archived.append(Block(height, timestamp, receipts, None))
     return archived + chain[1:]
 

@@ -442,18 +442,24 @@ def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
     "no-params", "no-seed_hex", "actions-int", "params-list", "seed_hex-list",
     "mode-unknown", "action-without-cmd", "action-int", "init-without-type",
     "init-of-unknown-type", "confirm-of-non-hex-otp",
-    "rotate-of-unknown-mode"])
+    "rotate-of-unknown-mode", "init-with-extra-key", "confirm-of-short-otp",
+    "params-empty", "params-S-str", "seed_hex-not-hex", "seed_hex-short",
+    "hw_seed_hex-short"])
 def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                                                             damage):
-    """Nothing to check a replay against, no key that a restore or a replay
-    reads, a key of another type or a malformed action: the command writes
-    nothing."""
+    """Nothing to check a replay against, a key set other than a save
+    writes, a key of another type, a value outside its domain or a malformed
+    action: the command writes nothing."""
     state_dir, _ = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
     replaced = {"actions-int": ("actions", 5), "params-list": ("params", [1]),
                 "seed_hex-list": ("seed_hex", [1]),
-                "mode-unknown": ("mode", "bogus")}
+                "mode-unknown": ("mode", "bogus"), "params-empty": ("params", {}),
+                "params-S-str": ("params", {**data["params"], "S": "128"}),
+                "seed_hex-not-hex": ("seed_hex", "zz"),
+                "seed_hex-short": ("seed_hex", "00"),
+                "hw_seed_hex-short": ("hw_seed_hex", "00")}
     malformed = {"action-without-cmd": {"x": 1}, "action-int": 5,
                  "init-without-type": {"cmd": "init"},
                  "init-of-unknown-type": {**data["actions"][0], "type": "bogus"},
@@ -473,6 +479,10 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
         data[key] = value
     elif damage in malformed:
         data["actions"][1] = malformed[damage]
+    elif damage == "init-with-extra-key":   # replays to the recorded state
+        data["actions"][0]["memo"] = "x"
+    elif damage == "confirm-of-short-otp":
+        data["actions"][2]["otp"] = data["actions"][2]["otp"][:2]
     text = {"not-json": world_file.read_text()[:-1],
             "not-an-object": "[]"}.get(damage, json.dumps(data))
     world_file.write_text(text)

@@ -218,9 +218,33 @@ def test_deterministic_replay_produces_identical_state_hash():
 
 
 def test_payload_size_rules():
-    call = {"fn": "confirm_op", "contract": "c" * 32, "otp": bytes(16),
-            "proof": MerkleProof((bytes(16), bytes(16))), "op_id": 3}
-    assert payload_size(call) == 4 + 20 + 16 + 32 + 4
+    """Selector 4, account id 20, integer 4, enum tag 1, parameters 0,
+    bytes and digests by length, a sublayer's index 4."""
+    d, cid = bytes(16), "c" * 32
+    proof = MerkleProof((d, d))
+    layer = SubtreeLayer([d, d], 1)
+    calls = [
+        ({"fn": "transfer", "to": "acct:bob", "amount": 5}, 4 + 20 + 4),
+        ({"fn": "deploy_wallet", "root": d, "pk": bytes(32), "sublayer": layer,
+          "proof_sr": proof, "params": TreeParams()},
+         4 + 16 + 32 + 36 + 32 + 0),
+        ({"fn": "init_op", "contract": cid, "addr": "acct:bob", "param": 7,
+          "type": OpType.TRANSFER}, 4 + 20 + 20 + 4 + 1),
+        ({"fn": "confirm_op", "contract": cid, "otp": d, "proof": proof,
+          "op_id": 3}, 4 + 20 + 16 + 32 + 4),
+        ({"fn": "next_subtree", "contract": cid, "sublayer": layer, "otp": d,
+          "proof_otp": MerkleProof((d,) * 4), "proof_sr": proof},
+         4 + 20 + 36 + 16 + 64 + 32),
+        ({"fn": "new_root_stage1", "contract": cid, "value": d}, 4 + 20 + 16),
+        ({"fn": "new_root_stage2", "contract": cid, "value": bytes(32)},
+         4 + 20 + 32),
+        ({"fn": "new_root_stage3", "contract": cid, "otp": d, "proof": proof,
+          "sublayer": layer, "proof_sr": MerkleProof(())},
+         4 + 20 + 16 + 32 + 36 + 0),
+        ({"fn": "send_to_last_resort", "contract": cid}, 4 + 20),
+    ]
+    assert sorted(call["fn"] for call, _ in calls) == sorted(CALL_ARGS)
+    assert [payload_size(call) for call, _ in calls] == [n for _, n in calls]
 
 
 def test_signature_audit_flags_a_tampered_record():
@@ -670,25 +694,6 @@ def test_wrong_size_digests_revert_without_halting_the_chain(size):
     assert led.contract(w.cid).next_op_id == sub_op
 
 
-def test_malformed_calls_revert_without_halting_the_chain():
-    w = WalletChain()
-    led = w.ledger
-    tokens = led.total_tokens()
-    calls = [
-        ({"fn": "transfer", "amount": 1}, "revert:malformed"),
-        ({"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
-          "type": OpType.TRANSFER}, "revert:malformed"),
-        ({"fn": "send_to_last_resort"}, "revert:phase"),
-    ]
-    for call, _ in calls:
-        w.submit(call, sign=True)
-    blk = led.mine_block()
-    assert [r.status for r in blk.receipts] == [want for _, want in calls]
-    assert led.head is blk and not led.mempool
-    assert led.total_tokens() == tokens
-    assert led.mine_block().height == blk.height + 1
-
-
 def test_submit_refuses_a_call_without_a_function(ledger):
     with pytest.raises(LedgerError):
         ledger.submit(Transaction("a", {"to": "b", "amount": 1}, nonce=0))
@@ -696,8 +701,9 @@ def test_submit_refuses_a_call_without_a_function(ledger):
     assert ledger.mine_block().receipts == []
 
 
-def test_submit_refuses_mistyped_calls():
-    """A call that does not encode never reaches the mempool, so it can
+def test_submit_refuses_calls_outside_their_schema():
+    """A call whose keys are not exactly its schema's, or whose values have
+    other types, does not encode. It never reaches the mempool, so it can
     neither halt the chain nor keep it from being checkpointed."""
     w = WalletChain()
     led = w.ledger
@@ -713,6 +719,11 @@ def test_submit_refuses_mistyped_calls():
         {"fn": "transfer", "to": "b", "amount": "1"},
         {"fn": "transfer", "to": "b", "amount": True},
         {"fn": "transfer", "to": "b", "amount": 1, "memo": "x"},
+        {"fn": "transfer", "amount": 1},
+        {"fn": "transfer", "to": "b", "amount": 1, "contract": w.cid},
+        {"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
+         "type": OpType.TRANSFER},
+        {"fn": "send_to_last_resort"},
         {"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
          "param": "1", "type": OpType.TRANSFER},
         confirm_op(op_id="0"),
@@ -748,7 +759,10 @@ ARGUMENT_VALUES = st.sampled_from(
                         ARGUMENT_VALUES, max_size=4),
         st.sampled_from([{"fn": "transfer", "to": "acct:bob", "amount": 1},
                          {"fn": "init_op", "contract": "", "addr": "acct:bob",
-                          "param": 1, "type": OpType.TRANSFER}])),
+                          "param": 1, "type": OpType.TRANSFER},
+                         {"fn": "new_root_stage1", "contract": "",
+                          "value": bytes(16)},
+                         {"fn": "send_to_last_resort", "contract": ""}])),
     st.integers(0, 3), st.sampled_from([None, "owner", "text"])),
     max_size=12))
 def test_every_accepted_transaction_checkpoints_and_restores(txs):
