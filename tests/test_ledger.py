@@ -694,6 +694,31 @@ def test_wrong_size_digests_revert_without_halting_the_chain(size):
     assert led.contract(w.cid).next_op_id == sub_op
 
 
+def test_malformed_calls_revert_without_halting_the_chain():
+    """A signed call that lacks a key of its schema, or carries one it has
+    not, is refused at submit; a well-formed call the contract rejects
+    reverts. Neither halts the chain."""
+    w = WalletChain()
+    led = w.ledger
+    tokens = led.total_tokens()
+    for call in [
+        {"fn": "transfer", "amount": 1},
+        {"fn": "transfer", "to": "b", "amount": 1, "contract": w.cid},
+        {"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
+         "type": OpType.TRANSFER},
+        {"fn": "send_to_last_resort"},
+    ]:
+        with pytest.raises(LedgerError):
+            w.submit(call, sign=True)
+        assert led.mempool == []
+    w.submit({"fn": "send_to_last_resort", "contract": w.cid}, sign=True)
+    blk = led.mine_block()
+    assert [r.status for r in blk.receipts] == ["revert:timeout"]
+    assert led.head is blk and not led.mempool
+    assert led.total_tokens() == tokens
+    assert led.mine_block().height == blk.height + 1
+
+
 def test_submit_refuses_a_call_without_a_function(ledger):
     with pytest.raises(LedgerError):
         ledger.submit(Transaction("a", {"to": "b", "amount": 1}, nonce=0))
@@ -701,9 +726,9 @@ def test_submit_refuses_a_call_without_a_function(ledger):
     assert ledger.mine_block().receipts == []
 
 
-def test_submit_refuses_calls_outside_their_schema():
-    """A call whose keys are not exactly its schema's, or whose values have
-    other types, does not encode. It never reaches the mempool, so it can
+def test_submit_refuses_mistyped_calls():
+    """A call whose values have other types, or whose keys are not its
+    schema's, does not encode. It never reaches the mempool, so it can
     neither halt the chain nor keep it from being checkpointed."""
     w = WalletChain()
     led = w.ledger
@@ -719,11 +744,6 @@ def test_submit_refuses_calls_outside_their_schema():
         {"fn": "transfer", "to": "b", "amount": "1"},
         {"fn": "transfer", "to": "b", "amount": True},
         {"fn": "transfer", "to": "b", "amount": 1, "memo": "x"},
-        {"fn": "transfer", "amount": 1},
-        {"fn": "transfer", "to": "b", "amount": 1, "contract": w.cid},
-        {"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
-         "type": OpType.TRANSFER},
-        {"fn": "send_to_last_resort"},
         {"fn": "init_op", "contract": w.cid, "addr": "acct:bob",
          "param": "1", "type": OpType.TRANSFER},
         confirm_op(op_id="0"),
