@@ -1,17 +1,26 @@
 """Command-line front door.
 
-The simulated world persists between invocations as two files in the
-state directory. `world.json` is the source of truth: the seeds, the
-params and a replayable log of every command that changed state.
+The simulated world persists between invocations as three files in the
+state directory. `world.json` holds the seeds, the params, the mode and the
+funding, and its head is the commit point. `actions.jsonl` is the
+replayable log of every command that changed state, one action per line
+(compact JSON with sorted keys, then a newline); it only grows, so a save
+appends the lines of the actions it adds and never re-encodes the rest.
 `checkpoint.json` is a derived cache of the world's head, and deleting it
 costs one replay: the head ledger state with the head block's chained
 digest and the txid index, the protocol bookkeeping (the generation, the
 client's current subtree and the contract id among it) and every block's
-receipts. `world.json`, written last, binds it: it records the
-checkpoint's SHA-256, the action count and the head `state_hash`, and the
-checkpoint records the SHA-256 of the log it was built from. The client
-holds nothing secret and is not stored: a restore derives its leaves from
-the world's seed at the checkpoint's generation.
+receipts. The client holds nothing secret and is not stored: a restore
+derives its leaves from the world's seed at the checkpoint's generation.
+
+`world.json`, written last, binds the other two: its head records the
+action count, the log's committed length in bytes, the head `state_hash`
+and the checkpoint's SHA-256, and the checkpoint records the SHA-256 of
+the log's exact committed bytes. A load reads only those bytes: bytes past
+them are a torn append, which the load ignores and the next save cuts, as
+a write-ahead log does; a log shorter than them is an error. The load
+hashes the bytes once and keeps the hash, so a save hashes only what it
+appends.
 
 Loading restores the checkpoint when all of these match and the restored
 ledger hashes to the recorded state; otherwise it replays the log from
@@ -19,15 +28,17 @@ genesis, which determinism makes bit-exact, and a replay that lands
 anywhere but the recorded state is an error. A replay that lands on it
 saves a fresh head, once, so only the first command after a damaged
 checkpoint replays. A `world.json` that does not parse, is not format
-version 3 or records no head is an error as well, because there is no
-state to check its replay against (a version-2 head hashes txids and
-block digests of an older encoding, which no replay reaches). So is one
-whose keys, or whose params' keys, are not exactly those a save writes,
-or that holds a value of another type, params outside their domain, a
-seed that is not lowercase hex of its size or a mode outside MODES, or
-logs an action that no command writes: another key set, an unknown
-operation type or mode, or a confirm OTP not of the digest size. The log
-doubles as an audit trail.
+version 4 or records no head is an error as well, because there is no
+state to check its replay against (a version-3 world holds its log
+inside `world.json`, a version-2 head hashes txids and block digests of an
+older encoding, and no migration reads either). So is one whose keys, or
+whose head's or params' keys, are not exactly those a save writes, or that
+holds a value of another type, params outside their domain, a negative
+funding or log length, a seed that is not lowercase hex of its size or a
+mode outside MODES, or whose log does not parse, holds another count of
+actions than the head records or logs an action that no command writes:
+another key set, an unknown operation type or mode, or a confirm OTP not
+of the digest size. The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` builds the parser of the command that argv names,
@@ -81,12 +92,17 @@ SEED_ENV = "OTPWALLET_SEED"
 DEFAULT_STATE_DIR = ".otpwallet"
 DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
-WORLD_VERSION = 3
+WORLD_VERSION = 4
+LOG_NAME = "actions.jsonl"
 MODES = ("secure", "insecure")
 # The keys of `world.json`, besides its version and head, that a restore or
 # a replay reads, and their types (a bool is not an int).
-WORLD_KEYS = {"actions": list, "funding": int, "hw_seed_hex": str,
-              "mode": str, "params": dict, "seed_hex": str}
+WORLD_KEYS = {"funding": int, "hw_seed_hex": str, "mode": str,
+              "params": dict, "seed_hex": str}
+# The keys of its head. The checkpoint's digest is only compared, so a value
+# of any type reads as a checkpoint that does not bind.
+HEAD_KEYS = {"actions": int, "log_bytes": int, "sha256": object,
+             "state_hash": str}
 PARAMS_KEYS = dict.fromkeys(TreeParams().as_dict(), int)
 # Logged command -> the keys of its action besides "cmd", as the command
 # writes them, and their types.
@@ -122,24 +138,30 @@ def _is_hex(text: str, nbytes: int) -> bool:
 
 def _outside(obj: dict, schema: dict) -> str | None:
     """What keeps `obj` from holding exactly the keys of `schema`, each with
-    a value of its type (a bool is not an int), or None."""
+    a value of its type (a bool is not an int; `object` is any type), or
+    None."""
     if obj.keys() != schema.keys():
         return f"keys {sorted(obj)}, not {sorted(schema)}"
     for key, kind in schema.items():
-        if type(obj[key]) is not kind:
+        if kind is not object and type(obj[key]) is not kind:
             return f"{key} as {type(obj[key]).__name__}, not {kind.__name__}"
     return None
 
 
 def _world_problem(data: dict) -> str | None:
-    """What keeps a version-3 `world.json` with a head from holding what
+    """What keeps a version-4 `world.json` with a head from holding what
     `World.save` writes, or None; its actions are checked as they replay."""
     problem = _outside(data, {**WORLD_KEYS, "version": int, "head": dict})
     if problem:
         return problem
-    problem = _outside(data["params"], PARAMS_KEYS)
-    if problem:
-        return f"params: {problem}"
+    for key, schema in (("head", HEAD_KEYS), ("params", PARAMS_KEYS)):
+        problem = _outside(data[key], schema)
+        if problem:
+            return f"{key}: {problem}"
+    for key, value in (("funding", data["funding"]),
+                       ("head log_bytes", data["head"]["log_bytes"])):
+        if value < 0:
+            return f"{key} is negative"
     if data["mode"] not in MODES:
         return f"unknown mode {data['mode']}"
     for key, nbytes in (("seed_hex", 16), ("hw_seed_hex", 32)):
@@ -172,14 +194,64 @@ def _malformed(action, otp_bytes: int) -> str | None:
     return None
 
 
+def _log_line(action: dict) -> bytes:
+    """One action as its line of the log."""
+    text = json.dumps(action, separators=(",", ":"), sort_keys=True)
+    return text.encode() + b"\n"
+
+
+def _read_log(path: Path, size: int) -> bytes:
+    """The first `size` bytes of the log at `path`, the committed ones; a
+    missing log is empty, and bytes past `size` are a torn append."""
+    try:
+        with open(path, "rb") as f:
+            log = f.read(size)
+    except FileNotFoundError:
+        log = b""
+    except OSError as exc:
+        raise CliError("state", f"cannot read {path}: {exc}") from exc
+    if len(log) != size:
+        raise CliError("state", f"{path} holds {len(log)} bytes, not the "
+                                f"{size} that world.json commits")
+    return log
+
+
+def _parse_log(log: bytes) -> list:
+    """The actions of the committed log bytes, in one parse: a compact JSON
+    line never holds a raw newline, so the lines joined by commas are the
+    items of one array."""
+    try:
+        if log and not log.endswith(b"\n"):
+            raise ValueError("the last line has no newline")
+        return json.loads(b"[" + log[:-1].replace(b"\n", b",") + b"]")
+    except ValueError as exc:
+        raise CliError("state",
+                       f"the action log does not parse: {exc}") from exc
+
+
+def _append(path: Path, committed: int, lines: bytes) -> None:
+    """Cut the log at `path` to its `committed` bytes, which drops a torn
+    append, and append `lines`."""
+    with open(path, "ab") as f:
+        f.truncate(committed)
+        f.write(lines)
+
+
 # ---------------------------------------------------------------------------
-# Persistent world: seeds + params + action log, and a digest-bound checkpoint
+# Persistent world: seeds + params, an append-only action log, and a
+# digest-bound checkpoint
 
 class World:
-    def __init__(self, state_dir: Path, data: dict):
+    def __init__(self, state_dir: Path, data: dict, log: bytes = b""):
+        """`data` as `world.json` holds it, with `data["actions"]` parsed
+        from the committed `log` bytes."""
         self.state_dir = state_dir
         self.data = data
         self.system: System | None = None
+        # The committed log: its action count, its length and its digest.
+        self.logged = len(data["actions"])
+        self.log_bytes = len(log)
+        self.log_hash = hashlib.sha256(log)
 
     @classmethod
     def create(cls, state_dir: Path, mode: str, params: TreeParams,
@@ -219,7 +291,14 @@ class World:
         problem = _world_problem(data)
         if problem:
             raise CliError("state", f"{path}: {problem}")
-        world = cls(state_dir, data)
+        head = data["head"]
+        log = _read_log(state_dir / LOG_NAME, head["log_bytes"])
+        data["actions"] = _parse_log(log)
+        if len(data["actions"]) != head["actions"]:
+            raise CliError("state", f"the action log holds "
+                                    f"{len(data['actions'])} actions, not the "
+                                    f"{head['actions']} that {path} commits")
+        world = cls(state_dir, data, log)
         if not world.restore():
             world.replay()
             actual = world.system.ledger.state_hash()
@@ -247,8 +326,8 @@ class World:
         for i, action in enumerate(self.data["actions"]):
             problem = _malformed(action, otp_bytes)
             if problem:
-                raise CliError("state", f"malformed action {i} in world log: "
-                                        f"{problem}")
+                raise CliError("state", f"malformed action {i} in the "
+                                        f"action log: {problem}")
             self.apply(action)
 
     def apply(self, action: dict) -> dict:
@@ -269,7 +348,7 @@ class World:
             failed = "root rotation failed"
             outcome = run_new_root(system, action["mode"])
         else:
-            raise CliError("state", f"unknown action in world log: {cmd}")
+            raise CliError("state", f"unknown action in the action log: {cmd}")
         if not outcome["ok"]:
             raise CliError("protocol", f"{failed}: {outcome['status']}")
         return outcome
@@ -280,15 +359,13 @@ class World:
         self.save()
         return result
 
-    def actions_sha256(self) -> str:
-        return _sha256(json.dumps(self.data["actions"], sort_keys=True))
-
-    def checkpoint(self) -> str:
+    def checkpoint(self, actions_sha256: str) -> str:
         """The head of the world as JSON text, as `restore` reads it back:
-        the ledger's checkpoint, extended with the protocol bookkeeping."""
+        the ledger's checkpoint, extended with the digest of the log's bytes
+        and the protocol bookkeeping."""
         system = self.system
         return system.ledger.checkpoint(
-            actions_sha256=self.actions_sha256(),
+            actions_sha256=actions_sha256,
             eta=system.authenticator.eta,
             current_subtree=system.client.current_subtree,
             contract_id=system.contract_id,
@@ -301,17 +378,16 @@ class World:
     def restore(self) -> bool:
         """Set up the system from the checkpoint, without replaying; False
         when it is missing, does not match the digest `world.json` records,
-        was built from another log or does not parse, or the restored
+        was built from other log bytes or does not parse, or the restored
         ledger hashes to another state. The client's tree is built from the
         seed's leaves at the checkpoint's generation."""
         head = self.data["head"]
         try:
             text = (self.state_dir / "checkpoint.json").read_text()
-            if (head["actions"] != len(self.data["actions"])
-                    or _sha256(text) != head["sha256"]):
+            if _sha256(text) != head["sha256"]:
                 return False
             ledger, point = Ledger.from_checkpoint(text)
-            if point["actions_sha256"] != self.actions_sha256():
+            if point["actions_sha256"] != self.log_hash.hexdigest():
                 return False
             system = self.build_system()
             system.ledger = ledger
@@ -337,22 +413,36 @@ class World:
         return True
 
     def save(self) -> None:
-        """Write the checkpoint, then `world.json`, which records its digest
-        and the head state; each goes to a temp file moved into place, and
-        `world.json` last, so a failed save leaves the previous world."""
+        """Append the lines of the actions logged since the last save, then
+        write the checkpoint and `world.json`, which commits the log's new
+        length and the head state; each of the two goes to a temp file moved
+        into place, and `world.json` last, so a failed save leaves the
+        previous world (lines appended past its committed length are a torn
+        append)."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint = self.checkpoint()
-        self.data["head"] = {
-            "actions": len(self.data["actions"]),
+        actions = self.data["actions"]
+        lines = b"".join(map(_log_line, actions[self.logged:]))
+        log_hash = self.log_hash.copy()
+        log_hash.update(lines)
+        checkpoint = self.checkpoint(log_hash.hexdigest())
+        head = {
+            "actions": len(actions),
+            "log_bytes": self.log_bytes + len(lines),
             "state_hash": self.system.ledger.state_hash(),
             "sha256": _sha256(checkpoint),
         }
-        world = json.dumps(self.data, separators=(",", ":"), sort_keys=True)
+        fields = {key: self.data[key] for key in (*WORLD_KEYS, "version")}
+        world = json.dumps({**fields, "head": head}, separators=(",", ":"),
+                           sort_keys=True)
+        _append(self.state_dir / LOG_NAME, self.log_bytes, lines)
         for name, text in (("checkpoint.json", checkpoint),
                            ("world.json", world)):
             tmp = self.state_dir / (name + ".tmp")
             tmp.write_text(text)
             os.replace(tmp, self.state_dir / name)
+        self.data["head"] = head
+        self.logged, self.log_bytes = head["actions"], head["log_bytes"]
+        self.log_hash = log_hash
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +477,8 @@ def cmd_bootstrap(args) -> int:
     if (state_dir / "world.json").exists():
         raise CliError("state", f"{state_dir} already holds a wallet")
     params = parse_params(args.params)
+    if args.funding < 0:
+        raise CliError("usage", f"bad --funding {args.funding}: negative")
     k, hw_seed = read_seeds(args.seed_file)
     world = World.create(state_dir, args.mode, params, k, hw_seed,
                          args.funding)

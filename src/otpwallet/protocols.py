@@ -192,8 +192,10 @@ def bootstrap_system(system: System, mode: str = "secure", funding: int = 1000,
     client.contract_id = receipt.result
 
     # Fund the wallet from the user's account.
-    send(system, {"fn": "transfer", "to": system.contract_id,
-                  "amount": funding // 2})
+    receipt = send(system, {"fn": "transfer", "to": system.contract_id,
+                            "amount": funding // 2})
+    if _status(receipt) != "ok":
+        raise ProtocolAbort(f"funding failed: {_status(receipt)}")
     return system
 
 

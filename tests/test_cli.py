@@ -17,6 +17,8 @@ from otpwallet.cli import (
     parse_params,
 )
 
+from otpwallet.protocols import bootstrap_system
+
 from harness import reference_blocks
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -71,11 +73,32 @@ def test_happy_path_transfer(state, capsys):
     assert "wallet balance: 495" in out
 
 
-STATE_FILES = ["checkpoint.json", "world.json"]
+STATE_FILES = ["actions.jsonl", "checkpoint.json", "world.json"]
 
 
 def _files(state_dir) -> list[str]:
     return sorted(p.name for p in state_dir.iterdir())
+
+
+def _line(action) -> bytes:
+    text = json.dumps(action, separators=(",", ":"), sort_keys=True)
+    return text.encode() + b"\n"
+
+
+def _actions(state_dir) -> list:
+    return [json.loads(line) for line in
+            (state_dir / "actions.jsonl").read_bytes().splitlines()]
+
+
+def _rewrite_log(state_dir, actions) -> None:
+    """Write `actions` as the log and commit its length and count in the
+    head, as a consistent edit of the world would."""
+    log = b"".join(map(_line, actions))
+    (state_dir / "actions.jsonl").write_bytes(log)
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    data["head"].update(actions=len(actions), log_bytes=len(log))
+    world_file.write_text(json.dumps(data))
 
 
 def test_bootstrap_writes_the_world_and_its_checkpoint(state, capsys):
@@ -83,9 +106,11 @@ def test_bootstrap_writes_the_world_and_its_checkpoint(state, capsys):
     run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
     assert _files(state_dir) == STATE_FILES
     world = json.loads((state_dir / "world.json").read_text())
-    assert world["seed_hex"] == SEED_HEX
+    assert world["seed_hex"] == SEED_HEX and "actions" not in world
     assert world["head"]["sha256"] == hashlib.sha256(
         (state_dir / "checkpoint.json").read_bytes()).hexdigest()
+    assert (state_dir / "actions.jsonl").read_bytes() == b""
+    assert (world["head"]["actions"], world["head"]["log_bytes"]) == (0, 0)
 
 
 @pytest.mark.parametrize("source, text", [
@@ -107,6 +132,15 @@ def test_a_bad_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, source,
             seed_file.write_text(text)
         argv += ["--seed-file", seed_file]
     code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+    assert not state_dir.exists()
+
+
+def test_a_negative_funding_is_a_usage_error(state, capsys):
+    state_dir, seed_file = state
+    code, out, err = run(capsys, "--state-dir", state_dir, "bootstrap",
+                         "--funding", "-5", "--seed-file", seed_file)
     assert code == 2 and out == ""
     assert err.startswith("error: usage:") and err.count("\n") == 1
     assert not state_dir.exists()
@@ -330,23 +364,32 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
     run(capsys, "--state-dir", state_dir, "op", "init", "--type", "transfer",
         "--addr", "acct:bob", "--param", "5")
     before = (state_dir / "world.json").read_bytes()
+    log = (state_dir / "actions.jsonl").read_bytes()
     previous = World.load(state_dir).system.ledger.state_hash()
-    real = Path.write_text
+    real_write, real_append = Path.write_text, cli._append
 
-    # A tear at either file, in the order a save writes them, on a restored
+    def torn_append(path, committed, lines):
+        real_append(path, committed, lines[: len(lines) // 2])
+        raise OSError("disk full")
+
+    # A tear at each file, in the order a save writes them, on a restored
     # world and on a replayed one.
-    for name, restored in (("checkpoint.json", True), ("world.json", True),
+    for name, restored in (("actions.jsonl", True), ("checkpoint.json", True),
+                           ("world.json", True), ("actions.jsonl", False),
                            ("checkpoint.json", False), ("world.json", False)):
         def torn(path, text, *args, name=name, **kwargs):
             if path.name.startswith(name):
-                real(path, text[: len(text) // 2], *args, **kwargs)
+                real_write(path, text[: len(text) // 2], *args, **kwargs)
                 raise OSError("disk full")
-            return real(path, text, *args, **kwargs)
+            return real_write(path, text, *args, **kwargs)
 
         if not restored:
             (state_dir / "checkpoint.json").unlink()
         replays = _count_replays(monkeypatch)
-        monkeypatch.setattr(Path, "write_text", torn)
+        if name == "actions.jsonl":
+            monkeypatch.setattr(cli, "_append", torn_append)
+        else:
+            monkeypatch.setattr(Path, "write_text", torn)
         world = World.load(state_dir, save_replay=False)
         assert replays == ([] if restored else [1]), (name, restored)
         with pytest.raises(OSError):
@@ -354,9 +397,72 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
                           "addr": "acct:bob", "param": 5})
         monkeypatch.undo()
         assert (state_dir / "world.json").read_bytes() == before, name
+        assert (state_dir / "actions.jsonl").read_bytes()[: len(log)] == log
         loaded = World.load(state_dir)     # a replay here saves a checkpoint
         assert len(loaded.data["actions"]) == 1
         assert loaded.system.ledger.state_hash() == previous
+
+
+def test_a_torn_append_is_ignored_then_cut(state, capsys):
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    run(capsys, "--state-dir", state_dir, "op", "init", "--type", "transfer",
+        "--addr", "acct:bob", "--param", "5")
+    shown = run(capsys, "--state-dir", state_dir, "root", "show")
+    log = state_dir / "actions.jsonl"
+    with open(log, "ab") as f:
+        f.write(b'{"cmd":')
+    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
+    assert shown[0] == 0
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    head = json.loads((state_dir / "world.json").read_text())["head"]
+    assert code == 0 and (head["actions"], head["log_bytes"]) == (
+        2, len(log.read_bytes()))
+    assert len(_actions(state_dir)) == 2
+
+
+@pytest.mark.parametrize("damage", ["one-byte-short", "deleted"])
+def test_a_log_shorter_than_its_commit_is_a_state_error(history, capsys,
+                                                         damage):
+    state_dir, _ = history
+    log = state_dir / "actions.jsonl"
+    if damage == "deleted":
+        log.unlink()
+    else:
+        log.write_bytes(log.read_bytes()[:-1])
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    code, out, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: state:") and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+def test_actions_appended_to_a_created_world_save_and_restore(tmp_path,
+                                                              monkeypatch):
+    """As the benchmark writes a deep world: actions applied and appended
+    to `data["actions"]`, then saved once."""
+    state_dir = tmp_path / "wallet"
+    world = World.create(state_dir, "secure", parse_params("128,16,2,8,1"),
+                         bytes.fromhex(SEED_HEX), bytes(range(32)), 1000)
+    world.system = world.build_system()
+    bootstrap_system(world.system, "secure", 1000)
+    for _ in range(2):
+        action = {"cmd": "init", "type": "transfer", "addr": "acct:bob",
+                  "param": 1}
+        world.apply(action)
+        world.data["actions"].append(action)
+    otp = world.system.authenticator.get_otp(0).hex()
+    action = {"cmd": "confirm", "op_id": 0, "otp": otp}
+    world.apply(action)
+    world.data["actions"].append(action)
+    world.save()
+    replays = _count_replays(monkeypatch)
+    restored = World.load(state_dir)
+    assert replays == [] and len(_actions(state_dir)) == 3
+    assert restored.data["actions"] == world.data["actions"]
+    assert (restored.system.ledger.state_hash()
+            == world.system.ledger.state_hash())
 
 
 @pytest.fixture
@@ -384,6 +490,38 @@ def _count(monkeypatch, obj, name) -> list:
 
 def _count_replays(monkeypatch) -> list:
     return _count(monkeypatch, World, "replay")
+
+
+def test_a_command_encodes_only_the_actions_it_appends(history, monkeypatch,
+                                                       capsys):
+    """A read encodes no log line and a write one per action it adds; every
+    load hashes the log's bytes once, and no command hashes or encodes the
+    whole log again."""
+    state_dir, _ = history
+    otp = _otp_hex(capsys, state_dir, 1)
+    encoded = _count(monkeypatch, cli, "_log_line")
+    hashed, dumped = [], []
+    real_sha256, real_dumps = hashlib.sha256, json.dumps
+    monkeypatch.setattr(hashlib, "sha256", lambda data=b"", **kwargs: (
+        hashed.append(data), real_sha256(data, **kwargs))[1])
+    monkeypatch.setattr(json, "dumps", lambda obj, **kwargs: (
+        dumped.append(obj), real_dumps(obj, **kwargs))[1])
+    for argv, lines in (
+            (["root", "show"], 0), (["otp", "show", "--op-id", 1], 0),
+            (["op", "init", "--type", "transfer", "--addr", "acct:bob",
+              "--param", 5], 1),
+            (["op", "confirm", "--op-id", 1, "--otp", otp], 1)):
+        log = (state_dir / "actions.jsonl").read_bytes()
+        logged = _actions(state_dir)
+        for calls in (encoded, hashed, dumped):
+            calls.clear()
+        code, _, _ = run(capsys, "--state-dir", state_dir, *argv)
+        assert code == 0 and len(encoded) == lines, argv
+        assert hashed.count(log) == 1, argv
+        grown = (state_dir / "actions.jsonl").read_bytes()
+        assert len(grown) > len(log) if lines else grown == log
+        assert grown == log or grown not in hashed
+        assert logged not in dumped and _actions(state_dir) not in dumped
 
 
 def test_an_intact_head_loads_without_replay(history, monkeypatch):
@@ -437,32 +575,35 @@ def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("damage", [
-    "legacy", "version-1", "version-2", "no-version", "not-json",
+    "legacy", "version-1", "version-2", "version-3", "no-version", "not-json",
     "not-an-object", "no-actions", "no-funding", "no-hw_seed_hex", "no-mode",
     "no-params", "no-seed_hex", "actions-int", "params-list", "seed_hex-list",
     "mode-unknown", "action-without-cmd", "action-int", "init-without-type",
     "init-of-unknown-type", "confirm-of-non-hex-otp",
     "rotate-of-unknown-mode", "init-with-extra-key", "confirm-of-short-otp",
     "params-empty", "params-S-str", "seed_hex-not-hex", "seed_hex-short",
-    "hw_seed_hex-short"])
+    "hw_seed_hex-short", "head-log_bytes-str", "head-extra-key",
+    "funding-negative"])
 def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                                                             damage):
     """Nothing to check a replay against, a key set other than a save
-    writes, a key of another type, a value outside its domain or a malformed
-    action: the command writes nothing."""
+    writes, a key of another type, a value outside its domain, a missing log
+    or a malformed action: the command writes nothing."""
     state_dir, _ = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
-    replaced = {"actions-int": ("actions", 5), "params-list": ("params", [1]),
+    logged, actions = _actions(state_dir), _actions(state_dir)
+    replaced = {"params-list": ("params", [1]),
                 "seed_hex-list": ("seed_hex", [1]),
                 "mode-unknown": ("mode", "bogus"), "params-empty": ("params", {}),
                 "params-S-str": ("params", {**data["params"], "S": "128"}),
                 "seed_hex-not-hex": ("seed_hex", "zz"),
                 "seed_hex-short": ("seed_hex", "00"),
-                "hw_seed_hex-short": ("hw_seed_hex", "00")}
+                "hw_seed_hex-short": ("hw_seed_hex", "00"),
+                "funding-negative": ("funding", -5)}
     malformed = {"action-without-cmd": {"x": 1}, "action-int": 5,
                  "init-without-type": {"cmd": "init"},
-                 "init-of-unknown-type": {**data["actions"][0], "type": "bogus"},
+                 "init-of-unknown-type": {**actions[0], "type": "bogus"},
                  "confirm-of-non-hex-otp": {"cmd": "confirm", "op_id": 0,
                                             "otp": "zz"},
                  "rotate-of-unknown-mode": {"cmd": "rotate", "mode": "bogus"}}
@@ -472,20 +613,34 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
         data["version"] = 1
     elif damage == "version-2":             # its txids left out the fee
         data["version"] = 2
+    elif damage == "version-3":             # its log sat in world.json
+        data.update(version=3, actions=actions)
+        del data["head"]["log_bytes"]
+    elif damage == "no-actions":
+        (state_dir / "actions.jsonl").unlink()
     elif damage.startswith("no-"):
         del data[damage[3:]]
     elif damage in replaced:
         key, value = replaced[damage]
         data[key] = value
+    elif damage == "head-log_bytes-str":
+        data["head"]["log_bytes"] = str(data["head"]["log_bytes"])
+    elif damage == "head-extra-key":
+        data["head"]["memo"] = "x"
+    # The log edits below are re-bound in the head.
+    elif damage == "actions-int":           # the log is the number 5
+        actions = [5]
     elif damage in malformed:
-        data["actions"][1] = malformed[damage]
+        actions[1] = malformed[damage]
     elif damage == "init-with-extra-key":   # replays to the recorded state
-        data["actions"][0]["memo"] = "x"
+        actions[0]["memo"] = "x"
     elif damage == "confirm-of-short-otp":
-        data["actions"][2]["otp"] = data["actions"][2]["otp"][:2]
+        actions[2]["otp"] = actions[2]["otp"][:2]
     text = {"not-json": world_file.read_text()[:-1],
             "not-an-object": "[]"}.get(damage, json.dumps(data))
     world_file.write_text(text)
+    if actions != logged:
+        _rewrite_log(state_dir, actions)
     before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
     for argv in (["root", "show"], ["op", "init", "--type", "transfer",
                                     "--addr", "acct:bob", "--param", "5"]):
@@ -520,10 +675,9 @@ def test_client_files_of_an_older_world_are_ignored(history, monkeypatch,
 
 def test_a_replay_off_the_recorded_state_saves_nothing(history, capsys):
     state_dir, _ = history
-    world_file = state_dir / "world.json"
-    data = json.loads(world_file.read_text())
-    data["actions"][0]["param"] = 6
-    world_file.write_text(json.dumps(data))
+    actions = _actions(state_dir)
+    actions[0]["param"] = 6
+    _rewrite_log(state_dir, actions)
     before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
     code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
     assert code == 1 and err.startswith("error: state:")
@@ -532,22 +686,20 @@ def test_a_replay_off_the_recorded_state_saves_nothing(history, capsys):
 
 def test_an_edited_action_log_is_a_state_error(history, capsys):
     state_dir, _ = history
-    world_file = state_dir / "world.json"
-    data = json.loads(world_file.read_text())
-    assert data["version"] == 3 and data["actions"][0]["param"] == 5
-    data["actions"][0]["param"] = 6
-    world_file.write_text(json.dumps(data))
+    assert json.loads((state_dir / "world.json").read_text())["version"] == 4
+    log = state_dir / "actions.jsonl"
+    text = log.read_bytes()
+    assert text.startswith(b'{"addr":"acct:bob","cmd":"init","param":5,')
+    log.write_bytes(text.replace(b'"param":5', b'"param":6', 1))
     code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
     assert code == 1 and err.startswith("error: state:")
 
 
 def test_a_fund_action_is_unknown(history, capsys):
     state_dir, _ = history
-    world_file = state_dir / "world.json"
-    data = json.loads(world_file.read_text())
-    data["actions"].append({"cmd": "fund", "from": "acct:adversary",
-                            "to": "acct:bob", "amount": 1})
-    world_file.write_text(json.dumps(data))
+    _rewrite_log(state_dir, _actions(state_dir) + [{
+        "cmd": "fund", "from": "acct:adversary", "to": "acct:bob",
+        "amount": 1}])
     code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
     assert code == 1 and err.startswith("error: state: unknown action")
 
@@ -669,10 +821,13 @@ def _written(monkeypatch) -> list:
 
 def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
                                                capsys):
+    """... and appends its one action to the log."""
     state_dir, _ = history
+    log = state_dir / "actions.jsonl"
     for restored in (True, False):
         if not restored:
             (state_dir / "checkpoint.json").unlink()
+        before = log.read_bytes()
         replays = _count_replays(monkeypatch)
         written = _written(monkeypatch)
         code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init",
@@ -682,6 +837,9 @@ def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
         assert code == 0 and replays == ([] if restored else [1])
         assert sorted(written) == ["checkpoint.json.tmp", "world.json.tmp"]
         assert _files(state_dir) == STATE_FILES
+        assert log.read_bytes() == before + _line({
+            "cmd": "init", "type": "transfer", "addr": "acct:bob",
+            "param": 5})
 
 
 def test_an_unknown_operation_type_is_a_usage_error(history, capsys):

@@ -41,6 +41,19 @@ def test_insecure_bootstrap_aborts_on_forged_root():
         run_bootstrap("insecure", seed=4, tamper_root=truncated_hash(b"evil"))
 
 
+@pytest.mark.parametrize("funding", [-5, -1])
+def test_a_bootstrap_whose_funding_does_not_land_aborts(funding):
+    with pytest.raises(ProtocolAbort, match="funding failed: revert:funds"):
+        run_bootstrap("secure", seed=3, funding=funding)
+
+
+@pytest.mark.parametrize("funding", [0, 1])
+def test_a_bootstrap_with_no_funding_to_move_deploys(funding):
+    system = run_bootstrap("secure", seed=3, funding=funding)
+    assert system.ledger.accounts[system.contract_id] == 0
+    assert system.ledger.accounts[system.user_account] == funding
+
+
 def test_operation_waits_for_confirmation_depth():
     system = run_bootstrap("secure", seed=5)
     run_operation(system, OpType.TRANSFER, system.recipient, 1)
