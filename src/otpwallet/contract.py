@@ -4,22 +4,24 @@ Every public method either applies its full effect or raises Revert with a
 category. The ledger runs each call on a `snapshot()` of the contract and
 keeps the untouched original for revert, so effects are atomic; blocks
 share a contract object until a transaction in a later block addresses it.
-Primitive usage (hashes, storage words, signature checks) is counted into a
-CallTrace for the cost model as the call runs, so a call that reverts
-keeps the count of the work it did.
 
-Token balances live in the ledger's account map; the contract reads and
-moves them through the ChainEnv it is called with.
+Every public method takes the call's ChainEnv last. Token balances live in
+the ledger's account map; the contract reads and moves them through it.
+Primitive usage (hashes, storage words, signature checks) is counted into
+the env's CallTrace for the cost model as the call runs, so a call that
+reverts keeps the count of the work it did. Hashes are counted in one
+place: the contract hashes only through `CallTrace.base`, which it passes
+as the `base` of every hashing function it calls.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
-from .hashing import Digest, truncated_hash
+from .hashing import DEFAULT_BASE_HASH, Digest, HashFn, truncated_hash
 from .merkle import (
     MerkleProof,
     SubtreeLayer,
@@ -69,7 +71,7 @@ class OperationRecord:
 
 @dataclass
 class CallTrace:
-    call: str
+    call: str = ""
     payload_bytes: int = 0
     hashes: int = 0
     sload: int = 0
@@ -77,49 +79,56 @@ class CallTrace:
     sstore_update: int = 0
     sig_verifies: int = 0
 
+    def base(self, data: bytes) -> bytes:
+        """The default base hash, counted: the `HashFn` of a contract call."""
+        self.hashes += 1
+        return DEFAULT_BASE_HASH(data)
+
 
 @dataclass
 class ChainEnv:
-    """What the platform exposes to a contract call: the block time, the
-    sender, balance reads and transfers, the call's signed bytes and
-    signature, and the platform's signature check, `verify(public, message,
-    signature)`. A ledger passes its verified-signature memo as `verify`."""
+    """What the platform exposes to a contract call: the block time,
+    balance reads and transfers, the call's signed bytes and signature, the
+    platform's signature check, `verify(public, message, signature)`, and
+    the meter the call's work is counted into, as a gas meter would be. A
+    ledger passes its verified-signature memo as `verify` and the trace its
+    receipt keeps."""
 
     timestamp: int
-    sender: str
     balance_of: Callable[[str], int]
     transfer: Callable[[str, str, int], None]
     tx_signing_bytes: bytes = b""
     tx_signature: bytes | None = None
     verify: Callable[[bytes, bytes, bytes], bool] = signing.verify
+    trace: CallTrace = field(default_factory=CallTrace)
 
 
 def _sublayer_under(sublayer: SubtreeLayer, proof_sr: MerkleProof,
-                    root: Digest, trace: CallTrace) -> bool:
+                    root: Digest, base: HashFn) -> bool:
     """Whether the sublayer reduces to a subtree root that `proof_sr` folds
     up to `root`; False also when a node or sibling is not a digest."""
     try:
-        sub_root = reduce_mt(sublayer.nodes, tally=trace)
-        return subtree_consistency(sub_root, proof_sr, root, tally=trace)
+        sub_root = reduce_mt(sublayer.nodes, base)
+        return subtree_consistency(sub_root, proof_sr, root, base)
     except ValueError:
         return False
 
 
 class WalletContract:
     def __init__(self, root: Digest, pk: bytes, cache_sublayer: SubtreeLayer,
-                 proof_sr: MerkleProof, params: TreeParams, env: ChainEnv,
-                 trace: CallTrace | None = None):
-        trace = trace if trace is not None else CallTrace("constructor")
+                 proof_sr: MerkleProof, params: TreeParams, env: ChainEnv):
+        trace = env.trace
         if len(cache_sublayer.nodes) != 2 ** params.L_S:
             raise Revert("consistency", "cached sublayer has the wrong size")
-        if not _sublayer_under(cache_sublayer, proof_sr, root, trace):
+        if not _sublayer_under(cache_sublayer, proof_sr, root, trace.base):
             raise Revert("consistency", "cached sublayer does not match the root")
 
         self.params = params
         self.root = root
         self.pk = pk
         self.owner_account = signing.account_of(pk)
-        self.contract_id = truncated_hash(pk + root, params.digest_bytes).hex()
+        self.contract_id = truncated_hash(pk + root, params.digest_bytes,
+                                          trace.base).hex()
         self.next_op_id = 0
         self.operations: dict[int, OperationRecord] = {}
         self.sublayer = cache_sublayer.copy()
@@ -134,8 +143,6 @@ class WalletContract:
         self.last_resort_timeout = 0
         self.last_activity = env.timestamp
         self.destroyed = False
-
-        trace.hashes += 1                           # the contract id
         trace.sstore_new += BASE_STATE_WORDS + len(self.sublayer.nodes)
 
     def snapshot(self) -> "WalletContract":
@@ -157,7 +164,8 @@ class WalletContract:
         if self.destroyed:
             raise Revert("destroyed", "wallet was emptied to the last resort")
 
-    def _check_sig(self, env: ChainEnv, trace: CallTrace):
+    def _check_sig(self, env: ChainEnv):
+        trace = env.trace
         trace.sig_verifies += 1
         trace.sload += 1                            # pk
         if type(env.tx_signature) is not bytes or not env.verify(
@@ -169,11 +177,11 @@ class WalletContract:
 
     # -- first stage of an operation ------------------------------------------
 
-    def init_op(self, addr: str, param: int, op_type: OpType, env: ChainEnv,
-                trace: CallTrace | None = None) -> int:
-        trace = trace if trace is not None else CallTrace("init_op")
+    def init_op(self, addr: str, param: int, op_type: OpType,
+                env: ChainEnv) -> int:
+        trace = env.trace
         self._alive()
-        self._check_sig(env, trace)
+        self._check_sig(env)
         trace.sload += 1                            # nextOpID
         if self.next_op_id % self.params.N_S == self.params.N_S - 1:
             raise Revert("phase", "slot reserved for the next subtree or root")
@@ -192,8 +200,8 @@ class WalletContract:
     # -- second stage ----------------------------------------------------------
 
     def confirm_op(self, otp: Digest, proof: MerkleProof, op_id: int,
-                   env: ChainEnv, trace: CallTrace | None = None) -> None:
-        trace = trace if trace is not None else CallTrace("confirm_op")
+                   env: ChainEnv) -> None:
+        trace = env.trace
         self._alive()
         record = self.operations.get(op_id)
         trace.sload += 2                            # operation record
@@ -206,7 +214,7 @@ class WalletContract:
         if layer < self.current_layer:
             raise Revert("layer", f"iteration layer {layer} is already invalidated")
         self._verify_otp_cached(otp, proof, op_id, trace)
-        self._exec(record, env, trace)
+        self._exec(record, env)
         self.operations[op_id] = replace(record, pending=False)
         self.current_layer = layer
         self.last_activity = env.timestamp
@@ -216,7 +224,7 @@ class WalletContract:
                            trace: CallTrace) -> None:
         try:
             node = derive_node_in_cache(otp, proof, op_id, self.params,
-                                        tally=trace)
+                                        trace.base)
         except ValueError as exc:
             raise Revert("otp", str(exc)) from exc
         slot = expected_idx_in_cache(op_id % self.params.subtree_leaves,
@@ -225,8 +233,8 @@ class WalletContract:
         if node != self.sublayer.nodes[slot]:
             raise Revert("otp", "reconstructed node does not match the cache")
 
-    def _exec(self, record: OperationRecord, env: ChainEnv,
-              trace: CallTrace) -> None:
+    def _exec(self, record: OperationRecord, env: ChainEnv) -> None:
+        trace = env.trace
         trace.sload += 1                            # dailyLimit
         if record.type is OpType.TRANSFER:
             trace.sload += 1                        # balance
@@ -257,8 +265,8 @@ class WalletContract:
 
     def next_subtree(self, next_sublayer: SubtreeLayer, otp: Digest,
                      proof_otp: MerkleProof, proof_sr: MerkleProof,
-                     env: ChainEnv, trace: CallTrace | None = None) -> None:
-        trace = trace if trace is not None else CallTrace("next_subtree")
+                     env: ChainEnv) -> None:
+        trace = env.trace
         self._alive()
         trace.sload += 1                            # nextOpID
         if self.next_op_id % self.params.N == self.params.N - 1:
@@ -269,13 +277,13 @@ class WalletContract:
             raise Revert("consistency", "sublayer size mismatch")
         try:
             derived = derive_root_hash(otp, proof_otp, self.next_op_id,
-                                       self.params, tally=trace)
+                                       self.params, trace.base)
         except ValueError as exc:
             raise Revert("otp", str(exc)) from exc
         trace.sload += 1                            # root
         if derived != self.root:
             raise Revert("otp", "OTP does not verify against the parent root")
-        if not _sublayer_under(next_sublayer, proof_sr, self.root, trace):
+        if not _sublayer_under(next_sublayer, proof_sr, self.root, trace.base):
             raise Revert("consistency", "new sublayer does not match the root")
         self.sublayer = next_sublayer.copy()
         self.current_subtree += 1
@@ -290,36 +298,32 @@ class WalletContract:
         if self.next_op_id % self.params.N != self.params.N - 1:
             raise Revert("phase", "not at the last operation of the parent tree")
 
-    def new_root_stage1(self, h_root_and_otp: Digest, env: ChainEnv,
-                        trace: CallTrace | None = None) -> None:
-        trace = trace if trace is not None else CallTrace("new_root_stage1")
+    def _append_signed(self, entries: list[Digest], value: Digest,
+                       env: ChainEnv) -> None:
+        """The body of stages 1 and 2: an owner-signed append to L1 or L2."""
         self._alive()
-        self._check_sig(env, trace)
-        trace.sload += 1
+        self._check_sig(env)
+        env.trace.sload += 1
         self._root_phase()
-        self.l1.append(h_root_and_otp)
-        trace.sstore_new += 1
+        entries.append(value)
+        env.trace.sstore_new += 1
 
-    def new_root_stage2(self, new_root: Digest, env: ChainEnv,
-                        trace: CallTrace | None = None) -> None:
-        trace = trace if trace is not None else CallTrace("new_root_stage2")
-        self._alive()
-        self._check_sig(env, trace)
-        trace.sload += 1
-        self._root_phase()
-        self.l2.append(new_root)
-        trace.sstore_new += 1
+    def new_root_stage1(self, h_root_and_otp: Digest, env: ChainEnv) -> None:
+        self._append_signed(self.l1, h_root_and_otp, env)
+
+    def new_root_stage2(self, new_root: Digest, env: ChainEnv) -> None:
+        self._append_signed(self.l2, new_root, env)
 
     def new_root_stage3(self, otp: Digest, proof: MerkleProof,
                         new_sublayer: SubtreeLayer, proof_sr: MerkleProof,
-                        env: ChainEnv, trace: CallTrace | None = None) -> bool:
+                        env: ChainEnv) -> bool:
         """Install the first (L2, L1) pair matching the revealed OTP.
 
         Returns True when the root was replaced. An over-long list pair is
         dropped without an update (the gas-depletion guard); a missing
         match leaves the lists for a later attempt. Both are non-reverting.
         """
-        trace = trace if trace is not None else CallTrace("new_root_stage3")
+        trace = env.trace
         self._alive()
         trace.sload += 1
         self._root_phase()
@@ -331,8 +335,7 @@ class WalletContract:
         match = None
         for i, candidate_root in enumerate(self.l2):
             probe = truncated_hash(candidate_root + otp,
-                                   self.params.digest_bytes)
-            trace.hashes += 1
+                                   self.params.digest_bytes, trace.base)
             for j, entry in enumerate(self.l1):
                 if probe == entry:
                     match = (i, j)
@@ -342,7 +345,7 @@ class WalletContract:
         if match is None:
             return False
         new_root = self.l2[match[0]]
-        if not _sublayer_under(new_sublayer, proof_sr, new_root, trace):
+        if not _sublayer_under(new_sublayer, proof_sr, new_root, trace.base):
             raise Revert("consistency", "new sublayer does not match the new root")
         self.root = new_root
         self.next_op_id += 1
@@ -356,9 +359,8 @@ class WalletContract:
 
     # -- escape hatch ------------------------------------------------------------
 
-    def send_to_last_resort(self, env: ChainEnv,
-                            trace: CallTrace | None = None) -> int:
-        trace = trace if trace is not None else CallTrace("send_to_last_resort")
+    def send_to_last_resort(self, env: ChainEnv) -> int:
+        trace = env.trace
         self._alive()
         trace.sload += 3
         if self.last_resort_timeout <= 0 or not self.last_resort_addr:
@@ -406,6 +408,8 @@ class WalletContract:
         the given parameters (they are not in the lines)."""
         fields, operations = {}, {}
         for line in lines:
+            if type(line) is not str:
+                raise ValueError(f"a state line is not text: {line!r}")
             key, _, value = line.partition("=")
             if key.startswith("op") and key[2:].isdigit():
                 op_type, rest = value.split(",", 1)

@@ -77,19 +77,17 @@ def chain_step(d: Digest, j: int, base: HashFn = DEFAULT_BASE_HASH) -> Digest:
 
 
 def chain_extend(d: Digest, start: int, stop: int,
-                 base: HashFn = DEFAULT_BASE_HASH, tally=None) -> Digest:
+                 base: HashFn = DEFAULT_BASE_HASH) -> Digest:
     """Walk a chain from position `start` to position `stop`.
 
     Applies chain_step with tags start+1, ..., stop: exactly stop - start
-    hash evaluations. `tally`, when given, has its hash counter bumped.
+    calls of `base`, so a counting `base` meters the walk.
     """
     if start < 0 or start > stop:
         raise DomainError(f"bad chain interval [{start}, {stop}]")
     out = d
     for j in range(start + 1, stop + 1):
         out = chain_step(out, j, base)
-    if tally is not None:
-        tally.hashes += stop - start
     return out
 
 

@@ -255,6 +255,8 @@ _SCHEMAS = {fn: dict((("fn", str),) + (("contract", str),) * (fn in CALL_RESULTS
 
 
 def _schema_of(call: dict) -> dict:
+    if type(call) is not dict:
+        raise LedgerError(f"a call is not an object: {type(call).__name__}")
     schema = _SCHEMAS.get(call.get("fn"))
     if schema is None or call.keys() != schema.keys():
         raise LedgerError(f"call outside the schema: {sorted(call)}")
@@ -458,16 +460,16 @@ class Ledger:
 
         env = ChainEnv(
             timestamp=timestamp,
-            sender=tx.sender,
             balance_of=lambda a: state.accounts.get(a, 0),
             transfer=do_transfer,
             tx_signing_bytes=tx.signing_bytes(),
             tx_signature=tx.signature,
             verify=self._verify,
+            trace=trace,
         )
 
         if fn == "deploy_wallet":
-            contract = WalletContract(*args, env, trace=trace)
+            contract = WalletContract(*args, env)
             if contract.contract_id in state.contracts:
                 raise Revert("phase", "contract already deployed")
             state.contracts[contract.contract_id] = contract
@@ -478,7 +480,7 @@ class Ledger:
             raise Revert("phase", f"no contract {cid}")
         contract = state.contracts[cid] = state.contracts[cid].snapshot()
         # Looked up at call time, so wrappers set on the class apply.
-        out = getattr(contract, fn)(*args, env, trace)
+        out = getattr(contract, fn)(*args, env)
         return CALL_RESULTS[fn](call, out)
 
     # -- forks and reorgs ----------------------------------------------------------------

@@ -22,10 +22,11 @@ pattern is the bitwise complement of the leaf position it belongs to, and
 verifiers compare it against the expected position mapped through the same
 convention.
 
-Metering. The hashing functions take an optional `tally`, any object with
-a `hashes` counter, and add each hash they evaluate to it as it runs, so a
-call that fails partway still counts its work. The contract passes the
-`CallTrace` of the call it runs.
+Metering. Every hashing function evaluates its hashes through its `base`
+argument, one call per hash, so a counting `base` meters the work as it
+runs, and a call that fails partway still counts what it hashed. Each
+party passes its own: the authenticator's and the client's `base` field,
+and for a contract call the `base` method of the call's `CallTrace`.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def _mask(d: Digest) -> Digest:
     return d[:-1] + _CLEARED[d[-1]]
 
 
-def pair_hash(left: Digest, right: Digest, base: HashFn = DEFAULT_BASE_HASH,
-              tally=None) -> Digest:
+def pair_hash(left: Digest, right: Digest,
+              base: HashFn = DEFAULT_BASE_HASH) -> Digest:
     """Parent node value; the LSB of each child is outside hash coverage.
 
     Both children must be digests of one size in 16..32 bytes; the parent
@@ -181,8 +182,6 @@ def pair_hash(left: Digest, right: Digest, base: HashFn = DEFAULT_BASE_HASH,
     if n != len(right) or not 16 <= n <= 32:
         raise DomainError(f"children must be equal-size 16..32 byte digests: "
                           f"{n} and {len(right)} bytes")
-    if tally is not None:
-        tally.hashes += 1
     return base(_mask(left) + _mask(right))[:n]
 
 
@@ -223,8 +222,7 @@ def all_leaves(k: Seed, params: TreeParams, eta: int = 0,
     return _chain_ends(k, eta * params.leaves, params.leaves, params, base)
 
 
-def _levels(nodes: list[Digest], base: HashFn,
-            tally=None) -> Iterator[list[Digest]]:
+def _levels(nodes: list[Digest], base: HashFn) -> Iterator[list[Digest]]:
     """Tree levels of a power-of-two node list, bottom-up, one at a time."""
     n = len(nodes)
     if n < 1 or n & (n - 1):
@@ -233,16 +231,15 @@ def _levels(nodes: list[Digest], base: HashFn,
     yield level
     while len(level) > 1:
         pairs = iter(level)
-        level = [pair_hash(left, right, base, tally)
+        level = [pair_hash(left, right, base)
                  for left, right in zip(pairs, pairs)]
         yield level
 
 
-def reduce_mt(nodes: list[Digest], base: HashFn = DEFAULT_BASE_HASH,
-              tally=None) -> Digest:
+def reduce_mt(nodes: list[Digest], base: HashFn = DEFAULT_BASE_HASH) -> Digest:
     """Pairwise reduction of a power-of-two node list to a single root,
     keeping one level at a time."""
-    for level in _levels(nodes, base, tally):
+    for level in _levels(nodes, base):
         pass
     return level[0]
 
@@ -276,15 +273,14 @@ def gen_proof(leaves: list[Digest], idx: int, stop_depth: int = 0,
 
 
 def fold_proof(start: Digest, proof: MerkleProof,
-               base: HashFn = DEFAULT_BASE_HASH,
-               tally=None) -> Digest:
+               base: HashFn = DEFAULT_BASE_HASH) -> Digest:
     """Resolve a proof bottom-up, placing each sibling by its parity bit."""
     res = start
     for sib in proof.siblings:
         if lsb(sib) == 1:
-            res = pair_hash(res, sib, base, tally)
+            res = pair_hash(res, sib, base)
         else:
-            res = pair_hash(sib, res, base, tally)
+            res = pair_hash(sib, res, base)
     return res
 
 
@@ -335,8 +331,8 @@ def expected_idx_in_cache_loop(child_leaf_id: int, params: TreeParams) -> int:
 # Verifier-side reconstructions
 
 def derive_root_hash(otp: Digest, proof: MerkleProof, op_id: int,
-                     params: TreeParams, base: HashFn = DEFAULT_BASE_HASH,
-                     tally=None) -> Digest:
+                     params: TreeParams,
+                     base: HashFn = DEFAULT_BASE_HASH) -> Digest:
     """Reconstruct the parent root from an OTP and a full-height proof.
 
     Runs the chain a(opID)+1 steps from position P-1-a(opID) up to the
@@ -349,13 +345,13 @@ def derive_root_hash(otp: Digest, proof: MerkleProof, op_id: int,
     if derive_idx(proof) != expect:
         raise DomainError("proof does not match the operation's leaf index")
     a = chain_offset(op_id, params)
-    leaf = chain_extend(otp, params.P - 1 - a, params.P, base, tally)
-    return fold_proof(leaf, proof, base, tally)
+    leaf = chain_extend(otp, params.P - 1 - a, params.P, base)
+    return fold_proof(leaf, proof, base)
 
 
 def derive_node_in_cache(otp: Digest, proof: MerkleProof, op_id: int,
-                         params: TreeParams, base: HashFn = DEFAULT_BASE_HASH,
-                         tally=None) -> Digest:
+                         params: TreeParams,
+                         base: HashFn = DEFAULT_BASE_HASH) -> Digest:
     """Reconstruct a cached-sublayer node from an OTP and a short proof."""
     want_len = params.H_S - params.L_S
     if len(proof) != want_len:
@@ -366,15 +362,15 @@ def derive_node_in_cache(otp: Digest, proof: MerkleProof, op_id: int,
     if derive_idx(proof) != expect:
         raise DomainError("proof does not match the expected cached-node slot")
     a = chain_offset(op_id, params)
-    leaf = chain_extend(otp, params.P - 1 - a, params.P, base, tally)
-    return fold_proof(leaf, proof, base, tally)
+    leaf = chain_extend(otp, params.P - 1 - a, params.P, base)
+    return fold_proof(leaf, proof, base)
 
 
 def subtree_consistency(sub_root: Digest, proof: MerkleProof,
-                        parent_root: Digest, base: HashFn = DEFAULT_BASE_HASH,
-                        tally=None) -> bool:
+                        parent_root: Digest,
+                        base: HashFn = DEFAULT_BASE_HASH) -> bool:
     """Fold a subtree root up to the parent root; False on mismatch."""
-    return fold_proof(sub_root, proof, base, tally) == parent_root
+    return fold_proof(sub_root, proof, base) == parent_root
 
 
 # ---------------------------------------------------------------------------

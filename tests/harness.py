@@ -38,8 +38,10 @@ class World:
         self.accounts[to] = self.accounts.get(to, 0) + amount
 
     def env(self, sender, signed=False, msg=b"call"):
+        """A call's platform context. `sender` names the caller for the
+        reader only: the contract authenticates by signature and OTP."""
         sig = self.keypair.sign(msg) if signed else None
-        return ChainEnv(timestamp=self.now, sender=sender,
+        return ChainEnv(timestamp=self.now,
                         balance_of=lambda a: self.accounts.get(a, 0),
                         transfer=self.transfer,
                         tx_signing_bytes=msg, tx_signature=sig)

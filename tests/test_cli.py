@@ -534,7 +534,8 @@ def test_an_intact_head_loads_without_replay(history, monkeypatch):
     assert recorded["actions"] == 3
 
 
-@pytest.mark.parametrize("damage", ["one-byte-edit", "stale", "deleted"])
+@pytest.mark.parametrize("damage", ["one-byte-edit", "stale", "deleted",
+                                    "rebound-non-text-line"])
 def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
                                                          damage):
     state_dir, stale = history
@@ -546,6 +547,14 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
         checkpoint.write_bytes(bytes(data))
     elif damage == "stale":
         checkpoint.write_text(stale)
+    elif damage == "rebound-non-text-line":
+        doc = json.loads(checkpoint.read_text())
+        doc["head"]["contracts"][0]["lines"].append(5)
+        text = json.dumps(doc, separators=(",", ":"))
+        checkpoint.write_text(text)
+        data = json.loads(world_file.read_text())
+        data["head"]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        world_file.write_text(json.dumps(data))
     else:
         checkpoint.unlink()
     replays = _count_replays(monkeypatch)

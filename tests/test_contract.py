@@ -4,8 +4,7 @@ import pytest
 
 from otpwallet import signing
 from otpwallet.client import ClientStore
-from otpwallet.contract import (CallTrace, ChainEnv, OpType, Revert,
-                                WalletContract)
+from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
 from otpwallet.hashing import chain_step, truncated_hash
 from otpwallet.merkle import (MerkleProof, SubtreeLayer, TreeParams,
                               chain_offset, layer_of)
@@ -43,7 +42,7 @@ def test_forged_sublayer_reverts_deployment():
     forged = SubtreeLayer([truncated_hash(b"junk")] * len(sublayer.nodes), 0)
     with pytest.raises(Revert) as err:
         WalletContract(root, w.keypair.public, forged, proof_sr, PARAMS,
-                       ChainEnv(T0, "x", lambda a: 0, lambda f, t, v: None))
+                       ChainEnv(T0, lambda a: 0, lambda f, t, v: None))
     assert err.value.category == "consistency"
 
 
@@ -51,13 +50,25 @@ def test_a_reverted_deployment_meters_its_hashes():
     store = ClientStore.bootstrap_secure(K, PARAMS)
     root, sublayer, proof_sr = store.constructor_args()
     forged = SubtreeLayer([truncated_hash(b"junk")] * len(sublayer.nodes), 0)
-    trace = CallTrace("constructor")
+    env = ChainEnv(T0, lambda a: 0, lambda f, t, v: None)
+    trace = env.trace
     with pytest.raises(Revert):
-        WalletContract(root, bytes(32), forged, proof_sr, PARAMS,
-                       ChainEnv(T0, "x", lambda a: 0, lambda f, t, v: None),
-                       trace=trace)
+        WalletContract(root, bytes(32), forged, proof_sr, PARAMS, env)
     # The sublayer reduced to its subtree root, then folded up proof_sr.
     assert trace.hashes == len(forged.nodes) - 1 + len(proof_sr)
+
+
+@pytest.mark.parametrize("params, hashes", [
+    (PARAMS, 3), (TreeParams(S=128, N=64, P=2, N_S=16, L_S=2), 6)])
+def test_a_deployment_meters_its_hashes(params, hashes):
+    world = World(params)
+    root, sublayer, proof_sr = world.store.constructor_args()
+    env = world.env(world.owner)
+    WalletContract(root, world.keypair.public, sublayer, proof_sr, params, env)
+    # The contract id, the sublayer reduced to its subtree root, and
+    # proof_sr folded up to the root.
+    assert env.trace.hashes == 1 + len(sublayer.nodes) - 1 + len(proof_sr) \
+        == hashes
 
 
 def test_degenerate_cache_is_the_root_itself():
@@ -67,7 +78,7 @@ def test_degenerate_cache_is_the_root_itself():
     assert sublayer.nodes == [root] and len(proof_sr) == 0
     kp = signing.keygen(bytes([7]) * 32)
     wallet = WalletContract(root, kp.public, sublayer, proof_sr, params,
-                            ChainEnv(T0, "x", lambda a: 0, lambda f, t, v: None))
+                            ChainEnv(T0, lambda a: 0, lambda f, t, v: None))
     assert wallet.root == root
 
 
@@ -271,12 +282,12 @@ def test_a_subtree_otp_off_the_root_meters_its_hashes(world):
         world.init(param=1)
     op_id = world.wallet.next_op_id
     payload = world.store.build_next_subtree(op_id, world.otp(op_id))
-    trace = CallTrace("next_subtree")
+    env = world.env(world.owner)
+    trace = env.trace
     with pytest.raises(Revert) as err:
         world.wallet.next_subtree(payload.next_sublayer,
                                   truncated_hash(b"not the otp"),
-                                  payload.proof_otp, payload.proof_sr,
-                                  world.env(world.owner), trace)
+                                  payload.proof_otp, payload.proof_sr, env)
     assert err.value.category == "otp"
     # The chain ran a(opID)+1 steps to the leaf, and the proof H folds.
     assert trace.hashes == chain_offset(op_id, PARAMS) + 1 + PARAMS.H == 5
@@ -408,6 +419,34 @@ def test_first_match_wins_over_later_adversary_pair(world):
                                         stages.new_sublayer, stages.proof_sr,
                                         world.env(world.owner))
     assert world.wallet.root == new_root        # the user's earlier pair won
+
+
+def test_stage3_meters_the_climb_each_probe_and_the_new_sublayer(world):
+    drive_to_tree_boundary(world)
+    op_id = world.wallet.next_op_id
+    new_root = world.store.stage_rotation(K)
+    stages = world.store.build_new_root_stages(op_id, new_root,
+                                               world.otp(op_id))
+    args = (stages.otp, stages.proof_otp, stages.new_sublayer, stages.proof_sr)
+    world.wallet.new_root_stage1(stages.h_root_and_otp,
+                                 world.env(world.owner, signed=True))
+    world.wallet.new_root_stage2(truncated_hash(b"not the new root"),
+                                 world.env(world.owner, signed=True))
+    # The OTP climbs a(opID)+1 chain steps and H_S - L_S folds to its
+    # cached node.
+    climb = chain_offset(op_id, PARAMS) + 1 + PARAMS.H_S - PARAMS.L_S
+    env = world.env(world.owner)
+    assert not world.wallet.new_root_stage3(*args, env)
+    # One probe for the one candidate, which does not match.
+    assert env.trace.hashes == climb + 1 == 4
+    world.wallet.new_root_stage2(stages.new_root,
+                                 world.env(world.owner, signed=True))
+    env = world.env(world.owner)
+    assert world.wallet.new_root_stage3(*args, env)
+    # Two probes, the second matching; then the new sublayer reduced to its
+    # subtree root and proof_sr folded up to the new root.
+    assert env.trace.hashes == (climb + 2 + len(stages.new_sublayer.nodes) - 1
+                                + len(stages.proof_sr)) == 7
 
 
 # -- last resort -----------------------------------------------------------------------

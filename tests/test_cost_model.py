@@ -104,10 +104,9 @@ def test_metered_hashes_match_closed_forms_exhaustively():
                     world.init(param=0)
                 for i in usable:
                     payload = world.store.build_confirm(i, world.otp(i))
-                    from otpwallet.contract import CallTrace
-                    trace = CallTrace("confirm_op")
-                    world.wallet.confirm_op(payload.otp, payload.proof, i,
-                                            world.env(world.owner), trace)
+                    env = world.env(world.owner)
+                    trace = env.trace
+                    world.wallet.confirm_op(payload.otp, payload.proof, i, env)
                     a = ((i % n_s) * p) // n_s
                     assert trace.hashes == (a + 1) + (h_s - l_s), \
                         (p, h_s, l_s, i)

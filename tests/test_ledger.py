@@ -350,6 +350,19 @@ def test_a_restored_ledger_verifies_every_archived_signature(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_call_that_is_not_an_object_is_a_ledger_error(ledger):
+    ledger.submit(pay("a", "b", 5, 1, 0))
+    ledger.mine_block()
+    with pytest.raises(LedgerError):
+        ledger.submit(Transaction("a", 5, nonce=1))
+    doc = json.loads(ledger.checkpoint())
+    doc["blocks"][1][1][0][0][3] = 5           # the archived call
+    restored, _ = Ledger.from_checkpoint(json.dumps(doc, separators=(",", ":")))
+    for read in (restored.event_log, restored.audit_signatures):
+        with pytest.raises(LedgerError):
+            read()
+
+
 def test_a_signature_that_is_not_bytes_reverts():
     w = WalletChain()
     tx = init_tx(w)
