@@ -8,10 +8,14 @@ replayable log of every command that changed state, one action per line
 appends the lines of the actions it adds and never re-encodes the rest.
 `checkpoint.json` is a derived cache of the world's head, and deleting it
 costs one replay: the head ledger state with the head block's chained
-digest and the txid index, the protocol bookkeeping (the generation, the
-client's current subtree and the contract id among it) and every block's
-receipts. The client holds nothing secret and is not stored: a restore
-derives its leaves from the world's seed at the checkpoint's generation.
+digest and the txid index, the bookkeeping that the chain does not hold
+(the init txid of each initialised operation, the confirmed transfers and
+the depth checks) and every block's receipts. Whatever the wallet contract
+records is read off it instead, as the paper's client reads the chain:
+the contract id, the generation (`nextOpID // N`), the client's current
+subtree and each initialised operation's type, address and parameter. The
+client holds nothing secret and is not stored: a restore derives its
+leaves from the world's seed at that generation.
 
 `world.json`, written last, binds the other two: its head records the
 action count, the log's committed length in bytes, the head `state_hash`
@@ -105,12 +109,22 @@ HEAD_KEYS = {"actions": int, "log_bytes": int, "sha256": object,
              "state_hash": str}
 PARAMS_KEYS = dict.fromkeys(TreeParams().as_dict(), int)
 # Logged command -> the keys of its action besides "cmd", as the command
-# writes them, and their types.
-ACTION_KEYS = {
-    "init": {"type": str, "addr": str, "param": int},
-    "confirm": {"op_id": int, "otp": str},
-    "subtree": {},
-    "rotate": {"mode": str},
+# writes them, and their types; the protocol step that applies it to a
+# system; and the text of its failure. A step looks its protocol function up
+# when it runs, so a wrapper set on this module applies.
+ACTIONS = {
+    "init": ({"type": str, "addr": str, "param": int},
+             lambda system, a: init_operation(system, OP_TYPES[a["type"]],
+                                              a["addr"], a["param"]),
+             "init rejected"),
+    "confirm": ({"op_id": int, "otp": str},
+                lambda system, a: confirm_operation(
+                    system, a["op_id"], bytes.fromhex(a["otp"])),
+                "confirmation rejected"),
+    "subtree": ({}, lambda system, a: run_next_subtree(system),
+                "subtree introduction failed"),
+    "rotate": ({"mode": str}, lambda system, a: run_new_root(system, a["mode"]),
+               "root rotation failed"),
 }
 
 
@@ -180,9 +194,9 @@ def _malformed(action, otp_bytes: int) -> str | None:
     if type(action) is not dict or type(action.get("cmd")) is not str:
         return "not an object with a command name"
     cmd = action["cmd"]
-    if cmd not in ACTION_KEYS:
+    if cmd not in ACTIONS:
         return None
-    problem = _outside(action, {"cmd": str, **ACTION_KEYS[cmd]})
+    problem = _outside(action, {"cmd": str, **ACTIONS[cmd][0]})
     if problem:
         return f"{cmd}: {problem}"
     if cmd == "init" and action["type"] not in OP_TYPES:
@@ -331,24 +345,11 @@ class World:
             self.apply(action)
 
     def apply(self, action: dict) -> dict:
-        system = self.system
         cmd = action["cmd"]
-        if cmd == "init":
-            failed = "init rejected"
-            outcome = init_operation(system, OP_TYPES[action["type"]],
-                                     action["addr"], action["param"])
-        elif cmd == "confirm":
-            failed = "confirmation rejected"
-            outcome = confirm_operation(system, action["op_id"],
-                                        bytes.fromhex(action["otp"]))
-        elif cmd == "subtree":
-            failed = "subtree introduction failed"
-            outcome = run_next_subtree(system)
-        elif cmd == "rotate":
-            failed = "root rotation failed"
-            outcome = run_new_root(system, action["mode"])
-        else:
+        if cmd not in ACTIONS:
             raise CliError("state", f"unknown action in the action log: {cmd}")
+        _, step, failed = ACTIONS[cmd]
+        outcome = step(self.system, action)
         if not outcome["ok"]:
             raise CliError("protocol", f"{failed}: {outcome['status']}")
         return outcome
@@ -359,54 +360,43 @@ class World:
         self.save()
         return result
 
-    def checkpoint(self, actions_sha256: str) -> str:
-        """The head of the world as JSON text, as `restore` reads it back:
-        the ledger's checkpoint, extended with the digest of the log's bytes
-        and the protocol bookkeeping."""
-        system = self.system
-        return system.ledger.checkpoint(
-            actions_sha256=actions_sha256,
-            eta=system.authenticator.eta,
-            current_subtree=system.client.current_subtree,
-            contract_id=system.contract_id,
-            initialised=[[op_id, txid, op_type.value, addr, param]
-                         for op_id, (txid, op_type, addr, param)
-                         in system.initialised.items()],
-            confirmed_transfers=system.confirmed_transfers,
-            depth_checks=system.depth_checks)
-
     def restore(self) -> bool:
         """Set up the system from the checkpoint, without replaying; False
         when it is missing, does not match the digest `world.json` records,
-        was built from other log bytes or does not parse, or the restored
-        ledger hashes to another state. The client's tree is built from the
-        seed's leaves at the checkpoint's generation."""
+        was built from other log bytes or does not parse, the restored
+        ledger hashes to another state, or that state does not hold exactly
+        one contract with a record of every initialised operation. Only
+        then is the rest derived from the contract, so the state hash covers
+        it: the generation, the client's subtree, and each initialised
+        operation's type, address and parameter. The client's tree is built
+        from the seed's leaves at that generation."""
         head = self.data["head"]
         try:
             text = (self.state_dir / "checkpoint.json").read_text()
             if _sha256(text) != head["sha256"]:
                 return False
             ledger, point = Ledger.from_checkpoint(text)
-            if point["actions_sha256"] != self.log_hash.hexdigest():
+            if (point["actions_sha256"] != self.log_hash.hexdigest()
+                    or ledger.state_hash() != head["state_hash"]):
                 return False
             system = self.build_system()
             system.ledger = ledger
-            system.contract_id = point["contract_id"]
-            system.authenticator.eta = eta = point["eta"]
-            params = self.params()
+            (system.contract_id,) = ledger.head.state.contracts
+            contract, params = system.contract, self.params()
+            system.authenticator.eta = eta = contract.next_op_id // params.N
             system.client = ClientStore(
                 levels=merkle.build_levels(all_leaves(
                     bytes.fromhex(self.data["seed_hex"]), params, eta)),
                 params=params, eta=eta, contract_id=system.contract_id,
-                current_subtree=point["current_subtree"])
-            system.initialised = {
-                op_id: (txid, OP_TYPES[op_type], addr, param)
-                for op_id, txid, op_type, addr, param in point["initialised"]}
+                current_subtree=(contract.current_subtree
+                                 - eta * params.subtree_count))
+            for op_id, txid in point["initialised"]:
+                record = contract.operations[op_id]
+                system.initialised[op_id] = (txid, record.type, record.addr,
+                                             record.param)
             system.confirmed_transfers = [
                 tuple(t) for t in point["confirmed_transfers"]]
             system.depth_checks = [tuple(d) for d in point["depth_checks"]]
-            if system.ledger.state_hash() != head["state_hash"]:
-                return False
         except (OSError, LookupError, TypeError, ValueError, LedgerError):
             return False
         self.system = system
@@ -424,11 +414,17 @@ class World:
         lines = b"".join(map(_log_line, actions[self.logged:]))
         log_hash = self.log_hash.copy()
         log_hash.update(lines)
-        checkpoint = self.checkpoint(log_hash.hexdigest())
+        system = self.system
+        checkpoint = system.ledger.checkpoint(
+            actions_sha256=log_hash.hexdigest(),
+            initialised=[[op_id, txid] for op_id, (txid, *_)
+                         in system.initialised.items()],
+            confirmed_transfers=system.confirmed_transfers,
+            depth_checks=system.depth_checks)
         head = {
             "actions": len(actions),
             "log_bytes": self.log_bytes + len(lines),
-            "state_hash": self.system.ledger.state_hash(),
+            "state_hash": system.ledger.state_hash(),
             "sha256": _sha256(checkpoint),
         }
         fields = {key: self.data[key] for key in (*WORLD_KEYS, "version")}

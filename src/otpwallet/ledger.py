@@ -522,17 +522,6 @@ class Ledger:
 
     # -- queries ------------------------------------------------------------------------------
 
-    def find_tx(self, txid: str) -> tuple[Block, TxReceipt] | None:
-        height = self.tx_heights[self.canonical].get(txid)
-        if height is None:
-            return None
-        if self._archive is not None and height <= self._archive.height:
-            self._materialize()
-        chain = self.branches[self.canonical]
-        blk = chain[height - chain[0].height]
-        return blk, next(r for r in blk.receipts
-                         if r.txid == txid and r.status != "invalid-nonce")
-
     def confirmations(self, txid: str) -> int | None:
         """Blocks on top of the tx's block; None when not on the canonical
         chain."""
@@ -540,25 +529,33 @@ class Ledger:
         return None if height is None else self.head.height - height
 
     def receipt(self, txid: str) -> TxReceipt | None:
-        found = self.find_tx(txid)
-        return found[1] if found else None
+        """The tx's executed receipt on the canonical chain, or None."""
+        height = self.tx_heights[self.canonical].get(txid)
+        if height is None:
+            return None
+        if self._archive is not None and height <= self._archive.height:
+            self._materialize()
+        chain = self.branches[self.canonical]
+        return next(r for r in chain[height - chain[0].height].receipts
+                    if r.txid == txid and r.status != "invalid-nonce")
 
     # -- checkpoints ------------------------------------------------------------------------
 
     def checkpoint(self, **extra) -> str:
         """The canonical chain as JSON text: an object whose "head" holds
-        the submission counter, the head's balances, nonces and contracts,
-        its height, timestamp and digest, the canonical txid index and the
-        `extra` keys, and whose "blocks" lists each block's `entry`. Older
-        block states, other branches and call traces are left out. Only the
-        blocks after the newest one with a cached chain text are joined
-        from their entries."""
+        the head's balances, nonces and contracts, its height, timestamp and
+        digest, the canonical txid index and the `extra` keys, and whose
+        "blocks" lists each block's `entry`. Older block states, other
+        branches and call traces are left out, and so is the submission
+        counter: the mempool is empty and a restored ledger cannot fork
+        below its head, so the counter orders only transactions submitted
+        after the restore, from any start. Only the blocks after the newest
+        one with a cached chain text are joined from their entries."""
         if self.mempool:
             raise LedgerError("a checkpoint holds mined state only")
         chain = self.branches[self.canonical]
         head, state = chain[-1], chain[-1].state
         head_text = _to_json({
-            "seq": self._seq,
             "accounts": state.accounts,
             "nonces": state.nonces,
             "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
@@ -597,7 +594,6 @@ class Ledger:
         ledger.branches = {MAIN: [base]}
         ledger.tx_heights = {MAIN: dict(head["index"])}
         ledger._archive = base
-        ledger._seq = head["seq"]
         return ledger, head
 
     def _materialize(self) -> None:

@@ -138,14 +138,6 @@ def make_parties_from_material(k: bytes, hw_seed: bytes,
                   user=UserModel(), ledger=ledger)
 
 
-def make_parties(seed: int = 0, params: TreeParams = DEFAULT_PARAMS,
-                 funding: int = 1000) -> System:
-    rng = random.Random(seed)
-    k = random_seed(rng)
-    hw_seed = bytes(rng.getrandbits(8) for _ in range(32))
-    return make_parties_from_material(k, hw_seed, params, funding)
-
-
 # ---------------------------------------------------------------------------
 # Bootstrapping
 
@@ -203,7 +195,10 @@ def run_bootstrap(mode: str = "secure", seed: int = 0,
                   params: TreeParams = DEFAULT_PARAMS, funding: int = 1000,
                   tamper_root: Digest | None = None) -> System:
     """Fresh parties from a seed, then deploy."""
-    system = make_parties(seed, params, funding)
+    rng = random.Random(seed)
+    k = random_seed(rng)
+    hw_seed = bytes(rng.getrandbits(8) for _ in range(32))
+    system = make_parties_from_material(k, hw_seed, params, funding)
     return bootstrap_system(system, mode, funding, tamper_root)
 
 

@@ -146,7 +146,6 @@ def reference_checkpoint(ledger) -> str:
                 index.setdefault(r.txid, blk.height)
     return json.dumps({
         "head": {
-            "seq": ledger._seq,
             "accounts": state.accounts,
             "nonces": state.nonces,
             "contracts": [{"params": c.params.as_dict(),

@@ -534,8 +534,25 @@ def test_an_intact_head_loads_without_replay(history, monkeypatch):
     assert recorded["actions"] == 3
 
 
+def _rebind(state_dir, text: str) -> None:
+    """Write `text` as the checkpoint and record its digest in world.json."""
+    (state_dir / "checkpoint.json").write_text(text)
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    data["head"]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    world_file.write_text(json.dumps(data))
+
+
+def _rebind_doc(state_dir, edit) -> None:
+    """Rebind the checkpoint as `edit` leaves its parsed document."""
+    doc = json.loads((state_dir / "checkpoint.json").read_text())
+    edit(doc)
+    _rebind(state_dir, json.dumps(doc, separators=(",", ":")))
+
+
 @pytest.mark.parametrize("damage", ["one-byte-edit", "stale", "deleted",
-                                    "rebound-non-text-line"])
+                                    "rebound-non-text-line",
+                                    "rebound-unrecorded-operation"])
 def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
                                                          damage):
     state_dir, stale = history
@@ -548,19 +565,78 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
     elif damage == "stale":
         checkpoint.write_text(stale)
     elif damage == "rebound-non-text-line":
-        doc = json.loads(checkpoint.read_text())
-        doc["head"]["contracts"][0]["lines"].append(5)
-        text = json.dumps(doc, separators=(",", ":"))
-        checkpoint.write_text(text)
-        data = json.loads(world_file.read_text())
-        data["head"]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-        world_file.write_text(json.dumps(data))
+        _rebind_doc(state_dir, lambda doc: doc["head"]["contracts"][0][
+            "lines"].append(5))
+    elif damage == "rebound-unrecorded-operation":
+        # The contract holds no record of an operation 7.
+        _rebind_doc(state_dir, lambda doc: doc["head"]["initialised"].append(
+            [7, "00" * 8]))
     else:
         checkpoint.unlink()
     replays = _count_replays(monkeypatch)
     world = World.load(state_dir)
     assert replays == [1]
     assert world.system.ledger.state_hash() == recorded
+    assert sorted(world.system.initialised) == [0, 1]
+
+
+def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
+                                                        capsys):
+    """The generation and the client's subtree come from the restored
+    contract, which the state hash covers, so head keys that claim others
+    change nothing."""
+    state_dir, _ = history
+    _rebind_doc(state_dir, lambda doc: doc["head"].update(
+        eta=1, current_subtree=1))
+    replays = _count_replays(monkeypatch)
+    code, out, _ = run(capsys, "--state-dir", state_dir, "root", "show")
+    roots = [line.split(":", 1)[1].strip() for line in out.splitlines()]
+    assert code == 0 and len(roots) == 2 and roots[0] == roots[1]
+    code, out, err = run(capsys, "--state-dir", state_dir, "otp", "show",
+                         "--op-id", 0)
+    assert code == 0 and err == "" and replays == []
+    world = World.load(state_dir)
+    assert (world.system.authenticator.eta, world.system.client.eta,
+            world.system.client.current_subtree) == (0, 0, 0)
+
+
+# The keys of a checkpoint's head as a save writes it.
+CHECKPOINT_HEAD_KEYS = ["accounts", "actions_sha256", "confirmed_transfers",
+                        "contracts", "depth_checks", "digest", "height",
+                        "index", "initialised", "nonces", "timestamp"]
+
+
+def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
+        history, monkeypatch, capsys):
+    """A checkpoint that also stores the submission counter, the generation,
+    the client's subtree and the contract id, with each initialised
+    operation's type, address and parameter in its row. Those rows do not
+    bind, so the world loads by one replay, which saves the new layout."""
+    state_dir, _ = history
+    system = World.load(state_dir).system
+    recorded = system.ledger.state_hash()
+    doc = json.loads((state_dir / "checkpoint.json").read_text())
+    assert sorted(doc["head"]) == CHECKPOINT_HEAD_KEYS
+    assert doc["head"]["initialised"] == [
+        [op_id, txid] for op_id, (txid, *_) in system.initialised.items()]
+    doc["head"].update(
+        seq=9, eta=0, current_subtree=0,
+        contract_id=system.contract_id,
+        initialised=[[op_id, txid, op_type.value, addr, param]
+                     for op_id, (txid, op_type, addr, param)
+                     in system.initialised.items()])
+    _rebind(state_dir, json.dumps(doc, separators=(",", ":")))
+
+    replays = _count_replays(monkeypatch)
+    code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
+    loaded = World.load(state_dir)
+    assert code == 0 and replays == [1]
+    assert loaded.system.ledger.state_hash() == recorded
+    assert loaded.system.initialised == system.initialised
+    assert (loaded.system.confirmed_transfers, loaded.system.depth_checks) == (
+        system.confirmed_transfers, system.depth_checks)
+    head = json.loads((state_dir / "checkpoint.json").read_text())["head"]
+    assert sorted(head) == CHECKPOINT_HEAD_KEYS
 
 
 @pytest.mark.parametrize("damage", ["deleted", "one-byte-edit"])
@@ -801,11 +877,8 @@ def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
     assert text != checkpoint.read_text()
     with pytest.raises(ledger_mod.LedgerError):
         ledger_mod.Ledger.from_checkpoint(text)
-    checkpoint.write_text(text)
-    data = json.loads(world_file.read_text())
-    data["head"]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    world_file.write_text(json.dumps(data))
-    recorded = data["head"]["state_hash"]
+    _rebind(state_dir, text)
+    recorded = json.loads(world_file.read_text())["head"]["state_hash"]
 
     replays = _count_replays(monkeypatch)
     code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
@@ -913,17 +986,13 @@ def test_confirmations_on_a_restored_world_decode_nothing(history,
 
 def test_a_consistently_tampered_archive_fails_when_read(history, monkeypatch):
     state_dir, _ = history
-    checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
+    checkpoint = state_dir / "checkpoint.json"
     doc = json.loads(checkpoint.read_text())
     assert json.dumps(doc, separators=(",", ":")) == checkpoint.read_text()
     row = next(row for entry in doc["blocks"] if type(entry) is list
                for row in entry[1] if row[1] == "ok")
     row[1] = "revert:funds"
-    text = json.dumps(doc, separators=(",", ":"))
-    checkpoint.write_text(text)
-    data = json.loads(world_file.read_text())
-    data["head"]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    world_file.write_text(json.dumps(data))
+    _rebind(state_dir, json.dumps(doc, separators=(",", ":")))
 
     replays = _count_replays(monkeypatch)
     ledger = World.load(state_dir).system.ledger     # binds by the head alone
