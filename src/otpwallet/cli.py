@@ -9,8 +9,8 @@ appends the lines of the actions it adds and never re-encodes the rest.
 `checkpoint.json` is a derived cache of the world's head, and deleting it
 costs one replay: the head ledger state with the head block's chained
 digest and the txid index, the bookkeeping that the chain does not hold
-(the init txid of each initialised operation, the confirmed transfers and
-the depth checks) and every block's receipts. Whatever the wallet contract
+(the init txid of each initialised operation of the current subtree, the
+confirmed transfers and the depth checks) and every block's receipts. Whatever the wallet contract
 records is read off it instead, as the paper's client reads the chain:
 the contract id, the generation (`nextOpID // N`), the client's current
 subtree and each initialised operation's type, address and parameter. The
@@ -48,11 +48,15 @@ A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` builds the parser of the command that argv names,
 not all nine (the full parser only for help, usage errors at the top
 level and unknown commands). A restore parses the checkpoint's head
-alone: `state_hash` hashes the head state with the stored head digest,
-and the blocks stay an undecoded archive (see `otpwallet.ledger`) that no
-command reads; an audit of the chain decodes and checks it. A save
-assembles `checkpoint.json` from the archive text and the entries of the
-new blocks.
+alone, and of the contract's records only the current subtree's, at most
+`N_S`: the finished subtrees' lines stay text that `state_hash` covers
+(see `otpwallet.contract`). `state_hash` hashes the head state with the
+stored head digest, and the blocks stay an undecoded archive (see
+`otpwallet.ledger`) that no command reads; an audit of the chain decodes
+and checks it. A save assembles `checkpoint.json` from the archive text
+and the entries of the new blocks. What a command still pays for by
+history is the log parse, the txid index, the block archive's rewrite, the
+confirmed transfers and the depth checks.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr), 2 usage.
@@ -365,11 +369,14 @@ class World:
         when it is missing, does not match the digest `world.json` records,
         was built from other log bytes or does not parse, the restored
         ledger hashes to another state, or that state does not hold exactly
-        one contract with a record of every initialised operation. Only
-        then is the rest derived from the contract, so the state hash covers
-        it: the generation, the client's subtree, and each initialised
-        operation's type, address and parameter. The client's tree is built
-        from the seed's leaves at that generation."""
+        one contract with a record in its open subtree of every initialised
+        operation of that subtree, whose init txid the restored txid index
+        holds. Rows below the open subtree, which older saves kept, are
+        ignored. Only then is the rest derived from the contract, so the
+        state hash covers it: the generation, the client's subtree, and each
+        initialised operation's type, address and parameter. The client's
+        tree is built from the seed's leaves at that generation. The
+        confirmed transfers and depth checks are still taken as stored."""
         head = self.data["head"]
         try:
             text = (self.state_dir / "checkpoint.json").read_text()
@@ -390,8 +397,14 @@ class World:
                 params=params, eta=eta, contract_id=system.contract_id,
                 current_subtree=(contract.current_subtree
                                  - eta * params.subtree_count))
+            floor, records = (contract.current_subtree * params.N_S,
+                              contract.operations.open)
             for op_id, txid in point["initialised"]:
-                record = contract.operations[op_id]
+                if op_id < floor:
+                    continue            # a sealed row, which older saves kept
+                record = records[op_id]
+                if ledger.confirmations(txid) is None:
+                    return False
                 system.initialised[op_id] = (txid, record.type, record.addr,
                                              record.param)
             system.confirmed_transfers = [

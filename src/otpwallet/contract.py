@@ -5,6 +5,17 @@ category. The ledger runs each call on a `snapshot()` of the contract and
 keeps the untouched original for revert, so effects are atomic; blocks
 share a contract object until a transaction in a later block addresses it.
 
+Only the current subtree's operation records can change: `init_op` writes
+at `nextOpID`, and `confirm_op` refuses an operation of any other subtree.
+So `operations` keeps each finished subtree's records in a sealed chunk,
+which no call changes again and every snapshot shares, and the current
+subtree's records in one open dict of at most `N_S` entries, the only
+container of records a snapshot copies. `next_subtree` and a root
+replacement seal the open dict. A sealed chunk renders its `state_lines`
+text on first use and keeps it, so `state_lines` renders only the open
+records; `from_state_lines` parses only those and keeps the older `op`
+lines as one sealed chunk of text, parsed when a record in it is read.
+
 Every public method takes the call's ChainEnv last. Token balances live in
 the ledger's account map; the contract reads and moves them through it.
 Primitive usage (hashes, storage words, signature checks) is counted into
@@ -17,8 +28,10 @@ as the `base` of every hashing function it calls.
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable
 
 from .hashing import DEFAULT_BASE_HASH, Digest, HashFn, truncated_hash
@@ -59,6 +72,8 @@ class OpType(Enum):
 
 # Value -> member: a lookup here costs a tenth of `OpType(value)`.
 OP_TYPES = {t.value: t for t in OpType}
+# Member -> value, as plain text: cheaper to read than the `value` property.
+OP_TEXT = {t: t.value for t in OpType}
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,121 @@ class OperationRecord:
     param: int
     pending: bool
     type: OpType
+
+
+def _op_line(op_id: int, rec: OperationRecord) -> str:
+    """A record's `state_lines` line."""
+    return (f"op{op_id}={OP_TEXT[rec.type]},{rec.addr},{rec.param},"
+            f"{int(rec.pending)}")
+
+
+def _op_id(line: str) -> int | None:
+    """The id of an `op` state line, or None for any other line."""
+    if type(line) is not str:
+        raise ValueError(f"a state line is not text: {line!r}")
+    key = line.partition("=")[0]
+    return int(key[2:]) if key.startswith("op") and key[2:].isdigit() else None
+
+
+def _parse_op(line: str) -> tuple[int, OperationRecord]:
+    """The id and record that `_op_line` wrote."""
+    key, _, value = line.partition("=")
+    op_type, rest = value.split(",", 1)
+    addr, param, pending = rest.rsplit(",", 2)
+    return int(key[2:]), OperationRecord(addr, int(param), pending == "1",
+                                         OP_TYPES[op_type])
+
+
+class _Sealed:
+    """Operation records that no call changes again, held as records, as
+    their `state_lines` lines in id order, or both: the missing form is
+    derived from the other on first use and kept."""
+
+    __slots__ = ("_records", "_lines")
+
+    def __init__(self, records: dict[int, OperationRecord] | None = None,
+                 lines: list[str] | None = None):
+        self._records, self._lines = records, lines
+
+    def records(self) -> dict[int, OperationRecord]:
+        if self._records is None:
+            self._records = dict(map(_parse_op, self._lines))
+        return self._records
+
+    def lines(self) -> list[str]:
+        if self._lines is None:
+            self._lines = [_op_line(op_id, self._records[op_id])
+                           for op_id in sorted(self._records)]
+        return self._lines
+
+    def __len__(self) -> int:
+        return len(self._lines if self._records is None else self._records)
+
+
+class Operations(Mapping):
+    """A contract's operation records by id, read-only: a tuple of sealed
+    chunks, one per finished subtree (or one for all the subtrees before a
+    restore), that every snapshot shares, then the open dict of the current
+    subtree's records, which a snapshot copies. Only the contract writes,
+    through `_put` and `_seal`."""
+
+    __slots__ = ("_sealed", "_open")
+
+    def __init__(self, sealed: tuple[_Sealed, ...] = (),
+                 open_records: dict[int, OperationRecord] | None = None):
+        self._sealed = sealed
+        self._open = {} if open_records is None else open_records
+
+    @property
+    def open(self) -> Mapping[int, OperationRecord]:
+        """The current subtree's records."""
+        return MappingProxyType(self._open)
+
+    def copy(self) -> "Operations":
+        return Operations(self._sealed, dict(self._open))
+
+    def get(self, op_id: int, default=None):
+        record = self._open.get(op_id)
+        if record is not None:
+            return record
+        for chunk in self._sealed:
+            record = chunk.records().get(op_id)
+            if record is not None:
+                return record
+        return default
+
+    def __getitem__(self, op_id: int) -> OperationRecord:
+        record = self.get(op_id)
+        if record is None:
+            raise KeyError(op_id)
+        return record
+
+    def __iter__(self) -> Iterator[int]:
+        for chunk in self._sealed:
+            yield from chunk.records()
+        yield from self._open
+
+    def __len__(self) -> int:
+        return sum(map(len, self._sealed)) + len(self._open)
+
+    def lines(self) -> list[str]:
+        """Every record's `state_lines` line, in id order; only the open
+        records are rendered here."""
+        lines = []
+        for chunk in self._sealed:
+            lines += chunk.lines()
+        lines += [_op_line(op_id, self._open[op_id])
+                  for op_id in sorted(self._open)]
+        return lines
+
+    def _put(self, op_id: int, record: OperationRecord) -> None:
+        self._open[op_id] = record
+
+    def _seal(self) -> None:
+        """Seal the open records; the next subtree starts with none."""
+        if self._open:
+            self._sealed += (_Sealed(records=self._open),)
+            self._open = {}
 
 
 @dataclass
@@ -130,7 +260,7 @@ class WalletContract:
         self.contract_id = truncated_hash(pk + root, params.digest_bytes,
                                           trace.base).hex()
         self.next_op_id = 0
-        self.operations: dict[int, OperationRecord] = {}
+        self.operations = Operations()
         self.sublayer = cache_sublayer.copy()
         self.current_subtree = 0          # absolute floor(opID / N_S)
         self.current_layer = 1            # sliding-window watermark
@@ -148,12 +278,13 @@ class WalletContract:
     def snapshot(self) -> "WalletContract":
         """A copy that a call can change without touching this contract.
 
-        Only the mutable containers are copied: the operations map (its
-        records are frozen), L1, L2 and the cached sublayer. Digests, keys,
-        parameters and scalars are shared.
+        Only the mutable containers are copied: the open subtree's records
+        (at most `N_S`; the records themselves are frozen), L1, L2 and the
+        cached sublayer. The sealed chunks of finished subtrees, digests,
+        keys, parameters and scalars are shared.
         """
         twin = copy.copy(self)
-        twin.operations = dict(self.operations)
+        twin.operations = self.operations.copy()
         twin.l1, twin.l2 = list(self.l1), list(self.l2)
         twin.sublayer = self.sublayer.copy()
         return twin
@@ -192,7 +323,7 @@ class WalletContract:
                          "last resort must differ from the owner account")
         op_id = self.next_op_id
         self.next_op_id += 1
-        self.operations[op_id] = OperationRecord(addr, param, True, op_type)
+        self.operations._put(op_id, OperationRecord(addr, param, True, op_type))
         trace.sstore_new += OP_RECORD_WORDS
         trace.sstore_update += 1                    # nextOpID
         return op_id
@@ -215,7 +346,7 @@ class WalletContract:
             raise Revert("layer", f"iteration layer {layer} is already invalidated")
         self._verify_otp_cached(otp, proof, op_id, trace)
         self._exec(record, env)
-        self.operations[op_id] = replace(record, pending=False)
+        self.operations._put(op_id, replace(record, pending=False))
         self.current_layer = layer
         self.last_activity = env.timestamp
         trace.sstore_update += 3                    # pending, layer, lastActivity
@@ -285,6 +416,7 @@ class WalletContract:
             raise Revert("otp", "OTP does not verify against the parent root")
         if not _sublayer_under(next_sublayer, proof_sr, self.root, trace.base):
             raise Revert("consistency", "new sublayer does not match the root")
+        self.operations._seal()
         self.sublayer = next_sublayer.copy()
         self.current_subtree += 1
         self.sublayer.index = self.current_subtree
@@ -347,6 +479,7 @@ class WalletContract:
         new_root = self.l2[match[0]]
         if not _sublayer_under(new_sublayer, proof_sr, new_root, trace.base):
             raise Revert("consistency", "new sublayer does not match the new root")
+        self.operations._seal()
         self.root = new_root
         self.next_op_id += 1
         self.current_subtree = self.next_op_id // self.params.N_S
@@ -376,7 +509,7 @@ class WalletContract:
     # -- canonical serialization ----------------------------------------------------
 
     def state_lines(self) -> list[str]:
-        lines = [
+        return [
             f"contractId={self.contract_id}",
             f"root={self.root.hex()}",
             f"pk={self.pk.hex()}",
@@ -394,30 +527,33 @@ class WalletContract:
             "sublayer=" + ",".join(n.hex() for n in self.sublayer.nodes),
             "L1=" + ",".join(d.hex() for d in self.l1),
             "L2=" + ",".join(d.hex() for d in self.l2),
+            *self.operations.lines(),
         ]
-        for op_id in sorted(self.operations):
-            rec = self.operations[op_id]
-            lines.append(f"op{op_id}={rec.type.value},{rec.addr},{rec.param},"
-                         f"{int(rec.pending)}")
-        return lines
 
     @classmethod
     def from_state_lines(cls, lines: list[str],
                          params: TreeParams) -> "WalletContract":
         """The contract that `state_lines` describes; the inverse of it for
-        the given parameters (they are not in the lines)."""
-        fields, operations = {}, {}
-        for line in lines:
-            if type(line) is not str:
-                raise ValueError(f"a state line is not text: {line!r}")
+        the given parameters (they are not in the lines). It parses the
+        header and the tail of `op` lines whose id is in the current
+        subtree, at most `N_S` lines because the lines are sorted by id;
+        the older `op` lines become one sealed chunk of text, kept as they
+        are and parsed only when a record in it is read."""
+        fields, start = {}, len(lines)
+        for i, line in enumerate(lines):
+            if _op_id(line) is not None:
+                start = i
+                break
             key, _, value = line.partition("=")
-            if key.startswith("op") and key[2:].isdigit():
-                op_type, rest = value.split(",", 1)
-                addr, param, pending = rest.rsplit(",", 2)
-                operations[int(key[2:])] = OperationRecord(
-                    addr, int(param), pending == "1", OP_TYPES[op_type])
-            else:
-                fields[key] = value
+            fields[key] = value
+        floor, end = int(fields["currentSubtree"]) * params.N_S, len(lines)
+        while end > start:
+            op_id = _op_id(lines[end - 1])
+            if op_id is None:
+                raise ValueError(f"not an operation: {lines[end - 1]!r}")
+            if op_id < floor:
+                break
+            end -= 1
 
         def digests(key: str) -> list[Digest]:
             return [bytes.fromhex(d) for d in fields[key].split(",") if d]
@@ -429,7 +565,9 @@ class WalletContract:
         wallet.pk = bytes.fromhex(fields["pk"])
         wallet.owner_account = signing.account_of(wallet.pk)
         wallet.next_op_id = int(fields["nextOpID"])
-        wallet.operations = operations
+        wallet.operations = Operations(
+            (_Sealed(lines=lines[start:end]),) if end > start else (),
+            dict(map(_parse_op, lines[end:])))
         wallet.sublayer = SubtreeLayer(digests("sublayer"),
                                        int(fields["sublayerIndex"]))
         wallet.current_subtree = int(fields["currentSubtree"])

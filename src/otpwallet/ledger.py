@@ -62,9 +62,14 @@ chain.
 timestamp and digest, and the canonical txid -> height index) and then a
 `blocks` array with every canonical block's entry. It joins the blocks'
 cached entries, so a chain that grew by a few blocks since its last
-checkpoint encodes only those. `from_checkpoint` reads that layout only: it
-parses the head object alone and keeps the blocks array as unparsed text,
-the archive, and raises `LedgerError` for any other text. The canonical
+checkpoint encodes only those. A contract's state lines join the cached
+text of its sealed subtrees with its open subtree's records, so
+`checkpoint` and `state_hash` render only the open records. `from_checkpoint`
+reads that layout only: it parses the head object alone, of each contract's
+lines only the header and the open subtree's records (the older lines stay
+text, which `state_hash` covers as they were read), and keeps the blocks
+array as unparsed text, the archive, and raises `LedgerError` for any other
+text. The canonical
 branch then starts at a base block, the restored head, with its state and
 its stored digest; its receipts stay in the archive. Head state,
 submission, mining, `confirmations`, `state_hash` and `checkpoint` never

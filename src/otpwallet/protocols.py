@@ -108,7 +108,8 @@ class System:
     contract_id: str = ""
     recipient: str = "acct:recipient"
     confirmed_transfers: list[tuple[str, int]] = field(default_factory=list)
-    # op id -> (init txid, type, addr, param) of each initialised operation.
+    # op id -> (init txid, type, addr, param) of each initialised operation
+    # of the current subtree: the contract confirms no other.
     initialised: dict[int, tuple[str, OpType, str, int]] = field(
         default_factory=dict)
     depth_checks: list[tuple[int, int]] = field(default_factory=list)
@@ -324,6 +325,14 @@ def run_operation(system: System, op_type: OpType, addr: str, param: int,
     return confirm_operation(system, outcome["op_id"])
 
 
+def _forget_sealed(system: System) -> None:
+    """Drop the init txids of the operations below the contract's current
+    subtree: the step just sealed them, and they can never be confirmed."""
+    floor = system.contract.current_subtree * system.params.N_S
+    for op_id in [i for i in system.initialised if i < floor]:
+        del system.initialised[op_id]
+
+
 def run_next_subtree(system: System) -> dict:
     """Single-transaction introduction of the next subtree.
 
@@ -346,6 +355,7 @@ def run_next_subtree(system: System) -> dict:
     ok = _status(receipt) == "ok"
     if ok:
         system.client.advance_subtree()
+        _forget_sealed(system)
     return {"ok": ok, "op_id": op_id, "status": _status(receipt)}
 
 
@@ -395,4 +405,5 @@ def run_new_root(system: System, mode: str = "secure") -> dict:
     if ok:
         client.commit_rotation()
         auth.advance_generation()
+        _forget_sealed(system)
     return {"ok": ok, "stage": 3, "status": _status(receipt)}

@@ -1,6 +1,6 @@
 """Shared test harness: a wallet contract driven without the ledger, and
-cache-free references for the ledger's chained digest, state hash and
-checkpoint."""
+cache-free references for the contract's state lines and the ledger's
+chained digest, state hash and checkpoint."""
 
 import json
 
@@ -67,9 +67,13 @@ class World:
                                  self.env(self.owner))
         self.store.advance_subtree()
 
-    def rotate_root(self):
+    def rotate_root(self, mode="secure"):
+        """The three stages; the secure mode stages the next generation
+        from the seed, the insecure one from the device's leaf export."""
         op_id = self.wallet.next_op_id
-        new_root = self.store.stage_rotation(K)
+        new_root = self.store.stage_rotation(
+            K if mode == "secure" else Authenticator(
+                K, self.params, eta=self.store.eta).export_next_leaves())
         stages = self.store.build_new_root_stages(op_id, new_root,
                                                   self.otp(op_id))
         self.wallet.new_root_stage1(stages.h_root_and_otp,
@@ -82,6 +86,35 @@ class World:
         if ok:
             self.store.commit_rotation()
         return ok
+
+
+def reference_state_lines(wallet) -> list[str]:
+    """`WalletContract.state_lines` rendered from scratch: the header, then
+    one line per operation record in id order, sealed or open."""
+    lines = [
+        f"contractId={wallet.contract_id}",
+        f"root={wallet.root.hex()}",
+        f"pk={wallet.pk.hex()}",
+        f"nextOpID={wallet.next_op_id}",
+        f"currentSubtree={wallet.current_subtree}",
+        f"currentLayer={wallet.current_layer}",
+        f"dailyLimit={wallet.daily_limit}",
+        f"spentToday={wallet.spent_today}",
+        f"dayIndex={wallet.day_index}",
+        f"lastResortAddr={wallet.last_resort_addr}",
+        f"lastResortTimeout={wallet.last_resort_timeout}",
+        f"lastActivity={wallet.last_activity}",
+        f"destroyed={int(wallet.destroyed)}",
+        f"sublayerIndex={wallet.sublayer.index}",
+        "sublayer=" + ",".join(n.hex() for n in wallet.sublayer.nodes),
+        "L1=" + ",".join(d.hex() for d in wallet.l1),
+        "L2=" + ",".join(d.hex() for d in wallet.l2),
+    ]
+    for op_id in sorted(wallet.operations):
+        rec = wallet.operations[op_id]
+        lines.append(f"op{op_id}={rec.type.value},{rec.addr},{rec.param},"
+                     f"{int(rec.pending)}")
+    return lines
 
 
 def reference_chain(ledger) -> list:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from otpwallet import cli, ledger as ledger_mod
+from otpwallet import cli, contract as contract_mod, ledger as ledger_mod
 from otpwallet.cli import (
     World,
     build_parser,
@@ -578,6 +578,85 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
     assert replays == [1]
     assert world.system.ledger.state_hash() == recorded
     assert sorted(world.system.initialised) == [0, 1]
+
+
+def test_an_init_txid_outside_the_chain_loads_by_replay(state, monkeypatch,
+                                                       capsys):
+    """An `initialised` row binds only when the restored txid index holds
+    its init txid: a row re-bound to a made-up txid loads by one replay,
+    after which the pending operation confirms."""
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    run(capsys, "--state-dir", state_dir, "op", "init", "--type", "transfer",
+        "--addr", "acct:bob", "--param", "5")
+    otp = _otp_hex(capsys, state_dir, 0)
+    _rebind_doc(state_dir, lambda doc: doc["head"].update(
+        initialised=[[0, "0000000000000000"]]))
+    replays = _count_replays(monkeypatch)
+    code, out, err = run(capsys, "--state-dir", state_dir, "op", "confirm",
+                         "--op-id", 0, "--otp", otp)
+    assert code == 0 and err == "" and replays == [1]
+    assert "confirmed opID 0" in out
+
+
+def _sealed_world(state_dir) -> World:
+    """A world at `128,16,1,4,1` past three subtree introductions and a
+    rotation, with a transfer pending in each subtree and one in the open
+    subtree of the next generation, saved once."""
+    world = World.create(state_dir, "secure", parse_params("128,16,1,4,1"),
+                         bytes.fromhex(SEED_HEX), bytes(range(32)), 1000)
+    world.system = world.build_system()
+    bootstrap_system(world.system, "secure", 1000)
+    init = {"cmd": "init", "type": "transfer", "addr": "acct:bob", "param": 1}
+    for slot in range(17):
+        action = ({"cmd": "rotate", "mode": "secure"} if slot == 15 else
+                  {"cmd": "subtree"} if slot % 4 == 3 else init)
+        world.apply(action)
+        world.data["actions"].append(action)
+        if slot == 4:
+            otp = world.system.authenticator.get_otp(4).hex()
+            action = {"cmd": "confirm", "op_id": 4, "otp": otp}
+            world.apply(action)
+            world.data["actions"].append(action)
+    world.save()
+    return world
+
+
+def test_a_restore_parses_only_the_open_subtree(tmp_path, monkeypatch,
+                                                capsys):
+    """Each load of a command builds at most `N_S` operation records: the
+    sealed subtrees' lines stay text, and the restored world still reads
+    every record and hashes to the recorded state."""
+    state_dir = tmp_path / "wallet"
+    saved = _sealed_world(state_dir).system
+    assert saved.contract.current_subtree == 4
+    assert sorted(saved.initialised) == [16]
+    replays, built, per_load = _count_replays(monkeypatch), [], []
+    real_record, real_load = contract_mod.OperationRecord, World.load.__func__
+    monkeypatch.setattr(contract_mod, "OperationRecord", lambda *args: (
+        built.append(1), real_record(*args))[1])
+
+    def load(cls, *args, **kwargs):
+        start = len(built)
+        world = real_load(cls, *args, **kwargs)
+        per_load.append(len(built) - start)
+        return world
+
+    monkeypatch.setattr(World, "load", classmethod(load))
+    for argv in (["root", "show"],
+                 ["op", "init", "--type", "transfer", "--addr", "acct:bob",
+                  "--param", 1]):
+        code, _, err = run(capsys, "--state-dir", state_dir, *argv)
+        assert code == 0 and err == "", argv
+    assert replays == [] and len(per_load) == 2
+    assert all(count <= 4 for count in per_load), per_load
+    monkeypatch.undo()
+    restored = World.load(state_dir).system
+    assert sorted(restored.initialised) == [16, 17]
+    assert dict(restored.contract.operations) == {
+        **saved.contract.operations,
+        17: contract_mod.OperationRecord("acct:bob", 1, True,
+                                         contract_mod.OpType.TRANSFER)}
 
 
 def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,

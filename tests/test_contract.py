@@ -1,6 +1,8 @@
 """Wallet state machine driven directly, without the ledger."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otpwallet import signing
 from otpwallet.client import ClientStore
@@ -9,7 +11,7 @@ from otpwallet.hashing import chain_step, truncated_hash
 from otpwallet.merkle import (MerkleProof, SubtreeLayer, TreeParams,
                               chain_offset, layer_of)
 
-from harness import K, T0, World as BaseWorld
+from harness import K, T0, World as BaseWorld, reference_state_lines
 
 PARAMS = TreeParams(S=128, N=16, P=2, N_S=8, L_S=1)
 
@@ -520,3 +522,87 @@ def test_snapshot_isolates_a_rotation(world):
     assert world.rotate_root()
     assert world.wallet.root != original.root
     assert original.state_lines() == lines
+
+
+# -- sealed chunks ----------------------------------------------------------------------------
+
+SEALING = TreeParams(S=128, N=8, P=1, N_S=4, L_S=1)   # 2 subtrees a generation
+STEP = st.tuples(st.just("step"), st.sampled_from(["secure", "insecure"]))
+# Mostly honest steps, so that sequences seal subtrees and rotate.
+CALLS = st.lists(st.one_of(
+    STEP, STEP, STEP,
+    st.tuples(st.just("init"), st.sampled_from(list(OpType)),
+              st.integers(0, 60)),
+    st.tuples(st.just("confirm"), st.integers(0, 63)),
+), min_size=8, max_size=30)
+
+
+def _step(world, model, call):
+    """Run one call as the ledger does, on a snapshot of the wallet; the
+    model of every record follows the calls that land."""
+    wallet, params = world.wallet, world.params
+    kind = call[0]
+    if kind == "step":
+        slot = wallet.next_op_id
+        if slot % params.N == params.N - 1:
+            assert world.rotate_root(call[1])
+        elif slot % params.N_S == params.N_S - 1:
+            world.introduce_subtree()
+        else:
+            model[world.init(param=1)] = (OpType.TRANSFER, "acct:bob", 1, True)
+    elif kind == "init":
+        _, op_type, param = call
+        model[world.init("acct:bob", param, op_type)] = (op_type, "acct:bob",
+                                                          param, True)
+    else:
+        op_id = call[1] % max(wallet.next_op_id, 1)
+        record = model.get(op_id)
+        open_pending = (record is not None and record[3]
+                        and op_id // params.N_S == wallet.current_subtree)
+        if open_pending:
+            world.confirm(op_id)
+            model[op_id] = record[:3] + (False,)
+            return
+        # Sealed, confirmed or never initialised: the contract reverts on
+        # its first two checks, in their order, before it reads the OTP.
+        with pytest.raises(Revert) as err:
+            wallet.confirm_op(bytes(16), MerkleProof(()), op_id,
+                              world.env(world.owner))
+        assert err.value.category == ("pending" if record is None
+                                      or not record[3] else "subtree")
+        raise err.value
+
+
+def _fields(operations) -> dict:
+    return {op_id: (r.type, r.addr, r.param, r.pending)
+            for op_id, r in operations.items()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(CALLS)
+def test_sealed_chunks_render_parse_and_share_as_one_dict_would(calls):
+    world, model = World(SEALING, funding=200), {}
+    for call in calls:
+        original = world.wallet
+        lines = original.state_lines()
+        world.wallet = original.snapshot()
+        assert world.wallet.operations._sealed is original.operations._sealed
+        try:
+            _step(world, model, call)
+        except Revert:
+            world.wallet = original
+        assert original.state_lines() == lines
+        wallet = world.wallet
+        assert _fields(wallet.operations) == model
+        assert len(wallet.operations) == len(model)
+        assert wallet.state_lines() == reference_state_lines(wallet)
+        assert all(op_id // SEALING.N_S == wallet.current_subtree
+                   for op_id in wallet.operations.open)
+        twin = WalletContract.from_state_lines(wallet.state_lines(), SEALING)
+        assert twin.state_lines() == wallet.state_lines()
+        assert len(twin.operations.open) < SEALING.N_S
+        assert _fields(twin.operations) == model
+        assert vars(twin) == vars(wallet)
+        snapshot = wallet.snapshot()
+        assert snapshot.operations._sealed is wallet.operations._sealed
+        assert snapshot.operations._open is not wallet.operations._open
