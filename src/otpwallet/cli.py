@@ -45,10 +45,15 @@ another key set, an unknown operation type or mode, or a confirm OTP not
 of the digest size. The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
-chain's length. `main` builds the parser of the command that argv names,
-not all nine (the full parser only for help, usage errors at the top
-level and unknown commands). A restore parses the checkpoint's head
-alone, and of the contract's records only the current subtree's, at most
+chain's length. `main` parses with the parser of the command that argv
+names, not all nine (the full parser only for help, usage errors at the
+top level and unknown commands), and builds each command's parser once
+per process: a caller that runs many commands in one process, as the
+tests and the benchmark do, builds it again only when the command's
+builder or `OTPWALLET_STATE` or `OTPWALLET_PARAMS` changes. Only the cost
+and security commands import the cost model and the security calculator,
+and with them mpmath. A restore parses the checkpoint's head alone, and
+of the contract's records only the current subtree's, at most
 `N_S`: the finished subtrees' lines stay text that `state_hash` covers
 (see `otpwallet.contract`). `state_hash` hashes the head state with the
 stored head digest, and the blocks stay an undecoded archive (see
@@ -59,12 +64,15 @@ history is the log parse, the txid index, the block archive's rewrite, the
 confirmed transfers and the depth checks.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
-`error:` line on stderr), 2 usage.
+`error:` line on stderr; an OSError, such as a `world.json` that is a
+directory or a save that finds the disk full, is an `error: state:` line),
+2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -72,7 +80,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import merkle, mnemonic, security_calc
+from . import merkle, mnemonic
 from .client import ClientStore
 from .contract import OP_TYPES, Revert
 from .hashing import DomainError, base_hash_256, random_seed
@@ -91,7 +99,6 @@ from .protocols import (
 )
 # Not called here; kept bound because bench/tracing.py wraps it on this module.
 from .protocols import submit_signed  # noqa: F401
-from . import cost_model
 from .scenarios import SCENARIOS, run_scenario
 
 STATE_ENV = "OTPWALLET_STATE"
@@ -589,6 +596,7 @@ def parse_grid(spec: str) -> tuple[list[int], list[int], list[int] | None]:
 
 
 def cmd_cost_sweep(args) -> int:
+    from . import cost_model
     hs, ps, ls = parse_grid(args.grid)
     for row in cost_model.sweep(hs, ps, ls):
         print(row)
@@ -596,6 +604,7 @@ def cmd_cost_sweep(args) -> int:
 
 
 def cmd_security_calc(args) -> int:
+    from . import cost_model, security_calc
     for line in security_calc.report(args.lambda_bits, args.leaves):
         print(line)
     for line in cost_model.security_note(args.lambda_bits, args.leaves):
@@ -741,14 +750,26 @@ def _command_named(argv: list[str]) -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=32)
+def _command_parser(name: str, entry: tuple, state_env: str | None,
+                    params_env: str | None) -> argparse.ArgumentParser:
+    """`build_parser([name])`, built once per process for each COMMANDS
+    `entry` of `name` and each value of the two variables of the environment
+    that a build reads; those three arguments are only the key. A parser
+    can be reused: a parse neither changes it nor shares its Namespace."""
+    return build_parser([name])
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the full parser parses it, building the parser of the
+    """argv parsed as the full parser parses it, with the parser of the
     named command only. Only the full parser reports a usage error at the
     top level, because its usage line lists every command."""
     name = _command_named(argv)
     if name is None:
         return build_parser().parse_args(argv)
-    args, extra = build_parser([name]).parse_known_args(argv)
+    args, extra = _command_parser(
+        name, COMMANDS[name], os.environ.get(STATE_ENV),
+        os.environ.get(PARAMS_ENV)).parse_known_args(argv)
     if extra:
         return build_parser().parse_args(argv)
     return args
@@ -769,6 +790,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: value: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: state: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,8 +1,13 @@
 """CLI surface: happy path, persistence, exit codes, golden stability."""
 
+import errno
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -904,6 +909,94 @@ def test_a_command_builds_only_its_own_parser(monkeypatch):
                                                           build(p))))
     parse_args(["--state-dir", "d", "root", "show"])
     assert built == ["root"]
+
+
+def test_a_command_parser_is_built_once_per_process(state, monkeypatch,
+                                                    capsys):
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    # Without the autouse check, which builds the parser of every command.
+    monkeypatch.setattr(cli, "parse_args", parse_args)
+    built = []
+    for name, (help_text, build) in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, (
+            help_text, lambda p, name=name, build=build: (built.append(name),
+                                                          build(p))))
+    for _ in range(5):
+        code, out, _ = run(capsys, "--state-dir", state_dir, "root", "show")
+        assert code == 0 and "contract root:" in out
+    assert built == ["root"]
+
+
+def test_the_environment_a_parser_reads_holds_for_each_call(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    """OTPWALLET_STATE and OTPWALLET_PARAMS, changed between two commands
+    of one process, apply to the second."""
+    monkeypatch.setenv(cli.SEED_ENV, SEED_HEX)
+    for name, spec in (("a", "128,16,2,8,1"), ("b", "128,8,2,4,1"),
+                       ("c", "128,16,2,8,1")):
+        monkeypatch.setenv(cli.STATE_ENV, str(tmp_path / name))
+        monkeypatch.setenv(cli.PARAMS_ENV, spec)
+        assert run(capsys, "bootstrap")[0] == 0
+        assert run(capsys, "root", "show")[0] == 0
+        assert World.load(tmp_path / name).params() == parse_params(spec)
+
+
+def test_consecutive_parses_share_nothing():
+    first = parse_args(["op", "init", "--type", "transfer", "--addr",
+                        "acct:x", "--param", "5"])
+    second = parse_args(["op", "init", "--type", "transfer"])
+    assert (first.addr, first.param) == ("acct:x", 5)
+    assert (second.addr, second.param) == ("", 0)
+    words = parse_args(["mnemonic", "decode", "abandon", "ability"])
+    more = parse_args(["mnemonic", "decode", "able"])
+    assert words.value == ["abandon", "ability"] and more.value == ["able"]
+    assert words.value is not more.value
+
+
+def test_importing_the_cli_leaves_mpmath_out():
+    """Only the cost and security commands import the security calculator,
+    and with it mpmath."""
+    code = "import sys, otpwallet.cli; sys.exit('mpmath' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _one_state_line(err: str) -> bool:
+    return (re.fullmatch(r"error: state: [^\n]*\n", err) is not None
+            and "Traceback" not in err)
+
+
+def test_an_os_error_is_one_state_line(state, monkeypatch, capsys):
+    """A `world.json` that is a directory, and a save that finds the disk
+    full, exit 1 with one `error: state:` line; the failed save leaves
+    `world.json` as it was."""
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    before = (state_dir / "world.json").read_bytes()
+    real_write = Path.write_text
+
+    def full(path, text, *args, **kwargs):
+        if path.name == "world.json.tmp":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(path, text, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "write_text", full)
+        code, _, err = run(capsys, "--state-dir", state_dir, "op", "init",
+                           "--type", "transfer", "--addr", "acct:bob",
+                           "--param", "5")
+    assert code == 1 and _one_state_line(err) and "No space left" in err
+    assert (state_dir / "world.json").read_bytes() == before
+
+    damaged = state_dir.parent / "damaged"
+    shutil.copytree(state_dir, damaged)
+    (damaged / "world.json").unlink()
+    (damaged / "world.json").mkdir()
+    code, out, err = run(capsys, "--state-dir", damaged, "root", "show")
+    assert code == 1 and out == "" and _one_state_line(err)
 
 
 def test_a_write_after_a_replay_saves_once(history, monkeypatch, capsys):
