@@ -45,20 +45,18 @@ another key set, an unknown operation type or mode, or a confirm OTP not
 of the digest size. The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
-chain's length. `main` parses with the parser of the command that argv
-names, not all nine (the full parser only for help, usage errors at the
-top level and unknown commands), and builds each command's parser once
-per process: a caller that runs many commands in one process, as the
-tests and the benchmark do, builds it again only when the command's
-builder or `OTPWALLET_STATE` or `OTPWALLET_PARAMS` changes. Only the cost
-and security commands import the cost model and the security calculator,
-and with them mpmath. A restore parses the checkpoint's head alone, and
-of the contract's records only the current subtree's, at most
-`N_S`: the finished subtrees' lines stay text that `state_hash` covers
-(see `otpwallet.contract`). `state_hash` hashes the head state with the
-stored head digest, and the blocks stay an undecoded archive (see
-`otpwallet.ledger`) that no command reads; an audit of the chain decodes
-and checks it. A save assembles `checkpoint.json` from the archive text
+chain's length. `main` parses with one parser of all nine commands,
+built by the first command of a process and reused by the rest, as in
+the tests and the benchmark. The parser reads no environment: a command
+reads `OTPWALLET_STATE` and `OTPWALLET_PARAMS` where it uses them, each
+time. Only the cost and security commands import the cost model and the
+security calculator, and with them mpmath. A restore parses the
+checkpoint's head alone, and of the contract's records only the current
+subtree's, at most `N_S`: the finished subtrees' lines stay text that
+`state_hash` covers (see `otpwallet.contract`). `state_hash` hashes the
+head state with the stored head digest, and the blocks stay an undecoded
+archive (see `otpwallet.ledger`) that no command reads; an audit of the
+chain decodes and checks it. A save assembles `checkpoint.json` from the archive text
 and the entries of the new blocks. What a command still pays for by
 history is the log parse, the txid index, the block archive's rewrite, the
 confirmed transfers and the depth checks.
@@ -378,9 +376,9 @@ class World:
         ledger hashes to another state, or that state does not hold exactly
         one contract with a record in its open subtree of every initialised
         operation of that subtree, whose init txid the restored txid index
-        holds. Rows below the open subtree, which older saves kept, are
-        ignored. Only then is the rest derived from the contract, so the
-        state hash covers it: the generation, the client's subtree, and each
+        holds; a row of a sealed subtree, which older saves kept, does not
+        bind. Only then is the rest derived from the contract, so the state
+        hash covers it: the generation, the client's subtree, and each
         initialised operation's type, address and parameter. The client's
         tree is built from the seed's leaves at that generation. The
         confirmed transfers and depth checks are still taken as stored."""
@@ -404,11 +402,8 @@ class World:
                 params=params, eta=eta, contract_id=system.contract_id,
                 current_subtree=(contract.current_subtree
                                  - eta * params.subtree_count))
-            floor, records = (contract.current_subtree * params.N_S,
-                              contract.operations.open)
+            records = contract.operations.open
             for op_id, txid in point["initialised"]:
-                if op_id < floor:
-                    continue            # a sealed row, which older saves kept
                 record = records[op_id]
                 if ledger.confirmations(txid) is None:
                     return False
@@ -464,6 +459,14 @@ class World:
 # ---------------------------------------------------------------------------
 # Command handlers
 
+def _state_dir(args) -> Path:
+    """`--state-dir`, else OTPWALLET_STATE as the environment holds it now,
+    else DEFAULT_STATE_DIR."""
+    if args.state_dir is not None:
+        return Path(args.state_dir)
+    return Path(os.environ.get(STATE_ENV, DEFAULT_STATE_DIR))
+
+
 def read_seeds(seed_file: str | None) -> tuple[bytes, bytes]:
     """The seed k and the signing-key seed, from `seed_file`, else from
     OTPWALLET_SEED, else fresh: one hex word of 16 bytes, optionally
@@ -489,10 +492,11 @@ def read_seeds(seed_file: str | None) -> tuple[bytes, bytes]:
 
 
 def cmd_bootstrap(args) -> int:
-    state_dir = Path(args.state_dir)
+    state_dir = _state_dir(args)
     if (state_dir / "world.json").exists():
         raise CliError("state", f"{state_dir} already holds a wallet")
-    params = parse_params(args.params)
+    params = parse_params(args.params if args.params is not None
+                          else os.environ.get(PARAMS_ENV, DEFAULT_PARAMS_SPEC))
     if args.funding < 0:
         raise CliError("usage", f"bad --funding {args.funding}: negative")
     k, hw_seed = read_seeds(args.seed_file)
@@ -508,7 +512,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_op_init(args) -> int:
-    world = World.load(Path(args.state_dir), save_replay=False)
+    world = World.load(_state_dir(args), save_replay=False)
     result = world.commit({"cmd": "init", "type": args.type,
                            "addr": args.addr, "param": args.param})
     print(f"opID: {result['op_id']}")
@@ -516,7 +520,7 @@ def cmd_op_init(args) -> int:
 
 
 def cmd_op_confirm(args) -> int:
-    world = World.load(Path(args.state_dir), save_replay=False)
+    world = World.load(_state_dir(args), save_replay=False)
     otp = mnemonic.parse_otp(args.otp, world.params().digest_bytes)
     result = world.commit({"cmd": "confirm", "op_id": args.op_id,
                            "otp": otp.hex()})
@@ -527,7 +531,7 @@ def cmd_op_confirm(args) -> int:
 
 
 def cmd_otp_show(args) -> int:
-    world = World.load(Path(args.state_dir))
+    world = World.load(_state_dir(args))
     system = world.system
     # Only the current generation's operations: the client refuses the rest
     # and names the id as typed.
@@ -538,21 +542,21 @@ def cmd_otp_show(args) -> int:
 
 
 def cmd_root_show(args) -> int:
-    world = World.load(Path(args.state_dir))
+    world = World.load(_state_dir(args))
     print("authenticator root:", world.system.authenticator.display_root().hex())
     print("contract root:     ", world.system.contract.root.hex())
     return 0
 
 
 def cmd_subtree_next(args) -> int:
-    world = World.load(Path(args.state_dir), save_replay=False)
+    world = World.load(_state_dir(args), save_replay=False)
     world.commit({"cmd": "subtree"})
     print(f"current subtree: {world.system.contract.current_subtree}")
     return 0
 
 
 def cmd_root_rotate(args) -> int:
-    world = World.load(Path(args.state_dir), save_replay=False)
+    world = World.load(_state_dir(args), save_replay=False)
     world.commit({"cmd": "rotate", "mode": args.mode})
     print(f"new root: {world.system.contract.root.hex()}")
     print(f"generation: {world.system.client.eta}")
@@ -622,14 +626,11 @@ def cmd_mnemonic(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-# Each command's parser, built only when argv names it or the top-level
-# parser must list every command.
+# Each command's parser, built into the one parser of all of them.
 
 def _bootstrap_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES, default="secure")
-    p.add_argument("--params",
-                   default=os.environ.get(PARAMS_ENV, DEFAULT_PARAMS_SPEC),
-                   help="S,N,P,NS,LS (env OTPWALLET_PARAMS)")
+    p.add_argument("--params", help="S,N,P,NS,LS (env OTPWALLET_PARAMS)")
     p.add_argument("--seed-file", help="file with hex seed (and optional hex key seed)")
     p.add_argument("--funding", type=int, default=1000)
     p.set_defaults(fn=cmd_bootstrap)
@@ -717,62 +718,30 @@ COMMANDS = {
 }
 
 
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
-    """The parser of `commands` (names of COMMANDS), by default of all."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in COMMANDS. It reads no environment,
+    so one parser serves every command line of a process."""
     parser = argparse.ArgumentParser(
         prog="otpwallet",
         description="Hash-chain OTP wallet protocol simulator")
     parser.add_argument("--state-dir",
-                        default=os.environ.get(STATE_ENV, DEFAULT_STATE_DIR),
                         help="wallet state directory (env OTPWALLET_STATE)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        help_text, build = COMMANDS[name]
+    for name, (help_text, build) in COMMANDS.items():
         build(sub.add_parser(name, help=help_text))
     return parser
 
 
-def _command_named(argv: list[str]) -> str | None:
-    """The command of argv when its only top-level options are
-    `--state-dir DIR` or `--state-dir=DIR`; None for any other form, such
-    as no command, an unknown one, top-level help or an abbreviation."""
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token.startswith("--state-dir="):
-            i += 1
-        elif token == "--state-dir":
-            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
-                return None
-            i += 2
-        else:
-            return token if token in COMMANDS else None
-    return None
-
-
-@functools.lru_cache(maxsize=32)
-def _command_parser(name: str, entry: tuple, state_env: str | None,
-                    params_env: str | None) -> argparse.ArgumentParser:
-    """`build_parser([name])`, built once per process for each COMMANDS
-    `entry` of `name` and each value of the two variables of the environment
-    that a build reads; those three arguments are only the key. A parser
-    can be reused: a parse neither changes it nor shares its Namespace."""
-    return build_parser([name])
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process. A parser can be reused: a
+    parse neither changes it nor shares its Namespace."""
+    return build_parser()
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the full parser parses it, with the parser of the
-    named command only. Only the full parser reports a usage error at the
-    top level, because its usage line lists every command."""
-    name = _command_named(argv)
-    if name is None:
-        return build_parser().parse_args(argv)
-    args, extra = _command_parser(
-        name, COMMANDS[name], os.environ.get(STATE_ENV),
-        os.environ.get(PARAMS_ENV)).parse_known_args(argv)
-    if extra:
-        return build_parser().parse_args(argv)
-    return args
+    """argv parsed by the process's one parser of every command."""
+    return _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

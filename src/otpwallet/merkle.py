@@ -103,9 +103,9 @@ class TreeParams:
 
     @classmethod
     def from_dict(cls, p: dict) -> "TreeParams":
-        """The inverse of `as_dict`; LEN_MAX defaults when absent."""
+        """The inverse of `as_dict`."""
         return cls(S=p["S"], N=p["N"], P=p["P"], N_S=p["NS"], L_S=p["LS"],
-                   LEN_MAX=p.get("LEN_MAX", 8))
+                   LEN_MAX=p["LEN_MAX"])
 
 
 @dataclass(frozen=True)

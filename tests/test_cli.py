@@ -15,7 +15,6 @@ import pytest
 from otpwallet import cli, contract as contract_mod, ledger as ledger_mod
 from otpwallet.cli import (
     World,
-    build_parser,
     main,
     parse_args,
     parse_grid,
@@ -27,18 +26,6 @@ from otpwallet.protocols import bootstrap_system
 from harness import reference_blocks
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
-
-
-@pytest.fixture(autouse=True)
-def parses_like_the_full_parser(monkeypatch):
-    """Every command line these tests run parses to the Namespace that the
-    parser of all commands gives."""
-    def checked(argv):
-        args = parse_args(argv)
-        assert args == build_parser().parse_args(argv)
-        return args
-
-    monkeypatch.setattr(cli, "parse_args", checked)
 
 
 @pytest.fixture
@@ -557,7 +544,8 @@ def _rebind_doc(state_dir, edit) -> None:
 
 @pytest.mark.parametrize("damage", ["one-byte-edit", "stale", "deleted",
                                     "rebound-non-text-line",
-                                    "rebound-unrecorded-operation"])
+                                    "rebound-unrecorded-operation",
+                                    "rebound-params-without-LEN_MAX"])
 def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
                                                          damage):
     state_dir, stale = history
@@ -576,6 +564,9 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
         # The contract holds no record of an operation 7.
         _rebind_doc(state_dir, lambda doc: doc["head"]["initialised"].append(
             [7, "00" * 8]))
+    elif damage == "rebound-params-without-LEN_MAX":
+        _rebind_doc(state_dir, lambda doc: doc["head"]["contracts"][0][
+            "params"].pop("LEN_MAX"))
     else:
         checkpoint.unlink()
     replays = _count_replays(monkeypatch)
@@ -662,6 +653,26 @@ def test_a_restore_parses_only_the_open_subtree(tmp_path, monkeypatch,
         **saved.contract.operations,
         17: contract_mod.OperationRecord("acct:bob", 1, True,
                                          contract_mod.OpType.TRANSFER)}
+
+
+def test_a_sealed_row_loads_by_replay(tmp_path, monkeypatch, capsys):
+    """An `initialised` row of a sealed subtree, as older saves kept, does
+    not bind: the world loads by one replay to the recorded state and saves
+    the current layout, so the next command restores."""
+    state_dir = tmp_path / "wallet"
+    saved = _sealed_world(state_dir).system
+    recorded = saved.ledger.state_hash()
+    # Operation 16's init txid, which the restored txid index holds.
+    ((txid, *_),) = saved.initialised.values()
+    _rebind_doc(state_dir, lambda doc: doc["head"]["initialised"].insert(
+        0, [0, txid]))
+    replays = _count_replays(monkeypatch)
+    assert World.load(state_dir).system.ledger.state_hash() == recorded
+    assert replays == [1]
+    head = json.loads((state_dir / "checkpoint.json").read_text())["head"]
+    assert head["initialised"] == [[16, txid]]
+    code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 0 and err == "" and replays == [1]
 
 
 def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
@@ -873,59 +884,56 @@ def test_a_fund_action_is_unknown(history, capsys):
     assert code == 1 and err.startswith("error: state: unknown action")
 
 
-def _parse_outcome(parse, argv, capsys):
-    try:
-        result = parse(argv)
-    except SystemExit as exc:
-        result = exc.code
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+# A command line, and the exit code its parse gives (None when it parses)
+# and whether the parser's output lists every command.
+PARSES = [
+    ([], 2, True), (["--help"], 0, True), (["bogus"], 2, True),
+    (["op"], 2, False), (["op", "--help"], 0, False), (["op", "init"], 2, False),
+    (["root", "show", "--help"], 0, False), (["root", "show", "extra"], 2, True),
+    (["--state-dir"], 2, True), (["--state-dir", "-x", "root", "show"], 2, True),
+    (["--state", "d", "root", "show"], None, False),
+    (["--state-dir=d", "root", "show"], None, False),
+    (["--state-dir", "d", "otp", "show", "--op-id", "x"], 2, False),
+    (["--", "root", "show"], 2, True), (["-h", "root", "show"], 0, True),
+    (["mnemonic", "encode", "00", "--bogus"], 2, True),
+    (["root", "--state-dir", "d", "show"], 2, False),
+]
 
 
-@pytest.mark.parametrize("argv", [
-    [], ["--help"], ["bogus"], ["op"], ["op", "--help"], ["op", "init"],
-    ["root", "show", "--help"], ["root", "show", "extra"],
-    ["--state-dir"], ["--state-dir", "-x", "root", "show"],
-    ["--state", "d", "root", "show"], ["--state-dir=d", "root", "show"],
-    ["--state-dir", "d", "otp", "show", "--op-id", "x"],
-    ["--", "root", "show"], ["-h", "root", "show"],
-    ["mnemonic", "encode", "00", "--bogus"], ["root", "--state-dir", "d", "show"],
-])
-def test_the_partial_parser_behaves_like_the_full_one(argv, capsys,
-                                                      monkeypatch):
+@pytest.mark.parametrize("argv, code, lists",
+                         PARSES, ids=[f"argv{i}" for i in range(len(PARSES))])
+def test_the_partial_parser_behaves_like_the_full_one(argv, code, lists,
+                                                      capsys, monkeypatch):
+    """Help, usage errors and the top-level option's forms: each command
+    line exits with its code, or parses to `root show` in `d`."""
     monkeypatch.setenv("COLUMNS", "80")
-    partial = _parse_outcome(parse_args, argv, capsys)
-    full = _parse_outcome(build_parser().parse_args, argv, capsys)
-    assert partial == full
-    if argv and argv[0] in ("bogus", "--help", "-h", "--"):
-        assert "mnemonic" in partial[1] + partial[2]
+    try:
+        args = parse_args(argv)
+        assert code is None
+        assert (args.fn, args.state_dir) == (cli.cmd_root_show, "d")
+    except SystemExit as exc:
+        assert exc.code == code
+    captured = capsys.readouterr()
+    assert ("{bootstrap,op,otp,subtree,root,attack,cost,security,mnemonic}"
+            in captured.out + captured.err) == lists
 
 
-def test_a_command_builds_only_its_own_parser(monkeypatch):
-    built = []
-    for name, (help_text, build) in cli.COMMANDS.items():
-        monkeypatch.setitem(cli.COMMANDS, name, (
-            help_text, lambda p, name=name, build=build: (built.append(name),
-                                                          build(p))))
-    parse_args(["--state-dir", "d", "root", "show"])
-    assert built == ["root"]
-
-
-def test_a_command_parser_is_built_once_per_process(state, monkeypatch,
-                                                    capsys):
+def test_a_process_builds_one_parser(state, monkeypatch, capsys):
+    """The commands of a process share one parser of every command, which
+    the first of them builds."""
     state_dir, seed_file = state
     run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
-    # Without the autouse check, which builds the parser of every command.
-    monkeypatch.setattr(cli, "parse_args", parse_args)
-    built = []
-    for name, (help_text, build) in cli.COMMANDS.items():
-        monkeypatch.setitem(cli.COMMANDS, name, (
-            help_text, lambda p, name=name, build=build: (built.append(name),
-                                                          build(p))))
-    for _ in range(5):
-        code, out, _ = run(capsys, "--state-dir", state_dir, "root", "show")
-        assert code == 0 and "contract root:" in out
-    assert built == ["root"]
+    cli._parser.cache_clear()
+    built = _count(monkeypatch, cli, "build_parser")
+    code, out, _ = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 0 and "contract root:" in out
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    assert code == 0
+    code, out, _ = run(capsys, "--state-dir", state_dir, "op", "confirm",
+                       "--op-id", 0, "--otp", _otp_hex(capsys, state_dir, 0))
+    assert code == 0 and "confirmed opID 0" in out
+    assert built == [1]
 
 
 def test_the_environment_a_parser_reads_holds_for_each_call(tmp_path,

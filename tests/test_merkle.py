@@ -468,3 +468,15 @@ def test_params_validation():
         TreeParams(S=128, N=16, P=2, N_S=8, L_S=9)
     p = TreeParams(S=128, N=16, P=2, N_S=8, L_S=1)
     assert (p.H, p.H_S, p.leaves, p.subtree_leaves) == (3, 2, 8, 4)
+
+
+def test_params_from_dict_is_the_inverse_of_as_dict():
+    """Every key `as_dict` writes, LEN_MAX included, is one `from_dict`
+    needs."""
+    params = TreeParams(S=128, N=16, P=2, N_S=8, L_S=1, LEN_MAX=3)
+    assert TreeParams.from_dict(params.as_dict()) == params
+    for key in params.as_dict():
+        partial = params.as_dict()
+        del partial[key]
+        with pytest.raises(KeyError):
+            TreeParams.from_dict(partial)
