@@ -1,30 +1,40 @@
 """Command-line front door.
 
-The simulated world persists between invocations as three files in the
+The simulated world persists between invocations as four files in the
 state directory. `world.json` holds the seeds, the params, the mode and the
 funding, and its head is the commit point. `actions.jsonl` is the
 replayable log of every command that changed state, one action per line
 (compact JSON with sorted keys, then a newline); it only grows, so a save
 appends the lines of the actions it adds and never re-encodes the rest.
-`checkpoint.json` is a derived cache of the world's head, and deleting it
-costs one replay: the head ledger state with the head block's chained
-digest and the txid index, the bookkeeping that the chain does not hold
-(the init txid of each initialised operation of the current subtree, the
-confirmed transfers and the depth checks) and every block's receipts. Whatever the wallet contract
-records is read off it instead, as the paper's client reads the chain:
-the contract id, the generation (`nextOpID // N`), the client's current
-subtree and each initialised operation's type, address and parameter. The
-client holds nothing secret and is not stored: a restore derives its
-leaves from the world's seed at that generation.
+`checkpoint.json` and `blocks.jsonl` are a derived cache, and deleting
+either costs one replay. `checkpoint.json` is the world's head: the head
+ledger state with the head block's chained digest, the archive's committed
+length, the heights of the initialised operations' init txids, and the
+bookkeeping that the chain does not hold (the init txid of each
+initialised operation of the current subtree, the confirmed transfers and
+the depth checks). `blocks.jsonl` is the block archive, one line per block
+with its receipts (see `otpwallet.ledger`); like the log it only grows, so
+a save appends the blocks the command mined. No command forks, so the
+archived blocks stay on the chain; a save that found otherwise would fail
+rather than append. Whatever the wallet contract records is read off it
+instead, as the paper's client reads the chain: the contract id, the
+generation (`nextOpID // N`), the client's current subtree and each
+initialised operation's type, address and parameter. The client holds
+nothing secret and is not stored: a restore derives its leaves from the
+world's seed at that generation.
 
-`world.json`, written last, binds the other two: its head records the
-action count, the log's committed length in bytes, the head `state_hash`
-and the checkpoint's SHA-256, and the checkpoint records the SHA-256 of
-the log's exact committed bytes. A load reads only those bytes: bytes past
-them are a torn append, which the load ignores and the next save cuts, as
-a write-ahead log does; a log shorter than them is an error. The load
-hashes the bytes once and keeps the hash, so a save hashes only what it
-appends.
+`world.json`, written last, binds the log and the checkpoint: its head
+records the action count, the log's committed length in bytes, the head
+`state_hash` and the checkpoint's SHA-256, and the checkpoint records the
+SHA-256 of the log's exact committed bytes. A load reads only those bytes:
+bytes past them are a torn append, which the load ignores and the next
+save cuts, as a write-ahead log does; a log shorter than them is an error.
+The load hashes the bytes once and keeps the hash, so a save hashes only
+what it appends. The archive is bound by the checkpoint's committed
+length and by the head digest, which `state_hash` covers: bytes past the
+length are a torn append as well, an archive shorter than it does not
+bind (one replay, whose save rewrites it from genesis), and reading the
+chain checks the committed bytes against the digest.
 
 Loading restores the checkpoint when all of these match and the restored
 ledger hashes to the recorded state; otherwise it replays the log from
@@ -51,14 +61,14 @@ the tests and the benchmark. The parser reads no environment: a command
 reads `OTPWALLET_STATE` and `OTPWALLET_PARAMS` where it uses them, each
 time. Only the cost and security commands import the cost model and the
 security calculator, and with them mpmath. A restore parses the
-checkpoint's head alone, and of the contract's records only the current
-subtree's, at most `N_S`: the finished subtrees' lines stay text that
-`state_hash` covers (see `otpwallet.contract`). `state_hash` hashes the
-head state with the stored head digest, and the blocks stay an undecoded
-archive (see `otpwallet.ledger`) that no command reads; an audit of the
-chain decodes and checks it. A save assembles `checkpoint.json` from the archive text
-and the entries of the new blocks. What a command still pays for by
-history is the log parse, the txid index, the block archive's rewrite, the
+head, and of the contract's records only the current subtree's, at most
+`N_S`: the finished subtrees' lines stay text that `state_hash` covers
+(see `otpwallet.contract`). `state_hash` hashes the head state with the
+stored head digest, and a restore reads no byte of the archive, only its
+length; an audit of the chain reads, decodes and checks it. A save
+appends the entries of the new blocks and writes a head that indexes only
+the initialised operations' txids. What a command still pays for by
+history is the log parse, the contract's `op` lines in the head, the
 confirmed transfers and the depth checks.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
@@ -107,6 +117,7 @@ DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
 WORLD_VERSION = 4
 LOG_NAME = "actions.jsonl"
+ARCHIVE_NAME = "blocks.jsonl"
 MODES = ("secure", "insecure")
 # The keys of `world.json`, besides its version and head, that a restore or
 # a replay reads, and their types (a bool is not an int).
@@ -223,12 +234,17 @@ def _log_line(action: dict) -> bytes:
     return text.encode() + b"\n"
 
 
+def _read_prefix(path: Path, size: int) -> bytes:
+    """The first `size` bytes of the file at `path`, the committed ones of
+    an append-only file: bytes past them are a torn append."""
+    with open(path, "rb") as f:
+        return f.read(size)
+
+
 def _read_log(path: Path, size: int) -> bytes:
-    """The first `size` bytes of the log at `path`, the committed ones; a
-    missing log is empty, and bytes past `size` are a torn append."""
+    """The log's committed bytes; a missing log is empty."""
     try:
-        with open(path, "rb") as f:
-            log = f.read(size)
+        log = _read_prefix(path, size)
     except FileNotFoundError:
         log = b""
     except OSError as exc:
@@ -253,8 +269,9 @@ def _parse_log(log: bytes) -> list:
 
 
 def _append(path: Path, committed: int, lines: bytes) -> None:
-    """Cut the log at `path` to its `committed` bytes, which drops a torn
-    append, and append `lines`."""
+    """Cut the append-only file at `path` to its `committed` bytes, which
+    drops a torn append, and append `lines`. A save never commits more
+    bytes than the file holds, so the cut never pads it."""
     with open(path, "ab") as f:
         f.truncate(committed)
         f.write(lines)
@@ -262,7 +279,7 @@ def _append(path: Path, committed: int, lines: bytes) -> None:
 
 # ---------------------------------------------------------------------------
 # Persistent world: seeds + params, an append-only action log, and a
-# digest-bound checkpoint
+# digest-bound checkpoint with its append-only block archive
 
 class World:
     def __init__(self, state_dir: Path, data: dict, log: bytes = b""):
@@ -373,7 +390,9 @@ class World:
         """Set up the system from the checkpoint, without replaying; False
         when it is missing, does not match the digest `world.json` records,
         was built from other log bytes or does not parse, the restored
-        ledger hashes to another state, or that state does not hold exactly
+        ledger hashes to another state, the block archive is missing or
+        shorter than the checkpoint commits (one `stat`: no byte of it is
+        read), or that state does not hold exactly
         one contract with a record in its open subtree of every initialised
         operation of that subtree, whose init txid the restored txid index
         holds; a row of a sealed subtree, which older saves kept, does not
@@ -383,13 +402,16 @@ class World:
         tree is built from the seed's leaves at that generation. The
         confirmed transfers and depth checks are still taken as stored."""
         head = self.data["head"]
+        archive = self.state_dir / ARCHIVE_NAME
         try:
             text = (self.state_dir / "checkpoint.json").read_text()
             if _sha256(text) != head["sha256"]:
                 return False
-            ledger, point = Ledger.from_checkpoint(text)
+            ledger, point = Ledger.from_checkpoint(
+                text, functools.partial(_read_prefix, archive))
             if (point["actions_sha256"] != self.log_hash.hexdigest()
-                    or ledger.state_hash() != head["state_hash"]):
+                    or ledger.state_hash() != head["state_hash"]
+                    or archive.stat().st_size < ledger.archive_bytes):
                 return False
             system = self.build_system()
             system.ledger = ledger
@@ -418,19 +440,21 @@ class World:
         return True
 
     def save(self) -> None:
-        """Append the lines of the actions logged since the last save, then
-        write the checkpoint and `world.json`, which commits the log's new
-        length and the head state; each of the two goes to a temp file moved
-        into place, and `world.json` last, so a failed save leaves the
-        previous world (lines appended past its committed length are a torn
-        append)."""
+        """Append the lines of the actions logged since the last save and
+        the entries of the blocks mined since it (all of them after a
+        replay), then write the checkpoint, which commits the archive's new
+        length, and `world.json`, which commits the log's and the head
+        state; each of the two goes to a temp file moved into place, and
+        `world.json` last, so a failed save leaves the previous world (lines
+        appended past a committed length are a torn append)."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
         actions = self.data["actions"]
         lines = b"".join(map(_log_line, actions[self.logged:]))
         log_hash = self.log_hash.copy()
         log_hash.update(lines)
-        system = self.system
-        checkpoint = system.ledger.checkpoint(
+        system, ledger = self.system, self.system.ledger
+        blocks, checkpoint = ledger.checkpoint(
+            keep=[txid for txid, *_ in system.initialised.values()],
             actions_sha256=log_hash.hexdigest(),
             initialised=[[op_id, txid] for op_id, (txid, *_)
                          in system.initialised.items()],
@@ -439,13 +463,15 @@ class World:
         head = {
             "actions": len(actions),
             "log_bytes": self.log_bytes + len(lines),
-            "state_hash": system.ledger.state_hash(),
+            "state_hash": ledger.state_hash(),
             "sha256": _sha256(checkpoint),
         }
         fields = {key: self.data[key] for key in (*WORLD_KEYS, "version")}
         world = json.dumps({**fields, "head": head}, separators=(",", ":"),
                            sort_keys=True)
+        archived = ledger.archive_bytes
         _append(self.state_dir / LOG_NAME, self.log_bytes, lines)
+        _append(self.state_dir / ARCHIVE_NAME, archived, blocks)
         for name, text in (("checkpoint.json", checkpoint),
                            ("world.json", world)):
             tmp = self.state_dir / (name + ".tmp")
@@ -454,6 +480,7 @@ class World:
         self.data["head"] = head
         self.logged, self.log_bytes = head["actions"], head["log_bytes"]
         self.log_hash = log_hash
+        ledger.archived(archived + len(blocks))
 
 
 # ---------------------------------------------------------------------------

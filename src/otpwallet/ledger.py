@@ -17,7 +17,8 @@ share it.
 
 Each branch keeps a txid -> height index, filled as blocks are mined and
 copied up to the fork point by `fork`, so confirmation queries do not scan
-the chain.
+the chain. A restored ledger's index holds the kept txids and those mined
+since the restore, until the archive is decoded.
 
 Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
@@ -58,36 +59,40 @@ block that has one. `state_hash` is H(head state lines || head digest), so
 it reads the head and the blocks mined since the last digest, not the
 chain.
 
-`checkpoint` writes JSON text: a `head` object (the head state, height,
-timestamp and digest, and the canonical txid -> height index) and then a
-`blocks` array with every canonical block's entry. It joins the blocks'
-cached entries, so a chain that grew by a few blocks since its last
-checkpoint encodes only those. A contract's state lines join the cached
-text of its sealed subtrees with its open subtree's records, so
-`checkpoint` and `state_hash` render only the open records. `from_checkpoint`
-reads that layout only: it parses the head object alone, of each contract's
-lines only the header and the open subtree's records (the older lines stay
-text, which `state_hash` covers as they were read), and keeps the blocks
-array as unparsed text, the archive, and raises `LedgerError` for any other
-text. The canonical
-branch then starts at a base block, the restored head, with its state and
-its stored digest; its receipts stay in the archive. Head state,
-submission, mining, `confirmations`, `state_hash` and `checkpoint` never
-decode the archive. Reading `chain`, `event_log` or `audit_signatures`,
-looking up a receipt at or below the base, or forking decodes it once:
-every entry is re-encoded from its decoded rows, the base's receipts are
-filled in, the older blocks are prepended to the branches, and it raises
+`checkpoint` writes the chain as two texts. The head is a JSON object:
+the head state, height, timestamp and digest, the archive's length in
+bytes, and the heights of only the txids the caller keeps. The block
+archive is one line per canonical block, its entry and a newline, and only
+grows: a checkpoint returns the lines of the blocks mined since the
+archived one, for the caller to append. A contract's state lines join the
+cached text of its sealed subtrees with its open subtree's records, so
+`checkpoint` and `state_hash` render only the open records.
+`from_checkpoint` parses the head object, of each contract's lines only the
+header and the open subtree's records (the older lines stay text, which
+`state_hash` covers as they were read), and raises `LedgerError` for any
+other text. It reads no byte of the archive, only keeps a reader of it. The
+canonical branch then starts at a base block, the restored head, with its
+state and its stored digest; its receipts stay in the archive. Head state,
+submission, mining, `state_hash` and `checkpoint` never read the archive,
+and neither do `confirmations` and `receipt` for a kept txid, a txid mined
+since the restore or a txid in the mempool, which cannot be on the chain.
+Reading `chain`, `event_log` or `audit_signatures`, looking up any other
+txid or a receipt at or below the base, or forking reads the archive's
+committed bytes once and decodes them: every entry is re-encoded from its
+decoded rows, the base's receipts are filled in, the older blocks are
+prepended to the branches and their txids merged into the index. It raises
 `LedgerError` unless the digests of the re-encoded entries chain to the
-stored base digest and the recomputed txids index as stored. An edit to
-any field of a row therefore fails the decode. Blocks below the base carry
-no state, so the restored ledger cannot fork below its head.
+stored base digest and the recomputed txids index as the kept ones, and
+for a read that fails. An edit to any field of a row therefore fails the
+decode. Blocks below the base carry no state, so the restored ledger
+cannot fork below its head.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import signing
 from .contract import CallTrace, ChainEnv, OpType, Revert, WalletContract
@@ -204,13 +209,10 @@ class Block:
     timestamp: int
     receipts: list[TxReceipt]
     state: LedgerState | None       # None below a head restored from a checkpoint
-    # Built on first use; a restored head's `_chain_text` is the checkpoint
-    # text of the blocks from genesis up to it, as read back, and its
-    # `_digest` is the one stored with it.
+    # Built on first use; a restored head's `_digest` is the one stored
+    # with it.
     _entry: str | None = field(default=None, init=False, repr=False,
                                compare=False)
-    _chain_text: str | None = field(default=None, init=False, repr=False,
-                                    compare=False)
     _digest: bytes | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -295,24 +297,6 @@ def decode_call(data: dict) -> dict:
 
 
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
-_scan_json = json.JSONDecoder().scan_once
-# A checkpoint opens with its head object and closes with its blocks array,
-# so that reading it parses the head alone and keeps the array as text.
-_HEAD_KEY, _BLOCKS_KEY = '{"head":', ',"blocks":['
-
-
-def _read_checkpoint(text: str) -> tuple[dict, str]:
-    """The checkpoint's head object, parsed alone, and the text of its
-    blocks array's items, kept as they are. LedgerError for any text not in
-    the layout `Ledger.checkpoint` writes."""
-    if text.startswith(_HEAD_KEY) and text.endswith("]}"):
-        try:
-            head, end = _scan_json(text, len(_HEAD_KEY))
-        except (StopIteration, ValueError):
-            end = 0
-        if end and text.startswith(_BLOCKS_KEY, end):
-            return head, text[end + len(_BLOCKS_KEY):-2]
-    raise LedgerError("not a checkpoint in the layout Ledger.checkpoint writes")
 
 
 def _decode_block(height: int, entry) -> Block:
@@ -340,9 +324,13 @@ class Ledger:
         self._seq = 0
         self._branch_counter = 0
         self._in_observer = False
-        # A restored ledger's base block, until its archive is decoded; the
-        # chains then start at the base.
-        self._archive: Block | None = None
+        # A restored ledger's base block, the archive's length in bytes
+        # through it and a reader of the archive's first n bytes, until the
+        # archive is decoded; the chains then start at the base.
+        self._archive: tuple[Block, int, Callable[[int], bytes]] | None = None
+        # The newest archived canonical block, None when none is, and the
+        # archive's length in bytes through it.
+        self._archived: tuple[Block | None, int] = (None, 0)
         # (public key, signed bytes, signature) triples that verified here.
         self._verified: set[tuple[bytes, bytes, bytes]] = set()
 
@@ -527,18 +515,30 @@ class Ledger:
 
     # -- queries ------------------------------------------------------------------------------
 
+    def _height(self, txid: str) -> int | None:
+        """The height of the tx's executed receipt on the canonical chain,
+        or None. A miss decodes a pending archive first, unless the tx is in
+        the mempool: its nonce is at or above the head's, so it is not
+        mined."""
+        height = self.tx_heights[self.canonical].get(txid)
+        if (height is None and self._archive is not None
+                and all(t.txid != txid for t in self.mempool)):
+            self._materialize()
+            height = self.tx_heights[self.canonical].get(txid)
+        return height
+
     def confirmations(self, txid: str) -> int | None:
         """Blocks on top of the tx's block; None when not on the canonical
         chain."""
-        height = self.tx_heights[self.canonical].get(txid)
+        height = self._height(txid)
         return None if height is None else self.head.height - height
 
     def receipt(self, txid: str) -> TxReceipt | None:
         """The tx's executed receipt on the canonical chain, or None."""
-        height = self.tx_heights[self.canonical].get(txid)
+        height = self._height(txid)
         if height is None:
             return None
-        if self._archive is not None and height <= self._archive.height:
+        if self._archive is not None and height <= self._archive[0].height:
             self._materialize()
         chain = self.branches[self.canonical]
         return next(r for r in chain[height - chain[0].height].receipts
@@ -546,21 +546,39 @@ class Ledger:
 
     # -- checkpoints ------------------------------------------------------------------------
 
-    def checkpoint(self, **extra) -> str:
-        """The canonical chain as JSON text: an object whose "head" holds
-        the head's balances, nonces and contracts, its height, timestamp and
-        digest, the canonical txid index and the `extra` keys, and whose
-        "blocks" lists each block's `entry`. Older block states, other
-        branches and call traces are left out, and so is the submission
-        counter: the mempool is empty and a restored ledger cannot fork
-        below its head, so the counter orders only transactions submitted
-        after the restore, from any start. Only the blocks after the newest
-        one with a cached chain text are joined from their entries."""
+    def checkpoint(self, keep: Iterable[str] = (),
+                   **extra) -> tuple[bytes, str]:
+        """The canonical chain as the archive lines to append and the head
+        text. The lines are the entries of the blocks after the archived
+        one, each then a newline. The head is a JSON object of the head's
+        balances, nonces and contracts, its height, timestamp and digest,
+        the archive's length in bytes with the lines appended, the `index`
+        of the `keep` txids' heights and the `extra` keys. Older block
+        states, other branches and call traces are left out, and so is the
+        submission counter: the mempool is empty and a restored ledger
+        cannot fork below its head, so the counter orders only transactions
+        submitted after the restore, from any start. LedgerError when a
+        kept txid is not on the canonical chain, or when that chain no
+        longer holds the archived block, which only a reorg below it does
+        (no CLI command forks)."""
         if self.mempool:
             raise LedgerError("a checkpoint holds mined state only")
         chain = self.branches[self.canonical]
+        last, archived = self._archived
+        start = 0 if last is None else last.height - chain[0].height + 1
+        if last is not None and not (0 < start <= len(chain)
+                                     and chain[start - 1] is last):
+            raise LedgerError("the canonical chain no longer holds the "
+                              "archived block")
+        lines = "".join([blk.entry() + "\n"
+                         for blk in chain[start:]]).encode()
+        index = {}
+        for txid in keep:
+            index[txid] = self._height(txid)
+            if index[txid] is None:
+                raise LedgerError(f"kept txid {txid} is not on the chain")
         head, state = chain[-1], chain[-1].state
-        head_text = _to_json({
+        return lines, _to_json({
             "accounts": state.accounts,
             "nonces": state.nonces,
             "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
@@ -568,67 +586,95 @@ class Ledger:
             "height": head.height,
             "timestamp": head.timestamp,
             "digest": self._head_digest(chain).hex(),
-            "index": self.tx_heights[self.canonical],
+            "archive_bytes": archived + len(lines),
+            "index": index,
             **extra,
         })
-        entries = []
-        for blk in reversed(chain):
-            if blk._chain_text is not None:
-                entries.append(blk._chain_text)
-                break
-            entries.append(blk.entry())
-        entries.reverse()
-        return f'{_HEAD_KEY}{head_text}{_BLOCKS_KEY}{",".join(entries)}]}}'
+
+    def archived(self, archive_bytes: int) -> None:
+        """Record that the archive holds the canonical chain up to the head
+        in `archive_bytes` bytes, once the lines of `checkpoint` are
+        appended."""
+        self._archived = (self.head, archive_bytes)
+
+    @property
+    def archive_bytes(self) -> int:
+        """The archive's length in bytes through the archived block: where
+        the lines of `checkpoint` go."""
+        return self._archived[1]
 
     @classmethod
-    def from_checkpoint(cls, text: str) -> tuple["Ledger", dict]:
+    def from_checkpoint(cls, text: str, read_archive: Callable[[int], bytes]
+                        ) -> tuple["Ledger", dict]:
         """The ledger `checkpoint` wrote, and the parsed head object, whose
         `extra` keys are the caller's. The chain starts at the restored
-        head, which keeps the blocks array's text as its archive; reading
-        older blocks decodes it (see `_materialize`)."""
-        head, archive = _read_checkpoint(text)
+        head; reading older blocks reads the archive's committed bytes
+        through `read_archive(n)`, which returns the archive's first n
+        bytes, and decodes them (see `_materialize`). LedgerError for text
+        that is not such a head."""
+        try:
+            head = json.loads(text)
+            contracts = [WalletContract.from_state_lines(
+                c["lines"], TreeParams.from_dict(c["params"]))
+                for c in head["contracts"]]
+            base = Block(head["height"], head["timestamp"], [],
+                         LedgerState(dict(head["accounts"]),
+                                     dict(head["nonces"]),
+                                     {c.contract_id: c for c in contracts}))
+            base._digest = bytes.fromhex(head["digest"])
+            archived, index = head["archive_bytes"], dict(head["index"])
+        except (LookupError, TypeError, ValueError) as exc:
+            raise LedgerError(f"not a checkpoint head: {exc}") from exc
+        if type(archived) is not int or archived < 0:
+            raise LedgerError(f"archive length {archived!r} is not a count")
         ledger = cls()
-        contracts = (WalletContract.from_state_lines(
-            c["lines"], TreeParams.from_dict(c["params"]))
-            for c in head["contracts"])
-        base = Block(head["height"], head["timestamp"], [],
-                     LedgerState(dict(head["accounts"]), dict(head["nonces"]),
-                                 {c.contract_id: c for c in contracts}))
-        base._digest = bytes.fromhex(head["digest"])
-        base._chain_text = archive
         ledger.branches = {MAIN: [base]}
-        ledger.tx_heights = {MAIN: dict(head["index"])}
-        ledger._archive = base
+        ledger.tx_heights = {MAIN: index}
+        ledger._archive = (base, archived, read_archive)
+        ledger._archived = (base, archived)
         return ledger, head
 
     def _materialize(self) -> None:
-        """Decode the archive into the blocks from genesis to the base:
-        fill the base's receipts and prepend the older blocks to every
-        branch (all of them start at the base until now). LedgerError,
-        with the ledger left as it was, unless the decoded blocks chain to
-        the base's digest and index their txids as stored."""
-        base = self._archive
+        """Read the archive's committed bytes and decode them into the
+        blocks from genesis to the base: fill the base's receipts, prepend
+        the older blocks to every branch (all of them start at the base
+        until now) and merge their txids into the index. LedgerError, with
+        the ledger left as it was, when the read fails or the decoded
+        blocks do not chain to the base's digest or index the kept txids
+        as kept."""
+        base, archived, read = self._archive
         try:
-            blocks = [_decode_block(height, entry) for height, entry
-                      in enumerate(json.loads(f"[{base._chain_text}]"))]
+            data = read(archived)
+        except OSError as exc:
+            raise LedgerError(f"cannot read the block archive: {exc}") from exc
+        try:
+            if len(data) != archived:
+                raise ValueError(f"{len(data)} bytes, not the {archived} "
+                                 "committed")
+            # A compact JSON line holds no raw newline, so the lines joined
+            # by commas are the items of one array.
+            entries = json.loads(b"[" + data[:-1].replace(b"\n", b",") + b"]")
+            blocks = [_decode_block(height, entry)
+                      for height, entry in enumerate(entries)]
         except (LookupError, TypeError, ValueError) as exc:
             raise LedgerError(f"the block archive does not decode: {exc}") from exc
         heights = {}
         for blk in blocks:
             _index(heights, blk)
         # Blocks mined since the restore all lie above the base.
-        index = {txid: height for txid, height
-                 in self.tx_heights[self.canonical].items()
-                 if height <= base.height}
         if (not blocks or blocks[-1].height != base.height
                 or blocks[-1].timestamp != base.timestamp
                 or self._head_digest(blocks) != base._digest
-                or heights != index):
+                or any(heights.get(txid) != height for txid, height
+                       in self.tx_heights[self.canonical].items()
+                       if height <= base.height)):
             raise LedgerError("the block archive does not match the restored "
                               "head's digest and txid index")
         base.receipts = blocks[-1].receipts
         for chain in self.branches.values():
             chain[:0] = blocks[:-1]
+        for name, index in self.tx_heights.items():
+            self.tx_heights[name] = {**heights, **index}
         self._archive = None
 
     # -- determinism and audit hooks --------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared test harness: a wallet contract driven without the ledger, and
 cache-free references for the contract's state lines and the ledger's
-chained digest, state hash and checkpoint."""
+chained digest, state hash, block archive and checkpoint head."""
 
 import json
 
@@ -119,13 +119,15 @@ def reference_state_lines(wallet) -> list[str]:
 
 def reference_chain(ledger) -> list:
     """The canonical blocks from genesis. While the ledger keeps a restored
-    archive undecoded, the archive's text is decoded here, leaving the
-    ledger as it is."""
+    archive undecoded, the archive's committed lines are read and decoded
+    here, leaving the ledger as it is."""
     chain = ledger.branches[ledger.canonical]
     if ledger._archive is None:
         return chain
+    _, committed, read = ledger._archive
     archived = []
-    for height, entry in enumerate(json.loads(f"[{chain[0]._chain_text}]")):
+    for height, line in enumerate(read(committed).splitlines()):
+        entry = json.loads(line)
         timestamp, rows = (entry, []) if isinstance(entry, int) else entry
         receipts = []
         for (sender, nonce, fee, call), status, result, sig in rows:
@@ -140,9 +142,8 @@ def reference_digest(ledger) -> bytes:
     """The head block's chained digest, hashed from genesis over each
     block's entry."""
     digest = bytes(16)
-    for entry in reference_blocks(ledger):
-        text = json.dumps(entry, separators=(",", ":"), sort_keys=True)
-        digest = truncated_hash(digest + text.encode())
+    for entry in reference_archive(ledger).splitlines():
+        digest = truncated_hash(digest + entry)
     return digest
 
 
@@ -168,8 +169,16 @@ def reference_blocks(ledger) -> list:
         if blk.receipts else blk.timestamp for blk in reference_chain(ledger)]
 
 
-def reference_checkpoint(ledger) -> str:
-    """`Ledger.checkpoint()` encoded from scratch, in its compact layout."""
+def reference_archive(ledger) -> bytes:
+    """The block archive from genesis, encoded from scratch: one line per
+    canonical block's entry."""
+    return b"".join(json.dumps(entry, separators=(",", ":")).encode() + b"\n"
+                    for entry in reference_blocks(ledger))
+
+
+def reference_head(ledger, keep=()) -> str:
+    """The head text of `Ledger.checkpoint(keep)`, encoded from scratch in
+    its compact layout, for an archive of the whole canonical chain."""
     head = ledger.head
     state = head.state
     index = {}
@@ -178,16 +187,42 @@ def reference_checkpoint(ledger) -> str:
             if r.status != "invalid-nonce":
                 index.setdefault(r.txid, blk.height)
     return json.dumps({
-        "head": {
-            "accounts": state.accounts,
-            "nonces": state.nonces,
-            "contracts": [{"params": c.params.as_dict(),
-                           "lines": c.state_lines()}
-                          for c in state.contracts.values()],
-            "height": head.height,
-            "timestamp": head.timestamp,
-            "digest": reference_digest(ledger).hex(),
-            "index": index,
-        },
-        "blocks": reference_blocks(ledger),
+        "accounts": state.accounts,
+        "nonces": state.nonces,
+        "contracts": [{"params": c.params.as_dict(),
+                       "lines": c.state_lines()}
+                      for c in state.contracts.values()],
+        "height": head.height,
+        "timestamp": head.timestamp,
+        "digest": reference_digest(ledger).hex(),
+        "archive_bytes": len(reference_archive(ledger)),
+        "index": {txid: index[txid] for txid in keep},
     }, separators=(",", ":"))
+
+
+RECIPIENTS = ("acct:recipient", "acct:shop", "acct:landlord", "acct:friend")
+
+
+def write_history(world, slots: int, rng) -> None:
+    """Apply `slots` operation slots to a CLI world and append their
+    actions to its log, as the benchmark writes a deep world: a confirmed
+    transfer in each slot, a subtree introduction in each subtree's last
+    slot and a secure rotation in each generation's last."""
+    params = world.params()
+    for _ in range(slots):
+        system = world.system
+        rel = system.contract.next_op_id % params.N
+        if rel == params.N - 1:
+            actions = [{"cmd": "rotate", "mode": "secure"}]
+        elif rel % params.N_S == params.N_S - 1:
+            actions = [{"cmd": "subtree"}]
+        else:
+            init = {"cmd": "init", "type": "transfer",
+                    "addr": rng.choice(RECIPIENTS), "param": rng.randint(1, 2)}
+            op_id = world.apply(init)["op_id"]
+            world.data["actions"].append(init)
+            otp = system.authenticator.get_otp(op_id % params.N)
+            actions = [{"cmd": "confirm", "op_id": op_id, "otp": otp.hex()}]
+        for action in actions:
+            world.apply(action)
+            world.data["actions"].append(action)

@@ -24,7 +24,8 @@ from otpwallet.protocols import (
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
 PARAMS = "128,4,1,2,1"          # a subtree every 2 slots, a rotation every 4
 N, N_S = 4, 2
-STATE_FILES = ("actions.jsonl", "checkpoint.json", "world.json")
+STATE_FILES = ("actions.jsonl", "blocks.jsonl", "checkpoint.json",
+               "world.json")
 
 
 def cli(state_dir: Path, *argv) -> tuple[int, str]:

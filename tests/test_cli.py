@@ -23,7 +23,7 @@ from otpwallet.cli import (
 
 from otpwallet.protocols import bootstrap_system
 
-from harness import reference_blocks
+from harness import reference_archive, reference_state_hash
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
 
@@ -65,7 +65,8 @@ def test_happy_path_transfer(state, capsys):
     assert "wallet balance: 495" in out
 
 
-STATE_FILES = ["actions.jsonl", "checkpoint.json", "world.json"]
+STATE_FILES = ["actions.jsonl", "blocks.jsonl", "checkpoint.json",
+               "world.json"]
 
 
 def _files(state_dir) -> list[str]:
@@ -357,18 +358,21 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         "--addr", "acct:bob", "--param", "5")
     before = (state_dir / "world.json").read_bytes()
     log = (state_dir / "actions.jsonl").read_bytes()
+    archive = (state_dir / "blocks.jsonl").read_bytes()
     previous = World.load(state_dir).system.ledger.state_hash()
     real_write, real_append = Path.write_text, cli._append
 
-    def torn_append(path, committed, lines):
-        real_append(path, committed, lines[: len(lines) // 2])
-        raise OSError("disk full")
-
     # A tear at each file, in the order a save writes them, on a restored
     # world and on a replayed one.
-    for name, restored in (("actions.jsonl", True), ("checkpoint.json", True),
-                           ("world.json", True), ("actions.jsonl", False),
-                           ("checkpoint.json", False), ("world.json", False)):
+    for name, restored in [(name, restored) for restored in (True, False)
+                           for name in ("actions.jsonl", "blocks.jsonl",
+                                        "checkpoint.json", "world.json")]:
+        def torn_append(path, committed, lines, name=name):
+            if path.name != name:
+                return real_append(path, committed, lines)
+            real_append(path, committed, lines[: len(lines) // 2])
+            raise OSError("disk full")
+
         def torn(path, text, *args, name=name, **kwargs):
             if path.name.startswith(name):
                 real_write(path, text[: len(text) // 2], *args, **kwargs)
@@ -378,7 +382,7 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         if not restored:
             (state_dir / "checkpoint.json").unlink()
         replays = _count_replays(monkeypatch)
-        if name == "actions.jsonl":
+        if name.endswith(".jsonl"):
             monkeypatch.setattr(cli, "_append", torn_append)
         else:
             monkeypatch.setattr(Path, "write_text", torn)
@@ -390,6 +394,11 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         monkeypatch.undo()
         assert (state_dir / "world.json").read_bytes() == before, name
         assert (state_dir / "actions.jsonl").read_bytes()[: len(log)] == log
+        # A replayed world's save rewrites the archive from genesis, so a
+        # tear there leaves less than the old committed bytes.
+        if restored:
+            assert ((state_dir / "blocks.jsonl").read_bytes()[: len(archive)]
+                    == archive)
         loaded = World.load(state_dir)     # a replay here saves a checkpoint
         assert len(loaded.data["actions"]) == 1
         assert loaded.system.ledger.state_hash() == previous
@@ -558,14 +567,14 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
     elif damage == "stale":
         checkpoint.write_text(stale)
     elif damage == "rebound-non-text-line":
-        _rebind_doc(state_dir, lambda doc: doc["head"]["contracts"][0][
+        _rebind_doc(state_dir, lambda doc: doc["contracts"][0][
             "lines"].append(5))
     elif damage == "rebound-unrecorded-operation":
         # The contract holds no record of an operation 7.
-        _rebind_doc(state_dir, lambda doc: doc["head"]["initialised"].append(
+        _rebind_doc(state_dir, lambda doc: doc["initialised"].append(
             [7, "00" * 8]))
     elif damage == "rebound-params-without-LEN_MAX":
-        _rebind_doc(state_dir, lambda doc: doc["head"]["contracts"][0][
+        _rebind_doc(state_dir, lambda doc: doc["contracts"][0][
             "params"].pop("LEN_MAX"))
     else:
         checkpoint.unlink()
@@ -586,7 +595,7 @@ def test_an_init_txid_outside_the_chain_loads_by_replay(state, monkeypatch,
     run(capsys, "--state-dir", state_dir, "op", "init", "--type", "transfer",
         "--addr", "acct:bob", "--param", "5")
     otp = _otp_hex(capsys, state_dir, 0)
-    _rebind_doc(state_dir, lambda doc: doc["head"].update(
+    _rebind_doc(state_dir, lambda doc: doc.update(
         initialised=[[0, "0000000000000000"]]))
     replays = _count_replays(monkeypatch)
     code, out, err = run(capsys, "--state-dir", state_dir, "op", "confirm",
@@ -664,12 +673,12 @@ def test_a_sealed_row_loads_by_replay(tmp_path, monkeypatch, capsys):
     recorded = saved.ledger.state_hash()
     # Operation 16's init txid, which the restored txid index holds.
     ((txid, *_),) = saved.initialised.values()
-    _rebind_doc(state_dir, lambda doc: doc["head"]["initialised"].insert(
+    _rebind_doc(state_dir, lambda doc: doc["initialised"].insert(
         0, [0, txid]))
     replays = _count_replays(monkeypatch)
     assert World.load(state_dir).system.ledger.state_hash() == recorded
     assert replays == [1]
-    head = json.loads((state_dir / "checkpoint.json").read_text())["head"]
+    head = json.loads((state_dir / "checkpoint.json").read_text())
     assert head["initialised"] == [[16, txid]]
     code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
     assert code == 0 and err == "" and replays == [1]
@@ -681,7 +690,7 @@ def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
     contract, which the state hash covers, so head keys that claim others
     change nothing."""
     state_dir, _ = history
-    _rebind_doc(state_dir, lambda doc: doc["head"].update(
+    _rebind_doc(state_dir, lambda doc: doc.update(
         eta=1, current_subtree=1))
     replays = _count_replays(monkeypatch)
     code, out, _ = run(capsys, "--state-dir", state_dir, "root", "show")
@@ -696,9 +705,10 @@ def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
 
 
 # The keys of a checkpoint's head as a save writes it.
-CHECKPOINT_HEAD_KEYS = ["accounts", "actions_sha256", "confirmed_transfers",
-                        "contracts", "depth_checks", "digest", "height",
-                        "index", "initialised", "nonces", "timestamp"]
+CHECKPOINT_HEAD_KEYS = ["accounts", "actions_sha256", "archive_bytes",
+                        "confirmed_transfers", "contracts", "depth_checks",
+                        "digest", "height", "index", "initialised", "nonces",
+                        "timestamp"]
 
 
 def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
@@ -711,10 +721,10 @@ def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
     system = World.load(state_dir).system
     recorded = system.ledger.state_hash()
     doc = json.loads((state_dir / "checkpoint.json").read_text())
-    assert sorted(doc["head"]) == CHECKPOINT_HEAD_KEYS
-    assert doc["head"]["initialised"] == [
+    assert sorted(doc) == CHECKPOINT_HEAD_KEYS
+    assert doc["initialised"] == [
         [op_id, txid] for op_id, (txid, *_) in system.initialised.items()]
-    doc["head"].update(
+    doc.update(
         seq=9, eta=0, current_subtree=0,
         contract_id=system.contract_id,
         initialised=[[op_id, txid, op_type.value, addr, param]
@@ -730,7 +740,7 @@ def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
     assert loaded.system.initialised == system.initialised
     assert (loaded.system.confirmed_transfers, loaded.system.depth_checks) == (
         system.confirmed_transfers, system.depth_checks)
-    head = json.loads((state_dir / "checkpoint.json").read_text())["head"]
+    head = json.loads((state_dir / "checkpoint.json").read_text())
     assert sorted(head) == CHECKPOINT_HEAD_KEYS
 
 
@@ -1035,17 +1045,21 @@ def test_a_save_encodes_only_the_new_blocks(history, monkeypatch, capsys):
     assert code == 0 and mined >= 1 and encodes == mined
 
 
-def _relayout(text: str, layout: str) -> str:
-    doc = json.loads(text)
+def _relayout(state_dir, layout: str) -> str:
+    """The checkpoint in the older layout that held the block archive too:
+    the head object, then a `blocks` array of every block's entry. Written
+    compact with the blocks last, indented, or spaced with the blocks
+    first."""
+    head = json.loads((state_dir / "checkpoint.json").read_text())
+    blocks = [json.loads(line) for line in
+              (state_dir / "blocks.jsonl").read_bytes().splitlines()]
     if layout == "indented":
-        return json.dumps(doc, indent=1)
+        return json.dumps({"head": head, "blocks": blocks}, indent=1)
     if layout == "blocks-last":
-        blocks = doc.pop("blocks")
-        return json.dumps({**doc, "blocks": blocks})
-    # The compact opening kept, with spaces everywhere after it.
-    blocks = doc.pop("blocks")
+        return json.dumps({"head": head, "blocks": blocks},
+                          separators=(",", ":"))
     return ('{"blocks":[ ' + " , ".join(json.dumps(b) for b in blocks)
-            + " ] , " + json.dumps(doc)[1:])
+            + ' ] , "head": ' + json.dumps(head) + "}")
 
 
 @pytest.mark.parametrize("layout", ["indented", "blocks-last", "spaced"])
@@ -1053,10 +1067,10 @@ def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
         history, monkeypatch, capsys, layout):
     state_dir, _ = history
     checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
-    text = _relayout(checkpoint.read_text(), layout)
-    assert text != checkpoint.read_text()
+    archive = state_dir / "blocks.jsonl"
+    text = _relayout(state_dir, layout)
     with pytest.raises(ledger_mod.LedgerError):
-        ledger_mod.Ledger.from_checkpoint(text)
+        ledger_mod.Ledger.from_checkpoint(text, archive.read_bytes)
     _rebind(state_dir, text)
     recorded = json.loads(world_file.read_text())["head"]["state_hash"]
 
@@ -1064,13 +1078,14 @@ def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
     code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
     assert code == 0 and replays == [1]
 
-    # The replay saved the checkpoint in the layout `checkpoint` writes,
-    # holding exactly the chain's entries, and the next load restores it.
+    # The replay saved the head in the layout `checkpoint` writes, and the
+    # archive holding exactly the chain's entries, and the next load
+    # restores them.
     restored = World.load(state_dir)
     assert replays == [1]
     assert restored.system.ledger.state_hash() == recorded
-    assert (json.loads(checkpoint.read_text())["blocks"]
-            == reference_blocks(restored.system.ledger))
+    assert sorted(json.loads(checkpoint.read_text())) == CHECKPOINT_HEAD_KEYS
+    assert archive.read_bytes() == reference_archive(restored.system.ledger)
 
 
 def _written(monkeypatch) -> list:
@@ -1083,13 +1098,16 @@ def _written(monkeypatch) -> list:
 
 def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
                                                capsys):
-    """... and appends its one action to the log."""
+    """... appends its one action to the log, and appends the entries of
+    the blocks it mines to the archive, which a replay's save rewrites to
+    the same bytes."""
     state_dir, _ = history
-    log = state_dir / "actions.jsonl"
+    log, archive = state_dir / "actions.jsonl", state_dir / "blocks.jsonl"
     for restored in (True, False):
         if not restored:
             (state_dir / "checkpoint.json").unlink()
-        before = log.read_bytes()
+        before, archived = log.read_bytes(), archive.read_bytes()
+        height = archived.count(b"\n")
         replays = _count_replays(monkeypatch)
         written = _written(monkeypatch)
         code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init",
@@ -1102,6 +1120,10 @@ def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
         assert log.read_bytes() == before + _line({
             "cmd": "init", "type": "transfer", "addr": "acct:bob",
             "param": 5})
+        lines = reference_archive(World.load(state_dir).system.ledger)
+        mined = lines.splitlines(keepends=True)[height:]
+        assert len(mined) >= 1
+        assert archive.read_bytes() == archived + b"".join(mined)
 
 
 def test_an_unknown_operation_type_is_a_usage_error(history, capsys):
@@ -1165,14 +1187,19 @@ def test_confirmations_on_a_restored_world_decode_nothing(history,
 
 
 def test_a_consistently_tampered_archive_fails_when_read(history, monkeypatch):
+    """An archive rewritten with an executed row's status changed, its new
+    length committed in the checkpoint and the checkpoint re-bound: the
+    head still binds, and reading the chain fails."""
     state_dir, _ = history
-    checkpoint = state_dir / "checkpoint.json"
-    doc = json.loads(checkpoint.read_text())
-    assert json.dumps(doc, separators=(",", ":")) == checkpoint.read_text()
-    row = next(row for entry in doc["blocks"] if type(entry) is list
+    archive = state_dir / "blocks.jsonl"
+    entries = [json.loads(line) for line in archive.read_bytes().splitlines()]
+    row = next(row for entry in entries if type(entry) is list
                for row in entry[1] if row[1] == "ok")
     row[1] = "revert:funds"
-    _rebind(state_dir, json.dumps(doc, separators=(",", ":")))
+    text = b"".join(json.dumps(e, separators=(",", ":")).encode() + b"\n"
+                    for e in entries)
+    archive.write_bytes(text)
+    _rebind_doc(state_dir, lambda doc: doc.update(archive_bytes=len(text)))
 
     replays = _count_replays(monkeypatch)
     ledger = World.load(state_dir).system.ledger     # binds by the head alone
@@ -1181,3 +1208,46 @@ def test_a_consistently_tampered_archive_fails_when_read(history, monkeypatch):
                  ledger.audit_signatures):
         with pytest.raises(ledger_mod.LedgerError):
             read()
+
+
+def test_a_torn_archive_append_is_ignored_then_cut(history, monkeypatch,
+                                                   capsys):
+    state_dir, _ = history
+    archive = state_dir / "blocks.jsonl"
+    shown = run(capsys, "--state-dir", state_dir, "root", "show")
+    with open(archive, "ab") as f:
+        f.write(b'[1600000000,[[["')
+    replays = _count_replays(monkeypatch)
+    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
+    assert shown[0] == 0 and replays == []
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    head = json.loads((state_dir / "checkpoint.json").read_text())
+    ledger = World.load(state_dir).system.ledger
+    assert code == 0 and replays == []
+    assert head["archive_bytes"] == len(archive.read_bytes())
+    assert archive.read_bytes() == reference_archive(ledger)
+    assert ledger.state_hash() == reference_state_hash(ledger)
+    assert ledger.audit_signatures() == []
+
+
+@pytest.mark.parametrize("damage", ["ten-bytes-short", "deleted"])
+def test_a_short_archive_costs_one_replay(history, monkeypatch, capsys,
+                                          damage):
+    """An archive shorter than its committed length does not bind: the
+    command replays once, its save rewrites the archive from genesis, and
+    the next command restores."""
+    state_dir, _ = history
+    archive = state_dir / "blocks.jsonl"
+    intact = archive.read_bytes()
+    shown = run(capsys, "--state-dir", state_dir, "root", "show")
+    if damage == "deleted":
+        archive.unlink()
+    else:
+        archive.write_bytes(intact[:-10])
+    replays = _count_replays(monkeypatch)
+    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
+    assert shown[0] == 0 and replays == [1]
+    assert archive.read_bytes() == intact
+    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
+    assert replays == [1]

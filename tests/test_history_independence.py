@@ -1,0 +1,175 @@
+"""History-independence of a CLI command, checked by counting its work.
+
+Two worlds, written once per session at the same position in their
+generation but at different depths, run `root show` and `op init` in
+process. Test-local wrappers count the bytes each command reads from and
+writes to each state file, the bytes it hashes with SHA-256 and the
+operation records it builds. The counters that no longer grow with history
+are asserted equal at both depths. The others are not asserted: the
+checkpoint head, which lists every `op` line and the oracle lists, is read,
+hashed and written whole, and the whole action log is read."""
+
+import json
+import random
+import shutil
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from otpwallet import cli, contract as contract_mod
+from otpwallet.cli import World, main, parse_params
+from otpwallet.protocols import bootstrap_system
+
+from harness import write_history
+
+PARAMS = "128,64,2,16,1"
+N_S = parse_params(PARAMS).N_S
+FUNDING = 10 ** 6
+# 580 = 9 * 64 + 4: the same slot of the same subtree as 68, so both worlds
+# hold the same open records and initialised rows.
+DEPTHS = (68, 580)
+COMMANDS = {
+    "root show": ["root", "show"],
+    "op init": ["op", "init", "--type", "transfer", "--addr", "acct:bob",
+                "--param", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def worlds(tmp_path_factory) -> dict:
+    dirs = {}
+    for slots in DEPTHS:
+        rng = random.Random(11)
+        state_dir = tmp_path_factory.mktemp(f"depth{slots}") / "wallet"
+        world = World.create(state_dir, "secure", parse_params(PARAMS),
+                             rng.randbytes(16), rng.randbytes(32), FUNDING)
+        world.system = world.build_system()
+        bootstrap_system(world.system, "secure", FUNDING)
+        write_history(world, slots, rng)
+        world.save()
+        dirs[slots] = state_dir
+    return dirs
+
+
+class _Counted:
+    """A file of the state dir whose reads and writes are counted."""
+
+    def __init__(self, f, name, counts):
+        self.f, self.name, self.counts = f, name, counts
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def read(self, *args):
+        data = self.f.read(*args)
+        self.counts["read", self.name] += len(data)
+        return data
+
+    def write(self, data):
+        self.counts["written", self.name] += len(data)
+        self.counts["lines", self.name] += data.count(b"\n")
+        return self.f.write(data)
+
+    def truncate(self, *args):
+        return self.f.truncate(*args)
+
+
+def _name(path) -> str:
+    return Path(path).name.removesuffix(".tmp")
+
+
+def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
+    """Run one command in process and count its work."""
+    counts = Counter()
+    real_open, real_sha256 = open, cli._sha256
+    real_read, real_write = Path.read_text, Path.write_text
+    real_record = contract_mod.OperationRecord
+
+    def counted_open(path, mode="r", *args, **kwargs):
+        return _Counted(real_open(path, mode, *args, **kwargs), _name(path),
+                        counts)
+
+    def read_text(path, *args, **kwargs):
+        text = real_read(path, *args, **kwargs)
+        counts["read", _name(path)] += len(text.encode())
+        return text
+
+    def write_text(path, text, *args, **kwargs):
+        counts["written", _name(path)] += len(text.encode())
+        return real_write(path, text, *args, **kwargs)
+
+    def sha256(text):
+        counts["sha256"] += len(text.encode())
+        return real_sha256(text)
+
+    def record(*args):
+        counts["records"] += 1
+        return real_record(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "open", counted_open, raising=False)
+        patched.setattr(Path, "read_text", read_text)
+        patched.setattr(Path, "write_text", write_text)
+        patched.setattr(cli, "_sha256", sha256)
+        patched.setattr(contract_mod, "OperationRecord", record)
+        assert main(["--state-dir", str(state_dir), *argv]) == 0
+    return counts
+
+
+@pytest.fixture(scope="module")
+def work(worlds, tmp_path_factory) -> dict:
+    """(command, depth) -> the counted work of the command on a fresh copy
+    of the world, and the head its save wrote."""
+    out = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for slots, state_dir in worlds.items():
+            for command, argv in COMMANDS.items():
+                copy = tmp_path_factory.mktemp("run") / "wallet"
+                shutil.copytree(state_dir, copy)
+                replays = []
+                real_replay = World.replay
+                monkeypatch.setattr(World, "replay", lambda world: (
+                    replays.append(1), real_replay(world))[1])
+                counts = count_work(monkeypatch, copy, argv)
+                monkeypatch.undo()
+                assert replays == [], (command, slots)
+                head = (copy / "checkpoint.json").read_text()
+                out[command, slots] = counts, head
+    return out
+
+
+def test_a_command_reads_no_archive_byte_at_any_depth(work):
+    for (command, slots), (counts, _) in work.items():
+        assert counts["read", "blocks.jsonl"] == 0, (command, slots)
+
+
+def test_a_command_builds_the_same_records_at_both_depths(work):
+    for command in COMMANDS:
+        built = [work[command, slots][0]["records"] for slots in DEPTHS]
+        assert built[0] == built[1] <= N_S, command
+
+
+def test_the_written_head_indexes_the_same_rows_at_both_depths(work):
+    """Only the initialised rows' txids, at most `N_S` of them."""
+    kept = [len(json.loads(work["op init", slots][1])["index"])
+            for slots in DEPTHS]
+    assert kept[0] == kept[1] <= N_S
+
+
+def test_a_write_appends_the_same_blocks_at_both_depths(work):
+    """`op init` appends one line per block it mines, of the same bytes up
+    to the decimal width of its nonce and of the operation id; `root show`
+    writes nothing."""
+    appended = [work["op init", slots][0] for slots in DEPTHS]
+    assert appended[0]["lines", "blocks.jsonl"] >= 1
+    assert (appended[0]["lines", "blocks.jsonl"]
+            == appended[1]["lines", "blocks.jsonl"])
+    widths = [a["written", "blocks.jsonl"] for a in appended]
+    assert 0 <= widths[1] - widths[0] <= 4, widths
+    for slots in DEPTHS:
+        counts, _ = work["root show", slots]
+        assert not [key for key in counts if key[0] in ("written", "lines")]

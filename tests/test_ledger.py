@@ -20,12 +20,48 @@ from otpwallet.ledger import (
 )
 from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, lsb, with_lsb
 
-from harness import reference_checkpoint, reference_state_hash
+from harness import (reference_archive, reference_chain, reference_head,
+                     reference_state_hash)
 
 
 def pay(frm, to, amount, fee, nonce):
     return Transaction(frm, {"fn": "transfer", "to": to, "amount": amount},
                        fee=fee, nonce=nonce)
+
+
+def reader(archive: bytes, reads: list | None = None):
+    """A reader of the first n bytes of `archive`, logging each n it is
+    asked for in `reads`."""
+    def read(n):
+        if reads is not None:
+            reads.append(n)
+        return archive[:n]
+    return read
+
+
+def restore(ledger, keep=(), reads=None) -> Ledger:
+    """The ledger restored from its checkpoint, whose archive lines make up
+    the whole archive."""
+    lines, head = ledger.checkpoint(keep)
+    return Ledger.from_checkpoint(head, reader(lines, reads))[0]
+
+
+def forged(ledger, change, keep=()) -> Ledger:
+    """The ledger restored from its checkpoint after `change` edits the
+    parsed head and the archive's parsed entries; the head commits the
+    edited archive's length unless `change` sets another."""
+    lines, head = ledger.checkpoint(keep)
+    doc = json.loads(head)
+    entries = [json.loads(line) for line in lines.splitlines()]
+    assert b"".join(json.dumps(e, separators=(",", ":")).encode() + b"\n"
+                    for e in entries) == lines
+    change(doc, entries)
+    archive = b"".join(json.dumps(e, separators=(",", ":")).encode() + b"\n"
+                       for e in entries)
+    if doc["archive_bytes"] == len(lines):
+        doc["archive_bytes"] = len(archive)
+    return Ledger.from_checkpoint(json.dumps(doc, separators=(",", ":")),
+                                  reader(archive))[0]
 
 
 @pytest.fixture
@@ -334,19 +370,17 @@ def test_a_restored_ledger_verifies_every_archived_signature(monkeypatch):
     for param in (1, 2):
         w.init(param)
         w.ledger.mine_block()
-    text = w.ledger.checkpoint()
     calls = count_verifies(monkeypatch)
-    restored, _ = Ledger.from_checkpoint(text)
+    restored = restore(w.ledger)
     assert restored.audit_signatures() == []
     assert len(calls) == 2
     # A signature swapped in the archive changes its block's digest, so the
     # archive no longer decodes.
-    doc = json.loads(text)
-    doc["blocks"][3][1][0][3] = bytes(64).hex()
-    forged, _ = Ledger.from_checkpoint(json.dumps(doc, separators=(",", ":")))
-    assert forged.state_hash() == w.ledger.state_hash()
+    swapped = forged(w.ledger, lambda head, entries: entries[3][1][0]
+                     .__setitem__(3, bytes(64).hex()))
+    assert swapped.state_hash() == w.ledger.state_hash()
     with pytest.raises(LedgerError):
-        forged.audit_signatures()
+        swapped.audit_signatures()
     assert len(calls) == 2
 
 
@@ -355,9 +389,8 @@ def test_a_call_that_is_not_an_object_is_a_ledger_error(ledger):
     ledger.mine_block()
     with pytest.raises(LedgerError):
         ledger.submit(Transaction("a", 5, nonce=1))
-    doc = json.loads(ledger.checkpoint())
-    doc["blocks"][1][1][0][0][3] = 5           # the archived call
-    restored, _ = Ledger.from_checkpoint(json.dumps(doc, separators=(",", ":")))
+    restored = forged(ledger, lambda head, entries: entries[1][1][0][0]
+                      .__setitem__(3, 5))           # the archived call
     for read in (restored.event_log, restored.audit_signatures):
         with pytest.raises(LedgerError):
             read()
@@ -560,20 +593,32 @@ def test_signed_bytes_are_built_once_per_transaction(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
-    """Mine, fork, reorg and restore at random; the state hash and the
-    checkpoint, built from the blocks' caches and digests, always equal a
-    reference built from scratch. A restored ledger keeps its archive
-    undecoded while it mines and checkpoints, until a fork decodes it."""
+    """Mine, fork, reorg, save and restore at random; the state hash, the
+    archive as saves append to it and the checkpoint head, built from the
+    blocks' caches and digests, always equal a reference built from
+    scratch. A restored ledger keeps its archive undecoded while it mines
+    and checkpoints, and looks up its kept txids, until a fork decodes it.
+    A checkpoint refuses to append once a reorg has left the archived
+    block."""
     rng = random.Random(seed)
     ledger = Ledger(initial_accounts={"a": 50, "b": 50, "adv": 50})
     low = 0                     # no state below a restored head
     archived = False            # a restored archive not decoded yet
-    moves = ["submit"] * 3 + ["mine"] * 3 + ["fork", "reorg", "restore"]
+    archive, saved = b"", None  # the archive file and its newest block
+
+    def appendable() -> bool:
+        return saved is None or any(
+            blk is saved for blk in ledger.branches[ledger.canonical])
+    moves = ["submit"] * 3 + ["mine"] * 3 + ["fork", "reorg", "restore",
+                                             "save"]
     # A random run, then a fixed tail: restore, fork at the restored head,
     # outgrow main on the branch and reorg to it.
     tail = ["submit", "mine", "restore", "mine", "submit", "fork-low",
-            "submit", "mine-branch", "mine-branch", "reorg", "mine"]
+            "submit", "mine-branch", "mine-branch", "reorg", "mine", "save"]
     for move in [rng.choice(moves) for _ in range(60)] + tail:
+        # The txids of the head block, as the reference decodes it.
+        keep = [r.txid for r in reference_chain(ledger)[-1].receipts
+                if r.status != "invalid-nonce"]
         if move == "fork-low":
             branch = ledger.fork(low)
             archived = False
@@ -595,12 +640,27 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
                             if chain[-1].height > ledger.head.height)
             if longer:
                 ledger.reorg(rng.choice(longer))
-        elif move == "restore" and not ledger.mempool:
-            ledger, _ = Ledger.from_checkpoint(ledger.checkpoint())
-            low, archived = ledger.head.height, True
+        elif move in ("restore", "save") and not ledger.mempool and appendable():
+            lines, head = ledger.checkpoint(keep)
+            archive = archive[:ledger.archive_bytes] + lines
+            if move == "save":
+                ledger.archived(len(archive))
+                saved = ledger.head
+            else:
+                ledger, _ = Ledger.from_checkpoint(head, reader(archive))
+                low, archived, saved = ledger.head.height, True, ledger.head
         assert ledger.state_hash() == reference_state_hash(ledger)
+        if not ledger.mempool and not appendable():
+            with pytest.raises(LedgerError):
+                ledger.checkpoint(keep)
+            # As the save after a replay does, rewrite it from genesis (the
+            # fork that preceded the reorg decoded the archive).
+            archive, saved, ledger._archived = b"", None, (None, 0)
         if not ledger.mempool:
-            assert ledger.checkpoint() == reference_checkpoint(ledger)
+            lines, head = ledger.checkpoint(keep)
+            assert (archive[:ledger.archive_bytes] + lines
+                    == reference_archive(ledger))
+            assert head == reference_head(ledger, keep)
         assert (ledger._archive is not None) == archived
     assert ledger.canonical == branch and ledger.head.height > low + 1
     assert [blk.height for blk in ledger.chain] == list(
@@ -612,44 +672,93 @@ def test_decoding_an_archive_checks_its_digest_and_index(ledger):
              ledger.submit(pay("b", "a", 1, 2, 0))]
     ledger.mine_block()
     ledger.mine_block()
-    text = ledger.checkpoint()
-    doc = json.loads(text)
-    assert json.dumps(doc, separators=(",", ":")) == text
+    lines, _ = ledger.checkpoint()
 
-    restored, _ = Ledger.from_checkpoint(text)
+    restored = restore(ledger, keep=txids)
     assert [restored.confirmations(t) for t in txids] == [1, 1]
     assert restored.event_log() == ledger.event_log()
     assert restored.receipt(txids[0]).txid == txids[0]
 
-    def tampered(change):
-        bad = json.loads(text)
-        change(bad)
-        return Ledger.from_checkpoint(json.dumps(bad, separators=(",", ":")))[0]
+    def row(entries):
+        return entries[1][1][0]
 
-    def row(d):
-        return d["blocks"][1][1][0]
+    def damaged(read):
+        _, head = ledger.checkpoint(txids)
+        return Ledger.from_checkpoint(head, read)[0]
 
-    for change in (
-        lambda d: d["head"]["index"].pop(txids[1]),
-        lambda d: d["head"]["index"].update(f00d=1),
-        lambda d: row(d)[0].__setitem__(0, "adv"),              # sender
-        lambda d: row(d)[0].__setitem__(1, 1),                  # nonce
-        lambda d: row(d)[0].__setitem__(2, 7),                  # fee
-        lambda d: row(d)[0][3].update(amount=6),                # a call argument
-        lambda d: row(d).__setitem__(1, "revert:funds"),        # status
-        lambda d: row(d).__setitem__(2, "edited"),              # result
-        lambda d: row(d).__setitem__(3, bytes(64).hex()),       # signature
-        lambda d: d["blocks"].__setitem__(2, d["blocks"][2] + 1),
-        lambda d: d["blocks"].pop(),
-        lambda d: d["head"].update(digest="00" * 16),
-    ):
-        bad = tampered(change)
+    def unreadable(n):
+        raise OSError("gone")
+
+    for bad in [forged(ledger, change, txids) for change in (
+        lambda h, e: h["index"].update({txids[1]: 2}),         # a kept height
+        lambda h, e: h["index"].update(f00d=1),                 # a kept txid
+        lambda h, e: row(e)[0].__setitem__(0, "adv"),           # sender
+        lambda h, e: row(e)[0].__setitem__(1, 1),               # nonce
+        lambda h, e: row(e)[0].__setitem__(2, 7),               # fee
+        lambda h, e: row(e)[0][3].update(amount=6),             # a call argument
+        lambda h, e: row(e).__setitem__(1, "revert:funds"),     # status
+        lambda h, e: row(e).__setitem__(2, "edited"),           # result
+        lambda h, e: row(e).__setitem__(3, bytes(64).hex()),    # signature
+        lambda h, e: e.__setitem__(2, e[2] + 1),                # a timestamp
+        lambda h, e: e.pop(),                                   # the base block
+        lambda h, e: h.update(digest="00" * 16),
+        lambda h, e: h.update(archive_bytes=len(lines) + 1),    # past the end
+    )] + [damaged(reader(lines[:-1])),                          # a short read
+          damaged(unreadable)]:
         bad.mine_block()
         for _ in range(2):          # a failed decode leaves it undecoded
             with pytest.raises(LedgerError):
                 bad.event_log()
         with pytest.raises(LedgerError):
             bad.fork(bad.head.height - 1)
+
+
+def test_a_checkpoint_head_in_another_layout_is_a_ledger_error(ledger):
+    """The older layout, which held the archive as a `blocks` array after
+    the head, and text that is not a head at all."""
+    ledger.submit(pay("a", "b", 5, 1, 0))
+    ledger.mine_block()
+    lines, head = ledger.checkpoint()
+    entries = b",".join(lines.splitlines()).decode()
+    for text in (f'{{"head":{head},"blocks":[{entries}]}}', "[]", head[:-1],
+                 head.replace('"archive_bytes":', '"archive_bytes":-')):
+        with pytest.raises(LedgerError):
+            Ledger.from_checkpoint(text, reader(lines))
+
+
+def test_an_index_miss_decodes_the_archive_unless_the_tx_is_pending():
+    """On a restored ledger, a kept txid, a txid in the mempool and one
+    mined since the restore read no byte of the archive. Any other txid
+    reads its committed bytes once, and then each answers as on the ledger
+    that was never restored."""
+    w = WalletChain()
+    deploy = w.ledger.chain[1].receipts[0].txid
+    inits = [w.init(param) for param in (1, 2)]
+    w.ledger.mine_block()
+    w.ledger.mine_block()
+    lines, _ = w.ledger.checkpoint()
+    reads = []
+    restored = restore(w.ledger, keep=inits[:1], reads=reads)
+    for ledger in (w.ledger, restored):
+        pending = ledger.submit(Transaction(
+            w.owner, {"fn": "transfer", "to": "acct:bob", "amount": 1},
+            nonce=ledger.next_nonce(w.owner)))
+        assert ledger.confirmations(pending) is None
+        assert ledger.receipt(pending) is None
+    assert reads == []
+    for ledger in (w.ledger, restored):
+        ledger.mine_block()
+    for txid in (inits[0], pending):
+        assert restored.confirmations(txid) == w.ledger.confirmations(txid)
+    assert restored.receipt(pending).status == "ok" and reads == []
+    for txid in (inits[1], deploy, "f00d"):
+        assert restored.confirmations(txid) == w.ledger.confirmations(txid)
+        assert reads == [len(lines)]
+    for txid in (*inits, deploy, pending):
+        mine, theirs = restored.receipt(txid), w.ledger.receipt(txid)
+        assert (mine.txid, mine.status, mine.result) == (
+            theirs.txid, theirs.status, theirs.result)
+    assert reads == [len(lines)]
 
 
 def resized(d, size):
@@ -820,7 +929,7 @@ def test_every_accepted_transaction_checkpoints_and_restores(txs):
         if fee == 0:
             led.mine_block()
     led.mine_block()
-    restored, _ = Ledger.from_checkpoint(led.checkpoint())
+    restored = restore(led)
     assert restored.state_hash() == led.state_hash()
     assert restored.event_log() == led.event_log()
     assert restored.audit_signatures() == led.audit_signatures() == []
