@@ -30,11 +30,23 @@ SHA-256 of the log's exact committed bytes. A load reads only those bytes:
 bytes past them are a torn append, which the load ignores and the next
 save cuts, as a write-ahead log does; a log shorter than them is an error.
 The load hashes the bytes once and keeps the hash, so a save hashes only
-what it appends. The archive is bound by the checkpoint's committed
-length and by the head digest, which `state_hash` covers: bytes past the
-length are a torn append as well, an archive shorter than it does not
-bind (one replay, whose save rewrites it from genesis), and reading the
-chain checks the committed bytes against the digest.
+what it appends, and it counts their lines against the head's action
+count, but parses them only to replay. The archive is bound by the
+checkpoint's committed length and by the head digest, which `state_hash`
+covers: bytes past the length are a torn append as well, the committed
+bytes must end with the head block's own line, which hashed after the
+head's stored parent digest gives the head digest (a restore reads back
+that one line; an archive that is short, or cut at another length, does
+not bind and costs one replay, whose save rewrites it from genesis), and
+reading the chain checks all the committed bytes against the digest.
+
+A save appends the new log lines, then the new archive lines, overwrites
+`checkpoint.json` in place and cuts its old bytes past the new head, and
+writes `world.json` last, through a temp file renamed into place. So
+`world.json` is the commit point and the only file a save renames: the
+checkpoint is a cache bound by the digest that `world.json` records, so a
+checkpoint torn halfway or left stale by a save that failed before the
+rename does not bind, and costs one replay, as a missing one does.
 
 Loading restores the checkpoint when all of these match and the restored
 ledger hashes to the recorded state; otherwise it replays the log from
@@ -49,10 +61,12 @@ older encoding, and no migration reads either). So is one whose keys, or
 whose head's or params' keys, are not exactly those a save writes, or that
 holds a value of another type, params outside their domain, a negative
 funding or log length, a seed that is not lowercase hex of its size or a
-mode outside MODES, or whose log does not parse, holds another count of
-actions than the head records or logs an action that no command writes:
+mode outside MODES, or whose log holds another count of lines than the
+head records actions, or, when the load replays it, does not parse, holds
+another count of actions or logs an action that no command writes:
 another key set, an unknown operation type or mode, or a confirm OTP not
-of the digest size. The log doubles as an audit trail.
+of the digest size. (A restore that binds has the very bytes a save
+wrote, by their SHA-256.) The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` parses with one parser of all nine commands,
@@ -64,12 +78,13 @@ security calculator, and with them mpmath. A restore parses the
 head, and of the contract's records only the current subtree's, at most
 `N_S`: the finished subtrees' lines stay text that `state_hash` covers
 (see `otpwallet.contract`). `state_hash` hashes the head state with the
-stored head digest, and a restore reads no byte of the archive, only its
-length; an audit of the chain reads, decodes and checks it. A save
-appends the entries of the new blocks and writes a head that indexes only
-the initialised operations' txids. What a command still pays for by
-history is the log parse, the contract's `op` lines in the head, the
-confirmed transfers and the depth checks.
+stored head digest, and a restore reads of the archive only its last
+committed line and decodes none of it, and parses no logged action; an
+audit of the chain reads, decodes and checks the archive. A save appends
+the entries of the new blocks and writes a head that indexes only the
+initialised operations' txids. What a command still pays for by history
+is reading and hashing the log's bytes, the contract's `op` lines in the
+head, the confirmed transfers and the depth checks.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr; an OSError, such as a `world.json` that is a
@@ -241,6 +256,23 @@ def _read_prefix(path: Path, size: int) -> bytes:
         return f.read(size)
 
 
+def _last_line(path: Path, end: int, window: int = 1024) -> bytes:
+    """The last line of the file's first `end` bytes, newline included,
+    read back in windows that double until one holds the line's start; b""
+    when the file holds fewer than `end` bytes."""
+    with open(path, "rb") as f:
+        while True:
+            start = max(0, end - window)
+            f.seek(start)
+            data = f.read(end - start)
+            if len(data) != end - start:
+                return b""
+            cut = data.rfind(b"\n", 0, -1)
+            if cut >= 0 or start == 0:
+                return data[cut + 1:]
+            window *= 2
+
+
 def _read_log(path: Path, size: int) -> bytes:
     """The log's committed bytes; a missing log is empty."""
     try:
@@ -277,21 +309,40 @@ def _append(path: Path, committed: int, lines: bytes) -> None:
         f.write(lines)
 
 
+def _keep_bytes(path: str, flags: int) -> int:
+    """An opener for mode "wb" that does not truncate the file."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _overwrite(path: Path, data: bytes) -> None:
+    """Write `data` over the file at `path` in place, then cut the old
+    bytes past it. A write torn halfway leaves new bytes over old ones, so
+    only a file bound by a digest kept elsewhere may be written so."""
+    with open(path, "wb", opener=_keep_bytes) as f:
+        f.write(data)
+        f.truncate()
+
+
 # ---------------------------------------------------------------------------
 # Persistent world: seeds + params, an append-only action log, and a
 # digest-bound checkpoint with its append-only block archive
 
 class World:
-    def __init__(self, state_dir: Path, data: dict, log: bytes = b""):
-        """`data` as `world.json` holds it, with `data["actions"]` parsed
-        from the committed `log` bytes."""
+    def __init__(self, state_dir: Path, data: dict, log: bytes = b"",
+                 log_actions: int = 0):
+        """`data` as `world.json` holds it. The committed `log` bytes hold
+        `log_actions` actions, and `data["actions"]` lists the first
+        `logged` of them (all after a replay, none after a restore, which
+        parses none); a save appends the entries after those."""
         self.state_dir = state_dir
         self.data = data
         self.system: System | None = None
-        # The committed log: its action count, its length and its digest.
-        self.logged = len(data["actions"])
+        # The committed log: its action count, its length and its digest;
+        # and how many entries of data["actions"] it holds.
+        self.log_actions = log_actions
         self.log_bytes = len(log)
         self.log_hash = hashlib.sha256(log)
+        self.logged = len(data["actions"])
 
     @classmethod
     def create(cls, state_dir: Path, mode: str, params: TreeParams,
@@ -333,13 +384,19 @@ class World:
             raise CliError("state", f"{path}: {problem}")
         head = data["head"]
         log = _read_log(state_dir / LOG_NAME, head["log_bytes"])
-        data["actions"] = _parse_log(log)
-        if len(data["actions"]) != head["actions"]:
-            raise CliError("state", f"the action log holds "
-                                    f"{len(data['actions'])} actions, not the "
-                                    f"{head['actions']} that {path} commits")
-        world = cls(state_dir, data, log)
-        if not world.restore():
+        data["actions"] = []
+        world = cls(state_dir, data, log, head["actions"])
+        # The log holds one action per line. It is parsed only to replay,
+        # or when its line count is not the head's, so that a log that
+        # does not parse is reported as such before the count.
+        if log.count(b"\n") != head["actions"] or not world.restore():
+            data["actions"] = _parse_log(log)
+            if len(data["actions"]) != head["actions"]:
+                raise CliError("state", f"the action log holds "
+                                        f"{len(data['actions'])} actions, not "
+                                        f"the {head['actions']} that {path} "
+                                        "commits")
+            world.logged = len(data["actions"])
             world.replay()
             actual = world.system.ledger.state_hash()
             if actual != recorded:
@@ -390,9 +447,10 @@ class World:
         """Set up the system from the checkpoint, without replaying; False
         when it is missing, does not match the digest `world.json` records,
         was built from other log bytes or does not parse, the restored
-        ledger hashes to another state, the block archive is missing or
-        shorter than the checkpoint commits (one `stat`: no byte of it is
-        read), or that state does not hold exactly
+        ledger hashes to another state, the block archive's committed bytes
+        do not end with the head block's line (one line is read back and
+        none decoded, so an archive that is missing, short or committed at
+        another length does not bind), or that state does not hold exactly
         one contract with a record in its open subtree of every initialised
         operation of that subtree, whose init txid the restored txid index
         holds; a row of a sealed subtree, which older saves kept, does not
@@ -411,7 +469,8 @@ class World:
                 text, functools.partial(_read_prefix, archive))
             if (point["actions_sha256"] != self.log_hash.hexdigest()
                     or ledger.state_hash() != head["state_hash"]
-                    or archive.stat().st_size < ledger.archive_bytes):
+                    or not ledger.is_head_line(
+                        _last_line(archive, ledger.archive_bytes))):
                 return False
             system = self.build_system()
             system.ledger = ledger
@@ -440,13 +499,15 @@ class World:
         return True
 
     def save(self) -> None:
-        """Append the lines of the actions logged since the last save and
-        the entries of the blocks mined since it (all of them after a
-        replay), then write the checkpoint, which commits the archive's new
-        length, and `world.json`, which commits the log's and the head
-        state; each of the two goes to a temp file moved into place, and
-        `world.json` last, so a failed save leaves the previous world (lines
-        appended past a committed length are a torn append)."""
+        """Append the lines of the actions appended to `data["actions"]`
+        since the last save and the entries of the blocks mined since it
+        (all of them after a replay), overwrite the checkpoint in place,
+        which commits the archive's new length, and then write
+        `world.json`, which commits the log's and the head state, to a temp
+        file moved into place. `world.json` goes last and is the only file
+        renamed, so a failed save leaves the previous world: lines appended
+        past a committed length are a torn append, and a checkpoint torn or
+        written ahead of `world.json` does not match its digest."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
         actions = self.data["actions"]
         lines = b"".join(map(_log_line, actions[self.logged:]))
@@ -461,7 +522,7 @@ class World:
             confirmed_transfers=system.confirmed_transfers,
             depth_checks=system.depth_checks)
         head = {
-            "actions": len(actions),
+            "actions": self.log_actions + len(actions) - self.logged,
             "log_bytes": self.log_bytes + len(lines),
             "state_hash": ledger.state_hash(),
             "sha256": _sha256(checkpoint),
@@ -472,13 +533,13 @@ class World:
         archived = ledger.archive_bytes
         _append(self.state_dir / LOG_NAME, self.log_bytes, lines)
         _append(self.state_dir / ARCHIVE_NAME, archived, blocks)
-        for name, text in (("checkpoint.json", checkpoint),
-                           ("world.json", world)):
-            tmp = self.state_dir / (name + ".tmp")
-            tmp.write_text(text)
-            os.replace(tmp, self.state_dir / name)
+        _overwrite(self.state_dir / "checkpoint.json", checkpoint.encode())
+        tmp = self.state_dir / "world.json.tmp"
+        tmp.write_text(world)
+        os.replace(tmp, self.state_dir / "world.json")
         self.data["head"] = head
-        self.logged, self.log_bytes = head["actions"], head["log_bytes"]
+        self.logged = len(actions)
+        self.log_actions, self.log_bytes = head["actions"], head["log_bytes"]
         self.log_hash = log_hash
         ledger.archived(archived + len(blocks))
 

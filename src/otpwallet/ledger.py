@@ -59,33 +59,35 @@ block that has one. `state_hash` is H(head state lines || head digest), so
 it reads the head and the blocks mined since the last digest, not the
 chain.
 
-`checkpoint` writes the chain as two texts. The head is a JSON object:
-the head state, height, timestamp and digest, the archive's length in
-bytes, and the heights of only the txids the caller keeps. The block
-archive is one line per canonical block, its entry and a newline, and only
-grows: a checkpoint returns the lines of the blocks mined since the
-archived one, for the caller to append. A contract's state lines join the
-cached text of its sealed subtrees with its open subtree's records, so
-`checkpoint` and `state_hash` render only the open records.
-`from_checkpoint` parses the head object, of each contract's lines only the
-header and the open subtree's records (the older lines stay text, which
-`state_hash` covers as they were read), and raises `LedgerError` for any
-other text. It reads no byte of the archive, only keeps a reader of it. The
-canonical branch then starts at a base block, the restored head, with its
-state and its stored digest; its receipts stay in the archive. Head state,
-submission, mining, `state_hash` and `checkpoint` never read the archive,
-and neither do `confirmations` and `receipt` for a kept txid, a txid mined
-since the restore or a txid in the mempool, which cannot be on the chain.
-Reading `chain`, `event_log` or `audit_signatures`, looking up any other
-txid or a receipt at or below the base, or forking reads the archive's
-committed bytes once and decodes them: every entry is re-encoded from its
-decoded rows, the base's receipts are filled in, the older blocks are
-prepended to the branches and their txids merged into the index. It raises
-`LedgerError` unless the digests of the re-encoded entries chain to the
-stored base digest and the recomputed txids index as the kept ones, and
-for a read that fails. An edit to any field of a row therefore fails the
-decode. Blocks below the base carry no state, so the restored ledger
-cannot fork below its head.
+`checkpoint` writes the chain as two texts. The head is a JSON object: the
+head state, height, timestamp and digest, its parent's digest, the
+archive's length in bytes, and the heights of only the txids the caller
+keeps. The block archive is one line per canonical block, its entry and a
+newline, and only grows: a checkpoint returns the lines of the blocks
+mined since the archived one, for the caller to append. A contract's state
+lines join the cached text of its sealed subtrees with its open subtree's
+records, so `checkpoint` and `state_hash` render only the open records.
+`from_checkpoint` parses the head object, of each contract's lines only
+the header and the open subtree's records (the older lines stay text,
+which `state_hash` covers as they were read), and raises `LedgerError` for
+any other text. It reads no byte of the archive, only keeps a reader of
+it; `is_head_line` checks one line that the caller read back, the
+archive's last committed one, against the stored digests, which binds the
+length. The canonical branch then starts at a base block, the restored
+head, with its state and its stored digest; its receipts stay in the
+archive. Head state, submission, mining, `state_hash` and `checkpoint`
+never read the archive, and neither do `confirmations` and `receipt` for a
+kept txid, a txid mined since the restore or a txid in the mempool, which
+cannot be on the chain. Reading `chain`, `event_log` or
+`audit_signatures`, looking up any other txid or a receipt at or below the
+base, or forking reads the archive's committed bytes once and decodes
+them: every entry is re-encoded from its decoded rows, the base's receipts
+are filled in, the older blocks are prepended to the branches and their
+txids merged into the index. It raises `LedgerError` unless the digests of
+the re-encoded entries chain to the stored base digest and the recomputed
+txids index as the kept ones, and for a read that fails. An edit to any
+field of a row therefore fails the decode. Blocks below the base carry no
+state, so the restored ledger cannot fork below its head.
 """
 
 from __future__ import annotations
@@ -331,6 +333,9 @@ class Ledger:
         # The newest archived canonical block, None when none is, and the
         # archive's length in bytes through it.
         self._archived: tuple[Block | None, int] = (None, 0)
+        # The parent digest of the canonical chain's first block: genesis's,
+        # or a restored base's as its checkpoint stored it.
+        self._first_parent = GENESIS_PARENT
         # (public key, signed bytes, signature) triples that verified here.
         self._verified: set[tuple[bytes, bytes, bytes]] = set()
 
@@ -551,16 +556,16 @@ class Ledger:
         """The canonical chain as the archive lines to append and the head
         text. The lines are the entries of the blocks after the archived
         one, each then a newline. The head is a JSON object of the head's
-        balances, nonces and contracts, its height, timestamp and digest,
-        the archive's length in bytes with the lines appended, the `index`
-        of the `keep` txids' heights and the `extra` keys. Older block
-        states, other branches and call traces are left out, and so is the
-        submission counter: the mempool is empty and a restored ledger
-        cannot fork below its head, so the counter orders only transactions
-        submitted after the restore, from any start. LedgerError when a
-        kept txid is not on the canonical chain, or when that chain no
-        longer holds the archived block, which only a reorg below it does
-        (no CLI command forks)."""
+        balances, nonces and contracts, its height, timestamp, digest and
+        parent digest, the archive's length in bytes with the lines
+        appended, the `index` of the `keep` txids' heights and the `extra`
+        keys. Older block states, other branches and call traces are left
+        out, and so is the submission counter: the mempool is empty and a
+        restored ledger cannot fork below its head, so the counter orders
+        only transactions submitted after the restore, from any start.
+        LedgerError when a kept txid is not on the canonical chain, or when
+        that chain no longer holds the archived block, which only a reorg
+        below it does (no CLI command forks)."""
         if self.mempool:
             raise LedgerError("a checkpoint holds mined state only")
         chain = self.branches[self.canonical]
@@ -578,6 +583,7 @@ class Ledger:
             if index[txid] is None:
                 raise LedgerError(f"kept txid {txid} is not on the chain")
         head, state = chain[-1], chain[-1].state
+        parent, digest = self._head_digests(chain)
         return lines, _to_json({
             "accounts": state.accounts,
             "nonces": state.nonces,
@@ -585,7 +591,8 @@ class Ledger:
                           for c in state.contracts.values()],
             "height": head.height,
             "timestamp": head.timestamp,
-            "digest": self._head_digest(chain).hex(),
+            "digest": digest.hex(),
+            "parent": parent.hex(),
             "archive_bytes": archived + len(lines),
             "index": index,
             **extra,
@@ -622,6 +629,7 @@ class Ledger:
                                      dict(head["nonces"]),
                                      {c.contract_id: c for c in contracts}))
             base._digest = bytes.fromhex(head["digest"])
+            parent = bytes.fromhex(head["parent"])
             archived, index = head["archive_bytes"], dict(head["index"])
         except (LookupError, TypeError, ValueError) as exc:
             raise LedgerError(f"not a checkpoint head: {exc}") from exc
@@ -632,7 +640,18 @@ class Ledger:
         ledger.tx_heights = {MAIN: index}
         ledger._archive = (base, archived, read_archive)
         ledger._archived = (base, archived)
+        ledger._first_parent = parent
         return ledger, head
+
+    def is_head_line(self, line: bytes) -> bool:
+        """Whether `line` is the head block's archive line, its entry and a
+        newline: hashed after the head's parent digest, the entry gives the
+        head digest. `state_hash` covers that digest but not the archive's
+        committed length, so a restore checks the archive's last committed
+        line this way, reading one block and decoding none."""
+        parent, digest = self._head_digests(self.branches[self.canonical])
+        return (line.endswith(b"\n")
+                and truncated_hash(parent + line[:-1]) == digest)
 
     def _materialize(self) -> None:
         """Read the archive's committed bytes and decode them into the
@@ -673,6 +692,7 @@ class Ledger:
         base.receipts = blocks[-1].receipts
         for chain in self.branches.values():
             chain[:0] = blocks[:-1]
+        self._first_parent = GENESIS_PARENT
         for name, index in self.tx_heights.items():
             self.tx_heights[name] = {**heights, **index}
         self._archive = None
@@ -703,6 +723,14 @@ class Ledger:
             digest = blk._digest = truncated_hash(
                 digest + blk.entry().encode())
         return digest
+
+    def _head_digests(self, chain: list[Block]) -> tuple[bytes, bytes]:
+        """The parent digest and the digest of the chain's last block. The
+        walk of `_head_digest` caches every digest from the newest stored
+        one to the head, so the parent's is cached too."""
+        digest = self._head_digest(chain)
+        return (chain[-2]._digest if len(chain) > 1
+                else self._first_parent), digest
 
     def state_hash(self) -> str:
         """H(head state lines || head digest)."""

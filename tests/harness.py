@@ -138,11 +138,13 @@ def reference_chain(ledger) -> list:
     return archived + chain[1:]
 
 
-def reference_digest(ledger) -> bytes:
-    """The head block's chained digest, hashed from genesis over each
-    block's entry."""
+def reference_digest(ledger, back: int = 0) -> bytes:
+    """The chained digest of the canonical block `back` blocks below the
+    head, hashed from genesis over each block's entry; genesis's parent
+    digest when that is below genesis."""
     digest = bytes(16)
-    for entry in reference_archive(ledger).splitlines():
+    entries = reference_archive(ledger).splitlines()
+    for entry in entries[:len(entries) - back]:
         digest = truncated_hash(digest + entry)
     return digest
 
@@ -195,6 +197,7 @@ def reference_head(ledger, keep=()) -> str:
         "height": head.height,
         "timestamp": head.timestamp,
         "digest": reference_digest(ledger).hex(),
+        "parent": reference_digest(ledger, back=1).hex(),
         "archive_bytes": len(reference_archive(ledger)),
         "index": {txid: index[txid] for txid in keep},
     }, separators=(",", ":"))

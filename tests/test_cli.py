@@ -363,7 +363,8 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
     real_write, real_append = Path.write_text, cli._append
 
     # A tear at each file, in the order a save writes them, on a restored
-    # world and on a replayed one.
+    # world and on a replayed one. The checkpoint is written in place, so
+    # its tear leaves the new bytes' first half over the old file.
     for name, restored in [(name, restored) for restored in (True, False)
                            for name in ("actions.jsonl", "blocks.jsonl",
                                         "checkpoint.json", "world.json")]:
@@ -371,6 +372,11 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
             if path.name != name:
                 return real_append(path, committed, lines)
             real_append(path, committed, lines[: len(lines) // 2])
+            raise OSError("disk full")
+
+        def torn_overwrite(path, data):
+            with open(path, "wb", opener=cli._keep_bytes) as f:
+                f.write(data[: len(data) // 2])
             raise OSError("disk full")
 
         def torn(path, text, *args, name=name, **kwargs):
@@ -384,6 +390,8 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         replays = _count_replays(monkeypatch)
         if name.endswith(".jsonl"):
             monkeypatch.setattr(cli, "_append", torn_append)
+        elif name == "checkpoint.json":
+            monkeypatch.setattr(cli, "_overwrite", torn_overwrite)
         else:
             monkeypatch.setattr(Path, "write_text", torn)
         world = World.load(state_dir, save_replay=False)
@@ -399,9 +407,17 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         if restored:
             assert ((state_dir / "blocks.jsonl").read_bytes()[: len(archive)]
                     == archive)
-        loaded = World.load(state_dir)     # a replay here saves a checkpoint
-        assert len(loaded.data["actions"]) == 1
+        # The old head binds unless the save tore or passed the checkpoint.
+        # Else one replay lands on the recorded state and saves a head that
+        # the next load restores.
+        replays = _count_replays(monkeypatch)
+        loaded = World.load(state_dir)
+        assert loaded.log_actions == 1
         assert loaded.system.ledger.state_hash() == previous
+        expected = [] if restored and name.endswith(".jsonl") else [1]
+        World.load(state_dir)
+        monkeypatch.undo()
+        assert replays == expected, (name, restored)
 
 
 def test_a_torn_append_is_ignored_then_cut(state, capsys):
@@ -460,8 +476,11 @@ def test_actions_appended_to_a_created_world_save_and_restore(tmp_path,
     world.save()
     replays = _count_replays(monkeypatch)
     restored = World.load(state_dir)
-    assert replays == [] and len(_actions(state_dir)) == 3
-    assert restored.data["actions"] == world.data["actions"]
+    assert replays == [] and _actions(state_dir) == world.data["actions"]
+    # A restore parses no logged action.
+    assert restored.data["actions"] == [] and restored.log_actions == 3
+    assert ({**restored.data, "actions": None}
+            == {**world.data, "actions": None})
     assert (restored.system.ledger.state_hash()
             == world.system.ledger.state_hash())
 
@@ -708,7 +727,7 @@ def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
 CHECKPOINT_HEAD_KEYS = ["accounts", "actions_sha256", "archive_bytes",
                         "confirmed_transfers", "contracts", "depth_checks",
                         "digest", "height", "index", "initialised", "nonces",
-                        "timestamp"]
+                        "parent", "timestamp"]
 
 
 def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
@@ -837,6 +856,31 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
         code, out, err = run(capsys, "--state-dir", state_dir, *argv)
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: state:") and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("head-counts-one-more", "the action log holds 3 actions, not the 4"),
+    ("unparsed-line-committed", "the action log does not parse")])
+def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
+                                                 message):
+    """A load counts the log's lines against the head before it restores,
+    and parses a log of another count first, so a line that does not parse
+    is reported as such; the command writes nothing."""
+    state_dir, _ = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    if damage == "head-counts-one-more":
+        data["head"]["actions"] += 1
+    else:
+        log = state_dir / "actions.jsonl"
+        log.write_bytes(log.read_bytes() + b'{"cmd":\n')
+        data["head"]["log_bytes"] = log.stat().st_size
+    world_file.write_text(json.dumps(data))
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    code, out, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: state: " + message), err
     assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
 
 
@@ -1098,9 +1142,10 @@ def _written(monkeypatch) -> list:
 
 def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
                                                capsys):
-    """... appends its one action to the log, and appends the entries of
-    the blocks it mines to the archive, which a replay's save rewrites to
-    the same bytes."""
+    """... overwrites the checkpoint in place and replaces `world.json`
+    through its one temp file, appends its one action to the log, and
+    appends the entries of the blocks it mines to the archive, which a
+    replay's save rewrites to the same bytes."""
     state_dir, _ = history
     log, archive = state_dir / "actions.jsonl", state_dir / "blocks.jsonl"
     for restored in (True, False):
@@ -1110,12 +1155,22 @@ def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
         height = archived.count(b"\n")
         replays = _count_replays(monkeypatch)
         written = _written(monkeypatch)
+        overwritten = []
+        real_overwrite, real_replace = cli._overwrite, os.replace
+        monkeypatch.setattr(cli, "_overwrite", lambda path, data: (
+            overwritten.append(path.name), real_overwrite(path, data))[1])
+        renamed = []
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            renamed.append((Path(src).name, Path(dst).name)),
+            real_replace(src, dst))[1])
         code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init",
                          "--type", "transfer", "--addr", "acct:bob",
                          "--param", "5")
         monkeypatch.undo()
         assert code == 0 and replays == ([] if restored else [1])
-        assert sorted(written) == ["checkpoint.json.tmp", "world.json.tmp"]
+        assert written == ["world.json.tmp"]
+        assert renamed == [("world.json.tmp", "world.json")]
+        assert overwritten == ["checkpoint.json"]
         assert _files(state_dir) == STATE_FILES
         assert log.read_bytes() == before + _line({
             "cmd": "init", "type": "transfer", "addr": "acct:bob",
@@ -1167,7 +1222,8 @@ def test_a_write_hashes_one_digest_per_block_it_mines(history, monkeypatch,
                      "transfer", "--addr", "acct:bob", "--param", "5")
     monkeypatch.undo()
     mined = World.load(state_dir).system.ledger.head.height - height
-    assert code == 0 and mined >= 1 and len(digests) == mined
+    # The restore checks the archive's last line with one digest more.
+    assert code == 0 and mined >= 1 and len(digests) == mined + 1
 
 
 def test_confirmations_on_a_restored_world_decode_nothing(history,
@@ -1229,6 +1285,70 @@ def test_a_torn_archive_append_is_ignored_then_cut(history, monkeypatch,
     assert archive.read_bytes() == reference_archive(ledger)
     assert ledger.state_hash() == reference_state_hash(ledger)
     assert ledger.audit_signatures() == []
+
+
+@pytest.mark.parametrize("cut", ["inside-a-line", "whole-last-line"])
+def test_a_lowered_archive_length_costs_one_replay(history, monkeypatch,
+                                                   capsys, cut):
+    """A head whose committed archive length was lowered and re-bound in
+    `world.json` does not bind: the archive's committed bytes no longer end
+    with the head block's line. The write replays once, its save rewrites
+    the archive, and then commands restore and the chain decodes."""
+    state_dir, _ = history
+    archive = state_dir / "blocks.jsonl"
+    shown = run(capsys, "--state-dir", state_dir, "root", "show")
+    last = len(archive.read_bytes().splitlines(keepends=True)[-1])
+    lowered = 10 if cut == "inside-a-line" else last
+    _rebind_doc(state_dir, lambda doc: doc.update(
+        archive_bytes=doc["archive_bytes"] - lowered))
+    replays = _count_replays(monkeypatch)
+    code, _, err = run(capsys, "--state-dir", state_dir, "op", "init",
+                       "--type", "transfer", "--addr", "acct:bob",
+                       "--param", "5")
+    assert code == 0 and err == "" and replays == [1]
+    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
+    ledger = World.load(state_dir).system.ledger
+    assert replays == [1]
+    assert len(ledger.chain) == ledger.head.height + 1
+    assert archive.read_bytes() == reference_archive(ledger)
+    assert ledger.audit_signatures() == []
+
+
+@pytest.mark.parametrize("crash", [False, True])
+def test_a_checkpoint_overwritten_by_a_shorter_head_restores(
+        history, monkeypatch, capsys, crash):
+    """The checkpoint is written in place, and the old bytes past a shorter
+    new head are cut: after a write over an indented head, which binds as
+    any layout of the head does, the next command restores. A save that
+    dies between the write and the cut leaves the new head over the old
+    bytes, which costs one replay to the recorded state."""
+    state_dir, _ = history
+    checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
+    _rebind(state_dir, json.dumps(json.loads(checkpoint.read_text()),
+                                  indent=1))
+    longer, before = checkpoint.stat().st_size, world_file.read_bytes()
+
+    def uncut(path, data):
+        with open(path, "wb", opener=cli._keep_bytes) as f:
+            f.write(data)
+        raise OSError("killed")
+
+    if crash:
+        monkeypatch.setattr(cli, "_overwrite", uncut)
+    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                     "transfer", "--addr", "acct:bob", "--param", "5")
+    monkeypatch.undo()
+    assert code == (1 if crash else 0)
+    assert (world_file.read_bytes() == before) == crash
+    recorded = json.loads(world_file.read_text())["head"]["state_hash"]
+    replays = _count_replays(monkeypatch)
+    assert World.load(state_dir).system.ledger.state_hash() == recorded
+    assert replays == ([1] if crash else [])
+    head = json.loads(world_file.read_text())["head"]
+    assert hashlib.sha256(checkpoint.read_bytes()).hexdigest() == head["sha256"]
+    assert checkpoint.stat().st_size < longer
+    World.load(state_dir)
+    assert replays == ([1] if crash else [])
 
 
 @pytest.mark.parametrize("damage", ["ten-bytes-short", "deleted"])

@@ -3,15 +3,19 @@
 Two worlds, written once per session at the same position in their
 generation but at different depths, run `root show` and `op init` in
 process. Test-local wrappers count the bytes each command reads from and
-writes to each state file, the bytes it hashes with SHA-256 and the
-operation records it builds. The counters that no longer grow with history
-are asserted equal at both depths. The others are not asserted: the
-checkpoint head, which lists every `op` line and the oracle lists, is read,
-hashed and written whole, and the whole action log is read."""
+writes to each state file, the bytes it JSON-decodes from each, the bytes
+it hashes with SHA-256 and the operation records it builds. The counters
+that no longer grow with history are asserted equal at both depths, and
+the action log and the block archive are asserted decoded not at all. The
+others are not asserted: the checkpoint head, which lists every `op` line
+and the oracle lists, is read, decoded, hashed and written whole, and the
+whole action log is read and hashed. Not yet counted: JSON-encoded bytes
+and `truncated_hash` input."""
 
 import json
 import random
 import shutil
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -77,15 +81,24 @@ class _Counted:
     def truncate(self, *args):
         return self.f.truncate(*args)
 
+    def seek(self, *args):
+        return self.f.seek(*args)
+
 
 def _name(path) -> str:
     return Path(path).name.removesuffix(".tmp")
 
 
+# The package function that JSON-decodes each state file.
+DECODERS = {"load": "world.json", "_parse_log": "actions.jsonl",
+            "from_checkpoint": "checkpoint.json",
+            "_materialize": "blocks.jsonl"}
+
+
 def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
     """Run one command in process and count its work."""
     counts = Counter()
-    real_open, real_sha256 = open, cli._sha256
+    real_open, real_sha256, real_loads = open, cli._sha256, json.loads
     real_read, real_write = Path.read_text, Path.write_text
     real_record = contract_mod.OperationRecord
 
@@ -110,12 +123,18 @@ def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
         counts["records"] += 1
         return real_record(*args)
 
+    def loads(data, *args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        counts["decoded", DECODERS.get(caller, caller)] += len(data)
+        return real_loads(data, *args, **kwargs)
+
     with monkeypatch.context() as patched:
         patched.setattr(cli, "open", counted_open, raising=False)
         patched.setattr(Path, "read_text", read_text)
         patched.setattr(Path, "write_text", write_text)
         patched.setattr(cli, "_sha256", sha256)
         patched.setattr(contract_mod, "OperationRecord", record)
+        patched.setattr(json, "loads", loads)
         assert main(["--state-dir", str(state_dir), *argv]) == 0
     return counts
 
@@ -142,9 +161,33 @@ def work(worlds, tmp_path_factory) -> dict:
     return out
 
 
-def test_a_command_reads_no_archive_byte_at_any_depth(work):
+def test_a_command_reads_one_archive_window_at_any_depth(work):
+    """A restore reads back the archive's last committed line, in a window
+    that holds it, and decodes none of it."""
+    for command in COMMANDS:
+        read = [work[command, slots][0]["read", "blocks.jsonl"]
+                for slots in DEPTHS]
+        assert 0 < read[0] == read[1] <= 1024, (command, read)
+
+
+def test_a_restore_decodes_no_log_byte_at_any_depth(work):
+    """Only `world.json` and the checkpoint head are JSON-decoded, by the
+    functions that read them; the log and the archive are not."""
     for (command, slots), (counts, _) in work.items():
-        assert counts["read", "blocks.jsonl"] == 0, (command, slots)
+        decoded = {key[1] for key, n in counts.items()
+                   if key[0] == "decoded" and n}
+        assert decoded == {"world.json", "checkpoint.json"}, (command, slots)
+
+
+def test_the_counters_see_each_file_a_write_writes(work):
+    """`op init` appends to the log and the archive, overwrites the
+    checkpoint in place and replaces `world.json`, and each write is
+    counted."""
+    for slots in DEPTHS:
+        counts, head = work["op init", slots]
+        assert counts["written", "checkpoint.json"] == len(head.encode())
+        for name in ("actions.jsonl", "blocks.jsonl", "world.json"):
+            assert counts["written", name] > 0, (name, slots)
 
 
 def test_a_command_builds_the_same_records_at_both_depths(work):
