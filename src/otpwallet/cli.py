@@ -1,90 +1,78 @@
 """Command-line front door.
 
-The simulated world persists between invocations as four files in the
-state directory. `world.json` holds the seeds, the params, the mode and the
-funding, and its head is the commit point. `actions.jsonl` is the
-replayable log of every command that changed state, one action per line
-(compact JSON with sorted keys, then a newline); it only grows, so a save
-appends the lines of the actions it adds and never re-encodes the rest.
-`checkpoint.json` and `blocks.jsonl` are a derived cache, and deleting
-either costs one replay. `checkpoint.json` is the world's head: the head
-ledger state with the head block's chained digest, the archive's committed
+The simulated world persists between invocations as three files in the
+state directory. `world.json` is the commit point. It holds the seeds, the
+params, the mode and the funding, and a head that records the action
+count, the log's committed length in bytes and the head `state_hash`, and
+holds the head checkpoint. `actions.jsonl` is the replayable log of every
+command that changed state, one action per line (compact JSON with sorted
+keys, then a newline). `blocks.jsonl` is the block archive, one line per
+block with its receipts (see `otpwallet.ledger`). Both only grow: a save
+appends the lines of the actions it adds and of the blocks the command
+mined, and re-encodes no other. No command forks, so the archived blocks
+stay on the chain; a save that found otherwise would fail rather than
+append.
+
+The checkpoint is a cache of the world's head: the head ledger state with
+the head block's chained digest and its parent's, the archive's committed
 length, the heights of the initialised operations' init txids, and the
-bookkeeping that the chain does not hold (the init txid of each
-initialised operation of the current subtree, the confirmed transfers and
-the depth checks). `blocks.jsonl` is the block archive, one line per block
-with its receipts (see `otpwallet.ledger`); like the log it only grows, so
-a save appends the blocks the command mined. No command forks, so the
-archived blocks stay on the chain; a save that found otherwise would fail
-rather than append. Whatever the wallet contract records is read off it
-instead, as the paper's client reads the chain: the contract id, the
-generation (`nextOpID // N`), the client's current subtree and each
-initialised operation's type, address and parameter. The client holds
-nothing secret and is not stored: a restore derives its leaves from the
-world's seed at that generation.
+bookkeeping that the chain does not hold: the SHA-256 of the log's
+committed bytes, the init txid of each initialised operation of the
+current subtree, the confirmed transfers and the depth checks. Whatever
+the wallet contract records is read off it instead, as the paper's client
+reads the chain: the contract id, the generation (`nextOpID // N`), the
+client's current subtree and each initialised operation's type, address
+and parameter. The client holds nothing secret and is not stored: a
+restore derives its leaves from the world's seed at that generation.
 
-`world.json`, written last, binds the log and the checkpoint: its head
-records the action count, the log's committed length in bytes, the head
-`state_hash` and the checkpoint's SHA-256, and the checkpoint records the
-SHA-256 of the log's exact committed bytes. A load reads only those bytes:
-bytes past them are a torn append, which the load ignores and the next
-save cuts, as a write-ahead log does; a log shorter than them is an error.
-The load hashes the bytes once and keeps the hash, so a save hashes only
-what it appends, and it counts their lines against the head's action
-count, but parses them only to replay. The archive is bound by the
-checkpoint's committed length and by the head digest, which `state_hash`
-covers: bytes past the length are a torn append as well, the committed
-bytes must end with the head block's own line, which hashed after the
-head's stored parent digest gives the head digest (a restore reads back
-that one line; an archive that is short, or cut at another length, does
-not bind and costs one replay, whose save rewrites it from genesis), and
-reading the chain checks all the committed bytes against the digest.
+A save appends the new log lines, then the new archive lines, and then
+writes `world.json`, encoded in one pass, to a temp file renamed into
+place: its only rename. A save that fails before the rename leaves the
+previous world, because bytes past a committed length are a torn append,
+which a load ignores and the next save cuts, as a write-ahead log does,
+and a load never reads the temp file, which the next save replaces.
 
-A save appends the new log lines, then the new archive lines, overwrites
-`checkpoint.json` in place and cuts its old bytes past the new head, and
-writes `world.json` last, through a temp file renamed into place. So
-`world.json` is the commit point and the only file a save renames: the
-checkpoint is a cache bound by the digest that `world.json` records, so a
-checkpoint torn halfway or left stale by a save that failed before the
-rename does not bind, and costs one replay, as a missing one does.
+A load reads the log's committed bytes (fewer is an error), hashes them
+once and keeps the hash, so a save hashes only what it appends, and counts
+their lines against the head's action count. It restores the checkpoint
+when that hash is the checkpoint's, the restored ledger hashes to the
+recorded state, the archive's committed bytes end with the head block's
+own line (hashed after the stored parent digest, it gives the head digest;
+one line is read back and none decoded), and that state holds exactly one
+contract with a record in its open subtree of every initialised operation
+of that subtree, whose init txid the restored index holds. Otherwise it
+parses the log and replays it from genesis, which determinism makes
+bit-exact; a replay that lands anywhere but the recorded state is an
+error, and one that lands on it saves, so only the first command after
+the damage replays. So deleting `blocks.jsonl` costs one replay, whose
+save rewrites it from genesis. A head of the older layout, which bound a
+separate checkpoint file by its digest, loads by one such replay; that
+file is never read.
 
-Loading restores the checkpoint when all of these match and the restored
-ledger hashes to the recorded state; otherwise it replays the log from
-genesis, which determinism makes bit-exact, and a replay that lands
-anywhere but the recorded state is an error. A replay that lands on it
-saves a fresh head, once, so only the first command after a damaged
-checkpoint replays. A `world.json` that does not parse, is not format
-version 4 or records no head is an error as well, because there is no
-state to check its replay against (a version-3 world holds its log
-inside `world.json`, a version-2 head hashes txids and block digests of an
-older encoding, and no migration reads either). So is one whose keys, or
-whose head's or params' keys, are not exactly those a save writes, or that
-holds a value of another type, params outside their domain, a negative
-funding or log length, a seed that is not lowercase hex of its size or a
-mode outside MODES, or whose log holds another count of lines than the
-head records actions, or, when the load replays it, does not parse, holds
-another count of actions or logs an action that no command writes:
-another key set, an unknown operation type or mode, or a confirm OTP not
-of the digest size. (A restore that binds has the very bytes a save
-wrote, by their SHA-256.) The log doubles as an audit trail.
+A `world.json` that does not parse, is not format version 4 or records no
+head is an error, because there is no state to check its replay against (a
+version-3 world holds its log inside `world.json`, a version-2 head hashes
+txids and block digests of an older encoding, and no migration reads
+either). So is one whose keys, or whose head's or params' keys, are not
+exactly those a save writes, or that holds a value of another type, params
+outside their domain, a negative funding or log length, a seed that is not
+lowercase hex of its size or a mode outside MODES, or whose log holds
+another count of lines than the head records actions, or, when the load
+replays it, does not parse, holds another count of actions or logs an
+action that no command writes: another key set, an unknown operation type
+or mode, or a confirm OTP not of the digest size. The log doubles as an
+audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
-chain's length. `main` parses with one parser of all nine commands,
-built by the first command of a process and reused by the rest, as in
-the tests and the benchmark. The parser reads no environment: a command
-reads `OTPWALLET_STATE` and `OTPWALLET_PARAMS` where it uses them, each
-time. Only the cost and security commands import the cost model and the
-security calculator, and with them mpmath. A restore parses the
-head, and of the contract's records only the current subtree's, at most
-`N_S`: the finished subtrees' lines stay text that `state_hash` covers
-(see `otpwallet.contract`). `state_hash` hashes the head state with the
-stored head digest, and a restore reads of the archive only its last
-committed line and decodes none of it, and parses no logged action; an
-audit of the chain reads, decodes and checks the archive. A save appends
-the entries of the new blocks and writes a head that indexes only the
-initialised operations' txids. What a command still pays for by history
-is reading and hashing the log's bytes, the contract's `op` lines in the
-head, the confirmed transfers and the depth checks.
+chain's length. `main` parses with one parser of all nine commands, built
+by the first command of a process and reused by the rest. The parser reads
+no environment: a command reads `OTPWALLET_STATE` and `OTPWALLET_PARAMS`
+where it uses them, each time. Only the cost and security commands import
+the cost model and the security calculator, and with them mpmath. A
+restore parses of the contract's records only the current subtree's, at
+most `N_S` (see `otpwallet.contract`). What a command still pays for by
+history is reading and hashing the log's bytes, and the head's `op` lines,
+confirmed transfers and depth checks, which `world.json` holds.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr; an OSError, such as a `world.json` that is a
@@ -138,10 +126,10 @@ MODES = ("secure", "insecure")
 # a replay reads, and their types (a bool is not an int).
 WORLD_KEYS = {"funding": int, "hw_seed_hex": str, "mode": str,
               "params": dict, "seed_hex": str}
-# The keys of its head. The checkpoint's digest is only compared, so a value
-# of any type reads as a checkpoint that does not bind.
-HEAD_KEYS = {"actions": int, "log_bytes": int, "sha256": object,
-             "state_hash": str}
+# The keys of its head. The checkpoint is a cache that a restore checks, so
+# a value of any type that does not restore costs one replay.
+HEAD_KEYS = {"actions": int, "log_bytes": int, "state_hash": str,
+             "checkpoint": object}
 PARAMS_KEYS = dict.fromkeys(TreeParams().as_dict(), int)
 # Logged command -> the keys of its action besides "cmd", as the command
 # writes them, and their types; the protocol step that applies it to a
@@ -175,10 +163,6 @@ def parse_params(spec: str) -> TreeParams:
         return TreeParams(S=s, N=n, P=p, N_S=ns, L_S=ls)
     except (ValueError, DomainError) as exc:
         raise CliError("usage", f"bad --params {spec!r}: {exc}") from exc
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _is_hex(text: str, nbytes: int) -> bool:
@@ -309,28 +293,15 @@ def _append(path: Path, committed: int, lines: bytes) -> None:
         f.write(lines)
 
 
-def _keep_bytes(path: str, flags: int) -> int:
-    """An opener for mode "wb" that does not truncate the file."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
-def _overwrite(path: Path, data: bytes) -> None:
-    """Write `data` over the file at `path` in place, then cut the old
-    bytes past it. A write torn halfway leaves new bytes over old ones, so
-    only a file bound by a digest kept elsewhere may be written so."""
-    with open(path, "wb", opener=_keep_bytes) as f:
-        f.write(data)
-        f.truncate()
-
-
 # ---------------------------------------------------------------------------
-# Persistent world: seeds + params, an append-only action log, and a
-# digest-bound checkpoint with its append-only block archive
+# Persistent world: seeds, params and the head checkpoint, with an
+# append-only action log and block archive
 
 class World:
     def __init__(self, state_dir: Path, data: dict, log: bytes = b"",
                  log_actions: int = 0):
-        """`data` as `world.json` holds it. The committed `log` bytes hold
+        """`data` as `world.json` holds it, but for the head's checkpoint,
+        which a load hands to `restore`. The committed `log` bytes hold
         `log_actions` actions, and `data["actions"]` lists the first
         `logged` of them (all after a replay, none after a restore, which
         parses none); a save appends the entries after those."""
@@ -379,17 +350,23 @@ class World:
         if not isinstance(recorded, str):
             raise CliError("state", f"{path} is not a version-{WORLD_VERSION} "
                                     "world with a recorded head")
+        head = data["head"]
+        # The older layout's head holds the digest of a separate checkpoint
+        # file instead, which is not read: that digest does not restore.
+        if "checkpoint" not in head and "sha256" in head:
+            head["checkpoint"] = head.pop("sha256")
         problem = _world_problem(data)
         if problem:
             raise CliError("state", f"{path}: {problem}")
-        head = data["head"]
+        checkpoint = head.pop("checkpoint")
         log = _read_log(state_dir / LOG_NAME, head["log_bytes"])
         data["actions"] = []
         world = cls(state_dir, data, log, head["actions"])
         # The log holds one action per line. It is parsed only to replay,
         # or when its line count is not the head's, so that a log that
         # does not parse is reported as such before the count.
-        if log.count(b"\n") != head["actions"] or not world.restore():
+        if (log.count(b"\n") != head["actions"]
+                or not world.restore(checkpoint)):
             data["actions"] = _parse_log(log)
             if len(data["actions"]) != head["actions"]:
                 raise CliError("state", f"the action log holds "
@@ -443,14 +420,14 @@ class World:
         self.save()
         return result
 
-    def restore(self) -> bool:
-        """Set up the system from the checkpoint, without replaying; False
-        when it is missing, does not match the digest `world.json` records,
-        was built from other log bytes or does not parse, the restored
-        ledger hashes to another state, the block archive's committed bytes
-        do not end with the head block's line (one line is read back and
-        none decoded, so an archive that is missing, short or committed at
-        another length does not bind), or that state does not hold exactly
+    def restore(self, checkpoint) -> bool:
+        """Set up the system from the head's parsed checkpoint, without
+        replaying; False when it is not one that a save writes or was built
+        from other log bytes, the restored ledger hashes to another state,
+        the block archive's committed bytes do not end with the head block's
+        line (one line is read back and none decoded, so an archive that is
+        missing, short or committed at another length does not bind), or
+        that state does not hold exactly
         one contract with a record in its open subtree of every initialised
         operation of that subtree, whose init txid the restored txid index
         holds; a row of a sealed subtree, which older saves kept, does not
@@ -459,16 +436,12 @@ class World:
         initialised operation's type, address and parameter. The client's
         tree is built from the seed's leaves at that generation. The
         confirmed transfers and depth checks are still taken as stored."""
-        head = self.data["head"]
         archive = self.state_dir / ARCHIVE_NAME
         try:
-            text = (self.state_dir / "checkpoint.json").read_text()
-            if _sha256(text) != head["sha256"]:
-                return False
-            ledger, point = Ledger.from_checkpoint(
-                text, functools.partial(_read_prefix, archive))
-            if (point["actions_sha256"] != self.log_hash.hexdigest()
-                    or ledger.state_hash() != head["state_hash"]
+            ledger = Ledger.from_checkpoint(
+                checkpoint, functools.partial(_read_prefix, archive))
+            if (checkpoint["log_digest"] != self.log_hash.hexdigest()
+                    or ledger.state_hash() != self.data["head"]["state_hash"]
                     or not ledger.is_head_line(
                         _last_line(archive, ledger.archive_bytes))):
                 return False
@@ -484,15 +457,16 @@ class World:
                 current_subtree=(contract.current_subtree
                                  - eta * params.subtree_count))
             records = contract.operations.open
-            for op_id, txid in point["initialised"]:
+            for op_id, txid in checkpoint["initialised"]:
                 record = records[op_id]
                 if ledger.confirmations(txid) is None:
                     return False
                 system.initialised[op_id] = (txid, record.type, record.addr,
                                              record.param)
             system.confirmed_transfers = [
-                tuple(t) for t in point["confirmed_transfers"]]
-            system.depth_checks = [tuple(d) for d in point["depth_checks"]]
+                tuple(t) for t in checkpoint["confirmed_transfers"]]
+            system.depth_checks = [
+                tuple(d) for d in checkpoint["depth_checks"]]
         except (OSError, LookupError, TypeError, ValueError, LedgerError):
             return False
         self.system = system
@@ -501,13 +475,11 @@ class World:
     def save(self) -> None:
         """Append the lines of the actions appended to `data["actions"]`
         since the last save and the entries of the blocks mined since it
-        (all of them after a replay), overwrite the checkpoint in place,
-        which commits the archive's new length, and then write
-        `world.json`, which commits the log's and the head state, to a temp
-        file moved into place. `world.json` goes last and is the only file
-        renamed, so a failed save leaves the previous world: lines appended
-        past a committed length are a torn append, and a checkpoint torn or
-        written ahead of `world.json` does not match its digest."""
+        (all of them after a replay), and then write `world.json`, which
+        commits both and holds the head checkpoint, to a temp file renamed
+        into place. The rename is the commit point, so a save that fails
+        before it leaves the previous world: lines appended past a committed
+        length are a torn append."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
         actions = self.data["actions"]
         lines = b"".join(map(_log_line, actions[self.logged:]))
@@ -515,8 +487,9 @@ class World:
         log_hash.update(lines)
         system, ledger = self.system, self.system.ledger
         blocks, checkpoint = ledger.checkpoint(
-            keep=[txid for txid, *_ in system.initialised.values()],
-            actions_sha256=log_hash.hexdigest(),
+            keep=[txid for txid, *_ in system.initialised.values()])
+        checkpoint.update(
+            log_digest=log_hash.hexdigest(),
             initialised=[[op_id, txid] for op_id, (txid, *_)
                          in system.initialised.items()],
             confirmed_transfers=system.confirmed_transfers,
@@ -525,15 +498,14 @@ class World:
             "actions": self.log_actions + len(actions) - self.logged,
             "log_bytes": self.log_bytes + len(lines),
             "state_hash": ledger.state_hash(),
-            "sha256": _sha256(checkpoint),
         }
         fields = {key: self.data[key] for key in (*WORLD_KEYS, "version")}
-        world = json.dumps({**fields, "head": head}, separators=(",", ":"),
-                           sort_keys=True)
+        world = json.dumps(
+            {**fields, "head": {**head, "checkpoint": checkpoint}},
+            separators=(",", ":"))
         archived = ledger.archive_bytes
         _append(self.state_dir / LOG_NAME, self.log_bytes, lines)
         _append(self.state_dir / ARCHIVE_NAME, archived, blocks)
-        _overwrite(self.state_dir / "checkpoint.json", checkpoint.encode())
         tmp = self.state_dir / "world.json.tmp"
         tmp.write_text(world)
         os.replace(tmp, self.state_dir / "world.json")

@@ -59,18 +59,19 @@ block that has one. `state_hash` is H(head state lines || head digest), so
 it reads the head and the blocks mined since the last digest, not the
 chain.
 
-`checkpoint` writes the chain as two texts. The head is a JSON object: the
-head state, height, timestamp and digest, its parent's digest, the
-archive's length in bytes, and the heights of only the txids the caller
-keeps. The block archive is one line per canonical block, its entry and a
-newline, and only grows: a checkpoint returns the lines of the blocks
-mined since the archived one, for the caller to append. A contract's state
-lines join the cached text of its sealed subtrees with its open subtree's
-records, so `checkpoint` and `state_hash` render only the open records.
-`from_checkpoint` parses the head object, of each contract's lines only
-the header and the open subtree's records (the older lines stay text,
-which `state_hash` covers as they were read), and raises `LedgerError` for
-any other text. It reads no byte of the archive, only keeps a reader of
+`checkpoint` returns the chain in two parts, for the caller to encode and
+store. The head is a JSON-ready object: the head state, height, timestamp
+and digest, its parent's digest, the archive's length in bytes, and the
+heights of only the txids the caller keeps. The block archive is one line
+per canonical block, its entry and a newline, and only grows: a checkpoint
+returns the lines of the blocks mined since the archived one, for the
+caller to append. A contract's state lines join the cached text of its
+sealed subtrees with its open subtree's records, so `checkpoint` and
+`state_hash` render only the open records. `from_checkpoint` takes the
+parsed head object, parses of each contract's lines only the header and
+the open subtree's records (the older lines stay text, which `state_hash`
+covers as they were read), and raises `LedgerError` for any other object.
+It reads no byte of the archive, only keeps a reader of
 it; `is_head_line` checks one line that the caller read back, the
 archive's last committed one, against the stored digests, which binds the
 length. The canonical branch then starts at a base block, the restored
@@ -551,15 +552,15 @@ class Ledger:
 
     # -- checkpoints ------------------------------------------------------------------------
 
-    def checkpoint(self, keep: Iterable[str] = (),
-                   **extra) -> tuple[bytes, str]:
-        """The canonical chain as the archive lines to append and the head
-        text. The lines are the entries of the blocks after the archived
-        one, each then a newline. The head is a JSON object of the head's
+    def checkpoint(self, keep: Iterable[str] = ()) -> tuple[bytes, dict]:
+        """The canonical chain as the archive lines to append and the head.
+        The lines are the entries of the blocks after the archived one, each
+        then a newline. The head is a JSON-ready object of the head's
         balances, nonces and contracts, its height, timestamp, digest and
         parent digest, the archive's length in bytes with the lines
-        appended, the `index` of the `keep` txids' heights and the `extra`
-        keys. Older block states, other branches and call traces are left
+        appended and the `index` of the `keep` txids' heights; it shares the
+        head state's maps, which no code changes once the block is mined.
+        Older block states, other branches and call traces are left
         out, and so is the submission counter: the mempool is empty and a
         restored ledger cannot fork below its head, so the counter orders
         only transactions submitted after the restore, from any start.
@@ -584,7 +585,7 @@ class Ledger:
                 raise LedgerError(f"kept txid {txid} is not on the chain")
         head, state = chain[-1], chain[-1].state
         parent, digest = self._head_digests(chain)
-        return lines, _to_json({
+        return lines, {
             "accounts": state.accounts,
             "nonces": state.nonces,
             "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
@@ -595,8 +596,7 @@ class Ledger:
             "parent": parent.hex(),
             "archive_bytes": archived + len(lines),
             "index": index,
-            **extra,
-        })
+        }
 
     def archived(self, archive_bytes: int) -> None:
         """Record that the archive holds the canonical chain up to the head
@@ -611,16 +611,15 @@ class Ledger:
         return self._archived[1]
 
     @classmethod
-    def from_checkpoint(cls, text: str, read_archive: Callable[[int], bytes]
-                        ) -> tuple["Ledger", dict]:
-        """The ledger `checkpoint` wrote, and the parsed head object, whose
-        `extra` keys are the caller's. The chain starts at the restored
-        head; reading older blocks reads the archive's committed bytes
-        through `read_archive(n)`, which returns the archive's first n
-        bytes, and decodes them (see `_materialize`). LedgerError for text
-        that is not such a head."""
+    def from_checkpoint(cls, head, read_archive: Callable[[int], bytes]
+                        ) -> "Ledger":
+        """The ledger whose `checkpoint` returned `head`, as JSON parses it
+        back; keys it does not know are ignored. The chain starts at the
+        restored head; reading older blocks reads the archive's committed
+        bytes through `read_archive(n)`, which returns the archive's first n
+        bytes, and decodes them (see `_materialize`). LedgerError for any
+        other object."""
         try:
-            head = json.loads(text)
             contracts = [WalletContract.from_state_lines(
                 c["lines"], TreeParams.from_dict(c["params"]))
                 for c in head["contracts"]]
@@ -641,7 +640,7 @@ class Ledger:
         ledger._archive = (base, archived, read_archive)
         ledger._archived = (base, archived)
         ledger._first_parent = parent
-        return ledger, head
+        return ledger
 
     def is_head_line(self, line: bytes) -> bool:
         """Whether `line` is the head block's archive line, its entry and a

@@ -179,8 +179,8 @@ def reference_archive(ledger) -> bytes:
 
 
 def reference_head(ledger, keep=()) -> str:
-    """The head text of `Ledger.checkpoint(keep)`, encoded from scratch in
-    its compact layout, for an archive of the whole canonical chain."""
+    """The head object of `Ledger.checkpoint(keep)` as compact JSON text,
+    encoded from scratch, for an archive of the whole canonical chain."""
     head = ledger.head
     state = head.state
     index = {}

@@ -65,8 +65,14 @@ def test_happy_path_transfer(state, capsys):
     assert "wallet balance: 495" in out
 
 
-STATE_FILES = ["actions.jsonl", "blocks.jsonl", "checkpoint.json",
-               "world.json"]
+STATE_FILES = ["actions.jsonl", "blocks.jsonl", "world.json"]
+# The keys of `world.json`'s head, and of the checkpoint it holds, as a save
+# writes them.
+HEAD_KEYS = ["actions", "checkpoint", "log_bytes", "state_hash"]
+CHECKPOINT_HEAD_KEYS = ["accounts", "archive_bytes", "confirmed_transfers",
+                        "contracts", "depth_checks", "digest", "height",
+                        "index", "initialised", "log_digest", "nonces",
+                        "parent", "timestamp"]
 
 
 def _files(state_dir) -> list[str]:
@@ -100,8 +106,8 @@ def test_bootstrap_writes_the_world_and_its_checkpoint(state, capsys):
     assert _files(state_dir) == STATE_FILES
     world = json.loads((state_dir / "world.json").read_text())
     assert world["seed_hex"] == SEED_HEX and "actions" not in world
-    assert world["head"]["sha256"] == hashlib.sha256(
-        (state_dir / "checkpoint.json").read_bytes()).hexdigest()
+    assert sorted(world["head"]) == HEAD_KEYS
+    assert sorted(world["head"]["checkpoint"]) == CHECKPOINT_HEAD_KEYS
     assert (state_dir / "actions.jsonl").read_bytes() == b""
     assert (world["head"]["actions"], world["head"]["log_bytes"]) == (0, 0)
 
@@ -363,35 +369,27 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
     real_write, real_append = Path.write_text, cli._append
 
     # A tear at each file, in the order a save writes them, on a restored
-    # world and on a replayed one. The checkpoint is written in place, so
-    # its tear leaves the new bytes' first half over the old file.
+    # world and on a replayed one, whose archive is deleted.
     for name, restored in [(name, restored) for restored in (True, False)
                            for name in ("actions.jsonl", "blocks.jsonl",
-                                        "checkpoint.json", "world.json")]:
+                                        "world.json.tmp")]:
         def torn_append(path, committed, lines, name=name):
             if path.name != name:
                 return real_append(path, committed, lines)
             real_append(path, committed, lines[: len(lines) // 2])
             raise OSError("disk full")
 
-        def torn_overwrite(path, data):
-            with open(path, "wb", opener=cli._keep_bytes) as f:
-                f.write(data[: len(data) // 2])
-            raise OSError("disk full")
-
         def torn(path, text, *args, name=name, **kwargs):
-            if path.name.startswith(name):
+            if path.name == name:
                 real_write(path, text[: len(text) // 2], *args, **kwargs)
                 raise OSError("disk full")
             return real_write(path, text, *args, **kwargs)
 
         if not restored:
-            (state_dir / "checkpoint.json").unlink()
+            (state_dir / "blocks.jsonl").unlink()
         replays = _count_replays(monkeypatch)
         if name.endswith(".jsonl"):
             monkeypatch.setattr(cli, "_append", torn_append)
-        elif name == "checkpoint.json":
-            monkeypatch.setattr(cli, "_overwrite", torn_overwrite)
         else:
             monkeypatch.setattr(Path, "write_text", torn)
         world = World.load(state_dir, save_replay=False)
@@ -402,22 +400,22 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         monkeypatch.undo()
         assert (state_dir / "world.json").read_bytes() == before, name
         assert (state_dir / "actions.jsonl").read_bytes()[: len(log)] == log
-        # A replayed world's save rewrites the archive from genesis, so a
-        # tear there leaves less than the old committed bytes.
-        if restored:
-            assert ((state_dir / "blocks.jsonl").read_bytes()[: len(archive)]
-                    == archive)
-        # The old head binds unless the save tore or passed the checkpoint.
-        # Else one replay lands on the recorded state and saves a head that
-        # the next load restores.
+        # The old head binds when the archive holds its committed bytes. A
+        # restored world's save appends past them; a replayed world's save
+        # rewrites the same bytes from genesis, so a tear before or inside
+        # that write may leave fewer. Then one replay lands on the recorded
+        # state and saves a head that the next load restores.
+        blocks = state_dir / "blocks.jsonl"
+        kept = (blocks.exists()
+                and blocks.read_bytes()[: len(archive)] == archive)
+        assert kept or not restored, name
         replays = _count_replays(monkeypatch)
         loaded = World.load(state_dir)
         assert loaded.log_actions == 1
         assert loaded.system.ledger.state_hash() == previous
-        expected = [] if restored and name.endswith(".jsonl") else [1]
         World.load(state_dir)
         monkeypatch.undo()
-        assert replays == expected, (name, restored)
+        assert replays == ([] if kept else [1]), (name, restored)
 
 
 def test_a_torn_append_is_ignored_then_cut(state, capsys):
@@ -442,7 +440,7 @@ def test_a_torn_append_is_ignored_then_cut(state, capsys):
 @pytest.mark.parametrize("damage", ["one-byte-short", "deleted"])
 def test_a_log_shorter_than_its_commit_is_a_state_error(history, capsys,
                                                          damage):
-    state_dir, _ = history
+    state_dir = history
     log = state_dir / "actions.jsonl"
     if damage == "deleted":
         log.unlink()
@@ -487,17 +485,15 @@ def test_actions_appended_to_a_created_world_save_and_restore(tmp_path,
 
 @pytest.fixture
 def history(state, capsys):
-    """A world with a confirmed transfer and a pending one, and the
-    checkpoint its first save wrote."""
+    """A world with a confirmed transfer and a pending one."""
     state_dir, seed_file = state
     run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
-    stale = (state_dir / "checkpoint.json").read_text()
     for op_id in (0, 1):
         run(capsys, "--state-dir", state_dir, "op", "init", "--type",
             "transfer", "--addr", "acct:bob", "--param", "5")
     run(capsys, "--state-dir", state_dir, "op", "confirm", "--op-id", 0,
         "--otp", _otp_hex(capsys, state_dir, 0))
-    return state_dir, stale
+    return state_dir
 
 
 def _count(monkeypatch, obj, name) -> list:
@@ -517,7 +513,7 @@ def test_a_command_encodes_only_the_actions_it_appends(history, monkeypatch,
     """A read encodes no log line and a write one per action it adds; every
     load hashes the log's bytes once, and no command hashes or encodes the
     whole log again."""
-    state_dir, _ = history
+    state_dir = history
     otp = _otp_hex(capsys, state_dir, 1)
     encoded = _count(monkeypatch, cli, "_log_line")
     hashed, dumped = [], []
@@ -545,7 +541,7 @@ def test_a_command_encodes_only_the_actions_it_appends(history, monkeypatch,
 
 
 def test_an_intact_head_loads_without_replay(history, monkeypatch):
-    state_dir, _ = history
+    state_dir = history
     replays = _count_replays(monkeypatch)
     world = World.load(state_dir)
     assert replays == []
@@ -554,37 +550,42 @@ def test_an_intact_head_loads_without_replay(history, monkeypatch):
     assert recorded["actions"] == 3
 
 
-def _rebind(state_dir, text: str) -> None:
-    """Write `text` as the checkpoint and record its digest in world.json."""
-    (state_dir / "checkpoint.json").write_text(text)
-    world_file = state_dir / "world.json"
-    data = json.loads(world_file.read_text())
-    data["head"]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    world_file.write_text(json.dumps(data))
+def _checkpoint(state_dir) -> dict:
+    """The checkpoint that `world.json`'s head holds."""
+    return json.loads((state_dir / "world.json").read_text())["head"][
+        "checkpoint"]
 
 
 def _rebind_doc(state_dir, edit) -> None:
-    """Rebind the checkpoint as `edit` leaves its parsed document."""
-    doc = json.loads((state_dir / "checkpoint.json").read_text())
-    edit(doc)
-    _rebind(state_dir, json.dumps(doc, separators=(",", ":")))
+    """Rewrite `world.json` with its checkpoint as `edit` leaves it."""
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    edit(data["head"]["checkpoint"])
+    world_file.write_text(json.dumps(data))
 
 
-@pytest.mark.parametrize("damage", ["one-byte-edit", "stale", "deleted",
+def _flip_digest(state_dir) -> None:
+    """Edit one byte of the head digest in the checkpoint of `world.json`,
+    which still parses."""
+    world_file = state_dir / "world.json"
+    data = bytearray(world_file.read_bytes())
+    data[data.index(b'"digest":"') + len(b'"digest":"')] ^= 1
+    world_file.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("damage", ["one-byte-edit", "deleted",
                                     "rebound-non-text-line",
                                     "rebound-unrecorded-operation",
                                     "rebound-params-without-LEN_MAX"])
 def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
                                                          damage):
-    state_dir, stale = history
-    checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
+    """A head checkpoint that is not one a save writes, or a deleted block
+    archive."""
+    state_dir = history
+    world_file = state_dir / "world.json"
     recorded = json.loads(world_file.read_text())["head"]["state_hash"]
     if damage == "one-byte-edit":
-        data = bytearray(checkpoint.read_bytes())
-        data[len(data) // 2] ^= 1
-        checkpoint.write_bytes(bytes(data))
-    elif damage == "stale":
-        checkpoint.write_text(stale)
+        _flip_digest(state_dir)
     elif damage == "rebound-non-text-line":
         _rebind_doc(state_dir, lambda doc: doc["contracts"][0][
             "lines"].append(5))
@@ -596,7 +597,7 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
         _rebind_doc(state_dir, lambda doc: doc["contracts"][0][
             "params"].pop("LEN_MAX"))
     else:
-        checkpoint.unlink()
+        (state_dir / "blocks.jsonl").unlink()
     replays = _count_replays(monkeypatch)
     world = World.load(state_dir)
     assert replays == [1]
@@ -697,8 +698,7 @@ def test_a_sealed_row_loads_by_replay(tmp_path, monkeypatch, capsys):
     replays = _count_replays(monkeypatch)
     assert World.load(state_dir).system.ledger.state_hash() == recorded
     assert replays == [1]
-    head = json.loads((state_dir / "checkpoint.json").read_text())
-    assert head["initialised"] == [[16, txid]]
+    assert _checkpoint(state_dir)["initialised"] == [[16, txid]]
     code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
     assert code == 0 and err == "" and replays == [1]
 
@@ -708,7 +708,7 @@ def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
     """The generation and the client's subtree come from the restored
     contract, which the state hash covers, so head keys that claim others
     change nothing."""
-    state_dir, _ = history
+    state_dir = history
     _rebind_doc(state_dir, lambda doc: doc.update(
         eta=1, current_subtree=1))
     replays = _count_replays(monkeypatch)
@@ -723,33 +723,25 @@ def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
             world.system.client.current_subtree) == (0, 0, 0)
 
 
-# The keys of a checkpoint's head as a save writes it.
-CHECKPOINT_HEAD_KEYS = ["accounts", "actions_sha256", "archive_bytes",
-                        "confirmed_transfers", "contracts", "depth_checks",
-                        "digest", "height", "index", "initialised", "nonces",
-                        "parent", "timestamp"]
-
-
 def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
         history, monkeypatch, capsys):
     """A checkpoint that also stores the submission counter, the generation,
     the client's subtree and the contract id, with each initialised
     operation's type, address and parameter in its row. Those rows do not
     bind, so the world loads by one replay, which saves the new layout."""
-    state_dir, _ = history
+    state_dir = history
     system = World.load(state_dir).system
     recorded = system.ledger.state_hash()
-    doc = json.loads((state_dir / "checkpoint.json").read_text())
+    doc = _checkpoint(state_dir)
     assert sorted(doc) == CHECKPOINT_HEAD_KEYS
     assert doc["initialised"] == [
         [op_id, txid] for op_id, (txid, *_) in system.initialised.items()]
-    doc.update(
+    _rebind_doc(state_dir, lambda doc: doc.update(
         seq=9, eta=0, current_subtree=0,
         contract_id=system.contract_id,
         initialised=[[op_id, txid, op_type.value, addr, param]
                      for op_id, (txid, op_type, addr, param)
-                     in system.initialised.items()])
-    _rebind(state_dir, json.dumps(doc, separators=(",", ":")))
+                     in system.initialised.items()]))
 
     replays = _count_replays(monkeypatch)
     code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
@@ -759,21 +751,18 @@ def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
     assert loaded.system.initialised == system.initialised
     assert (loaded.system.confirmed_transfers, loaded.system.depth_checks) == (
         system.confirmed_transfers, system.depth_checks)
-    head = json.loads((state_dir / "checkpoint.json").read_text())
-    assert sorted(head) == CHECKPOINT_HEAD_KEYS
+    assert sorted(_checkpoint(state_dir)) == CHECKPOINT_HEAD_KEYS
 
 
 @pytest.mark.parametrize("damage", ["deleted", "one-byte-edit"])
 def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
                                              damage):
-    state_dir, _ = history
-    world_file, checkpoint = state_dir / "world.json", state_dir / "checkpoint.json"
+    state_dir = history
+    world_file = state_dir / "world.json"
     if damage == "deleted":
-        checkpoint.unlink()
+        (state_dir / "blocks.jsonl").unlink()
     else:
-        data = bytearray(checkpoint.read_bytes())
-        data[len(data) // 2] ^= 1
-        checkpoint.write_bytes(bytes(data))
+        _flip_digest(state_dir)
     replays = _count_replays(monkeypatch)
     shown = [run(capsys, "--state-dir", state_dir, "root", "show")
              for _ in range(3)]
@@ -798,7 +787,7 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
     """Nothing to check a replay against, a key set other than a save
     writes, a key of another type, a value outside its domain, a missing log
     or a malformed action: the command writes nothing."""
-    state_dir, _ = history
+    state_dir = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
     logged, actions = _actions(state_dir), _actions(state_dir)
@@ -867,7 +856,7 @@ def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
     """A load counts the log's lines against the head before it restores,
     and parses a log of another count first, so a line that does not parse
     is reported as such; the command writes nothing."""
-    state_dir, _ = history
+    state_dir = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
     if damage == "head-counts-one-more":
@@ -886,14 +875,16 @@ def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
 
 def test_client_files_of_an_older_world_are_ignored(history, monkeypatch,
                                                     capsys):
-    """A world that bound its client's files as well loads by one checked
-    replay, then restores."""
-    state_dir, _ = history
+    """A world whose head bound its client's files and a separate
+    checkpoint file by their digests loads by one checked replay, then
+    restores."""
+    state_dir = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
+    del data["head"]["checkpoint"]
     data["head"]["sha256"] = {
         "client.leaves": "0" * 64, "client.json": "0" * 64,
-        "checkpoint.json": data["head"]["sha256"]}
+        "checkpoint.json": "0" * 64}
     world_file.write_text(json.dumps(data))
     for name in ("client.leaves", "client.json"):
         (state_dir / name).write_text("stale\n")
@@ -903,12 +894,57 @@ def test_client_files_of_an_older_world_are_ignored(history, monkeypatch,
     assert replays == [1] and shown[0][0] == 0 and shown[0] == shown[1]
     head = json.loads(world_file.read_text())["head"]
     assert head["state_hash"] == data["head"]["state_hash"]
-    assert head["sha256"] == hashlib.sha256(
-        (state_dir / "checkpoint.json").read_bytes()).hexdigest()
+    assert sorted(head) == HEAD_KEYS
+
+
+def _older_layout(state_dir) -> bytes:
+    """Lay the world out by hand as saves wrote it before the checkpoint
+    moved into `world.json`: the checkpoint, with the log's digest under
+    `actions_sha256`, in its own compact file `checkpoint.json`, and a head
+    that binds it by its SHA-256 in a `world.json` of sorted keys. Returns
+    the checkpoint file's bytes."""
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    checkpoint = {"actions_sha256" if key == "log_digest" else key: value
+                  for key, value in data["head"].pop("checkpoint").items()}
+    text = json.dumps(checkpoint, separators=(",", ":")).encode()
+    (state_dir / "checkpoint.json").write_bytes(text)
+    data["head"]["sha256"] = hashlib.sha256(text).hexdigest()
+    world_file.write_text(json.dumps(data, separators=(",", ":"),
+                                     sort_keys=True))
+    return text
+
+
+def test_a_world_in_the_older_layout_loads_by_one_replay(history, monkeypatch,
+                                                         capsys):
+    """Its `checkpoint.json` is neither read nor deleted: the world loads by
+    one checked replay to the recorded state, whose save writes the
+    checkpoint into `world.json`, and the next command restores."""
+    state_dir = history
+    world_file = state_dir / "world.json"
+    recorded = json.loads(world_file.read_text())["head"]["state_hash"]
+    old = _older_layout(state_dir)
+    read = []
+    real_read_text, real_open = Path.read_text, open
+    monkeypatch.setattr(Path, "read_text", lambda path, *a, **k: (
+        read.append(path.name), real_read_text(path, *a, **k))[1])
+    monkeypatch.setattr(cli, "open", lambda path, *a, **k: (
+        read.append(Path(path).name), real_open(path, *a, **k))[1],
+        raising=False)
+    replays = _count_replays(monkeypatch)
+    shown = [run(capsys, "--state-dir", state_dir, "root", "show")
+             for _ in range(2)]
+    assert replays == [1] and shown[0][0] == 0 and shown[0] == shown[1]
+    assert "world.json" in read and "checkpoint.json" not in read
+    monkeypatch.undo()
+    head = json.loads(world_file.read_text())["head"]
+    assert sorted(head) == HEAD_KEYS and head["state_hash"] == recorded
+    assert sorted(head["checkpoint"]) == CHECKPOINT_HEAD_KEYS
+    assert (state_dir / "checkpoint.json").read_bytes() == old
 
 
 def test_a_replay_off_the_recorded_state_saves_nothing(history, capsys):
-    state_dir, _ = history
+    state_dir = history
     actions = _actions(state_dir)
     actions[0]["param"] = 6
     _rewrite_log(state_dir, actions)
@@ -919,7 +955,7 @@ def test_a_replay_off_the_recorded_state_saves_nothing(history, capsys):
 
 
 def test_an_edited_action_log_is_a_state_error(history, capsys):
-    state_dir, _ = history
+    state_dir = history
     assert json.loads((state_dir / "world.json").read_text())["version"] == 4
     log = state_dir / "actions.jsonl"
     text = log.read_bytes()
@@ -930,7 +966,7 @@ def test_an_edited_action_log_is_a_state_error(history, capsys):
 
 
 def test_a_fund_action_is_unknown(history, capsys):
-    state_dir, _ = history
+    state_dir = history
     _rewrite_log(state_dir, _actions(state_dir) + [{
         "cmd": "fund", "from": "acct:adversary", "to": "acct:bob",
         "amount": 1}])
@@ -1062,8 +1098,8 @@ def test_an_os_error_is_one_state_line(state, monkeypatch, capsys):
 
 
 def test_a_write_after_a_replay_saves_once(history, monkeypatch, capsys):
-    state_dir, _ = history
-    (state_dir / "checkpoint.json").unlink()
+    state_dir = history
+    (state_dir / "blocks.jsonl").unlink()
     saves = _count(monkeypatch, World, "save")
     replays = _count_replays(monkeypatch)
     code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
@@ -1079,7 +1115,7 @@ def _receipts(state_dir) -> int:
 
 
 def test_a_save_encodes_only_the_new_blocks(history, monkeypatch, capsys):
-    state_dir, _ = history
+    state_dir = history
     before = _receipts(state_dir)
     encoded = _count(monkeypatch, ledger_mod, "encode_call")
     code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
@@ -1090,32 +1126,33 @@ def test_a_save_encodes_only_the_new_blocks(history, monkeypatch, capsys):
 
 
 def _relayout(state_dir, layout: str) -> str:
-    """The checkpoint in the older layout that held the block archive too:
-    the head object, then a `blocks` array of every block's entry. Written
-    compact with the blocks last, indented, or spaced with the blocks
-    first."""
-    head = json.loads((state_dir / "checkpoint.json").read_text())
+    """`world.json` with its checkpoint in the older layout that held the
+    block archive too: the head object, then a `blocks` array of every
+    block's entry. Written compact with the blocks last, indented, or
+    spaced with the blocks first."""
+    data = json.loads((state_dir / "world.json").read_text())
+    head = data["head"]["checkpoint"]
     blocks = [json.loads(line) for line in
               (state_dir / "blocks.jsonl").read_bytes().splitlines()]
+    if layout == "spaced":
+        data["head"]["checkpoint"] = {"blocks": blocks, "head": head}
+        return json.dumps(data, separators=(" , ", " : "))
+    data["head"]["checkpoint"] = {"head": head, "blocks": blocks}
     if layout == "indented":
-        return json.dumps({"head": head, "blocks": blocks}, indent=1)
-    if layout == "blocks-last":
-        return json.dumps({"head": head, "blocks": blocks},
-                          separators=(",", ":"))
-    return ('{"blocks":[ ' + " , ".join(json.dumps(b) for b in blocks)
-            + ' ] , "head": ' + json.dumps(head) + "}")
+        return json.dumps(data, indent=1)
+    return json.dumps(data, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("layout", ["indented", "blocks-last", "spaced"])
 def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
         history, monkeypatch, capsys, layout):
-    state_dir, _ = history
-    checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
-    archive = state_dir / "blocks.jsonl"
+    state_dir = history
+    world_file, archive = state_dir / "world.json", state_dir / "blocks.jsonl"
     text = _relayout(state_dir, layout)
     with pytest.raises(ledger_mod.LedgerError):
-        ledger_mod.Ledger.from_checkpoint(text, archive.read_bytes)
-    _rebind(state_dir, text)
+        ledger_mod.Ledger.from_checkpoint(
+            json.loads(text)["head"]["checkpoint"], archive.read_bytes)
+    world_file.write_text(text)
     recorded = json.loads(world_file.read_text())["head"]["state_hash"]
 
     replays = _count_replays(monkeypatch)
@@ -1128,7 +1165,7 @@ def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
     restored = World.load(state_dir)
     assert replays == [1]
     assert restored.system.ledger.state_hash() == recorded
-    assert sorted(json.loads(checkpoint.read_text())) == CHECKPOINT_HEAD_KEYS
+    assert sorted(_checkpoint(state_dir)) == CHECKPOINT_HEAD_KEYS
     assert archive.read_bytes() == reference_archive(restored.system.ledger)
 
 
@@ -1142,23 +1179,26 @@ def _written(monkeypatch) -> list:
 
 def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
                                                capsys):
-    """... overwrites the checkpoint in place and replaces `world.json`
-    through its one temp file, appends its one action to the log, and
-    appends the entries of the blocks it mines to the archive, which a
-    replay's save rewrites to the same bytes."""
-    state_dir, _ = history
+    """... the log and the archive: a write appends its one action to the
+    log and the entries of the blocks it mines to the archive, which a
+    replay's save rewrites from genesis to the same bytes, opens no file in
+    place for writing, and replaces `world.json` through its one temp file
+    and its one rename."""
+    state_dir = history
     log, archive = state_dir / "actions.jsonl", state_dir / "blocks.jsonl"
+    real_open, real_replace = open, os.replace
     for restored in (True, False):
         if not restored:
-            (state_dir / "checkpoint.json").unlink()
-        before, archived = log.read_bytes(), archive.read_bytes()
+            archive.unlink()
+        before = log.read_bytes()
+        archived = archive.read_bytes() if restored else b""
         height = archived.count(b"\n")
         replays = _count_replays(monkeypatch)
         written = _written(monkeypatch)
-        overwritten = []
-        real_overwrite, real_replace = cli._overwrite, os.replace
-        monkeypatch.setattr(cli, "_overwrite", lambda path, data: (
-            overwritten.append(path.name), real_overwrite(path, data))[1])
+        opened = []
+        monkeypatch.setattr(cli, "open", lambda path, mode="r", *a, **k: (
+            opened.append((Path(path).name, mode)),
+            real_open(path, mode, *a, **k))[1], raising=False)
         renamed = []
         monkeypatch.setattr(os, "replace", lambda src, dst: (
             renamed.append((Path(src).name, Path(dst).name)),
@@ -1170,7 +1210,8 @@ def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
         assert code == 0 and replays == ([] if restored else [1])
         assert written == ["world.json.tmp"]
         assert renamed == [("world.json.tmp", "world.json")]
-        assert overwritten == ["checkpoint.json"]
+        assert [(name, mode) for name, mode in opened if mode != "rb"] == [
+            ("actions.jsonl", "ab"), ("blocks.jsonl", "ab")]
         assert _files(state_dir) == STATE_FILES
         assert log.read_bytes() == before + _line({
             "cmd": "init", "type": "transfer", "addr": "acct:bob",
@@ -1182,7 +1223,7 @@ def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
 
 
 def test_an_unknown_operation_type_is_a_usage_error(history, capsys):
-    state_dir, _ = history
+    state_dir = history
     before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
     with pytest.raises(SystemExit) as exc:
         main(["--state-dir", str(state_dir), "op", "init", "--type", "bogus"])
@@ -1194,7 +1235,7 @@ def test_an_unknown_operation_type_is_a_usage_error(history, capsys):
 
 def test_a_restore_and_a_read_command_decode_no_block(history, monkeypatch,
                                                       capsys):
-    state_dir, _ = history
+    state_dir = history
     decoded = _count(monkeypatch, ledger_mod, "decode_call")
     replays = _count_replays(monkeypatch)
     world = World.load(state_dir)
@@ -1206,7 +1247,7 @@ def test_a_restore_and_a_read_command_decode_no_block(history, monkeypatch,
 
 def test_a_write_hashes_one_digest_per_block_it_mines(history, monkeypatch,
                                                       capsys):
-    state_dir, _ = history
+    state_dir = history
     height = World.load(state_dir).system.ledger.head.height
     digests = []
     real = ledger_mod.truncated_hash
@@ -1228,14 +1269,14 @@ def test_a_write_hashes_one_digest_per_block_it_mines(history, monkeypatch,
 
 def test_confirmations_on_a_restored_world_decode_nothing(history,
                                                           monkeypatch):
-    state_dir, _ = history
+    state_dir = history
     restored = World.load(state_dir).system
     decoded = _count(monkeypatch, ledger_mod, "decode_call")
     confs = {op_id: restored.ledger.confirmations(txid)
              for op_id, (txid, *_) in restored.initialised.items()}
     assert decoded == []
     monkeypatch.undo()
-    (state_dir / "checkpoint.json").unlink()
+    (state_dir / "blocks.jsonl").unlink()
     replayed = World.load(state_dir).system.ledger
     assert confs == {op_id: replayed.confirmations(txid)
                      for op_id, (txid, *_) in restored.initialised.items()}
@@ -1243,10 +1284,10 @@ def test_confirmations_on_a_restored_world_decode_nothing(history,
 
 
 def test_a_consistently_tampered_archive_fails_when_read(history, monkeypatch):
-    """An archive rewritten with an executed row's status changed, its new
-    length committed in the checkpoint and the checkpoint re-bound: the
-    head still binds, and reading the chain fails."""
-    state_dir, _ = history
+    """An archive rewritten with an executed row's status changed and its
+    new length committed in the checkpoint of `world.json`: the head still
+    binds, and reading the chain fails."""
+    state_dir = history
     archive = state_dir / "blocks.jsonl"
     entries = [json.loads(line) for line in archive.read_bytes().splitlines()]
     row = next(row for entry in entries if type(entry) is list
@@ -1268,7 +1309,7 @@ def test_a_consistently_tampered_archive_fails_when_read(history, monkeypatch):
 
 def test_a_torn_archive_append_is_ignored_then_cut(history, monkeypatch,
                                                    capsys):
-    state_dir, _ = history
+    state_dir = history
     archive = state_dir / "blocks.jsonl"
     shown = run(capsys, "--state-dir", state_dir, "root", "show")
     with open(archive, "ab") as f:
@@ -1278,7 +1319,7 @@ def test_a_torn_archive_append_is_ignored_then_cut(history, monkeypatch,
     assert shown[0] == 0 and replays == []
     code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
                      "transfer", "--addr", "acct:bob", "--param", "5")
-    head = json.loads((state_dir / "checkpoint.json").read_text())
+    head = _checkpoint(state_dir)
     ledger = World.load(state_dir).system.ledger
     assert code == 0 and replays == []
     assert head["archive_bytes"] == len(archive.read_bytes())
@@ -1290,11 +1331,11 @@ def test_a_torn_archive_append_is_ignored_then_cut(history, monkeypatch,
 @pytest.mark.parametrize("cut", ["inside-a-line", "whole-last-line"])
 def test_a_lowered_archive_length_costs_one_replay(history, monkeypatch,
                                                    capsys, cut):
-    """A head whose committed archive length was lowered and re-bound in
-    `world.json` does not bind: the archive's committed bytes no longer end
+    """A head whose committed archive length was lowered in `world.json`
+    does not bind: the archive's committed bytes no longer end
     with the head block's line. The write replays once, its save rewrites
     the archive, and then commands restore and the chain decodes."""
-    state_dir, _ = history
+    state_dir = history
     archive = state_dir / "blocks.jsonl"
     shown = run(capsys, "--state-dir", state_dir, "root", "show")
     last = len(archive.read_bytes().splitlines(keepends=True)[-1])
@@ -1314,50 +1355,13 @@ def test_a_lowered_archive_length_costs_one_replay(history, monkeypatch,
     assert ledger.audit_signatures() == []
 
 
-@pytest.mark.parametrize("crash", [False, True])
-def test_a_checkpoint_overwritten_by_a_shorter_head_restores(
-        history, monkeypatch, capsys, crash):
-    """The checkpoint is written in place, and the old bytes past a shorter
-    new head are cut: after a write over an indented head, which binds as
-    any layout of the head does, the next command restores. A save that
-    dies between the write and the cut leaves the new head over the old
-    bytes, which costs one replay to the recorded state."""
-    state_dir, _ = history
-    checkpoint, world_file = state_dir / "checkpoint.json", state_dir / "world.json"
-    _rebind(state_dir, json.dumps(json.loads(checkpoint.read_text()),
-                                  indent=1))
-    longer, before = checkpoint.stat().st_size, world_file.read_bytes()
-
-    def uncut(path, data):
-        with open(path, "wb", opener=cli._keep_bytes) as f:
-            f.write(data)
-        raise OSError("killed")
-
-    if crash:
-        monkeypatch.setattr(cli, "_overwrite", uncut)
-    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
-                     "transfer", "--addr", "acct:bob", "--param", "5")
-    monkeypatch.undo()
-    assert code == (1 if crash else 0)
-    assert (world_file.read_bytes() == before) == crash
-    recorded = json.loads(world_file.read_text())["head"]["state_hash"]
-    replays = _count_replays(monkeypatch)
-    assert World.load(state_dir).system.ledger.state_hash() == recorded
-    assert replays == ([1] if crash else [])
-    head = json.loads(world_file.read_text())["head"]
-    assert hashlib.sha256(checkpoint.read_bytes()).hexdigest() == head["sha256"]
-    assert checkpoint.stat().st_size < longer
-    World.load(state_dir)
-    assert replays == ([1] if crash else [])
-
-
 @pytest.mark.parametrize("damage", ["ten-bytes-short", "deleted"])
 def test_a_short_archive_costs_one_replay(history, monkeypatch, capsys,
                                           damage):
     """An archive shorter than its committed length does not bind: the
     command replays once, its save rewrites the archive from genesis, and
     the next command restores."""
-    state_dir, _ = history
+    state_dir = history
     archive = state_dir / "blocks.jsonl"
     intact = archive.read_bytes()
     shown = run(capsys, "--state-dir", state_dir, "root", "show")

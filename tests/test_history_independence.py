@@ -3,25 +3,28 @@
 Two worlds, written once per session at the same position in their
 generation but at different depths, run `root show` and `op init` in
 process. Test-local wrappers count the bytes each command reads from and
-writes to each state file, the bytes it JSON-decodes from each, the bytes
-it hashes with SHA-256 and the operation records it builds. The counters
-that no longer grow with history are asserted equal at both depths, and
-the action log and the block archive are asserted decoded not at all. The
-others are not asserted: the checkpoint head, which lists every `op` line
-and the oracle lists, is read, decoded, hashed and written whole, and the
-whole action log is read and hashed. Not yet counted: JSON-encoded bytes
-and `truncated_hash` input."""
+writes to each state file, the bytes it JSON-decodes from each and the
+bytes it JSON-encodes, the bytes it hashes with SHA-256 and the operation
+records it builds. The counters that no longer grow with history are
+asserted equal at both depths; the action log and the block archive are
+asserted decoded not at all, a read command encodes nothing, and SHA-256
+reads only the log. The others are not asserted: `world.json`, whose head
+checkpoint lists every `op` line and the oracle lists, is read, decoded
+and written whole, and the whole action log is read and hashed. Not yet
+counted: `truncated_hash` input."""
 
+import hashlib
 import json
 import random
 import shutil
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from otpwallet import cli, contract as contract_mod
+from otpwallet import cli, contract as contract_mod, ledger as ledger_mod
 from otpwallet.cli import World, main, parse_params
 from otpwallet.protocols import bootstrap_system
 
@@ -89,16 +92,33 @@ def _name(path) -> str:
     return Path(path).name.removesuffix(".tmp")
 
 
+class _CountedHash:
+    """A SHA-256 object that counts the bytes it is fed."""
+
+    def __init__(self, h, counts):
+        self.h, self.counts = h, counts
+
+    def update(self, data):
+        self.counts["sha256"] += len(data)
+        self.h.update(data)
+
+    def copy(self):
+        return _CountedHash(self.h.copy(), self.counts)
+
+    def hexdigest(self):
+        return self.h.hexdigest()
+
+
 # The package function that JSON-decodes each state file.
 DECODERS = {"load": "world.json", "_parse_log": "actions.jsonl",
-            "from_checkpoint": "checkpoint.json",
             "_materialize": "blocks.jsonl"}
 
 
 def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
     """Run one command in process and count its work."""
     counts = Counter()
-    real_open, real_sha256, real_loads = open, cli._sha256, json.loads
+    real_open, real_loads = open, json.loads
+    real_dumps, real_to_json = json.dumps, ledger_mod._to_json
     real_read, real_write = Path.read_text, Path.write_text
     real_record = contract_mod.OperationRecord
 
@@ -115,9 +135,19 @@ def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
         counts["written", _name(path)] += len(text.encode())
         return real_write(path, text, *args, **kwargs)
 
-    def sha256(text):
-        counts["sha256"] += len(text.encode())
-        return real_sha256(text)
+    def sha256(data=b""):
+        counts["sha256"] += len(data)
+        return _CountedHash(hashlib.sha256(data), counts)
+
+    def dumps(obj, *args, **kwargs):
+        text = real_dumps(obj, *args, **kwargs)
+        counts["encoded"] += len(text)
+        return text
+
+    def to_json(obj):
+        text = real_to_json(obj)
+        counts["encoded"] += len(text)
+        return text
 
     def record(*args):
         counts["records"] += 1
@@ -132,7 +162,9 @@ def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
         patched.setattr(cli, "open", counted_open, raising=False)
         patched.setattr(Path, "read_text", read_text)
         patched.setattr(Path, "write_text", write_text)
-        patched.setattr(cli, "_sha256", sha256)
+        patched.setattr(cli, "hashlib", SimpleNamespace(sha256=sha256))
+        patched.setattr(json, "dumps", dumps)
+        patched.setattr(ledger_mod, "_to_json", to_json)
         patched.setattr(contract_mod, "OperationRecord", record)
         patched.setattr(json, "loads", loads)
         assert main(["--state-dir", str(state_dir), *argv]) == 0
@@ -142,7 +174,8 @@ def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
 @pytest.fixture(scope="module")
 def work(worlds, tmp_path_factory) -> dict:
     """(command, depth) -> the counted work of the command on a fresh copy
-    of the world, and the head its save wrote."""
+    of the world, and the world as the command left it: its `world.json`
+    text and its log's length."""
     out = {}
     with pytest.MonkeyPatch.context() as monkeypatch:
         for slots, state_dir in worlds.items():
@@ -156,8 +189,9 @@ def work(worlds, tmp_path_factory) -> dict:
                 counts = count_work(monkeypatch, copy, argv)
                 monkeypatch.undo()
                 assert replays == [], (command, slots)
-                head = (copy / "checkpoint.json").read_text()
-                out[command, slots] = counts, head
+                out[command, slots] = counts, (
+                    (copy / "world.json").read_text(),
+                    (copy / "actions.jsonl").stat().st_size)
     return out
 
 
@@ -171,23 +205,38 @@ def test_a_command_reads_one_archive_window_at_any_depth(work):
 
 
 def test_a_restore_decodes_no_log_byte_at_any_depth(work):
-    """Only `world.json` and the checkpoint head are JSON-decoded, by the
-    functions that read them; the log and the archive are not."""
+    """Only `world.json`, which holds the head checkpoint, is JSON-decoded,
+    by the function that reads it; the log and the archive are not."""
     for (command, slots), (counts, _) in work.items():
         decoded = {key[1] for key, n in counts.items()
                    if key[0] == "decoded" and n}
-        assert decoded == {"world.json", "checkpoint.json"}, (command, slots)
+        assert decoded == {"world.json"}, (command, slots)
 
 
 def test_the_counters_see_each_file_a_write_writes(work):
-    """`op init` appends to the log and the archive, overwrites the
-    checkpoint in place and replaces `world.json`, and each write is
-    counted."""
+    """`op init` appends to the log and the archive and replaces
+    `world.json`, and each write is counted."""
     for slots in DEPTHS:
-        counts, head = work["op init", slots]
-        assert counts["written", "checkpoint.json"] == len(head.encode())
-        for name in ("actions.jsonl", "blocks.jsonl", "world.json"):
+        counts, (world, _) = work["op init", slots]
+        assert counts["written", "world.json"] == len(world.encode())
+        for name in ("actions.jsonl", "blocks.jsonl"):
             assert counts["written", name] > 0, (name, slots)
+
+
+def test_sha256_reads_only_the_log(work):
+    """A load hashes the log's committed bytes, and a save only the lines
+    it appends, so each command feeds SHA-256 the log it leaves, once."""
+    for (command, slots), (counts, (_, log_bytes)) in work.items():
+        assert counts["sha256"] == log_bytes, (command, slots)
+
+
+def test_a_read_command_encodes_no_json_at_any_depth(work):
+    """`root show` encodes nothing; `op init` encodes its log line, the
+    entries of the blocks it mines and `world.json`, which grows with
+    history (its head checkpoint lists every `op` line)."""
+    for slots in DEPTHS:
+        assert work["root show", slots][0]["encoded"] == 0, slots
+        assert work["op init", slots][0]["encoded"] > 0, slots
 
 
 def test_a_command_builds_the_same_records_at_both_depths(work):
@@ -198,8 +247,8 @@ def test_a_command_builds_the_same_records_at_both_depths(work):
 
 def test_the_written_head_indexes_the_same_rows_at_both_depths(work):
     """Only the initialised rows' txids, at most `N_S` of them."""
-    kept = [len(json.loads(work["op init", slots][1])["index"])
-            for slots in DEPTHS]
+    kept = [len(json.loads(work["op init", slots][1][0])["head"][
+        "checkpoint"]["index"]) for slots in DEPTHS]
     assert kept[0] == kept[1] <= N_S
 
 

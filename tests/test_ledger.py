@@ -43,7 +43,7 @@ def restore(ledger, keep=(), reads=None) -> Ledger:
     """The ledger restored from its checkpoint, whose archive lines make up
     the whole archive."""
     lines, head = ledger.checkpoint(keep)
-    return Ledger.from_checkpoint(head, reader(lines, reads))[0]
+    return Ledger.from_checkpoint(head, reader(lines, reads))
 
 
 def forged(ledger, change, keep=()) -> Ledger:
@@ -51,7 +51,7 @@ def forged(ledger, change, keep=()) -> Ledger:
     parsed head and the archive's parsed entries; the head commits the
     edited archive's length unless `change` sets another."""
     lines, head = ledger.checkpoint(keep)
-    doc = json.loads(head)
+    doc = json.loads(json.dumps(head))
     entries = [json.loads(line) for line in lines.splitlines()]
     assert b"".join(json.dumps(e, separators=(",", ":")).encode() + b"\n"
                     for e in entries) == lines
@@ -60,8 +60,7 @@ def forged(ledger, change, keep=()) -> Ledger:
                        for e in entries)
     if doc["archive_bytes"] == len(lines):
         doc["archive_bytes"] = len(archive)
-    return Ledger.from_checkpoint(json.dumps(doc, separators=(",", ":")),
-                                  reader(archive))[0]
+    return Ledger.from_checkpoint(doc, reader(archive))
 
 
 @pytest.fixture
@@ -647,7 +646,7 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
                 ledger.archived(len(archive))
                 saved = ledger.head
             else:
-                ledger, _ = Ledger.from_checkpoint(head, reader(archive))
+                ledger = Ledger.from_checkpoint(head, reader(archive))
                 low, archived, saved = ledger.head.height, True, ledger.head
         assert ledger.state_hash() == reference_state_hash(ledger)
         if not ledger.mempool and not appendable():
@@ -660,7 +659,8 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
             lines, head = ledger.checkpoint(keep)
             assert (archive[:ledger.archive_bytes] + lines
                     == reference_archive(ledger))
-            assert head == reference_head(ledger, keep)
+            assert json.dumps(head, separators=(",", ":")) == reference_head(
+                ledger, keep)
         assert (ledger._archive is not None) == archived
     assert ledger.canonical == branch and ledger.head.height > low + 1
     assert [blk.height for blk in ledger.chain] == list(
@@ -684,7 +684,7 @@ def test_decoding_an_archive_checks_its_digest_and_index(ledger):
 
     def damaged(read):
         _, head = ledger.checkpoint(txids)
-        return Ledger.from_checkpoint(head, read)[0]
+        return Ledger.from_checkpoint(head, read)
 
     def unreadable(n):
         raise OSError("gone")
@@ -715,15 +715,18 @@ def test_decoding_an_archive_checks_its_digest_and_index(ledger):
 
 def test_a_checkpoint_head_in_another_layout_is_a_ledger_error(ledger):
     """The older layout, which held the archive as a `blocks` array after
-    the head, and text that is not a head at all."""
+    the head, a head without its index or with a negative archive length,
+    and objects that are not a head at all: a list, and the checkpoint
+    file's digest that an older head held."""
     ledger.submit(pay("a", "b", 5, 1, 0))
     ledger.mine_block()
     lines, head = ledger.checkpoint()
-    entries = b",".join(lines.splitlines()).decode()
-    for text in (f'{{"head":{head},"blocks":[{entries}]}}', "[]", head[:-1],
-                 head.replace('"archive_bytes":', '"archive_bytes":-')):
+    entries = [json.loads(line) for line in lines.splitlines()]
+    unindexed = {key: value for key, value in head.items() if key != "index"}
+    for doc in ({"head": head, "blocks": entries}, [], unindexed,
+                {**head, "archive_bytes": -head["archive_bytes"]}, "00" * 32):
         with pytest.raises(LedgerError):
-            Ledger.from_checkpoint(text, reader(lines))
+            Ledger.from_checkpoint(doc, reader(lines))
 
 
 def test_an_index_miss_decodes_the_archive_unless_the_tx_is_pending():
