@@ -1,53 +1,51 @@
 """Command-line front door.
 
-The simulated world persists between invocations as three files in the
+The simulated world persists between invocations as two files in the
 state directory. `world.json` is the commit point. It holds the seeds, the
 params, the mode and the funding, and a head that records the action
 count, the log's committed length in bytes and the head `state_hash`, and
 holds the head checkpoint. `actions.jsonl` is the replayable log of every
 command that changed state, one action per line (compact JSON with sorted
-keys, then a newline). `blocks.jsonl` is the block archive, one line per
-block with its receipts (see `otpwallet.ledger`). Both only grow: a save
-appends the lines of the actions it adds and of the blocks the command
-mined, and re-encodes no other. No command forks, so the archived blocks
-stay on the chain; a save that found otherwise would fail rather than
-append.
+keys, then a newline), and the world's only history: it only grows, and a
+save appends the lines of the actions it adds and re-encodes no other.
 
 The checkpoint is a cache of the world's head: the head ledger state with
-the head block's chained digest and its parent's, the archive's committed
-length, the heights of the initialised operations' init txids, and the
-bookkeeping that the chain does not hold: the SHA-256 of the log's
-committed bytes, the init txid of each initialised operation of the
-current subtree, the confirmed transfers and the depth checks. Whatever
-the wallet contract records is read off it instead, as the paper's client
-reads the chain: the contract id, the generation (`nextOpID // N`), the
-client's current subtree and each initialised operation's type, address
-and parameter. The client holds nothing secret and is not stored: a
-restore derives its leaves from the world's seed at that generation.
+the head block's chained digest, the heights of the initialised
+operations' init txids, and the bookkeeping that the chain does not hold:
+the SHA-256 of the log's committed bytes, the init txid of each
+initialised operation of the current subtree and the confirmed transfers.
+Whatever the wallet contract records is read off it instead, as the
+paper's client reads the chain: the contract id, the generation
+(`nextOpID // N`), the client's current subtree and each initialised
+operation's type, address and parameter. The client holds nothing secret
+and is not stored: a restore derives its leaves from the world's seed at
+that generation.
 
-A save appends the new log lines, then the new archive lines, and then
-writes `world.json`, encoded in one pass, to a temp file renamed into
-place: its only rename. A save that fails before the rename leaves the
-previous world, because bytes past a committed length are a torn append,
-which a load ignores and the next save cuts, as a write-ahead log does,
-and a load never reads the temp file, which the next save replaces.
+A save appends the new log lines and then writes `world.json`, encoded in
+one pass, to a temp file renamed into place: its only rename. A save that
+fails before the rename leaves the previous world, because bytes past the
+committed length are a torn append, which a load ignores and the next
+save cuts, as a write-ahead log does, and a load never reads the temp
+file, which the next save replaces.
 
 A load reads the log's committed bytes (fewer is an error), hashes them
 once and keeps the hash, so a save hashes only what it appends, and counts
 their lines against the head's action count. It restores the checkpoint
 when that hash is the checkpoint's, the restored ledger hashes to the
-recorded state, the archive's committed bytes end with the head block's
-own line (hashed after the stored parent digest, it gives the head digest;
-one line is read back and none decoded), and that state holds exactly one
-contract with a record in its open subtree of every initialised operation
-of that subtree, whose init txid the restored index holds. Otherwise it
-parses the log and replays it from genesis, which determinism makes
-bit-exact; a replay that lands anywhere but the recorded state is an
-error, and one that lands on it saves, so only the first command after
-the damage replays. So deleting `blocks.jsonl` costs one replay, whose
-save rewrites it from genesis. A head of the older layout, which bound a
-separate checkpoint file by its digest, loads by one such replay; that
-file is never read.
+recorded state, and that state holds exactly one contract with a record in
+its open subtree of every initialised operation of that subtree, whose
+init txid the restored index holds. Otherwise it parses the log and
+replays it from genesis, which determinism makes bit-exact; a replay that
+lands anywhere but the recorded state is an error, and one that lands on
+it saves, so only the first command after the damage replays. A head of an
+older layout, which bound a separate checkpoint file by its digest, loads
+by one such replay; that file is never read. A restored world holds the
+chain from its head up; no command reads below it, and a Python caller
+that does (`event_log`, `audit_signatures`, a lookup of an older txid)
+pays one replay of the log's committed bytes, in a world that is not
+saved, checked against the head's digest (see `otpwallet.ledger`). The
+block archive that older saves wrote beside the log, one block entry per
+line, is never read, written or removed, and may be deleted.
 
 A `world.json` that does not parse, is not format version 4 or records no
 head is an error, because there is no state to check its replay against (a
@@ -71,8 +69,8 @@ where it uses them, each time. Only the cost and security commands import
 the cost model and the security calculator, and with them mpmath. A
 restore parses of the contract's records only the current subtree's, at
 most `N_S` (see `otpwallet.contract`). What a command still pays for by
-history is reading and hashing the log's bytes, and the head's `op` lines,
-confirmed transfers and depth checks, which `world.json` holds.
+history is reading and hashing the log's bytes, and the head's `op` lines
+and confirmed transfers, which `world.json` holds.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr; an OSError, such as a `world.json` that is a
@@ -120,7 +118,6 @@ DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
 WORLD_VERSION = 4
 LOG_NAME = "actions.jsonl"
-ARCHIVE_NAME = "blocks.jsonl"
 MODES = ("secure", "insecure")
 # The keys of `world.json`, besides its version and head, that a restore or
 # a replay reads, and their types (a bool is not an int).
@@ -240,23 +237,6 @@ def _read_prefix(path: Path, size: int) -> bytes:
         return f.read(size)
 
 
-def _last_line(path: Path, end: int, window: int = 1024) -> bytes:
-    """The last line of the file's first `end` bytes, newline included,
-    read back in windows that double until one holds the line's start; b""
-    when the file holds fewer than `end` bytes."""
-    with open(path, "rb") as f:
-        while True:
-            start = max(0, end - window)
-            f.seek(start)
-            data = f.read(end - start)
-            if len(data) != end - start:
-                return b""
-            cut = data.rfind(b"\n", 0, -1)
-            if cut >= 0 or start == 0:
-                return data[cut + 1:]
-            window *= 2
-
-
 def _read_log(path: Path, size: int) -> bytes:
     """The log's committed bytes; a missing log is empty."""
     try:
@@ -295,7 +275,7 @@ def _append(path: Path, committed: int, lines: bytes) -> None:
 
 # ---------------------------------------------------------------------------
 # Persistent world: seeds, params and the head checkpoint, with an
-# append-only action log and block archive
+# append-only action log
 
 class World:
     def __init__(self, state_dir: Path, data: dict, log: bytes = b"",
@@ -424,26 +404,20 @@ class World:
         """Set up the system from the head's parsed checkpoint, without
         replaying; False when it is not one that a save writes or was built
         from other log bytes, the restored ledger hashes to another state,
-        the block archive's committed bytes do not end with the head block's
-        line (one line is read back and none decoded, so an archive that is
-        missing, short or committed at another length does not bind), or
-        that state does not hold exactly
-        one contract with a record in its open subtree of every initialised
-        operation of that subtree, whose init txid the restored txid index
-        holds; a row of a sealed subtree, which older saves kept, does not
-        bind. Only then is the rest derived from the contract, so the state
-        hash covers it: the generation, the client's subtree, and each
-        initialised operation's type, address and parameter. The client's
-        tree is built from the seed's leaves at that generation. The
-        confirmed transfers and depth checks are still taken as stored."""
-        archive = self.state_dir / ARCHIVE_NAME
+        or that state does not hold exactly one contract with a record in
+        its open subtree of every initialised operation of that subtree,
+        whose init txid the restored txid index holds; a row of a sealed
+        subtree, which older saves kept, does not bind. Only then is the
+        rest derived from the contract, so the state hash covers it: the
+        generation, the client's subtree, and each initialised operation's
+        type, address and parameter. The client's tree is built from the
+        seed's leaves at that generation. The confirmed transfers are still
+        taken as stored. The chain below the head is read, if ever, by
+        `_chain_reader`."""
         try:
-            ledger = Ledger.from_checkpoint(
-                checkpoint, functools.partial(_read_prefix, archive))
+            ledger = Ledger.from_checkpoint(checkpoint, self._chain_reader())
             if (checkpoint["log_digest"] != self.log_hash.hexdigest()
-                    or ledger.state_hash() != self.data["head"]["state_hash"]
-                    or not ledger.is_head_line(
-                        _last_line(archive, ledger.archive_bytes))):
+                    or ledger.state_hash() != self.data["head"]["state_hash"]):
                 return False
             system = self.build_system()
             system.ledger = ledger
@@ -456,29 +430,46 @@ class World:
                 params=params, eta=eta, contract_id=system.contract_id,
                 current_subtree=(contract.current_subtree
                                  - eta * params.subtree_count))
-            records = contract.operations.open
+            records, kept = (contract.operations.open,
+                             ledger.tx_heights[ledger.canonical])
             for op_id, txid in checkpoint["initialised"]:
                 record = records[op_id]
-                if ledger.confirmations(txid) is None:
+                if txid not in kept:
                     return False
                 system.initialised[op_id] = (txid, record.type, record.addr,
                                              record.param)
             system.confirmed_transfers = [
                 tuple(t) for t in checkpoint["confirmed_transfers"]]
-            system.depth_checks = [
-                tuple(d) for d in checkpoint["depth_checks"]]
-        except (OSError, LookupError, TypeError, ValueError, LedgerError):
+        except (LookupError, TypeError, ValueError, LedgerError):
             return False
         self.system = system
         return True
 
+    def _chain_reader(self):
+        """A reader of the canonical chain up to the head as loaded: it
+        re-reads the log's committed bytes of now, replays them in a fresh
+        world that it does not save, and returns that world's chain.
+        LedgerError when they do not parse or replay."""
+        size = self.log_bytes
+
+        def read() -> list:
+            try:
+                log = _read_log(self.state_dir / LOG_NAME, size)
+                twin = World(self.state_dir,
+                             {**self.data, "actions": _parse_log(log)})
+                twin.replay()
+            except (CliError, ProtocolAbort, ValueError, OSError) as exc:
+                raise LedgerError(f"the action log does not replay: "
+                                  f"{exc}") from exc
+            return twin.system.ledger.chain
+        return read
+
     def save(self) -> None:
         """Append the lines of the actions appended to `data["actions"]`
-        since the last save and the entries of the blocks mined since it
-        (all of them after a replay), and then write `world.json`, which
-        commits both and holds the head checkpoint, to a temp file renamed
-        into place. The rename is the commit point, so a save that fails
-        before it leaves the previous world: lines appended past a committed
+        since the last save, and then write `world.json`, which commits
+        them and holds the head checkpoint, to a temp file renamed into
+        place. The rename is the commit point, so a save that fails before
+        it leaves the previous world: lines appended past the committed
         length are a torn append."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
         actions = self.data["actions"]
@@ -486,14 +477,13 @@ class World:
         log_hash = self.log_hash.copy()
         log_hash.update(lines)
         system, ledger = self.system, self.system.ledger
-        blocks, checkpoint = ledger.checkpoint(
+        checkpoint = ledger.checkpoint(
             keep=[txid for txid, *_ in system.initialised.values()])
         checkpoint.update(
             log_digest=log_hash.hexdigest(),
             initialised=[[op_id, txid] for op_id, (txid, *_)
                          in system.initialised.items()],
-            confirmed_transfers=system.confirmed_transfers,
-            depth_checks=system.depth_checks)
+            confirmed_transfers=system.confirmed_transfers)
         head = {
             "actions": self.log_actions + len(actions) - self.logged,
             "log_bytes": self.log_bytes + len(lines),
@@ -503,9 +493,7 @@ class World:
         world = json.dumps(
             {**fields, "head": {**head, "checkpoint": checkpoint}},
             separators=(",", ":"))
-        archived = ledger.archive_bytes
         _append(self.state_dir / LOG_NAME, self.log_bytes, lines)
-        _append(self.state_dir / ARCHIVE_NAME, archived, blocks)
         tmp = self.state_dir / "world.json.tmp"
         tmp.write_text(world)
         os.replace(tmp, self.state_dir / "world.json")
@@ -513,7 +501,6 @@ class World:
         self.logged = len(actions)
         self.log_actions, self.log_bytes = head["actions"], head["log_bytes"]
         self.log_hash = log_hash
-        ledger.archived(archived + len(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ share it.
 Each branch keeps a txid -> height index, filled as blocks are mined and
 copied up to the fork point by `fork`, so confirmation queries do not scan
 the chain. A restored ledger's index holds the kept txids and those mined
-since the restore, until the archive is decoded.
+since the restore, until the chain below the base is read.
 
 Fees order inclusion (the lever a front-running adversary pulls) but are
 never debited, so the sum of all account balances is conserved exactly.
@@ -35,18 +35,16 @@ the schema, or a value of another type. Execution therefore checks no
 argument.
 
 Receipts are immutable after mining: no code changes a mined block's
-receipts, their transactions or those transactions' calls. Four caches
+receipts, their transactions or those transactions' calls. Three caches
 rely on it. A `Transaction` builds its signed bytes and its txid once, a
-`Block` builds its entry and its digest on first use, a block restored
-from a checkpoint keeps the text it was read from, and the ledger
+`Block` builds its entry and its digest on first use, and the ledger
 remembers each (public key, signed bytes, signature) triple that verified
 on it. The contract's signature check, the re-execution of an orphaned
 transaction after a reorg and `audit_signatures` all go through that memo,
 so each signature is verified once per ledger. It is exact: a verify is a
 pure function of the whole triple, so any changed byte misses, and a
 failed verify is never stored. `from_checkpoint` starts it empty, so the
-signatures of a restored archive, which is untrusted input, are verified
-afresh.
+signatures of the chain read below a restored head are verified afresh.
 
 A block's entry is JSON text: its timestamp alone when it is empty, else
 [timestamp, rows] with one row per receipt, [signed text, status, result,
@@ -59,36 +57,31 @@ block that has one. `state_hash` is H(head state lines || head digest), so
 it reads the head and the blocks mined since the last digest, not the
 chain.
 
-`checkpoint` returns the chain in two parts, for the caller to encode and
-store. The head is a JSON-ready object: the head state, height, timestamp
-and digest, its parent's digest, the archive's length in bytes, and the
-heights of only the txids the caller keeps. The block archive is one line
-per canonical block, its entry and a newline, and only grows: a checkpoint
-returns the lines of the blocks mined since the archived one, for the
-caller to append. A contract's state lines join the cached text of its
-sealed subtrees with its open subtree's records, so `checkpoint` and
-`state_hash` render only the open records. `from_checkpoint` takes the
-parsed head object, parses of each contract's lines only the header and
-the open subtree's records (the older lines stay text, which `state_hash`
-covers as they were read), and raises `LedgerError` for any other object.
-It reads no byte of the archive, only keeps a reader of
-it; `is_head_line` checks one line that the caller read back, the
-archive's last committed one, against the stored digests, which binds the
-length. The canonical branch then starts at a base block, the restored
-head, with its state and its stored digest; its receipts stay in the
-archive. Head state, submission, mining, `state_hash` and `checkpoint`
-never read the archive, and neither do `confirmations` and `receipt` for a
-kept txid, a txid mined since the restore or a txid in the mempool, which
-cannot be on the chain. Reading `chain`, `event_log` or
+`checkpoint` returns the head as a JSON-ready object, for the caller to
+encode and store: the head state, height, timestamp and digest, and the
+heights of only the txids the caller keeps. A contract's state lines join
+the cached text of its sealed subtrees with its open subtree's records, so
+`checkpoint` and `state_hash` render only the open records.
+`from_checkpoint` takes the parsed head object, parses of each contract's
+lines only the header and the open subtree's records (the older lines stay
+text, which `state_hash` covers as they were read), and raises
+`LedgerError` for any other object. It takes a reader of the chain below
+the head, which it does not call: the canonical branch starts at a base
+block, the restored head, with its state and its stored digest and no
+receipts. Head state, submission, mining, `state_hash` and `checkpoint`
+never read the chain below it, and neither do `confirmations` and
+`receipt` for a kept txid, a txid mined since the restore or a txid in the
+mempool, which cannot be on the chain. Reading `chain`, `event_log` or
 `audit_signatures`, looking up any other txid or a receipt at or below the
-base, or forking reads the archive's committed bytes once and decodes
-them: every entry is re-encoded from its decoded rows, the base's receipts
-are filled in, the older blocks are prepended to the branches and their
-txids merged into the index. It raises `LedgerError` unless the digests of
-the re-encoded entries chain to the stored base digest and the recomputed
-txids index as the kept ones, and for a read that fails. An edit to any
-field of a row therefore fails the decode. Blocks below the base carry no
-state, so the restored ledger cannot fork below its head.
+base, or forking calls the reader once, for the canonical blocks from
+genesis to the base (the CLI replays its action log): the base's receipts
+are filled in, the older blocks are prepended to the branches without
+their states and their txids merged into the index. It raises
+`LedgerError` unless the blocks end at the base's height and timestamp,
+their entries chain to the stored base digest and their txids index as the
+kept ones, and for a read that fails. A block that differs in any field of
+a row therefore fails the read. Blocks below the base carry no state, so
+the restored ledger cannot fork below its head.
 """
 
 from __future__ import annotations
@@ -243,21 +236,19 @@ def _index(heights: dict[str, int], block: Block) -> None:
             heights.setdefault(r.txid, block.height)
 
 
-# Argument type -> (to JSON, from JSON, payload bytes). Payload bytes model
-# the calldata: account ids 20, integers 4, enum tags 1, digests by length,
-# a sublayer's index 4, and the parameters none.
+# Argument type -> (to JSON, payload bytes). Payload bytes model the
+# calldata: account ids 20, integers 4, enum tags 1, digests by length, a
+# sublayer's index 4, and the parameters none.
 _CODECS = {
-    str: (str, str, lambda s: 20),
-    int: (int, int, lambda i: 4),
-    bytes: (bytes.hex, bytes.fromhex, len),
+    str: (str, lambda s: 20),
+    int: (int, lambda i: 4),
+    bytes: (bytes.hex, len),
     MerkleProof: (lambda p: [s.hex() for s in p.siblings],
-                  lambda j: MerkleProof(tuple(map(bytes.fromhex, j))),
                   lambda p: sum(map(len, p.siblings))),
     SubtreeLayer: (lambda s: [s.index, [n.hex() for n in s.nodes]],
-                   lambda j: SubtreeLayer(list(map(bytes.fromhex, j[1])), j[0]),
                    lambda s: sum(map(len, s.nodes)) + 4),
-    OpType: (lambda t: t.value, OpType, lambda t: 1),
-    TreeParams: (TreeParams.as_dict, TreeParams.from_dict, lambda p: 0),
+    OpType: (lambda t: t.value, lambda t: 1),
+    TreeParams: (TreeParams.as_dict, lambda p: 0),
 }
 _SCHEMAS = {fn: dict((("fn", str),) + (("contract", str),) * (fn in CALL_RESULTS)
                      + args)
@@ -277,7 +268,7 @@ def payload_size(call: dict) -> int:
     """Semantic payload bytes of a call of the schema: a 4-byte selector
     plus each argument's size from `_CODECS`. Signatures ride outside the
     payload, as on the modeled platform."""
-    return 4 + sum(_CODECS[kind][2](call[key])
+    return 4 + sum(_CODECS[kind][1](call[key])
                    for key, kind in _schema_of(call).items() if key != "fn")
 
 
@@ -293,25 +284,7 @@ def encode_call(call: dict) -> dict:
     return data
 
 
-def decode_call(data: dict) -> dict:
-    """The call that `encode_call` wrote."""
-    schema = _schema_of(data)
-    return {key: _CODECS[schema[key]][1](value) for key, value in data.items()}
-
-
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _decode_block(height: int, entry) -> Block:
-    """The block that `Block.entry` encoded, with no state; each txid is
-    recomputed from its decoded transaction."""
-    timestamp, rows = (entry, []) if type(entry) is int else entry
-    receipts = []
-    for (sender, nonce, fee, call), status, result, sig in rows:
-        tx = Transaction(sender, decode_call(call), fee,
-                         None if sig is None else bytes.fromhex(sig), nonce)
-        receipts.append(TxReceipt(tx, status, result))
-    return Block(height, timestamp, receipts, None)
 
 
 class Ledger:
@@ -327,16 +300,10 @@ class Ledger:
         self._seq = 0
         self._branch_counter = 0
         self._in_observer = False
-        # A restored ledger's base block, the archive's length in bytes
-        # through it and a reader of the archive's first n bytes, until the
-        # archive is decoded; the chains then start at the base.
-        self._archive: tuple[Block, int, Callable[[int], bytes]] | None = None
-        # The newest archived canonical block, None when none is, and the
-        # archive's length in bytes through it.
-        self._archived: tuple[Block | None, int] = (None, 0)
-        # The parent digest of the canonical chain's first block: genesis's,
-        # or a restored base's as its checkpoint stored it.
-        self._first_parent = GENESIS_PARENT
+        # A restored ledger's base block and a reader of the canonical
+        # blocks from genesis to it, until they are read; the chains then
+        # start at the base.
+        self._below: tuple[Block, Callable[[], list[Block]]] | None = None
         # (public key, signed bytes, signature) triples that verified here.
         self._verified: set[tuple[bytes, bytes, bytes]] = set()
 
@@ -344,8 +311,9 @@ class Ledger:
 
     @property
     def chain(self) -> list[Block]:
-        """The canonical branch from genesis; decodes a pending archive."""
-        if self._archive is not None:
+        """The canonical branch from genesis; reads the chain below a
+        restored base first."""
+        if self._below is not None:
             self._materialize()
         return self.branches[self.canonical]
 
@@ -523,11 +491,11 @@ class Ledger:
 
     def _height(self, txid: str) -> int | None:
         """The height of the tx's executed receipt on the canonical chain,
-        or None. A miss decodes a pending archive first, unless the tx is in
-        the mempool: its nonce is at or above the head's, so it is not
-        mined."""
+        or None. A miss reads the chain below a restored base first, unless
+        the tx is in the mempool: its nonce is at or above the head's, so it
+        is not mined."""
         height = self.tx_heights[self.canonical].get(txid)
-        if (height is None and self._archive is not None
+        if (height is None and self._below is not None
                 and all(t.txid != txid for t in self.mempool)):
             self._materialize()
             height = self.tx_heights[self.canonical].get(txid)
@@ -544,7 +512,7 @@ class Ledger:
         height = self._height(txid)
         if height is None:
             return None
-        if self._archive is not None and height <= self._archive[0].height:
+        if self._below is not None and height <= self._below[0].height:
             self._materialize()
         chain = self.branches[self.canonical]
         return next(r for r in chain[height - chain[0].height].receipts
@@ -552,73 +520,44 @@ class Ledger:
 
     # -- checkpoints ------------------------------------------------------------------------
 
-    def checkpoint(self, keep: Iterable[str] = ()) -> tuple[bytes, dict]:
-        """The canonical chain as the archive lines to append and the head.
-        The lines are the entries of the blocks after the archived one, each
-        then a newline. The head is a JSON-ready object of the head's
-        balances, nonces and contracts, its height, timestamp, digest and
-        parent digest, the archive's length in bytes with the lines
-        appended and the `index` of the `keep` txids' heights; it shares the
-        head state's maps, which no code changes once the block is mined.
-        Older block states, other branches and call traces are left
-        out, and so is the submission counter: the mempool is empty and a
-        restored ledger cannot fork below its head, so the counter orders
-        only transactions submitted after the restore, from any start.
-        LedgerError when a kept txid is not on the canonical chain, or when
-        that chain no longer holds the archived block, which only a reorg
-        below it does (no CLI command forks)."""
+    def checkpoint(self, keep: Iterable[str] = ()) -> dict:
+        """The head as a JSON-ready object: the head's balances, nonces and
+        contracts, its height, timestamp and digest, and the `index` of the
+        `keep` txids' heights. It shares the head state's maps, which no
+        code changes once the block is mined. Older blocks, other branches
+        and call traces are left out, and so is the submission counter: the
+        mempool is empty and a restored ledger cannot fork below its head,
+        so the counter orders only transactions submitted after the
+        restore, from any start. LedgerError when a kept txid is not on the
+        canonical chain."""
         if self.mempool:
             raise LedgerError("a checkpoint holds mined state only")
-        chain = self.branches[self.canonical]
-        last, archived = self._archived
-        start = 0 if last is None else last.height - chain[0].height + 1
-        if last is not None and not (0 < start <= len(chain)
-                                     and chain[start - 1] is last):
-            raise LedgerError("the canonical chain no longer holds the "
-                              "archived block")
-        lines = "".join([blk.entry() + "\n"
-                         for blk in chain[start:]]).encode()
         index = {}
         for txid in keep:
             index[txid] = self._height(txid)
             if index[txid] is None:
                 raise LedgerError(f"kept txid {txid} is not on the chain")
+        chain = self.branches[self.canonical]
         head, state = chain[-1], chain[-1].state
-        parent, digest = self._head_digests(chain)
-        return lines, {
+        return {
             "accounts": state.accounts,
             "nonces": state.nonces,
             "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
                           for c in state.contracts.values()],
             "height": head.height,
             "timestamp": head.timestamp,
-            "digest": digest.hex(),
-            "parent": parent.hex(),
-            "archive_bytes": archived + len(lines),
+            "digest": self._head_digest(chain).hex(),
             "index": index,
         }
 
-    def archived(self, archive_bytes: int) -> None:
-        """Record that the archive holds the canonical chain up to the head
-        in `archive_bytes` bytes, once the lines of `checkpoint` are
-        appended."""
-        self._archived = (self.head, archive_bytes)
-
-    @property
-    def archive_bytes(self) -> int:
-        """The archive's length in bytes through the archived block: where
-        the lines of `checkpoint` go."""
-        return self._archived[1]
-
     @classmethod
-    def from_checkpoint(cls, head, read_archive: Callable[[int], bytes]
+    def from_checkpoint(cls, head, read_chain: Callable[[], list[Block]]
                         ) -> "Ledger":
         """The ledger whose `checkpoint` returned `head`, as JSON parses it
         back; keys it does not know are ignored. The chain starts at the
-        restored head; reading older blocks reads the archive's committed
-        bytes through `read_archive(n)`, which returns the archive's first n
-        bytes, and decodes them (see `_materialize`). LedgerError for any
-        other object."""
+        restored head; reading older blocks calls `read_chain()`, which
+        returns the canonical blocks from genesis to the head, and checks
+        them (see `_materialize`). LedgerError for any other object."""
         try:
             contracts = [WalletContract.from_state_lines(
                 c["lines"], TreeParams.from_dict(c["params"]))
@@ -628,54 +567,28 @@ class Ledger:
                                      dict(head["nonces"]),
                                      {c.contract_id: c for c in contracts}))
             base._digest = bytes.fromhex(head["digest"])
-            parent = bytes.fromhex(head["parent"])
-            archived, index = head["archive_bytes"], dict(head["index"])
+            index = dict(head["index"])
         except (LookupError, TypeError, ValueError) as exc:
             raise LedgerError(f"not a checkpoint head: {exc}") from exc
-        if type(archived) is not int or archived < 0:
-            raise LedgerError(f"archive length {archived!r} is not a count")
         ledger = cls()
         ledger.branches = {MAIN: [base]}
         ledger.tx_heights = {MAIN: index}
-        ledger._archive = (base, archived, read_archive)
-        ledger._archived = (base, archived)
-        ledger._first_parent = parent
+        ledger._below = (base, read_chain)
         return ledger
 
-    def is_head_line(self, line: bytes) -> bool:
-        """Whether `line` is the head block's archive line, its entry and a
-        newline: hashed after the head's parent digest, the entry gives the
-        head digest. `state_hash` covers that digest but not the archive's
-        committed length, so a restore checks the archive's last committed
-        line this way, reading one block and decoding none."""
-        parent, digest = self._head_digests(self.branches[self.canonical])
-        return (line.endswith(b"\n")
-                and truncated_hash(parent + line[:-1]) == digest)
-
     def _materialize(self) -> None:
-        """Read the archive's committed bytes and decode them into the
-        blocks from genesis to the base: fill the base's receipts, prepend
-        the older blocks to every branch (all of them start at the base
-        until now) and merge their txids into the index. LedgerError, with
-        the ledger left as it was, when the read fails or the decoded
-        blocks do not chain to the base's digest or index the kept txids
-        as kept."""
-        base, archived, read = self._archive
-        try:
-            data = read(archived)
-        except OSError as exc:
-            raise LedgerError(f"cannot read the block archive: {exc}") from exc
-        try:
-            if len(data) != archived:
-                raise ValueError(f"{len(data)} bytes, not the {archived} "
-                                 "committed")
-            # A compact JSON line holds no raw newline, so the lines joined
-            # by commas are the items of one array.
-            entries = json.loads(b"[" + data[:-1].replace(b"\n", b",") + b"]")
-            blocks = [_decode_block(height, entry)
-                      for height, entry in enumerate(entries)]
-        except (LookupError, TypeError, ValueError) as exc:
-            raise LedgerError(f"the block archive does not decode: {exc}") from exc
+        """Read the canonical blocks from genesis to the base: fill the
+        base's receipts, prepend the older blocks, without their states,
+        to every branch (all of them start at the base until now) and merge
+        their txids into the index. LedgerError, with the ledger left as it
+        was, when the read fails or the blocks do not end at the base's
+        height and timestamp, chain to the base's digest or index the kept
+        txids as kept."""
+        base, read = self._below
+        # Fresh blocks: each digest is hashed again from the entries, and
+        # none carries a state.
+        blocks = [Block(height, blk.timestamp, blk.receipts, None)
+                  for height, blk in enumerate(read())]
         heights = {}
         for blk in blocks:
             _index(heights, blk)
@@ -686,15 +599,14 @@ class Ledger:
                 or any(heights.get(txid) != height for txid, height
                        in self.tx_heights[self.canonical].items()
                        if height <= base.height)):
-            raise LedgerError("the block archive does not match the restored "
-                              "head's digest and txid index")
+            raise LedgerError("the chain read below the restored head does "
+                              "not match its digest and txid index")
         base.receipts = blocks[-1].receipts
         for chain in self.branches.values():
             chain[:0] = blocks[:-1]
-        self._first_parent = GENESIS_PARENT
         for name, index in self.tx_heights.items():
             self.tx_heights[name] = {**heights, **index}
-        self._archive = None
+        self._below = None
 
     # -- determinism and audit hooks --------------------------------------------------------------
 
@@ -722,14 +634,6 @@ class Ledger:
             digest = blk._digest = truncated_hash(
                 digest + blk.entry().encode())
         return digest
-
-    def _head_digests(self, chain: list[Block]) -> tuple[bytes, bytes]:
-        """The parent digest and the digest of the chain's last block. The
-        walk of `_head_digest` caches every digest from the newest stored
-        one to the head, so the parent's is cached too."""
-        digest = self._head_digest(chain)
-        return (chain[-2]._digest if len(chain) > 1
-                else self._first_parent), digest
 
     def state_hash(self) -> str:
         """H(head state lines || head digest)."""

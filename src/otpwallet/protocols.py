@@ -37,14 +37,10 @@ class ProtocolAbort(Exception):
 
 @dataclass
 class HardwareWallet:
-    """Keypair plus a display; signs only after the user approves.
-
-    display_limit models devices that show only a payload prefix; None
-    shows everything.
-    """
+    """Keypair plus a display; signs only after the user approves what
+    the display shows: the whole payload."""
 
     keypair: signing.KeyPair
-    display_limit: int | None = None
 
     @property
     def public(self) -> bytes:
@@ -54,14 +50,9 @@ class HardwareWallet:
     def account(self) -> str:
         return signing.account_of(self.keypair.public)
 
-    def shown(self, payload: str) -> str:
-        if self.display_limit is None:
-            return payload
-        return payload[: self.display_limit]
-
     def request_signature(self, tx: Transaction, payload: str,
                           approve) -> bool:
-        if not approve(self.shown(payload)):
+        if not approve(payload):
             return False
         tx.signature = self.keypair.sign(tx.signing_bytes())
         return True
@@ -77,8 +68,7 @@ class UserModel:
         self.expected_display = payload
 
     def approve(self, shown: str) -> bool:
-        # The user can only compare what the device shows.
-        return shown == self.expected_display[: len(shown)] and bool(shown)
+        return shown == self.expected_display and bool(shown)
 
     def compare(self, a: str, b: str) -> bool:
         return a == b
@@ -91,7 +81,7 @@ class UserModel:
 
 
 def render_op(addr: str, param: int, op_type: OpType) -> str:
-    # Address first: the most critical field lands in a truncated display.
+    # Address first: the most critical field leads the display.
     return f"addr={addr} param={param} type={op_type.value}"
 
 
@@ -112,7 +102,6 @@ class System:
     # of the current subtree: the contract confirms no other.
     initialised: dict[int, tuple[str, OpType, str, int]] = field(
         default_factory=dict)
-    depth_checks: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def user_account(self) -> str:
@@ -170,9 +159,7 @@ def bootstrap_system(system: System, mode: str = "secure", funding: int = 1000,
     if mode == "insecure":
         # The wallet displays the root it is about to sign; the user holds
         # it against the authenticator's own display.
-        shown_root = hw.shown(root.hex())
-        auth_root = auth.display_root().hex()
-        if not user.compare(shown_root, auth_root[: len(shown_root)]):
+        if not user.compare(root.hex(), auth.display_root().hex()):
             raise ProtocolAbort("root displayed by the wallet does not match "
                                 "the authenticator; deployment refused")
 
@@ -234,9 +221,8 @@ def _status(receipt) -> str:
     return receipt.status if receipt is not None else "missing"
 
 
-def wait_confirmations(system: System, txid: str) -> int:
-    """Background wait until the tx sits under confirmation_depth blocks;
-    returns its confirmations then.
+def wait_confirmations(system: System, txid: str) -> None:
+    """Background wait until the tx sits under confirmation_depth blocks.
 
     A reorg that orphans the tx puts it back in the mempool, and the wait
     mines it again; a tx that left both chain and mempool aborts. Missing
@@ -253,7 +239,7 @@ def wait_confirmations(system: System, txid: str) -> int:
                 raise ProtocolAbort(f"transaction {txid} vanished")
             batch = 1
         elif confs >= depth:
-            return confs
+            return
         else:
             batch = depth - confs
         for _ in range(batch):
@@ -263,20 +249,18 @@ def wait_confirmations(system: System, txid: str) -> int:
 
 
 def init_operation(system: System, op_type: OpType, addr: str, param: int,
-                   tampered_addr: str | None = None,
-                   tampered_param: int | None = None) -> dict:
+                   tampered_addr: str | None = None) -> dict:
     """First factor: the signed init, mined into one block.
 
-    The tampered_* arguments model a compromised client rewriting the
-    transaction after the user entered their intent.
+    `tampered_addr` models a compromised client rewriting the recipient
+    after the user entered their intent.
     """
     system.user.expect(render_op(addr, param, op_type))
     sent_addr = tampered_addr if tampered_addr is not None else addr
-    sent_param = tampered_param if tampered_param is not None else param
     receipt = send(system, {"fn": "init_op", "contract": system.contract_id,
-                            "addr": sent_addr, "param": sent_param,
+                            "addr": sent_addr, "param": param,
                             "type": op_type},
-                   render_op(sent_addr, sent_param, op_type))
+                   render_op(sent_addr, param, op_type))
     if _status(receipt) != "ok":
         return {"ok": False, "stage": "init", "status": _status(receipt)}
     op_id = int(receipt.result)
@@ -293,11 +277,7 @@ def confirm_operation(system: System, op_id: int,
         return {"ok": False, "stage": "confirm", "op_id": op_id,
                 "status": "not-initialised"}
     init_txid, op_type, addr, param = system.initialised[op_id]
-    confs = wait_confirmations(system, init_txid)
-    if confs < system.client.confirmation_depth:
-        raise ProtocolAbort(
-            f"refusing to reveal an OTP at {confs} confirmations")
-    system.depth_checks.append((op_id, confs))
+    wait_confirmations(system, init_txid)
 
     if otp is None:
         otp = system.user.transfer_digest(
@@ -315,11 +295,9 @@ def confirm_operation(system: System, op_id: int,
 
 
 def run_operation(system: System, op_type: OpType, addr: str, param: int,
-                  tampered_addr: str | None = None,
-                  tampered_param: int | None = None) -> dict:
+                  tampered_addr: str | None = None) -> dict:
     """Two-stage operation: signed init, wait, OTP confirm."""
-    outcome = init_operation(system, op_type, addr, param,
-                             tampered_addr, tampered_param)
+    outcome = init_operation(system, op_type, addr, param, tampered_addr)
     if not outcome["ok"]:
         return outcome
     return confirm_operation(system, outcome["op_id"])
@@ -386,8 +364,7 @@ def run_new_root(system: System, mode: str = "secure") -> dict:
     for stage, value, preview in ((1, stages.h_root_and_otp, preview_h),
                                   (2, stages.new_root, preview_root)):
         if mode == "insecure":
-            shown = system.hw.shown(value.hex())
-            if not user.compare(shown, preview.hex()[: len(shown)]):
+            if not user.compare(value.hex(), preview.hex()):
                 raise ProtocolAbort(f"stage-{stage} display mismatch between "
                                     "wallet and authenticator")
         user.expect(value.hex())

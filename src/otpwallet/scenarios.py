@@ -431,9 +431,13 @@ def fork_replay(seed: int = 0) -> ScenarioResult:
                  ledger.confirmations(init_txid) == 0)
     outcome = confirm_operation(system, init["op_id"])
     result.check("confirmation after the wait succeeds", outcome["ok"])
+    # The confirm sits in the block after the wait ended, so the init was
+    # this many blocks deep when the OTP was revealed.
+    confirm_confs = ledger.confirmations(outcome["txid"])
     result.check("confirmation waited for full depth",
-                 all(c >= system.client.confirmation_depth
-                     for _, c in system.depth_checks))
+                 confirm_confs is not None
+                 and (ledger.confirmations(init_txid) - confirm_confs - 1
+                      >= system.client.confirmation_depth))
     return _finish(result, system, baseline)
 
 

@@ -1,6 +1,7 @@
 """Shared test harness: a wallet contract driven without the ledger, and
-cache-free references for the contract's state lines and the ledger's
-chained digest, state hash, block archive and checkpoint head."""
+cache-free references for the contract's state lines, the call codec, and
+the ledger's block entries, chained digest, state hash and checkpoint
+head."""
 
 import json
 
@@ -9,8 +10,8 @@ from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
 from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
 from otpwallet.hashing import truncated_hash
-from otpwallet.ledger import (Block, Transaction, TxReceipt, decode_call,
-                              encode_call)
+from otpwallet.ledger import CALL_ARGS, encode_call
+from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams
 
 K = bytes(range(16))
 T0 = 1_600_000_000
@@ -117,34 +118,37 @@ def reference_state_lines(wallet) -> list[str]:
     return lines
 
 
+# Argument type -> the value of the JSON that `encode_call` writes for it.
+_FROM_JSON = {
+    str: str, int: int, bytes: bytes.fromhex,
+    MerkleProof: lambda j: MerkleProof(tuple(map(bytes.fromhex, j))),
+    SubtreeLayer: lambda j: SubtreeLayer(list(map(bytes.fromhex, j[1])), j[0]),
+    OpType: OpType, TreeParams: TreeParams.from_dict,
+}
+
+
+def reference_decode_call(data: dict) -> dict:
+    """The call that `encode_call` wrote, decoded by its schema."""
+    kinds = dict(CALL_ARGS[data["fn"]], fn=str, contract=str)
+    return {key: _FROM_JSON[kinds[key]](value) for key, value in data.items()}
+
+
 def reference_chain(ledger) -> list:
-    """The canonical blocks from genesis. While the ledger keeps a restored
-    archive undecoded, the archive's committed lines are read and decoded
-    here, leaving the ledger as it is."""
+    """The canonical blocks from genesis. While a restored ledger has not
+    read the chain below its base, its reader is called here, leaving the
+    ledger as it is."""
     chain = ledger.branches[ledger.canonical]
-    if ledger._archive is None:
+    if ledger._below is None:
         return chain
-    _, committed, read = ledger._archive
-    archived = []
-    for height, line in enumerate(read(committed).splitlines()):
-        entry = json.loads(line)
-        timestamp, rows = (entry, []) if isinstance(entry, int) else entry
-        receipts = []
-        for (sender, nonce, fee, call), status, result, sig in rows:
-            tx = Transaction(sender, decode_call(call), fee,
-                             None if sig is None else bytes.fromhex(sig), nonce)
-            receipts.append(TxReceipt(tx, status, result))
-        archived.append(Block(height, timestamp, receipts, None))
-    return archived + chain[1:]
+    _, read = ledger._below
+    return read() + chain[1:]
 
 
-def reference_digest(ledger, back: int = 0) -> bytes:
-    """The chained digest of the canonical block `back` blocks below the
-    head, hashed from genesis over each block's entry; genesis's parent
-    digest when that is below genesis."""
+def reference_digest(ledger) -> bytes:
+    """The chained digest of the head block, hashed from genesis over each
+    block's entry."""
     digest = bytes(16)
-    entries = reference_archive(ledger).splitlines()
-    for entry in entries[:len(entries) - back]:
+    for entry in reference_entries(ledger).splitlines():
         digest = truncated_hash(digest + entry)
     return digest
 
@@ -171,16 +175,16 @@ def reference_blocks(ledger) -> list:
         if blk.receipts else blk.timestamp for blk in reference_chain(ledger)]
 
 
-def reference_archive(ledger) -> bytes:
-    """The block archive from genesis, encoded from scratch: one line per
-    canonical block's entry."""
+def reference_entries(ledger) -> bytes:
+    """The entry of every canonical block from genesis, encoded from
+    scratch, one per line."""
     return b"".join(json.dumps(entry, separators=(",", ":")).encode() + b"\n"
                     for entry in reference_blocks(ledger))
 
 
 def reference_head(ledger, keep=()) -> str:
     """The head object of `Ledger.checkpoint(keep)` as compact JSON text,
-    encoded from scratch, for an archive of the whole canonical chain."""
+    encoded from scratch."""
     head = ledger.head
     state = head.state
     index = {}
@@ -197,10 +201,23 @@ def reference_head(ledger, keep=()) -> str:
         "height": head.height,
         "timestamp": head.timestamp,
         "digest": reference_digest(ledger).hex(),
-        "parent": reference_digest(ledger, back=1).hex(),
-        "archive_bytes": len(reference_archive(ledger)),
         "index": {txid: index[txid] for txid in keep},
     }, separators=(",", ":"))
+
+
+def depths_waited(ledger) -> dict[str, int]:
+    """Operation id -> how many blocks deep its init was when its confirm
+    was sent, read off the canonical chain: the confirm sits in the block
+    after the wait ended, so that is `confirmations(init) -
+    confirmations(confirm) - 1`."""
+    txids = {}
+    for blk in ledger.chain:
+        for r in blk.receipts:
+            if r.status == "ok" and r.fn in ("init_op", "confirm_op"):
+                txids.setdefault(r.result, {})[r.fn] = r.txid
+    return {op_id: ledger.confirmations(sent["init_op"])
+            - ledger.confirmations(sent["confirm_op"]) - 1
+            for op_id, sent in txids.items() if len(sent) == 2}
 
 
 RECIPIENTS = ("acct:recipient", "acct:shop", "acct:landlord", "acct:friend")

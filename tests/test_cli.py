@@ -23,7 +23,7 @@ from otpwallet.cli import (
 
 from otpwallet.protocols import bootstrap_system
 
-from harness import reference_archive, reference_state_hash
+from harness import depths_waited, reference_entries, reference_state_hash
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
 
@@ -65,14 +65,13 @@ def test_happy_path_transfer(state, capsys):
     assert "wallet balance: 495" in out
 
 
-STATE_FILES = ["actions.jsonl", "blocks.jsonl", "world.json"]
+STATE_FILES = ["actions.jsonl", "world.json"]
 # The keys of `world.json`'s head, and of the checkpoint it holds, as a save
 # writes them.
 HEAD_KEYS = ["actions", "checkpoint", "log_bytes", "state_hash"]
-CHECKPOINT_HEAD_KEYS = ["accounts", "archive_bytes", "confirmed_transfers",
-                        "contracts", "depth_checks", "digest", "height",
-                        "index", "initialised", "log_digest", "nonces",
-                        "parent", "timestamp"]
+CHECKPOINT_HEAD_KEYS = ["accounts", "confirmed_transfers", "contracts",
+                        "digest", "height", "index", "initialised",
+                        "log_digest", "nonces", "timestamp"]
 
 
 def _files(state_dir) -> list[str]:
@@ -362,17 +361,14 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
     run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
     run(capsys, "--state-dir", state_dir, "op", "init", "--type", "transfer",
         "--addr", "acct:bob", "--param", "5")
-    before = (state_dir / "world.json").read_bytes()
     log = (state_dir / "actions.jsonl").read_bytes()
-    archive = (state_dir / "blocks.jsonl").read_bytes()
     previous = World.load(state_dir).system.ledger.state_hash()
     real_write, real_append = Path.write_text, cli._append
 
     # A tear at each file, in the order a save writes them, on a restored
-    # world and on a replayed one, whose archive is deleted.
+    # world and on a replayed one, whose checkpoint is null.
     for name, restored in [(name, restored) for restored in (True, False)
-                           for name in ("actions.jsonl", "blocks.jsonl",
-                                        "world.json.tmp")]:
+                           for name in ("actions.jsonl", "world.json.tmp")]:
         def torn_append(path, committed, lines, name=name):
             if path.name != name:
                 return real_append(path, committed, lines)
@@ -386,7 +382,8 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
             return real_write(path, text, *args, **kwargs)
 
         if not restored:
-            (state_dir / "blocks.jsonl").unlink()
+            _drop_checkpoint(state_dir)
+        before = (state_dir / "world.json").read_bytes()
         replays = _count_replays(monkeypatch)
         if name.endswith(".jsonl"):
             monkeypatch.setattr(cli, "_append", torn_append)
@@ -400,22 +397,16 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         monkeypatch.undo()
         assert (state_dir / "world.json").read_bytes() == before, name
         assert (state_dir / "actions.jsonl").read_bytes()[: len(log)] == log
-        # The old head binds when the archive holds its committed bytes. A
-        # restored world's save appends past them; a replayed world's save
-        # rewrites the same bytes from genesis, so a tear before or inside
-        # that write may leave fewer. Then one replay lands on the recorded
-        # state and saves a head that the next load restores.
-        blocks = state_dir / "blocks.jsonl"
-        kept = (blocks.exists()
-                and blocks.read_bytes()[: len(archive)] == archive)
-        assert kept or not restored, name
+        # The old head binds, as the log holds its committed bytes; a null
+        # checkpoint costs one replay, which lands on the recorded state
+        # and saves a head that the next load restores.
         replays = _count_replays(monkeypatch)
         loaded = World.load(state_dir)
         assert loaded.log_actions == 1
         assert loaded.system.ledger.state_hash() == previous
         World.load(state_dir)
         monkeypatch.undo()
-        assert replays == ([] if kept else [1]), (name, restored)
+        assert replays == ([] if restored else [1]), (name, restored)
 
 
 def test_a_torn_append_is_ignored_then_cut(state, capsys):
@@ -564,6 +555,15 @@ def _rebind_doc(state_dir, edit) -> None:
     world_file.write_text(json.dumps(data))
 
 
+def _drop_checkpoint(state_dir) -> None:
+    """Set the checkpoint of `world.json`'s head to null, so that the next
+    load replays."""
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    data["head"]["checkpoint"] = None
+    world_file.write_text(json.dumps(data))
+
+
 def _flip_digest(state_dir) -> None:
     """Edit one byte of the head digest in the checkpoint of `world.json`,
     which still parses."""
@@ -579,8 +579,8 @@ def _flip_digest(state_dir) -> None:
                                     "rebound-params-without-LEN_MAX"])
 def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
                                                          damage):
-    """A head checkpoint that is not one a save writes, or a deleted block
-    archive."""
+    """A head checkpoint that is not one a save writes, or none: a null
+    checkpoint."""
     state_dir = history
     world_file = state_dir / "world.json"
     recorded = json.loads(world_file.read_text())["head"]["state_hash"]
@@ -597,7 +597,7 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
         _rebind_doc(state_dir, lambda doc: doc["contracts"][0][
             "params"].pop("LEN_MAX"))
     else:
-        (state_dir / "blocks.jsonl").unlink()
+        _drop_checkpoint(state_dir)
     replays = _count_replays(monkeypatch)
     world = World.load(state_dir)
     assert replays == [1]
@@ -749,8 +749,8 @@ def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
     assert code == 0 and replays == [1]
     assert loaded.system.ledger.state_hash() == recorded
     assert loaded.system.initialised == system.initialised
-    assert (loaded.system.confirmed_transfers, loaded.system.depth_checks) == (
-        system.confirmed_transfers, system.depth_checks)
+    assert loaded.system.confirmed_transfers == system.confirmed_transfers
+    assert depths_waited(loaded.system.ledger) == depths_waited(system.ledger)
     assert sorted(_checkpoint(state_dir)) == CHECKPOINT_HEAD_KEYS
 
 
@@ -760,7 +760,7 @@ def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
     state_dir = history
     world_file = state_dir / "world.json"
     if damage == "deleted":
-        (state_dir / "blocks.jsonl").unlink()
+        _drop_checkpoint(state_dir)
     else:
         _flip_digest(state_dir)
     replays = _count_replays(monkeypatch)
@@ -1099,7 +1099,7 @@ def test_an_os_error_is_one_state_line(state, monkeypatch, capsys):
 
 def test_a_write_after_a_replay_saves_once(history, monkeypatch, capsys):
     state_dir = history
-    (state_dir / "blocks.jsonl").unlink()
+    _drop_checkpoint(state_dir)
     saves = _count(monkeypatch, World, "save")
     replays = _count_replays(monkeypatch)
     code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
@@ -1120,20 +1120,20 @@ def test_a_save_encodes_only_the_new_blocks(history, monkeypatch, capsys):
     encoded = _count(monkeypatch, ledger_mod, "encode_call")
     code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
                      "transfer", "--addr", "acct:bob", "--param", "5")
-    encodes = len(encoded)              # `_receipts` decodes the archive
+    encodes = len(encoded)              # `_receipts` replays the log
     mined = _receipts(state_dir) - before
     assert code == 0 and mined >= 1 and encodes == mined
 
 
 def _relayout(state_dir, layout: str) -> str:
     """`world.json` with its checkpoint in the older layout that held the
-    block archive too: the head object, then a `blocks` array of every
+    block entries too: the head object, then a `blocks` array of every
     block's entry. Written compact with the blocks last, indented, or
     spaced with the blocks first."""
     data = json.loads((state_dir / "world.json").read_text())
     head = data["head"]["checkpoint"]
-    blocks = [json.loads(line) for line in
-              (state_dir / "blocks.jsonl").read_bytes().splitlines()]
+    blocks = [json.loads(line) for line in reference_entries(
+        World.load(state_dir).system.ledger).splitlines()]
     if layout == "spaced":
         data["head"]["checkpoint"] = {"blocks": blocks, "head": head}
         return json.dumps(data, separators=(" , ", " : "))
@@ -1147,11 +1147,11 @@ def _relayout(state_dir, layout: str) -> str:
 def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
         history, monkeypatch, capsys, layout):
     state_dir = history
-    world_file, archive = state_dir / "world.json", state_dir / "blocks.jsonl"
+    world_file = state_dir / "world.json"
     text = _relayout(state_dir, layout)
     with pytest.raises(ledger_mod.LedgerError):
         ledger_mod.Ledger.from_checkpoint(
-            json.loads(text)["head"]["checkpoint"], archive.read_bytes)
+            json.loads(text)["head"]["checkpoint"], list)
     world_file.write_text(text)
     recorded = json.loads(world_file.read_text())["head"]["state_hash"]
 
@@ -1160,13 +1160,12 @@ def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
     assert code == 0 and replays == [1]
 
     # The replay saved the head in the layout `checkpoint` writes, and the
-    # archive holding exactly the chain's entries, and the next load
-    # restores them.
+    # next load restores it.
     restored = World.load(state_dir)
     assert replays == [1]
     assert restored.system.ledger.state_hash() == recorded
     assert sorted(_checkpoint(state_dir)) == CHECKPOINT_HEAD_KEYS
-    assert archive.read_bytes() == reference_archive(restored.system.ledger)
+    assert _files(state_dir) == STATE_FILES
 
 
 def _written(monkeypatch) -> list:
@@ -1179,20 +1178,17 @@ def _written(monkeypatch) -> list:
 
 def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
                                                capsys):
-    """... the log and the archive: a write appends its one action to the
-    log and the entries of the blocks it mines to the archive, which a
-    replay's save rewrites from genesis to the same bytes, opens no file in
+    """... the log and `world.json`: a write, on a restored world or after
+    a replay, appends its one action to the log, opens no other file in
     place for writing, and replaces `world.json` through its one temp file
     and its one rename."""
     state_dir = history
-    log, archive = state_dir / "actions.jsonl", state_dir / "blocks.jsonl"
+    log = state_dir / "actions.jsonl"
     real_open, real_replace = open, os.replace
     for restored in (True, False):
         if not restored:
-            archive.unlink()
+            _drop_checkpoint(state_dir)
         before = log.read_bytes()
-        archived = archive.read_bytes() if restored else b""
-        height = archived.count(b"\n")
         replays = _count_replays(monkeypatch)
         written = _written(monkeypatch)
         opened = []
@@ -1211,15 +1207,11 @@ def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
         assert written == ["world.json.tmp"]
         assert renamed == [("world.json.tmp", "world.json")]
         assert [(name, mode) for name, mode in opened if mode != "rb"] == [
-            ("actions.jsonl", "ab"), ("blocks.jsonl", "ab")]
+            ("actions.jsonl", "ab")]
         assert _files(state_dir) == STATE_FILES
         assert log.read_bytes() == before + _line({
             "cmd": "init", "type": "transfer", "addr": "acct:bob",
             "param": 5})
-        lines = reference_archive(World.load(state_dir).system.ledger)
-        mined = lines.splitlines(keepends=True)[height:]
-        assert len(mined) >= 1
-        assert archive.read_bytes() == archived + b"".join(mined)
 
 
 def test_an_unknown_operation_type_is_a_usage_error(history, capsys):
@@ -1236,13 +1228,12 @@ def test_an_unknown_operation_type_is_a_usage_error(history, capsys):
 def test_a_restore_and_a_read_command_decode_no_block(history, monkeypatch,
                                                       capsys):
     state_dir = history
-    decoded = _count(monkeypatch, ledger_mod, "decode_call")
     replays = _count_replays(monkeypatch)
     world = World.load(state_dir)
     code, _, _ = run(capsys, "--state-dir", state_dir, "root", "show")
-    assert code == 0 and replays == [] and decoded == []
+    assert code == 0 and replays == []
     assert len(world.system.ledger.chain) == world.system.ledger.head.height + 1
-    assert decoded                      # reading the chain decodes it
+    assert replays == [1]               # reading the chain replays the log
 
 
 def test_a_write_hashes_one_digest_per_block_it_mines(history, monkeypatch,
@@ -1263,115 +1254,147 @@ def test_a_write_hashes_one_digest_per_block_it_mines(history, monkeypatch,
                      "transfer", "--addr", "acct:bob", "--param", "5")
     monkeypatch.undo()
     mined = World.load(state_dir).system.ledger.head.height - height
-    # The restore checks the archive's last line with one digest more.
-    assert code == 0 and mined >= 1 and len(digests) == mined + 1
+    assert code == 0 and mined >= 1 and len(digests) == mined
 
 
 def test_confirmations_on_a_restored_world_decode_nothing(history,
                                                           monkeypatch):
     state_dir = history
     restored = World.load(state_dir).system
-    decoded = _count(monkeypatch, ledger_mod, "decode_call")
+    replays = _count_replays(monkeypatch)
     confs = {op_id: restored.ledger.confirmations(txid)
              for op_id, (txid, *_) in restored.initialised.items()}
-    assert decoded == []
+    assert replays == []
     monkeypatch.undo()
-    (state_dir / "blocks.jsonl").unlink()
+    _drop_checkpoint(state_dir)
     replayed = World.load(state_dir).system.ledger
     assert confs == {op_id: replayed.confirmations(txid)
                      for op_id, (txid, *_) in restored.initialised.items()}
     assert sorted(confs) == [0, 1] and confs[1] >= 0
 
 
-def test_a_consistently_tampered_archive_fails_when_read(history, monkeypatch):
-    """An archive rewritten with an executed row's status changed and its
-    new length committed in the checkpoint of `world.json`: the head still
-    binds, and reading the chain fails."""
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_no_command_reads_the_chain_below_a_restored_head(tmp_path,
+                                                          monkeypatch, capsys,
+                                                          mode):
+    """Every command that loads a world, after a bootstrap and with a
+    rotation in the mode, restores it and never calls the chain reader.
+    One chain read then replays the log once and gives the replayed
+    world's event log, signature audit and state hash."""
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(SEED_HEX + "\n")
+    state_dir = tmp_path / "wallet"
+    assert run(capsys, "--state-dir", state_dir, "bootstrap", "--mode", mode,
+               "--params", "128,4,1,2,1", "--seed-file", seed_file)[0] == 0
+    reads = _count(monkeypatch, ledger_mod.Ledger, "_materialize")
+    replays = _count_replays(monkeypatch)
+    # Slot 1 ends the first subtree and slot 3 the generation.
+    for op_id, step in ((0, ["subtree", "next"]),
+                        (2, ["root", "rotate", "--mode", mode])):
+        assert run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+                   "transfer", "--addr", "acct:bob", "--param", 1)[0] == 0
+        assert run(capsys, "--state-dir", state_dir, "op", "confirm",
+                   "--op-id", op_id, "--otp",
+                   _otp_hex(capsys, state_dir, op_id))[0] == 0
+        assert run(capsys, "--state-dir", state_dir, "root", "show")[0] == 0
+        assert run(capsys, "--state-dir", state_dir, *step)[0] == 0
+    assert reads == [] and replays == []
+
+    ledger = World.load(state_dir).system.ledger
+    read = (ledger.event_log(), ledger.audit_signatures(), ledger.state_hash())
+    assert reads == [1] and replays == [1]
+    monkeypatch.undo()
+    _drop_checkpoint(state_dir)
+    replayed = World.load(state_dir).system.ledger
+    assert read == (replayed.event_log(), replayed.audit_signatures(),
+                    replayed.state_hash())
+    assert read[1] == [] and len(read[0]) == 10
+
+
+@pytest.fixture
+def other_world(tmp_path, capsys):
+    """A world of another seed, with one pending transfer."""
+    seed_file = tmp_path / "other-seed.txt"
+    seed_file.write_text("ff" * 16 + "\n")
+    state_dir = tmp_path / "other"
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    run(capsys, "--state-dir", state_dir, "op", "init", "--type", "transfer",
+        "--addr", "acct:bob", "--param", "5")
+    return state_dir
+
+
+@pytest.mark.parametrize("edit", ["another-replay", "a-rejected-confirm",
+                                  "another-seed"])
+def test_a_consistently_tampered_log_fails_when_read(history, other_world,
+                                                     monkeypatch, edit):
+    """A log edited, at its committed length, to another replay or to one
+    that fails, whose digest the checkpoint of `world.json` re-binds: the
+    head still binds, and reading the chain fails. So does a chain read
+    from another seed's world."""
     state_dir = history
-    archive = state_dir / "blocks.jsonl"
-    entries = [json.loads(line) for line in archive.read_bytes().splitlines()]
-    row = next(row for entry in entries if type(entry) is list
-               for row in entry[1] if row[1] == "ok")
-    row[1] = "revert:funds"
-    text = b"".join(json.dumps(e, separators=(",", ":")).encode() + b"\n"
-                    for e in entries)
-    archive.write_bytes(text)
-    _rebind_doc(state_dir, lambda doc: doc.update(archive_bytes=len(text)))
+    actions = _actions(state_dir)
+    if edit == "another-replay":
+        actions[0]["param"] = 6
+    elif edit == "a-rejected-confirm":
+        actions[2]["otp"] = "00" * 16
+    log = b"".join(map(_line, actions))
+    (state_dir / "actions.jsonl").write_bytes(log)
+    _rebind_doc(state_dir, lambda doc: doc.update(
+        log_digest=hashlib.sha256(log).hexdigest()))
 
     replays = _count_replays(monkeypatch)
     ledger = World.load(state_dir).system.ledger     # binds by the head alone
     assert replays == []
+    if edit == "another-seed":
+        ledger = ledger_mod.Ledger.from_checkpoint(
+            _checkpoint(state_dir), World.load(other_world)._chain_reader())
     for read in (lambda: ledger.chain, ledger.event_log,
                  ledger.audit_signatures):
         with pytest.raises(ledger_mod.LedgerError):
             read()
 
 
-def test_a_torn_archive_append_is_ignored_then_cut(history, monkeypatch,
-                                                   capsys):
+@pytest.mark.parametrize("damage", ["intact", "torn-append", "ten-bytes-short",
+                                    "deleted", "lowered-length"])
+def test_a_world_with_a_block_archive_restores_and_keeps_it(history,
+                                                             monkeypatch,
+                                                             capsys, damage):
+    """A world laid out as saves wrote it while the block archive existed:
+    a `blocks.jsonl` of every block's entry, and a checkpoint that also
+    holds the head's parent digest, the archive's length and the depth
+    checks. No file reads the archive any more, so whole, torn, short,
+    deleted or committed at a lowered length, commands restore the world
+    without replay and leave the archive as it is; reading the chain
+    replays the log instead."""
     state_dir = history
-    archive = state_dir / "blocks.jsonl"
-    shown = run(capsys, "--state-dir", state_dir, "root", "show")
-    with open(archive, "ab") as f:
-        f.write(b'[1600000000,[[["')
-    replays = _count_replays(monkeypatch)
-    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
-    assert shown[0] == 0 and replays == []
-    code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
-                     "transfer", "--addr", "acct:bob", "--param", "5")
-    head = _checkpoint(state_dir)
     ledger = World.load(state_dir).system.ledger
-    assert code == 0 and replays == []
-    assert head["archive_bytes"] == len(archive.read_bytes())
-    assert archive.read_bytes() == reference_archive(ledger)
-    assert ledger.state_hash() == reference_state_hash(ledger)
-    assert ledger.audit_signatures() == []
-
-
-@pytest.mark.parametrize("cut", ["inside-a-line", "whole-last-line"])
-def test_a_lowered_archive_length_costs_one_replay(history, monkeypatch,
-                                                   capsys, cut):
-    """A head whose committed archive length was lowered in `world.json`
-    does not bind: the archive's committed bytes no longer end
-    with the head block's line. The write replays once, its save rewrites
-    the archive, and then commands restore and the chain decodes."""
-    state_dir = history
+    entries = reference_entries(ledger)
+    parent = bytes(16)
+    for entry in entries.splitlines()[:-1]:
+        parent = ledger_mod.truncated_hash(parent + entry)
     archive = state_dir / "blocks.jsonl"
-    shown = run(capsys, "--state-dir", state_dir, "root", "show")
-    last = len(archive.read_bytes().splitlines(keepends=True)[-1])
-    lowered = 10 if cut == "inside-a-line" else last
+    archive.write_bytes({"torn-append": entries + b'[1600000000,[[["',
+                         "ten-bytes-short": entries[:-10]}.get(damage, entries))
+    committed = len(entries) - 10 * (damage == "lowered-length")
     _rebind_doc(state_dir, lambda doc: doc.update(
-        archive_bytes=doc["archive_bytes"] - lowered))
-    replays = _count_replays(monkeypatch)
-    code, _, err = run(capsys, "--state-dir", state_dir, "op", "init",
-                       "--type", "transfer", "--addr", "acct:bob",
-                       "--param", "5")
-    assert code == 0 and err == "" and replays == [1]
-    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
-    ledger = World.load(state_dir).system.ledger
-    assert replays == [1]
-    assert len(ledger.chain) == ledger.head.height + 1
-    assert archive.read_bytes() == reference_archive(ledger)
-    assert ledger.audit_signatures() == []
-
-
-@pytest.mark.parametrize("damage", ["ten-bytes-short", "deleted"])
-def test_a_short_archive_costs_one_replay(history, monkeypatch, capsys,
-                                          damage):
-    """An archive shorter than its committed length does not bind: the
-    command replays once, its save rewrites the archive from genesis, and
-    the next command restores."""
-    state_dir = history
-    archive = state_dir / "blocks.jsonl"
-    intact = archive.read_bytes()
-    shown = run(capsys, "--state-dir", state_dir, "root", "show")
+        parent=parent.hex(), archive_bytes=committed,
+        depth_checks=[[int(op_id), depth] for op_id, depth
+                      in depths_waited(ledger).items()]))
     if damage == "deleted":
         archive.unlink()
-    else:
-        archive.write_bytes(intact[:-10])
+    kept = _files(state_dir), {p.name: p.read_bytes()
+                               for p in state_dir.glob("blocks.jsonl")}
     replays = _count_replays(monkeypatch)
-    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
-    assert shown[0] == 0 and replays == [1]
-    assert archive.read_bytes() == intact
-    assert run(capsys, "--state-dir", state_dir, "root", "show") == shown
-    assert replays == [1]
+    for argv in (["root", "show"], ["otp", "show", "--op-id", 1],
+                 ["op", "confirm", "--op-id", 1, "--otp",
+                  _otp_hex(capsys, state_dir, 1)],
+                 ["op", "init", "--type", "transfer", "--addr", "acct:bob",
+                  "--param", 5]):
+        assert run(capsys, "--state-dir", state_dir, *argv)[0] == 0, argv
+    assert replays == []
+    assert kept == (_files(state_dir), {p.name: p.read_bytes() for p
+                                        in state_dir.glob("blocks.jsonl")})
+    assert sorted(_checkpoint(state_dir)) == CHECKPOINT_HEAD_KEYS
+    restored = World.load(state_dir).system.ledger
+    assert restored.audit_signatures() == [] and replays == [1]
+    assert restored.state_hash() == reference_state_hash(restored)

@@ -6,9 +6,8 @@ process. Test-local wrappers count the bytes each command reads from and
 writes to each state file, the bytes it JSON-decodes from each and the
 bytes it JSON-encodes, the bytes it hashes with SHA-256 and the operation
 records it builds. The counters that no longer grow with history are
-asserted equal at both depths; the action log and the block archive are
-asserted decoded not at all, a read command encodes nothing, and SHA-256
-reads only the log. The others are not asserted: `world.json`, whose head
+asserted equal at both depths; the action log is asserted decoded not at
+all, a read command encodes nothing, and SHA-256 reads only the log. The others are not asserted: `world.json`, whose head
 checkpoint lists every `op` line and the oracle lists, is read, decoded
 and written whole, and the whole action log is read and hashed. Not yet
 counted: `truncated_hash` input."""
@@ -110,8 +109,7 @@ class _CountedHash:
 
 
 # The package function that JSON-decodes each state file.
-DECODERS = {"load": "world.json", "_parse_log": "actions.jsonl",
-            "_materialize": "blocks.jsonl"}
+DECODERS = {"load": "world.json", "_parse_log": "actions.jsonl"}
 
 
 def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
@@ -195,18 +193,9 @@ def work(worlds, tmp_path_factory) -> dict:
     return out
 
 
-def test_a_command_reads_one_archive_window_at_any_depth(work):
-    """A restore reads back the archive's last committed line, in a window
-    that holds it, and decodes none of it."""
-    for command in COMMANDS:
-        read = [work[command, slots][0]["read", "blocks.jsonl"]
-                for slots in DEPTHS]
-        assert 0 < read[0] == read[1] <= 1024, (command, read)
-
-
 def test_a_restore_decodes_no_log_byte_at_any_depth(work):
     """Only `world.json`, which holds the head checkpoint, is JSON-decoded,
-    by the function that reads it; the log and the archive are not."""
+    by the function that reads it; the log is not."""
     for (command, slots), (counts, _) in work.items():
         decoded = {key[1] for key, n in counts.items()
                    if key[0] == "decoded" and n}
@@ -214,13 +203,12 @@ def test_a_restore_decodes_no_log_byte_at_any_depth(work):
 
 
 def test_the_counters_see_each_file_a_write_writes(work):
-    """`op init` appends to the log and the archive and replaces
-    `world.json`, and each write is counted."""
+    """`op init` appends to the log and replaces `world.json`, and each
+    write is counted."""
     for slots in DEPTHS:
         counts, (world, _) = work["op init", slots]
         assert counts["written", "world.json"] == len(world.encode())
-        for name in ("actions.jsonl", "blocks.jsonl"):
-            assert counts["written", name] > 0, (name, slots)
+        assert counts["written", "actions.jsonl"] > 0, slots
 
 
 def test_sha256_reads_only_the_log(work):
@@ -232,8 +220,8 @@ def test_sha256_reads_only_the_log(work):
 
 def test_a_read_command_encodes_no_json_at_any_depth(work):
     """`root show` encodes nothing; `op init` encodes its log line, the
-    entries of the blocks it mines and `world.json`, which grows with
-    history (its head checkpoint lists every `op` line)."""
+    entries of the blocks it mines (for their digests) and `world.json`,
+    which grows with history (its head checkpoint lists every `op` line)."""
     for slots in DEPTHS:
         assert work["root show", slots][0]["encoded"] == 0, slots
         assert work["op init", slots][0]["encoded"] > 0, slots
@@ -252,16 +240,17 @@ def test_the_written_head_indexes_the_same_rows_at_both_depths(work):
     assert kept[0] == kept[1] <= N_S
 
 
-def test_a_write_appends_the_same_blocks_at_both_depths(work):
-    """`op init` appends one line per block it mines, of the same bytes up
-    to the decimal width of its nonce and of the operation id; `root show`
-    writes nothing."""
+def test_a_write_appends_the_same_blocks_at_both_depths(work, worlds):
+    """`op init` mines the same number of blocks and appends the same one
+    log line at both depths; `root show` writes nothing."""
     appended = [work["op init", slots][0] for slots in DEPTHS]
-    assert appended[0]["lines", "blocks.jsonl"] >= 1
-    assert (appended[0]["lines", "blocks.jsonl"]
-            == appended[1]["lines", "blocks.jsonl"])
-    widths = [a["written", "blocks.jsonl"] for a in appended]
-    assert 0 <= widths[1] - widths[0] <= 4, widths
+    assert [a["lines", "actions.jsonl"] for a in appended] == [1, 1]
+    assert (appended[0]["written", "actions.jsonl"]
+            == appended[1]["written", "actions.jsonl"])
+    mined = [json.loads(work["op init", slots][1][0])["head"]["checkpoint"][
+        "height"] - json.loads((worlds[slots] / "world.json").read_text())[
+        "head"]["checkpoint"]["height"] for slots in DEPTHS]
+    assert mined[0] == mined[1] >= 1, mined
     for slots in DEPTHS:
         counts, _ = work["root show", slots]
         assert not [key for key in counts if key[0] in ("written", "lines")]

@@ -1,5 +1,6 @@
 """Ledger simulator: ordering, forks, confirmations, determinism."""
 
+import dataclasses
 import json
 import random
 
@@ -13,6 +14,7 @@ from otpwallet.client import ClientStore
 from otpwallet.contract import OpType
 from otpwallet.ledger import (
     CALL_ARGS,
+    Block,
     Ledger,
     LedgerError,
     Transaction,
@@ -20,7 +22,7 @@ from otpwallet.ledger import (
 )
 from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, lsb, with_lsb
 
-from harness import (reference_archive, reference_chain, reference_head,
+from harness import (reference_chain, reference_entries, reference_head,
                      reference_state_hash)
 
 
@@ -29,38 +31,41 @@ def pay(frm, to, amount, fee, nonce):
                        fee=fee, nonce=nonce)
 
 
-def reader(archive: bytes, reads: list | None = None):
-    """A reader of the first n bytes of `archive`, logging each n it is
-    asked for in `reads`."""
-    def read(n):
+def reader(chain: list, reads: list | None = None):
+    """A reader that returns `chain`, logging each call in `reads`."""
+    def read():
         if reads is not None:
-            reads.append(n)
-        return archive[:n]
+            reads.append(len(chain))
+        return chain
     return read
 
 
 def restore(ledger, keep=(), reads=None) -> Ledger:
-    """The ledger restored from its checkpoint, whose archive lines make up
-    the whole archive."""
-    lines, head = ledger.checkpoint(keep)
-    return Ledger.from_checkpoint(head, reader(lines, reads))
+    """The ledger restored from its checkpoint, with a reader of its
+    canonical chain as it is now."""
+    return Ledger.from_checkpoint(ledger.checkpoint(keep),
+                                  reader(list(ledger.chain), reads))
 
 
 def forged(ledger, change, keep=()) -> Ledger:
     """The ledger restored from its checkpoint after `change` edits the
-    parsed head and the archive's parsed entries; the head commits the
-    edited archive's length unless `change` sets another."""
-    lines, head = ledger.checkpoint(keep)
-    doc = json.loads(json.dumps(head))
-    entries = [json.loads(line) for line in lines.splitlines()]
-    assert b"".join(json.dumps(e, separators=(",", ":")).encode() + b"\n"
-                    for e in entries) == lines
-    change(doc, entries)
-    archive = b"".join(json.dumps(e, separators=(",", ":")).encode() + b"\n"
-                       for e in entries)
-    if doc["archive_bytes"] == len(lines):
-        doc["archive_bytes"] = len(archive)
-    return Ledger.from_checkpoint(doc, reader(archive))
+    parsed head and a copy of the canonical chain, stateless blocks whose
+    receipt lists are copies too, that its reader returns."""
+    doc = json.loads(json.dumps(ledger.checkpoint(keep)))
+    blocks = [Block(blk.height, blk.timestamp, list(blk.receipts), None)
+              for blk in ledger.chain]
+    change(doc, blocks)
+    return Ledger.from_checkpoint(doc, reader(blocks))
+
+
+def edited(blocks, height, **fields) -> None:
+    """Replace the first receipt of the block at `height` by one whose
+    fields, or its transaction's, are set from `fields`."""
+    receipt = blocks[height].receipts[0]
+    tx_fields = {k: fields.pop(k) for k in list(fields)
+                 if k in ("sender", "call", "fee", "signature", "nonce")}
+    blocks[height].receipts[0] = dataclasses.replace(
+        receipt, tx=dataclasses.replace(receipt.tx, **tx_fields), **fields)
 
 
 @pytest.fixture
@@ -373,10 +378,10 @@ def test_a_restored_ledger_verifies_every_archived_signature(monkeypatch):
     restored = restore(w.ledger)
     assert restored.audit_signatures() == []
     assert len(calls) == 2
-    # A signature swapped in the archive changes its block's digest, so the
-    # archive no longer decodes.
-    swapped = forged(w.ledger, lambda head, entries: entries[3][1][0]
-                     .__setitem__(3, bytes(64).hex()))
+    # A signature swapped in the chain read below the head changes its
+    # block's digest, so the read fails.
+    swapped = forged(w.ledger, lambda head, blocks: edited(
+        blocks, 3, signature=bytes(64)))
     assert swapped.state_hash() == w.ledger.state_hash()
     with pytest.raises(LedgerError):
         swapped.audit_signatures()
@@ -388,8 +393,8 @@ def test_a_call_that_is_not_an_object_is_a_ledger_error(ledger):
     ledger.mine_block()
     with pytest.raises(LedgerError):
         ledger.submit(Transaction("a", 5, nonce=1))
-    restored = forged(ledger, lambda head, entries: entries[1][1][0][0]
-                      .__setitem__(3, 5))           # the archived call
+    restored = forged(ledger, lambda head, blocks: edited(
+        blocks, 1, call=5))                         # the call read back
     for read in (restored.event_log, restored.audit_signatures):
         with pytest.raises(LedgerError):
             read()
@@ -592,35 +597,27 @@ def test_signed_bytes_are_built_once_per_transaction(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
-    """Mine, fork, reorg, save and restore at random; the state hash, the
-    archive as saves append to it and the checkpoint head, built from the
-    blocks' caches and digests, always equal a reference built from
-    scratch. A restored ledger keeps its archive undecoded while it mines
-    and checkpoints, and looks up its kept txids, until a fork decodes it.
-    A checkpoint refuses to append once a reorg has left the archived
-    block."""
+    """Mine, fork, reorg and restore at random; the state hash, the
+    entries and the checkpoint head, built from the blocks' caches and
+    digests, always equal a reference built from scratch. A restored
+    ledger leaves the chain below its head unread while it mines and
+    checkpoints, and looks up its kept txids, until a fork reads it."""
     rng = random.Random(seed)
     ledger = Ledger(initial_accounts={"a": 50, "b": 50, "adv": 50})
     low = 0                     # no state below a restored head
-    archived = False            # a restored archive not decoded yet
-    archive, saved = b"", None  # the archive file and its newest block
-
-    def appendable() -> bool:
-        return saved is None or any(
-            blk is saved for blk in ledger.branches[ledger.canonical])
-    moves = ["submit"] * 3 + ["mine"] * 3 + ["fork", "reorg", "restore",
-                                             "save"]
+    unread = False              # a restored chain not read yet
+    moves = ["submit"] * 3 + ["mine"] * 3 + ["fork", "reorg", "restore"]
     # A random run, then a fixed tail: restore, fork at the restored head,
     # outgrow main on the branch and reorg to it.
     tail = ["submit", "mine", "restore", "mine", "submit", "fork-low",
-            "submit", "mine-branch", "mine-branch", "reorg", "mine", "save"]
+            "submit", "mine-branch", "mine-branch", "reorg", "mine"]
     for move in [rng.choice(moves) for _ in range(60)] + tail:
-        # The txids of the head block, as the reference decodes it.
+        # The txids of the head block, as the reference reads it.
         keep = [r.txid for r in reference_chain(ledger)[-1].receipts
                 if r.status != "invalid-nonce"]
         if move == "fork-low":
             branch = ledger.fork(low)
-            archived = False
+            unread = False
         elif move == "mine-branch":
             ledger.mine_block(branch=branch)
         elif move == "submit":
@@ -633,80 +630,74 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
                               rng.choice(sorted(ledger.branches)))
         elif move == "fork" and ledger.head.height > low:
             ledger.fork(rng.randint(low, ledger.head.height - 1))
-            archived = False
+            unread = False
         elif move == "reorg":
             longer = sorted(name for name, chain in ledger.branches.items()
                             if chain[-1].height > ledger.head.height)
             if longer:
                 ledger.reorg(rng.choice(longer))
-        elif move in ("restore", "save") and not ledger.mempool and appendable():
-            lines, head = ledger.checkpoint(keep)
-            archive = archive[:ledger.archive_bytes] + lines
-            if move == "save":
-                ledger.archived(len(archive))
-                saved = ledger.head
-            else:
-                ledger = Ledger.from_checkpoint(head, reader(archive))
-                low, archived, saved = ledger.head.height, True, ledger.head
+        elif move == "restore" and not ledger.mempool:
+            ledger = Ledger.from_checkpoint(
+                ledger.checkpoint(keep), reader(list(reference_chain(ledger))))
+            low, unread = ledger.head.height, True
         assert ledger.state_hash() == reference_state_hash(ledger)
-        if not ledger.mempool and not appendable():
-            with pytest.raises(LedgerError):
-                ledger.checkpoint(keep)
-            # As the save after a replay does, rewrite it from genesis (the
-            # fork that preceded the reorg decoded the archive).
-            archive, saved, ledger._archived = b"", None, (None, 0)
         if not ledger.mempool:
-            lines, head = ledger.checkpoint(keep)
-            assert (archive[:ledger.archive_bytes] + lines
-                    == reference_archive(ledger))
-            assert json.dumps(head, separators=(",", ":")) == reference_head(
-                ledger, keep)
-        assert (ledger._archive is not None) == archived
+            assert json.dumps(ledger.checkpoint(keep), separators=(",", ":")
+                              ) == reference_head(ledger, keep)
+        assert (ledger._below is not None) == unread
     assert ledger.canonical == branch and ledger.head.height > low + 1
     assert [blk.height for blk in ledger.chain] == list(
         range(ledger.head.height + 1))
+    assert [blk.entry().encode() for blk in ledger.chain] == (
+        reference_entries(ledger).splitlines())
 
 
 def test_decoding_an_archive_checks_its_digest_and_index(ledger):
+    """The chain that a reader returns below a restored head, which the
+    block archive held before the action log replaced it, is checked
+    against the head's digest and txid index."""
     txids = [ledger.submit(pay("a", "b", 5, 1, 0)),
              ledger.submit(pay("b", "a", 1, 2, 0))]
     ledger.mine_block()
     ledger.mine_block()
-    lines, _ = ledger.checkpoint()
 
     restored = restore(ledger, keep=txids)
     assert [restored.confirmations(t) for t in txids] == [1, 1]
     assert restored.event_log() == ledger.event_log()
     assert restored.receipt(txids[0]).txid == txids[0]
 
-    def row(entries):
-        return entries[1][1][0]
-
     def damaged(read):
-        _, head = ledger.checkpoint(txids)
-        return Ledger.from_checkpoint(head, read)
+        return Ledger.from_checkpoint(ledger.checkpoint(txids), read)
 
-    def unreadable(n):
-        raise OSError("gone")
+    def unreadable():
+        raise LedgerError("the action log does not replay")
 
+    def later(blocks):
+        blocks[2] = Block(2, blocks[2].timestamp + 1, [], None)
+
+    other = Ledger(initial_accounts={"a": 100, "b": 100, "adv": 100})
+    other.submit(pay("a", "b", 6, 1, 0))
+    other.mine_block()
+    other.mine_block()
     for bad in [forged(ledger, change, txids) for change in (
-        lambda h, e: h["index"].update({txids[1]: 2}),         # a kept height
-        lambda h, e: h["index"].update(f00d=1),                 # a kept txid
-        lambda h, e: row(e)[0].__setitem__(0, "adv"),           # sender
-        lambda h, e: row(e)[0].__setitem__(1, 1),               # nonce
-        lambda h, e: row(e)[0].__setitem__(2, 7),               # fee
-        lambda h, e: row(e)[0][3].update(amount=6),             # a call argument
-        lambda h, e: row(e).__setitem__(1, "revert:funds"),     # status
-        lambda h, e: row(e).__setitem__(2, "edited"),           # result
-        lambda h, e: row(e).__setitem__(3, bytes(64).hex()),    # signature
-        lambda h, e: e.__setitem__(2, e[2] + 1),                # a timestamp
-        lambda h, e: e.pop(),                                   # the base block
-        lambda h, e: h.update(digest="00" * 16),
-        lambda h, e: h.update(archive_bytes=len(lines) + 1),    # past the end
-    )] + [damaged(reader(lines[:-1])),                          # a short read
+        lambda h, b: h["index"].update({txids[1]: 2}),         # a kept height
+        lambda h, b: h["index"].update(f00d=1),                 # a kept txid
+        lambda h, b: edited(b, 1, sender="adv"),
+        lambda h, b: edited(b, 1, nonce=1),
+        lambda h, b: edited(b, 1, fee=7),
+        lambda h, b: edited(b, 1, call={**b[1].receipts[0].tx.call,
+                                        "amount": 6}),
+        lambda h, b: edited(b, 1, status="revert:funds"),
+        lambda h, b: edited(b, 1, result="edited"),
+        lambda h, b: edited(b, 1, signature=bytes(64)),
+        lambda h, b: later(b),                                  # a timestamp
+        lambda h, b: b.pop(),                                   # the base block
+        lambda h, b: b.clear(),                                 # no block
+        lambda h, b: h.update(digest="00" * 16),
+    )] + [damaged(reader(list(other.chain))),                   # another chain
           damaged(unreadable)]:
         bad.mine_block()
-        for _ in range(2):          # a failed decode leaves it undecoded
+        for _ in range(2):          # a failed read leaves it unread
             with pytest.raises(LedgerError):
                 bad.event_log()
         with pytest.raises(LedgerError):
@@ -714,32 +705,31 @@ def test_decoding_an_archive_checks_its_digest_and_index(ledger):
 
 
 def test_a_checkpoint_head_in_another_layout_is_a_ledger_error(ledger):
-    """The older layout, which held the archive as a `blocks` array after
-    the head, a head without its index or with a negative archive length,
-    and objects that are not a head at all: a list, and the checkpoint
-    file's digest that an older head held."""
+    """The older layout, which held the block entries as a `blocks` array
+    after the head, a head without its index, and objects that are not a
+    head at all: a list, and the checkpoint file's digest that an older
+    head held."""
     ledger.submit(pay("a", "b", 5, 1, 0))
     ledger.mine_block()
-    lines, head = ledger.checkpoint()
-    entries = [json.loads(line) for line in lines.splitlines()]
+    head = ledger.checkpoint()
+    entries = [json.loads(line) for line in reference_entries(ledger).splitlines()]
     unindexed = {key: value for key, value in head.items() if key != "index"}
-    for doc in ({"head": head, "blocks": entries}, [], unindexed,
-                {**head, "archive_bytes": -head["archive_bytes"]}, "00" * 32):
+    for doc in ({"head": head, "blocks": entries}, [], unindexed, "00" * 32):
         with pytest.raises(LedgerError):
-            Ledger.from_checkpoint(doc, reader(lines))
+            Ledger.from_checkpoint(doc, reader(list(ledger.chain)))
 
 
 def test_an_index_miss_decodes_the_archive_unless_the_tx_is_pending():
     """On a restored ledger, a kept txid, a txid in the mempool and one
-    mined since the restore read no byte of the archive. Any other txid
-    reads its committed bytes once, and then each answers as on the ledger
+    mined since the restore read nothing below the head. Any other txid
+    calls the chain reader once, and then each answers as on the ledger
     that was never restored."""
     w = WalletChain()
     deploy = w.ledger.chain[1].receipts[0].txid
     inits = [w.init(param) for param in (1, 2)]
     w.ledger.mine_block()
     w.ledger.mine_block()
-    lines, _ = w.ledger.checkpoint()
+    height = w.ledger.head.height
     reads = []
     restored = restore(w.ledger, keep=inits[:1], reads=reads)
     for ledger in (w.ledger, restored):
@@ -756,12 +746,12 @@ def test_an_index_miss_decodes_the_archive_unless_the_tx_is_pending():
     assert restored.receipt(pending).status == "ok" and reads == []
     for txid in (inits[1], deploy, "f00d"):
         assert restored.confirmations(txid) == w.ledger.confirmations(txid)
-        assert reads == [len(lines)]
+        assert reads == [height + 1]
     for txid in (*inits, deploy, pending):
         mine, theirs = restored.receipt(txid), w.ledger.receipt(txid)
         assert (mine.txid, mine.status, mine.result) == (
             theirs.txid, theirs.status, theirs.result)
-    assert reads == [len(lines)]
+    assert reads == [height + 1]
 
 
 def resized(d, size):
@@ -912,8 +902,8 @@ ARGUMENT_VALUES = st.sampled_from(
     max_size=12))
 def test_every_accepted_transaction_checkpoints_and_restores(txs):
     """Whatever `submit` accepts, ok or reverted, is written to a checkpoint
-    and decodes from it to the same chain. A signature that is not bytes
-    counts as none, on chain and in the archive."""
+    and restores from it, reading back the same chain. A signature that is
+    not bytes counts as none, on chain and in the chained digest."""
     w = WalletChain()
     led = w.ledger
     for fn, args, fee, sign in txs:

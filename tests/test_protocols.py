@@ -1,4 +1,4 @@
-"""Protocol runs, party behavior, and the display-truncation regression."""
+"""Protocol runs, party behavior, and the displays the user compares."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from otpwallet import merkle, signing
 from otpwallet.cli import World, main
 from otpwallet.contract import OpType
 from otpwallet.hashing import truncated_hash
+from otpwallet.ledger import Transaction
 from otpwallet.protocols import (
     HardwareWallet,
     ProtocolAbort,
@@ -17,7 +18,10 @@ from otpwallet.protocols import (
     run_new_root,
     run_next_subtree,
     run_operation,
+    submit_signed,
 )
+
+from harness import depths_waited
 
 
 def test_secure_bootstrap_deploys_and_first_confirm_succeeds():
@@ -56,10 +60,14 @@ def test_a_bootstrap_with_no_funding_to_move_deploys(funding):
 
 def test_operation_waits_for_confirmation_depth():
     system = run_bootstrap("secure", seed=5)
-    run_operation(system, OpType.TRANSFER, system.recipient, 1)
-    assert system.depth_checks
-    assert all(c >= system.client.confirmation_depth
-               for _, c in system.depth_checks)
+    init = init_operation(system, OpType.TRANSFER, system.recipient, 1)
+    confirm = confirm_operation(system, init["op_id"])
+    ledger = system.ledger
+    assert (ledger.confirmations(init["txid"])
+            - ledger.confirmations(confirm["txid"]) - 1
+            >= system.client.confirmation_depth)
+    assert list(depths_waited(ledger).values()) == [
+        system.client.confirmation_depth]
 
 
 def test_contract_ids_agree_across_parties():
@@ -76,32 +84,25 @@ def test_tampered_recipient_is_refused_at_the_display():
 
 
 def test_tampered_param_is_refused_at_the_display():
+    # A compromised client sends param 500 for the user's 5; the wallet
+    # displays what it signs, the user compares it whole and refuses.
     system = run_bootstrap("secure", seed=7)
+    system.user.expect(render_op(system.recipient, 5, OpType.TRANSFER))
     with pytest.raises(ProtocolAbort):
-        run_operation(system, OpType.TRANSFER, system.recipient, 5,
-                      tampered_param=500)
-
-
-def test_display_truncation_regression():
-    # Devices showing only a payload prefix: tampering beyond the shown
-    # bytes slips through, tampering the leading address still fails.
-    # The address sits first as the mitigation.
-    system = run_bootstrap("secure", seed=8)
-    system.hw.display_limit = len("addr=acct:recipient")
-    outcome = run_operation(system, OpType.TRANSFER, system.recipient, 5,
-                            tampered_param=400)
-    assert outcome["ok"] or outcome["stage"] == "confirm"
-    assert system.contract.operations[0].param == 400   # slipped through
-    with pytest.raises(ProtocolAbort):
-        run_operation(system, OpType.TRANSFER, system.recipient, 5,
-                      tampered_addr="acct:adversary")
+        submit_signed(system, {"fn": "init_op", "contract": system.contract_id,
+                               "addr": system.recipient, "param": 500,
+                               "type": OpType.TRANSFER},
+                      render_op(system.recipient, 500, OpType.TRANSFER))
+    assert not system.ledger.mempool
 
 
 def test_full_display_shows_everything():
     hw = HardwareWallet(signing.keygen(bytes([1]) * 32))
-    assert hw.shown("x" * 500) == "x" * 500
-    hw.display_limit = 24
-    assert hw.shown("x" * 500) == "x" * 24
+    shown = []
+    tx = Transaction(hw.account, {"fn": "transfer", "to": "b", "amount": 1})
+    assert not hw.request_signature(tx, "x" * 500,
+                                    lambda s: shown.append(s) or False)
+    assert shown == ["x" * 500] and tx.signature is None
 
 
 def test_user_model_compares_and_transfers_via_mnemonic():
@@ -185,7 +186,7 @@ def test_split_steps_replay_run_operation_exactly():
     assert split.ledger.state_hash() == whole.ledger.state_hash()
     assert split.ledger.event_log() == whole.ledger.event_log()
     assert split.confirmed_transfers == whole.confirmed_transfers
-    assert split.depth_checks == whole.depth_checks
+    assert depths_waited(split.ledger) == depths_waited(whole.ledger)
 
 
 def test_otp_is_requested_only_at_confirmation_depth(monkeypatch):
