@@ -18,8 +18,20 @@ Whatever the wallet contract records is read off it instead, as the
 paper's client reads the chain: the contract id, the generation
 (`nextOpID // N`), the client's current subtree and each initialised
 operation's type, address and parameter. The client holds nothing secret
-and is not stored: a restore derives its leaves from the world's seed at
-that generation.
+and is not stored: a restore hands it the seed's leaves at that generation
+as its leaf source, and it derives them and builds its tree on its first
+proof, so a command that reads no proof (`otp show`, `op init`,
+`root show`) builds none. The owner key is not derived by a restore
+either, but on the first signature.
+
+The trade: a restore does not check that the key `hw_seed_hex` derives is
+the contract's owner key, so a read command on a world whose
+`hw_seed_hex` was edited shows the world as it is. A write command needs
+the key anyway, and `World.commit` compares it with the contract's `pk`
+before the action is applied: a mismatch is an `error: state:` line, with
+nothing mined or saved. Without the check, the contract refuses an init
+for its signature, but a confirm, sent unsigned from the edited key's
+account, commits, and the log then replays to another state.
 
 A save appends the new log lines and then writes `world.json`, encoded in
 one pass, to a temp file renamed into place: its only rename. A save that
@@ -70,7 +82,11 @@ the cost model and the security calculator, and with them mpmath. A
 restore parses of the contract's records only the current subtree's, at
 most `N_S` (see `otpwallet.contract`). What a command still pays for by
 history is reading and hashing the log's bytes, and the head's `op` lines
-and confirmed transfers, which `world.json` holds.
+and confirmed transfers, which `world.json` holds. What it pays for by the
+tree size N: `root show` derives the N/P leaves once, on purpose, as the
+authenticator's independent display; `op confirm`, `subtree next` and
+`root rotate` build the client's tree once, at their first proof; and
+bootstrap builds it too.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr; an OSError, such as a `world.json` that is a
@@ -89,7 +105,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import merkle, mnemonic
+from . import mnemonic, signing
 from .client import ClientStore
 from .contract import OP_TYPES, Revert
 from .hashing import DomainError, base_hash_256, random_seed
@@ -97,11 +113,13 @@ from .ledger import Ledger, LedgerError
 from .merkle import TreeParams, all_leaves
 from .mnemonic import MnemonicError
 from .protocols import (
+    HardwareWallet,
     ProtocolAbort,
     System,
     bootstrap_system,
     confirm_operation,
     init_operation,
+    make_parties,
     make_parties_from_material,
     run_new_root,
     run_next_subtree,
@@ -395,6 +413,13 @@ class World:
         return outcome
 
     def commit(self, action: dict) -> dict:
+        """Apply `action` and save it, once the owner key that `hw_seed_hex`
+        derives is the wallet contract's, which no restore checks (see the
+        module docstring)."""
+        system = self.system
+        if system.hw.public != system.contract.pk:
+            raise CliError("state", "the key of hw_seed_hex is not the wallet "
+                                    "contract's owner key")
         result = self.apply(action)
         self.data["actions"].append(action)
         self.save()
@@ -410,26 +435,30 @@ class World:
         subtree, which older saves kept, does not bind. Only then is the
         rest derived from the contract, so the state hash covers it: the
         generation, the client's subtree, and each initialised operation's
-        type, address and parameter. The client's tree is built from the
-        seed's leaves at that generation. The confirmed transfers are still
-        taken as stored. The chain below the head is read, if ever, by
-        `_chain_reader`."""
+        type, address and parameter. The parties are built around the
+        restored ledger, and derive only what the command reads: the client
+        gets the seed's leaves at that generation as its leaf source, and
+        builds its tree on its first proof, and the owner key is derived on
+        its first signature (`commit` checks it first). The confirmed
+        transfers are still taken as stored. The chain below the head is
+        read, if ever, by `_chain_reader`."""
         try:
             ledger = Ledger.from_checkpoint(checkpoint, self._chain_reader())
             if (checkpoint["log_digest"] != self.log_hash.hexdigest()
                     or ledger.state_hash() != self.data["head"]["state_hash"]):
                 return False
-            system = self.build_system()
-            system.ledger = ledger
+            k, params = bytes.fromhex(self.data["seed_hex"]), self.params()
+            system = make_parties(k, HardwareWallet(signing.keygen(
+                bytes.fromhex(self.data["hw_seed_hex"]))), params, ledger)
             (system.contract_id,) = ledger.head.state.contracts
-            contract, params = system.contract, self.params()
+            contract = system.contract
             system.authenticator.eta = eta = contract.next_op_id // params.N
             system.client = ClientStore(
-                levels=merkle.build_levels(all_leaves(
-                    bytes.fromhex(self.data["seed_hex"]), params, eta)),
-                params=params, eta=eta, contract_id=system.contract_id,
+                levels=None, params=params, eta=eta,
+                contract_id=system.contract_id,
                 current_subtree=(contract.current_subtree
-                                 - eta * params.subtree_count))
+                                 - eta * params.subtree_count),
+                leaf_source=lambda: all_leaves(k, params, eta))
             records, kept = (contract.operations.open,
                              ledger.tx_heights[ledger.canonical])
             for op_id, txid in checkpoint["initialised"]:

@@ -1,17 +1,21 @@
 """The client party: stores leaves, builds proofs and transaction payloads.
 
 The client keeps only public data: the Merkle tree over the N/P leaves of
-the current generation, built once when the leaves arrive (at bootstrap,
-or from the seed's leaves when the CLI restores a world), and the tree of
-the staged next generation during a rotation, plus the metadata needed to
-talk to one wallet contract. Every root, sublayer and proof is a read of
-those levels, so no payload costs a hash. The secure bootstrap derives the
-leaves from the seed and then forgets the seed and every OTP.
+the current generation and the tree of the staged next generation during a
+rotation, plus the metadata needed to talk to one wallet contract. Every
+root, sublayer and proof is a read of those levels, so no payload costs a
+hash. Bootstrap, leaf-file ingest and rotation hand the store its levels
+built; the CLI's restore hands it a leaf source instead (the seed's leaves
+at the restored generation), from which the store builds its levels on
+their first read and which it then drops, so a command that reads no proof
+builds no tree. The secure bootstrap derives the leaves from the seed and
+then forgets the seed and every OTP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 # Trees are built as merkle.build_levels, the binding bench/tracing.py wraps.
 from . import merkle
@@ -61,7 +65,9 @@ class NewRootStages:
 
 @dataclass
 class ClientStore:
-    levels: list[list[Digest]]           # current generation's tree, leaves first
+    # The current generation's tree, leaves first; None until the first read
+    # of a store given a leaf source.
+    levels: list[list[Digest]] | None
     params: TreeParams
     eta: int = 0
     contract_id: str = ""
@@ -69,6 +75,8 @@ class ClientStore:
     current_subtree: int = 0             # relative to the current generation
     base: HashFn = field(default=DEFAULT_BASE_HASH, repr=False)
     _staged_levels: list[list[Digest]] | None = field(default=None, repr=False)
+    leaf_source: Callable[[], list[Digest]] | None = field(default=None,
+                                                           repr=False)
 
     # -- bootstrap ---------------------------------------------------------
 
@@ -89,19 +97,27 @@ class ClientStore:
 
     # -- views -------------------------------------------------------------
 
+    def _tree(self) -> list[list[Digest]]:
+        """The current generation's levels, built from the leaf source, which
+        is then dropped, on the first read."""
+        if self.levels is None:
+            self.levels = merkle.build_levels(self.leaf_source(), self.base)
+            self.leaf_source = None
+        return self.levels
+
     @property
     def leaves(self) -> list[Digest]:
-        return self.levels[0]
+        return self._tree()[0]
 
     @property
     def root(self) -> Digest:
-        return self.levels[-1][0]
+        return self._tree()[-1][0]
 
     def sublayer(self, subtree: int) -> SubtreeLayer:
-        return sublayer_in(self.levels, subtree, self.params)
+        return sublayer_in(self._tree(), subtree, self.params)
 
     def sublayer_proof(self, subtree: int) -> MerkleProof:
-        return path(self.levels, subtree, self.params.H_S, self.params.H)
+        return path(self._tree(), subtree, self.params.H_S, self.params.H)
 
     def constructor_args(self) -> tuple[Digest, SubtreeLayer, MerkleProof]:
         return self.root, self.sublayer(0), self.sublayer_proof(0)
@@ -125,7 +141,7 @@ class ClientStore:
             raise DomainError(
                 f"operation {op_id} is not in the current subtree "
                 f"({subtree} != {self.current_subtree})")
-        proof = path(self.levels, beta(rel, self.params), 0,
+        proof = path(self._tree(), beta(rel, self.params), 0,
                      self.params.H_S - self.params.L_S)
         return ConfirmPayload(otp=otp, proof=proof, op_id=op_id)
 
@@ -140,7 +156,8 @@ class ClientStore:
         return SubtreePayload(
             next_sublayer=self.sublayer(nxt),
             otp=otp,
-            proof_otp=path(self.levels, beta(rel, self.params), 0, self.params.H),
+            proof_otp=path(self._tree(), beta(rel, self.params), 0,
+                           self.params.H),
             proof_sr=self.sublayer_proof(nxt),
             op_id=op_id,
         )
@@ -179,7 +196,7 @@ class ClientStore:
                                           self.params.digest_bytes, self.base),
             new_root=new_root,
             otp=otp,
-            proof_otp=path(self.levels, beta(rel, self.params), 0,
+            proof_otp=path(self._tree(), beta(rel, self.params), 0,
                            self.params.H_S - self.params.L_S),
             new_sublayer=sublayer_in(staged, 0, self.params),
             proof_sr=path(staged, 0, self.params.H_S, self.params.H),

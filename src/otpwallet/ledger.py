@@ -5,15 +5,16 @@ pure function of the submission order, fees, timestamp deltas, and the
 fork/reorg schedule. Forks clone a chain prefix, and a reorg promotes a
 strictly longer branch, returning orphaned transactions to the mempool.
 
-Block states share structure. A new block starts from shallow copies of
-its parent's account, nonce and contract maps, so it shares every contract
-object with the parent. A transaction that addresses a contract runs on a
+Block states share structure. An empty block shares its parent's state
+object whole. Any other block starts from shallow copies of its parent's
+account, nonce and contract maps, so it shares every contract object with
+the parent. A transaction that addresses a contract runs on a
 `WalletContract.snapshot()` of it, which replaces the shared object in the
 new block only; on revert the pre-call maps come back untouched. No block's
 state is ever mutated after the block is mined. That holds only while head
-state changes by executing transactions alone: mutating a contract reached
-through `Ledger.contract(cid)` directly would leak into older blocks that
-share it.
+state changes by executing transactions alone: mutating the head's maps, or
+a contract reached through `Ledger.contract(cid)`, directly would leak into
+older blocks that share them.
 
 Each branch keeps a txid -> height index, filled as blocks are mined and
 copied up to the fork point by `fork`, so confirmation queries do not scan
@@ -377,14 +378,15 @@ class Ledger:
         delta = DEFAULT_BLOCK_DELTA if timestamp_delta is None else timestamp_delta
         timestamp = parent.timestamp + delta
 
-        state = LedgerState(dict(parent.state.accounts),
-                            dict(parent.state.nonces),
-                            dict(parent.state.contracts))
-        ordered = sorted(self.mempool, key=lambda t: (-t.fee, t.seq))
+        # An empty block executes nothing, so it shares its parent's state.
+        state = parent.state
         receipts = []
-        for tx in ordered:
-            receipts.append(self._execute(tx, state, timestamp))
-        self.mempool = []
+        if self.mempool:
+            state = LedgerState(dict(state.accounts), dict(state.nonces),
+                                dict(state.contracts))
+            for tx in sorted(self.mempool, key=lambda t: (-t.fee, t.seq)):
+                receipts.append(self._execute(tx, state, timestamp))
+            self.mempool = []
         block = Block(parent.height + 1, timestamp, receipts, state)
         chain.append(block)
         _index(self.tx_heights[branch], block)

@@ -112,20 +112,26 @@ class System:
         return self.ledger.contract(self.contract_id)
 
 
+def make_parties(k: bytes, hw: HardwareWallet, params: TreeParams,
+                 ledger: Ledger) -> System:
+    """Parties around `ledger`, without a client."""
+    return System(params=params, authenticator=Authenticator(k, params),
+                  client=None, hw=hw, user=UserModel(), ledger=ledger)
+
+
 def make_parties_from_material(k: bytes, hw_seed: bytes,
                                params: TreeParams = DEFAULT_PARAMS,
                                funding: int = 1000) -> System:
-    """Parties around a fresh ledger, without a client: the client gets
-    its leaves, and builds its one tree, in `bootstrap_system`."""
+    """Parties around a fresh ledger that funds the owner's account, without
+    a client: the client gets its leaves, and builds its one tree, in
+    `bootstrap_system`."""
     hw = HardwareWallet(signing.keygen(hw_seed))
-    auth = Authenticator(k, params)
     ledger = Ledger(initial_accounts={
-        signing.account_of(hw.public): funding,
+        hw.account: funding,
         "acct:recipient": 0,
         "acct:adversary": 50,
     })
-    return System(params=params, authenticator=auth, client=None, hw=hw,
-                  user=UserModel(), ledger=ledger)
+    return make_parties(k, hw, params, ledger)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ keep scenario replays byte-identical.
 
 from __future__ import annotations
 
+import functools
+
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
@@ -14,13 +16,23 @@ from .hashing import truncated_hash
 
 
 class KeyPair:
-    """Holds the private key; only the public half is ever serialized."""
+    """Holds the private key; only the public half is ever serialized. The
+    seed's length is checked at once, but the Ed25519 key is derived on the
+    first `public` or `sign`, so a holder that does neither never pays for
+    it."""
 
     def __init__(self, seed32: bytes):
         if len(seed32) != 32:
             raise ValueError("key seed must be 32 bytes")
-        self._sk = ed25519.Ed25519PrivateKey.from_private_bytes(seed32)
-        self.public = self._sk.public_key().public_bytes_raw()
+        self._seed = bytes(seed32)
+
+    @functools.cached_property
+    def _sk(self) -> ed25519.Ed25519PrivateKey:
+        return ed25519.Ed25519PrivateKey.from_private_bytes(self._seed)
+
+    @functools.cached_property
+    def public(self) -> bytes:
+        return self._sk.public_key().public_bytes_raw()
 
     def sign(self, message: bytes) -> bytes:
         return self._sk.sign(message)

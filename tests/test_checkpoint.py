@@ -136,6 +136,8 @@ def assert_same_client(a: World, b: World) -> None:
         assert world.system.client.contract_id == world.system.contract_id
         assert world.system.client.eta == world.system.authenticator.eta
     ca, cb = a.system.client, b.system.client
+    # A restored client builds its tree on its first read, here.
+    assert ca.root == cb.root
     assert ca.levels == cb.levels
     assert ca.eta == cb.eta
     assert ca.current_subtree == cb.current_subtree

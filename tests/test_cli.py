@@ -954,6 +954,30 @@ def test_a_replay_off_the_recorded_state_saves_nothing(history, capsys):
     assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
 
 
+def test_a_key_seed_that_is_not_the_owners_refuses_every_write(history,
+                                                               capsys):
+    """With `hw_seed_hex` edited, a read command derives no key and shows
+    what it showed; a write is a state error before it mines or saves, so
+    it leaves both files as they were."""
+    state_dir = history
+    code, shown, _ = run(capsys, "--state-dir", state_dir, "root", "show")
+    otp = _otp_hex(capsys, state_dir, 1)
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    data["hw_seed_hex"] = "11" * 32
+    world_file.write_text(json.dumps(data))
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    assert run(capsys, "--state-dir", state_dir, "root", "show") == (
+        0, shown, "")
+    for argv in (["op", "init", "--type", "transfer", "--addr", "acct:bob",
+                  "--param", 5],
+                 ["op", "confirm", "--op-id", 1, "--otp", otp]):
+        code, out, err = run(capsys, "--state-dir", state_dir, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: state:") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
 def test_an_edited_action_log_is_a_state_error(history, capsys):
     state_dir = history
     assert json.loads((state_dir / "world.json").read_text())["version"] == 4

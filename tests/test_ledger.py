@@ -507,6 +507,62 @@ def test_reverted_contract_call_restores_contract_and_accounts_exactly():
     assert led.contract(w.cid) is before.state.contracts[w.cid]
 
 
+def state_record(blk):
+    """A block's accounts, nonces and contract state lines, copied."""
+    state = blk.state
+    return (dict(state.accounts), dict(state.nonces),
+            {cid: c.state_lines() for cid, c in state.contracts.items()})
+
+
+def test_no_mined_block_state_is_written_in_place():
+    w = WalletChain()
+    led = w.ledger
+    records = [(blk, state_record(blk)) for blk in led.chain]
+
+    def mine(**kwargs):
+        blk = led.mine_block(**kwargs)
+        records.append((blk, state_record(blk)))
+        return blk
+
+    w.submit({"fn": "transfer", "to": "acct:bob", "amount": 3})
+    mine()
+    mine()
+    w.init(5)
+    mine()
+    mine()
+    w.confirm(0)
+    assert mine().receipts[0].status == "ok"
+    w.submit({"fn": "transfer", "to": "acct:bob", "amount": 10 ** 6})
+    assert mine().receipts[0].status == "revert:funds"
+    nonce = led.next_nonce(w.owner)
+    led.submit(pay(w.owner, "acct:bob", 1, 1, nonce))
+    led.submit(pay(w.owner, "acct:bob", 1, 5, nonce + 1))
+    assert [r.status for r in mine().receipts] == ["invalid-nonce", "ok"]
+    # A fork from before the confirm grows longer, with a transfer of its
+    # own, and takes over; the orphaned transactions are mined again.
+    branch = led.fork(records[4][0].height)
+    led.submit(pay("acct:bob", w.owner, 2, 1, 0))
+    assert mine(branch=branch).receipts[0].status == "ok"
+    for _ in range(5):
+        mine(branch=branch)
+    led.reorg(branch)
+    w.init(1)
+    mine()
+    mine()
+
+    for blk, record in records:
+        assert state_record(blk) == record
+    empty = 0
+    for chain in led.branches.values():
+        for parent, blk in zip(chain, chain[1:]):
+            if not blk.receipts:
+                assert blk.state is parent.state
+                empty += 1
+            else:
+                assert blk.state is not parent.state
+    assert empty >= 6
+
+
 def scan_chain(led, txid):
     """Reference lookup: the first executed receipt on the canonical chain."""
     for blk in led.chain:

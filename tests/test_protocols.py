@@ -170,9 +170,14 @@ def test_bootstrap_builds_the_client_tree_once(monkeypatch, tmp_path):
     state_dir = tmp_path / "wallet"
     assert main(["--state-dir", str(state_dir), "bootstrap",
                  "--seed-file", str(seed_file)]) == 0
+    # A load builds no tree; the first proof builds one, the next none.
     builds.clear()
-    World.load(state_dir)
-    assert len(builds) == 1
+    client = World.load(state_dir).system.client
+    assert builds == []
+    client.sublayer_proof(0)
+    assert builds == [8]
+    client.sublayer_proof(1)
+    assert builds == [8]
 
 
 def test_split_steps_replay_run_operation_exactly():
