@@ -14,7 +14,8 @@ new block only; on revert the pre-call maps come back untouched. No block's
 state is ever mutated after the block is mined. That holds only while head
 state changes by executing transactions alone: mutating the head's maps, or
 a contract reached through `Ledger.contract(cid)`, directly would leak into
-older blocks that share them.
+older blocks that share them. The same rule lets `copy` share every block,
+and every submitted transaction, with the ledger it copies.
 
 Each branch keeps a txid -> height index, filled as blocks are mined and
 copied up to the fork point by `fork`, so confirmation queries do not scan
@@ -45,7 +46,8 @@ transaction after a reorg and `audit_signatures` all go through that memo,
 so each signature is verified once per ledger. It is exact: a verify is a
 pure function of the whole triple, so any changed byte misses, and a
 failed verify is never stored. `from_checkpoint` starts it empty, so the
-signatures of the chain read below a restored head are verified afresh.
+signatures of the chain read below a restored head are verified afresh,
+and `copy` gives the copy a memo of its own that starts as the original's.
 
 A block's entry is JSON text: its timestamp alone when it is empty, else
 [timestamp, rows] with one row per receipt, [signed text, status, result,
@@ -452,7 +454,31 @@ class Ledger:
         out = getattr(contract, fn)(*args, env)
         return CALL_RESULTS[fn](call, out)
 
-    # -- forks and reorgs ----------------------------------------------------------------
+    # -- copies, forks and reorgs --------------------------------------------------------
+
+    def copy(self) -> "Ledger":
+        """A ledger that goes on independently of this one. Mined blocks,
+        with their states and receipts, and submitted transactions never
+        change, so both share them; every container that submitting,
+        mining, forking or a reorg changes is copied. LedgerError for a
+        restored ledger, whose chain below the base is still unread."""
+        if self._below is not None:
+            raise LedgerError("a restored ledger is not copied: its chain "
+                              "below the restored head is unread")
+        twin = Ledger.__new__(Ledger)
+        twin.branches = {name: list(chain)
+                         for name, chain in self.branches.items()}
+        twin.tx_heights = {name: dict(index)
+                           for name, index in self.tx_heights.items()}
+        twin.canonical = self.canonical
+        twin.mempool = list(self.mempool)
+        twin.observers = list(self.observers)
+        twin._seq = self._seq
+        twin._branch_counter = self._branch_counter
+        twin._in_observer = False       # no observer of the copy is running
+        twin._below = None
+        twin._verified = set(self._verified)
+        return twin
 
     def fork(self, from_height: int) -> str:
         if not 0 <= from_height < self.head.height:

@@ -17,7 +17,8 @@ sent and mined through `send`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 import random
 
 from . import mnemonic, signing
@@ -110,6 +111,20 @@ class System:
     @property
     def contract(self):
         return self.ledger.contract(self.contract_id)
+
+    def fork(self) -> "System":
+        """A world that goes on independently of this one. It shares what
+        no step changes once made: the ledger's mined blocks and submitted
+        transactions (see `Ledger.copy`), the client's levels and the key
+        pair. It copies the rest: the ledger's containers, the
+        authenticator, the client store, the user model and the two
+        records of the protocol runs. LedgerError for a restored ledger."""
+        return replace(
+            self, authenticator=copy.copy(self.authenticator),
+            client=copy.copy(self.client), hw=HardwareWallet(self.hw.keypair),
+            user=copy.copy(self.user), ledger=self.ledger.copy(),
+            confirmed_transfers=list(self.confirmed_transfers),
+            initialised=dict(self.initialised))
 
 
 def make_parties(k: bytes, hw: HardwareWallet, params: TreeParams,
@@ -344,7 +359,9 @@ def run_next_subtree(system: System) -> dict:
 
 
 def run_new_root(system: System, mode: str = "secure") -> dict:
-    """Three-stage parent-root replacement."""
+    """Three-stage parent-root replacement. Stage 3, which reveals the
+    OTP, waits until stages 1 and 2 are `confirmation_depth` deep, as a
+    confirmation waits for its init."""
     auth, client, user = system.authenticator, system.client, system.user
     op_id = system.contract.next_op_id
     rel = op_id % system.params.N
@@ -367,6 +384,7 @@ def run_new_root(system: System, mode: str = "secure") -> dict:
 
     # Stages 1 and 2: in an insecure environment the user holds the wallet's
     # display against the authenticator's preview before signing.
+    txids = []
     for stage, value, preview in ((1, stages.h_root_and_otp, preview_h),
                                   (2, stages.new_root, preview_root)):
         if mode == "insecure":
@@ -379,7 +397,13 @@ def run_new_root(system: System, mode: str = "secure") -> dict:
                                 "value": value}, value.hex())
         if _status(receipt) != "ok":
             return {"ok": False, "stage": stage, "status": _status(receipt)}
+        txids.append(receipt.txid)
 
+    # Stage 3 reveals the OTP, so stages 1 and 2 must first be
+    # confirmation_depth deep: a reorg that drops them could otherwise land
+    # an adversary's stages 1 and 2, built with that OTP, before the user's.
+    for txid in txids:
+        wait_confirmations(system, txid)
     receipt = send(system, {
         "fn": "new_root_stage3", "contract": system.contract_id,
         "otp": stages.otp, "proof": stages.proof_otp,

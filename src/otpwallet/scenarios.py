@@ -1,20 +1,30 @@
 """Scripted adversary scenarios for the three attacker models.
 
-Each scenario bootstraps a fresh world from a seed, runs one attack
+Each scenario starts from a bootstrapped world of a seed, runs one attack
 script, and checks both that honest funds end up intact (except for
 user-confirmed transfers) and that the attack fails in the specific way
 the analysis predicts. Everything is deterministic in the seed.
 
-Every scenario runs in one frame: `_start` bootstraps the world and takes
-the baseline balances, and `_finish`, on every exit, checks them against
-the confirmed transfers, conserves the tokens and audits the signatures.
-Adversary transactions come from one builder, `_adversary`: a wallet call
-at the sender's next nonce, signed with a stolen or forged key when the
-attack has one; `_mined` submits one and mines it.
+Every scenario runs in one frame: `_start` forks the bootstrapped world
+and takes the baseline balances, and `_finish`, on every exit, checks them
+against the confirmed transfers, conserves the tokens and audits the
+signatures. Adversary transactions come from one builder, `_adversary`: a
+wallet call at the sender's next nonce, signed with a stolen or forged key
+when the attack has one; `_mined` submits one and mines it. An interceptor
+is a ledger observer that a scenario attaches around one honest step and
+then removes, leaving any other observer attached.
+
+`_pristine` keeps the bootstrapped worlds of the last three configurations
+of mode, seed, params and funding, and `_start` hands out only forks of
+them (`System.fork`). So the nine scenarios of one seed share three kept
+bootstraps, where each used to make its own, and each runs exactly as on a
+world bootstrapped for it alone. Theorem5's tampered bootstrap, which
+aborts, is made afresh and not kept.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -39,6 +49,7 @@ from .protocols import (
 )
 
 ADVERSARY = "acct:adversary"
+FUNDING = 1000                  # `run_bootstrap`'s default
 
 
 @dataclass
@@ -63,12 +74,24 @@ class ScenarioResult:
         return out
 
 
+@functools.lru_cache(maxsize=3)
+def _pristine(mode: str, seed: int, params: TreeParams,
+              funding: int) -> System:
+    """The bootstrapped world of one configuration, which only `_start`
+    reads, to fork it. Three are kept: the suite's configurations of one
+    seed are the secure default, theorem3's params and theorem5's insecure
+    world. Built through the module global `run_bootstrap`, so a wrapper
+    set on this module sees each miss."""
+    return run_bootstrap(mode, seed, params, funding)
+
+
 def _start(name: str, seed: int, mode: str = "secure",
            params: TreeParams | None = None
            ) -> tuple[ScenarioResult, System, dict[str, int]]:
-    """A bootstrapped world and its baseline: every balance after the
-    bootstrap, whose sum is the token total."""
-    system = run_bootstrap(mode, seed, params=params or DEFAULT_PARAMS)
+    """A fork of the bootstrapped world of (mode, seed, params) and its
+    baseline: every balance after the bootstrap, whose sum is the token
+    total."""
+    system = _pristine(mode, seed, params or DEFAULT_PARAMS, FUNDING).fork()
     return ScenarioResult(name), system, dict(system.ledger.accounts)
 
 
@@ -160,7 +183,7 @@ def theorem1(seed: int = 0) -> ScenarioResult:
 
     ledger.observers.append(intercept)
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 7)
-    ledger.observers.clear()
+    ledger.observers.remove(intercept)
     result.check("user operation still succeeds", outcome["ok"])
     result.check("adversary front-run observed", "txid" in captured)
     if "txid" in captured:
@@ -197,7 +220,7 @@ def theorem2(seed: int = 0) -> ScenarioResult:
 
     ledger.observers.append(intercept)
     outcome = run_next_subtree(system)
-    ledger.observers.clear()
+    ledger.observers.remove(intercept)
     result.check("honest subtree introduction succeeds", outcome["ok"])
     result.check("forged sublayer front-run reverts",
                  "txid" in attacked and ledger.receipt(
@@ -248,7 +271,7 @@ def theorem3(seed: int = 0) -> ScenarioResult:
 
     ledger.observers.append(intercept)
     outcome = run_new_root(system, "secure")
-    ledger.observers.clear()
+    ledger.observers.remove(intercept)
     result.check("honest rotation completes", outcome["ok"])
     result.check("adversary raced stage 3", "txid" in attacked)
     if "txid" in attacked:

@@ -16,8 +16,8 @@ from otpwallet import scenarios
 # seed -> scenario -> (state_hash, sha256 of "\n".join(event_log))
 GOLDEN = {
     0: {
-        "depletion": ("19c0edbd3730baf9d0fa0bd8f36be016",
-                      "0a43f72b33bbde89534e5770143504f2e01bc2e3cb72d45b03135bb338f918b3"),
+        "depletion": ("0ff011c31c597a1d9cf400edb3fa93db",
+                      "2d9a0b708dd67cfa358e25628df624c2005c91cba72ac7be625db1e8342cde23"),
         "dos-pending": ("1c9473b228d763e74349b0846fe223ff",
                         "36cfdb6126ea6b8b0bc861cf750e25ffd708514daf2837daf73070767662e25d"),
         "fork-replay": ("492974b070812eaf68c7cdcf2b263025",
@@ -26,8 +26,8 @@ GOLDEN = {
                      "9d8c0842cd793ed0a51cf8ea6ee6cd1510a229efd7a261712cc931830f6bcab1"),
         "theorem2": ("86270ec829c455ed9340b314d48619d3",
                      "c100841704d7aa7d756b4dcbe4207d79736f9648d4d12b312129b65d0019928f"),
-        "theorem3": ("27856ac8adb2576925dccfc751d5fd39",
-                     "7826da949a209a406ade1cce08a5a1b7dc63339b2f67013f5457de566b4d8baa"),
+        "theorem3": ("98e55d0ef3f11d2ef348e54a32b5c936",
+                     "2405aeb96c3cb49c7858a71edc008630dace26e8a8125190392f485546c15f41"),
         "theorem4": ("6054345a5a6931cbbd572774d0572384",
                      "5b23dd479ad72fc8fd8faf038061992c0671a9926701a9878fd4ba760e650a35"),
         "theorem5": ("8ab897f4787abe82324fa7eaf17bb77a",
@@ -36,8 +36,8 @@ GOLDEN = {
                      "2f213dfe787c44fa8651c2c5a6ac0a4b3c042d058ff8fad94f16a2e3e15f4171"),
     },
     1: {
-        "depletion": ("430a3167deb0e62437b5a147ef39eaeb",
-                      "4e0eaa9ff369a18170dabbf5c2af1ee6020bd015ced588a0683143a16b89dc5d"),
+        "depletion": ("ec3d4418ae7027dbe47f0b2f0f1061ed",
+                      "88c08fd4178e6b188d0578a012c80690e11a0a8d238117aee3c03bf9d5644b16"),
         "dos-pending": ("fc34d1f140a0584fd04f74c848c240df",
                         "64be79ac3ad4e30be169422422b1374921cb3ce87c017647b46facec42a38141"),
         "fork-replay": ("0a89d82f9b1c020f5f290b41f45744da",
@@ -46,8 +46,8 @@ GOLDEN = {
                      "9d5132506658fe9ef73d86f0e273ec4046bd29632eb53b25c958bede6e1c9479"),
         "theorem2": ("c6ad4af225cc1725c8d09a7ae9c20748",
                      "1f919d1005484723cb9b37e64b73e8b2780263430c3185d48cd1bc3235f7946f"),
-        "theorem3": ("4852b120ffa41e0bf2a3b76137995216",
-                     "809ca7ae119d87459602d051b684932a521ce7ca05549e062f59102ce89e1068"),
+        "theorem3": ("2bd22f638869c6eff1845d839e1da6cd",
+                     "481636aecc264c7eb0550675444f44d7a9d4e17ece5da6f9e103e4bad0d3ffc0"),
         "theorem4": ("8caa73e18c3d627cd0479242e990ff06",
                      "6c8d2acc3ee892c72a9ac10d3476258454066f376b3f01fd93ec368d2a7e386f"),
         "theorem5": ("49ccbe7dbb6020ffe697227462738b99",
@@ -56,8 +56,8 @@ GOLDEN = {
                      "d898bd9d1fe2e2c31802dc77f09f676a615a0fbe94be1ea1032c62b30fc14943"),
     },
     2: {
-        "depletion": ("bee64484cc82435c6731ab0958af00a3",
-                      "abcd11eb7dc7a2f5a1f355caf7cf2ab69b3b469e5ad1c1789ea78b70a50059d9"),
+        "depletion": ("d98ac82e64e34147bcf0e9c1e995ac29",
+                      "aff3050f91d39833b1f5be519772ea2827bae5c0979eaacec2ab97b058cfd89e"),
         "dos-pending": ("43c4448ea9f02d71f61e0c274f6414b4",
                         "7c60de93ca208415767abfb1d8f91889edfb392753b8eb5961aab3de10041b3e"),
         "fork-replay": ("38e2c104814ba570c3b9fa71f0440546",
@@ -66,8 +66,8 @@ GOLDEN = {
                      "2c1bb267f1bc42240d77fea7f2d800f87b30066e4968d47d85bb8351a0738a40"),
         "theorem2": ("157a3978e2ccd8abe8c74cab24266f47",
                      "0759485e9e19e58c65c563d8643c6acab7983f3b51534f6d6a6940dbb4d05e33"),
-        "theorem3": ("34c15428bd7dd756413956429d9a313b",
-                     "b5a3fdfadf2f610aeb20b798c9e3283daae640f030f0d3991ee3a0d0787775d6"),
+        "theorem3": ("5668f75c1339e40387199851d69b3251",
+                     "044bed529aeb81d6eec84edf65734578919e3f962f2ef44eb3b5550f5731c0bd"),
         "theorem4": ("57f03c1fa67f22c8174ca8b14131a432",
                      "3fe09787f36c84c6caf6763791a0ce01b006f832d59925a392fd26606e8e0bdc"),
         "theorem5": ("f35ab007df82a81364ae826b34e528c6",
@@ -76,8 +76,8 @@ GOLDEN = {
                      "85cd2a0eb99f7c5f6cd59bb07caa95c025442edad31bcceb2f9c23862a28f800"),
     },
     3: {
-        "depletion": ("158a90369a964235adb6934fddbcd4c4",
-                      "74a4c3523ca5ae1e9d7be2518343d7dee5d59ad34f43ad34ca8bf28513f646a2"),
+        "depletion": ("8bcd03fcdc0c65674dce9458ba9693f6",
+                      "3c62398a2b0abf008c6eb8d90bd68fa7634475fde106e2984d8bbbdc5181a9b4"),
         "dos-pending": ("6bb76675ed4bfbabd660e85d3ab1c8fa",
                         "f0831acfee5910418b31550a9c243a9db1d1ef5e8a5e46e5e22d11acecce6071"),
         "fork-replay": ("47c0e0bd30cb2d51c72c2d9d4ee29a13",
@@ -86,8 +86,8 @@ GOLDEN = {
                      "fb0bdf38f380ebd9916a57ea3ccd47b87c02765184234faec144d690b01fe655"),
         "theorem2": ("6334a065fe6ab554ee8a79a8e1699c03",
                      "7e81098f7d9528a5000660e6d51317030bbdd47064f9fff18789e3191269ec1b"),
-        "theorem3": ("375ee0ff354c365c8d5c7107747b6f92",
-                     "ea83586a4d7e1b9d350f571854b7ab77bf2dfa1966982f55175d9b7714c6f75e"),
+        "theorem3": ("e792cb920deab73c715690b9d1e42337",
+                     "99386f8d88924275de3154ddac1a057f60e9a26867be4f171a556e53c17049fe"),
         "theorem4": ("9e12e897edb7adba2c5327655a1ff170",
                      "7714667288094737d88fb7d23555800c1b9947f4c9950351ed2546a10924a245"),
         "theorem5": ("81113a2ec858a54c21c8a54688120c11",

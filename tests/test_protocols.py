@@ -1,12 +1,15 @@
 """Protocol runs, party behavior, and the displays the user compares."""
 
+import random
+
 import pytest
 
 from otpwallet import merkle, signing
 from otpwallet.cli import World, main
 from otpwallet.contract import OpType
-from otpwallet.hashing import truncated_hash
-from otpwallet.ledger import Transaction
+from otpwallet.hashing import random_seed, truncated_hash
+from otpwallet.ledger import Ledger, LedgerError, Transaction
+from otpwallet.merkle import TreeParams, all_leaves, path, sublayer_in
 from otpwallet.protocols import (
     HardwareWallet,
     ProtocolAbort,
@@ -20,6 +23,7 @@ from otpwallet.protocols import (
     run_operation,
     submit_signed,
 )
+from otpwallet.scenarios import _adversary
 
 from harness import depths_waited
 
@@ -227,3 +231,138 @@ def test_confirm_of_an_unknown_operation_sends_nothing():
     outcome = confirm_operation(system, 5)
     assert not outcome["ok"] and outcome["status"] == "not-initialised"
     assert system.ledger.head.height == height and not system.ledger.mempool
+
+
+def test_a_reorg_within_the_depth_cannot_install_an_adversarys_root():
+    """Stage 3 of a rotation reveals the OTP. An adversary with the owner's
+    key who forks below stage 1 can build its own stages 1, 2 and 3 with
+    that OTP, land them in one block and outrun the chain by a few blocks,
+    unless stage 3 waited until stages 1 and 2 were confirmation_depth
+    deep."""
+    params = TreeParams(S=128, N=8, P=2, N_S=8, L_S=1)
+    system = run_bootstrap("secure", seed=5, params=params)
+    ledger = system.ledger
+    for _ in range(params.N - 1):
+        assert run_operation(system, OpType.TRANSFER, system.recipient, 1)["ok"]
+    assert run_new_root(system, "secure")["ok"]
+    honest_root = system.client.root
+    mined = {r.fn: (blk.height, r.tx) for blk in ledger.chain
+             for r in blk.receipts if r.fn.startswith("new_root_stage")}
+    revealed = mined["new_root_stage3"][1].call       # now public
+
+    adv_levels = merkle.build_levels(all_leaves(
+        random_seed(random.Random(31337)), params, system.client.eta))
+    adv_root = adv_levels[-1][0]
+    branch = ledger.fork(mined["new_root_stage1"][0] - 1)
+    stolen = system.hw.keypair
+    for fn, key, args in (
+            ("new_root_stage1", stolen, {"value": truncated_hash(
+                adv_root + revealed["otp"], params.digest_bytes)}),
+            ("new_root_stage2", stolen, {"value": adv_root}),
+            ("new_root_stage3", None, {
+                "otp": revealed["otp"], "proof": revealed["proof"],
+                "sublayer": sublayer_in(adv_levels, 0, params),
+                "proof_sr": path(adv_levels, 0, params.H_S, params.H)})):
+        ledger.submit(_adversary(system, fn, fee=60, key=key, **args))
+    for _ in range(5):
+        ledger.mine_block(branch=branch)
+    # On its branch the attack works: all three stages land in one block.
+    assert [r.result for r in ledger.branches[branch][-5].receipts] == [
+        "", "", "updated"]
+    assert ledger.branches[branch][-1].state.contracts[
+        system.contract_id].root == adv_root
+
+    if len(ledger.branches[branch]) > len(ledger.chain):
+        ledger.reorg(branch)
+    assert system.contract.root == honest_root != adv_root
+    # The OTP was revealed only once stages 1 and 2 were deep enough.
+    depth = system.client.confirmation_depth
+    assert mined["new_root_stage3"][0] - mined["new_root_stage2"][0] > depth
+
+
+def _containers(obj) -> dict:
+    return {name: value for name, value in vars(obj).items()
+            if isinstance(value, (list, dict, set))}
+
+
+def test_a_fork_copies_every_container_a_step_changes():
+    system = run_bootstrap("secure", seed=21)
+    ledger = system.ledger
+    assert run_operation(system, OpType.TRANSFER, system.recipient, 5)["ok"]
+    ledger.fork(ledger.head.height - 2)
+    ledger.observers.append(lambda tx: None)
+    init_operation(system, OpType.TRANSFER, system.recipient, 1)
+    ledger.submit(Transaction(system.user_account, {
+        "fn": "transfer", "to": system.recipient, "amount": 1},
+        nonce=ledger.next_nonce(system.user_account)))
+    twin = system.fork()
+
+    pairs = [(system, twin), (ledger, twin.ledger),
+             (system.authenticator, twin.authenticator),
+             (system.client, twin.client), (system.user, twin.user)]
+    for orig, copy in pairs:
+        assert copy is not orig
+        assert vars(copy).keys() == vars(orig).keys()
+        for name, value in _containers(orig).items():
+            if orig is system.client and name == "levels":
+                continue
+            assert getattr(copy, name) is not value, name
+            assert getattr(copy, name) == value, name
+    for name in ledger.branches:
+        assert twin.ledger.branches[name] is not ledger.branches[name]
+        assert twin.ledger.tx_heights[name] is not ledger.tx_heights[name]
+    assert ledger.mempool and ledger.observers and ledger._verified
+    assert system.confirmed_transfers and system.initialised
+    # Shared, because no step changes them once made.
+    assert twin.client.levels is system.client.levels
+    assert twin.hw.keypair is system.hw.keypair
+    assert all(a is b for a, b in zip(twin.ledger.chain, ledger.chain))
+    assert all(a is b for a, b in zip(twin.ledger.mempool, ledger.mempool))
+
+
+def test_a_driven_fork_leaves_its_sibling_a_fresh_bootstrap(monkeypatch):
+    pristine = run_bootstrap("secure", seed=22)
+    driven, sibling = pristine.fork(), pristine.fork()
+    ledger, seen = driven.ledger, []
+    ledger.observers.append(seen.append)
+    assert run_operation(driven, OpType.TRANSFER, driven.recipient, 5)["ok"]
+    branch = ledger.fork(ledger.head.height - 1)
+    ledger.mine_block(branch=branch)
+    ledger.mine_block(branch=branch)
+    ledger.reorg(branch)
+    assert seen and ledger.mempool and driven.confirmed_transfers
+
+    fresh = run_bootstrap("secure", seed=22)
+    for world in (sibling, pristine):
+        assert world.ledger.state_hash() == fresh.ledger.state_hash()
+        assert world.ledger.event_log() == fresh.ledger.event_log()
+        assert world.ledger.accounts == fresh.ledger.accounts
+        assert world.ledger.head.state.nonces == fresh.ledger.head.state.nonces
+        assert world.ledger.mempool == [] and world.ledger.observers == []
+        assert world.client.root == fresh.client.root
+        assert (world.confirmed_transfers, world.initialised) == ([], {})
+
+    # The sibling's first init is the driven fork's, byte for byte, yet it
+    # is verified again: the forks share no verified-signature memo.
+    calls, real = [], signing.verify
+    monkeypatch.setattr(signing, "verify",
+                        lambda *args: (calls.append(1), real(*args))[1])
+    assert run_operation(sibling, OpType.TRANSFER, sibling.recipient, 5)["ok"]
+    assert run_operation(fresh, OpType.TRANSFER, fresh.recipient, 5)["ok"]
+    assert len(calls) == 2
+    assert sibling.ledger.state_hash() == fresh.ledger.state_hash()
+
+
+def test_a_restored_ledger_is_not_forked(tmp_path):
+    system = run_bootstrap("secure", seed=23)
+    restored = Ledger.from_checkpoint(system.ledger.checkpoint(),
+                                      lambda: list(system.ledger.chain))
+    with pytest.raises(LedgerError, match="restored"):
+        restored.copy()
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(bytes(range(16)).hex() + "\n")
+    state_dir = tmp_path / "wallet"
+    assert main(["--state-dir", str(state_dir), "bootstrap",
+                 "--seed-file", str(seed_file)]) == 0
+    with pytest.raises(LedgerError, match="restored"):
+        World.load(state_dir).system.fork()

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from otpwallet import scenarios, signing
+from otpwallet import protocols, scenarios, signing
 from otpwallet.scenarios import SCENARIOS, run_all, run_scenario
 
 
@@ -97,3 +97,60 @@ def test_each_signature_is_verified_once(monkeypatch):
         assert run_scenario(name, seed=0).passed
         verifies[name] = len(calls)
     assert verifies == SIGNED_TXS
+
+
+def test_a_run_of_every_scenario_bootstraps_each_configuration_once(
+        monkeypatch):
+    """The secure default, theorem3's params, theorem5's honest insecure
+    world, and theorem5's tampered bootstrap, which is not kept."""
+    modes, real = [], protocols.bootstrap_system
+
+    def counting(system, mode, *args, **kwargs):
+        modes.append((mode, system.params.N))
+        return real(system, mode, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "bootstrap_system", counting)
+    scenarios._pristine.cache_clear()
+    run_all(seed=5)
+    assert sorted(modes) == [("insecure", 16), ("insecure", 16),
+                             ("secure", 8), ("secure", 16)]
+    modes.clear()
+    run_all(seed=5)
+    assert modes == [("insecure", 16)]
+
+
+def test_a_scenario_gets_a_fork_never_the_kept_world():
+    _, system, _ = scenarios._start("theorem1", 5)
+    kept = scenarios._pristine("secure", 5, scenarios.DEFAULT_PARAMS,
+                               scenarios.FUNDING)
+    assert system is not kept and system.ledger is not kept.ledger
+    assert system.ledger.state_hash() == kept.ledger.state_hash()
+
+
+def test_a_cold_scenario_matches_a_warm_suite():
+    def outputs(result):
+        return result.lines(), result.state_hash, result.event_log
+
+    run_all(seed=6)
+    warm = {r.name: outputs(r) for r in run_all(seed=6)}
+    for name in sorted(SCENARIOS):
+        scenarios._pristine.cache_clear()
+        assert outputs(run_scenario(name, seed=6)) == warm[name], name
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem2", "theorem3"])
+def test_an_interceptor_removes_only_its_own_observer(monkeypatch, name):
+    real, worlds, seen = scenarios._start, [], []
+
+    def bystander(tx):
+        seen.append(tx)
+
+    def start(*args, **kwargs):
+        result, system, baseline = real(*args, **kwargs)
+        system.ledger.observers.append(bystander)
+        worlds.append(system)
+        return result, system, baseline
+
+    monkeypatch.setattr(scenarios, "_start", start)
+    assert run_scenario(name).passed
+    assert worlds[0].ledger.observers == [bystander] and seen
