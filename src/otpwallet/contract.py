@@ -27,9 +27,8 @@ as the `base` of every hashing function it calls.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable
@@ -283,7 +282,8 @@ class WalletContract:
         cached sublayer. The sealed chunks of finished subtrees, digests,
         keys, parameters and scalars are shared.
         """
-        twin = copy.copy(self)
+        twin = WalletContract.__new__(WalletContract)
+        twin.__dict__.update(self.__dict__)
         twin.operations = self.operations.copy()
         twin.l1, twin.l2 = list(self.l1), list(self.l2)
         twin.sublayer = self.sublayer.copy()
@@ -346,7 +346,8 @@ class WalletContract:
             raise Revert("layer", f"iteration layer {layer} is already invalidated")
         self._verify_otp_cached(otp, proof, op_id, trace)
         self._exec(record, env)
-        self.operations._put(op_id, replace(record, pending=False))
+        self.operations._put(op_id, OperationRecord(
+            record.addr, record.param, False, record.type))
         self.current_layer = layer
         self.last_activity = env.timestamp
         trace.sstore_update += 3                    # pending, layer, lastActivity

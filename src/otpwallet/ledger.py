@@ -39,15 +39,16 @@ argument.
 Receipts are immutable after mining: no code changes a mined block's
 receipts, their transactions or those transactions' calls. Three caches
 rely on it. A `Transaction` builds its signed bytes and its txid once, a
-`Block` builds its entry and its digest on first use, and the ledger
-remembers each (public key, signed bytes, signature) triple that verified
-on it. The contract's signature check, the re-execution of an orphaned
-transaction after a reorg and `audit_signatures` all go through that memo,
-so each signature is verified once per ledger. It is exact: a verify is a
-pure function of the whole triple, so any changed byte misses, and a
-failed verify is never stored. `from_checkpoint` starts it empty, so the
-signatures of the chain read below a restored head are verified afresh,
-and `copy` gives the copy a memo of its own that starts as the original's.
+`Block` builds its digest, and a non-empty block its entry, on first use,
+and the ledger remembers each (public key, signed bytes, signature) triple
+that verified on it. The contract's signature check, the re-execution of
+an orphaned transaction after a reorg and `audit_signatures` all go
+through that memo, so each signature is verified once per ledger. It is
+exact: a verify is a pure function of the whole triple, so any changed
+byte misses, and a failed verify is never stored. `from_checkpoint` starts
+it empty, so the signatures of the chain read below a restored head are
+verified afresh, and `copy` gives the copy a memo of its own that starts
+as the original's.
 
 A block's entry is JSON text: its timestamp alone when it is empty, else
 [timestamp, rows] with one row per receipt, [signed text, status, result,
@@ -59,6 +60,15 @@ height. Mining computes no digest; the first read walks back to the newest
 block that has one. `state_hash` is H(head state lines || head digest), so
 it reads the head and the blocks mined since the last digest, not the
 chain.
+
+What each block and transaction costs, at the floor of the hashes and
+signature checks above: a block is one `Block` object and one digest hash.
+An empty block shares its parent's state, adds nothing to the txid index,
+and its digest hashes its timestamp text, with no entry string built or
+kept. A transaction is one encoding of its signed bytes and one txid hash,
+checked against the mempool in one pass on submission, and its signature
+is verified at most once per ledger. A contract call copies only the
+contract's mutable containers (`WalletContract.snapshot`).
 
 `checkpoint` returns the head as a JSON-ready object, for the caller to
 encode and store: the head state, height, timestamp and digest, and the
@@ -219,7 +229,10 @@ class Block:
         """The block's checkpoint entry and digest input as JSON text: its
         timestamp alone when empty, else the timestamp and one row per
         receipt, [signed text, status, result, signature]. A signature that
-        is not bytes is written as null: the contract treats it as none."""
+        is not bytes is written as null: the contract treats it as none.
+        Only a non-empty block's entry is cached."""
+        if not self.receipts:
+            return str(self.timestamp)
         if self._entry is None:
             rows = ",".join([
                 f"[{r.tx.signing_bytes().decode()},{_to_json(r.status)},"
@@ -227,9 +240,13 @@ class Block:
                                             if type(r.tx.signature) is bytes
                                             else "null") + "]"
                 for r in self.receipts])
-            self._entry = (f"[{self.timestamp},[{rows}]]" if self.receipts
-                           else str(self.timestamp))
+            self._entry = f"[{self.timestamp},[{rows}]]"
         return self._entry
+
+
+def _fee_order(tx: Transaction) -> tuple[int, int]:
+    """Inclusion order: the highest fee first, then submission order."""
+    return -tx.fee, tx.seq
 
 
 def _index(heights: dict[str, int], block: Block) -> None:
@@ -343,15 +360,21 @@ class Ledger:
 
     def submit(self, tx: Transaction) -> str:
         txid = tx.txid          # LedgerError for a call that does not encode
-        expected = self.head.state.nonces.get(tx.sender, 0)
-        pending = sum(1 for t in self.mempool if t.sender == tx.sender)
-        if tx.nonce < expected:
+        sender, nonce = tx.sender, tx.nonce
+        expected = self.head.state.nonces.get(sender, 0)
+        if nonce < expected:
             raise LedgerError(
-                f"nonce {tx.nonce} already used by {tx.sender} (next {expected})")
-        if any(t.sender == tx.sender and t.nonce == tx.nonce for t in self.mempool):
-            raise LedgerError(f"duplicate nonce {tx.nonce} in mempool")
-        if tx.nonce > expected + pending:
-            raise LedgerError(f"nonce gap for {tx.sender}: {tx.nonce}")
+                f"nonce {nonce} already used by {sender} (next {expected})")
+        # One pass over the mempool: a duplicate pending nonce, else the
+        # count of the sender's pending transactions for the gap check.
+        pending = 0
+        for t in self.mempool:
+            if t.sender == sender:
+                if t.nonce == nonce:
+                    raise LedgerError(f"duplicate nonce {nonce} in mempool")
+                pending += 1
+        if nonce > expected + pending:
+            raise LedgerError(f"nonce gap for {sender}: {nonce}")
         tx.seq = self._seq
         self._seq += 1
         self.mempool.append(tx)
@@ -373,23 +396,28 @@ class Ledger:
     def mine_block(self, timestamp_delta: int | None = None,
                    branch: str | None = None) -> Block:
         branch = branch or self.canonical
-        if branch not in self.branches:
+        chain = self.branches.get(branch)
+        if chain is None:
             raise LedgerError(f"unknown branch {branch}")
-        chain = self.branches[branch]
         parent = chain[-1]
-        delta = DEFAULT_BLOCK_DELTA if timestamp_delta is None else timestamp_delta
-        timestamp = parent.timestamp + delta
-
-        # An empty block executes nothing, so it shares its parent's state.
+        timestamp = parent.timestamp + (DEFAULT_BLOCK_DELTA if timestamp_delta
+                                        is None else timestamp_delta)
+        mempool = self.mempool
+        if not mempool:
+            # An empty block executes nothing, so it shares its parent's
+            # state and adds no txid to the index.
+            block = Block(parent.height + 1, timestamp, [], parent.state)
+            chain.append(block)
+            return block
         state = parent.state
-        receipts = []
-        if self.mempool:
-            state = LedgerState(dict(state.accounts), dict(state.nonces),
-                                dict(state.contracts))
-            for tx in sorted(self.mempool, key=lambda t: (-t.fee, t.seq)):
-                receipts.append(self._execute(tx, state, timestamp))
-            self.mempool = []
-        block = Block(parent.height + 1, timestamp, receipts, state)
+        state = LedgerState(dict(state.accounts), dict(state.nonces),
+                            dict(state.contracts))
+        if len(mempool) > 1:
+            mempool = sorted(mempool, key=_fee_order)
+        block = Block(parent.height + 1, timestamp,
+                      [self._execute(tx, state, timestamp) for tx in mempool],
+                      state)
+        self.mempool = []
         chain.append(block)
         _index(self.tx_heights[branch], block)
         return block
@@ -659,8 +687,10 @@ class Ledger:
             i -= 1
         digest = chain[i - 1]._digest if i else GENESIS_PARENT
         for blk in chain[i:]:
+            # An empty block's entry is its timestamp text.
             digest = blk._digest = truncated_hash(
-                digest + blk.entry().encode())
+                digest + (blk.entry() if blk.receipts
+                          else str(blk.timestamp)).encode())
         return digest
 
     def state_hash(self) -> str:

@@ -44,6 +44,10 @@ def word_count_for_bits(nbits: int) -> int:
     return (nbits + nbits // 32) // 11
 
 
+# Word count -> payload bits, for each supported payload size.
+_BITS_BY_WORDS = {word_count_for_bits(b): b for b in SUPPORTED_BITS}
+
+
 def encode(data: bytes, base: HashFn = DEFAULT_BASE_HASH) -> list[str]:
     nbits = len(data) * 8
     if nbits not in SUPPORTED_BITS:
@@ -59,8 +63,7 @@ def encode(data: bytes, base: HashFn = DEFAULT_BASE_HASH) -> list[str]:
 
 
 def decode(words: list[str], base: HashFn = DEFAULT_BASE_HASH) -> bytes:
-    by_count = {word_count_for_bits(b): b for b in SUPPORTED_BITS}
-    nbits = by_count.get(len(words))
+    nbits = _BITS_BY_WORDS.get(len(words))
     if nbits is None:
         raise MnemonicError(f"unsupported word count: {len(words)}")
     acc = 0

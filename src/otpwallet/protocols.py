@@ -18,6 +18,7 @@ sent and mined through `send`.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field, replace
 import random
 
@@ -47,8 +48,10 @@ class HardwareWallet:
     def public(self) -> bytes:
         return self.keypair.public
 
-    @property
+    @functools.cached_property
     def account(self) -> str:
+        """The owner's account id, hashed from the public key once: every
+        owner transaction names it twice, as sender and for its nonce."""
         return signing.account_of(self.keypair.public)
 
     def request_signature(self, tx: Transaction, payload: str,

@@ -10,7 +10,7 @@ from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
 from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
 from otpwallet.hashing import truncated_hash
-from otpwallet.ledger import CALL_ARGS, encode_call
+from otpwallet.ledger import CALL_ARGS, GENESIS_PARENT, encode_call
 from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams
 
 K = bytes(range(16))
@@ -144,13 +144,32 @@ def reference_chain(ledger) -> list:
     return read() + chain[1:]
 
 
+def reference_entry(blk) -> bytes:
+    """A block's entry, encoded from scratch: its timestamp text when the
+    block is empty, else its timestamp and its receipt rows."""
+    if not blk.receipts:
+        return str(blk.timestamp).encode()
+    return json.dumps([blk.timestamp, [
+        [[r.tx.sender, r.tx.nonce, r.tx.fee, encode_call(r.tx.call)],
+         r.status, r.result,
+         r.tx.signature.hex() if isinstance(r.tx.signature, bytes) else None]
+        for r in blk.receipts]], separators=(",", ":")).encode()
+
+
+def reference_digests(blocks) -> list[bytes]:
+    """The chained digest of each of `blocks`, the blocks of one branch from
+    genesis: H(previous digest || entry) from the genesis parent."""
+    digests, digest = [], GENESIS_PARENT
+    for blk in blocks:
+        digest = truncated_hash(digest + reference_entry(blk))
+        digests.append(digest)
+    return digests
+
+
 def reference_digest(ledger) -> bytes:
     """The chained digest of the head block, hashed from genesis over each
     block's entry."""
-    digest = bytes(16)
-    for entry in reference_entries(ledger).splitlines():
-        digest = truncated_hash(digest + entry)
-    return digest
+    return reference_digests(reference_chain(ledger))[-1]
 
 
 def reference_state_hash(ledger) -> str:
@@ -165,21 +184,11 @@ def reference_state_hash(ledger) -> str:
     return truncated_hash("\n".join(parts).encode()).hex()
 
 
-def reference_blocks(ledger) -> list:
-    """The checkpoint entry of every canonical block, encoded from scratch."""
-    return [[blk.timestamp, [
-        [[r.tx.sender, r.tx.nonce, r.tx.fee, encode_call(r.tx.call)],
-         r.status, r.result,
-         r.tx.signature.hex() if isinstance(r.tx.signature, bytes) else None]
-        for r in blk.receipts]]
-        if blk.receipts else blk.timestamp for blk in reference_chain(ledger)]
-
-
 def reference_entries(ledger) -> bytes:
     """The entry of every canonical block from genesis, encoded from
     scratch, one per line."""
-    return b"".join(json.dumps(entry, separators=(",", ":")).encode() + b"\n"
-                    for entry in reference_blocks(ledger))
+    return b"".join(reference_entry(blk) + b"\n"
+                    for blk in reference_chain(ledger))
 
 
 def reference_head(ledger, keep=()) -> str:

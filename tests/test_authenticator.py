@@ -1,10 +1,13 @@
 """Authenticator device model: OTP queries, displays, generation handling."""
 
+import copy
+
 import pytest
 
 from otpwallet import mnemonic
 from otpwallet.authenticator import Authenticator
-from otpwallet.hashing import DomainError, chain_extend, truncated_hash
+from otpwallet.hashing import (DEFAULT_BASE_HASH, DomainError, chain_extend,
+                               truncated_hash)
 from otpwallet.merkle import (
     TreeParams,
     all_leaves,
@@ -116,3 +119,58 @@ def test_new_parent_preview_is_stable_and_correct(auth):
     next_gen = Authenticator(K, PARAMS, eta=1)
     assert r1 == next_gen.display_root()
     assert h1 == truncated_hash(r1 + auth.get_otp(op_id))
+
+
+def _counting(calls: list):
+    """The default base hash, logging each call in `calls`."""
+    def base(data: bytes) -> bytes:
+        calls.append(data)
+        return DEFAULT_BASE_HASH(data)
+    return base
+
+
+def test_each_generation_is_derived_once_for_its_displays_and_exports():
+    calls = []
+    base = _counting(calls)
+    # The hashes of one generation's leaves, of their reduction to a root,
+    # and of the last operation's OTP.
+    all_leaves(K, PARAMS, 0, base)
+    derive = len(calls)
+    reduce_mt(all_leaves(K, PARAMS, 0), base)
+    reduce = len(calls) - derive
+    auth = Authenticator(K, PARAMS, base=base)
+    auth.get_otp(PARAMS.N - 1)
+    otp = len(calls) - derive - reduce
+    assert derive and reduce and otp
+    calls.clear()
+
+    # An insecure bootstrap: the leaf export, then the root display.
+    auth.export_leaves()
+    assert len(calls) == derive
+    auth.display_root()
+    assert len(calls) == derive + reduce
+    calls.clear()
+    # An insecure rotation: the next root's preview, then the next leaves.
+    auth.new_parent_preview(PARAMS.N - 1)
+    assert len(calls) == derive + reduce + otp + 1
+    auth.export_next_leaves()
+    assert len(calls) == derive + reduce + otp + 1
+    calls.clear()
+    auth.advance_generation()
+    auth.display_root()
+    assert len(calls) == reduce           # generation 1 is still kept
+    # Another base hash derives afresh.
+    auth.base = _counting(calls)
+    auth.export_leaves()
+    assert len(calls) == reduce + derive
+
+
+def test_a_copied_device_keeps_its_own_generation():
+    auth = Authenticator(K, PARAMS)
+    root = auth.display_root()
+    twin = copy.copy(auth)
+    twin.advance_generation()
+    assert twin.display_root() == Authenticator(K, PARAMS, eta=1).display_root()
+    assert auth.display_root() == root
+    assert parse_leaf_file(auth.export_leaves(), PARAMS) == (
+        all_leaves(K, PARAMS, 0), 0)

@@ -524,6 +524,45 @@ def test_snapshot_isolates_a_rotation(world):
     assert original.state_lines() == lines
 
 
+def test_a_snapshot_copies_only_the_containers_a_call_changes():
+    params = TreeParams(S=128, N=32, P=2, N_S=8, L_S=1)
+    world = World(params)
+    for _ in range(params.N_S - 1):
+        world.init(param=1)
+    world.introduce_subtree()                   # seals the first subtree
+    op = world.init(param=1)
+    wallet = world.wallet
+    lines = wallet.state_lines()
+    twin = wallet.snapshot()
+    assert type(twin) is WalletContract and twin is not wallet
+    assert twin.state_lines() == lines
+    assert vars(twin).keys() == vars(wallet).keys()
+    # Shared: what no call changes in place.
+    assert wallet.operations._sealed
+    assert twin.operations._sealed is wallet.operations._sealed
+    assert twin.root is wallet.root and twin.pk is wallet.pk
+    assert twin.params is wallet.params
+    assert all(a is b for a, b in zip(twin.sublayer.nodes,
+                                      wallet.sublayer.nodes))
+    # Copied: the open records, L1, L2 and the sublayer.
+    assert list(wallet.operations.open) == [op]
+    assert twin.operations._open is not wallet.operations._open
+    assert twin.operations._open == wallet.operations._open
+    for name in ("l1", "l2", "sublayer"):
+        assert getattr(twin, name) is not getattr(wallet, name)
+        assert getattr(twin, name) == getattr(wallet, name)
+    # An init, a confirmation and a subtree introduction on the snapshot
+    # leave the original as it was.
+    world.wallet = twin
+    world.confirm(op)
+    while twin.next_op_id % params.N_S != params.N_S - 1:
+        world.init(param=1)
+    world.introduce_subtree()
+    assert twin.current_subtree == wallet.current_subtree + 1
+    assert wallet.state_lines() == lines
+    assert wallet.state_lines() == reference_state_lines(wallet)
+
+
 # -- sealed chunks ----------------------------------------------------------------------------
 
 SEALING = TreeParams(S=128, N=8, P=1, N_S=4, L_S=1)   # 2 subtrees a generation

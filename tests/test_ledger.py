@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otpwallet import signing
+import otpwallet.ledger as ledger_mod
+from otpwallet import scenarios, signing
 from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
 from otpwallet.contract import OpType
@@ -22,8 +24,8 @@ from otpwallet.ledger import (
 )
 from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, lsb, with_lsb
 
-from harness import (reference_chain, reference_entries, reference_head,
-                     reference_state_hash)
+from harness import (reference_chain, reference_digests, reference_entries,
+                     reference_head, reference_state_hash)
 
 
 def pay(frm, to, amount, fee, nonce):
@@ -146,6 +148,62 @@ def test_nonce_replay_rejected(ledger):
         ledger.submit(pay("a", "b", 5, 1, 1))    # duplicate while pending
     with pytest.raises(LedgerError):
         ledger.submit(pay("a", "b", 5, 1, 3))    # gap
+
+
+def _two_pass_refusal(ledger, tx) -> str | None:
+    """The refusal text of `submit`'s nonce checks made as two passes over
+    the mempool, in their order: a used nonce, a duplicate pending nonce, a
+    gap past the pending count; None when it accepts."""
+    expected = ledger.head.state.nonces.get(tx.sender, 0)
+    pending = sum(1 for t in ledger.mempool if t.sender == tx.sender)
+    if tx.nonce < expected:
+        return f"nonce {tx.nonce} already used by {tx.sender} (next {expected})"
+    if any(t.sender == tx.sender and t.nonce == tx.nonce
+           for t in ledger.mempool):
+        return f"duplicate nonce {tx.nonce} in mempool"
+    if tx.nonce > expected + pending:
+        return f"nonce gap for {tx.sender}: {tx.nonce}"
+    return None
+
+
+def test_submit_checks_nonces_in_one_pass_as_in_two(ledger):
+    """Two senders interleaved in the mempool: a used nonce, a duplicate
+    pending nonce and a gap each raise the two-pass check's text, in its
+    order, and a refusal leaves the mempool and the counter as they were."""
+    ledger.submit(pay("a", "b", 1, 1, 0))
+    ledger.submit(pay("b", "a", 1, 1, 0))
+    ledger.mine_block()
+    for nonce in (1, 2):
+        for sender in ("a", "b"):
+            ledger.submit(pay(sender, "adv", 1, 1, nonce))
+    # Entries that no accepted submission makes, set directly to reach
+    # each precedence: a's used nonce 0, and b's nonce 5 past a gap.
+    ledger.mempool.insert(1, pay("a", "adv", 1, 1, 0))
+    ledger.mempool.append(pay("b", "adv", 1, 1, 5))
+    outcomes = {}
+    for sender in ("a", "b", "adv"):
+        for nonce in range(7):
+            twin, tx = ledger.copy(), pay(sender, "adv", 1, 1, nonce)
+            before, seq = list(twin.mempool), twin._seq
+            want = outcomes[sender, nonce] = _two_pass_refusal(twin, tx)
+            if want is None:
+                assert twin.submit(tx) == tx.txid
+                assert twin.mempool[-1] is tx and twin._seq == seq + 1
+                continue
+            with pytest.raises(LedgerError) as err:
+                twin.submit(tx)
+            assert str(err.value) == want
+            assert len(twin.mempool) == len(before)
+            assert all(t is u for t, u in zip(twin.mempool, before))
+            assert twin._seq == seq
+    # Each refusal, and each precedence: used before duplicate, duplicate
+    # before gap.
+    assert outcomes["a", 0] == "nonce 0 already used by a (next 1)"
+    assert outcomes["a", 1] == "duplicate nonce 1 in mempool"
+    assert outcomes["b", 5] == "duplicate nonce 5 in mempool"
+    assert outcomes["b", 6] == "nonce gap for b: 6"
+    assert outcomes["adv", 1] == "nonce gap for adv: 1"
+    assert outcomes["adv", 0] is None and outcomes["a", 3] is None
 
 
 def test_reverted_tx_still_consumes_its_nonce(ledger):
@@ -982,3 +1040,86 @@ def test_every_accepted_transaction_checkpoints_and_restores(txs):
     assert restored.state_hash() == led.state_hash()
     assert restored.event_log() == led.event_log()
     assert restored.audit_signatures() == led.audit_signatures() == []
+
+
+# -- chained digests ------------------------------------------------------------
+
+
+def _block_hashes(monkeypatch) -> list[bytes]:
+    """Log each block digest the ledger hashes: an input of its
+    `truncated_hash` that is a 16-byte parent digest and a block entry."""
+    hashed, real = [], ledger_mod.truncated_hash
+
+    def counting(data, *args, **kwargs):
+        if re.fullmatch(rb"\d+|\[\d+,\[\[\[.*\]\]\]", data[16:], re.S):
+            hashed.append(data)
+        return real(data, *args, **kwargs)
+    monkeypatch.setattr(ledger_mod, "truncated_hash", counting)
+    return hashed
+
+
+def _scenario_ledger(monkeypatch, name: str, seed: int) -> Ledger:
+    """The ledger a scenario finishes on, with every block it digests
+    hashed during the run: the kept bootstraps are dropped first."""
+    scenarios._pristine.cache_clear()
+    kept, finish = [], scenarios._finish
+    monkeypatch.setattr(scenarios, "_finish", lambda result, system, baseline:
+                        finish(result, kept.append(system) or system, baseline))
+    assert scenarios.run_scenario(name, seed).passed
+    return kept[-1].ledger
+
+
+def _assert_digests_match(ledger) -> list:
+    """Every cached digest on every branch is the reference's; returns the
+    distinct digested blocks."""
+    digested = {}
+    for chain in ledger.branches.values():
+        for blk, digest in zip(chain, reference_digests(chain)):
+            assert blk._digest in (None, digest)
+            if blk._digest is not None:
+                digested[id(blk)] = blk
+    assert all(blk._digest is not None for blk in ledger.chain)
+    return list(digested.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["fork-replay", "depletion"])
+def test_every_cached_digest_matches_a_reference_hashed_once(
+        monkeypatch, name, seed):
+    """A forked and reorganised chain, and one whose root rotates: each
+    block's digest is H(parent digest || entry), an empty block's entry
+    its timestamp text, and each block is hashed once."""
+    hashed = _block_hashes(monkeypatch)
+    ledger = _scenario_ledger(monkeypatch, name, seed)
+    if name == "fork-replay":
+        assert len(ledger.branches) > 1 and ledger.canonical != "main"
+    else:
+        assert ledger.head.state.contracts[
+            next(iter(ledger.head.state.contracts))].current_subtree > 0
+    assert any(not blk.receipts for blk in ledger.chain)
+    assert len(hashed) == len(_assert_digests_match(ledger))
+    ledger.state_hash()
+    assert len(hashed) == len(_assert_digests_match(ledger))
+
+
+def test_a_restored_ledger_hashes_each_block_once(monkeypatch):
+    """Restored from a checkpoint, the ledger hashes the blocks mined since
+    the restore, and reading the chain below the head hashes each block
+    up to the head once: every cached digest is the reference's."""
+    ledger = _scenario_ledger(monkeypatch, "depletion", 0)
+    owner = next(r.tx.sender for r in ledger.chain[1].receipts)
+    if ledger.mempool:
+        ledger.mine_block()
+    restored = restore(ledger)
+    hashed = _block_hashes(monkeypatch)
+    restored.submit(pay(owner, "acct:recipient", 1, 1,
+                        restored.next_nonce(owner)))
+    restored.mine_block()
+    restored.mine_block()
+    assert restored.state_hash() == reference_state_hash(restored)
+    assert len(hashed) == 2
+    assert len(restored.chain) == restored.head.height + 1     # reads it
+    assert len(hashed) == len(restored.chain)
+    assert len(_assert_digests_match(restored)) == len(restored.chain)
+    restored.state_hash()
+    assert len(hashed) == len(restored.chain)
