@@ -4,8 +4,9 @@ the ledger's block entries, chained digest, state hash and checkpoint
 head."""
 
 import json
+import re
 
-from otpwallet import signing
+from otpwallet import ledger as ledger_mod, signing
 from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
 from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
@@ -164,6 +165,20 @@ def reference_digests(blocks) -> list[bytes]:
         digest = truncated_hash(digest + reference_entry(blk))
         digests.append(digest)
     return digests
+
+
+def block_hashes(monkeypatch) -> list[bytes]:
+    """Log each block digest the ledger hashes from now on: an input of its
+    `truncated_hash` that is a 16-byte parent digest and a block entry, a
+    timestamp or a timestamp and rows."""
+    hashed, real = [], ledger_mod.truncated_hash
+
+    def counting(data, *args, **kwargs):
+        if re.fullmatch(rb"\d+|\[\d+,\[\[\[.*\]\]\]", data[16:], re.S):
+            hashed.append(data)
+        return real(data, *args, **kwargs)
+    monkeypatch.setattr(ledger_mod, "truncated_hash", counting)
+    return hashed
 
 
 def reference_digest(ledger) -> bytes:

@@ -23,7 +23,8 @@ from otpwallet.cli import (
 
 from otpwallet.protocols import bootstrap_system
 
-from harness import depths_waited, reference_entries, reference_state_hash
+from harness import (block_hashes, depths_waited, reference_entries,
+                     reference_state_hash)
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
 
@@ -1264,16 +1265,7 @@ def test_a_write_hashes_one_digest_per_block_it_mines(history, monkeypatch,
                                                       capsys):
     state_dir = history
     height = World.load(state_dir).system.ledger.head.height
-    digests = []
-    real = ledger_mod.truncated_hash
-
-    def counting(data, *args, **kwargs):
-        # parent digest || block entry: a timestamp, or a timestamp and rows
-        if re.fullmatch(rb"\d+|\[\d+,\[\[\[.*\]\]\]", data[16:], re.S):
-            digests.append(data)
-        return real(data, *args, **kwargs)
-
-    monkeypatch.setattr(ledger_mod, "truncated_hash", counting)
+    digests = block_hashes(monkeypatch)
     code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
                      "transfer", "--addr", "acct:bob", "--param", "5")
     monkeypatch.undo()

@@ -3,13 +3,11 @@
 import dataclasses
 import json
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import otpwallet.ledger as ledger_mod
 from otpwallet import scenarios, signing
 from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
@@ -24,8 +22,8 @@ from otpwallet.ledger import (
 )
 from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, lsb, with_lsb
 
-from harness import (reference_chain, reference_digests, reference_entries,
-                     reference_head, reference_state_hash)
+from harness import (block_hashes, reference_chain, reference_digests,
+                     reference_entries, reference_head, reference_state_hash)
 
 
 def pay(frm, to, amount, fee, nonce):
@@ -1045,19 +1043,6 @@ def test_every_accepted_transaction_checkpoints_and_restores(txs):
 # -- chained digests ------------------------------------------------------------
 
 
-def _block_hashes(monkeypatch) -> list[bytes]:
-    """Log each block digest the ledger hashes: an input of its
-    `truncated_hash` that is a 16-byte parent digest and a block entry."""
-    hashed, real = [], ledger_mod.truncated_hash
-
-    def counting(data, *args, **kwargs):
-        if re.fullmatch(rb"\d+|\[\d+,\[\[\[.*\]\]\]", data[16:], re.S):
-            hashed.append(data)
-        return real(data, *args, **kwargs)
-    monkeypatch.setattr(ledger_mod, "truncated_hash", counting)
-    return hashed
-
-
 def _scenario_ledger(monkeypatch, name: str, seed: int) -> Ledger:
     """The ledger a scenario finishes on, with every block it digests
     hashed during the run: the kept bootstraps are dropped first."""
@@ -1089,7 +1074,7 @@ def test_every_cached_digest_matches_a_reference_hashed_once(
     """A forked and reorganised chain, and one whose root rotates: each
     block's digest is H(parent digest || entry), an empty block's entry
     its timestamp text, and each block is hashed once."""
-    hashed = _block_hashes(monkeypatch)
+    hashed = block_hashes(monkeypatch)
     ledger = _scenario_ledger(monkeypatch, name, seed)
     if name == "fork-replay":
         assert len(ledger.branches) > 1 and ledger.canonical != "main"
@@ -1111,7 +1096,7 @@ def test_a_restored_ledger_hashes_each_block_once(monkeypatch):
     if ledger.mempool:
         ledger.mine_block()
     restored = restore(ledger)
-    hashed = _block_hashes(monkeypatch)
+    hashed = block_hashes(monkeypatch)
     restored.submit(pay(owner, "acct:recipient", 1, 1,
                         restored.next_nonce(owner)))
     restored.mine_block()
