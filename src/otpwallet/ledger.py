@@ -216,7 +216,7 @@ class LedgerState:
 class Block:
     height: int
     timestamp: int
-    receipts: list[TxReceipt]
+    receipts: tuple[TxReceipt, ...]  # mined blocks never change
     state: LedgerState | None       # None below a head restored from a checkpoint
     # Built on first use; a restored head's `_digest` is the one stored
     # with it.
@@ -310,7 +310,7 @@ _to_json = json.JSONEncoder(separators=(",", ":")).encode
 class Ledger:
     def __init__(self, initial_accounts: dict[str, int] | None = None):
         genesis_state = LedgerState(accounts=dict(initial_accounts or {}))
-        genesis = Block(0, GENESIS_TIME, [], genesis_state)
+        genesis = Block(0, GENESIS_TIME, (), genesis_state)
         self.branches: dict[str, list[Block]] = {MAIN: [genesis]}
         # Per branch: txid -> height of its first executed receipt.
         self.tx_heights: dict[str, dict[str, int]] = {MAIN: {}}
@@ -406,7 +406,7 @@ class Ledger:
         if not mempool:
             # An empty block executes nothing, so it shares its parent's
             # state and adds no txid to the index.
-            block = Block(parent.height + 1, timestamp, [], parent.state)
+            block = Block(parent.height + 1, timestamp, (), parent.state)
             chain.append(block)
             return block
         state = parent.state
@@ -415,7 +415,8 @@ class Ledger:
         if len(mempool) > 1:
             mempool = sorted(mempool, key=_fee_order)
         block = Block(parent.height + 1, timestamp,
-                      [self._execute(tx, state, timestamp) for tx in mempool],
+                      tuple([self._execute(tx, state, timestamp)
+                             for tx in mempool]),
                       state)
         self.mempool = []
         chain.append(block)
@@ -618,7 +619,7 @@ class Ledger:
             contracts = [WalletContract.from_state_lines(
                 c["lines"], TreeParams.from_dict(c["params"]))
                 for c in head["contracts"]]
-            base = Block(head["height"], head["timestamp"], [],
+            base = Block(head["height"], head["timestamp"], (),
                          LedgerState(dict(head["accounts"]),
                                      dict(head["nonces"]),
                                      {c.contract_id: c for c in contracts}))

@@ -132,7 +132,7 @@ def test_tie_breaks_by_submission_order(ledger):
 
 def test_empty_mempool_mines_empty_block(ledger):
     blk = ledger.mine_block()
-    assert blk.receipts == [] and blk.height == 1
+    assert blk.receipts == () and blk.height == 1
 
 
 def test_nonce_replay_rejected(ledger):
@@ -950,7 +950,7 @@ def test_submit_refuses_a_call_without_a_function(ledger):
     with pytest.raises(LedgerError):
         ledger.submit(Transaction("a", {"to": "b", "amount": 1}, nonce=0))
     assert ledger.mempool == []
-    assert ledger.mine_block().receipts == []
+    assert ledger.mine_block().receipts == ()
 
 
 def test_submit_refuses_mistyped_calls():
@@ -988,7 +988,7 @@ def test_submit_refuses_mistyped_calls():
                                    nonce=led.next_nonce(w.owner)))
         assert led.mempool == []
     assert led.mine_block().height == height + 1
-    assert led.head.receipts == []
+    assert led.head.receipts == ()
 
 
 ARGUMENT_VALUES = st.sampled_from(

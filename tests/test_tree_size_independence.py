@@ -4,18 +4,17 @@ Two freshly bootstrapped worlds, at N = 64 and N = 1024 with the same P,
 run CLI commands in process. Test-local wrappers count, per command, the
 leaf chains derived (`merkle._chain_ends`), the pair hashes
 (`merkle.pair_hash`), the client trees built (`merkle.build_levels`) and
-the owner-key derivations (Ed25519 private keys made from a seed). A load
-builds nothing; `otp show` and `op init` derive no leaf and hash no pair at
-either N; no read command derives the key; `root show` is the
+the owner-key derivations (`signing._derive`, a key pair from a seed). A
+load builds nothing; `otp show` and `op init` derive no leaf and hash no
+pair at either N; no read command derives the key; `root show` is the
 authenticator's one derivation of the leaves, on purpose; and the first
 proof, in `op confirm`, builds the client's tree once."""
 
 from collections import Counter
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric import ed25519
 
-from otpwallet import merkle
+from otpwallet import merkle, signing
 from otpwallet.cli import World, main, parse_params
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -27,7 +26,7 @@ INIT = ["op", "init", "--type", "transfer", "--addr", "acct:bob",
 def _counting(monkeypatch, counts: Counter) -> None:
     chain_ends, pair_hash = merkle._chain_ends, merkle.pair_hash
     build_levels = merkle.build_levels
-    from_private_bytes = ed25519.Ed25519PrivateKey.from_private_bytes
+    derive = signing._derive
 
     def chains(k, first, count, *args):
         counts["leaves"] += count
@@ -41,15 +40,14 @@ def _counting(monkeypatch, counts: Counter) -> None:
         counts["trees"] += 1
         return build_levels(*args)
 
-    def keys(data):
+    def keys(seed):
         counts["keys"] += 1
-        return from_private_bytes(data)
+        return derive(seed)
 
     monkeypatch.setattr(merkle, "_chain_ends", chains)
     monkeypatch.setattr(merkle, "pair_hash", pairs)
     monkeypatch.setattr(merkle, "build_levels", trees)
-    monkeypatch.setattr(ed25519.Ed25519PrivateKey, "from_private_bytes",
-                        keys)
+    monkeypatch.setattr(signing, "_derive", keys)
 
 
 @pytest.fixture(scope="module", params=SPECS)
