@@ -455,7 +455,6 @@ class World:
             system.authenticator.eta = eta = contract.next_op_id // params.N
             system.client = ClientStore(
                 levels=None, params=params, eta=eta,
-                contract_id=system.contract_id,
                 current_subtree=(contract.current_subtree
                                  - eta * params.subtree_count),
                 leaf_source=lambda: all_leaves(k, params, eta))
@@ -652,24 +651,33 @@ def cmd_attack_run(args) -> int:
 def parse_grid(spec: str) -> tuple[list[int], list[int], list[int] | None]:
     hs, ps, ls = [7, 8, 9, 10], [1], None
 
-    def expand(val: str) -> list[int]:
+    def expand(key: str, val: str, least: int) -> list[int]:
+        """The axis' values; a usage error unless there is at least one
+        and none is below `least`."""
         try:
             if ".." in val:
                 lo, hi = val.split("..")
-                return list(range(int(lo), int(hi) + 1))
-            return [int(x) for x in val.split("+")]
+                values = list(range(int(lo), int(hi) + 1))
+            else:
+                values = [int(x) for x in val.split("+")]
         except ValueError as exc:
             raise CliError("usage", f"bad --grid value {val!r}: {exc}") from exc
+        if not values:
+            raise CliError("usage", f"--grid {key}={val} sweeps no values")
+        if min(values) < least:
+            raise CliError("usage", f"--grid {key} must be at least {least}: "
+                                    f"{val}")
+        return values
 
     for part in filter(None, spec.split(",")):
         key, _, val = part.partition("=")
         key = key.strip().upper()
         if key == "H":
-            hs = expand(val)
+            hs = expand(key, val, 0)
         elif key == "P":
-            ps = expand(val)
+            ps = expand(key, val, 1)
         elif key == "L":
-            ls = None if val.strip().lower() == "all" else expand(val)
+            ls = None if val.strip().lower() == "all" else expand(key, val, 0)
         else:
             raise CliError("usage", f"unknown grid key {key!r}")
     return hs, ps, ls

@@ -70,7 +70,6 @@ class ClientStore:
     levels: list[list[Digest]] | None
     params: TreeParams
     eta: int = 0
-    contract_id: str = ""
     confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH
     current_subtree: int = 0             # relative to the current generation
     base: HashFn = field(default=DEFAULT_BASE_HASH, repr=False)

@@ -5,13 +5,19 @@ category. The ledger runs each call on a `snapshot()` of the contract and
 keeps the untouched original for revert, so effects are atomic; blocks
 share a contract object until a transaction in a later block addresses it.
 
+A snapshot copies only what a call writes in place: the open operation
+records. Every other container a call changes it rebinds instead: stages
+1 and 2 set L1 or L2 to a new, longer list, and opening a subtree (by
+`next_subtree` or a root replacement) installs a new `SubtreeLayer` over
+the call's nodes. The contract never writes a sublayer it holds, nor its
+nodes, which it shares with the call that brought them.
+
 Only the current subtree's operation records can change: `init_op` writes
 at `nextOpID`, and `confirm_op` refuses an operation of any other subtree.
 So `operations` keeps each finished subtree's records in a sealed chunk,
 which no call changes again and every snapshot shares, and the current
-subtree's records in one open dict of at most `N_S` entries, the only
-container of records a snapshot copies. `next_subtree` and a root
-replacement seal the open dict. A sealed chunk renders its `state_lines`
+subtree's records in one open dict of at most `N_S` entries. Opening a
+subtree seals the open dict. A sealed chunk renders its `state_lines`
 text on first use and keeps it, so `state_lines` renders only the open
 records; `from_state_lines` parses only those and keeps the older `op`
 lines as one sealed chunk of text, parsed when a record in it is read.
@@ -260,7 +266,7 @@ class WalletContract:
                                           trace.base).hex()
         self.next_op_id = 0
         self.operations = Operations()
-        self.sublayer = cache_sublayer.copy()
+        self.sublayer = cache_sublayer
         self.current_subtree = 0          # absolute floor(opID / N_S)
         self.current_layer = 1            # sliding-window watermark
         self.l1: list[Digest] = []
@@ -277,16 +283,16 @@ class WalletContract:
     def snapshot(self) -> "WalletContract":
         """A copy that a call can change without touching this contract.
 
-        Only the mutable containers are copied: the open subtree's records
-        (at most `N_S`; the records themselves are frozen), L1, L2 and the
-        cached sublayer. The sealed chunks of finished subtrees, digests,
-        keys, parameters and scalars are shared.
+        Only the open subtree's records are copied (at most `N_S`; the
+        records themselves are frozen): they are the one container a call
+        writes in place. A call rebinds L1, L2 and the sublayer to new
+        objects instead of writing them, so those are shared, as are the
+        sealed chunks of finished subtrees, digests, keys, parameters and
+        scalars.
         """
         twin = WalletContract.__new__(WalletContract)
         twin.__dict__.update(self.__dict__)
         twin.operations = self.operations.copy()
-        twin.l1, twin.l2 = list(self.l1), list(self.l2)
-        twin.sublayer = self.sublayer.copy()
         return twin
 
     # -- helpers -------------------------------------------------------------
@@ -417,13 +423,18 @@ class WalletContract:
             raise Revert("otp", "OTP does not verify against the parent root")
         if not _sublayer_under(next_sublayer, proof_sr, self.root, trace.base):
             raise Revert("consistency", "new sublayer does not match the root")
-        self.operations._seal()
-        self.sublayer = next_sublayer.copy()
-        self.current_subtree += 1
-        self.sublayer.index = self.current_subtree
-        self.next_op_id += 1                        # accounts for the introduction
-        self.current_layer = 1
+        self._open_next_subtree(next_sublayer)
         trace.sstore_update += 3 + len(self.sublayer.nodes)
+
+    def _open_next_subtree(self, sublayer: SubtreeLayer) -> None:
+        """Seal the open records, spend the slot of this call (a subtree
+        introduction or a root replacement) and open the subtree at
+        `nextOpID` from layer 1, over the given sublayer's nodes."""
+        self.operations._seal()
+        self.next_op_id += 1
+        self.current_subtree = self.next_op_id // self.params.N_S
+        self.current_layer = 1
+        self.sublayer = SubtreeLayer(sublayer.nodes, self.current_subtree)
 
     # -- parent-root replacement ---------------------------------------------------
 
@@ -432,20 +443,21 @@ class WalletContract:
             raise Revert("phase", "not at the last operation of the parent tree")
 
     def _append_signed(self, entries: list[Digest], value: Digest,
-                       env: ChainEnv) -> None:
-        """The body of stages 1 and 2: an owner-signed append to L1 or L2."""
+                       env: ChainEnv) -> list[Digest]:
+        """The body of stages 1 and 2: an owner-signed append to L1 or L2,
+        returned as a new list."""
         self._alive()
         self._check_sig(env)
         env.trace.sload += 1
         self._root_phase()
-        entries.append(value)
         env.trace.sstore_new += 1
+        return entries + [value]
 
     def new_root_stage1(self, h_root_and_otp: Digest, env: ChainEnv) -> None:
-        self._append_signed(self.l1, h_root_and_otp, env)
+        self.l1 = self._append_signed(self.l1, h_root_and_otp, env)
 
     def new_root_stage2(self, new_root: Digest, env: ChainEnv) -> None:
-        self._append_signed(self.l2, new_root, env)
+        self.l2 = self._append_signed(self.l2, new_root, env)
 
     def new_root_stage3(self, otp: Digest, proof: MerkleProof,
                         new_sublayer: SubtreeLayer, proof_sr: MerkleProof,
@@ -465,28 +477,16 @@ class WalletContract:
             self.l1, self.l2 = [], []
             trace.sstore_update += 2
             return False
-        match = None
-        for i, candidate_root in enumerate(self.l2):
-            probe = truncated_hash(candidate_root + otp,
-                                   self.params.digest_bytes, trace.base)
-            for j, entry in enumerate(self.l1):
-                if probe == entry:
-                    match = (i, j)
-                    break
-            if match:
+        for new_root in self.l2:
+            if truncated_hash(new_root + otp, self.params.digest_bytes,
+                              trace.base) in self.l1:
                 break
-        if match is None:
+        else:
             return False
-        new_root = self.l2[match[0]]
         if not _sublayer_under(new_sublayer, proof_sr, new_root, trace.base):
             raise Revert("consistency", "new sublayer does not match the new root")
-        self.operations._seal()
         self.root = new_root
-        self.next_op_id += 1
-        self.current_subtree = self.next_op_id // self.params.N_S
-        self.current_layer = 1
-        self.sublayer = new_sublayer.copy()
-        self.sublayer.index = self.current_subtree
+        self._open_next_subtree(new_sublayer)
         self.l1, self.l2 = [], []
         trace.sstore_update += 6 + len(self.sublayer.nodes)
         return True

@@ -5,17 +5,19 @@ pure function of the submission order, fees, timestamp deltas, and the
 fork/reorg schedule. Forks clone a chain prefix, and a reorg promotes a
 strictly longer branch, returning orphaned transactions to the mempool.
 
-Block states share structure. An empty block shares its parent's state
-object whole. Any other block starts from shallow copies of its parent's
-account, nonce and contract maps, so it shares every contract object with
-the parent. A transaction that addresses a contract runs on a
-`WalletContract.snapshot()` of it, which replaces the shared object in the
-new block only; on revert the pre-call maps come back untouched. No block's
-state is ever mutated after the block is mined. That holds only while head
-state changes by executing transactions alone: mutating the head's maps, or
-a contract reached through `Ledger.contract(cid)`, directly would leak into
-older blocks that share them. The same rule lets `copy` share every block,
-and every submitted transaction, with the ledger it copies.
+Block states share structure, and each copy is made by the step that
+writes it. An empty block shares its parent's state object whole. Any
+other block starts from a copy of its parent's nonce map and the parent's
+account and contract maps themselves. A transaction that executes copies
+the account and contract maps before its call writes them, and a call to a
+contract runs on a `WalletContract.snapshot()` of it, which replaces the
+shared object in the new block only; on revert the pre-call maps come back
+untouched. No block's state is ever mutated after the block is mined. That
+holds only while head state changes by executing transactions alone:
+mutating the head's maps, or a contract reached through
+`Ledger.contract(cid)`, directly would leak into older blocks that share
+them. The same rule lets `copy` share every block, and every submitted
+transaction, with the ledger it copies.
 
 Each branch keeps a txid -> height index, filled as blocks are mined and
 copied up to the fork point by `fork`, so confirmation queries do not scan
@@ -39,16 +41,16 @@ argument.
 Receipts are immutable after mining: no code changes a mined block's
 receipts, their transactions or those transactions' calls. Three caches
 rely on it. A `Transaction` builds its signed bytes and its txid once, a
-`Block` builds its digest, and a non-empty block its entry, on first use,
-and the ledger remembers each (public key, signed bytes, signature) triple
-that verified on it. The contract's signature check, the re-execution of
-an orphaned transaction after a reorg and `audit_signatures` all go
-through that memo, so each signature is verified once per ledger. It is
-exact: a verify is a pure function of the whole triple, so any changed
-byte misses, and a failed verify is never stored. `from_checkpoint` starts
-it empty, so the signatures of the chain read below a restored head are
-verified afresh, and `copy` gives the copy a memo of its own that starts
-as the original's.
+`Block` its digest on first use, and the ledger remembers each (public
+key, signed bytes, signature) triple that verified on it. A block's entry
+is not kept: its digest hashes it once. The contract's signature check,
+the re-execution of an orphaned transaction after a reorg and
+`audit_signatures` all go through that memo, so each signature is verified
+once per ledger. It is exact: a verify is a pure function of the whole
+triple, so any changed byte misses, and a failed verify is never stored.
+`from_checkpoint` starts it empty, so the signatures of the chain read
+below a restored head are verified afresh, and `copy` gives the copy a
+memo of its own that starts as the original's.
 
 A block's entry is JSON text: its timestamp alone when it is empty, else
 [timestamp, rows] with one row per receipt, [signed text, status, result,
@@ -62,13 +64,14 @@ it reads the head and the blocks mined since the last digest, not the
 chain.
 
 What each block and transaction costs, at the floor of the hashes and
-signature checks above: a block is one `Block` object and one digest hash.
-An empty block shares its parent's state, adds nothing to the txid index,
-and its digest hashes its timestamp text, with no entry string built or
-kept. A transaction is one encoding of its signed bytes and one txid hash,
-checked against the mempool in one pass on submission, and its signature
-is verified at most once per ledger. A contract call copies only the
-contract's mutable containers (`WalletContract.snapshot`).
+signature checks above: a block is one `Block` object and one digest hash
+of its entry. An empty block shares its parent's state, adds nothing to
+the txid index, and its entry is its timestamp text. Any other block
+copies one map, the nonces. A transaction is one encoding of its signed
+bytes and one txid hash, checked against the mempool in one pass on
+submission, and its signature is verified at most once per ledger. An
+executed transaction copies the account and contract maps, and a contract
+call the contract's open operation records (`WalletContract.snapshot`).
 
 `checkpoint` returns the head as a JSON-ready object, for the caller to
 encode and store: the head state, height, timestamp and digest, and the
@@ -220,28 +223,23 @@ class Block:
     state: LedgerState | None       # None below a head restored from a checkpoint
     # Built on first use; a restored head's `_digest` is the one stored
     # with it.
-    _entry: str | None = field(default=None, init=False, repr=False,
-                               compare=False)
     _digest: bytes | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
     def entry(self) -> str:
-        """The block's checkpoint entry and digest input as JSON text: its
+        """The block's entry, its digest input, as JSON text: its
         timestamp alone when empty, else the timestamp and one row per
         receipt, [signed text, status, result, signature]. A signature that
-        is not bytes is written as null: the contract treats it as none.
-        Only a non-empty block's entry is cached."""
+        is not bytes is written as null: the contract treats it as none."""
         if not self.receipts:
             return str(self.timestamp)
-        if self._entry is None:
-            rows = ",".join([
-                f"[{r.tx.signing_bytes().decode()},{_to_json(r.status)},"
-                f"{_to_json(r.result)}," + (_to_json(r.tx.signature.hex())
-                                            if type(r.tx.signature) is bytes
-                                            else "null") + "]"
-                for r in self.receipts])
-            self._entry = f"[{self.timestamp},[{rows}]]"
-        return self._entry
+        rows = ",".join([
+            f"[{r.tx.signing_bytes().decode()},{_to_json(r.status)},"
+            f"{_to_json(r.result)}," + (_to_json(r.tx.signature.hex())
+                                        if type(r.tx.signature) is bytes
+                                        else "null") + "]"
+            for r in self.receipts])
+        return f"[{self.timestamp},[{rows}]]"
 
 
 def _fee_order(tx: Transaction) -> tuple[int, int]:
@@ -409,9 +407,11 @@ class Ledger:
             block = Block(parent.height + 1, timestamp, (), parent.state)
             chain.append(block)
             return block
+        # Only the nonces are copied here: `_execute` copies the account
+        # and contract maps before a call writes them.
         state = parent.state
-        state = LedgerState(dict(state.accounts), dict(state.nonces),
-                            dict(state.contracts))
+        state = LedgerState(state.accounts, dict(state.nonces),
+                            state.contracts)
         if len(mempool) > 1:
             mempool = sorted(mempool, key=_fee_order)
         block = Block(parent.height + 1, timestamp,
@@ -688,10 +688,7 @@ class Ledger:
             i -= 1
         digest = chain[i - 1]._digest if i else GENESIS_PARENT
         for blk in chain[i:]:
-            # An empty block's entry is its timestamp text.
-            digest = blk._digest = truncated_hash(
-                digest + (blk.entry() if blk.receipts
-                          else str(blk.timestamp)).encode())
+            digest = blk._digest = truncated_hash(digest + blk.entry().encode())
         return digest
 
     def state_hash(self) -> str:

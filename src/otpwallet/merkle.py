@@ -125,9 +125,6 @@ class SubtreeLayer:
     nodes: list[Digest]
     index: int = 0
 
-    def copy(self) -> "SubtreeLayer":
-        return SubtreeLayer(list(self.nodes), self.index)
-
 
 # ---------------------------------------------------------------------------
 # Operation-id index arithmetic (shared by authenticator, client, contract)

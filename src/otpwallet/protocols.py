@@ -193,7 +193,6 @@ def bootstrap_system(system: System, mode: str = "secure", funding: int = 1000,
     if _status(receipt) != "ok":
         raise ProtocolAbort(f"deployment failed: {_status(receipt)}")
     system.contract_id = receipt.result
-    client.contract_id = receipt.result
 
     # Fund the wallet from the user's account.
     receipt = send(system, {"fn": "transfer", "to": system.contract_id,

@@ -277,7 +277,11 @@ def test_param_and_grid_parsing(capsys):
         parse_params("x,y")
     assert parse_grid("H=7..9,P=1+2,L=all") == ([7, 8, 9], [1, 2], None)
     assert parse_grid("H=7,P=1,L=0..2") == ([7], [1], [0, 1, 2])
-    for grid in ("Q=1", "H=x", "P=1+y", "H=3.."):
+    assert parse_grid("H=0") == ([0], [1], None)
+    # An unknown key, a value that is not an integer, an axis that expands
+    # to no values, and a value below the axis' least (H and L 0, P 1).
+    for grid in ("Q=1", "H=x", "P=1+y", "H=3..", "H=3..1", "P=1..0", "L=2..1",
+                 "H=-1", "P=0", "P=-2", "P=1+0", "L=-1", "L=-1..2"):
         with pytest.raises(CliError) as info:
             parse_grid(grid)
         assert info.value.category == "usage"

@@ -61,7 +61,7 @@ def test_secure_store_holds_no_otp_and_no_seed(store, tmp_path):
     secrets = {K} | {otp_for(i) for i in range(PARAMS.N)}
     for store in store, restored:
         names = [f.name for f in dataclasses.fields(store)]
-        assert names == ["levels", "params", "eta", "contract_id",
+        assert names == ["levels", "params", "eta",
                          "confirmation_depth", "current_subtree", "base",
                          "_staged_levels", "leaf_source"]
         assert set(vars(store)) == set(names)

@@ -542,15 +542,14 @@ def test_a_snapshot_copies_only_the_containers_a_call_changes():
     assert twin.operations._sealed is wallet.operations._sealed
     assert twin.root is wallet.root and twin.pk is wallet.pk
     assert twin.params is wallet.params
-    assert all(a is b for a, b in zip(twin.sublayer.nodes,
-                                      wallet.sublayer.nodes))
-    # Copied: the open records, L1, L2 and the sublayer.
+    # Shared too: L1, L2 and the sublayer, which a call rebinds instead of
+    # writing.
+    for name in ("l1", "l2", "sublayer"):
+        assert getattr(twin, name) is getattr(wallet, name)
+    # Copied: the open records.
     assert list(wallet.operations.open) == [op]
     assert twin.operations._open is not wallet.operations._open
     assert twin.operations._open == wallet.operations._open
-    for name in ("l1", "l2", "sublayer"):
-        assert getattr(twin, name) is not getattr(wallet, name)
-        assert getattr(twin, name) == getattr(wallet, name)
     # An init, a confirmation and a subtree introduction on the snapshot
     # leave the original as it was.
     world.wallet = twin
@@ -561,6 +560,20 @@ def test_a_snapshot_copies_only_the_containers_a_call_changes():
     assert twin.current_subtree == wallet.current_subtree + 1
     assert wallet.state_lines() == lines
     assert wallet.state_lines() == reference_state_lines(wallet)
+    # Stages 1, 2 and 3 on a snapshot that shares a non-empty L1 and L2
+    # leave the contract it was taken from as it was.
+    drive_to_tree_boundary(world)
+    signed = world.env(world.owner, signed=True)
+    twin.new_root_stage1(truncated_hash(b"an earlier L1 entry"), signed)
+    twin.new_root_stage2(truncated_hash(b"an earlier L2 entry"), signed)
+    twin_lines = twin.state_lines()
+    world.wallet = twin.snapshot()
+    assert world.wallet.l1 is twin.l1 and world.wallet.l2 is twin.l2
+    assert world.rotate_root()
+    assert world.wallet.root != twin.root
+    assert twin.state_lines() == twin_lines
+    assert twin.state_lines() == reference_state_lines(twin)
+    assert wallet.state_lines() == lines
 
 
 # -- sealed chunks ----------------------------------------------------------------------------

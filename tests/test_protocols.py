@@ -31,7 +31,7 @@ from harness import depths_waited
 def test_secure_bootstrap_deploys_and_first_confirm_succeeds():
     system = run_bootstrap("secure", seed=3)
     assert system.contract_id
-    assert system.contract.contract_id == system.client.contract_id
+    assert system.contract.contract_id == system.contract_id
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 5)
     assert outcome["ok"]
     assert system.ledger.accounts[system.recipient] == 5
@@ -72,6 +72,50 @@ def test_operation_waits_for_confirmation_depth():
             >= system.client.confirmation_depth)
     assert list(depths_waited(ledger).values()) == [
         system.client.confirmation_depth]
+
+
+def test_an_init_orphaned_by_a_reorg_is_mined_again_before_the_wait():
+    system = run_bootstrap("secure", seed=3)
+    init = init_operation(system, OpType.TRANSFER, system.recipient, 1)
+    ledger = system.ledger
+    branch = ledger.fork(ledger.head.height - 1)
+    for _ in range(2):
+        ledger.mine_block(branch=branch)
+    ledger.reorg(branch)
+    assert ledger.confirmations(init["txid"]) is None
+    height = ledger.head.height
+    assert confirm_operation(system, init["op_id"])["ok"]
+    # One block mines the init again, the depth's blocks bury it, and one
+    # block holds the confirmation.
+    depth = system.client.confirmation_depth
+    assert ledger.head.height - height == 1 + depth + 1 == 14
+    assert ledger.confirmations(init["txid"]) == depth + 1
+    assert system.confirmed_transfers == [(system.recipient, 1)]
+
+
+def test_an_init_that_a_reorg_leaves_with_a_spent_nonce_aborts_the_wait():
+    system = run_bootstrap("secure", seed=3)
+    ledger, owner = system.ledger, system.user_account
+    ledger.mine_block()
+    branch = ledger.fork(ledger.head.height - 1)
+    # The branch spends the owner's next nonce on a transfer.
+    nonce = ledger.next_nonce(owner)
+    ledger.submit(Transaction(owner, {"fn": "transfer",
+                                      "to": system.recipient, "amount": 1},
+                              fee=1, nonce=nonce))
+    for _ in range(4):
+        ledger.mine_block(branch=branch)
+    init = init_operation(system, OpType.TRANSFER, system.recipient, 1)
+    assert init["ok"] and ledger.receipt(init["txid"]).tx.nonce == nonce
+    ledger.reorg(branch)
+    with pytest.raises(ProtocolAbort, match=f"{init['txid']} vanished"):
+        confirm_operation(system, init["op_id"])
+    # The wait mined the orphaned init once more, at a nonce already spent.
+    assert [(r.txid, r.status) for r in ledger.head.receipts] == [
+        (init["txid"], "invalid-nonce")]
+    assert ledger.confirmations(init["txid"]) is None and not ledger.mempool
+    assert system.confirmed_transfers == []
+    assert init["op_id"] not in system.contract.operations
 
 
 def test_contract_ids_agree_across_parties():
