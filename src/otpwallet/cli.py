@@ -45,7 +45,7 @@ once and keeps the hash, so a save hashes only what it appends, and counts
 their lines against the head's action count. It restores the checkpoint
 when that hash is the checkpoint's, the restored ledger hashes to the
 recorded state, and that state holds exactly one contract with a record in
-its open subtree of every initialised operation of that subtree, whose
+its current subtree of every initialised operation of that subtree, whose
 init txid the restored index holds. Otherwise it parses the log and
 replays it from genesis, which determinism makes bit-exact; a replay that
 lands anywhere but the recorded state is an error, and one that lands on
@@ -80,7 +80,8 @@ no environment: a command reads `OTPWALLET_STATE` and `OTPWALLET_PARAMS`
 where it uses them, each time. Only the cost and security commands import
 the cost model and the security calculator, and with them mpmath. A
 restore parses of the contract's records only the current subtree's, at
-most `N_S` (see `otpwallet.contract`). What a command still pays for by
+most `N_S`, and keeps their text, so a save renders none of them again
+(see `otpwallet.contract`). What a command still pays for by
 history is reading and hashing the log's bytes, and the head's `op` lines
 and confirmed transfers, which `world.json` holds. What it pays for by the
 tree size N: `root show` derives the N/P leaves once, on purpose, as the
@@ -430,9 +431,10 @@ class World:
         replaying; False when it is not one that a save writes or was built
         from other log bytes, the restored ledger hashes to another state,
         or that state does not hold exactly one contract with a record in
-        its open subtree of every initialised operation of that subtree,
-        whose init txid the restored txid index holds; a row of a sealed
-        subtree, which older saves kept, does not bind. Only then is the
+        its current subtree of every initialised operation of that subtree,
+        whose init txid the restored txid index holds. A row below the
+        current subtree's first op id, which older saves kept, does not
+        bind: it is refused before its record is looked up. Only then is the
         rest derived from the contract, so the state hash covers it: the
         generation, the client's subtree, and each initialised operation's
         type, address and parameter. The parties are built around the
@@ -458,12 +460,12 @@ class World:
                 current_subtree=(contract.current_subtree
                                  - eta * params.subtree_count),
                 leaf_source=lambda: all_leaves(k, params, eta))
-            records, kept = (contract.operations.open,
-                             ledger.tx_heights[ledger.canonical])
+            floor = contract.current_subtree * params.N_S
+            kept = ledger.tx_heights[ledger.canonical]
             for op_id, txid in checkpoint["initialised"]:
-                record = records[op_id]
-                if txid not in kept:
+                if op_id < floor or txid not in kept:
                     return False
+                record = contract.operations[op_id]
                 system.initialised[op_id] = (txid, record.type, record.addr,
                                              record.param)
             system.confirmed_transfers = [

@@ -5,22 +5,26 @@ category. The ledger runs each call on a `snapshot()` of the contract and
 keeps the untouched original for revert, so effects are atomic; blocks
 share a contract object until a transaction in a later block addresses it.
 
-A snapshot copies only what a call writes in place: the open operation
-records. Every other container a call changes it rebinds instead: stages
-1 and 2 set L1 or L2 to a new, longer list, and opening a subtree (by
+A snapshot copies only the contract's attribute dict, because a call
+writes no container in place: it rebinds every container it changes.
+Stages 1 and 2 set L1 or L2 to a new, longer list; opening a subtree (by
 `next_subtree` or a root replacement) installs a new `SubtreeLayer` over
-the call's nodes. The contract never writes a sublayer it holds, nor its
-nodes, which it shares with the call that brought them.
+the call's nodes, which the contract never writes and shares with the
+call that brought them; and `init_op` and `confirm_op` set `operations`
+to a new `Operations`.
 
-Only the current subtree's operation records can change: `init_op` writes
-at `nextOpID`, and `confirm_op` refuses an operation of any other subtree.
-So `operations` keeps each finished subtree's records in a sealed chunk,
-which no call changes again and every snapshot shares, and the current
-subtree's records in one open dict of at most `N_S` entries. Opening a
-subtree seals the open dict. A sealed chunk renders its `state_lines`
-text on first use and keeps it, so `state_lines` renders only the open
-records; `from_state_lines` parses only those and keeps the older `op`
-lines as one sealed chunk of text, parsed when a record in it is read.
+`Operations` is persistent: an immutable tuple of chunks of at most
+`CHUNK` records in id order, none of which is ever changed. A write
+copies the one chunk it writes and the tuple, and shares every other
+chunk, so an operation costs the same at any op id, as a record's storage
+words do in the paper's contract. `init_op` appends at `nextOpID` to the
+last chunk, or starts a new one when it is full, without searching older
+chunks; `confirm_op` finds its record's chunk by bisecting the chunks'
+last ids. A chunk renders its `state_lines` text on first use and keeps
+it, so `state_lines` renders only the chunks written since.
+`from_state_lines` parses only the current subtree's `op` lines, into
+chunks that keep their text, and keeps the older `op` lines as one chunk
+of text, parsed when a record in it is read.
 
 Every public method takes the call's ChainEnv last. Token balances live in
 the ledger's account map; the contract reads and moves them through it.
@@ -33,10 +37,11 @@ as the `base` of every hashing function it calls.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
+from itertools import chain
 from typing import Callable
 
 from .hashing import DEFAULT_BASE_HASH, Digest, HashFn, truncated_hash
@@ -58,6 +63,8 @@ SECONDS_PER_DAY = 86400
 # Storage-word accounting (one word per digest at S <= 256; scalars 1 word).
 BASE_STATE_WORDS = 8      # root, pk, nextOpID, layer/subtree, limits, last resort
 OP_RECORD_WORDS = 3       # addr, param, type+pending
+
+CHUNK = 64                # operation records per chunk of `Operations`
 
 
 class Revert(Exception):
@@ -112,10 +119,11 @@ def _parse_op(line: str) -> tuple[int, OperationRecord]:
                                          OP_TYPES[op_type])
 
 
-class _Sealed:
-    """Operation records that no call changes again, held as records, as
-    their `state_lines` lines in id order, or both: the missing form is
-    derived from the other on first use and kept."""
+class _Chunk:
+    """Up to `CHUNK` operation records in id order, or all the records
+    below the current subtree of a restored contract, that no call changes:
+    held as records, as their `state_lines` lines, or both; the missing
+    form is derived from the other on first use and kept."""
 
     __slots__ = ("_records", "_lines")
 
@@ -134,74 +142,62 @@ class _Sealed:
                            for op_id in sorted(self._records)]
         return self._lines
 
+    def last(self) -> int:
+        """The highest id held, read without a parse."""
+        if self._records is None:
+            return _op_id(self._lines[-1])
+        return next(reversed(self._records))
+
     def __len__(self) -> int:
         return len(self._lines if self._records is None else self._records)
 
 
 class Operations(Mapping):
-    """A contract's operation records by id, read-only: a tuple of sealed
-    chunks, one per finished subtree (or one for all the subtrees before a
-    restore), that every snapshot shares, then the open dict of the current
-    subtree's records, which a snapshot copies. Only the contract writes,
-    through `_put` and `_seal`."""
+    """A contract's operation records by id: an immutable tuple of chunks
+    in id order. `put` returns a new Operations that shares every chunk but
+    the one it writes, so a snapshot shares it whole."""
 
-    __slots__ = ("_sealed", "_open")
+    __slots__ = ("_chunks",)
 
-    def __init__(self, sealed: tuple[_Sealed, ...] = (),
-                 open_records: dict[int, OperationRecord] | None = None):
-        self._sealed = sealed
-        self._open = {} if open_records is None else open_records
+    def __init__(self, chunks: tuple[_Chunk, ...] = ()):
+        self._chunks = chunks
 
-    @property
-    def open(self) -> Mapping[int, OperationRecord]:
-        """The current subtree's records."""
-        return MappingProxyType(self._open)
-
-    def copy(self) -> "Operations":
-        return Operations(self._sealed, dict(self._open))
-
-    def get(self, op_id: int, default=None):
-        record = self._open.get(op_id)
-        if record is not None:
-            return record
-        for chunk in self._sealed:
-            record = chunk.records().get(op_id)
-            if record is not None:
-                return record
-        return default
+    def _find(self, op_id: int) -> int:
+        """The index of the chunk that holds `op_id`, if one does; the
+        count of chunks for an id above every id held, found without a
+        search."""
+        chunks = self._chunks
+        if not chunks or op_id > chunks[-1].last():
+            return len(chunks)
+        return bisect_left(chunks, op_id, key=_Chunk.last)
 
     def __getitem__(self, op_id: int) -> OperationRecord:
-        record = self.get(op_id)
-        if record is None:
+        i = self._find(op_id)
+        if i == len(self._chunks):
             raise KeyError(op_id)
-        return record
+        return self._chunks[i].records()[op_id]
 
     def __iter__(self) -> Iterator[int]:
-        for chunk in self._sealed:
-            yield from chunk.records()
-        yield from self._open
+        return chain.from_iterable(map(_Chunk.records, self._chunks))
 
     def __len__(self) -> int:
-        return sum(map(len, self._sealed)) + len(self._open)
+        return sum(map(len, self._chunks))
 
     def lines(self) -> list[str]:
-        """Every record's `state_lines` line, in id order; only the open
-        records are rendered here."""
-        lines = []
-        for chunk in self._sealed:
-            lines += chunk.lines()
-        lines += [_op_line(op_id, self._open[op_id])
-                  for op_id in sorted(self._open)]
-        return lines
+        """Every record's `state_lines` line, in id order; only the chunks
+        written since they were last rendered are rendered here."""
+        return list(chain.from_iterable(map(_Chunk.lines, self._chunks)))
 
-    def _put(self, op_id: int, record: OperationRecord) -> None:
-        self._open[op_id] = record
-
-    def _seal(self) -> None:
-        """Seal the open records; the next subtree starts with none."""
-        if self._open:
-            self._sealed += (_Sealed(records=self._open),)
-            self._open = {}
+    def put(self, op_id: int, record: OperationRecord) -> "Operations":
+        """These records with `record` at `op_id`, an id held or one above
+        every id held; a new id goes into the last chunk until it holds
+        `CHUNK` records."""
+        chunks, i = self._chunks, self._find(op_id)
+        if 0 < i == len(chunks) and len(chunks[-1]) < CHUNK:
+            i -= 1
+        records = chunks[i].records() if i < len(chunks) else {}
+        return Operations(chunks[:i] + (_Chunk({**records, op_id: record}),)
+                          + chunks[i + 1:])
 
 
 @dataclass
@@ -281,18 +277,13 @@ class WalletContract:
         trace.sstore_new += BASE_STATE_WORDS + len(self.sublayer.nodes)
 
     def snapshot(self) -> "WalletContract":
-        """A copy that a call can change without touching this contract.
-
-        Only the open subtree's records are copied (at most `N_S`; the
-        records themselves are frozen): they are the one container a call
-        writes in place. A call rebinds L1, L2 and the sublayer to new
-        objects instead of writing them, so those are shared, as are the
-        sealed chunks of finished subtrees, digests, keys, parameters and
-        scalars.
-        """
+        """A copy that a call can change without touching this contract:
+        only the attribute dict is copied. A call rebinds every container
+        it changes (the operation records, L1, L2 and the sublayer) to a
+        new object instead of writing it, so all of them are shared, as are
+        digests, keys, parameters and scalars."""
         twin = WalletContract.__new__(WalletContract)
         twin.__dict__.update(self.__dict__)
-        twin.operations = self.operations.copy()
         return twin
 
     # -- helpers -------------------------------------------------------------
@@ -329,7 +320,8 @@ class WalletContract:
                          "last resort must differ from the owner account")
         op_id = self.next_op_id
         self.next_op_id += 1
-        self.operations._put(op_id, OperationRecord(addr, param, True, op_type))
+        self.operations = self.operations.put(
+            op_id, OperationRecord(addr, param, True, op_type))
         trace.sstore_new += OP_RECORD_WORDS
         trace.sstore_update += 1                    # nextOpID
         return op_id
@@ -352,7 +344,7 @@ class WalletContract:
             raise Revert("layer", f"iteration layer {layer} is already invalidated")
         self._verify_otp_cached(otp, proof, op_id, trace)
         self._exec(record, env)
-        self.operations._put(op_id, OperationRecord(
+        self.operations = self.operations.put(op_id, OperationRecord(
             record.addr, record.param, False, record.type))
         self.current_layer = layer
         self.last_activity = env.timestamp
@@ -427,10 +419,9 @@ class WalletContract:
         trace.sstore_update += 3 + len(self.sublayer.nodes)
 
     def _open_next_subtree(self, sublayer: SubtreeLayer) -> None:
-        """Seal the open records, spend the slot of this call (a subtree
-        introduction or a root replacement) and open the subtree at
-        `nextOpID` from layer 1, over the given sublayer's nodes."""
-        self.operations._seal()
+        """Spend the slot of this call (a subtree introduction or a root
+        replacement) and open the subtree at `nextOpID` from layer 1, over
+        the given sublayer's nodes."""
         self.next_op_id += 1
         self.current_subtree = self.next_op_id // self.params.N_S
         self.current_layer = 1
@@ -537,9 +528,10 @@ class WalletContract:
         """The contract that `state_lines` describes; the inverse of it for
         the given parameters (they are not in the lines). It parses the
         header and the tail of `op` lines whose id is in the current
-        subtree, at most `N_S` lines because the lines are sorted by id;
-        the older `op` lines become one sealed chunk of text, kept as they
-        are and parsed only when a record in it is read."""
+        subtree, at most `N_S` lines because the lines are sorted by id,
+        into chunks of `CHUNK` that keep their lines too; the older `op`
+        lines become one chunk of text, kept as they are and parsed only
+        when a record in it is read."""
         fields, start = {}, len(lines)
         for i, line in enumerate(lines):
             if _op_id(line) is not None:
@@ -566,9 +558,11 @@ class WalletContract:
         wallet.pk = bytes.fromhex(fields["pk"])
         wallet.owner_account = signing.account_of(wallet.pk)
         wallet.next_op_id = int(fields["nextOpID"])
-        wallet.operations = Operations(
-            (_Sealed(lines=lines[start:end]),) if end > start else (),
-            dict(map(_parse_op, lines[end:])))
+        chunks = [_Chunk(lines=lines[start:end])] if end > start else []
+        for i in range(end, len(lines), CHUNK):
+            tail = lines[i:i + CHUNK]
+            chunks.append(_Chunk(dict(map(_parse_op, tail)), tail))
+        wallet.operations = Operations(tuple(chunks))
         wallet.sublayer = SubtreeLayer(digests("sublayer"),
                                        int(fields["sublayerIndex"]))
         wallet.current_subtree = int(fields["currentSubtree"])

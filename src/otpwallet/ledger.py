@@ -8,16 +8,16 @@ strictly longer branch, returning orphaned transactions to the mempool.
 Block states share structure, and each copy is made by the step that
 writes it. An empty block shares its parent's state object whole. Any
 other block starts from a copy of its parent's nonce map and the parent's
-account and contract maps themselves. A transaction that executes copies
-the account and contract maps before its call writes them, and a call to a
-contract runs on a `WalletContract.snapshot()` of it, which replaces the
-shared object in the new block only; on revert the pre-call maps come back
-untouched. No block's state is ever mutated after the block is mined. That
-holds only while head state changes by executing transactions alone:
-mutating the head's maps, or a contract reached through
-`Ledger.contract(cid)`, directly would leak into older blocks that share
-them. The same rule lets `copy` share every block, and every submitted
-transaction, with the ledger it copies.
+account and contract maps themselves. A call copies the account map when
+it moves tokens, and the contract map when it deploys a contract or calls
+one; a call to a contract runs on a `WalletContract.snapshot()` of it,
+which replaces the shared object in the call's copy of the map only. On
+revert the pre-call maps come back untouched. No block's state is ever
+mutated after the block is mined. That holds only while head state
+changes by executing transactions alone: mutating the head's maps, or a
+contract reached through `Ledger.contract(cid)`, directly would leak into
+older blocks that share them. The same rule lets `copy` share every
+block, and every submitted transaction, with the ledger it copies.
 
 Each branch keeps a txid -> height index, filled as blocks are mined and
 copied up to the fork point by `fork`, so confirmation queries do not scan
@@ -70,17 +70,20 @@ the txid index, and its entry is its timestamp text. Any other block
 copies one map, the nonces. A transaction is one encoding of its signed
 bytes and one txid hash, checked against the mempool in one pass on
 submission, and its signature is verified at most once per ledger. An
-executed transaction copies the account and contract maps, and a contract
-call the contract's open operation records (`WalletContract.snapshot`).
+executed transaction copies the account map if it moves tokens and the
+contract map if it deploys or calls a contract. A contract call copies
+the contract's attribute dict (`WalletContract.snapshot`), and a call that
+writes an operation record copies one chunk of at most `CHUNK` records
+and the tuple of chunks.
 
 `checkpoint` returns the head as a JSON-ready object, for the caller to
 encode and store: the head state, height, timestamp and digest, and the
 heights of only the txids the caller keeps. A contract's state lines join
-the cached text of its sealed subtrees with its open subtree's records, so
-`checkpoint` and `state_hash` render only the open records.
+the cached text of its record chunks, so `checkpoint` and `state_hash`
+render only the chunks written since their last render.
 `from_checkpoint` takes the parsed head object, parses of each contract's
-lines only the header and the open subtree's records (the older lines stay
-text, which `state_hash` covers as they were read), and raises
+lines only the header and the current subtree's records (the older lines
+stay text, which `state_hash` covers as they were read), and raises
 `LedgerError` for any other object. It takes a reader of the chain below
 the head, which it does not call: the canonical branch starts at a base
 block, the restored head, with its state and its stored digest and no
@@ -407,8 +410,8 @@ class Ledger:
             block = Block(parent.height + 1, timestamp, (), parent.state)
             chain.append(block)
             return block
-        # Only the nonces are copied here: `_execute` copies the account
-        # and contract maps before a call writes them.
+        # Only the nonces are copied here: a call copies the account or
+        # contract map before it writes it.
         state = parent.state
         state = LedgerState(state.accounts, dict(state.nonces),
                             state.contracts)
@@ -430,11 +433,11 @@ class Ledger:
             return TxReceipt(tx, "invalid-nonce")
         state.nonces[tx.sender] = expected + 1
 
-        # The call runs on copies of the two maps and of the one contract it
-        # addresses (see `_dispatch`); the originals, possibly shared with
-        # the parent block, are never written and are what a revert restores.
+        # The call copies a map before it writes it, and the one contract it
+        # addresses (see `_dispatch`); the pre-call maps, possibly shared
+        # with the parent block, are never written and are what a revert
+        # restores.
         accounts, contracts = state.accounts, state.contracts
-        state.accounts, state.contracts = dict(accounts), dict(contracts)
         trace = CallTrace(tx.fn, payload_bytes=payload_size(tx.call))
         try:
             result = self._dispatch(tx, state, timestamp, trace)
@@ -451,8 +454,10 @@ class Ledger:
         def do_transfer(frm: str, to: str, amount: int):
             if amount < 0 or state.accounts.get(frm, 0) < amount:
                 raise Revert("funds", f"{frm} cannot send {amount}")
-            state.accounts[frm] = state.accounts.get(frm, 0) - amount
-            state.accounts[to] = state.accounts.get(to, 0) + amount
+            # A call transfers at most once, so this is its one copy.
+            balances = state.accounts = dict(state.accounts)
+            balances[frm] = balances.get(frm, 0) - amount
+            balances[to] = balances.get(to, 0) + amount
 
         if fn == "transfer":
             do_transfer(tx.sender, *args)
@@ -472,13 +477,15 @@ class Ledger:
             contract = WalletContract(*args, env)
             if contract.contract_id in state.contracts:
                 raise Revert("phase", "contract already deployed")
-            state.contracts[contract.contract_id] = contract
+            state.contracts = {**state.contracts,
+                               contract.contract_id: contract}
             return contract.contract_id
 
         cid = call["contract"]
         if cid not in state.contracts:
             raise Revert("phase", f"no contract {cid}")
-        contract = state.contracts[cid] = state.contracts[cid].snapshot()
+        contract = state.contracts[cid].snapshot()
+        state.contracts = {**state.contracts, cid: contract}
         # Looked up at call time, so wrappers set on the class apply.
         out = getattr(contract, fn)(*args, env)
         return CALL_RESULTS[fn](call, out)

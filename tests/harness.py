@@ -119,6 +119,14 @@ def reference_state_lines(wallet) -> list[str]:
     return lines
 
 
+def chunk_changes(before, after) -> tuple[list, list]:
+    """The chunks of the operation records `before` that `after` does not
+    share, and those of `after` that `before` does not hold, by identity."""
+    old, new = before._chunks, after._chunks
+    return ([c for c in old if not any(c is d for d in new)],
+            [c for c in new if not any(c is d for d in old)])
+
+
 # Argument type -> the value of the JSON that `encode_call` writes for it.
 _FROM_JSON = {
     str: str, int: int, bytes: bytes.fromhex,

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otpwallet import signing
+from otpwallet import contract as contract_mod, signing
 from otpwallet.client import ClientStore
 from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
 from otpwallet.hashing import chain_step, truncated_hash
 from otpwallet.merkle import (MerkleProof, SubtreeLayer, TreeParams,
-                              chain_offset, layer_of)
+                              build_levels, chain_offset, layer_of)
 
-from harness import K, T0, World as BaseWorld, reference_state_lines
+from harness import (K, T0, World as BaseWorld, chunk_changes,
+                     reference_state_lines)
 
 PARAMS = TreeParams(S=128, N=16, P=2, N_S=8, L_S=1)
 
@@ -44,6 +45,18 @@ def test_forged_sublayer_reverts_deployment():
     forged = SubtreeLayer([truncated_hash(b"junk")] * len(sublayer.nodes), 0)
     with pytest.raises(Revert) as err:
         WalletContract(root, w.keypair.public, forged, proof_sr, PARAMS,
+                       ChainEnv(T0, lambda a: 0, lambda f, t, v: None))
+    assert err.value.category == "consistency"
+
+
+def test_a_sublayer_one_level_up_reverts_deployment():
+    """The level above the sublayer reduces to the same subtree root, so
+    only the size check refuses it."""
+    store = ClientStore.bootstrap_secure(K, PARAMS)
+    root, sublayer, proof_sr = store.constructor_args()
+    up = SubtreeLayer(build_levels(sublayer.nodes)[1], 0)
+    with pytest.raises(Revert) as err:
+        WalletContract(root, bytes(32), up, proof_sr, PARAMS,
                        ChainEnv(T0, lambda a: 0, lambda f, t, v: None))
     assert err.value.category == "consistency"
 
@@ -524,36 +537,37 @@ def test_snapshot_isolates_a_rotation(world):
     assert original.state_lines() == lines
 
 
-def test_a_snapshot_copies_only_the_containers_a_call_changes():
+def test_a_snapshot_copies_only_the_containers_a_call_changes(monkeypatch):
+    monkeypatch.setattr(contract_mod, "CHUNK", 4)
     params = TreeParams(S=128, N=32, P=2, N_S=8, L_S=1)
     world = World(params)
     for _ in range(params.N_S - 1):
         world.init(param=1)
-    world.introduce_subtree()                   # seals the first subtree
-    op = world.init(param=1)
+    world.introduce_subtree()
+    op = world.init(param=1)                    # ops 0-3, then 4-6 and 8
     wallet = world.wallet
     lines = wallet.state_lines()
     twin = wallet.snapshot()
     assert type(twin) is WalletContract and twin is not wallet
     assert twin.state_lines() == lines
     assert vars(twin).keys() == vars(wallet).keys()
-    # Shared: what no call changes in place.
-    assert wallet.operations._sealed
-    assert twin.operations._sealed is wallet.operations._sealed
+    # Shared: everything. A call rebinds the operation records, L1, L2 and
+    # the sublayer instead of writing them.
     assert twin.root is wallet.root and twin.pk is wallet.pk
     assert twin.params is wallet.params
-    # Shared too: L1, L2 and the sublayer, which a call rebinds instead of
-    # writing.
-    for name in ("l1", "l2", "sublayer"):
+    for name in ("operations", "l1", "l2", "sublayer"):
         assert getattr(twin, name) is getattr(wallet, name)
-    # Copied: the open records.
-    assert list(wallet.operations.open) == [op]
-    assert twin.operations._open is not wallet.operations._open
-    assert twin.operations._open == wallet.operations._open
+    # A write on the snapshot replaces the one chunk it writes and shares
+    # the other.
+    world.wallet = twin
+    before = wallet.operations
+    world.confirm(op)
+    assert not twin.operations[op].pending and before[op].pending
+    removed, added = chunk_changes(before, twin.operations)
+    assert len(before._chunks) == 2 and removed == [before._chunks[1]]
+    assert len(added) == 1 and twin.operations._chunks[0] is before._chunks[0]
     # An init, a confirmation and a subtree introduction on the snapshot
     # leave the original as it was.
-    world.wallet = twin
-    world.confirm(op)
     while twin.next_op_id % params.N_S != params.N_S - 1:
         world.init(param=1)
     world.introduce_subtree()
@@ -633,28 +647,40 @@ def _fields(operations) -> dict:
 @settings(max_examples=20, deadline=None)
 @given(CALLS)
 def test_sealed_chunks_render_parse_and_share_as_one_dict_would(calls):
+    """Chunks of 3 records, so that the calls fill chunks and start new
+    ones; every other call goes on from the contract restored from the
+    lines of the last, so that writes also land on restored chunks."""
     world, model = World(SEALING, funding=200), {}
-    for call in calls:
-        original = world.wallet
-        lines = original.state_lines()
-        world.wallet = original.snapshot()
-        assert world.wallet.operations._sealed is original.operations._sealed
-        try:
-            _step(world, model, call)
-        except Revert:
-            world.wallet = original
-        assert original.state_lines() == lines
-        wallet = world.wallet
-        assert _fields(wallet.operations) == model
-        assert len(wallet.operations) == len(model)
-        assert wallet.state_lines() == reference_state_lines(wallet)
-        assert all(op_id // SEALING.N_S == wallet.current_subtree
-                   for op_id in wallet.operations.open)
-        twin = WalletContract.from_state_lines(wallet.state_lines(), SEALING)
-        assert twin.state_lines() == wallet.state_lines()
-        assert len(twin.operations.open) < SEALING.N_S
-        assert _fields(twin.operations) == model
-        assert vars(twin) == vars(wallet)
-        snapshot = wallet.snapshot()
-        assert snapshot.operations._sealed is wallet.operations._sealed
-        assert snapshot.operations._open is not wallet.operations._open
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(contract_mod, "CHUNK", 3)
+        for i, call in enumerate(calls):
+            original = world.wallet
+            lines = original.state_lines()
+            world.wallet = original.snapshot()
+            assert world.wallet.operations is original.operations
+            try:
+                _step(world, model, call)
+            except Revert:
+                world.wallet = original
+            assert original.state_lines() == lines
+            wallet = world.wallet
+            removed, added = chunk_changes(original.operations,
+                                           wallet.operations)
+            assert len(removed) <= len(added) <= 1
+            assert all(len(chunk) <= 3 for chunk in added)
+            assert _fields(wallet.operations) == model
+            assert len(wallet.operations) == len(model)
+            assert wallet.state_lines() == reference_state_lines(wallet)
+            twin = WalletContract.from_state_lines(wallet.state_lines(),
+                                                   SEALING)
+            # Parsed: only the current subtree's records.
+            assert all(op_id // SEALING.N_S == twin.current_subtree
+                       for chunk in twin.operations._chunks
+                       if chunk._records is not None
+                       for op_id in chunk._records)
+            assert twin.state_lines() == wallet.state_lines()
+            assert _fields(twin.operations) == model
+            assert vars(twin) == vars(wallet)
+            assert wallet.snapshot().operations is wallet.operations
+            if i % 2:
+                world.wallet = twin

@@ -10,7 +10,11 @@ asserted equal at both depths; the action log is asserted decoded not at
 all, a read command encodes nothing, and SHA-256 reads only the log. The others are not asserted: `world.json`, whose head
 checkpoint lists every `op` line and the oracle lists, is read, decoded
 and written whole, and the whole action log is read and hashed. Not yet
-counted: `truncated_hash` input."""
+counted: `truncated_hash` input.
+
+Inside one subtree, which no depth pair at `N_S` = 16 reaches far into, a
+contract call's work is counted by the operation-record chunks it
+replaces, at two positions of a subtree of 1024 slots."""
 
 import hashlib
 import json
@@ -25,9 +29,10 @@ import pytest
 
 from otpwallet import cli, contract as contract_mod, ledger as ledger_mod
 from otpwallet.cli import World, main, parse_params
+from otpwallet.merkle import TreeParams
 from otpwallet.protocols import bootstrap_system
 
-from harness import write_history
+from harness import World as ContractWorld, chunk_changes, write_history
 
 PARAMS = "128,64,2,16,1"
 N_S = parse_params(PARAMS).N_S
@@ -254,3 +259,21 @@ def test_a_write_appends_the_same_blocks_at_both_depths(work, worlds):
     for slots in DEPTHS:
         counts, _ = work["root show", slots]
         assert not [key for key in counts if key[0] in ("written", "lines")]
+
+
+def test_an_operation_writes_one_chunk_at_any_position_in_a_subtree():
+    """An `init_op` and a `confirm_op` at op 10 and at op 1000 of one
+    subtree each replace one chunk of at most `CHUNK` records, and share
+    every other chunk with the records they were called on."""
+    world = ContractWorld(TreeParams(S=128, N=1024, P=1, N_S=1024, L_S=2))
+    for position in (10, 1000):
+        while world.wallet.next_op_id < position:
+            world.init(param=1)
+        for call in (world.init, lambda: world.confirm(position)):
+            before = world.wallet.operations
+            call()
+            removed, added = chunk_changes(before, world.wallet.operations)
+            assert len(removed) == len(added) == 1, position
+            assert len(added[0]) <= contract_mod.CHUNK
+        assert not world.wallet.operations[position].pending
+    assert world.wallet.current_subtree == 0

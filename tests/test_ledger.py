@@ -20,7 +20,8 @@ from otpwallet.ledger import (
     Transaction,
     payload_size,
 )
-from otpwallet.merkle import MerkleProof, SubtreeLayer, TreeParams, lsb, with_lsb
+from otpwallet.merkle import (MerkleProof, SubtreeLayer, TreeParams,
+                              build_levels, lsb, with_lsb)
 
 from harness import (block_hashes, reference_chain, reference_digests,
                      reference_entries, reference_head, reference_state_hash)
@@ -619,6 +620,23 @@ def test_no_mined_block_state_is_written_in_place():
     assert empty >= 6
 
 
+def test_a_call_copies_only_the_maps_it_can_write():
+    """A plain transfer writes no contract and an `init_op` moves no
+    balance, so each block keeps its parent's map of the other kind."""
+    w = WalletChain()
+    led = w.ledger
+    parent = led.head
+    w.submit({"fn": "transfer", "to": "acct:bob", "amount": 3})
+    transfer = led.mine_block()
+    assert transfer.state.contracts is parent.state.contracts
+    assert transfer.state.accounts is not parent.state.accounts
+    w.init(5)
+    init = led.mine_block()
+    assert init.receipts[0].status == "ok"
+    assert init.state.accounts is transfer.state.accounts
+    assert init.state.contracts is not transfer.state.contracts
+
+
 def scan_chain(led, txid):
     """Reference lookup: the first executed receipt on the canonical chain."""
     for blk in led.chain:
@@ -919,6 +937,58 @@ def test_wrong_size_digests_revert_without_halting_the_chain(size):
     assert led.head is blk
     assert led.total_tokens() == tokens
     assert led.contract(w.cid).next_op_id == sub_op
+
+
+def test_a_replayed_deploy_reverts_and_leaves_the_spent_otps_spent():
+    """Anyone can resubmit the owner's public `deploy_wallet` call. It must
+    not reset the contract: otherwise a key thief inits an operation at
+    id 0 again and confirms it with op 0's OTP and proof, which the chain
+    already shows."""
+    w = WalletChain()
+    led = w.ledger
+    w.init(5)
+    led.mine_block()
+    w.confirm(0)
+    confirmed = led.mine_block().receipts[0]
+    assert confirmed.status == "ok"
+    deploy = led.chain[1].receipts[0].tx.call
+    led.submit(Transaction("adv", deploy, nonce=0))
+    assert led.mine_block().receipts[0].status == "revert:phase"
+    # The thief holds the owner key, and copies the confirm from the chain.
+    w.submit({"fn": "init_op", "contract": w.cid, "addr": "adv", "param": 40,
+              "type": OpType.TRANSFER}, sign=True)
+    led.mine_block()
+    led.submit(Transaction("adv", confirmed.tx.call, nonce=1))
+    assert led.mine_block().receipts[0].status == "revert:pending"
+    assert led.accounts.get("adv", 0) == 0
+    assert led.contract(w.cid).operations[1].pending
+
+
+def test_a_front_run_sublayer_one_level_up_reverts():
+    """`next_subtree` is unsigned. A front-runner who copies the honest
+    call's OTP and proofs but sends the level above the honest sublayer,
+    half its nodes, reduces to the same subtree root; the size check alone
+    refuses it, and the honest call lands."""
+    w = WalletChain()
+    led = w.ledger
+    for _ in range(w.params.N_S - 1):            # up to the subtree boundary
+        w.init(1)
+    led.mine_block()
+    sub_op = led.contract(w.cid).next_op_id
+    good = w.store.build_next_subtree(sub_op, w.auth.get_otp(sub_op))
+    honest = {"fn": "next_subtree", "contract": w.cid,
+              "sublayer": good.next_sublayer, "otp": good.otp,
+              "proof_otp": good.proof_otp, "proof_sr": good.proof_sr}
+    w.submit(honest)
+    up = build_levels(good.next_sublayer.nodes)[1]
+    assert len(up) == len(good.next_sublayer.nodes) // 2
+    led.submit(Transaction("acct:bob", {
+        **honest, "sublayer": SubtreeLayer(up, good.next_sublayer.index)},
+        fee=60, nonce=0))
+    blk = led.mine_block()
+    assert [r.tx.sender for r in blk.receipts] == ["acct:bob", w.owner]
+    assert [r.status for r in blk.receipts] == ["revert:consistency", "ok"]
+    assert led.contract(w.cid).sublayer.nodes == good.next_sublayer.nodes
 
 
 def test_malformed_calls_revert_without_halting_the_chain():
