@@ -94,13 +94,14 @@ mempool, which cannot be on the chain. Reading `chain`, `event_log` or
 `audit_signatures`, looking up any other txid or a receipt at or below the
 base, or forking calls the reader once, for the canonical blocks from
 genesis to the base (the CLI replays its action log): the base's receipts
-are filled in, the older blocks are prepended to the branches without
-their states and their txids merged into the index. It raises
-`LedgerError` unless the blocks end at the base's height and timestamp,
-their entries chain to the stored base digest and their txids index as the
-kept ones, and for a read that fails. A block that differs in any field of
-a row therefore fails the read. Blocks below the base carry no state, so
-the restored ledger cannot fork below its head.
+are filled in, the older blocks are prepended to the canonical branch,
+the only one until then, without their states and their txids merged into
+its index. It raises `LedgerError` unless the blocks end at the base's
+height and timestamp, their entries chain to the stored base digest and
+their txids index as the kept ones, and for a read that fails. A block
+that differs in any field of a row therefore fails the read. Blocks below
+the base carry no state, so the restored ledger cannot fork below its
+head.
 """
 
 from __future__ import annotations
@@ -643,11 +644,11 @@ class Ledger:
     def _materialize(self) -> None:
         """Read the canonical blocks from genesis to the base: fill the
         base's receipts, prepend the older blocks, without their states,
-        to every branch (all of them start at the base until now) and merge
-        their txids into the index. LedgerError, with the ledger left as it
-        was, when the read fails or the blocks do not end at the base's
-        height and timestamp, chain to the base's digest or index the kept
-        txids as kept."""
+        to `MAIN` and merge their txids into its index. `MAIN` is the only
+        branch until now: only `fork` adds one, and it reads `chain` first.
+        LedgerError, with the ledger left as it was, when the read fails or
+        the blocks do not end at the base's height and timestamp, chain to
+        the base's digest or index the kept txids as kept."""
         base, read = self._below
         # Fresh blocks: each digest is hashed again from the entries, and
         # none carries a state.
@@ -661,15 +662,13 @@ class Ledger:
                 or blocks[-1].timestamp != base.timestamp
                 or self._head_digest(blocks) != base._digest
                 or any(heights.get(txid) != height for txid, height
-                       in self.tx_heights[self.canonical].items()
+                       in self.tx_heights[MAIN].items()
                        if height <= base.height)):
             raise LedgerError("the chain read below the restored head does "
                               "not match its digest and txid index")
         base.receipts = blocks[-1].receipts
-        for chain in self.branches.values():
-            chain[:0] = blocks[:-1]
-        for name, index in self.tx_heights.items():
-            self.tx_heights[name] = {**heights, **index}
+        self.branches[MAIN][:0] = blocks[:-1]
+        self.tx_heights[MAIN] = {**heights, **self.tx_heights[MAIN]}
         self._below = None
 
     # -- determinism and audit hooks --------------------------------------------------------------

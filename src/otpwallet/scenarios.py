@@ -5,14 +5,19 @@ script, and checks both that honest funds end up intact (except for
 user-confirmed transfers) and that the attack fails in the specific way
 the analysis predicts. Everything is deterministic in the seed.
 
-Every scenario runs in one frame: `_start` forks the bootstrapped world
-and takes the baseline balances, and `_finish`, on every exit, checks them
-against the confirmed transfers, conserves the tokens and audits the
-signatures. Adversary transactions come from one builder, `_adversary`: a
-wallet call at the sender's next nonce, signed with a stolen or forged key
-when the attack has one; `_mined` submits one and mines it. An interceptor
-is a ledger observer that a scenario attaches around one honest step and
-then removes, leaving any other observer attached.
+Every scenario is a script `f(result, system, seed)` under one decorator,
+`_scenario(name, mode, params)`, which states its name, mode and params
+once and registers its runner in `SCENARIOS`. The runner is the one
+frame: `_start` forks the bootstrapped world and takes the baseline
+balances, the script runs (and may return early), and `_finish` checks
+the baseline against the confirmed transfers, conserves the tokens and
+audits the signatures. Both are module globals, looked up at each run, so
+a wrapper set on this module sees every scenario. Adversary transactions
+come from one builder, `_adversary`: a wallet call at the sender's next
+nonce, signed with a stolen or forged key when the attack has one;
+`_mined` submits one and mines it. An interceptor is a ledger observer
+that a scenario attaches around one honest step and then removes, leaving
+any other observer attached.
 
 `_pristine` keeps the bootstrapped worlds of the last three configurations
 of mode, seed, params and funding, and `_start` hands out only forks of
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 # Trees are built as merkle.build_levels, the binding bench/tracing.py wraps.
@@ -86,12 +92,12 @@ def _pristine(mode: str, seed: int, params: TreeParams,
 
 
 def _start(name: str, seed: int, mode: str = "secure",
-           params: TreeParams | None = None
+           params: TreeParams = DEFAULT_PARAMS
            ) -> tuple[ScenarioResult, System, dict[str, int]]:
     """A fork of the bootstrapped world of (mode, seed, params) and its
     baseline: every balance after the bootstrap, whose sum is the token
     total."""
-    system = _pristine(mode, seed, params or DEFAULT_PARAMS, FUNDING).fork()
+    system = _pristine(mode, seed, params, FUNDING).fork()
     return ScenarioResult(name), system, dict(system.ledger.accounts)
 
 
@@ -152,11 +158,33 @@ def _drive(result: ScenarioResult, system: System, count: int, amount: int,
     return True
 
 
+SCENARIOS: dict[str, Callable[[int], ScenarioResult]] = {}
+THEOREM3_PARAMS = TreeParams(S=128, N=8, P=2, N_S=8, L_S=1)
+
+
+def _scenario(name: str, mode: str = "secure",
+              params: TreeParams = DEFAULT_PARAMS):
+    """Register the script `f(result, system, seed)` as the scenario
+    `name`. Its runner `(seed=0) -> ScenarioResult` runs the script between
+    `_start` on (mode, seed, params) and `_finish`, whichever way the
+    script returns."""
+    def register(script: Callable[[ScenarioResult, System, int], None]
+                 ) -> Callable[[int], ScenarioResult]:
+        @functools.wraps(script)
+        def run(seed: int = 0) -> ScenarioResult:
+            result, system, baseline = _start(name, seed, mode, params)
+            script(result, system, seed)
+            return _finish(result, system, baseline)
+        SCENARIOS[name] = run
+        return run
+    return register
+
+
 # ---------------------------------------------------------------------------
 
-def theorem1(seed: int = 0) -> ScenarioResult:
+@_scenario("theorem1")
+def theorem1(result: ScenarioResult, system: System, seed: int) -> None:
     """Key theft: the adversary can initiate operations but never confirm."""
-    result, system, baseline = _start("theorem1", seed)
     ledger = system.ledger
 
     tx = _adversary(system, "init_op", key=system.hw.keypair, addr=ADVERSARY,
@@ -191,18 +219,17 @@ def theorem1(seed: int = 0) -> ScenarioResult:
                      ledger.receipt(captured["txid"]).status.startswith("revert:"))
     result.check("adversary operation still pending",
                  system.contract.operations[adv_op].pending)
-    return _finish(result, system, baseline)
 
 
-def theorem2(seed: int = 0) -> ScenarioResult:
+@_scenario("theorem2")
+def theorem2(result: ScenarioResult, system: System, seed: int) -> None:
     """Subtree-OTP interception: only the valid next sublayer can land."""
-    result, system, baseline = _start("theorem2", seed)
     ledger = system.ledger
     params = system.params
 
     # Deplete subtree 0 up to the reserved slot.
     if not _drive(result, system, params.N_S - 1, 1, "depletion drive"):
-        return _finish(result, system, baseline)
+        return
 
     rng = random.Random(seed + 999)
     forged_nodes = [bytes(rng.getrandbits(8) for _ in range(params.digest_bytes))
@@ -235,18 +262,17 @@ def theorem2(seed: int = 0) -> ScenarioResult:
 
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 2)
     result.check("operations continue in subtree 1", outcome["ok"])
-    return _finish(result, system, baseline)
 
 
-def theorem3(seed: int = 0) -> ScenarioResult:
+@_scenario("theorem3", params=THEOREM3_PARAMS)
+def theorem3(result: ScenarioResult, system: System, seed: int) -> None:
     """Parent-root race: first-match ordering defeats the later entries."""
-    params = TreeParams(S=128, N=8, P=2, N_S=8, L_S=1)
-    result, system, baseline = _start("theorem3", seed, params=params)
     ledger = system.ledger
+    params = system.params
     stolen = system.hw.keypair
 
     if not _drive(result, system, params.N - 1, 1, "depletion drive"):
-        return _finish(result, system, baseline)
+        return
 
     # Adversary's own candidate tree.
     rng = random.Random(seed + 31337)
@@ -284,12 +310,11 @@ def theorem3(seed: int = 0) -> ScenarioResult:
                  and system.contract.root != adv_root)
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 3)
     result.check("new generation usable", outcome["ok"])
-    return _finish(result, system, baseline)
 
 
-def theorem4(seed: int = 0) -> ScenarioResult:
+@_scenario("theorem4")
+def theorem4(result: ScenarioResult, system: System, seed: int) -> None:
     """Tampered client after bootstrap: the wallet display stops it."""
-    result, system, baseline = _start("theorem4", seed)
     ops_before = dict(system.contract.operations)
 
     try:
@@ -306,32 +331,30 @@ def theorem4(seed: int = 0) -> ScenarioResult:
                      for t in system.ledger.mempool))
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 9)
     result.check("honest retry succeeds", outcome["ok"])
-    return _finish(result, system, baseline)
 
 
-def theorem5(seed: int = 0) -> ScenarioResult:
+@_scenario("theorem5", "insecure")
+def theorem5(result: ScenarioResult, system: System, seed: int) -> None:
     """Tampered client during insecure bootstrap: forged root is caught."""
     forged = truncated_hash(b"forged-root-candidate")
     try:
         run_bootstrap("insecure", seed, tamper_root=forged)
-        aborted = (False, "")
+        result.check("user aborted the deployment", False)
     except ProtocolAbort as exc:
-        aborted = (True, str(exc))
+        result.check("user aborted the deployment", True, str(exc))
 
     # An honest insecure bootstrap from the same seed still works.
-    result, system, baseline = _start("theorem5", seed, "insecure")
-    result.check("user aborted the deployment", *aborted)
     result.check("honest insecure bootstrap deploys",
                  system.contract_id != "")
     outcome = run_operation(system, OpType.TRANSFER, system.recipient, 4)
     result.check("deployed wallet operates", outcome["ok"])
-    return _finish(result, system, baseline)
 
 
-def theorem6(seed: int = 0) -> ScenarioResult:
+@_scenario("theorem6")
+def theorem6(result: ScenarioResult, system: System, seed: int) -> None:
     """Stolen authenticator: OTPs alone initiate nothing."""
-    result, system, baseline = _start("theorem6", seed)
     ledger = system.ledger
+    balances_before = dict(ledger.accounts)
     wallet_lines_before = system.contract.state_lines()
 
     # The adversary holds the device, so OTPs are free - but initOp needs
@@ -354,13 +377,12 @@ def theorem6(seed: int = 0) -> ScenarioResult:
                  ledger.receipt(t3).status == "revert:timeout")
     result.check("wallet state unchanged",
                  system.contract.state_lines() == wallet_lines_before)
-    result.check("balances unchanged", ledger.accounts == baseline)
-    return _finish(result, system, baseline)
+    result.check("balances unchanged", ledger.accounts == balances_before)
 
 
-def depletion(seed: int = 0) -> ScenarioResult:
+@_scenario("depletion")
+def depletion(result: ScenarioResult, system: System, seed: int) -> None:
     """Full lifecycle: all OTPs, one subtree introduction, one rotation."""
-    result, system, baseline = _start("depletion", seed)
     params = system.params
     old_otp = system.authenticator.get_otp(3)
 
@@ -372,7 +394,7 @@ def depletion(seed: int = 0) -> ScenarioResult:
         outcome = run_operation(system, op_type, addr, param)
         if not outcome["ok"]:
             result.check(f"operation {op_type.value}", False, str(outcome))
-            return _finish(result, system, baseline)
+            return
     result.check("subtree 0 depleted", system.contract.next_op_id == params.N_S - 1)
 
     outcome = run_next_subtree(system)                 # opID 7
@@ -380,7 +402,7 @@ def depletion(seed: int = 0) -> ScenarioResult:
 
     # opIDs 8..14
     if not _drive(result, system, params.N_S - 1, 1, "second subtree drive"):
-        return _finish(result, system, baseline)
+        return
 
     outcome = run_new_root(system, "secure")           # opID 15
     result.check("parent-root rotation", outcome["ok"])
@@ -399,12 +421,11 @@ def depletion(seed: int = 0) -> ScenarioResult:
                     otp=payload.otp, proof=payload.proof, op_id=stale_op)
     result.check("pre-rotation OTP rejected",
                  _mined(system, tx).startswith("revert:"))
-    return _finish(result, system, baseline)
 
 
-def dos_pending(seed: int = 0) -> ScenarioResult:
+@_scenario("dos-pending")
+def dos_pending(result: ScenarioResult, system: System, seed: int) -> None:
     """Key theft flood: pending garbage, zero confirmable operations."""
-    result, system, baseline = _start("dos-pending", seed)
     ledger = system.ledger
 
     adv_ops = []
@@ -427,12 +448,11 @@ def dos_pending(seed: int = 0) -> ScenarioResult:
     result.check("user operation succeeds after the flood", outcome["ok"])
     result.check("flooded operations still pending",
                  all(system.contract.operations[i].pending for i in adv_ops))
-    return _finish(result, system, baseline)
 
 
-def fork_replay(seed: int = 0) -> ScenarioResult:
+@_scenario("fork-replay")
+def fork_replay(result: ScenarioResult, system: System, seed: int) -> None:
     """Accidental fork during the wait: detect, resubmit, then confirm."""
-    result, system, baseline = _start("fork-replay", seed)
     ledger = system.ledger
 
     init = init_operation(system, OpType.TRANSFER, system.recipient, 5)
@@ -461,20 +481,6 @@ def fork_replay(seed: int = 0) -> ScenarioResult:
                  confirm_confs is not None
                  and (ledger.confirmations(init_txid) - confirm_confs - 1
                       >= system.client.confirmation_depth))
-    return _finish(result, system, baseline)
-
-
-SCENARIOS = {
-    "theorem1": theorem1,
-    "theorem2": theorem2,
-    "theorem3": theorem3,
-    "theorem4": theorem4,
-    "theorem5": theorem5,
-    "theorem6": theorem6,
-    "depletion": depletion,
-    "dos-pending": dos_pending,
-    "fork-replay": fork_replay,
-}
 
 
 def run_scenario(name: str, seed: int = 0) -> ScenarioResult:

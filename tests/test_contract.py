@@ -129,6 +129,15 @@ def test_reserved_slot_refuses_init(world):
     assert err.value.category == "phase"
 
 
+def test_a_negative_parameter_is_refused_before_the_op_id_is_taken(world):
+    """Of every type: a negative daily limit would switch the limit off."""
+    for op_type in (OpType.TRANSFER, OpType.SET_DAILY_LIMIT):
+        with pytest.raises(Revert) as err:
+            world.init(param=-1, op_type=op_type)
+        assert err.value.category == "funds"
+    assert world.wallet.next_op_id == 0
+
+
 def test_last_resort_address_must_differ_from_owner(world):
     with pytest.raises(Revert) as err:
         world.init(addr=world.owner, op_type=OpType.SET_LAST_RESORT_ADDRESS)
@@ -218,6 +227,16 @@ def test_transfer_exceeding_balance_reverts(world):
         world.confirm(op)
     assert err.value.category == "funds"
     assert world.wallet.operations[op].pending  # revert left it pending
+
+
+def test_a_transfer_over_the_balance_and_the_daily_limit_reverts_on_funds(
+        world):
+    op = world.init(param=10, op_type=OpType.SET_DAILY_LIMIT, addr="")
+    world.confirm(op)
+    op = world.init(param=101)
+    with pytest.raises(Revert) as err:
+        world.confirm(op)
+    assert err.value.category == "funds"
 
 
 def test_daily_limit_enforced_and_rolls_over(world):

@@ -14,10 +14,12 @@ from otpwallet.client import ClientStore
 from otpwallet.contract import OpType
 from otpwallet.ledger import (
     CALL_ARGS,
+    MAIN,
     Block,
     Ledger,
     LedgerError,
     Transaction,
+    encode_call,
     payload_size,
 )
 from otpwallet.merkle import (MerkleProof, SubtreeLayer, TreeParams,
@@ -260,6 +262,24 @@ def test_reorg_to_shorter_branch_refused(ledger):
         ledger.reorg(branch)
 
 
+def test_an_unknown_branch_is_refused_by_name(ledger):
+    ledger.mine_block()
+    for step in (lambda: ledger.mine_block(branch="nope"),
+                 lambda: ledger.reorg("nope")):
+        with pytest.raises(LedgerError, match="^unknown branch nope$"):
+            step()
+    assert ledger.head.height == 1 and ledger.canonical == MAIN
+
+
+def test_a_fork_at_or_above_the_head_is_refused(ledger):
+    ledger.mine_block()
+    for height in (1, 2, -1):
+        with pytest.raises(LedgerError, match="^fork height must be below "
+                                              f"the head: {height}$"):
+            ledger.fork(height)
+    assert list(ledger.branches) == [MAIN]
+
+
 def test_fork_with_no_new_txs_restores_forked_state(ledger):
     ledger.submit(pay("a", "b", 5, 1, 0))
     ledger.mine_block()                          # height 1 carries the tx
@@ -448,13 +468,28 @@ def test_a_restored_ledger_verifies_every_archived_signature(monkeypatch):
 def test_a_call_that_is_not_an_object_is_a_ledger_error(ledger):
     ledger.submit(pay("a", "b", 5, 1, 0))
     ledger.mine_block()
-    with pytest.raises(LedgerError):
+    with pytest.raises(LedgerError, match="^a call is not an object: int$"):
         ledger.submit(Transaction("a", 5, nonce=1))
+    for call in (5, ["fn", "transfer"]):       # refused before a key is read
+        for read in (encode_call, payload_size):
+            with pytest.raises(LedgerError, match="^a call is not an object: "
+                                                  f"{type(call).__name__}$"):
+                read(call)
     restored = forged(ledger, lambda head, blocks: edited(
         blocks, 1, call=5))                         # the call read back
     for read in (restored.event_log, restored.audit_signatures):
         with pytest.raises(LedgerError):
             read()
+
+
+def test_a_call_to_no_contract_reverts_without_halting_the_chain(ledger):
+    txid = ledger.submit(Transaction(
+        "a", {"fn": "send_to_last_resort", "contract": "c0ffee"}, nonce=0))
+    blk = ledger.mine_block()
+    receipt = ledger.receipt(txid)
+    assert (receipt.status, receipt.result) == ("revert:phase",
+                                                "phase: no contract c0ffee")
+    assert ledger.mine_block().height == blk.height + 1
 
 
 def test_a_signature_that_is_not_bytes_reverts():
@@ -847,6 +882,19 @@ def test_a_checkpoint_head_in_another_layout_is_a_ledger_error(ledger):
     for doc in ({"head": head, "blocks": entries}, [], unindexed, "00" * 32):
         with pytest.raises(LedgerError):
             Ledger.from_checkpoint(doc, reader(list(ledger.chain)))
+
+
+def test_a_checkpoint_refuses_a_pending_tx_and_a_kept_txid_off_the_chain(
+        ledger):
+    txid = ledger.submit(pay("a", "b", 5, 1, 0))
+    with pytest.raises(LedgerError, match="^a checkpoint holds mined state "
+                                          "only$"):
+        ledger.checkpoint()
+    ledger.mine_block()
+    with pytest.raises(LedgerError, match="^kept txid f00d is not on the "
+                                          "chain$"):
+        ledger.checkpoint(keep=[txid, "f00d"])
+    assert ledger.checkpoint(keep=[txid])["index"] == {txid: 1}
 
 
 def test_an_index_miss_decodes_the_archive_unless_the_tx_is_pending():
