@@ -49,22 +49,22 @@ its current subtree of every initialised operation of that subtree, whose
 init txid the restored index holds. Otherwise it parses the log and
 replays it from genesis, which determinism makes bit-exact; a replay that
 lands anywhere but the recorded state is an error, and one that lands on
-it saves, so only the first command after the damage replays. A restored
-world holds the chain from its head up; no command reads below it, and a
-Python caller that does (`event_log`, `audit_signatures`, a lookup of an
-older txid) pays one replay of the log's committed bytes, in a world that
-is not saved, checked against the head's digest (see `otpwallet.ledger`).
-The block archive that older saves wrote beside the log, one block entry
-per line, is never read, written or removed, and may be deleted.
+it saves, so only the first command after the damage replays. A head of an
+older layout, which bound a separate checkpoint file by its digest, loads
+by one such replay; that file is never read. A restored world holds the
+chain from its head up; no command reads below it, and a Python caller
+that does (`event_log`, `audit_signatures`, a lookup of an older txid)
+pays one replay of the log's committed bytes, in a world that is not
+saved, checked against the head's digest (see `otpwallet.ledger`). The
+block archive that older saves wrote beside the log, one block entry per
+line, is never read, written or removed, and may be deleted.
 
 A `world.json` that does not parse, is not format version 4 or records no
 head is an error, because there is no state to check its replay against (a
 version-3 world holds its log inside `world.json`, a version-2 head hashes
 txids and block digests of an older encoding, and no migration reads
 either). So is one whose keys, or whose head's or params' keys, are not
-exactly those a save writes (such as a head that binds a separate
-checkpoint file by its `sha256`, as saves wrote before the checkpoint
-moved into `world.json`), or that holds a value of another type, params
+exactly those a save writes, or that holds a value of another type, params
 outside their domain, a negative funding or log length, a seed that is not
 lowercase hex of its size or a mode outside MODES, or whose log holds
 another count of lines than the head records actions, or, when the load
@@ -345,6 +345,10 @@ class World:
             raise CliError("state", f"{path} is not a version-{WORLD_VERSION} "
                                     "world with a recorded head")
         head = data["head"]
+        # The older layout's head holds the digest of a separate checkpoint
+        # file instead, which is not read: that digest does not restore.
+        if "checkpoint" not in head and "sha256" in head:
+            head["checkpoint"] = head.pop("sha256")
         problem = _world_problem(data)
         if problem:
             raise CliError("state", f"{path}: {problem}")

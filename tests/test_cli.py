@@ -786,7 +786,7 @@ def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
     "rotate-of-unknown-mode", "init-with-extra-key", "confirm-of-short-otp",
     "params-empty", "params-S-str", "seed_hex-not-hex", "seed_hex-short",
     "hw_seed_hex-short", "head-log_bytes-str", "head-extra-key",
-    "funding-negative", "older-layout"])
+    "funding-negative"])
 def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                                                             damage):
     """Nothing to check a replay against, a key set other than a save
@@ -830,10 +830,6 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
         data["head"]["log_bytes"] = str(data["head"]["log_bytes"])
     elif damage == "head-extra-key":
         data["head"]["memo"] = "x"
-    elif damage == "older-layout":          # its head bound a checkpoint file
-        text = json.dumps(data["head"].pop("checkpoint")).encode()
-        (state_dir / "checkpoint.json").write_bytes(text)
-        data["head"]["sha256"] = hashlib.sha256(text).hexdigest()
     # The log edits below are re-bound in the head.
     elif damage == "actions-int":           # the log is the number 5
         actions = [5]
@@ -880,6 +876,76 @@ def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith("error: state: " + message), err
     assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+def test_client_files_of_an_older_world_are_ignored(history, monkeypatch,
+                                                    capsys):
+    """A world whose head bound its client's files and a separate
+    checkpoint file by their digests loads by one checked replay, then
+    restores."""
+    state_dir = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    del data["head"]["checkpoint"]
+    data["head"]["sha256"] = {
+        "client.leaves": "0" * 64, "client.json": "0" * 64,
+        "checkpoint.json": "0" * 64}
+    world_file.write_text(json.dumps(data))
+    for name in ("client.leaves", "client.json"):
+        (state_dir / name).write_text("stale\n")
+    replays = _count_replays(monkeypatch)
+    shown = [run(capsys, "--state-dir", state_dir, "root", "show")
+             for _ in range(2)]
+    assert replays == [1] and shown[0][0] == 0 and shown[0] == shown[1]
+    head = json.loads(world_file.read_text())["head"]
+    assert head["state_hash"] == data["head"]["state_hash"]
+    assert sorted(head) == HEAD_KEYS
+
+
+def _older_layout(state_dir) -> bytes:
+    """Lay the world out by hand as saves wrote it before the checkpoint
+    moved into `world.json`: the checkpoint, with the log's digest under
+    `actions_sha256`, in its own compact file `checkpoint.json`, and a head
+    that binds it by its SHA-256 in a `world.json` of sorted keys. Returns
+    the checkpoint file's bytes."""
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    checkpoint = {"actions_sha256" if key == "log_digest" else key: value
+                  for key, value in data["head"].pop("checkpoint").items()}
+    text = json.dumps(checkpoint, separators=(",", ":")).encode()
+    (state_dir / "checkpoint.json").write_bytes(text)
+    data["head"]["sha256"] = hashlib.sha256(text).hexdigest()
+    world_file.write_text(json.dumps(data, separators=(",", ":"),
+                                     sort_keys=True))
+    return text
+
+
+def test_a_world_in_the_older_layout_loads_by_one_replay(history, monkeypatch,
+                                                         capsys):
+    """Its `checkpoint.json` is neither read nor deleted: the world loads by
+    one checked replay to the recorded state, whose save writes the
+    checkpoint into `world.json`, and the next command restores."""
+    state_dir = history
+    world_file = state_dir / "world.json"
+    recorded = json.loads(world_file.read_text())["head"]["state_hash"]
+    old = _older_layout(state_dir)
+    read = []
+    real_read_text, real_open = Path.read_text, open
+    monkeypatch.setattr(Path, "read_text", lambda path, *a, **k: (
+        read.append(path.name), real_read_text(path, *a, **k))[1])
+    monkeypatch.setattr(cli, "open", lambda path, *a, **k: (
+        read.append(Path(path).name), real_open(path, *a, **k))[1],
+        raising=False)
+    replays = _count_replays(monkeypatch)
+    shown = [run(capsys, "--state-dir", state_dir, "root", "show")
+             for _ in range(2)]
+    assert replays == [1] and shown[0][0] == 0 and shown[0] == shown[1]
+    assert "world.json" in read and "checkpoint.json" not in read
+    monkeypatch.undo()
+    head = json.loads(world_file.read_text())["head"]
+    assert sorted(head) == HEAD_KEYS and head["state_hash"] == recorded
+    assert sorted(head["checkpoint"]) == CHECKPOINT_HEAD_KEYS
+    assert (state_dir / "checkpoint.json").read_bytes() == old
 
 
 def test_a_replay_off_the_recorded_state_saves_nothing(history, capsys):
