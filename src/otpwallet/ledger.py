@@ -258,6 +258,15 @@ def _index(heights: dict[str, int], block: Block) -> None:
             heights.setdefault(r.txid, block.height)
 
 
+def _hexes(digests) -> list[str]:
+    """Proof siblings or sublayer nodes as hex; LedgerError for one that is
+    not exactly bytes, as for a top-level argument of another type."""
+    for d in digests:
+        if type(d) is not bytes:
+            raise LedgerError(f"a digest is not bytes: {type(d).__name__}")
+    return [d.hex() for d in digests]
+
+
 # Argument type -> (to JSON, payload bytes). Payload bytes model the
 # calldata: account ids 20, integers 4, enum tags 1, digests by length, a
 # sublayer's index 4, and the parameters none.
@@ -265,9 +274,9 @@ _CODECS = {
     str: (str, lambda s: 20),
     int: (int, lambda i: 4),
     bytes: (bytes.hex, len),
-    MerkleProof: (lambda p: [s.hex() for s in p.siblings],
+    MerkleProof: (lambda p: _hexes(p.siblings),
                   lambda p: sum(map(len, p.siblings))),
-    SubtreeLayer: (lambda s: [s.index, [n.hex() for n in s.nodes]],
+    SubtreeLayer: (lambda s: [s.index, _hexes(s.nodes)],
                    lambda s: sum(map(len, s.nodes)) + 4),
     OpType: (lambda t: t.value, lambda t: 1),
     TreeParams: (TreeParams.as_dict, lambda p: 0),

@@ -12,6 +12,11 @@ walks siblings from one level up to another, `sublayer_in` slices level
 H_S - L_S. A holder of the levels (the client) pays no hash per proof. The
 leaf-list functions `gen_proof`, `sublayer_of`, `subtree_root_proof` and
 `proof_to_sublayer` build the levels and read them once, for one-shot use.
+`build_levels` and `reduce_mt` hash each level in one pass, `_hash_level`:
+one size check per level, then per span of 1 024 nodes one join, one
+translate that clears every parity bit, and one hash per adjacent pair,
+sliced from the span. `pair_hash` is the single-pair form that proof folds
+use, and the reference the kernel equals.
 
 Proof encoding. A proof sibling's least significant bit (bit 0 of its last
 byte) is overwritten with the sibling's parity: 1 means the sibling is the
@@ -24,9 +29,11 @@ convention.
 
 Metering. Every hashing function evaluates its hashes through its `base`
 argument, one call per hash, so a counting `base` meters the work as it
-runs, and a call that fails partway still counts what it hashed. Each
-party passes its own: the authenticator's and the client's `base` field,
-and for a contract call the `base` method of the call's `CallTrace`.
+runs, and a call that fails partway still counts what it hashed. The
+level kernel keeps this: one `base` call per pair, left to right, and a
+level that fails its size check hashes nothing. Each party passes its own:
+the authenticator's and the client's `base` field, and for a contract call
+the `base` method of the call's `CallTrace`.
 """
 
 from __future__ import annotations
@@ -158,11 +165,14 @@ def lsb(d: Digest) -> int:
         raise DomainError("an empty digest has no parity bit")
     return d[-1] & 1
 
-def with_lsb(d: Digest, bit: int) -> Digest:
-    return d[:-1] + bytes([(d[-1] & 0xFE) | bit])
+# The parity mask: _PARITY_CLEAR[b] is byte b with its parity bit cleared,
+# a `bytes.translate` table; _CLEARED[b] is the same byte as a one-byte
+# string.
+_PARITY_CLEAR = bytes(b & 0xFE for b in range(256))
+_CLEARED = tuple(_PARITY_CLEAR[b:b + 1] for b in range(256))
 
-# _CLEARED[b] is byte b with its parity bit cleared, as a one-byte string.
-_CLEARED = tuple(bytes([b & 0xFE]) for b in range(256))
+def with_lsb(d: Digest, bit: int) -> Digest:
+    return d[:-1] + bytes([_PARITY_CLEAR[d[-1]] | bit])
 
 def _mask(d: Digest) -> Digest:
     return d[:-1] + _CLEARED[d[-1]]
@@ -180,6 +190,29 @@ def pair_hash(left: Digest, right: Digest,
         raise DomainError(f"children must be equal-size 16..32 byte digests: "
                           f"{n} and {len(right)} bytes")
     return base(_mask(left) + _mask(right))[:n]
+
+
+# Nodes `_hash_level` joins at a time. Joining a whole level instead keeps
+# a second copy of it alive: a 16 384-leaf build then peaks 0.8 MB higher.
+_SPAN = 1024
+
+def _hash_level(level: list[Digest], base: HashFn) -> list[Digest]:
+    """The parent level of an even-length node list: `pair_hash` of each
+    adjacent pair, left to right, one `base` call per pair, with one size
+    check for the whole level."""
+    size = len(level[0])
+    if not 16 <= size <= 32 or set(map(len, level)) != {size}:
+        raise DomainError(f"children must be equal-size 16..32 byte digests: "
+                          f"{sorted(set(map(len, level)))} bytes")
+    step = 2 * size
+    parents = []
+    for start in range(0, len(level), _SPAN):
+        buf = bytearray().join(level[start:start + _SPAN])
+        buf[size - 1::size] = buf[size - 1::size].translate(_PARITY_CLEAR)
+        buf = bytes(buf)
+        parents += [base(buf[i:i + step])[:size]
+                    for i in range(0, len(buf), step)]
+    return parents
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +260,7 @@ def _levels(nodes: list[Digest], base: HashFn) -> Iterator[list[Digest]]:
     level = list(nodes)
     yield level
     while len(level) > 1:
-        pairs = iter(level)
-        level = [pair_hash(left, right, base)
-                 for left, right in zip(pairs, pairs)]
+        level = _hash_level(level, base)
         yield level
 
 

@@ -1039,6 +1039,36 @@ def test_a_front_run_sublayer_one_level_up_reverts():
     assert led.contract(w.cid).sublayer.nodes == good.next_sublayer.nodes
 
 
+@pytest.mark.parametrize("kind", [memoryview, bytearray])
+def test_a_digest_of_another_type_inside_a_call_is_refused_at_submit(kind):
+    """A proof sibling or sublayer node that is not exactly bytes is refused
+    at submit, as a top-level argument of another type is, so no block
+    executes it; the honest call still lands."""
+    w = WalletChain()
+    led = w.ledger
+    for _ in range(w.params.N_S - 1):            # up to the subtree boundary
+        w.init(1)
+    led.mine_block()
+    sub_op = led.contract(w.cid).next_op_id
+    good = w.store.build_next_subtree(sub_op, w.auth.get_otp(sub_op))
+    honest = {"fn": "next_subtree", "contract": w.cid,
+              "sublayer": good.next_sublayer, "otp": good.otp,
+              "proof_otp": good.proof_otp, "proof_sr": good.proof_sr}
+    layer = good.next_sublayer
+    for call in [
+        {**honest, "proof_otp": MerkleProof(
+            tuple(map(kind, good.proof_otp.siblings)))},
+        {**honest, "sublayer": SubtreeLayer(list(map(kind, layer.nodes)),
+                                            layer.index)},
+    ]:
+        with pytest.raises(LedgerError, match="^a digest is not bytes: "
+                                              f"{kind.__name__}$"):
+            led.submit(Transaction("acct:adversary", call, nonce=0))
+    assert led.mempool == []
+    w.submit(honest)
+    assert led.mine_block().receipts[0].status == "ok"
+
+
 def test_malformed_calls_revert_without_halting_the_chain():
     """A signed call that lacks a key of its schema, or carries one it has
     not, is refused at submit; a well-formed call the contract rejects

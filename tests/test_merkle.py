@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otpwallet.hashing import DomainError, chain_extend, chain_step, prf, truncated_hash
+from otpwallet.hashing import (DEFAULT_BASE_HASH, DomainError, chain_extend,
+                               chain_step, prf, truncated_hash)
 from otpwallet.merkle import (
     MerkleProof,
     TreeParams,
     all_leaves,
     alpha,
     beta,
+    build_levels,
     chain_offset,
     derive_idx,
     derive_node_in_cache,
@@ -268,6 +270,96 @@ def test_pair_hash_rejects_wrong_size_children(sizes):
     left, right = (bytes(range(1, n + 1)) for n in sizes)
     with pytest.raises(DomainError):
         pair_hash(left, right)
+
+
+# -- the level kernel --------------------------------------------------------------
+# `build_levels` and `reduce_mt` hash a level in joined spans; the reference
+# is the same tree built one `pair_hash` call per node.
+
+def per_pair_levels(leaves, base=DEFAULT_BASE_HASH):
+    levels = [list(leaves)]
+    while len(levels[-1]) > 1:
+        pairs = iter(levels[-1])
+        levels.append([pair_hash(left, right, base)
+                       for left, right in zip(pairs, pairs)])
+    return levels
+
+
+def rand_digests(n, size, seed):
+    rng = random.Random(seed)
+    return [rng.randbytes(size) for _ in range(n)]
+
+
+def logging_base(log, size=32):
+    """The default base hash cut to `size` bytes, logging each input."""
+    def base(data):
+        log.append(data)
+        return DEFAULT_BASE_HASH(data)[:size]
+    return base
+
+
+@pytest.mark.parametrize("size", [16, 20, 32])
+@pytest.mark.parametrize("height", range(13))       # 1 .. 4 096 leaves
+def test_levels_equal_a_per_pair_build(height, size):
+    leaves = rand_digests(2 ** height, size, seed=height)
+    want = per_pair_levels(leaves)
+    assert build_levels(leaves) == want
+    assert reduce_mt(leaves) == want[-1][0]
+
+
+@pytest.mark.parametrize("height", [1, 2, 10, 11, 12])
+def test_the_kernel_calls_base_once_per_pair_in_order(height):
+    leaves = rand_digests(2 ** height, 16, seed=height)
+    want = []
+    per_pair_levels(leaves, logging_base(want))
+    for build in (build_levels, reduce_mt):
+        seen = []
+        build(leaves, logging_base(seen))
+        assert len(seen) == 2 ** height - 1
+        assert seen == want
+        assert {type(data) for data in seen} == {bytes}
+
+
+@pytest.mark.parametrize("sizes", [(16, 17), (16, 16, 16, 32), (20, 16, 20, 20),
+                                   (8, 8), (15, 15), (33, 33, 33, 33), (0, 0)])
+def test_the_kernel_rejects_leaves_of_a_wrong_or_mixed_size(sizes):
+    leaves = [bytes(range(1, n + 1)) for n in sizes]
+    for build in (build_levels, reduce_mt):
+        with pytest.raises(DomainError):
+            build(leaves)
+
+
+def test_a_mixed_size_past_the_first_span_is_rejected():
+    leaves = rand_digests(2048, 16, seed=0)
+    leaves[-1] += b"\0"
+    with pytest.raises(DomainError):
+        build_levels(leaves)
+
+
+@pytest.mark.parametrize("height", [2, 3])
+def test_a_short_base_digest_is_rejected_at_the_next_level(height):
+    """8-byte parents fail the size check of the level above them, after
+    the level below was hashed in full, as in the per-pair build."""
+    leaves = rand_digests(2 ** height, 16, seed=height)
+    want, seen = [], []
+    with pytest.raises(DomainError):
+        per_pair_levels(leaves, logging_base(want, 8))
+    with pytest.raises(DomainError):
+        build_levels(leaves, logging_base(seen, 8))
+    assert seen == want and len(seen) == 2 ** (height - 1)
+
+
+def test_a_two_leaf_tree_keeps_a_short_base_digest():
+    leaves = rand_digests(2, 16, seed=2)
+    assert len(reduce_mt(leaves, logging_base([], 8))) == 8
+
+
+def test_a_single_node_is_its_own_root_without_a_hash():
+    seen = []
+    for node in (truncated_hash(b"n"), b"short"):
+        assert reduce_mt([node], logging_base(seen)) == node
+        assert build_levels([node], logging_base(seen)) == [[node]]
+    assert seen == []
 
 
 # -- derive_root_hash ----------------------------------------------------------------

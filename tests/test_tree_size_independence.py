@@ -1,14 +1,16 @@
 """Tree-size independence of a CLI command, checked by counting its work.
 
-Two freshly bootstrapped worlds, at N = 64 and N = 1024 with the same P,
-run CLI commands in process. Test-local wrappers count, per command, the
-leaf chains derived (`merkle._chain_ends`), the pair hashes
-(`merkle.pair_hash`), the client trees built (`merkle.build_levels`) and
-the owner-key derivations (`signing._derive`, a key pair from a seed). A
-load builds nothing; `otp show` and `op init` derive no leaf and hash no
-pair at either N; no read command derives the key; `root show` is the
-authenticator's one derivation of the leaves, on purpose; and the first
-proof, in `op confirm`, builds the client's tree once."""
+Three freshly bootstrapped worlds, at N = 64, 1024 and 4096 with the same
+P, run CLI commands in process; the last one's 2 048 leaves fill more than
+one span of `merkle._hash_level`. Test-local wrappers count, per command,
+the leaf chains derived (`merkle._chain_ends`), the pair hashes (each
+`merkle.pair_hash` call, and each pair of a level `merkle._hash_level`
+hashes), the client trees built (`merkle.build_levels`) and the owner-key
+derivations (`signing._derive`, a key pair from a seed). A load builds
+nothing; `otp show` and `op init` derive no leaf and hash no pair at any
+N; no read command derives the key; `root show` is the authenticator's one
+derivation of the leaves, on purpose; and the first proof, in `op
+confirm`, builds the client's tree once."""
 
 from collections import Counter
 
@@ -18,13 +20,14 @@ from otpwallet import merkle, signing
 from otpwallet.cli import World, main, parse_params
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
-SPECS = ("128,64,2,16,1", "128,1024,2,16,1")
+SPECS = ("128,64,2,16,1", "128,1024,2,16,1", "128,4096,2,16,1")
 INIT = ["op", "init", "--type", "transfer", "--addr", "acct:bob",
         "--param", "1"]
 
 
 def _counting(monkeypatch, counts: Counter) -> None:
     chain_ends, pair_hash = merkle._chain_ends, merkle.pair_hash
+    hash_level = merkle._hash_level
     build_levels = merkle.build_levels
     derive = signing._derive
 
@@ -36,6 +39,10 @@ def _counting(monkeypatch, counts: Counter) -> None:
         counts["pairs"] += 1
         return pair_hash(*args)
 
+    def level_pairs(level, *args):
+        counts["pairs"] += len(level) // 2
+        return hash_level(level, *args)
+
     def trees(*args):
         counts["trees"] += 1
         return build_levels(*args)
@@ -46,6 +53,7 @@ def _counting(monkeypatch, counts: Counter) -> None:
 
     monkeypatch.setattr(merkle, "_chain_ends", chains)
     monkeypatch.setattr(merkle, "pair_hash", pairs)
+    monkeypatch.setattr(merkle, "_hash_level", level_pairs)
     monkeypatch.setattr(merkle, "build_levels", trees)
     monkeypatch.setattr(signing, "_derive", keys)
 
