@@ -18,9 +18,8 @@ Whatever the wallet contract records is read off it instead, as the
 paper's client reads the chain: the contract id, the generation
 (`nextOpID // N`), the client's current subtree and each initialised
 operation's type, address and parameter. The client holds nothing secret
-and is not stored: a restore hands it the seed's leaves at that generation
-as its leaf source, and it derives them and builds its tree on its first
-proof, so a command that reads no proof (`otp show`, `op init`,
+and is not stored: a restore hands it the seed's tree at that generation
+as its tree source, and it derives it on its first proof, so a command that reads no proof (`otp show`, `op init`,
 `root show`) builds none. The owner key is not derived by a restore
 either, but on the first signature.
 
@@ -85,9 +84,12 @@ most `N_S`, and keeps their text, so a save renders none of them again
 history is reading and hashing the log's bytes, and the head's `op` lines
 and confirmed transfers, which `world.json` holds. What it pays for by the
 tree size N: `root show` derives the N/P leaves once, on purpose, as the
-authenticator's independent display; `op confirm`, `subtree next` and
-`root rotate` build the client's tree once, at their first proof; and
-bootstrap builds it too.
+authenticator's independent display, in one process; `op confirm`,
+`subtree next` and `root rotate` derive the client's tree once, at their
+first proof; and bootstrap derives it too. The client's derivation is
+`merkle.seed_levels`, which at 4 096 leaves or more derives the right
+half of the tree in one forked child when the process may run on two
+CPUs; a metering base hash never splits.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr; an OSError, such as a `world.json` that is a
@@ -111,7 +113,7 @@ from .client import ClientStore
 from .contract import OP_TYPES, Revert
 from .hashing import DomainError, base_hash_256, random_seed
 from .ledger import Ledger, LedgerError
-from .merkle import TreeParams, all_leaves
+from .merkle import TreeParams, seed_levels
 from .mnemonic import MnemonicError
 from .protocols import (
     HardwareWallet,
@@ -454,7 +456,7 @@ class World:
                 levels=None, params=params, eta=eta,
                 current_subtree=(contract.current_subtree
                                  - eta * params.subtree_count),
-                leaf_source=lambda: all_leaves(k, params, eta))
+                tree_source=lambda: seed_levels(k, params, eta))
             floor = contract.current_subtree * params.N_S
             kept = ledger.tx_heights[ledger.canonical]
             for op_id, txid in checkpoint["initialised"]:

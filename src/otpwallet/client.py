@@ -5,11 +5,13 @@ the current generation and the tree of the staged next generation during a
 rotation, plus the metadata needed to talk to one wallet contract. Every
 root, sublayer and proof is a read of those levels, so no payload costs a
 hash. Bootstrap, leaf-file ingest and rotation hand the store its levels
-built; the CLI's restore hands it a leaf source instead (the seed's leaves
-at the restored generation), from which the store builds its levels on
-their first read and which it then drops, so a command that reads no proof
-builds no tree. The secure bootstrap derives the leaves from the seed and
-then forgets the seed and every OTP.
+built; the CLI's restore hands it a tree source instead (the seed's tree
+at the restored generation), which the store calls for its levels on their
+first read and then drops, so a command that reads no proof builds no
+tree. The secure bootstrap derives the tree from the seed and then forgets
+the seed and every OTP. Every tree derived from a seed is derived by
+`merkle.seed_levels`: at 4 096 leaves or more, with the default base, its
+right half in a forked child; a store whose `base` meters never splits.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ from .merkle import (
     MerkleProof,
     SubtreeLayer,
     TreeParams,
-    all_leaves,
     beta,
     parse_leaf_file,
     path,
+    seed_levels,
     sublayer_in,
 )
 # Not called here; kept bound because bench/tracing.py wraps them on this module.
-from .merkle import gen_proof, proof_to_sublayer, reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
+from .merkle import all_leaves, gen_proof, proof_to_sublayer, reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
 
 DEFAULT_CONFIRMATION_DEPTH = 12
 
@@ -66,7 +68,7 @@ class NewRootStages:
 @dataclass
 class ClientStore:
     # The current generation's tree, leaves first; None until the first read
-    # of a store given a leaf source.
+    # of a store given a tree source.
     levels: list[list[Digest]] | None
     params: TreeParams
     eta: int = 0
@@ -74,17 +76,17 @@ class ClientStore:
     current_subtree: int = 0             # relative to the current generation
     base: HashFn = field(default=DEFAULT_BASE_HASH, repr=False)
     _staged_levels: list[list[Digest]] | None = field(default=None, repr=False)
-    leaf_source: Callable[[], list[Digest]] | None = field(default=None,
-                                                           repr=False)
+    tree_source: Callable[[], list[list[Digest]]] | None = field(
+        default=None, repr=False)
 
     # -- bootstrap ---------------------------------------------------------
 
     @classmethod
     def bootstrap_secure(cls, k: Seed, params: TreeParams,
                          base: HashFn = DEFAULT_BASE_HASH) -> "ClientStore":
-        """Derive the leaves from the seed; keep no OTP and no seed."""
-        levels = merkle.build_levels(all_leaves(k, params, 0, base), base)
-        return cls(levels=levels, params=params, base=base)
+        """Derive the tree from the seed; keep no OTP and no seed."""
+        return cls(levels=seed_levels(k, params, 0, base), params=params,
+                   base=base)
 
     @classmethod
     def bootstrap_insecure(cls, leaf_file: str, params: TreeParams,
@@ -97,11 +99,11 @@ class ClientStore:
     # -- views -------------------------------------------------------------
 
     def _tree(self) -> list[list[Digest]]:
-        """The current generation's levels, built from the leaf source, which
-        is then dropped, on the first read."""
+        """The current generation's levels, from the tree source, which is
+        then dropped, on the first read."""
         if self.levels is None:
-            self.levels = merkle.build_levels(self.leaf_source(), self.base)
-            self.leaf_source = None
+            self.levels = self.tree_source()
+            self.tree_source = None
         return self.levels
 
     @property
@@ -168,14 +170,15 @@ class ClientStore:
         path: pass the authenticator's exported leaf file for eta + 1.
         """
         if isinstance(new_leaf_source, (bytes, bytearray)):
-            leaves = all_leaves(bytes(new_leaf_source), self.params,
-                                self.eta + 1, self.base)
+            self._staged_levels = seed_levels(bytes(new_leaf_source),
+                                              self.params, self.eta + 1,
+                                              self.base)
         else:
             leaves, eta = parse_leaf_file(new_leaf_source, self.params)
             if eta != self.eta + 1:
                 raise DomainError(
                     f"leaf file is for generation {eta}, expected {self.eta + 1}")
-        self._staged_levels = merkle.build_levels(leaves, self.base)
+            self._staged_levels = merkle.build_levels(leaves, self.base)
         return self._staged_levels[-1][0]
 
     def build_new_root_stages(self, op_id: int, new_root: Digest,

@@ -34,14 +34,13 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-# Trees are built as merkle.build_levels, the binding bench/tracing.py wraps.
-from . import merkle, signing
+from . import signing
 from .contract import OpType
 from .hashing import random_seed, truncated_hash
 from .ledger import Transaction
-from .merkle import SubtreeLayer, TreeParams, all_leaves, path, sublayer_in
+from .merkle import SubtreeLayer, TreeParams, path, seed_levels, sublayer_in
 # Not called here; kept bound because bench/tracing.py wraps them on this module.
-from .merkle import reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
+from .merkle import all_leaves, reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
 from .protocols import (
     DEFAULT_PARAMS,
     ProtocolAbort,
@@ -277,7 +276,7 @@ def theorem3(result: ScenarioResult, system: System, seed: int) -> None:
     # Adversary's own candidate tree.
     rng = random.Random(seed + 31337)
     adv_seed = random_seed(rng)
-    adv_levels = merkle.build_levels(all_leaves(adv_seed, params, 0))
+    adv_levels = seed_levels(adv_seed, params, 0)
     adv_root = adv_levels[-1][0]
     attacked = {}
 

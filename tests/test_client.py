@@ -49,24 +49,24 @@ def test_secure_and_insecure_bootstraps_agree(store):
 def test_secure_store_holds_no_otp_and_no_seed(store, tmp_path):
     """The store's fields are its public tree and metadata, nothing else:
     a bootstrapped store, and a CLI world's restored store once its first
-    proof read has built its tree and dropped its leaf source."""
+    proof read has built its tree and dropped its tree source."""
     seed_file = tmp_path / "seed.txt"
     seed_file.write_text(K.hex() + "\n")
     assert main(["--state-dir", str(tmp_path / "wallet"), "bootstrap",
                  "--params", "128,16,2,8,1", "--seed-file",
                  str(seed_file)]) == 0
     restored = World.load(tmp_path / "wallet").system.client
-    assert restored.levels is None and restored.leaf_source is not None
+    assert restored.levels is None and restored.tree_source is not None
     restored.build_confirm(0, otp_for(0))
     secrets = {K} | {otp_for(i) for i in range(PARAMS.N)}
     for store in store, restored:
         names = [f.name for f in dataclasses.fields(store)]
         assert names == ["levels", "params", "eta",
                          "confirmation_depth", "current_subtree", "base",
-                         "_staged_levels", "leaf_source"]
+                         "_staged_levels", "tree_source"]
         assert set(vars(store)) == set(names)
         assert not {node for level in store.levels for node in level} & secrets
-        assert store._staged_levels is None and store.leaf_source is None
+        assert store._staged_levels is None and store.tree_source is None
         for rendered in repr(vars(store)), repr(store):
             assert not any(secret.hex() in rendered or repr(secret) in rendered
                            for secret in secrets)

@@ -7,12 +7,14 @@ and stays outside hash coverage.
 """
 
 import hashlib
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otpwallet import merkle
 from otpwallet.hashing import (DEFAULT_BASE_HASH, DomainError, chain_extend,
                                chain_step, prf, truncated_hash)
 from otpwallet.merkle import (
@@ -37,6 +39,7 @@ from otpwallet.merkle import (
     parse_leaf_file,
     proof_to_sublayer,
     reduce_mt,
+    seed_levels,
     sublayer_of,
     subtree_consistency,
     subtree_root_proof,
@@ -360,6 +363,177 @@ def test_a_single_node_is_its_own_root_without_a_hash():
         assert reduce_mt([node], logging_base(seen)) == node
         assert build_levels([node], logging_base(seen)) == [[node]]
     assert seen == []
+
+
+# -- seed_levels ----------------------------------------------------------------------
+# A seed tree of 4 096 leaves or more, on the default base, derives its right
+# half in one forked child when the process may run on two CPUs. Each test
+# also checks that no child is left once the call returns or raises.
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that called `os.fork` during the test."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def wide(leaves, P=1, S=128):
+    return TreeParams(S=S, N=leaves * P, P=P, N_S=leaves * P, L_S=5)
+
+
+def splits(params):
+    return merkle._can_split(params.leaves, DEFAULT_BASE_HASH)
+
+
+@pytest.mark.parametrize("eta", [0, 1])
+@pytest.mark.parametrize("S", [128, 256])
+@pytest.mark.parametrize("P", [1, 2])
+@pytest.mark.parametrize("leaves", [4096, 8192])
+def test_seed_levels_equal_the_built_leaves(leaves, P, S, eta, forks):
+    params = wide(leaves, P, S)
+    want = build_levels(all_leaves(K, params, eta))
+    assert seed_levels(K, params, eta) == want
+    no_child_left()
+    assert forks == [os.getpid()] * splits(params)
+
+
+def test_a_metering_base_counts_every_hash_in_process(forks):
+    params = wide(8192, P=2)
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return DEFAULT_BASE_HASH(data)
+    levels = seed_levels(K, params, 0, counting)
+    no_child_left()
+    assert forks == []
+    n = params.leaves
+    assert len(calls) == n * (params.P + 1) + n - 1
+    assert levels == build_levels(all_leaves(K, params))
+
+
+def test_one_cpu_never_forks(monkeypatch, forks):
+    params = wide(8192)
+    want = build_levels(all_leaves(K, params))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert seed_levels(K, params) == want
+    no_child_left()
+    assert forks == []
+
+
+def test_a_small_tree_or_a_missing_fork_never_forks(monkeypatch, forks):
+    small = wide(2048)
+    assert seed_levels(K, small) == build_levels(all_leaves(K, small))
+    params = wide(4096)
+    monkeypatch.delattr(os, "fork")
+    assert seed_levels(K, params) == build_levels(all_leaves(K, params))
+    no_child_left()
+    assert forks == []
+
+
+def test_a_failed_fork_derives_in_process(monkeypatch):
+    params = wide(4096)
+    want = build_levels(all_leaves(K, params))
+
+    def refused():
+        raise BlockingIOError("no process")
+    monkeypatch.setattr(os, "fork", refused)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert seed_levels(K, params) == want
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_bad_seed_or_prf_range_is_refused_before_a_fork(forks):
+    params = wide(4096)
+    for k, eta in ((K[:15], 0), (K, 2**32 // params.leaves), (K, -1)):
+        with pytest.raises(DomainError) as serial:
+            all_leaves(k, params, eta)
+        with pytest.raises(DomainError) as split:
+            seed_levels(k, params, eta)
+        assert str(split.value) == str(serial.value)
+    no_child_left()
+    assert forks == []
+
+
+def test_a_failing_child_costs_the_parent_the_right_half(monkeypatch, forks):
+    params = wide(8192)
+    want = build_levels(all_leaves(K, params))
+    parent, chain_ends = os.getpid(), merkle._chain_ends
+
+    def parent_only(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child fails")
+        return chain_ends(*args)
+    monkeypatch.setattr(merkle, "_chain_ends", parent_only)
+    assert seed_levels(K, params) == want
+    no_child_left()
+    assert forks == [parent] * splits(params)
+
+
+def test_a_full_answer_from_a_failed_child_is_not_used(monkeypatch, forks):
+    params = wide(4096)
+    want = build_levels(all_leaves(K, params))
+    parent, chain_ends, exit_ = os.getpid(), merkle._chain_ends, os._exit
+    firsts = []
+
+    def logged(k, first, *args):
+        if os.getpid() == parent:
+            firsts.append(first)
+        return chain_ends(k, first, *args)
+    monkeypatch.setattr(merkle, "_chain_ends", logged)
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
+    assert seed_levels(K, params) == want
+    no_child_left()
+    assert firsts == [0, 2048] if splits(params) else [0]
+
+
+def test_a_short_answer_costs_the_parent_the_right_half(monkeypatch, forks):
+    params = wide(4096)
+    want = build_levels(all_leaves(K, params))
+    parent, build = os.getpid(), merkle.build_levels
+
+    def rootless(*args):
+        levels = build(*args)
+        return levels if os.getpid() == parent else levels[:-1]
+    monkeypatch.setattr(merkle, "build_levels", rootless)
+    assert seed_levels(K, params) == want
+    no_child_left()
+    assert forks == [parent] * splits(params)
+
+
+def test_a_failing_parent_raises_and_leaves_no_child(monkeypatch, forks):
+    """The child's answer overfills the pipe; it exits once the parent,
+    failing, closes the read end."""
+    params = wide(8192)
+    parent, chain_ends = os.getpid(), merkle._chain_ends
+
+    def child_only(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("parent fails")
+        return chain_ends(*args)
+    monkeypatch.setattr(merkle, "_chain_ends", child_only)
+    with pytest.raises(RuntimeError, match="parent fails"):
+        seed_levels(K, params)
+    no_child_left()
+    assert forks == [parent] * splits(params)
+
+
+def test_this_host_splits_a_large_tree():
+    """The fork paths above run only where the split does."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        pytest.skip("one CPU or no fork: every seed tree is derived in process")
+    assert splits(wide(4096)) and not splits(wide(2048))
 
 
 # -- derive_root_hash ----------------------------------------------------------------
