@@ -5,12 +5,11 @@ the displays and exports the bootstrap and rotation protocols need. The
 generation counter only ever increases; the seed leaves the device only
 through the explicit display_seed operation.
 
-The device keeps the leaves of the last generation it derived, so the
-displays and exports of one generation derive its leaves once: an insecure
-bootstrap's export and root display, or an insecure rotation's preview and
-export of the next generation. They are kept with the generation and the
-base hash they were derived with, in a tuple that is replaced and never
-changed, so a shallow copy of the device goes on independently.
+Every display and export derives its generation's leaves afresh, through
+the module globals `all_leaves` and `reduce_mt` and the device's current
+`base`. So an insecure bootstrap derives generation 0 twice, for its export
+and its root display, and an insecure rotation derives the next generation
+twice, for its preview and its export.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ class Authenticator:
     params: TreeParams
     eta: int = 0
     base: HashFn = field(default=DEFAULT_BASE_HASH, repr=False)
-    # (generation, base hash, its leaves) of the last generation derived.
-    _derived: tuple[int, HashFn, tuple[Digest, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def get_otp(self, i: int) -> Digest:
         """OTP for operation i of the current generation (0 <= i < N)."""
@@ -40,14 +36,8 @@ class Authenticator:
                     self.params.digest_bytes, self.base)
         return chain_extend(start, 0, alpha(i, self.params), self.base)
 
-    def _leaves(self, eta: int) -> tuple[Digest, ...]:
-        """Generation `eta`'s leaves, derived unless they are the last
-        generation derived, through the same base hash."""
-        derived = self._derived
-        if derived is None or derived[0] != eta or derived[1] is not self.base:
-            derived = self._derived = (eta, self.base, tuple(
-                all_leaves(self.k, self.params, eta, self.base)))
-        return derived[2]
+    def _leaves(self, eta: int) -> list[Digest]:
+        return all_leaves(self.k, self.params, eta, self.base)
 
     def export_leaves(self) -> str:
         """Leaf-export file for the current generation (microSD transport)."""

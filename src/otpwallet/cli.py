@@ -18,10 +18,12 @@ Whatever the wallet contract records is read off it instead, as the
 paper's client reads the chain: the contract id, the generation
 (`nextOpID // N`), the client's current subtree and each initialised
 operation's type, address and parameter. The client holds nothing secret
-and is not stored: a restore hands it the seed's tree at that generation
-as its tree source, and it derives it on its first proof, so a command that reads no proof (`otp show`, `op init`,
-`root show`) builds none. The owner key is not derived by a restore
-either, but on the first signature.
+and is not stored: a restore hands it, as its tree source, the seed's tree
+at that generation through `merkle.generation_levels`, the one derivation
+of every client tree, whatever mode the world was bootstrapped in. It is
+derived on the client's first proof, so a command that reads no proof
+(`otp show`, `op init`, `root show`) builds none. The owner key is not
+derived by a restore either, but on the first signature.
 
 The trade: a restore does not check that the key `hw_seed_hex` derives is
 the contract's owner key, so a read command on a world whose
@@ -86,10 +88,10 @@ and confirmed transfers, which `world.json` holds. What it pays for by the
 tree size N: `root show` derives the N/P leaves once, on purpose, as the
 authenticator's independent display, in one process; `op confirm`,
 `subtree next` and `root rotate` derive the client's tree once, at their
-first proof; and bootstrap derives it too. The client's derivation is
-`merkle.seed_levels`, which at 4 096 leaves or more derives the right
-half of the tree in one forked child when the process may run on two
-CPUs; a metering base hash never splits.
+first proof; and bootstrap derives it too. A seed's tree of 4 096 leaves
+or more has its right half derived in one forked child when the process
+may run on two CPUs (see `otpwallet.merkle`); a metering base hash never
+splits.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr; an OSError, such as a `world.json` that is a
@@ -111,9 +113,9 @@ from pathlib import Path
 from . import mnemonic, signing
 from .client import ClientStore
 from .contract import OP_TYPES, Revert
-from .hashing import DomainError, base_hash_256, random_seed
+from .hashing import DEFAULT_BASE_HASH, DomainError, random_seed
 from .ledger import Ledger, LedgerError
-from .merkle import TreeParams, seed_levels
+from .merkle import TreeParams, generation_levels
 from .mnemonic import MnemonicError
 from .protocols import (
     HardwareWallet,
@@ -436,8 +438,8 @@ class World:
         generation, the client's subtree, and each initialised operation's
         type, address and parameter. The parties are built around the
         restored ledger, and derive only what the command reads: the client
-        gets the seed's leaves at that generation as its leaf source, and
-        builds its tree on its first proof, and the owner key is derived on
+        gets the seed's tree at that generation as its tree source, and
+        builds it on its first proof, and the owner key is derived on
         its first signature (`commit` checks it first). The confirmed
         transfers are still taken as stored. The chain below the head is
         read, if ever, by `_chain_reader`."""
@@ -456,7 +458,7 @@ class World:
                 levels=None, params=params, eta=eta,
                 current_subtree=(contract.current_subtree
                                  - eta * params.subtree_count),
-                tree_source=lambda: seed_levels(k, params, eta))
+                tree_source=lambda: generation_levels(k, params, eta))
             floor = contract.current_subtree * params.N_S
             kept = ledger.tx_heights[ledger.canonical]
             for op_id, txid in checkpoint["initialised"]:
@@ -562,7 +564,7 @@ def read_seeds(seed_file: str | None) -> tuple[bytes, bytes]:
                                 "optionally followed by a hex key seed of "
                                 "32 bytes")
     k = seeds[0]
-    return k, seeds[1] if len(seeds) == 2 else base_hash_256(k + b"hw-key")
+    return k, seeds[1] if len(seeds) == 2 else DEFAULT_BASE_HASH(k + b"hw-key")
 
 
 def cmd_bootstrap(args) -> int:

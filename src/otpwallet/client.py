@@ -4,14 +4,16 @@ The client keeps only public data: the Merkle tree over the N/P leaves of
 the current generation and the tree of the staged next generation during a
 rotation, plus the metadata needed to talk to one wallet contract. Every
 root, sublayer and proof is a read of those levels, so no payload costs a
-hash. Bootstrap, leaf-file ingest and rotation hand the store its levels
-built; the CLI's restore hands it a tree source instead (the seed's tree
-at the restored generation), which the store calls for its levels on their
-first read and then drops, so a command that reads no proof builds no
-tree. The secure bootstrap derives the tree from the seed and then forgets
-the seed and every OTP. Every tree derived from a seed is derived by
-`merkle.seed_levels`: at 4 096 leaves or more, with the default base, its
-right half in a forked child; a store whose `base` meters never splits.
+hash. Every tree the client holds comes from `merkle.generation_levels`,
+given the seed (secure mode) or the authenticator's leaf file (insecure
+mode): both bootstraps ask it for generation 0, `stage_rotation` for
+eta + 1, and it refuses a leaf file of any other generation. The secure
+bootstrap then forgets the seed and every OTP. The CLI's restore hands the
+store a tree source instead (the seed's tree at the restored generation,
+through the same function), which the store calls for its levels on their
+first read and then drops, so a command that reads no proof builds no tree.
+An init is `CONFIRMATION_DEPTH` blocks deep before the client reveals the
+OTP that confirms it.
 """
 
 from __future__ import annotations
@@ -19,23 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-# Trees are built as merkle.build_levels, the binding bench/tracing.py wraps.
+# Trees come from merkle.generation_levels, which builds them through the
+# module global merkle.build_levels, the binding bench/tracing.py wraps.
 from . import merkle
 from .hashing import DEFAULT_BASE_HASH, Digest, DomainError, HashFn, Seed, truncated_hash
-from .merkle import (
-    MerkleProof,
-    SubtreeLayer,
-    TreeParams,
-    beta,
-    parse_leaf_file,
-    path,
-    seed_levels,
-    sublayer_in,
-)
+from .merkle import MerkleProof, SubtreeLayer, TreeParams, beta, path, sublayer_in
 # Not called here; kept bound because bench/tracing.py wraps them on this module.
 from .merkle import all_leaves, gen_proof, proof_to_sublayer, reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
 
-DEFAULT_CONFIRMATION_DEPTH = 12
+CONFIRMATION_DEPTH = 12
 
 
 @dataclass
@@ -72,7 +66,6 @@ class ClientStore:
     levels: list[list[Digest]] | None
     params: TreeParams
     eta: int = 0
-    confirmation_depth: int = DEFAULT_CONFIRMATION_DEPTH
     current_subtree: int = 0             # relative to the current generation
     base: HashFn = field(default=DEFAULT_BASE_HASH, repr=False)
     _staged_levels: list[list[Digest]] | None = field(default=None, repr=False)
@@ -85,16 +78,15 @@ class ClientStore:
     def bootstrap_secure(cls, k: Seed, params: TreeParams,
                          base: HashFn = DEFAULT_BASE_HASH) -> "ClientStore":
         """Derive the tree from the seed; keep no OTP and no seed."""
-        return cls(levels=seed_levels(k, params, 0, base), params=params,
-                   base=base)
+        return cls(levels=merkle.generation_levels(k, params, 0, base),
+                   params=params, base=base)
 
     @classmethod
     def bootstrap_insecure(cls, leaf_file: str, params: TreeParams,
                            base: HashFn = DEFAULT_BASE_HASH) -> "ClientStore":
-        """Ingest a leaf-export file produced by the authenticator."""
-        leaves, eta = parse_leaf_file(leaf_file, params)
-        return cls(levels=merkle.build_levels(leaves, base), params=params,
-                   eta=eta, base=base)
+        """Ingest generation 0's leaf-export file from the authenticator."""
+        return cls(levels=merkle.generation_levels(leaf_file, params, 0, base),
+                   params=params, base=base)
 
     # -- views -------------------------------------------------------------
 
@@ -163,22 +155,14 @@ class ClientStore:
             op_id=op_id,
         )
 
-    def stage_rotation(self, new_leaf_source: Seed | str) -> Digest:
-        """Prepare the next generation's leaves and return their root.
+    def stage_rotation(self, source: Seed | str) -> Digest:
+        """Prepare the next generation's tree and return its root.
 
         Secure path: pass the seed (re-entered by the user); insecure
         path: pass the authenticator's exported leaf file for eta + 1.
         """
-        if isinstance(new_leaf_source, (bytes, bytearray)):
-            self._staged_levels = seed_levels(bytes(new_leaf_source),
-                                              self.params, self.eta + 1,
-                                              self.base)
-        else:
-            leaves, eta = parse_leaf_file(new_leaf_source, self.params)
-            if eta != self.eta + 1:
-                raise DomainError(
-                    f"leaf file is for generation {eta}, expected {self.eta + 1}")
-            self._staged_levels = merkle.build_levels(leaves, self.base)
+        self._staged_levels = merkle.generation_levels(
+            source, self.params, self.eta + 1, self.base)
         return self._staged_levels[-1][0]
 
     def build_new_root_stages(self, op_id: int, new_root: Digest,

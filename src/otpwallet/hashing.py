@@ -50,11 +50,6 @@ def truncated_hash(data: bytes, nbytes: int = DIGEST_BITS_DEFAULT // 8,
     return base(data)[:nbytes]
 
 
-def base_hash_256(data: bytes, base: HashFn = DEFAULT_BASE_HASH) -> bytes:
-    """Full 256-bit digest; the mnemonic checksum draws from its top bits."""
-    return base(data)
-
-
 def prf(k: Seed, x: int, nbytes: int = DIGEST_BITS_DEFAULT // 8,
         base: HashFn = DEFAULT_BASE_HASH) -> Digest:
     """F_k(x): truncated hash of the seed concatenated with enc32(x)."""

@@ -16,11 +16,15 @@ leaf-list functions `gen_proof`, `sublayer_of`, `subtree_root_proof` and
 one size check per level, then per span of 1 024 nodes one join, one
 translate that clears every parity bit, and one hash per adjacent pair,
 sliced from the span. `pair_hash` is the single-pair form that proof folds
-use, and the reference the kernel equals. `seed_levels` is the tree a seed
-derives, `build_levels(all_leaves(...))`, and the one path the client takes
-to it. A tree of at least `_SPLIT_LEAVES` leaves hashed with the default
-base, in a process with one thread that may run on two CPUs or more, is
-derived in two processes: one forked child derives the right half's leaves
+use, and the reference the kernel equals.
+
+Generation trees. A client gets generation eta's tree one way,
+`generation_levels`, from either transport of the paper: the seed (secure
+mode) or the authenticator's leaf file (insecure mode), which must be
+eta's. The seed's tree is `seed_levels`, `build_levels(all_leaves(...))`.
+A seed tree of at least `_SPLIT_LEAVES` leaves hashed with the default base,
+in a process with one thread that may run on two CPUs or more, is derived
+in two processes: one forked child derives the right half's leaves
 and levels and sends them back through a pipe, while the caller derives the
 left half; the caller joins the halves and hashes the root. A child that
 fails or sends a short answer costs the caller the right half, derived
@@ -571,3 +575,20 @@ def parse_leaf_file(text: str, params: TreeParams) -> tuple[list[Digest], int]:
     if len(leaves) != params.leaves:
         raise DomainError(f"leaf file has {len(leaves)} leaves, want {params.leaves}")
     return leaves, fields["eta"]
+
+
+# ---------------------------------------------------------------------------
+# A generation's tree, from either transport
+
+def generation_levels(source: Seed | str, params: TreeParams, eta: int,
+                      base: HashFn = DEFAULT_BASE_HASH) -> list[list[Digest]]:
+    """The levels of generation `eta`'s tree, from the seed (`seed_levels`)
+    or from a leaf-export file (`build_levels` of its leaves). DomainError
+    for a leaf file of another generation."""
+    if not isinstance(source, str):
+        return seed_levels(source, params, eta, base)
+    leaves, file_eta = parse_leaf_file(source, params)
+    if file_eta != eta:
+        raise DomainError(
+            f"leaf file is for generation {file_eta}, expected {eta}")
+    return build_levels(leaves, base)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 
-from .hashing import HashFn, DEFAULT_BASE_HASH, base_hash_256
+from .hashing import HashFn, DEFAULT_BASE_HASH
 
 SUPPORTED_BITS = (128, 160, 192, 224, 256)
 
@@ -53,7 +53,7 @@ def encode(data: bytes, base: HashFn = DEFAULT_BASE_HASH) -> list[str]:
     if nbits not in SUPPORTED_BITS:
         raise MnemonicError(f"unsupported payload size: {nbits} bits")
     cs_bits = nbits // 32
-    checksum = base_hash_256(data, base)[0] >> (8 - cs_bits)
+    checksum = base(data)[0] >> (8 - cs_bits)
     acc = (int.from_bytes(data, "big") << cs_bits) | checksum
     total = nbits + cs_bits
     words = []
@@ -75,7 +75,7 @@ def decode(words: list[str], base: HashFn = DEFAULT_BASE_HASH) -> bytes:
     cs_bits = nbits // 32
     checksum = acc & ((1 << cs_bits) - 1)
     data = (acc >> cs_bits).to_bytes(nbits // 8, "big")
-    expected = base_hash_256(data, base)[0] >> (8 - cs_bits)
+    expected = base(data)[0] >> (8 - cs_bits)
     if checksum != expected:
         raise ChecksumError("mnemonic checksum mismatch")
     return data

@@ -9,7 +9,7 @@ mempool observation, and fork control.
 
 An operation runs in two steps, each one call here and nowhere else:
 `init_operation` sends the signed init and remembers its txid, and
-`confirm_operation` waits until that init is `confirmation_depth` deep,
+`confirm_operation` waits until that init is `CONFIRMATION_DEPTH` deep,
 only then takes the OTP and sends the confirm. `run_operation` is the two
 in a row; the CLI runs them one command apart. Every owner transaction is
 sent and mined through `send`.
@@ -24,7 +24,7 @@ import random
 
 from . import mnemonic, signing
 from .authenticator import Authenticator
-from .client import ClientStore
+from .client import CONFIRMATION_DEPTH, ClientStore
 from .contract import OpType
 from .hashing import Digest, random_seed
 from .ledger import Ledger, Transaction
@@ -165,16 +165,15 @@ def bootstrap_system(system: System, mode: str = "secure", funding: int = 1000,
 
     if mode == "secure":
         # The seed travels air-gapped as mnemonic words; the client derives
-        # the leaves and forgets the seed (bootstrap_secure stores no k).
-        words = auth.display_seed()
-        client_k = mnemonic.decode(words)
-        system.client = client = ClientStore.bootstrap_secure(client_k, params)
+        # the tree and forgets the seed (bootstrap_secure stores no k).
+        client = ClientStore.bootstrap_secure(
+            mnemonic.decode(auth.display_seed()), params)
     elif mode == "insecure":
         # Leaves travel on a microSD card; nothing secret is transferred.
-        system.client = client = ClientStore.bootstrap_insecure(
-            auth.export_leaves(), params)
+        client = ClientStore.bootstrap_insecure(auth.export_leaves(), params)
     else:
         raise ValueError(f"unknown bootstrap mode: {mode}")
+    system.client = client
 
     root, sublayer, proof_sr = client.constructor_args()
     if tamper_root is not None:
@@ -216,9 +215,9 @@ def run_bootstrap(mode: str = "secure", seed: int = 0,
 # ---------------------------------------------------------------------------
 # Operation execution
 
-def submit_signed(system: System, call: dict, payload: str, fee: int = 1) -> str:
-    """Route a transaction through the hardware wallet's display."""
-    tx = Transaction(system.user_account, call, fee=fee,
+def submit_signed(system: System, call: dict, payload: str) -> str:
+    """Route a transaction (fee 1) through the hardware wallet's display."""
+    tx = Transaction(system.user_account, call, fee=1,
                      nonce=system.ledger.next_nonce(system.user_account))
     if not system.hw.request_signature(tx, payload, system.user.approve):
         raise ProtocolAbort("user refused to sign: display mismatch")
@@ -245,7 +244,7 @@ def _status(receipt) -> str:
 
 
 def wait_confirmations(system: System, txid: str) -> None:
-    """Background wait until the tx sits under confirmation_depth blocks.
+    """Background wait until the tx sits under CONFIRMATION_DEPTH blocks.
 
     A reorg that orphans the tx puts it back in the mempool, and the wait
     mines it again; a tx that left both chain and mempool aborts. Missing
@@ -253,18 +252,17 @@ def wait_confirmations(system: System, txid: str) -> None:
     reorg between those blocks.
     """
     ledger = system.ledger
-    depth = system.client.confirmation_depth
     mined = 0
-    while mined < 10 * depth:
+    while mined < 10 * CONFIRMATION_DEPTH:
         confs = ledger.confirmations(txid)
         if confs is None:
             if not any(t.txid == txid for t in ledger.mempool):
                 raise ProtocolAbort(f"transaction {txid} vanished")
             batch = 1
-        elif confs >= depth:
+        elif confs >= CONFIRMATION_DEPTH:
             return
         else:
-            batch = depth - confs
+            batch = CONFIRMATION_DEPTH - confs
         for _ in range(batch):
             ledger.mine_block()
         mined += batch
@@ -294,7 +292,7 @@ def init_operation(system: System, op_type: OpType, addr: str, param: int,
 
 def confirm_operation(system: System, op_id: int,
                       otp: Digest | None = None) -> dict:
-    """Second factor: wait until the init is confirmation_depth deep, then
+    """Second factor: wait until the init is CONFIRMATION_DEPTH deep, then
     reveal the OTP (the authenticator's, or one the user typed) and confirm."""
     if op_id not in system.initialised:
         return {"ok": False, "stage": "confirm", "op_id": op_id,
@@ -338,7 +336,7 @@ def run_next_subtree(system: System) -> dict:
     """Single-transaction introduction of the next subtree.
 
     Unlike a confirmation, this reveals its OTP at once: it needs no wait
-    for any transaction to be `confirmation_depth` deep. The OTP sits in
+    for any transaction to be `CONFIRMATION_DEPTH` deep. The OTP sits in
     slot `N_S - 1` of its subtree, where `init_op` reverts on `phase`, so no
     operation can ever be confirmed with it. Its only effect is to admit
     the one sublayer that lies under the committed root (theorem 2): an
@@ -362,7 +360,7 @@ def run_next_subtree(system: System) -> dict:
 
 def run_new_root(system: System, mode: str = "secure") -> dict:
     """Three-stage parent-root replacement. Stage 3, which reveals the
-    OTP, waits until stages 1 and 2 are `confirmation_depth` deep, as a
+    OTP, waits until stages 1 and 2 are `CONFIRMATION_DEPTH` deep, as a
     confirmation waits for its init."""
     auth, client, user = system.authenticator, system.client, system.user
     op_id = system.contract.next_op_id
@@ -371,15 +369,15 @@ def run_new_root(system: System, mode: str = "secure") -> dict:
         raise ProtocolAbort(f"operation {op_id} does not end the parent tree")
 
     if mode == "secure":
-        # The seed travels again; the client rebuilds the next tree itself.
-        k = mnemonic.decode(auth.display_seed())
-        new_root = client.stage_rotation(k)
-        preview_root, preview_h = auth.new_parent_preview(rel)
+        # The seed travels again; the client derives the next tree itself.
+        source = mnemonic.decode(auth.display_seed())
     elif mode == "insecure":
-        preview_root, preview_h = auth.new_parent_preview(rel)
-        new_root = client.stage_rotation(auth.export_next_leaves())
+        # The next generation's leaves travel on a microSD card.
+        source = auth.export_next_leaves()
     else:
         raise ValueError(f"unknown rotation mode: {mode}")
+    new_root = client.stage_rotation(source)
+    preview_root, preview_h = auth.new_parent_preview(rel)
 
     otp = user.transfer_digest(auth.get_otp(rel))
     stages = client.build_new_root_stages(op_id, new_root, otp)
@@ -402,7 +400,7 @@ def run_new_root(system: System, mode: str = "secure") -> dict:
         txids.append(receipt.txid)
 
     # Stage 3 reveals the OTP, so stages 1 and 2 must first be
-    # confirmation_depth deep: a reorg that drops them could otherwise land
+    # CONFIRMATION_DEPTH deep: a reorg that drops them could otherwise land
     # an adversary's stages 1 and 2, built with that OTP, before the user's.
     for txid in txids:
         wait_confirmations(system, txid)

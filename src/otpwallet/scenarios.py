@@ -20,7 +20,7 @@ that a scenario attaches around one honest step and then removes, leaving
 any other observer attached.
 
 `_pristine` keeps the bootstrapped worlds of the last three configurations
-of mode, seed, params and funding, and `_start` hands out only forks of
+of mode, seed and params, and `_start` hands out only forks of
 them (`System.fork`). So the nine scenarios of one seed share three kept
 bootstraps, where each used to make its own, and each runs exactly as on a
 world bootstrapped for it alone. Theorem5's tampered bootstrap, which
@@ -35,10 +35,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import signing
+from .client import CONFIRMATION_DEPTH
 from .contract import OpType
 from .hashing import random_seed, truncated_hash
 from .ledger import Transaction
-from .merkle import SubtreeLayer, TreeParams, path, seed_levels, sublayer_in
+from .merkle import SubtreeLayer, TreeParams, generation_levels, path, sublayer_in
 # Not called here; kept bound because bench/tracing.py wraps them on this module.
 from .merkle import all_leaves, reduce_mt, sublayer_of, subtree_root_proof  # noqa: F401
 from .protocols import (
@@ -54,7 +55,6 @@ from .protocols import (
 )
 
 ADVERSARY = "acct:adversary"
-FUNDING = 1000                  # `run_bootstrap`'s default
 
 
 @dataclass
@@ -80,14 +80,13 @@ class ScenarioResult:
 
 
 @functools.lru_cache(maxsize=3)
-def _pristine(mode: str, seed: int, params: TreeParams,
-              funding: int) -> System:
+def _pristine(mode: str, seed: int, params: TreeParams) -> System:
     """The bootstrapped world of one configuration, which only `_start`
     reads, to fork it. Three are kept: the suite's configurations of one
     seed are the secure default, theorem3's params and theorem5's insecure
     world. Built through the module global `run_bootstrap`, so a wrapper
     set on this module sees each miss."""
-    return run_bootstrap(mode, seed, params, funding)
+    return run_bootstrap(mode, seed, params)
 
 
 def _start(name: str, seed: int, mode: str = "secure",
@@ -96,7 +95,7 @@ def _start(name: str, seed: int, mode: str = "secure",
     """A fork of the bootstrapped world of (mode, seed, params) and its
     baseline: every balance after the bootstrap, whose sum is the token
     total."""
-    system = _pristine(mode, seed, params, FUNDING).fork()
+    system = _pristine(mode, seed, params).fork()
     return ScenarioResult(name), system, dict(system.ledger.accounts)
 
 
@@ -276,7 +275,7 @@ def theorem3(result: ScenarioResult, system: System, seed: int) -> None:
     # Adversary's own candidate tree.
     rng = random.Random(seed + 31337)
     adv_seed = random_seed(rng)
-    adv_levels = seed_levels(adv_seed, params, 0)
+    adv_levels = generation_levels(adv_seed, params, 0)
     adv_root = adv_levels[-1][0]
     attacked = {}
 
@@ -479,7 +478,7 @@ def fork_replay(result: ScenarioResult, system: System, seed: int) -> None:
     result.check("confirmation waited for full depth",
                  confirm_confs is not None
                  and (ledger.confirmations(init_txid) - confirm_confs - 1
-                      >= system.client.confirmation_depth))
+                      >= CONFIRMATION_DEPTH))
 
 
 def run_scenario(name: str, seed: int = 0) -> ScenarioResult:

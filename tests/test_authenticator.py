@@ -129,7 +129,7 @@ def _counting(calls: list):
     return base
 
 
-def test_each_generation_is_derived_once_for_its_displays_and_exports():
+def test_every_display_and_export_hashes_through_the_devices_current_base():
     calls = []
     base = _counting(calls)
     # The hashes of one generation's leaves, of their reduction to a root,
@@ -138,31 +138,23 @@ def test_each_generation_is_derived_once_for_its_displays_and_exports():
     derive = len(calls)
     reduce_mt(all_leaves(K, PARAMS, 0), base)
     reduce = len(calls) - derive
-    auth = Authenticator(K, PARAMS, base=base)
-    auth.get_otp(PARAMS.N - 1)
+    Authenticator(K, PARAMS, base=base).get_otp(PARAMS.N - 1)
     otp = len(calls) - derive - reduce
     assert derive and reduce and otp
-    calls.clear()
 
-    # An insecure bootstrap: the leaf export, then the root display.
-    auth.export_leaves()
-    assert len(calls) == derive
-    auth.display_root()
-    assert len(calls) == derive + reduce
-    calls.clear()
-    # An insecure rotation: the next root's preview, then the next leaves.
-    auth.new_parent_preview(PARAMS.N - 1)
-    assert len(calls) == derive + reduce + otp + 1
-    auth.export_next_leaves()
-    assert len(calls) == derive + reduce + otp + 1
-    calls.clear()
-    auth.advance_generation()
-    auth.display_root()
-    assert len(calls) == reduce           # generation 1 is still kept
-    # Another base hash derives afresh.
-    auth.base = _counting(calls)
-    auth.export_leaves()
-    assert len(calls) == reduce + derive
+    auth = Authenticator(K, PARAMS)
+    shows = [(auth.display_root, derive + reduce),
+             (auth.export_leaves, derive),
+             (lambda: auth.new_parent_preview(PARAMS.N - 1),
+              derive + reduce + otp + 1),
+             (auth.export_next_leaves, derive)]
+    before = [show() for show, _ in shows]
+    # Swapped in after every display and export has run once.
+    auth.base = base
+    for (show, hashes), shown in zip(shows, before):
+        calls.clear()
+        assert show() == shown
+        assert len(calls) == hashes
 
 
 def test_a_copied_device_keeps_its_own_generation():

@@ -142,7 +142,6 @@ def assert_same_client(a: World, b: World) -> None:
     assert ca.eta == cb.eta
     assert ca.current_subtree == cb.current_subtree
     assert ca.params == cb.params
-    assert ca.confirmation_depth == cb.confirmation_depth
 
 
 def assert_same_world(a: World, b: World) -> None:

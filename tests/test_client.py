@@ -61,9 +61,8 @@ def test_secure_store_holds_no_otp_and_no_seed(store, tmp_path):
     secrets = {K} | {otp_for(i) for i in range(PARAMS.N)}
     for store in store, restored:
         names = [f.name for f in dataclasses.fields(store)]
-        assert names == ["levels", "params", "eta",
-                         "confirmation_depth", "current_subtree", "base",
-                         "_staged_levels", "tree_source"]
+        assert names == ["levels", "params", "eta", "current_subtree",
+                         "base", "_staged_levels", "tree_source"]
         assert set(vars(store)) == set(names)
         assert not {node for level in store.levels for node in level} & secrets
         assert store._staged_levels is None and store.tree_source is None
@@ -168,6 +167,8 @@ def test_rotation_from_leaf_file():
     assert new_root == auth.new_parent_preview(PARAMS.N - 1)[0]
     with pytest.raises(DomainError):
         store.stage_rotation(auth.export_leaves())       # wrong generation
+    with pytest.raises(DomainError):
+        ClientStore.bootstrap_insecure(auth.export_next_leaves(), PARAMS)
 
 
 def test_relative_op_window_tracks_generation(store):

@@ -33,6 +33,7 @@ from otpwallet.merkle import (
     expected_idx_in_cache_loop,
     expected_parity_pattern,
     gen_proof,
+    generation_levels,
     layer_of,
     lsb,
     pair_hash,
@@ -719,6 +720,19 @@ def test_leaf_file_garbage_rejected():
                    "S=128 N=16 P=2 NS=8 eta=-1", "S=128 N=16 P=2 eta=0 eta=1"):
         with pytest.raises(DomainError):
             parse_leaf_file(f"smartotps-leaves v1 {fields}\n{body}", PARAMS)
+
+
+
+def test_a_generation_has_one_tree_from_its_seed_or_its_leaf_file():
+    for eta in 0, 2:
+        leaves = all_leaves(K, PARAMS, eta)
+        text = dump_leaf_file(leaves, PARAMS, eta)
+        want = build_levels(leaves)
+        assert generation_levels(K, PARAMS, eta) == want
+        assert generation_levels(text, PARAMS, eta) == want
+        for other in eta - 1, eta + 1:
+            with pytest.raises(DomainError):
+                generation_levels(text, PARAMS, other)
 
 
 # -- params validation ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from otpwallet import merkle, signing
 from otpwallet.cli import World, main
+from otpwallet.client import CONFIRMATION_DEPTH
 from otpwallet.contract import OpType
 from otpwallet.hashing import random_seed, truncated_hash
 from otpwallet.ledger import Ledger, LedgerError, Transaction
@@ -69,9 +70,9 @@ def test_operation_waits_for_confirmation_depth():
     ledger = system.ledger
     assert (ledger.confirmations(init["txid"])
             - ledger.confirmations(confirm["txid"]) - 1
-            >= system.client.confirmation_depth)
+            >= CONFIRMATION_DEPTH)
     assert list(depths_waited(ledger).values()) == [
-        system.client.confirmation_depth]
+        CONFIRMATION_DEPTH]
 
 
 def test_an_init_orphaned_by_a_reorg_is_mined_again_before_the_wait():
@@ -87,7 +88,7 @@ def test_an_init_orphaned_by_a_reorg_is_mined_again_before_the_wait():
     assert confirm_operation(system, init["op_id"])["ok"]
     # One block mines the init again, the depth's blocks bury it, and one
     # block holds the confirmation.
-    depth = system.client.confirmation_depth
+    depth = CONFIRMATION_DEPTH
     assert ledger.head.height - height == 1 + depth + 1 == 14
     assert ledger.confirmations(init["txid"]) == depth + 1
     assert system.confirmed_transfers == [(system.recipient, 1)]
@@ -244,7 +245,7 @@ def test_split_steps_replay_run_operation_exactly():
 
 def test_otp_is_requested_only_at_confirmation_depth(monkeypatch):
     system = run_bootstrap("secure", seed=13)
-    depth = system.client.confirmation_depth
+    depth = CONFIRMATION_DEPTH
     requested = []
     real = system.authenticator.get_otp
 
@@ -281,7 +282,7 @@ def test_a_reorg_within_the_depth_cannot_install_an_adversarys_root():
     """Stage 3 of a rotation reveals the OTP. An adversary with the owner's
     key who forks below stage 1 can build its own stages 1, 2 and 3 with
     that OTP, land them in one block and outrun the chain by a few blocks,
-    unless stage 3 waited until stages 1 and 2 were confirmation_depth
+    unless stage 3 waited until stages 1 and 2 were CONFIRMATION_DEPTH
     deep."""
     params = TreeParams(S=128, N=8, P=2, N_S=8, L_S=1)
     system = run_bootstrap("secure", seed=5, params=params)
@@ -320,7 +321,7 @@ def test_a_reorg_within_the_depth_cannot_install_an_adversarys_root():
         ledger.reorg(branch)
     assert system.contract.root == honest_root != adv_root
     # The OTP was revealed only once stages 1 and 2 were deep enough.
-    depth = system.client.confirmation_depth
+    depth = CONFIRMATION_DEPTH
     assert mined["new_root_stage3"][0] - mined["new_root_stage2"][0] > depth
 
 

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from otpwallet import protocols, scenarios, signing
+from otpwallet.cli import main
 from otpwallet.scenarios import SCENARIOS, run_all, run_scenario
 
 
@@ -13,6 +14,20 @@ from otpwallet.scenarios import SCENARIOS, run_all, run_scenario
 def test_scenario_passes(name):
     result = run_scenario(name, seed=0)
     assert result.passed, "\n".join(result.lines())
+
+
+# SHA-256 of the stdout of `otpwallet attack run all --seed s` for s = 0..3,
+# run in that order: the whole suite's report, as a change quotes it.
+ATTACK_STDOUT_SHA256 = (
+    "ec8181276425b86db859f4f3febf9edd355a52647aa18f170a7db8d9ede9fe10")
+
+
+def test_attack_run_all_stdout_is_pinned(capsys):
+    out = hashlib.sha256()
+    for seed in range(4):
+        assert main(["attack", "run", "all", "--seed", str(seed)]) == 0
+        out.update(capsys.readouterr().out.encode())
+    assert out.hexdigest() == ATTACK_STDOUT_SHA256
 
 
 def test_unknown_scenario_name_rejected():
@@ -121,8 +136,7 @@ def test_a_run_of_every_scenario_bootstraps_each_configuration_once(
 
 def test_a_scenario_gets_a_fork_never_the_kept_world():
     _, system, _ = scenarios._start("theorem1", 5)
-    kept = scenarios._pristine("secure", 5, scenarios.DEFAULT_PARAMS,
-                               scenarios.FUNDING)
+    kept = scenarios._pristine("secure", 5, scenarios.DEFAULT_PARAMS)
     assert system is not kept and system.ledger is not kept.ledger
     assert system.ledger.state_hash() == kept.ledger.state_hash()
 
