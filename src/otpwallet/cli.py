@@ -47,16 +47,28 @@ their lines against the head's action count. It restores the checkpoint
 when that hash is the checkpoint's, the restored ledger hashes to the
 recorded state, and that state holds exactly one contract with a record in
 its current subtree of every initialised operation of that subtree, whose
-init txid the restored index holds. Otherwise it parses the log and
-replays it from genesis, which determinism makes bit-exact; a replay that
-lands anywhere but the recorded state is an error, and one that lands on
-it saves, so only the first command after the damage replays. A head of an
-older layout, which bound a separate checkpoint file by its digest, loads
-by one such replay; that file is never read. A restored world holds the
-chain from its head up; no command reads below it, and a Python caller
-that does (`event_log`, `audit_signatures`, a lookup of an older txid)
-pays one replay of the log's committed bytes, in a world that is not
-saved, checked against the head's digest (see `otpwallet.ledger`). The
+init txid the restored index holds. Otherwise it replays the log from
+genesis by `World.replay_log`, the one checked replay: it parses the log,
+checks its action count against the head's, replays it, which determinism
+makes bit-exact, and checks that it lands on the recorded state; a replay
+that lands anywhere else is an error. One that lands on it saves a fresh
+head, so the next command restores, unless the command is a write: a write
+saves only by its commit, so after a write whose commit fails, nothing is
+saved and the next command replays again. A head of an older layout, which
+bound a separate checkpoint file by its digest, loads by one such replay;
+that file is never read. Bootstrap builds its system as the replay of the
+empty log.
+
+A restored world holds the chain from its head up; no command reads below
+it, and a Python caller that does (`event_log`, `audit_signatures`, a
+lookup of an older txid) pays one replay of the log's committed bytes, in a
+world that is not saved: the load's checked replay, against the head as
+loaded, whose chain must then match the head's digest (see
+`otpwallet.ledger`). So the restore's trade, that it takes the checkpoint's
+state on the word of the head's `state_hash` without replaying, ends at the
+first read below the head: a `world.json` whose checkpoint state was edited
+and whose `state_hash` was re-bound to it restores, and that read raises
+`LedgerError` naming the state the log replays to and the recorded one. The
 block archive that older saves wrote beside the log, one block entry per
 line, is never read, written or removed, and may be deleted.
 
@@ -76,22 +88,22 @@ audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` parses with one parser of all nine commands, built
-by the first command of a process and reused by the rest. The parser reads
-no environment: a command reads `OTPWALLET_STATE` and `OTPWALLET_PARAMS`
-where it uses them, each time. Only the cost and security commands import
-the cost model and the security calculator, and with them mpmath. A
-restore parses of the contract's records only the current subtree's, at
-most `N_S`, and keeps their text, so a save renders none of them again
-(see `otpwallet.contract`). What a command still pays for by
-history is reading and hashing the log's bytes, and the head's `op` lines
-and confirmed transfers, which `world.json` holds. What it pays for by the
-tree size N: `root show` derives the N/P leaves once, on purpose, as the
-authenticator's independent display, in one process; `op confirm`,
-`subtree next` and `root rotate` derive the client's tree once, at their
-first proof; and bootstrap derives it too. A seed's tree of 4 096 leaves
-or more has its right half derived in one forked child when the process
-may run on two CPUs (see `otpwallet.merkle`); a metering base hash never
-splits.
+from the one `COMMANDS` table by the first command of a process and reused
+by the rest. The parser reads no environment: a command reads
+`OTPWALLET_STATE` and `OTPWALLET_PARAMS` where it uses them, each time.
+Only the cost and security commands import the cost model and the security
+calculator, and with them mpmath. A restore parses of the contract's
+records only the current subtree's, at most `N_S`, and keeps their text,
+so a save renders none of them again (see `otpwallet.contract`). What a
+command still pays for by history is reading and hashing the log's bytes,
+and the head's `op` lines and confirmed transfers, which `world.json`
+holds. What it pays for by the tree size N: `root show` derives the N/P
+leaves once, on purpose, as the authenticator's independent display, in
+one process; `op confirm`, `subtree next` and `root rotate` derive the
+client's tree once, at their first proof; and bootstrap derives it too. A
+seed's tree of 4 096 leaves or more has its right half derived in one
+forked child when the process may run on two CPUs (see
+`otpwallet.merkle`); a metering base hash never splits.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
 `error:` line on stderr; an OSError, such as a `world.json` that is a
@@ -365,18 +377,7 @@ class World:
         # does not parse is reported as such before the count.
         if (log.count(b"\n") != head["actions"]
                 or not world.restore(checkpoint)):
-            data["actions"] = _parse_log(log)
-            if len(data["actions"]) != head["actions"]:
-                raise CliError("state", f"the action log holds "
-                                        f"{len(data['actions'])} actions, not "
-                                        f"the {head['actions']} that {path} "
-                                        "commits")
-            world.logged = len(data["actions"])
-            world.replay()
-            actual = world.system.ledger.state_hash()
-            if actual != recorded:
-                raise CliError("state", f"the action log replays to state "
-                                        f"{actual}, not the recorded {recorded}")
+            world.replay_log(log, head)
             if save_replay:
                 world.save()
         return world
@@ -389,6 +390,26 @@ class World:
             bytes.fromhex(self.data["seed_hex"]),
             bytes.fromhex(self.data["hw_seed_hex"]),
             self.params(), self.data["funding"])
+
+    def replay_log(self, log: bytes, head: dict | None = None) -> None:
+        """Set up the system as the replay from genesis of the committed
+        `log` bytes, which `data["actions"]` then lists: parse them, check
+        that they hold `head`'s action count, `replay` them and check that
+        they land on its `state_hash`; a state error otherwise. Bootstrap,
+        with no head to check, replays the empty log."""
+        actions = self.data["actions"] = _parse_log(log)
+        self.logged = len(actions)
+        if head is not None and len(actions) != head["actions"]:
+            raise CliError("state", f"the action log holds {len(actions)} "
+                                    f"actions, not the {head['actions']} that "
+                                    f"{self.state_dir / 'world.json'} commits")
+        self.replay()
+        if head is not None:
+            actual = self.system.ledger.state_hash()
+            if actual != head["state_hash"]:
+                raise CliError("state", f"the action log replays to state "
+                                        f"{actual}, not the recorded "
+                                        f"{head['state_hash']}")
 
     def replay(self) -> None:
         self.system = self.build_system()
@@ -476,17 +497,17 @@ class World:
 
     def _chain_reader(self):
         """A reader of the canonical chain up to the head as loaded: it
-        re-reads the log's committed bytes of now, replays them in a fresh
-        world that it does not save, and returns that world's chain.
-        LedgerError when they do not parse or replay."""
-        size = self.log_bytes
+        re-reads the log's committed bytes of now and replays them, checked
+        against that head, in a fresh world that it does not save, and
+        returns that world's chain. LedgerError when they do not parse,
+        replay or land on the head's state."""
+        size, head = self.log_bytes, self.data["head"]
 
         def read() -> list:
             try:
                 log = _read_log(self.state_dir / LOG_NAME, size)
-                twin = World(self.state_dir,
-                             {**self.data, "actions": _parse_log(log)})
-                twin.replay()
+                twin = World(self.state_dir, {**self.data, "actions": []})
+                twin.replay_log(log, head)
             except (CliError, ProtocolAbort, ValueError, OSError) as exc:
                 raise LedgerError(f"the action log does not replay: "
                                   f"{exc}") from exc
@@ -578,8 +599,7 @@ def cmd_bootstrap(args) -> int:
     k, hw_seed = read_seeds(args.seed_file)
     world = World.create(state_dir, args.mode, params, k, hw_seed,
                          args.funding)
-    world.system = world.build_system()
-    bootstrap_system(world.system, args.mode, args.funding)
+    world.replay_log(b"")
     world.save()
     print(f"contractId: {world.system.contract_id}")
     print(f"owner account: {world.system.user_account}")
@@ -711,96 +731,66 @@ def cmd_mnemonic(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-# Each command's parser, built into the one parser of all of them.
-
-def _bootstrap_parser(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=MODES, default="secure")
-    p.add_argument("--params", help="S,N,P,NS,LS (env OTPWALLET_PARAMS)")
-    p.add_argument("--seed-file", help="file with hex seed (and optional hex key seed)")
-    p.add_argument("--funding", type=int, default=1000)
-    p.set_defaults(fn=cmd_bootstrap)
-
-
-def _op_parser(p: argparse.ArgumentParser) -> None:
-    op_sub = p.add_subparsers(dest="op_command", required=True)
-    q = op_sub.add_parser("init", help="initialize (first factor)")
-    q.add_argument("--type", required=True,
-                   choices=sorted(OP_TYPES))
-    q.add_argument("--addr", default="")
-    q.add_argument("--param", type=int, default=0)
-    q.set_defaults(fn=cmd_op_init)
-    q = op_sub.add_parser("confirm", help="confirm with an OTP (second factor)")
-    q.add_argument("--op-id", type=int, required=True)
-    q.add_argument("--otp", required=True,
-                   help="hex digest or mnemonic words (quoted)")
-    q.set_defaults(fn=cmd_op_confirm)
-
-
-def _otp_parser(p: argparse.ArgumentParser) -> None:
-    otp_sub = p.add_subparsers(dest="otp_command", required=True)
-    q = otp_sub.add_parser("show")
-    q.add_argument("--op-id", type=int, required=True)
-    q.set_defaults(fn=cmd_otp_show)
-
-
-def _subtree_parser(p: argparse.ArgumentParser) -> None:
-    st_sub = p.add_subparsers(dest="subtree_command", required=True)
-    q = st_sub.add_parser("next", help="introduce the next subtree")
-    q.set_defaults(fn=cmd_subtree_next)
-
-
-def _root_parser(p: argparse.ArgumentParser) -> None:
-    rt_sub = p.add_subparsers(dest="root_command", required=True)
-    q = rt_sub.add_parser("rotate", help="replace the parent root")
-    q.add_argument("--mode", choices=MODES, default="secure")
-    q.set_defaults(fn=cmd_root_rotate)
-    q = rt_sub.add_parser("show")
-    q.set_defaults(fn=cmd_root_show)
-
-
-def _attack_parser(p: argparse.ArgumentParser) -> None:
-    at_sub = p.add_subparsers(dest="attack_command", required=True)
-    q = at_sub.add_parser("run")
-    q.add_argument("scenario", choices=sorted(SCENARIOS) + ["all"])
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(fn=cmd_attack_run)
-
-
-def _cost_parser(p: argparse.ArgumentParser) -> None:
-    c_sub = p.add_subparsers(dest="cost_command", required=True)
-    q = c_sub.add_parser("sweep")
-    q.add_argument("--grid", default="H=7..10,P=1,L=all",
-                   help='e.g. "H=7..10,P=1+2,L=all"')
-    q.set_defaults(fn=cmd_cost_sweep)
-
-
-def _security_parser(p: argparse.ArgumentParser) -> None:
-    s_sub = p.add_subparsers(dest="security_command", required=True)
-    q = s_sub.add_parser("calc")
-    q.add_argument("--lambda", dest="lambda_bits", type=int, required=True)
-    q.add_argument("--leaves", type=int, required=True)
-    q.set_defaults(fn=cmd_security_calc)
-
-
-def _mnemonic_parser(p: argparse.ArgumentParser) -> None:
-    p.add_argument("direction", choices=["encode", "decode"])
-    p.add_argument("value", nargs="+",
-                   help="hex string (encode) or words (decode)")
-    p.set_defaults(fn=cmd_mnemonic)
-
-
-# Command -> (help, builder of its parser), in the order help lists them.
+# Command -> its help, then either its handler and its arguments or its
+# subcommands, each with its help (None: not listed), handler and arguments,
+# in the order help lists them. An argument is its name -> the keywords of
+# its `add_argument`. A command's subcommand lands in `<command>_command`.
 COMMANDS = {
-    "bootstrap": ("deploy a fresh wallet", _bootstrap_parser),
-    "op": ("two-stage wallet operations", _op_parser),
-    "otp": ("authenticator displays", _otp_parser),
-    "subtree": ("subtree lifecycle", _subtree_parser),
-    "root": ("parent-root lifecycle", _root_parser),
-    "attack": ("adversary scenarios", _attack_parser),
-    "cost": ("cost model", _cost_parser),
-    "security": ("security bounds", _security_parser),
-    "mnemonic": ("mnemonic codec", _mnemonic_parser),
+    "bootstrap": ("deploy a fresh wallet", cmd_bootstrap, {
+        "--mode": dict(choices=MODES, default="secure"),
+        "--params": dict(help="S,N,P,NS,LS (env OTPWALLET_PARAMS)"),
+        "--seed-file": dict(
+            help="file with hex seed (and optional hex key seed)"),
+        "--funding": dict(type=int, default=1000)}),
+    "op": ("two-stage wallet operations", {
+        "init": ("initialize (first factor)", cmd_op_init, {
+            "--type": dict(required=True, choices=sorted(OP_TYPES)),
+            "--addr": dict(default=""),
+            "--param": dict(type=int, default=0)}),
+        "confirm": ("confirm with an OTP (second factor)", cmd_op_confirm, {
+            "--op-id": dict(type=int, required=True),
+            "--otp": dict(required=True,
+                          help="hex digest or mnemonic words (quoted)")})}),
+    "otp": ("authenticator displays", {
+        "show": (None, cmd_otp_show, {
+            "--op-id": dict(type=int, required=True)})}),
+    "subtree": ("subtree lifecycle", {
+        "next": ("introduce the next subtree", cmd_subtree_next, {})}),
+    "root": ("parent-root lifecycle", {
+        "rotate": ("replace the parent root", cmd_root_rotate, {
+            "--mode": dict(choices=MODES, default="secure")}),
+        "show": (None, cmd_root_show, {})}),
+    "attack": ("adversary scenarios", {
+        "run": (None, cmd_attack_run, {
+            "scenario": dict(choices=sorted(SCENARIOS) + ["all"]),
+            "--seed": dict(type=int, default=0)})}),
+    "cost": ("cost model", {
+        "sweep": (None, cmd_cost_sweep, {
+            "--grid": dict(default="H=7..10,P=1,L=all",
+                           help='e.g. "H=7..10,P=1+2,L=all"')})}),
+    "security": ("security bounds", {
+        "calc": (None, cmd_security_calc, {
+            "--lambda": dict(dest="lambda_bits", type=int, required=True),
+            "--leaves": dict(type=int, required=True)})}),
+    "mnemonic": ("mnemonic codec", cmd_mnemonic, {
+        "direction": dict(choices=["encode", "decode"]),
+        "value": dict(nargs="+",
+                      help="hex string (encode) or words (decode)")}),
 }
+
+
+def _add_command(sub, name: str, help_text: str | None, *spec) -> None:
+    """Add the parser of command `name` to `sub`, listed with its help if
+    it has one; `spec` is its handler and arguments, or its subcommands."""
+    p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
+    if len(spec) == 1:
+        children = p.add_subparsers(dest=f"{name}_command", required=True)
+        for child, child_spec in spec[0].items():
+            _add_command(children, child, *child_spec)
+    else:
+        for arg, kwargs in spec[1].items():
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(fn=spec[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -812,8 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--state-dir",
                         help="wallet state directory (env OTPWALLET_STATE)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, build) in COMMANDS.items():
-        build(sub.add_parser(name, help=help_text))
+    for name, spec in COMMANDS.items():
+        _add_command(sub, name, *spec)
     return parser
 
 

@@ -1,5 +1,6 @@
 """CLI surface: happy path, persistence, exit codes, golden stability."""
 
+import argparse
 import errno
 import hashlib
 import json
@@ -1037,6 +1038,106 @@ def test_the_partial_parser_behaves_like_the_full_one(argv, code, lists,
             in captured.out + captured.err) == lists
 
 
+MODES = ("secure", "insecure")
+SCENARIO_NAMES = ["depletion", "dos-pending", "fork-replay", "theorem1",
+                  "theorem2", "theorem3", "theorem4", "theorem5", "theorem6"]
+REQUIRED_INT = (None, int, None, True, None, None)
+# Each parser path -> the help its parent's listing gives it (None: not
+# listed), the handler it sets, and each argument besides -h: its option
+# strings, dest, default, type, choices, required, nargs and help.
+PARSER_PATHS = {
+    (): (None, None, [
+        (["--state-dir"], "state_dir", None, None, None, False, None,
+         "wallet state directory (env OTPWALLET_STATE)"),
+        ([], "command", None, None,
+         ["bootstrap", "op", "otp", "subtree", "root", "attack", "cost",
+          "security", "mnemonic"], True, "A...", None)]),
+    ("bootstrap",): ("deploy a fresh wallet", "cmd_bootstrap", [
+        (["--mode"], "mode", "secure", None, MODES, False, None, None),
+        (["--params"], "params", None, None, None, False, None,
+         "S,N,P,NS,LS (env OTPWALLET_PARAMS)"),
+        (["--seed-file"], "seed_file", None, None, None, False, None,
+         "file with hex seed (and optional hex key seed)"),
+        (["--funding"], "funding", 1000, int, None, False, None, None)]),
+    ("op",): ("two-stage wallet operations", None, [
+        ([], "op_command", None, None, ["init", "confirm"], True, "A...",
+         None)]),
+    ("op", "init"): ("initialize (first factor)", "cmd_op_init", [
+        (["--type"], "type", None, None,
+         ["daily-limit", "lr-address", "lr-timeout", "transfer"], True, None,
+         None),
+        (["--addr"], "addr", "", None, None, False, None, None),
+        (["--param"], "param", 0, int, None, False, None, None)]),
+    ("op", "confirm"): ("confirm with an OTP (second factor)",
+                        "cmd_op_confirm", [
+        (["--op-id"], "op_id", *REQUIRED_INT),
+        (["--otp"], "otp", None, None, None, True, None,
+         "hex digest or mnemonic words (quoted)")]),
+    ("otp",): ("authenticator displays", None, [
+        ([], "otp_command", None, None, ["show"], True, "A...", None)]),
+    ("otp", "show"): (None, "cmd_otp_show", [
+        (["--op-id"], "op_id", *REQUIRED_INT)]),
+    ("subtree",): ("subtree lifecycle", None, [
+        ([], "subtree_command", None, None, ["next"], True, "A...", None)]),
+    ("subtree", "next"): ("introduce the next subtree", "cmd_subtree_next",
+                          []),
+    ("root",): ("parent-root lifecycle", None, [
+        ([], "root_command", None, None, ["rotate", "show"], True, "A...",
+         None)]),
+    ("root", "rotate"): ("replace the parent root", "cmd_root_rotate", [
+        (["--mode"], "mode", "secure", None, MODES, False, None, None)]),
+    ("root", "show"): (None, "cmd_root_show", []),
+    ("attack",): ("adversary scenarios", None, [
+        ([], "attack_command", None, None, ["run"], True, "A...", None)]),
+    ("attack", "run"): (None, "cmd_attack_run", [
+        ([], "scenario", None, None, SCENARIO_NAMES + ["all"], True, None,
+         None),
+        (["--seed"], "seed", 0, int, None, False, None, None)]),
+    ("cost",): ("cost model", None, [
+        ([], "cost_command", None, None, ["sweep"], True, "A...", None)]),
+    ("cost", "sweep"): (None, "cmd_cost_sweep", [
+        (["--grid"], "grid", "H=7..10,P=1,L=all", None, None, False, None,
+         'e.g. "H=7..10,P=1+2,L=all"')]),
+    ("security",): ("security bounds", None, [
+        ([], "security_command", None, None, ["calc"], True, "A...", None)]),
+    ("security", "calc"): (None, "cmd_security_calc", [
+        (["--lambda"], "lambda_bits", *REQUIRED_INT),
+        (["--leaves"], "leaves", *REQUIRED_INT)]),
+    ("mnemonic",): ("mnemonic codec", "cmd_mnemonic", [
+        ([], "direction", None, None, ["encode", "decode"], True, None, None),
+        ([], "value", None, None, None, True, "+",
+         "hex string (encode) or words (decode)")]),
+}
+
+
+def _parser_paths(parser, path=(), listed=None):
+    """(path, the help its parent lists for it, its parser) for the parser
+    and each parser under it, depth first."""
+    yield path, listed, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {a.dest: a.help for a in action._choices_actions}
+            for name, sub in action.choices.items():
+                yield from _parser_paths(sub, (*path, name), helps.get(name))
+
+
+def test_the_parser_of_every_command_is_pinned():
+    """Every parser path, from bare `otpwallet` to `mnemonic`: its listed
+    help, the handler it sets and every argument it takes."""
+    seen = {}
+    for path, listed, parser in _parser_paths(cli.build_parser()):
+        fn = parser._defaults.get("fn")
+        arguments = [
+            (a.option_strings, a.dest, a.default, a.type,
+             list(a.choices) if isinstance(a.choices, dict) else a.choices,
+             a.required, a.nargs, a.help)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        seen[path] = (listed, fn and fn.__name__, arguments)
+        assert fn is None or fn is getattr(cli, fn.__name__), path
+    assert len(seen) == 19
+    assert seen == PARSER_PATHS
+
+
 def test_a_process_builds_one_parser(state, monkeypatch, capsys):
     """The commands of a process share one parser of every command, which
     the first of them builds."""
@@ -1372,6 +1473,35 @@ def test_a_consistently_tampered_log_fails_when_read(history, other_world,
                  ledger.audit_signatures):
         with pytest.raises(ledger_mod.LedgerError):
             read()
+
+
+def test_a_forged_head_fails_when_the_chain_is_read(history, monkeypatch):
+    """A checkpoint whose state was edited (one account +400), with the
+    head's `state_hash` re-bound to the edited ledger's: the head binds
+    and restores, and a read below it replays the log, which lands on the
+    state the log holds, not the recorded one."""
+    state_dir = history
+    world_file = state_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    actual = data["head"]["state_hash"]
+    checkpoint = data["head"]["checkpoint"]
+    account = sorted(checkpoint["accounts"])[0]
+    checkpoint["accounts"][account] += 400
+    forged = ledger_mod.Ledger.from_checkpoint(checkpoint, list).state_hash()
+    data["head"]["state_hash"] = forged
+    world_file.write_text(json.dumps(data))
+
+    replays = _count_replays(monkeypatch)
+    ledger = World.load(state_dir).system.ledger     # binds by the head alone
+    assert replays == [] and ledger.accounts[account] == (
+        checkpoint["accounts"][account])
+    for read in (lambda: ledger.chain, ledger.event_log,
+                 ledger.audit_signatures):
+        with pytest.raises(ledger_mod.LedgerError) as raised:
+            read()
+        assert f"replays to state {actual}, not the recorded {forged}" in str(
+            raised.value)
+    assert replays == [1, 1, 1]
 
 
 @pytest.mark.parametrize("damage", ["intact", "torn-append", "ten-bytes-short",
