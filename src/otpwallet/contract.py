@@ -13,18 +13,29 @@ the call's nodes, which the contract never writes and shares with the
 call that brought them; and `init_op` and `confirm_op` set `operations`
 to a new `Operations`.
 
+The contract's storage words are stated once, in `_LAYOUT`: one row per
+header line of `state_lines`, in line order, with its key, the attribute
+that holds it, its parser and its renderer (the sublayer takes two lines,
+its index and its nodes). `state_lines` renders the layout's rows and then
+one `op` line per operation record in id order; `from_state_lines` takes
+exactly the first `len(_LAYOUT)` lines as the header and refuses any
+other, so a header in another order or with a key more or less does not
+parse.
+
 `Operations` is persistent: an immutable tuple of chunks of at most
-`CHUNK` records in id order, none of which is ever changed. A write
+`CHUNK` records in id order, none of which is ever changed. A chunk ends
+at each subtree boundary, so it holds the records of one subtree. A write
 copies the one chunk it writes and the tuple, and shares every other
 chunk, so an operation costs the same at any op id, as a record's storage
 words do in the paper's contract. `init_op` appends at `nextOpID` to the
-last chunk, or starts a new one when it is full, without searching older
-chunks; `confirm_op` finds its record's chunk by bisecting the chunks'
-last ids. A chunk renders its `state_lines` text on first use and keeps
-it, so `state_lines` renders only the chunks written since.
-`from_state_lines` parses only the current subtree's `op` lines, into
-chunks that keep their text, and keeps the older `op` lines as one chunk
-of text, parsed when a record in it is read.
+last chunk, or starts a new one when it is full or of an older subtree,
+without searching older chunks; `confirm_op` finds its record's chunk by
+bisecting the chunks' last ids. A chunk renders its `state_lines` text on
+first use and keeps it, so `state_lines` renders only the chunks written
+since. `from_state_lines` parses only the current subtree's `op` lines,
+into chunks that keep their text, and keeps the older `op` lines as one
+chunk of text, parsed when a record in it is read; that chunk spans
+subtrees, but no call writes it.
 
 Every public method takes the call's ChainEnv last. Token balances live in
 the ledger's account map; the contract reads and moves them through it.
@@ -42,6 +53,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from typing import Callable
 
 from .hashing import DEFAULT_BASE_HASH, Digest, HashFn, truncated_hash
@@ -103,10 +115,9 @@ def _op_line(op_id: int, rec: OperationRecord) -> str:
 
 
 def _op_id(line: str) -> int | None:
-    """The id of an `op` state line, or None for any other line."""
-    if type(line) is not str:
-        raise ValueError(f"a state line is not text: {line!r}")
-    key = line.partition("=")[0]
+    """The id of an `op` state line, or None for any other line; TypeError
+    for a line that is not text."""
+    key = str.partition(line, "=")[0]
     return int(key[2:]) if key.startswith("op") and key[2:].isdigit() else None
 
 
@@ -117,6 +128,45 @@ def _parse_op(line: str) -> tuple[int, OperationRecord]:
     addr, param, pending = rest.rsplit(",", 2)
     return int(key[2:]), OperationRecord(addr, int(param), pending == "1",
                                          OP_TYPES[op_type])
+
+
+def _digests(text: str) -> list[Digest]:
+    """The digests of a `_hexes` text."""
+    return [bytes.fromhex(d) for d in text.split(",") if d]
+
+
+def _hexes(digests: list[Digest]) -> str:
+    """Digests as comma-separated hex, as a header line holds them."""
+    return ",".join(d.hex() for d in digests)
+
+
+# The header of `state_lines`: the contract's storage fields, one line each
+# in line order, as the line's key, the attribute that holds the field (the
+# sublayer's two lines each name a field of `sublayer`), the parser of the
+# line's text and the renderer of the field's value.
+_LAYOUT = (
+    ("contractId", "contract_id", str, str),
+    ("root", "root", bytes.fromhex, bytes.hex),
+    ("pk", "pk", bytes.fromhex, bytes.hex),
+    ("nextOpID", "next_op_id", int, str),
+    ("currentSubtree", "current_subtree", int, str),
+    ("currentLayer", "current_layer", int, str),
+    ("dailyLimit", "daily_limit", int, str),
+    ("spentToday", "spent_today", int, str),
+    ("dayIndex", "day_index", int, str),
+    ("lastResortAddr", "last_resort_addr", str, str),
+    ("lastResortTimeout", "last_resort_timeout", int, str),
+    ("lastActivity", "last_activity", int, str),
+    ("destroyed", "destroyed", "1".__eq__, lambda flag: str(int(flag))),
+    ("sublayerIndex", "sublayer.index", int, str),
+    ("sublayer", "sublayer.nodes", _digests, _hexes),
+    ("L1", "l1", _digests, _hexes),
+    ("L2", "l2", _digests, _hexes),
+)
+# Per line: its key, the field's getter and its (owner, ".", name) path,
+# and the parser and renderer, built once.
+_HEADER = tuple((key, attrgetter(attr), attr.rpartition("."), parse, render)
+                for key, attr, parse, render in _LAYOUT)
 
 
 class _Chunk:
@@ -188,12 +238,15 @@ class Operations(Mapping):
         written since they were last rendered are rendered here."""
         return list(chain.from_iterable(map(_Chunk.lines, self._chunks)))
 
-    def put(self, op_id: int, record: OperationRecord) -> "Operations":
+    def put(self, op_id: int, record: OperationRecord,
+            floor: int) -> "Operations":
         """These records with `record` at `op_id`, an id held or one above
-        every id held; a new id goes into the last chunk until it holds
-        `CHUNK` records."""
+        every id held, whose subtree starts at id `floor`; a new id goes
+        into the last chunk while it holds fewer than `CHUNK` records, none
+        below `floor`, so that a chunk ends at each subtree boundary."""
         chunks, i = self._chunks, self._find(op_id)
-        if 0 < i == len(chunks) and len(chunks[-1]) < CHUNK:
+        if (0 < i == len(chunks) and len(chunks[-1]) < CHUNK
+                and chunks[-1].last() >= floor):
             i -= 1
         records = chunks[i].records() if i < len(chunks) else {}
         return Operations(chunks[:i] + (_Chunk({**records, op_id: record}),)
@@ -320,8 +373,8 @@ class WalletContract:
                          "last resort must differ from the owner account")
         op_id = self.next_op_id
         self.next_op_id += 1
-        self.operations = self.operations.put(
-            op_id, OperationRecord(addr, param, True, op_type))
+        self.operations = self.operations.put(op_id, OperationRecord(
+            addr, param, True, op_type), op_id - op_id % self.params.N_S)
         trace.sstore_new += OP_RECORD_WORDS
         trace.sstore_update += 1                    # nextOpID
         return op_id
@@ -345,7 +398,8 @@ class WalletContract:
         self._verify_otp_cached(otp, proof, op_id, trace)
         self._exec(record, env)
         self.operations = self.operations.put(op_id, OperationRecord(
-            record.addr, record.param, False, record.type))
+            record.addr, record.param, False, record.type),
+            op_id - op_id % self.params.N_S)
         self.current_layer = layer
         self.last_activity = env.timestamp
         trace.sstore_update += 3                    # pending, layer, lastActivity
@@ -501,45 +555,34 @@ class WalletContract:
     # -- canonical serialization ----------------------------------------------------
 
     def state_lines(self) -> list[str]:
-        return [
-            f"contractId={self.contract_id}",
-            f"root={self.root.hex()}",
-            f"pk={self.pk.hex()}",
-            f"nextOpID={self.next_op_id}",
-            f"currentSubtree={self.current_subtree}",
-            f"currentLayer={self.current_layer}",
-            f"dailyLimit={self.daily_limit}",
-            f"spentToday={self.spent_today}",
-            f"dayIndex={self.day_index}",
-            f"lastResortAddr={self.last_resort_addr}",
-            f"lastResortTimeout={self.last_resort_timeout}",
-            f"lastActivity={self.last_activity}",
-            f"destroyed={int(self.destroyed)}",
-            f"sublayerIndex={self.sublayer.index}",
-            "sublayer=" + ",".join(n.hex() for n in self.sublayer.nodes),
-            "L1=" + ",".join(d.hex() for d in self.l1),
-            "L2=" + ",".join(d.hex() for d in self.l2),
-            *self.operations.lines(),
-        ]
+        return [f"{key}={render(get(self))}" for key, get, _, _, render
+                in _HEADER] + self.operations.lines()
 
     @classmethod
     def from_state_lines(cls, lines: list[str],
                          params: TreeParams) -> "WalletContract":
         """The contract that `state_lines` describes; the inverse of it for
-        the given parameters (they are not in the lines). It parses the
-        header and the tail of `op` lines whose id is in the current
-        subtree, at most `N_S` lines because the lines are sorted by id,
-        into chunks of `CHUNK` that keep their lines too; the older `op`
-        lines become one chunk of text, kept as they are and parsed only
-        when a record in it is read."""
-        fields, start = {}, len(lines)
-        for i, line in enumerate(lines):
-            if _op_id(line) is not None:
-                start = i
-                break
-            key, _, value = line.partition("=")
-            fields[key] = value
-        floor, end = int(fields["currentSubtree"]) * params.N_S, len(lines)
+        the given parameters (they are not in the lines). The header is
+        exactly the first `len(_LAYOUT)` lines, with the layout's keys in
+        its order, and ValueError for any other. Of the `op` lines after it,
+        the tail whose id is in the current subtree, at most `N_S` lines
+        because the lines are sorted by id, is parsed into chunks of
+        `CHUNK` that keep their lines too, which end at the subtree's
+        boundary as every chunk a call writes does; the older `op` lines
+        become one chunk of text, kept as they are and parsed only when a
+        record in it is read, which spans subtrees but no call writes."""
+        wallet = cls.__new__(cls)
+        wallet.params, wallet.sublayer = params, SubtreeLayer([])
+        for line, (key, _, (owner, _, name), parse, _) in zip(
+                lines[:len(_LAYOUT)], _HEADER, strict=True):
+            seen, sep, text = str.partition(line, "=")
+            if (seen, sep) != (key, "="):
+                raise ValueError(f"not the header's {key} line: {line!r}")
+            setattr(getattr(wallet, owner) if owner else wallet, name,
+                    parse(text))
+        wallet.owner_account = signing.account_of(wallet.pk)
+        start, end = len(_LAYOUT), len(lines)
+        floor = wallet.current_subtree * params.N_S
         while end > start:
             op_id = _op_id(lines[end - 1])
             if op_id is None:
@@ -547,32 +590,9 @@ class WalletContract:
             if op_id < floor:
                 break
             end -= 1
-
-        def digests(key: str) -> list[Digest]:
-            return [bytes.fromhex(d) for d in fields[key].split(",") if d]
-
-        wallet = cls.__new__(cls)
-        wallet.params = params
-        wallet.contract_id = fields["contractId"]
-        wallet.root = bytes.fromhex(fields["root"])
-        wallet.pk = bytes.fromhex(fields["pk"])
-        wallet.owner_account = signing.account_of(wallet.pk)
-        wallet.next_op_id = int(fields["nextOpID"])
         chunks = [_Chunk(lines=lines[start:end])] if end > start else []
         for i in range(end, len(lines), CHUNK):
             tail = lines[i:i + CHUNK]
             chunks.append(_Chunk(dict(map(_parse_op, tail)), tail))
         wallet.operations = Operations(tuple(chunks))
-        wallet.sublayer = SubtreeLayer(digests("sublayer"),
-                                       int(fields["sublayerIndex"]))
-        wallet.current_subtree = int(fields["currentSubtree"])
-        wallet.current_layer = int(fields["currentLayer"])
-        wallet.l1, wallet.l2 = digests("L1"), digests("L2")
-        wallet.daily_limit = int(fields["dailyLimit"])
-        wallet.spent_today = int(fields["spentToday"])
-        wallet.day_index = int(fields["dayIndex"])
-        wallet.last_resort_addr = fields["lastResortAddr"]
-        wallet.last_resort_timeout = int(fields["lastResortTimeout"])
-        wallet.last_activity = int(fields["lastActivity"])
-        wallet.destroyed = fields["destroyed"] == "1"
         return wallet

@@ -709,6 +709,32 @@ def test_a_sealed_row_loads_by_replay(tmp_path, monkeypatch, capsys):
     assert code == 0 and err == "" and replays == [1]
 
 
+def test_a_checkpoint_with_two_header_lines_swapped_loads_by_replay(
+        history, monkeypatch, capsys):
+    """A restore renders the contract's header again, so two header lines
+    swapped in the checkpoint leave its state hash as recorded; but the
+    header is exactly the layout's lines, so the world loads by one replay
+    to the recorded state, which saves the lines as written, and the next
+    command restores."""
+    state_dir = history
+    recorded = json.loads((state_dir / "world.json").read_text())["head"][
+        "state_hash"]
+    written = _checkpoint(state_dir)["contracts"][0]["lines"]
+
+    def swap(doc):
+        lines = doc["contracts"][0]["lines"]
+        lines[6], lines[7] = lines[7], lines[6]
+    _rebind_doc(state_dir, swap)
+    swapped = _checkpoint(state_dir)["contracts"][0]["lines"]
+    assert swapped != written and sorted(swapped) == sorted(written)
+    replays = _count_replays(monkeypatch)
+    assert World.load(state_dir).system.ledger.state_hash() == recorded
+    assert replays == [1]
+    assert _checkpoint(state_dir)["contracts"][0]["lines"] == written
+    code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 0 and err == "" and replays == [1]
+
+
 def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
                                                         capsys):
     """The generation and the client's subtree come from the restored

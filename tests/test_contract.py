@@ -563,7 +563,7 @@ def test_a_snapshot_copies_only_the_containers_a_call_changes(monkeypatch):
     for _ in range(params.N_S - 1):
         world.init(param=1)
     world.introduce_subtree()
-    op = world.init(param=1)                    # ops 0-3, then 4-6 and 8
+    op = world.init(param=1)                    # ops 0-3, then 4-6, then 8
     wallet = world.wallet
     lines = wallet.state_lines()
     twin = wallet.snapshot()
@@ -577,14 +577,15 @@ def test_a_snapshot_copies_only_the_containers_a_call_changes(monkeypatch):
     for name in ("operations", "l1", "l2", "sublayer"):
         assert getattr(twin, name) is getattr(wallet, name)
     # A write on the snapshot replaces the one chunk it writes and shares
-    # the other.
+    # the others.
     world.wallet = twin
     before = wallet.operations
     world.confirm(op)
     assert not twin.operations[op].pending and before[op].pending
     removed, added = chunk_changes(before, twin.operations)
-    assert len(before._chunks) == 2 and removed == [before._chunks[1]]
-    assert len(added) == 1 and twin.operations._chunks[0] is before._chunks[0]
+    assert len(before._chunks) == 3 and removed == [before._chunks[2]]
+    assert len(added) == 1 and all(
+        twin.operations._chunks[i] is before._chunks[i] for i in (0, 1))
     # An init, a confirmation and a subtree introduction on the snapshot
     # leave the original as it was.
     while twin.next_op_id % params.N_S != params.N_S - 1:
@@ -703,3 +704,92 @@ def test_sealed_chunks_render_parse_and_share_as_one_dict_would(calls):
             assert wallet.snapshot().operations is wallet.operations
             if i % 2:
                 world.wallet = twin
+
+
+def test_every_chunk_holds_the_ids_of_one_subtree():
+    """At the `lifetime` bench workload's parameters, where a subtree holds
+    15 records and a chunk up to `CHUNK` = 64, a chunk still ends at each
+    subtree boundary, through subtree introductions and a rotation: a
+    record write copies at most one subtree's records."""
+    params = TreeParams(S=128, N=64, P=1, N_S=16, L_S=2)
+    world = World(params, funding=1000)
+    while world.wallet.next_op_id < params.N + params.N_S:
+        slot = world.wallet.next_op_id
+        if slot % params.N == params.N - 1:
+            assert world.rotate_root()
+        elif slot % params.N_S == params.N_S - 1:
+            world.introduce_subtree()
+        else:
+            world.confirm(world.init(param=1))
+        chunks = world.wallet.operations._chunks
+        assert [{op_id // params.N_S for op_id in chunk.records()}
+                for chunk in chunks] == [{s} for s in range(len(chunks))]
+
+
+# -- the header layout ------------------------------------------------------------------------
+
+def test_a_contract_holds_the_layouts_fields_and_three_more(world):
+    """The header's attributes, with the parameters, the owner's account
+    and the operation records: every other attribute would be state that
+    `state_lines` leaves out."""
+    fields = {attr.split(".")[0] for _, attr, _, _ in contract_mod._LAYOUT}
+    assert vars(world.wallet).keys() == fields | {"params", "owner_account",
+                                                  "operations"}
+
+
+def _far_from_deploy(world) -> WalletContract:
+    """The world's wallet with every header field but its id, root and key
+    away from the value a deploy sets: limits, a spend on a later day, a
+    last resort whose address holds `,` and `=`, a later subtree and layer,
+    staged L1 and L2 entries at the tree boundary, and then emptied to the
+    last resort."""
+    for op_type, addr, param in (
+            (OpType.SET_DAILY_LIMIT, "acct:bob", 50),
+            (OpType.SET_LAST_RESORT_ADDRESS, "acct:x,y=z", 0),
+            (OpType.SET_LAST_RESORT_TIMEOUT, "acct:bob", 1000)):
+        world.confirm(world.init(addr, param, op_type))
+    world.now += 86400
+    world.confirm(world.init(param=7))
+    drive_to_tree_boundary(world)
+    world.confirm(PARAMS.N - 2)                 # at the last layer
+    signed = world.env(world.owner, signed=True)
+    world.wallet.new_root_stage1(truncated_hash(b"an L1 entry"), signed)
+    world.wallet.new_root_stage2(truncated_hash(b"an L2 entry"), signed)
+    world.now = world.wallet.last_activity + 1001
+    world.wallet.send_to_last_resort(world.env("acct:anyone"))
+    return world.wallet
+
+
+def test_every_header_field_renders_and_parses_back(world):
+    fresh = world.wallet.state_lines()
+    wallet = _far_from_deploy(world)
+    lines = wallet.state_lines()
+    assert lines == reference_state_lines(wallet)
+    keys = [key for key, *_ in contract_mod._LAYOUT]
+    assert [key for key, line, deployed in zip(keys, lines, fresh)
+            if line != deployed] == keys[3:]
+    assert "lastResortAddr=acct:x,y=z" in lines and wallet.destroyed
+    twin = WalletContract.from_state_lines(lines, PARAMS)
+    assert vars(twin) == vars(wallet)
+    assert twin.state_lines() == lines
+
+
+@pytest.mark.parametrize("edit", ["swapped", "extra", "missing",
+                                  "not-text"])
+def test_a_header_is_exactly_the_layouts_lines(world, edit):
+    """Two header lines swapped, one line added to the header or one left
+    out: the header holds the same fields or one more or less, in lines
+    that no save writes. A header line that is not text is a TypeError."""
+    world.confirm(world.init())
+    lines = world.wallet.state_lines()
+    WalletContract.from_state_lines(lines, PARAMS)
+    if edit == "swapped":
+        lines[6], lines[7] = lines[7], lines[6]
+    elif edit == "extra":
+        lines.insert(5, "gasPrice=1")
+    elif edit == "missing":
+        del lines[8]
+    else:
+        lines[8] = 5
+    with pytest.raises(TypeError if edit == "not-text" else ValueError):
+        WalletContract.from_state_lines(lines, PARAMS)
