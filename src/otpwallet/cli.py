@@ -9,11 +9,17 @@ command that changed state, one action per line (compact JSON with sorted
 keys, then a newline), and the world's only history: it only grows, and a
 save appends the lines of the actions it adds and re-encodes no other.
 
-The checkpoint is a cache of the world's head: the head ledger state with
-the head block's chained digest, the heights of the initialised
+The checkpoint is a cache of the world's head: the head ledger state, with
+each contract as its state lines alone (a restore builds it with the params
+of `world.json`), the head block's height, timestamp and chained digest,
+the ledger's submission counter, the heights of the initialised
 operations' init txids, and the bookkeeping that the chain does not hold:
-the SHA-256 of the log's committed bytes, the init txid of each
-initialised operation of the current subtree and the confirmed transfers.
+the init txid of each initialised operation of the current subtree and the
+confirmed transfers. Its `binding` is the hash of the SHA-256 of the log's
+committed bytes and of the fields that the head's `state_hash` does not
+cover (`BOUND_KEYS`: the height, the timestamp, the counter, the txid index
+and the initialised rows); the state hash covers the state and, by the
+head digest, the chain.
 Whatever the wallet contract records is read off it instead, as the
 paper's client reads the chain: the contract id, the generation
 (`nextOpID // N`), the client's current subtree and each initialised
@@ -44,33 +50,40 @@ file, which the next save replaces.
 A load reads the log's committed bytes (fewer is an error), hashes them
 once and keeps the hash, so a save hashes only what it appends, and counts
 their lines against the head's action count. It restores the checkpoint
-when that hash is the checkpoint's, the restored ledger hashes to the
-recorded state, and that state holds exactly one contract with a record in
-its current subtree of every initialised operation of that subtree, whose
-init txid the restored index holds. Otherwise it replays the log from
-genesis by `World.replay_log`, the one checked replay: it parses the log,
-checks its action count against the head's, replays it, which determinism
-makes bit-exact, and checks that it lands on the recorded state; a replay
-that lands anywhere else is an error. One that lands on it saves a fresh
-head, so the next command restores, unless the command is a write: a write
-saves only by its commit, so after a write whose commit fails, nothing is
-saved and the next command replays again. A head of an older layout, which
-bound a separate checkpoint file by its digest, loads by one such replay;
-that file is never read. Bootstrap builds its system as the replay of the
-empty log.
+when its binding is the digest of that hash and its bound fields, the
+restored ledger hashes to the recorded state, and that state holds exactly
+one contract with a record in its current subtree of every initialised
+operation of that subtree, whose init txid the restored index holds. It
+takes one field as stored: the confirmed transfers, a record of the
+user's that grows with the history and that no protocol step reads.
+Otherwise it replays the log from genesis by `World.replay_log`, the one
+checked replay: it parses the log, checks its action count against the
+head's, replays it, which determinism makes bit-exact, and checks that it
+lands on the recorded state; a replay that lands anywhere else is an error.
+One that lands on it saves a fresh head, so the next command restores,
+unless the command is a write: a write saves only by its commit, so after a
+write whose commit fails, nothing is saved and the next command replays
+again. A checkpoint of an older layout, such as one that stored the log's
+digest alone and each contract's params, does not bind and loads by one
+such replay; so does a head of an older layout, which bound a separate
+checkpoint file by its digest, a file that is never read. Bootstrap builds
+its system as the replay of the empty log.
 
 A restored world holds the chain from its head up; no command reads below
 it, and a Python caller that does (`event_log`, `audit_signatures`, a
-lookup of an older txid) pays one replay of the log's committed bytes, in a
-world that is not saved: the load's checked replay, against the head as
-loaded, whose chain must then match the head's digest (see
-`otpwallet.ledger`). So the restore's trade, that it takes the checkpoint's
-state on the word of the head's `state_hash` without replaying, ends at the
-first read below the head: a `world.json` whose checkpoint state was edited
-and whose `state_hash` was re-bound to it restores, and that read raises
-`LedgerError` naming the state the log replays to and the recorded one. The
-block archive that older saves wrote beside the log, one block entry per
-line, is never read, written or removed, and may be deleted.
+lookup of an older txid, a fork below the head) pays one replay of the
+log's committed bytes, in a world that is not saved: the load's checked
+replay, against the head as loaded, whose chain must then match the head's
+digest (see `otpwallet.ledger`). The restored ledger then holds the
+replay's blocks, with their states, under its head, and goes on as a
+replayed one would; `System.fork` copies it either way. So the restore's
+trade, that it takes the checkpoint's state on the word of the head's
+`state_hash` without replaying, ends at the first read below the head: a
+`world.json` whose checkpoint state was edited and whose `state_hash` was
+re-bound to it restores, and that read raises `LedgerError` naming the
+state the log replays to and the recorded one. The block archive that
+older saves wrote beside the log, one block entry per line, is never read,
+written or removed, and may be deleted.
 
 A `world.json` that does not parse, is not format version 4 or records no
 head is an error, because there is no state to check its replay against (a
@@ -125,7 +138,8 @@ from pathlib import Path
 from . import mnemonic, signing
 from .client import ClientStore
 from .contract import OP_TYPES, Revert
-from .hashing import DEFAULT_BASE_HASH, DomainError, random_seed
+from .hashing import (DEFAULT_BASE_HASH, DomainError, random_seed,
+                      truncated_hash)
 from .ledger import Ledger, LedgerError
 from .merkle import TreeParams, generation_levels
 from .mnemonic import MnemonicError
@@ -163,6 +177,9 @@ WORLD_KEYS = {"funding": int, "hw_seed_hex": str, "mode": str,
 HEAD_KEYS = {"actions": int, "log_bytes": int, "state_hash": str,
              "checkpoint": object}
 PARAMS_KEYS = dict.fromkeys(TreeParams().as_dict(), int)
+# The checkpoint's fields that the head's `state_hash` does not cover and
+# that its `binding` covers, with the log's digest.
+BOUND_KEYS = ("height", "timestamp", "seq", "index", "initialised")
 # Logged command -> the keys of its action besides "cmd", as the command
 # writes them, and their types; the protocol step that applies it to a
 # system; and the text of its failure. A step looks its protocol function up
@@ -257,6 +274,15 @@ def _malformed(action, otp_bytes: int) -> str | None:
     if cmd == "rotate" and action["mode"] not in MODES:
         return f"unknown mode {action['mode']}"
     return None
+
+
+def _binding(log_hash, checkpoint: dict) -> str:
+    """The hash of the log's digest and the checkpoint's BOUND_KEYS values.
+    Their `repr` tells the types of JSON values apart, as JSON text does,
+    and holds at most `N_S` rows of the index and of the initialised
+    operations whatever the history, so a read command encodes no JSON."""
+    bound = [log_hash.hexdigest(), *(checkpoint[key] for key in BOUND_KEYS)]
+    return truncated_hash(repr(bound).encode()).hex()
 
 
 def _log_line(action: dict) -> bytes:
@@ -448,28 +474,30 @@ class World:
 
     def restore(self, checkpoint) -> bool:
         """Set up the system from the head's parsed checkpoint, without
-        replaying; False when it is not one that a save writes or was built
-        from other log bytes, the restored ledger hashes to another state,
-        or that state does not hold exactly one contract with a record in
-        its current subtree of every initialised operation of that subtree,
-        whose init txid the restored txid index holds. A row below the
-        current subtree's first op id, which older saves kept, does not
-        bind: it is refused before its record is looked up. Only then is the
-        rest derived from the contract, so the state hash covers it: the
-        generation, the client's subtree, and each initialised operation's
-        type, address and parameter. The parties are built around the
-        restored ledger, and derive only what the command reads: the client
-        gets the seed's tree at that generation as its tree source, and
-        builds it on its first proof, and the owner key is derived on
-        its first signature (`commit` checks it first). The confirmed
-        transfers are still taken as stored. The chain below the head is
-        read, if ever, by `_chain_reader`."""
+        replaying; False when it is not one that a save writes, its binding
+        is not the digest of the log bytes and the fields it binds, the
+        restored ledger, whose contract has the world's params, hashes to
+        another state, or that state does not hold exactly one contract with
+        a record in its current subtree of every initialised operation of
+        that subtree, whose init txid the restored txid index holds. A row
+        below the current subtree's first op id, which older saves kept,
+        does not bind: it is refused before its record is looked up. Only
+        then is the rest derived from the contract, so the state hash covers
+        it: the generation, the client's subtree, and each initialised
+        operation's type, address and parameter. The parties are built
+        around the restored ledger, and derive only what the command reads:
+        the client gets the seed's tree at that generation as its tree
+        source, and builds it on its first proof, and the owner key is
+        derived on its first signature (`commit` checks it first). The
+        confirmed transfers are taken as stored. The chain below the head
+        is read, if ever, by `_chain_reader`."""
         try:
-            ledger = Ledger.from_checkpoint(checkpoint, self._chain_reader())
-            if (checkpoint["log_digest"] != self.log_hash.hexdigest()
+            k, params = bytes.fromhex(self.data["seed_hex"]), self.params()
+            ledger = Ledger.from_checkpoint(checkpoint, params,
+                                            self._chain_reader())
+            if (checkpoint["binding"] != _binding(self.log_hash, checkpoint)
                     or ledger.state_hash() != self.data["head"]["state_hash"]):
                 return False
-            k, params = bytes.fromhex(self.data["seed_hex"]), self.params()
             system = make_parties(k, HardwareWallet(signing.keygen(
                 bytes.fromhex(self.data["hw_seed_hex"]))), params, ledger)
             (system.contract_id,) = ledger.head.state.contracts
@@ -530,10 +558,10 @@ class World:
         checkpoint = ledger.checkpoint(
             keep=[txid for txid, *_ in system.initialised.values()])
         checkpoint.update(
-            log_digest=log_hash.hexdigest(),
             initialised=[[op_id, txid] for op_id, (txid, *_)
                          in system.initialised.items()],
             confirmed_transfers=system.confirmed_transfers)
+        checkpoint["binding"] = _binding(log_hash, checkpoint)
         head = {
             "actions": self.log_actions + len(actions) - self.logged,
             "log_bytes": self.log_bytes + len(lines),

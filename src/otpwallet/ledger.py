@@ -77,35 +77,40 @@ writes an operation record copies one chunk of at most `CHUNK` records
 and the tuple of chunks.
 
 `checkpoint` returns the head as a JSON-ready object, for the caller to
-encode and store: the head state, height, timestamp and digest, and the
-heights of only the txids the caller keeps. A contract's state lines join
-the cached text of its record chunks, so `checkpoint` and `state_hash`
-render only the chunks written since their last render.
-`from_checkpoint` takes the parsed head object, parses of each contract's
-lines only the header and the current subtree's records (the older lines
-stay text, which `state_hash` covers as they were read), and raises
+encode and store: the head state, height, timestamp and digest, the
+submission counter, and the heights of only the txids the caller keeps. A
+contract is stored as its state lines alone, which join the cached text of
+its record chunks, so `checkpoint` and `state_hash` render only the chunks
+written since their last render. `from_checkpoint` takes the parsed head
+object and the params of its contracts, parses of each contract's lines
+only the header and the current subtree's records (the older lines stay
+text, which `state_hash` covers as they were read), and raises
 `LedgerError` for any other object. It takes a reader of the chain below
 the head, which it does not call: the canonical branch starts at a base
 block, the restored head, with its state and its stored digest and no
-receipts. Head state, submission, mining, `state_hash` and `checkpoint`
-never read the chain below it, and neither do `confirmations` and
-`receipt` for a kept txid, a txid mined since the restore or a txid in the
-mempool, which cannot be on the chain. Reading `chain`, `event_log` or
+receipts. Head state, submission, mining, copying, `state_hash` and
+`checkpoint` never read the chain below it, and neither do `confirmations`
+and `receipt` for a kept txid, a txid mined since the restore or a txid in
+the mempool, which cannot be on the chain. Reading `chain`, `event_log` or
 `audit_signatures`, looking up any other txid or a receipt at or below the
 base, or forking calls the reader once, for the canonical blocks from
-genesis to the base (the CLI replays its action log): the base's receipts
-are filled in, the older blocks are prepended to the canonical branch,
-the only one until then, without their states and their txids merged into
-its index. It raises `LedgerError` unless the blocks end at the base's
-height and timestamp, their entries chain to the stored base digest and
-their txids index as the kept ones, and for a read that fails. A block
-that differs in any field of a row therefore fails the read. Blocks below
-the base carry no state, so the restored ledger cannot fork below its
-head.
+genesis to the base (the CLI replays its action log). It raises
+`LedgerError` unless the blocks end at the base's height and timestamp,
+their entries chain to the stored base digest and their txids index as the
+kept ones, and for a read that fails, so a block that differs in any field
+of a row fails the read. Otherwise the blocks below the base join the
+canonical branch, the only one until then, whole: with the states the
+reader gives them, which the digest does not cover, and their txids merged
+into its index. The base is replaced by a block with the read receipts and
+the state the restore checked. From then on the ledger is one that was
+never restored: it forks and reorgs below its old head, and the restored
+submission counter orders a transaction submitted since the restore after
+every one the reader returned.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -224,7 +229,7 @@ class Block:
     height: int
     timestamp: int
     receipts: tuple[TxReceipt, ...]  # mined blocks never change
-    state: LedgerState | None       # None below a head restored from a checkpoint
+    state: LedgerState
     # Built on first use; a restored head's `_digest` is the one stored
     # with it.
     _digest: bytes | None = field(default=None, init=False, repr=False,
@@ -506,23 +511,17 @@ class Ledger:
         """A ledger that goes on independently of this one. Mined blocks,
         with their states and receipts, and submitted transactions never
         change, so both share them; every container that submitting,
-        mining, forking or a reorg changes is copied. LedgerError for a
-        restored ledger, whose chain below the base is still unread."""
-        if self._below is not None:
-            raise LedgerError("a restored ledger is not copied: its chain "
-                              "below the restored head is unread")
-        twin = Ledger.__new__(Ledger)
+        mining, forking or a reorg changes is copied. A restored ledger's
+        copy shares its unread chain reader, and reads below the head on its
+        own."""
+        twin = copy.copy(self)          # then each container is replaced
         twin.branches = {name: list(chain)
                          for name, chain in self.branches.items()}
         twin.tx_heights = {name: dict(index)
                            for name, index in self.tx_heights.items()}
-        twin.canonical = self.canonical
         twin.mempool = list(self.mempool)
         twin.observers = list(self.observers)
-        twin._seq = self._seq
-        twin._branch_counter = self._branch_counter
         twin._in_observer = False       # no observer of the copy is running
-        twin._below = None
         twin._verified = set(self._verified)
         return twin
 
@@ -530,9 +529,6 @@ class Ledger:
         if not 0 <= from_height < self.head.height:
             raise LedgerError(f"fork height must be below the head: {from_height}")
         chain = self.chain
-        if chain[from_height].state is None:
-            raise LedgerError(f"no state at height {from_height}: the chain "
-                              "was restored from a checkpoint above it")
         self._branch_counter += 1
         name = f"branch{self._branch_counter}"
         self.branches[name] = chain[:from_height + 1]
@@ -596,14 +592,12 @@ class Ledger:
 
     def checkpoint(self, keep: Iterable[str] = ()) -> dict:
         """The head as a JSON-ready object: the head's balances, nonces and
-        contracts, its height, timestamp and digest, and the `index` of the
-        `keep` txids' heights. It shares the head state's maps, which no
-        code changes once the block is mined. Older blocks, other branches
-        and call traces are left out, and so is the submission counter: the
-        mempool is empty and a restored ledger cannot fork below its head,
-        so the counter orders only transactions submitted after the
-        restore, from any start. LedgerError when a kept txid is not on the
-        canonical chain."""
+        contracts, each as its state lines, its height, timestamp and
+        digest, the submission counter `seq`, and the `index` of the `keep`
+        txids' heights. It shares the head state's maps, which no code
+        changes once the block is mined. Older blocks, other branches, call
+        traces and the contracts' params are left out. LedgerError when a
+        kept txid is not on the canonical chain."""
         if self.mempool:
             raise LedgerError("a checkpoint holds mined state only")
         index = {}
@@ -616,52 +610,53 @@ class Ledger:
         return {
             "accounts": state.accounts,
             "nonces": state.nonces,
-            "contracts": [{"params": c.params.as_dict(), "lines": c.state_lines()}
-                          for c in state.contracts.values()],
+            "contracts": [c.state_lines() for c in state.contracts.values()],
             "height": head.height,
             "timestamp": head.timestamp,
             "digest": self._head_digest(chain).hex(),
+            "seq": self._seq,
             "index": index,
         }
 
     @classmethod
-    def from_checkpoint(cls, head, read_chain: Callable[[], list[Block]]
-                        ) -> "Ledger":
+    def from_checkpoint(cls, head, params: TreeParams,
+                        read_chain: Callable[[], list[Block]]) -> "Ledger":
         """The ledger whose `checkpoint` returned `head`, as JSON parses it
-        back; keys it does not know are ignored. The chain starts at the
-        restored head; reading older blocks calls `read_chain()`, which
-        returns the canonical blocks from genesis to the head, and checks
-        them (see `_materialize`). LedgerError for any other object."""
+        back, with `params` as the params of every contract; keys it does
+        not know are ignored. The chain starts at the restored head; reading
+        older blocks calls `read_chain()`, which returns the canonical
+        blocks from genesis to the head, and checks them (see
+        `_materialize`). LedgerError for any other object."""
         try:
-            contracts = [WalletContract.from_state_lines(
-                c["lines"], TreeParams.from_dict(c["params"]))
-                for c in head["contracts"]]
+            contracts = [WalletContract.from_state_lines(lines, params)
+                         for lines in head["contracts"]]
             base = Block(head["height"], head["timestamp"], (),
                          LedgerState(dict(head["accounts"]),
                                      dict(head["nonces"]),
                                      {c.contract_id: c for c in contracts}))
             base._digest = bytes.fromhex(head["digest"])
-            index = dict(head["index"])
+            index, seq = dict(head["index"]), head["seq"]
         except (LookupError, TypeError, ValueError) as exc:
             raise LedgerError(f"not a checkpoint head: {exc}") from exc
         ledger = cls()
         ledger.branches = {MAIN: [base]}
         ledger.tx_heights = {MAIN: index}
+        ledger._seq = seq
         ledger._below = (base, read_chain)
         return ledger
 
     def _materialize(self) -> None:
-        """Read the canonical blocks from genesis to the base: fill the
-        base's receipts, prepend the older blocks, without their states,
-        to `MAIN` and merge their txids into its index. `MAIN` is the only
+        """Read the canonical blocks from genesis to the base and put them
+        under the blocks mined since the restore, each with the state the
+        reader gives it, but for the base, which keeps the state the restore
+        checked; merge their txids into `MAIN`'s index. `MAIN` is the only
         branch until now: only `fork` adds one, and it reads `chain` first.
         LedgerError, with the ledger left as it was, when the read fails or
         the blocks do not end at the base's height and timestamp, chain to
         the base's digest or index the kept txids as kept."""
         base, read = self._below
-        # Fresh blocks: each digest is hashed again from the entries, and
-        # none carries a state.
-        blocks = [Block(height, blk.timestamp, blk.receipts, None)
+        # Fresh blocks: each digest is hashed again from the entries.
+        blocks = [Block(height, blk.timestamp, blk.receipts, blk.state)
                   for height, blk in enumerate(read())]
         heights = {}
         for blk in blocks:
@@ -675,8 +670,8 @@ class Ledger:
                        if height <= base.height)):
             raise LedgerError("the chain read below the restored head does "
                               "not match its digest and txid index")
-        base.receipts = blocks[-1].receipts
-        self.branches[MAIN][:0] = blocks[:-1]
+        blocks[-1].state = base.state       # not in a chain yet
+        self.branches[MAIN][:1] = blocks
         self.tx_heights[MAIN] = {**heights, **self.tx_heights[MAIN]}
         self._below = None
 

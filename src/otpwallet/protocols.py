@@ -121,7 +121,7 @@ class System:
         transactions (see `Ledger.copy`), the client's levels and the key
         pair. It copies the rest: the ledger's containers, the
         authenticator, the client store, the user model and the two
-        records of the protocol runs. LedgerError for a restored ledger."""
+        records of the protocol runs."""
         return replace(
             self, authenticator=copy.copy(self.authenticator),
             client=copy.copy(self.client), hw=HardwareWallet(self.hw.keypair),

@@ -227,12 +227,11 @@ def reference_head(ledger, keep=()) -> str:
     return json.dumps({
         "accounts": state.accounts,
         "nonces": state.nonces,
-        "contracts": [{"params": c.params.as_dict(),
-                       "lines": c.state_lines()}
-                      for c in state.contracts.values()],
+        "contracts": [c.state_lines() for c in state.contracts.values()],
         "height": head.height,
         "timestamp": head.timestamp,
         "digest": reference_digest(ledger).hex(),
+        "seq": ledger._seq,
         "index": {txid: index[txid] for txid in keep},
     }, separators=(",", ":"))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from otpwallet.cli import World, main
 from otpwallet.contract import OpType, WalletContract
-from otpwallet.ledger import LedgerError, encode_call
+from otpwallet.ledger import LedgerError, Transaction, encode_call
 from otpwallet.merkle import TreeParams
 from otpwallet.protocols import (
     run_bootstrap,
@@ -206,17 +206,39 @@ def test_load_restores_without_replaying(tmp_path, monkeypatch):
         assert_same_world(restored, replayed)
 
 
-def test_a_restored_ledger_cannot_fork_below_its_head(tmp_path):
+def test_a_restored_ledger_forks_below_its_head_as_the_replayed_ledger(
+        tmp_path):
+    """After a read below the restored head, a fork below it, a reorg to
+    the branch and a block of the orphaned transactions and a new transfer
+    give the state of the same moves on the replayed ledger: the restored
+    submission counter orders the transfer after the orphans."""
     session = Session(tmp_path / "w", "secure")
-    session.run(session.argv(("step", "secure")))
-    ledger = load(session.dir, replay=False).system.ledger
-    top = ledger.head.height
-    for height in (0, top - 1):
-        with pytest.raises(LedgerError):
-            ledger.fork(height)
-    ledger.mine_block()
-    branch = ledger.fork(top)            # the restored head keeps its state
-    assert ledger.branches[branch][-1].height == top
+    for _ in range(3):
+        session.run(session.argv(("step", "secure")))
+    replayed_dir = tmp_path / "replayed"
+    shutil.copytree(session.dir, replayed_dir)
+    restored = load(session.dir, replay=False).system
+    replayed = load(replayed_dir, replay=True).system
+    assert restored.ledger._below is not None
+    assert restored.ledger.event_log() == replayed.ledger.event_log()
+    for system in (restored, replayed):
+        ledger = system.ledger
+        top = ledger.head.height
+        branch = ledger.fork(top - 3)
+        for _ in range(4):
+            ledger.mine_block(branch=branch)
+        ledger.reorg(branch)
+        # The orphaned transactions, and a transfer at their fee, which is
+        # mined after them by its later submission.
+        (fee,) = {tx.fee for tx in ledger.mempool}
+        user = system.user_account
+        ledger.submit(Transaction(user, {"fn": "transfer", "to": "acct:carol",
+                                         "amount": 3}, fee,
+                                  nonce=ledger.next_nonce(user)))
+        ledger.mine_block()
+        assert ledger.accounts["acct:carol"] == 3
+    assert restored.ledger.state_hash() == replayed.ledger.state_hash()
+    assert restored.ledger.event_log() == replayed.ledger.event_log()
 
 
 def test_contract_state_lines_parse_back():

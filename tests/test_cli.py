@@ -22,6 +22,7 @@ from otpwallet.cli import (
     parse_params,
 )
 
+from otpwallet.client import CONFIRMATION_DEPTH
 from otpwallet.protocols import bootstrap_system
 
 from harness import (block_hashes, depths_waited, reference_entries,
@@ -71,9 +72,9 @@ STATE_FILES = ["actions.jsonl", "world.json"]
 # The keys of `world.json`'s head, and of the checkpoint it holds, as a save
 # writes them.
 HEAD_KEYS = ["actions", "checkpoint", "log_bytes", "state_hash"]
-CHECKPOINT_HEAD_KEYS = ["accounts", "confirmed_transfers", "contracts",
-                        "digest", "height", "index", "initialised",
-                        "log_digest", "nonces", "timestamp"]
+CHECKPOINT_HEAD_KEYS = ["accounts", "binding", "confirmed_transfers",
+                        "contracts", "digest", "height", "index",
+                        "initialised", "nonces", "seq", "timestamp"]
 
 
 def _files(state_dir) -> list[str]:
@@ -582,26 +583,41 @@ def _flip_digest(state_dir) -> None:
 @pytest.mark.parametrize("damage", ["one-byte-edit", "deleted",
                                     "rebound-non-text-line",
                                     "rebound-unrecorded-operation",
-                                    "rebound-params-without-LEN_MAX"])
+                                    "rebound-params-without-LEN_MAX",
+                                    "log-digest-layout"])
 def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
                                                          damage):
     """A head checkpoint that is not one a save writes, or none: a null
-    checkpoint."""
+    checkpoint. `log-digest-layout` is the layout that saves wrote before
+    the binding."""
     state_dir = history
     world_file = state_dir / "world.json"
     recorded = json.loads(world_file.read_text())["head"]["state_hash"]
     if damage == "one-byte-edit":
         _flip_digest(state_dir)
     elif damage == "rebound-non-text-line":
-        _rebind_doc(state_dir, lambda doc: doc["contracts"][0][
-            "lines"].append(5))
+        _rebind_doc(state_dir, lambda doc: doc["contracts"][0].append(5))
     elif damage == "rebound-unrecorded-operation":
         # The contract holds no record of an operation 7.
         _rebind_doc(state_dir, lambda doc: doc["initialised"].append(
             [7, "00" * 8]))
     elif damage == "rebound-params-without-LEN_MAX":
-        _rebind_doc(state_dir, lambda doc: doc["contracts"][0][
-            "params"].pop("LEN_MAX"))
+        # A contract stored as older saves stored it, with its params.
+        params = json.loads(world_file.read_text())["params"]
+        del params["LEN_MAX"]
+        _rebind_doc(state_dir, lambda doc: doc["contracts"].append(
+            {"params": params, "lines": doc["contracts"].pop()}))
+    elif damage == "log-digest-layout":
+        # Each contract with its params, and the log's digest alone.
+        data = json.loads(world_file.read_text())
+        log = (state_dir / "actions.jsonl").read_bytes()
+
+        def older(doc):
+            del doc["binding"], doc["seq"]
+            doc.update(log_digest=hashlib.sha256(log).hexdigest(), contracts=[
+                {"params": data["params"], "lines": lines}
+                for lines in doc["contracts"]])
+        _rebind_doc(state_dir, older)
     else:
         _drop_checkpoint(state_dir)
     replays = _count_replays(monkeypatch)
@@ -609,6 +625,63 @@ def test_a_checkpoint_that_does_not_bind_loads_by_replay(history, monkeypatch,
     assert replays == [1]
     assert world.system.ledger.state_hash() == recorded
     assert sorted(world.system.initialised) == [0, 1]
+    # The replay saved the current layout, which the next load restores.
+    assert sorted(_checkpoint(state_dir)) == CHECKPOINT_HEAD_KEYS
+    World.load(state_dir)
+    assert replays == [1]
+
+
+def _swap_init_txids(doc) -> None:
+    (a, ta), (b, tb) = doc["initialised"]
+    doc["initialised"] = [[a, tb], [b, ta]]
+
+
+# A checkpoint field that the state hash does not cover -> an edit of it.
+# Unbound, each would let a confirm go out early, because op 1's init looks
+# deeper than it is or is taken for op 0's, or would mine a block that
+# replays to another state.
+UNHASHED_EDITS = {
+    "height": lambda doc: doc.update(height=doc["height"] + 1000),
+    "timestamp": lambda doc: doc.update(timestamp=doc["timestamp"] + 1000),
+    "seq": lambda doc: doc.update(seq=doc["seq"] + 1),
+    "index": lambda doc: doc["index"].update(
+        {doc["initialised"][1][1]: -100}),
+    "initialised": _swap_init_txids,
+}
+
+
+@pytest.mark.parametrize("field", sorted(UNHASHED_EDITS))
+def test_a_checkpoint_field_outside_the_state_hash_is_bound(
+        state, monkeypatch, capsys, field):
+    """The checkpoint's binding covers what its state hash does not, so a
+    one-field edit loads by exactly one replay, which shows the intact
+    world; each confirm after it still waits until its init is
+    `CONFIRMATION_DEPTH` blocks deep."""
+    state_dir, seed_file = state
+    run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
+    for _ in range(2):
+        run(capsys, "--state-dir", state_dir, "op", "init", "--type",
+            "transfer", "--addr", "acct:bob", "--param", "5")
+    shows = [["root", "show"], ["otp", "show", "--op-id", 0],
+             ["otp", "show", "--op-id", 1]]
+    intact = [run(capsys, "--state-dir", state_dir, *argv) for argv in shows]
+    recorded = json.loads((state_dir / "world.json").read_text())["head"][
+        "state_hash"]
+    _rebind_doc(state_dir, UNHASHED_EDITS[field])
+    replays = _count_replays(monkeypatch)
+    assert World.load(state_dir).system.ledger.state_hash() == recorded
+    assert replays == [1]
+    assert [run(capsys, "--state-dir", state_dir, *argv)
+            for argv in shows] == intact
+    for op_id in (1, 0):
+        code, _, err = run(capsys, "--state-dir", state_dir, "op", "confirm",
+                           "--op-id", op_id, "--otp",
+                           _otp_hex(capsys, state_dir, op_id))
+        assert code == 0 and err == ""
+    assert replays == [1]
+    waited = depths_waited(World.load(state_dir).system.ledger)
+    assert sorted(waited) == ["0", "1"]
+    assert min(waited.values()) >= CONFIRMATION_DEPTH, waited
 
 
 def test_an_init_txid_outside_the_chain_loads_by_replay(state, monkeypatch,
@@ -719,18 +792,18 @@ def test_a_checkpoint_with_two_header_lines_swapped_loads_by_replay(
     state_dir = history
     recorded = json.loads((state_dir / "world.json").read_text())["head"][
         "state_hash"]
-    written = _checkpoint(state_dir)["contracts"][0]["lines"]
+    written = _checkpoint(state_dir)["contracts"][0]
 
     def swap(doc):
-        lines = doc["contracts"][0]["lines"]
+        lines = doc["contracts"][0]
         lines[6], lines[7] = lines[7], lines[6]
     _rebind_doc(state_dir, swap)
-    swapped = _checkpoint(state_dir)["contracts"][0]["lines"]
+    swapped = _checkpoint(state_dir)["contracts"][0]
     assert swapped != written and sorted(swapped) == sorted(written)
     replays = _count_replays(monkeypatch)
     assert World.load(state_dir).system.ledger.state_hash() == recorded
     assert replays == [1]
-    assert _checkpoint(state_dir)["contracts"][0]["lines"] == written
+    assert _checkpoint(state_dir)["contracts"][0] == written
     code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
     assert code == 0 and err == "" and replays == [1]
 
@@ -757,10 +830,10 @@ def test_a_restore_reads_each_position_off_the_contract(history, monkeypatch,
 
 def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
         history, monkeypatch, capsys):
-    """A checkpoint that also stores the submission counter, the generation,
-    the client's subtree and the contract id, with each initialised
-    operation's type, address and parameter in its row. Those rows do not
-    bind, so the world loads by one replay, which saves the new layout."""
+    """A checkpoint that also stores the generation, the client's subtree
+    and the contract id, with each initialised operation's type, address
+    and parameter in its row. Those rows do not bind, so the world loads by
+    one replay, which saves the new layout."""
     state_dir = history
     system = World.load(state_dir).system
     recorded = system.ledger.state_hash()
@@ -769,7 +842,7 @@ def test_a_checkpoint_in_the_older_layout_loads_to_the_recorded_state(
     assert doc["initialised"] == [
         [op_id, txid] for op_id, (txid, *_) in system.initialised.items()]
     _rebind_doc(state_dir, lambda doc: doc.update(
-        seq=9, eta=0, current_subtree=0,
+        eta=0, current_subtree=0,
         contract_id=system.contract_id,
         initialised=[[op_id, txid, op_type.value, addr, param]
                      for op_id, (txid, op_type, addr, param)
@@ -813,7 +886,7 @@ def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
     "rotate-of-unknown-mode", "init-with-extra-key", "confirm-of-short-otp",
     "params-empty", "params-S-str", "seed_hex-not-hex", "seed_hex-short",
     "hw_seed_hex-short", "head-log_bytes-str", "head-extra-key",
-    "funding-negative"])
+    "funding-negative", "params-outside-domain"])
 def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                                                             damage):
     """Nothing to check a replay against, a key set other than a save
@@ -830,7 +903,9 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                 "seed_hex-not-hex": ("seed_hex", "zz"),
                 "seed_hex-short": ("seed_hex", "00"),
                 "hw_seed_hex-short": ("hw_seed_hex", "00"),
-                "funding-negative": ("funding", -5)}
+                "funding-negative": ("funding", -5),
+                "params-outside-domain": ("params", {**data["params"],
+                                                     "S": 100})}
     malformed = {"action-without-cmd": {"x": 1}, "action-int": 5,
                  "init-without-type": {"cmd": "init"},
                  "init-of-unknown-type": {**actions[0], "type": "bogus"},
@@ -882,7 +957,9 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
 
 @pytest.mark.parametrize("damage, message", [
     ("head-counts-one-more", "the action log holds 3 actions, not the 4"),
-    ("unparsed-line-committed", "the action log does not parse")])
+    ("unparsed-line-committed", "the action log does not parse"),
+    ("committed-mid-line", "the action log does not parse: the last line "
+                           "has no newline")])
 def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
                                                  message):
     """A load counts the log's lines against the head before it restores,
@@ -893,6 +970,8 @@ def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
     data = json.loads(world_file.read_text())
     if damage == "head-counts-one-more":
         data["head"]["actions"] += 1
+    elif damage == "committed-mid-line":
+        data["head"]["log_bytes"] -= 1
     else:
         log = state_dir / "actions.jsonl"
         log.write_bytes(log.read_bytes() + b'{"cmd":\n')
@@ -903,6 +982,21 @@ def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith("error: state: " + message), err
     assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+def test_a_log_that_cannot_be_read_is_a_state_error(history, capsys):
+    """`actions.jsonl` is a directory: the command names the log it cannot
+    read and writes nothing."""
+    state_dir = history
+    log = state_dir / "actions.jsonl"
+    log.unlink()
+    log.mkdir()
+    world = (state_dir / "world.json").read_bytes()
+    code, out, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: state: cannot read {log}: "), err
+    assert (state_dir / "world.json").read_bytes() == world
+    assert log.is_dir() and not any(log.iterdir())
 
 
 def test_client_files_of_an_older_world_are_ignored(history, monkeypatch,
@@ -937,8 +1031,10 @@ def _older_layout(state_dir) -> bytes:
     the checkpoint file's bytes."""
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
-    checkpoint = {"actions_sha256" if key == "log_digest" else key: value
-                  for key, value in data["head"].pop("checkpoint").items()}
+    checkpoint = data["head"].pop("checkpoint")
+    del checkpoint["binding"]
+    checkpoint["actions_sha256"] = hashlib.sha256(
+        (state_dir / "actions.jsonl").read_bytes()).hexdigest()
     text = json.dumps(checkpoint, separators=(",", ":")).encode()
     (state_dir / "checkpoint.json").write_bytes(text)
     data["head"]["sha256"] = hashlib.sha256(text).hexdigest()
@@ -1307,7 +1403,8 @@ def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
     text = _relayout(state_dir, layout)
     with pytest.raises(ledger_mod.LedgerError):
         ledger_mod.Ledger.from_checkpoint(
-            json.loads(text)["head"]["checkpoint"], list)
+            json.loads(text)["head"]["checkpoint"],
+            World.load(state_dir).params(), list)
     world_file.write_text(text)
     recorded = json.loads(world_file.read_text())["head"]["state_hash"]
 
@@ -1487,14 +1584,15 @@ def test_a_consistently_tampered_log_fails_when_read(history, other_world,
     log = b"".join(map(_line, actions))
     (state_dir / "actions.jsonl").write_bytes(log)
     _rebind_doc(state_dir, lambda doc: doc.update(
-        log_digest=hashlib.sha256(log).hexdigest()))
+        binding=cli._binding(hashlib.sha256(log), doc)))
 
     replays = _count_replays(monkeypatch)
     ledger = World.load(state_dir).system.ledger     # binds by the head alone
     assert replays == []
     if edit == "another-seed":
+        other = World.load(other_world)
         ledger = ledger_mod.Ledger.from_checkpoint(
-            _checkpoint(state_dir), World.load(other_world)._chain_reader())
+            _checkpoint(state_dir), other.params(), other._chain_reader())
     for read in (lambda: ledger.chain, ledger.event_log,
                  ledger.audit_signatures):
         with pytest.raises(ledger_mod.LedgerError):
@@ -1513,7 +1611,8 @@ def test_a_forged_head_fails_when_the_chain_is_read(history, monkeypatch):
     checkpoint = data["head"]["checkpoint"]
     account = sorted(checkpoint["accounts"])[0]
     checkpoint["accounts"][account] += 400
-    forged = ledger_mod.Ledger.from_checkpoint(checkpoint, list).state_hash()
+    forged = ledger_mod.Ledger.from_checkpoint(
+        checkpoint, World.load(state_dir).params(), list).state_hash()
     data["head"]["state_hash"] = forged
     world_file.write_text(json.dumps(data))
 

@@ -43,22 +43,29 @@ def reader(chain: list, reads: list | None = None):
     return read
 
 
+def params_of(ledger) -> TreeParams:
+    """The params of the ledger's contracts, which a checkpoint leaves out;
+    any params for a ledger without one."""
+    return next((c.params for c in ledger.head.state.contracts.values()),
+                TreeParams())
+
+
 def restore(ledger, keep=(), reads=None) -> Ledger:
     """The ledger restored from its checkpoint, with a reader of its
     canonical chain as it is now."""
-    return Ledger.from_checkpoint(ledger.checkpoint(keep),
+    return Ledger.from_checkpoint(ledger.checkpoint(keep), params_of(ledger),
                                   reader(list(ledger.chain), reads))
 
 
 def forged(ledger, change, keep=()) -> Ledger:
     """The ledger restored from its checkpoint after `change` edits the
-    parsed head and a copy of the canonical chain, stateless blocks whose
-    receipt lists are copies too, that its reader returns."""
+    parsed head and a copy of the canonical chain, blocks with their states
+    whose receipt lists are copies, that its reader returns."""
     doc = json.loads(json.dumps(ledger.checkpoint(keep)))
-    blocks = [Block(blk.height, blk.timestamp, list(blk.receipts), None)
+    blocks = [Block(blk.height, blk.timestamp, list(blk.receipts), blk.state)
               for blk in ledger.chain]
     change(doc, blocks)
-    return Ledger.from_checkpoint(doc, reader(blocks))
+    return Ledger.from_checkpoint(doc, params_of(ledger), reader(blocks))
 
 
 def edited(blocks, height, **fields) -> None:
@@ -766,22 +773,24 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
     entries and the checkpoint head, built from the blocks' caches and
     digests, always equal a reference built from scratch. A restored
     ledger leaves the chain below its head unread while it mines and
-    checkpoints, and looks up its kept txids, until a fork reads it."""
+    checkpoints, and looks up its kept txids, until a fork reads it; then
+    it forks at any height."""
     rng = random.Random(seed)
     ledger = Ledger(initial_accounts={"a": 50, "b": 50, "adv": 50})
-    low = 0                     # no state below a restored head
+    base = 0                    # the height of the last restored head
     unread = False              # a restored chain not read yet
     moves = ["submit"] * 3 + ["mine"] * 3 + ["fork", "reorg", "restore"]
-    # A random run, then a fixed tail: restore, fork at the restored head,
-    # outgrow main on the branch and reorg to it.
+    # A random run, then a fixed tail: restore, fork below the restored
+    # head, outgrow main on the branch and reorg to it.
     tail = ["submit", "mine", "restore", "mine", "submit", "fork-low",
-            "submit", "mine-branch", "mine-branch", "reorg", "mine"]
+            "submit", "mine-branch", "mine-branch", "mine-branch", "reorg",
+            "mine"]
     for move in [rng.choice(moves) for _ in range(60)] + tail:
         # The txids of the head block, as the reference reads it.
         keep = [r.txid for r in reference_chain(ledger)[-1].receipts
                 if r.status != "invalid-nonce"]
         if move == "fork-low":
-            branch = ledger.fork(low)
+            branch = ledger.fork(base - 1)
             unread = False
         elif move == "mine-branch":
             ledger.mine_block(branch=branch)
@@ -793,8 +802,8 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
         elif move == "mine":
             ledger.mine_block(rng.choice([None, 7]),
                               rng.choice(sorted(ledger.branches)))
-        elif move == "fork" and ledger.head.height > low:
-            ledger.fork(rng.randint(low, ledger.head.height - 1))
+        elif move == "fork" and ledger.head.height > 0:
+            ledger.fork(rng.randint(0, ledger.head.height - 1))
             unread = False
         elif move == "reorg":
             longer = sorted(name for name, chain in ledger.branches.items()
@@ -803,14 +812,15 @@ def test_cached_lines_and_entries_match_a_fresh_encoding(seed):
                 ledger.reorg(rng.choice(longer))
         elif move == "restore" and not ledger.mempool:
             ledger = Ledger.from_checkpoint(
-                ledger.checkpoint(keep), reader(list(reference_chain(ledger))))
-            low, unread = ledger.head.height, True
+                ledger.checkpoint(keep), TreeParams(),
+                reader(list(reference_chain(ledger))))
+            base, unread = ledger.head.height, True
         assert ledger.state_hash() == reference_state_hash(ledger)
         if not ledger.mempool:
             assert json.dumps(ledger.checkpoint(keep), separators=(",", ":")
                               ) == reference_head(ledger, keep)
         assert (ledger._below is not None) == unread
-    assert ledger.canonical == branch and ledger.head.height > low + 1
+    assert ledger.canonical == branch and ledger.head.height > base + 1
     assert [blk.height for blk in ledger.chain] == list(
         range(ledger.head.height + 1))
     assert [blk.entry().encode() for blk in ledger.chain] == (
@@ -832,13 +842,14 @@ def test_decoding_an_archive_checks_its_digest_and_index(ledger):
     assert restored.receipt(txids[0]).txid == txids[0]
 
     def damaged(read):
-        return Ledger.from_checkpoint(ledger.checkpoint(txids), read)
+        return Ledger.from_checkpoint(ledger.checkpoint(txids), TreeParams(),
+                                      read)
 
     def unreadable():
         raise LedgerError("the action log does not replay")
 
     def later(blocks):
-        blocks[2] = Block(2, blocks[2].timestamp + 1, [], None)
+        blocks[2] = Block(2, blocks[2].timestamp + 1, [], blocks[2].state)
 
     other = Ledger(initial_accounts={"a": 100, "b": 100, "adv": 100})
     other.submit(pay("a", "b", 6, 1, 0))
@@ -881,7 +892,8 @@ def test_a_checkpoint_head_in_another_layout_is_a_ledger_error(ledger):
     unindexed = {key: value for key, value in head.items() if key != "index"}
     for doc in ({"head": head, "blocks": entries}, [], unindexed, "00" * 32):
         with pytest.raises(LedgerError):
-            Ledger.from_checkpoint(doc, reader(list(ledger.chain)))
+            Ledger.from_checkpoint(doc, TreeParams(),
+                                   reader(list(ledger.chain)))
 
 
 def test_a_checkpoint_refuses_a_pending_tx_and_a_kept_txid_off_the_chain(
@@ -930,6 +942,71 @@ def test_an_index_miss_decodes_the_archive_unless_the_tx_is_pending():
         assert (mine.txid, mine.status, mine.result) == (
             theirs.txid, theirs.status, theirs.result)
     assert reads == [height + 1]
+
+
+def test_a_receipt_at_or_below_the_base_reads_the_chain_once():
+    """A kept txid answers `confirmations` from the restored index, but its
+    receipt lies at or below the base, so `receipt` reads the chain once,
+    and then answers as the ledger that was never restored."""
+    w = WalletChain()
+    txid = w.init(1)
+    w.ledger.mine_block()
+    reads = []
+    restored = restore(w.ledger, keep=[txid], reads=reads)
+    assert restored.confirmations(txid) == 0 and reads == []
+    mine, theirs = restored.receipt(txid), w.ledger.receipt(txid)
+    assert reads == [w.ledger.head.height + 1]
+    assert (mine.txid, mine.status, mine.result) == (
+        theirs.txid, theirs.status, theirs.result)
+    assert restored.receipt(txid) is mine and len(reads) == 1
+
+
+def test_a_fork_below_a_restored_head_goes_on_as_the_ledger_never_restored(
+        ledger):
+    """Blocks read below a restored head come with their states, so the
+    ledger forks below its old head; and the restored submission counter
+    orders a transaction submitted since the restore after the older ones,
+    so a reorg that returns both to the mempool mines them as the ledger
+    that was never restored does. A counter restarted at 0 would put `a`'s
+    second transfer before `b`'s first in the block after the reorg."""
+    ledger.submit(pay("a", "b", 5, 1, 0))
+    ledger.submit(pay("b", "a", 1, 1, 0))
+    ledger.mine_block()
+    ledger.mine_block()
+    restored = restore(ledger)
+    for led in (ledger, restored):
+        led.submit(pay("a", "c", 2, 1, 1))
+        led.mine_block()
+        branch = led.fork(0)
+        for _ in range(4):
+            led.mine_block(branch=branch)
+        led.reorg(branch)
+        assert [t.sender for t in led.mempool] == ["a", "b", "a"]
+        led.mine_block()
+    assert restored.state_hash() == ledger.state_hash()
+    assert restored.event_log() == ledger.event_log()
+    assert restored.checkpoint() == ledger.checkpoint()
+
+
+def test_a_restored_ledger_copies_with_its_reader_unread():
+    """A copy shares the unread reader: each ledger reads the chain below
+    the head on its own, once, and forks below it as the original does."""
+    w = WalletChain()
+    w.init(1)
+    w.ledger.mine_block()
+    reads = []
+    restored = restore(w.ledger, reads=reads)
+    twin = restored.copy()
+    assert reads == [] and twin.state_hash() == restored.state_hash()
+    for led in (twin, restored, w.ledger):
+        branch = led.fork(2)
+        led.mine_block(branch=branch)
+        led.mine_block(branch=branch)
+        led.reorg(branch)
+        led.mine_block()
+    assert len(reads) == 2
+    assert twin.state_hash() == restored.state_hash() == w.ledger.state_hash()
+    assert twin.chain[3] is not restored.chain[3]
 
 
 def resized(d, size):

@@ -1,6 +1,8 @@
 """Protocol runs, party behavior, and the displays the user compares."""
 
+import json
 import random
+import shutil
 
 import pytest
 
@@ -398,16 +400,36 @@ def test_a_driven_fork_leaves_its_sibling_a_fresh_bootstrap(monkeypatch):
     assert sibling.ledger.state_hash() == fresh.ledger.state_hash()
 
 
-def test_a_restored_ledger_is_not_forked(tmp_path):
-    system = run_bootstrap("secure", seed=23)
-    restored = Ledger.from_checkpoint(system.ledger.checkpoint(),
-                                      lambda: list(system.ledger.chain))
-    with pytest.raises(LedgerError, match="restored"):
-        restored.copy()
+def test_a_restored_world_forks_as_the_replayed_world(tmp_path):
+    """`System.fork` of a restored CLI world and of the same world replayed
+    from its log run an operation to the same state, and leave the worlds
+    they fork as they were."""
     seed_file = tmp_path / "seed.txt"
     seed_file.write_text(bytes(range(16)).hex() + "\n")
     state_dir = tmp_path / "wallet"
-    assert main(["--state-dir", str(state_dir), "bootstrap",
-                 "--seed-file", str(seed_file)]) == 0
-    with pytest.raises(LedgerError, match="restored"):
-        World.load(state_dir).system.fork()
+    argv = ["--state-dir", str(state_dir)]
+    assert main([*argv, "bootstrap", "--seed-file", str(seed_file)]) == 0
+    assert main([*argv, "op", "init", "--type", "transfer", "--addr",
+                 "acct:bob", "--param", "5"]) == 0
+    replayed_dir = tmp_path / "replayed"
+    shutil.copytree(state_dir, replayed_dir)
+    world_file = replayed_dir / "world.json"
+    data = json.loads(world_file.read_text())
+    data["head"]["checkpoint"] = None           # the load replays the log
+    world_file.write_text(json.dumps(data))
+    restored = World.load(state_dir).system
+    replayed = World.load(replayed_dir).system
+    assert restored.ledger._below is not None
+    recorded = restored.ledger.state_hash()
+    forks = [world.fork() for world in (restored, replayed)]
+    for fork in forks:
+        assert run_operation(fork, OpType.TRANSFER, fork.recipient, 7)["ok"]
+        assert fork.ledger.accounts[fork.recipient] == 7
+        assert depths_waited(fork.ledger)["1"] >= CONFIRMATION_DEPTH
+    assert forks[0].ledger.state_hash() == forks[1].ledger.state_hash()
+    assert forks[0].initialised == forks[1].initialised
+    for world in (restored, replayed):
+        assert world.ledger.state_hash() == recorded
+        assert sorted(world.initialised) == [0]
+    assert restored.ledger._below is not None   # its copy read the chain
+
