@@ -50,24 +50,26 @@ file, which the next save replaces.
 A load reads the log's committed bytes (fewer is an error), hashes them
 once and keeps the hash, so a save hashes only what it appends, and counts
 their lines against the head's action count. It restores the checkpoint
-when its binding is the digest of that hash and its bound fields, the
-restored ledger hashes to the recorded state, and that state holds exactly
-one contract with a record in its current subtree of every initialised
-operation of that subtree, whose init txid the restored index holds. It
-takes one field as stored: the confirmed transfers, a record of the
-user's that grows with the history and that no protocol step reads.
-Otherwise it replays the log from genesis by `World.replay_log`, the one
-checked replay: it parses the log, checks its action count against the
-head's, replays it, which determinism makes bit-exact, and checks that it
-lands on the recorded state; a replay that lands anywhere else is an error.
-One that lands on it saves a fresh head, so the next command restores,
-unless the command is a write: a write saves only by its commit, so after a
-write whose commit fails, nothing is saved and the next command replays
-again. A checkpoint of an older layout, such as one that stored the log's
-digest alone and each contract's params, does not bind and loads by one
-such replay; so does a head of an older layout, which bound a separate
-checkpoint file by its digest, a file that is never read. Bootstrap builds
-its system as the replay of the empty log.
+when its binding is the digest of that hash and its bound fields, every
+balance, nonce, height, timestamp, counter and index height in it is an
+int (the state lines render `400` and `"400"` alike, and the binding
+covers no balance or nonce), the restored ledger hashes to the recorded
+state, and that state holds exactly one contract with a record in its
+current subtree of every initialised operation of that subtree, whose init
+txid the restored index holds. It takes one field as stored: the confirmed
+transfers, a record of the user's that grows with the history and that no
+protocol step reads. Otherwise it replays the log from genesis by
+`World.replay_log`, the one checked replay: it parses the log, checks its
+action count against the head's, replays it, which determinism makes
+bit-exact, and checks that it lands on the recorded state; a replay that
+lands anywhere else is an error. One that lands on it saves a fresh head,
+whatever the command, so the next command restores, also after a write
+whose commit fails; a write that commits saves again. A checkpoint of an
+older layout, such as one that stored the log's digest alone and each
+contract's params, does not bind and loads by one such replay; so does a
+head of an older layout, which bound a separate checkpoint file by its
+digest, a file that is never read. Bootstrap builds its system as the
+replay of no action.
 
 A restored world holds the chain from its head up; no command reads below
 it, and a Python caller that does (`event_log`, `audit_signatures`, a
@@ -240,10 +242,8 @@ def _world_problem(data: dict) -> str | None:
         problem = _outside(data[key], schema)
         if problem:
             return f"{key}: {problem}"
-    for key, value in (("funding", data["funding"]),
-                       ("head log_bytes", data["head"]["log_bytes"])):
-        if value < 0:
-            return f"{key} is negative"
+    if data["funding"] < 0:
+        return "funding is negative"
     if data["mode"] not in MODES:
         return f"unknown mode {data['mode']}"
     for key, nbytes in (("seed_hex", 16), ("hw_seed_hex", 32)):
@@ -334,22 +334,20 @@ def _append(path: Path, committed: int, lines: bytes) -> None:
 # append-only action log
 
 class World:
-    def __init__(self, state_dir: Path, data: dict, log: bytes = b"",
-                 log_actions: int = 0):
+    def __init__(self, state_dir: Path, data: dict, log: bytes = b""):
         """`data` as `world.json` holds it, but for the head's checkpoint,
-        which a load hands to `restore`. The committed `log` bytes hold
-        `log_actions` actions, and `data["actions"]` lists the first
-        `logged` of them (all after a replay, none after a restore, which
-        parses none); a save appends the entries after those."""
+        which a load hands to `restore`. The world adds `data["actions"]`,
+        the actions applied since the committed `log` bytes: the ones the
+        next save appends, none after a load or a save."""
         self.state_dir = state_dir
         self.data = data
+        data["actions"] = []
         self.system: System | None = None
-        # The committed log: its action count, its length and its digest;
-        # and how many entries of data["actions"] it holds.
-        self.log_actions = log_actions
+        # The committed log: its action count, one per line, its length and
+        # its digest.
+        self.log_actions = log.count(b"\n")
         self.log_bytes = len(log)
         self.log_hash = hashlib.sha256(log)
-        self.logged = len(data["actions"])
 
     @classmethod
     def create(cls, state_dir: Path, mode: str, params: TreeParams,
@@ -361,18 +359,15 @@ class World:
             "seed_hex": k.hex(),
             "hw_seed_hex": hw_seed.hex(),
             "funding": funding,
-            "actions": [],
         }
         return cls(state_dir, data)
 
     @classmethod
-    def load(cls, state_dir: Path, save_replay: bool = True) -> "World":
+    def load(cls, state_dir: Path) -> "World":
         """The world in `state_dir`, restored from its checkpoint or
         replayed and checked against the recorded head state. A replay
-        that lands on it saves a fresh head, so the next command restores;
-        a command that will `commit` passes `save_replay=False`, because
-        the commit saves (and when the commit fails, nothing is saved and
-        the next command replays again)."""
+        that lands on it saves a fresh head, whatever the command, so the
+        next command restores; a write saves again at its commit."""
         path = state_dir / "world.json"
         if not path.exists():
             raise CliError("state", f"no wallet state in {state_dir}; "
@@ -396,16 +391,14 @@ class World:
             raise CliError("state", f"{path}: {problem}")
         checkpoint = head.pop("checkpoint")
         log = _read_log(state_dir / LOG_NAME, head["log_bytes"])
-        data["actions"] = []
-        world = cls(state_dir, data, log, head["actions"])
-        # The log holds one action per line. It is parsed only to replay,
-        # or when its line count is not the head's, so that a log that
-        # does not parse is reported as such before the count.
-        if (log.count(b"\n") != head["actions"]
+        world = cls(state_dir, data, log)
+        # The log is parsed only to replay, or when its line count is not
+        # the head's, so that a log that does not parse is reported as such
+        # before the count.
+        if (world.log_actions != head["actions"]
                 or not world.restore(checkpoint)):
             world.replay_log(log, head)
-            if save_replay:
-                world.save()
+            world.save()
         return world
 
     def params(self) -> TreeParams:
@@ -417,27 +410,28 @@ class World:
             bytes.fromhex(self.data["hw_seed_hex"]),
             self.params(), self.data["funding"])
 
-    def replay_log(self, log: bytes, head: dict | None = None) -> None:
+    def replay_log(self, log: bytes, head: dict) -> None:
         """Set up the system as the replay from genesis of the committed
-        `log` bytes, which `data["actions"]` then lists: parse them, check
-        that they hold `head`'s action count, `replay` them and check that
-        they land on its `state_hash`; a state error otherwise. Bootstrap,
-        with no head to check, replays the empty log."""
+        `log` bytes: parse them into `data["actions"]`, check that they hold
+        `head`'s action count, `replay` them, check that they land on its
+        `state_hash`, and empty the list, as the log holds them; a state
+        error otherwise."""
         actions = self.data["actions"] = _parse_log(log)
-        self.logged = len(actions)
-        if head is not None and len(actions) != head["actions"]:
+        if len(actions) != head["actions"]:
             raise CliError("state", f"the action log holds {len(actions)} "
                                     f"actions, not the {head['actions']} that "
                                     f"{self.state_dir / 'world.json'} commits")
         self.replay()
-        if head is not None:
-            actual = self.system.ledger.state_hash()
-            if actual != head["state_hash"]:
-                raise CliError("state", f"the action log replays to state "
-                                        f"{actual}, not the recorded "
-                                        f"{head['state_hash']}")
+        actual = self.system.ledger.state_hash()
+        if actual != head["state_hash"]:
+            raise CliError("state", f"the action log replays to state "
+                                    f"{actual}, not the recorded "
+                                    f"{head['state_hash']}")
+        actions.clear()
 
     def replay(self) -> None:
+        """Set up the system as the bootstrap followed by the actions of
+        `data["actions"]`; bootstrap replays none."""
         self.system = self.build_system()
         bootstrap_system(self.system, self.data["mode"],
                          self.data["funding"])
@@ -474,12 +468,13 @@ class World:
 
     def restore(self, checkpoint) -> bool:
         """Set up the system from the head's parsed checkpoint, without
-        replaying; False when it is not one that a save writes, its binding
-        is not the digest of the log bytes and the fields it binds, the
-        restored ledger, whose contract has the world's params, hashes to
-        another state, or that state does not hold exactly one contract with
-        a record in its current subtree of every initialised operation of
-        that subtree, whose init txid the restored txid index holds. A row
+        replaying; False when it is not one that a save writes (one that
+        holds a number that is not an int, say), its binding is not the
+        digest of the log bytes and the fields it binds, the restored
+        ledger, whose contract has the world's params, hashes to another
+        state, or that state does not hold exactly one contract with a
+        record in its current subtree of every initialised operation of that
+        subtree, whose init txid the restored txid index holds. A row
         below the current subtree's first op id, which older saves kept,
         does not bind: it is refused before its record is looked up. Only
         then is the rest derived from the contract, so the state hash covers
@@ -534,7 +529,7 @@ class World:
         def read() -> list:
             try:
                 log = _read_log(self.state_dir / LOG_NAME, size)
-                twin = World(self.state_dir, {**self.data, "actions": []})
+                twin = World(self.state_dir, dict(self.data), log)
                 twin.replay_log(log, head)
             except (CliError, ProtocolAbort, ValueError, OSError) as exc:
                 raise LedgerError(f"the action log does not replay: "
@@ -543,15 +538,15 @@ class World:
         return read
 
     def save(self) -> None:
-        """Append the lines of the actions appended to `data["actions"]`
-        since the last save, and then write `world.json`, which commits
-        them and holds the head checkpoint, to a temp file renamed into
-        place. The rename is the commit point, so a save that fails before
-        it leaves the previous world: lines appended past the committed
-        length are a torn append."""
+        """Append the lines of the actions in `data["actions"]`, and then
+        write `world.json`, which commits them and holds the head
+        checkpoint, to a temp file renamed into place, and empty the list.
+        The rename is the commit point, so a save that fails before it
+        leaves the previous world: lines appended past the committed length
+        are a torn append."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
         actions = self.data["actions"]
-        lines = b"".join(map(_log_line, actions[self.logged:]))
+        lines = b"".join(map(_log_line, actions))
         log_hash = self.log_hash.copy()
         log_hash.update(lines)
         system, ledger = self.system, self.system.ledger
@@ -563,7 +558,7 @@ class World:
             confirmed_transfers=system.confirmed_transfers)
         checkpoint["binding"] = _binding(log_hash, checkpoint)
         head = {
-            "actions": self.log_actions + len(actions) - self.logged,
+            "actions": self.log_actions + len(actions),
             "log_bytes": self.log_bytes + len(lines),
             "state_hash": ledger.state_hash(),
         }
@@ -576,9 +571,9 @@ class World:
         tmp.write_text(world)
         os.replace(tmp, self.state_dir / "world.json")
         self.data["head"] = head
-        self.logged = len(actions)
         self.log_actions, self.log_bytes = head["actions"], head["log_bytes"]
         self.log_hash = log_hash
+        actions.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +622,7 @@ def cmd_bootstrap(args) -> int:
     k, hw_seed = read_seeds(args.seed_file)
     world = World.create(state_dir, args.mode, params, k, hw_seed,
                          args.funding)
-    world.replay_log(b"")
+    world.replay()
     world.save()
     print(f"contractId: {world.system.contract_id}")
     print(f"owner account: {world.system.user_account}")
@@ -636,7 +631,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_op_init(args) -> int:
-    world = World.load(_state_dir(args), save_replay=False)
+    world = World.load(_state_dir(args))
     result = world.commit({"cmd": "init", "type": args.type,
                            "addr": args.addr, "param": args.param})
     print(f"opID: {result['op_id']}")
@@ -644,7 +639,7 @@ def cmd_op_init(args) -> int:
 
 
 def cmd_op_confirm(args) -> int:
-    world = World.load(_state_dir(args), save_replay=False)
+    world = World.load(_state_dir(args))
     otp = mnemonic.parse_otp(args.otp, world.params().digest_bytes)
     result = world.commit({"cmd": "confirm", "op_id": args.op_id,
                            "otp": otp.hex()})
@@ -673,14 +668,14 @@ def cmd_root_show(args) -> int:
 
 
 def cmd_subtree_next(args) -> int:
-    world = World.load(_state_dir(args), save_replay=False)
+    world = World.load(_state_dir(args))
     world.commit({"cmd": "subtree"})
     print(f"current subtree: {world.system.contract.current_subtree}")
     return 0
 
 
 def cmd_root_rotate(args) -> int:
-    world = World.load(_state_dir(args), save_replay=False)
+    world = World.load(_state_dir(args))
     world.commit({"cmd": "rotate", "mode": args.mode})
     print(f"new root: {world.system.contract.root.hex()}")
     print(f"generation: {world.system.client.eta}")
@@ -751,6 +746,8 @@ def cmd_security_calc(args) -> int:
 
 def cmd_mnemonic(args) -> int:
     if args.direction == "encode":
+        if len(args.value) != 1:
+            raise CliError("usage", "mnemonic encode takes one hex value")
         print(" ".join(mnemonic.encode(bytes.fromhex(args.value[0]))))
     else:
         print(mnemonic.decode(args.value).hex())

@@ -85,7 +85,9 @@ written since their last render. `from_checkpoint` takes the parsed head
 object and the params of its contracts, parses of each contract's lines
 only the header and the current subtree's records (the older lines stay
 text, which `state_hash` covers as they were read), and raises
-`LedgerError` for any other object. It takes a reader of the chain below
+`LedgerError` for any other object, such as one with a balance, nonce,
+height, timestamp, counter or index height that is not an `int`: the state
+lines render `400` and `"400"` alike. It takes a reader of the chain below
 the head, which it does not call: the canonical branch starts at a base
 block, the restored head, with its state and its stored digest and no
 receipts. Head state, submission, mining, copying, `state_hash` and
@@ -626,16 +628,22 @@ class Ledger:
         not know are ignored. The chain starts at the restored head; reading
         older blocks calls `read_chain()`, which returns the canonical
         blocks from genesis to the head, and checks them (see
-        `_materialize`). LedgerError for any other object."""
+        `_materialize`). LedgerError for any other object, such as one whose
+        balances, nonces, height, timestamp, counter or index heights are
+        not all ints (a bool is not an int)."""
         try:
             contracts = [WalletContract.from_state_lines(lines, params)
                          for lines in head["contracts"]]
+            accounts, nonces = dict(head["accounts"]), dict(head["nonces"])
+            index, seq = dict(head["index"]), head["seq"]
+            numbers = (head["height"], head["timestamp"], seq,
+                       *accounts.values(), *nonces.values(), *index.values())
+            if any(type(n) is not int for n in numbers):
+                raise TypeError("a number that is not an int")
             base = Block(head["height"], head["timestamp"], (),
-                         LedgerState(dict(head["accounts"]),
-                                     dict(head["nonces"]),
+                         LedgerState(accounts, nonces,
                                      {c.contract_id: c for c in contracts}))
             base._digest = bytes.fromhex(head["digest"])
-            index, seq = dict(head["index"]), head["seq"]
         except (LookupError, TypeError, ValueError) as exc:
             raise LedgerError(f"not a checkpoint head: {exc}") from exc
         ledger = cls()

@@ -238,6 +238,15 @@ def test_mnemonic_commands_round_trip(capsys):
     assert code == 0 and out.strip() == SEED_HEX
 
 
+def test_mnemonic_encode_takes_one_value(capsys):
+    """`encode` of two values is a usage error, where it printed the first
+    value's words alone; `decode` takes many words."""
+    code, out, err = run(capsys, "mnemonic", "encode",
+                         "00112233445566778899aabbccddeeff", "ffff")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: usage:") and "Traceback" not in err
+
+
 def test_output_is_byte_stable_for_fixed_seed(tmp_path, capsys):
     seed_file = tmp_path / "seed.txt"
     seed_file.write_text(SEED_HEX + "\n")
@@ -390,30 +399,30 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
 
         if not restored:
             _drop_checkpoint(state_dir)
-        before = (state_dir / "world.json").read_bytes()
         replays = _count_replays(monkeypatch)
+        world = World.load(state_dir)
+        assert replays == ([] if restored else [1]), (name, restored)
+        # A replay saved a fresh head before the tear.
+        before = (state_dir / "world.json").read_bytes()
         if name.endswith(".jsonl"):
             monkeypatch.setattr(cli, "_append", torn_append)
         else:
             monkeypatch.setattr(Path, "write_text", torn)
-        world = World.load(state_dir, save_replay=False)
-        assert replays == ([] if restored else [1]), (name, restored)
         with pytest.raises(OSError):
             world.commit({"cmd": "init", "type": "transfer",
                           "addr": "acct:bob", "param": 5})
         monkeypatch.undo()
         assert (state_dir / "world.json").read_bytes() == before, name
         assert (state_dir / "actions.jsonl").read_bytes()[: len(log)] == log
-        # The old head binds, as the log holds its committed bytes; a null
-        # checkpoint costs one replay, which lands on the recorded state
-        # and saves a head that the next load restores.
+        # The old head binds, as the log holds its committed bytes, so the
+        # next loads restore, after a replay's load too, which saved it.
         replays = _count_replays(monkeypatch)
         loaded = World.load(state_dir)
         assert loaded.log_actions == 1
         assert loaded.system.ledger.state_hash() == previous
         World.load(state_dir)
         monkeypatch.undo()
-        assert replays == ([] if restored else [1]), (name, restored)
+        assert replays == [], (name, restored)
 
 
 def test_a_torn_append_is_ignored_then_cut(state, capsys):
@@ -469,10 +478,14 @@ def test_actions_appended_to_a_created_world_save_and_restore(tmp_path,
     action = {"cmd": "confirm", "op_id": 0, "otp": otp}
     world.apply(action)
     world.data["actions"].append(action)
+    appended = list(world.data["actions"])
     world.save()
+    # The save appended every action to the log and emptied the list.
+    assert _actions(state_dir) == appended and world.data["actions"] == []
+    assert world.log_actions == 3
     replays = _count_replays(monkeypatch)
     restored = World.load(state_dir)
-    assert replays == [] and _actions(state_dir) == world.data["actions"]
+    assert replays == []
     # A restore parses no logged action.
     assert restored.data["actions"] == [] and restored.log_actions == 3
     assert ({**restored.data, "actions": None}
@@ -703,6 +716,57 @@ def test_an_init_txid_outside_the_chain_loads_by_replay(state, monkeypatch,
     assert "confirmed opID 0" in out
 
 
+def _rebound(state_dir, edit) -> None:
+    """Rewrite `world.json` with its checkpoint as `edit` leaves it, and its
+    binding recomputed, as a consistent edit of the checkpoint would."""
+    log = (state_dir / "actions.jsonl").read_bytes()
+
+    def rebound(doc):
+        edit(doc)
+        doc["binding"] = cli._binding(hashlib.sha256(log), doc)
+    _rebind_doc(state_dir, rebound)
+
+
+def _as_strings(values: dict) -> None:
+    values.update((key, str(value)) for key, value in values.items())
+
+
+# A number in the checkpoint -> an edit that stores it (every value of a
+# map) as a JSON string, which the state lines render as the number.
+STRING_EDITS = {
+    "balance": lambda doc: _as_strings(doc["accounts"]),
+    "nonce": lambda doc: _as_strings(doc["nonces"]),
+    "height": lambda doc: doc.update(height=str(doc["height"])),
+    "timestamp": lambda doc: doc.update(timestamp=str(doc["timestamp"])),
+    "seq": lambda doc: doc.update(seq=str(doc["seq"])),
+    "index": lambda doc: _as_strings(doc["index"]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(STRING_EDITS))
+def test_a_checkpoint_number_stored_as_a_string_loads_by_replay(
+        history, monkeypatch, capsys, field):
+    """A balance, nonce, height, timestamp, counter or index height stored
+    as a string, with the binding recomputed: the state hash and the
+    binding do not tell it from the number, so only the restore's type
+    check refuses it. `root show` replays once and shows the intact world,
+    the next write commits, and the load after it restores."""
+    state_dir = history
+    intact = run(capsys, "--state-dir", state_dir, "root", "show")
+    before = _checkpoint(state_dir)
+    _rebound(state_dir, STRING_EDITS[field])
+    assert _checkpoint(state_dir) != before
+    replays = _count_replays(monkeypatch)
+    assert run(capsys, "--state-dir", state_dir, "root", "show") == intact
+    assert intact[0] == 0 and replays == [1]
+    code, out, err = run(capsys, "--state-dir", state_dir, "op", "init",
+                         "--type", "transfer", "--addr", "acct:bob",
+                         "--param", "5")
+    assert code == 0 and err == "" and out == "opID: 2\n"
+    World.load(state_dir)
+    assert replays == [1]
+
+
 def _sealed_world(state_dir) -> World:
     """A world at `128,16,1,4,1` past three subtree introductions and a
     rotation, with a transfer pending in each subtree and one in the open
@@ -886,7 +950,7 @@ def test_a_replayed_load_writes_a_fresh_head(history, monkeypatch, capsys,
     "rotate-of-unknown-mode", "init-with-extra-key", "confirm-of-short-otp",
     "params-empty", "params-S-str", "seed_hex-not-hex", "seed_hex-short",
     "hw_seed_hex-short", "head-log_bytes-str", "head-extra-key",
-    "funding-negative", "params-outside-domain"])
+    "funding-negative", "params-outside-domain", "head-log_bytes-negative"])
 def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
                                                             damage):
     """Nothing to check a replay against, a key set other than a save
@@ -930,6 +994,8 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
         data[key] = value
     elif damage == "head-log_bytes-str":
         data["head"]["log_bytes"] = str(data["head"]["log_bytes"])
+    elif damage == "head-log_bytes-negative":   # the log is longer
+        data["head"]["log_bytes"] = -1
     elif damage == "head-extra-key":
         data["head"]["memo"] = "x"
     # The log edits below are re-bound in the head.
@@ -1349,16 +1415,63 @@ def test_an_os_error_is_one_state_line(state, monkeypatch, capsys):
     assert code == 1 and out == "" and _one_state_line(err)
 
 
-def test_a_write_after_a_replay_saves_once(history, monkeypatch, capsys):
+def test_a_write_after_a_replay_saves_the_replay_and_its_commit(
+        history, monkeypatch, capsys):
+    """The load's replay saves a fresh head, which appends nothing, and the
+    commit saves again with its one action."""
     state_dir = history
     _drop_checkpoint(state_dir)
+    logged = _actions(state_dir)
     saves = _count(monkeypatch, World, "save")
     replays = _count_replays(monkeypatch)
     code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init", "--type",
                      "transfer", "--addr", "acct:bob", "--param", "5")
-    assert code == 0 and replays == [1] and len(saves) == 1
+    assert code == 0 and replays == [1] and len(saves) == 2
+    assert _actions(state_dir)[:-1] == logged
     World.load(state_dir)                    # the save left a fresh head
     assert replays == [1]
+
+
+def test_a_failed_write_after_a_replay_leaves_a_head_that_restores(
+        history, monkeypatch, capsys):
+    """A write on a null checkpoint replays once, and the replay saves a
+    head that binds, though the commit is refused before it mines: the
+    log is as it was, and the next command restores."""
+    state_dir = history
+    log = (state_dir / "actions.jsonl").read_bytes()
+    recorded = json.loads((state_dir / "world.json").read_text())["head"][
+        "state_hash"]
+    _drop_checkpoint(state_dir)
+    replays = _count_replays(monkeypatch)
+    code, out, err = run(capsys, "--state-dir", state_dir, "op", "confirm",
+                         "--op-id", 99, "--otp", "00" * 16)
+    assert code == 1 and out == "" and replays == [1]
+    assert err.startswith("error: protocol:") and "not-initialised" in err
+    assert sorted(_checkpoint(state_dir)) == CHECKPOINT_HEAD_KEYS
+    assert (state_dir / "actions.jsonl").read_bytes() == log
+    code, _, err = run(capsys, "--state-dir", state_dir, "root", "show")
+    assert code == 0 and err == "" and replays == [1]
+    assert World.load(state_dir).system.ledger.state_hash() == recorded
+
+
+def test_no_action_is_pending_after_a_load_or_a_save(history, monkeypatch):
+    """`data["actions"]` lists only the actions applied since the committed
+    log, so it is empty after a restore, a replay and a save, and the
+    committed count is the log's line count each time."""
+    state_dir = history
+
+    def committed(world) -> bool:
+        lines = (state_dir / "actions.jsonl").read_bytes().count(b"\n")
+        return world.data["actions"] == [] and world.log_actions == lines
+
+    replays = _count_replays(monkeypatch)
+    restored = World.load(state_dir)
+    _drop_checkpoint(state_dir)
+    replayed = World.load(state_dir)
+    assert replays == [1] and committed(restored) and committed(replayed)
+    replayed.commit({"cmd": "init", "type": "transfer", "addr": "acct:bob",
+                     "param": 5})
+    assert committed(replayed) and replayed.log_actions == 4
 
 
 def _receipts(state_dir) -> int:
@@ -1434,7 +1547,7 @@ def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
     """... the log and `world.json`: a write, on a restored world or after
     a replay, appends its one action to the log, opens no other file in
     place for writing, and replaces `world.json` through its one temp file
-    and its one rename."""
+    and its one rename per save: the commit's, after the replay's."""
     state_dir = history
     log = state_dir / "actions.jsonl"
     real_open, real_replace = open, os.replace
@@ -1456,11 +1569,12 @@ def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
                          "--type", "transfer", "--addr", "acct:bob",
                          "--param", "5")
         monkeypatch.undo()
+        saves = 1 if restored else 2
         assert code == 0 and replays == ([] if restored else [1])
-        assert written == ["world.json.tmp"]
-        assert renamed == [("world.json.tmp", "world.json")]
+        assert written == ["world.json.tmp"] * saves
+        assert renamed == [("world.json.tmp", "world.json")] * saves
         assert [(name, mode) for name, mode in opened if mode != "rb"] == [
-            ("actions.jsonl", "ab")]
+            ("actions.jsonl", "ab")] * saves
         assert _files(state_dir) == STATE_FILES
         assert log.read_bytes() == before + _line({
             "cmd": "init", "type": "transfer", "addr": "acct:bob",
