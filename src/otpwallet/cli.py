@@ -96,10 +96,10 @@ exactly those a save writes, or that holds a value of another type, params
 outside their domain, a negative funding or log length, a seed that is not
 lowercase hex of its size or a mode outside MODES, or whose log holds
 another count of lines than the head records actions, or, when the load
-replays it, does not parse, holds another count of actions or logs an
-action that no command writes: another key set, an unknown operation type
-or mode, or a confirm OTP not of the digest size. The log doubles as an
-audit trail.
+replays it, does not parse, holds another count of actions, holds two
+actions on one line or logs an action that no command writes: another key
+set, an unknown operation type or mode, or a confirm OTP not of the digest
+size. The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` parses with one parser of all nine commands, built
@@ -310,14 +310,20 @@ def _read_log(path: Path, size: int) -> bytes:
 def _parse_log(log: bytes) -> list:
     """The actions of the committed log bytes, in one parse: a compact JSON
     line never holds a raw newline, so the lines joined by commas are the
-    items of one array."""
+    items of one array. A line that holds two items, `{...},{...}`, parses
+    too, so the item count must be the line count."""
     try:
         if log and not log.endswith(b"\n"):
             raise ValueError("the last line has no newline")
-        return json.loads(b"[" + log[:-1].replace(b"\n", b",") + b"]")
+        actions = json.loads(b"[" + log[:-1].replace(b"\n", b",") + b"]")
     except ValueError as exc:
         raise CliError("state",
                        f"the action log does not parse: {exc}") from exc
+    lines = log.count(b"\n")
+    if len(actions) != lines:
+        raise CliError("state", f"the action log holds {len(actions)} "
+                                f"actions on {lines} lines")
+    return actions
 
 
 def _append(path: Path, committed: int, lines: bytes) -> None:

@@ -11,8 +11,10 @@ reveals an OTP).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable
+
+# Both are defined in `kernels`, which the helper process runs as a script.
+from .kernels import DomainError, sha3_256
 
 DIGEST_BITS_DEFAULT = 128
 SEED_BYTES = 16
@@ -23,16 +25,8 @@ Seed = bytes
 HashFn = Callable[[bytes], bytes]
 
 
-class DomainError(ValueError):
-    """An argument violates an operation's domain (bad index, bad length)."""
-
-
-def _sha3_256(data: bytes) -> bytes:
-    return hashlib.sha3_256(data).digest()
-
-
 #: The underlying 256-bit hash. Any 256-bit hash can be substituted per call.
-DEFAULT_BASE_HASH: HashFn = _sha3_256
+DEFAULT_BASE_HASH: HashFn = sha3_256
 
 
 def enc32(x: int) -> bytes:

@@ -12,24 +12,33 @@ walks siblings from one level up to another, `sublayer_in` slices level
 H_S - L_S. A holder of the levels (the client) pays no hash per proof. The
 leaf-list functions `gen_proof`, `sublayer_of`, `subtree_root_proof` and
 `proof_to_sublayer` build the levels and read them once, for one-shot use.
-`build_levels` and `reduce_mt` hash each level in one pass, `_hash_level`:
-one size check per level, then per span of 1 024 nodes one join, one
-translate that clears every parity bit, and one hash per adjacent pair,
-sliced from the span. `pair_hash` is the single-pair form that proof folds
-use, and the reference the kernel equals.
+`build_levels` and `reduce_mt` hash each level in one pass with the level
+kernel, `kernels._hash_level`, and every leaf is a chain end derived by
+`kernels._chain_ends`. `pair_hash` is the single-pair form that proof folds
+use, and the reference the level kernel equals.
 
 Generation trees. A client gets generation eta's tree one way,
 `generation_levels`, from either transport of the paper: the seed (secure
 mode) or the authenticator's leaf file (insecure mode), which must be
 eta's. The seed's tree is `seed_levels`, `build_levels(all_leaves(...))`.
 A seed tree of at least `_SPLIT_LEAVES` leaves hashed with the default base,
-in a process with one thread that may run on two CPUs or more, is derived
-in two processes: one forked child derives the right half's leaves
-and levels and sends them back through a pipe, while the caller derives the
-left half; the caller joins the halves and hashes the root. A child that
-fails or sends a short answer costs the caller the right half, derived
-again in process; no child outlives the call. A metering `base` never
-splits, so it sees every hash in process.
+in a process that may run on two CPUs or more, is derived in two
+processes. The caller's one helper process, `kernels.py` run by path in a
+bare interpreter (`python3 -I -S`), is started with `os.posix_spawn` at the
+first split and serves every later one; no page of the caller is shared
+with it. The caller writes the request (seed, first PRF point, count, P,
+digest size) to the helper's stdin, derives the left half while the helper
+derives the right half, reads the right half's levels back, joins the
+halves and hashes the root. The seed travels only through the pipe. An
+answer is used only if it echoes the request and has the full length. On a
+failure, a short or foreign answer, or any exception between request and
+answer, the caller stops the helper and derives the right half in process
+(or raises), and the next split starts a fresh helper. These derive in
+process and never touch the helper: a call while another thread holds it,
+a child forked from its owner, a metering `base`, which so sees every
+hash, and a process with one allowed CPU. No helper outlives its process:
+an `atexit` handler closes its stdin and reaps it, and the helper exits by
+itself at the end of its input.
 
 Proof encoding. A proof sibling's least significant bit (bit 0 of its last
 byte) is overwritten with the sibling's parity: 1 means the sibling is the
@@ -51,11 +60,17 @@ the `base` method of the call's `CallTrace`.
 
 from __future__ import annotations
 
+import atexit
 import os
+import signal
+import struct
+import sys
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
+from . import kernels
 from .hashing import (
     DEFAULT_BASE_HASH,
     SEED_BYTES,
@@ -65,6 +80,7 @@ from .hashing import (
     Seed,
     chain_extend,
 )
+from .kernels import _PARITY_CLEAR, _chain_ends, _hash_level
 
 LEAF_FILE_MAGIC = "smartotps-leaves"
 
@@ -180,10 +196,8 @@ def lsb(d: Digest) -> int:
         raise DomainError("an empty digest has no parity bit")
     return d[-1] & 1
 
-# The parity mask: _PARITY_CLEAR[b] is byte b with its parity bit cleared,
-# a `bytes.translate` table; _CLEARED[b] is the same byte as a one-byte
-# string.
-_PARITY_CLEAR = bytes(b & 0xFE for b in range(256))
+# The parity mask: _CLEARED[b] is byte b with its parity bit cleared, as a
+# one-byte string.
 _CLEARED = tuple(_PARITY_CLEAR[b:b + 1] for b in range(256))
 
 def with_lsb(d: Digest, bit: int) -> Digest:
@@ -207,29 +221,6 @@ def pair_hash(left: Digest, right: Digest,
     return base(_mask(left) + _mask(right))[:n]
 
 
-# Nodes `_hash_level` joins at a time. Joining a whole level instead keeps
-# a second copy of it alive: a 16 384-leaf build then peaks 0.8 MB higher.
-_SPAN = 1024
-
-def _hash_level(level: list[Digest], base: HashFn) -> list[Digest]:
-    """The parent level of an even-length node list: `pair_hash` of each
-    adjacent pair, left to right, one `base` call per pair, with one size
-    check for the whole level."""
-    size = len(level[0])
-    if not 16 <= size <= 32 or set(map(len, level)) != {size}:
-        raise DomainError(f"children must be equal-size 16..32 byte digests: "
-                          f"{sorted(set(map(len, level)))} bytes")
-    step = 2 * size
-    parents = []
-    for start in range(0, len(level), _SPAN):
-        buf = bytearray().join(level[start:start + _SPAN])
-        buf[size - 1::size] = buf[size - 1::size].translate(_PARITY_CLEAR)
-        buf = bytes(buf)
-        parents += [base(buf[i:i + step])[:size]
-                    for i in range(0, len(buf), step)]
-    return parents
-
-
 # ---------------------------------------------------------------------------
 # Tree construction and proofs
 
@@ -242,25 +233,6 @@ def _check_chains(k: Seed, first: int, count: int, params: TreeParams) -> None:
         raise DomainError(f"chain length must be >= 1: {params.P}")
 
 
-def _chain_ends(k: Seed, first: int, count: int, params: TreeParams,
-                base: HashFn) -> list[Digest]:
-    """Chain ends (position P) for PRF points first .. first+count-1.
-
-    The one leaf derivation: prf, then P chain steps, inlined and checked
-    once per batch instead of once per hash.
-    """
-    _check_chains(k, first, count, params)
-    nb = params.digest_bytes
-    tags = [j.to_bytes(4, "big") for j in range(1, params.P + 1)]
-    ends = []
-    for x in range(first, first + count):
-        d = base(k + x.to_bytes(4, "big"))[:nb]
-        for tag in tags:
-            d = base(tag + d)[:nb]
-        ends.append(d)
-    return ends
-
-
 def all_leaves(k: Seed, params: TreeParams, eta: int = 0,
                base: HashFn = DEFAULT_BASE_HASH) -> list[Digest]:
     """The public leaves of generation `eta`: each chain's end at position P.
@@ -268,7 +240,10 @@ def all_leaves(k: Seed, params: TreeParams, eta: int = 0,
     PRF points are offset by eta * (N/P) so successive parent-tree
     generations never reuse one.
     """
-    return _chain_ends(k, eta * params.leaves, params.leaves, params, base)
+    first = eta * params.leaves
+    _check_chains(k, first, params.leaves, params)
+    return _chain_ends(k, first, params.leaves, params.P, params.digest_bytes,
+                       base)
 
 
 def _levels(nodes: list[Digest], base: HashFn) -> Iterator[list[Digest]]:
@@ -297,27 +272,124 @@ def build_levels(leaves: list[Digest],
     return list(_levels(leaves, base))
 
 
-# The fewest leaves a seed tree is split at. In a bare interpreter on a
-# 2-core host, two processes take 1.00, 0.77 and 0.66 of one process's time
-# at 1 024, 2 048 and 4 096 leaves. A larger caller pays more for the fork
-# and for the copy-on-write faults it leaves behind, so the split starts
-# well above break-even.
-_SPLIT_LEAVES = 4096
+# The fewest leaves a seed tree is split at: where a one-shot process,
+# which starts its helper cold (about 16 ms for `python3 -I -S` with
+# `hashlib`), gains by the split. In 40 interleaved pairs of fresh
+# processes on a shared 2-core host (S = 128, P = 1), one cold split against
+# one in-process derivation took, in the median, 26.2 against 22.6 ms at
+# 4 096 leaves (faster in 10 of 40 pairs), 34.9 against 45.1 ms at 8 192
+# (25 of 40) and 57.9 against 93.9 ms at 16 384 (33 of 40). A warm helper
+# costs only the pipe.
+_SPLIT_LEAVES = 8192
 
 def _can_split(leaves: int, base: HashFn) -> bool:
+    """Whether `seed_levels` asks the helper for the right half: a large
+    tree, the default base, two CPUs or more. `os.sched_getaffinity`
+    exists only where `os.posix_spawn` does."""
     return (leaves >= _SPLIT_LEAVES and base is DEFAULT_BASE_HASH
-            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1
+            and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _unpack_levels(data: bytes, count: int, size: int) -> list[list[Digest]]:
+# The helper's command line after the interpreter: `kernels.py` by path in
+# a bare interpreter, which imports nothing of the package.
+_HELPER_ARGS = ("-I", "-S", kernels.__file__)
+
+
+class _Helper:
+    """This process's helper, started with `os.posix_spawn`, so that it
+    shares no page with this process: requests to its stdin, answers from
+    its stdout, its stderr to /dev/null."""
+
+    def __init__(self):
+        stdin, requests = os.pipe()
+        answers, stdout = os.pipe()
+        try:
+            self.pid = os.posix_spawn(
+                sys.executable, [sys.executable, *_HELPER_ARGS], os.environ,
+                file_actions=[(os.POSIX_SPAWN_DUP2, stdin, 0),
+                              (os.POSIX_SPAWN_DUP2, stdout, 1),
+                              (os.POSIX_SPAWN_OPEN, 2, os.devnull,
+                               os.O_WRONLY, 0)])
+        except BaseException:
+            os.close(requests)
+            os.close(answers)
+            raise
+        finally:
+            os.close(stdin)
+            os.close(stdout)
+        self.requests = open(requests, "wb", buffering=0)
+        self.answers = open(answers, "rb")
+
+    def close(self, kill: bool) -> None:
+        """Close both pipes and reap the helper, which exits by itself at
+        the end of its input; `kill` first stops one that may be busy."""
+        self.requests.close()
+        self.answers.close()
+        try:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except (ChildProcessError, ProcessLookupError):
+            pass
+
+
+# The helper, started at this process's first split and reused by every
+# later one; None before that and after one is stopped. A split holds
+# `_helper_lock` from its request to its answer, and a call that finds it
+# held derives in process.
+_helper: _Helper | None = None
+_helper_lock = threading.Lock()
+
+
+def _stop_helper(kill: bool = True) -> None:
+    global _helper
+    if _helper is not None:
+        helper, _helper = _helper, None
+        helper.close(kill)
+
+
+def _forked_child() -> None:
+    """A child forked from this process closes its copies of the helper's
+    pipes, which the helper's owner alone uses, and never splits: it may end
+    by `os._exit`, which skips the `atexit` close of a helper of its own."""
+    global _helper, _helper_lock
+    if _helper is not None:
+        _helper.requests.close()
+        _helper.answers.close()
+    _helper, _helper_lock = None, threading.Lock()
+    _helper_lock.acquire()
+
+
+atexit.register(_stop_helper, kill=False)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forked_child)
+
+
+def _ask_helper(request: bytes) -> bool:
+    """Send `request` to the helper, started if there is none; False, with
+    the helper stopped, when it cannot start or take the request."""
+    global _helper
+    try:
+        if _helper is None:
+            _helper = _Helper()
+        _helper.requests.write(request)
+        return True
+    except OSError:
+        _stop_helper()
+        return False
+
+
+def _unpack_levels(data: bytes, at: int, count: int,
+                   size: int) -> list[list[Digest]]:
     """The levels of a tree of `count` leaves of `size` bytes, from their
-    digests written level by level, leaves first."""
-    levels, at = [], 0
+    digests written from offset `at` level by level, leaves first; each
+    level in one `struct.iter_unpack`."""
+    view, levels, first = memoryview(data), [], itemgetter(0)
     while count:
         end = at + count * size
-        levels.append([data[i:i + size] for i in range(at, end, size)])
+        levels.append(list(map(first, struct.iter_unpack(f"{size}s",
+                                                         view[at:end]))))
         at, count = end, count // 2
     return levels
 
@@ -325,46 +397,46 @@ def _unpack_levels(data: bytes, count: int, size: int) -> list[list[Digest]]:
 def seed_levels(k: Seed, params: TreeParams, eta: int = 0,
                 base: HashFn = DEFAULT_BASE_HASH) -> list[list[Digest]]:
     """The levels of generation `eta`'s tree, `build_levels(all_leaves(k,
-    params, eta, base), base)`; a large tree's right half is derived in a
-    forked child (see the module docstring)."""
-    n, first = params.leaves, eta * params.leaves
-    if not _can_split(n, base):
+    params, eta, base), base)`; a large tree's right half is derived by the
+    helper process (see the module docstring)."""
+    if not (_can_split(params.leaves, base)
+            and _helper_lock.acquire(blocking=False)):
         return build_levels(all_leaves(k, params, eta, base), base)
+    try:
+        return _split_levels(k, params, eta * params.leaves)
+    finally:
+        _helper_lock.release()
+
+
+def _split_levels(k: Seed, params: TreeParams,
+                  first: int) -> list[list[Digest]]:
+    n, size, base = params.leaves, params.digest_bytes, DEFAULT_BASE_HASH
     _check_chains(k, first, n, params)
-    half, size = n // 2, params.digest_bytes
+    half = n // 2
 
     def half_levels(start: int) -> list[list[Digest]]:
-        return build_levels(_chain_ends(k, start, half, params, base), base)
+        return build_levels(_chain_ends(k, start, half, params.P, size, base),
+                            base)
 
-    read_end, write_end = os.pipe()
+    request = kernels.REQUEST.pack(k, first + half, half, params.P, size)
+    want, answer = len(request) + (n - 1) * size, b""
+    asked = _ask_helper(request)
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return build_levels(all_leaves(k, params, eta, base), base)
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as out:
-                for level in half_levels(first + half):
-                    out.write(b"".join(level))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    try:
-        # Closed before the child is reaped, so that a child blocked on a
-        # full pipe fails its write and exits.
-        with open(read_end, "rb") as pipe:
-            levels = half_levels(first)
-            data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) == 0 and len(data) == (n - 1) * size:
-        right = _unpack_levels(data, half, size)
+        levels = half_levels(first)
+        if asked:
+            try:
+                answer = _helper.answers.read(want)
+            except OSError:
+                pass
+    except BaseException:
+        _stop_helper()
+        raise
+    if len(answer) == want and answer.startswith(request):
+        right = _unpack_levels(answer, len(request), half, size)
     else:
+        # A helper that failed, or left an answer unread, would answer the
+        # next call with this one's digests.
+        _stop_helper()
         right = half_levels(first + half)
     for level, part in zip(levels, right):
         level += part

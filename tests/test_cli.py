@@ -1025,12 +1025,15 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
     ("head-counts-one-more", "the action log holds 3 actions, not the 4"),
     ("unparsed-line-committed", "the action log does not parse"),
     ("committed-mid-line", "the action log does not parse: the last line "
-                           "has no newline")])
+                           "has no newline"),
+    ("two-actions-on-one-line", "the action log holds 3 actions on 2 lines")])
 def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
                                                  message):
     """A load counts the log's lines against the head before it restores,
     and parses a log of another count first, so a line that does not parse
-    is reported as such; the command writes nothing."""
+    is reported as such, and so is a line that holds two actions, which
+    the head's count of three would otherwise accept; the command writes
+    nothing."""
     state_dir = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
@@ -1038,6 +1041,9 @@ def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
         data["head"]["actions"] += 1
     elif damage == "committed-mid-line":
         data["head"]["log_bytes"] -= 1
+    elif damage == "two-actions-on-one-line":   # the same byte count
+        log = state_dir / "actions.jsonl"
+        log.write_bytes(log.read_bytes().replace(b"}\n{", b"},{", 1))
     else:
         log = state_dir / "actions.jsonl"
         log.write_bytes(log.read_bytes() + b'{"cmd":\n')

@@ -9,12 +9,17 @@ and stays outside hash coverage.
 import hashlib
 import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otpwallet import merkle
+from otpwallet import kernels, merkle
 from otpwallet.hashing import (DEFAULT_BASE_HASH, DomainError, chain_extend,
                                chain_step, prf, truncated_hash)
 from otpwallet.merkle import (
@@ -367,25 +372,31 @@ def test_a_single_node_is_its_own_root_without_a_hash():
 
 
 # -- seed_levels ----------------------------------------------------------------------
-# A seed tree of 4 096 leaves or more, on the default base, derives its right
-# half in one forked child when the process may run on two CPUs. Each test
-# also checks that no child is left once the call returns or raises.
+# A seed tree of `_SPLIT_LEAVES` leaves or more, on the default base, has its
+# right half derived by this process's helper process when the process may
+# run on two CPUs. These tests split from 4 096 leaves, start with no helper
+# and, at their end, stop and reap every helper they started.
 
-def no_child_left():
+def reaped(pid):
     with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids that called `os.fork` during the test."""
-    calls, fork = [], os.fork
+def spawns(monkeypatch):
+    """The pids of the helpers started during the test."""
+    merkle._stop_helper()
+    pids, spawn = [], os.posix_spawn
 
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
+    def counted(*args, **kwargs):
+        pids.append(spawn(*args, **kwargs))
+        return pids[-1]
+    monkeypatch.setattr(os, "posix_spawn", counted)
+    monkeypatch.setattr(merkle, "_SPLIT_LEAVES", 4096)
+    yield pids
+    merkle._stop_helper(kill=False)
+    for pid in pids:
+        reaped(pid)
 
 
 def wide(leaves, P=1, S=128):
@@ -396,19 +407,46 @@ def splits(params):
     return merkle._can_split(params.leaves, DEFAULT_BASE_HASH)
 
 
+def needs_split():
+    if not splits(wide(merkle._SPLIT_LEAVES)):
+        pytest.skip("one CPU: every seed tree is derived in process")
+
+
+def helper_runs(monkeypatch, script):
+    """Make the next helper the Python source `script` instead."""
+    monkeypatch.setattr(merkle, "_HELPER_ARGS", ("-I", "-S", "-c", script))
+
+
 @pytest.mark.parametrize("eta", [0, 1])
 @pytest.mark.parametrize("S", [128, 256])
 @pytest.mark.parametrize("P", [1, 2])
 @pytest.mark.parametrize("leaves", [4096, 8192])
-def test_seed_levels_equal_the_built_leaves(leaves, P, S, eta, forks):
+def test_seed_levels_equal_the_built_leaves(leaves, P, S, eta, spawns):
+    """Twice, through one helper."""
     params = wide(leaves, P, S)
     want = build_levels(all_leaves(K, params, eta))
     assert seed_levels(K, params, eta) == want
-    no_child_left()
-    assert forks == [os.getpid()] * splits(params)
+    assert seed_levels(K, params, eta) == want
+    assert len(spawns) == splits(params)
 
 
-def test_a_metering_base_counts_every_hash_in_process(forks):
+def test_the_helper_runs_kernels_by_path_and_gets_the_seed_by_pipe(
+        monkeypatch, spawns):
+    needs_split()
+    seen, spawn = [], os.posix_spawn
+
+    def recorded(path, argv, env, **kwargs):
+        seen.append((argv, env))
+        return spawn(path, argv, env, **kwargs)
+    monkeypatch.setattr(os, "posix_spawn", recorded)
+    seed_levels(K, wide(4096))
+    [(argv, env)] = seen
+    assert argv == [sys.executable, "-I", "-S", kernels.__file__]
+    text = " ".join([*argv, *env, *env.values()])
+    assert K.hex() not in text and K.hex().upper() not in text
+
+
+def test_a_metering_base_counts_every_hash_in_process(spawns):
     params = wide(8192, P=2)
     calls = []
 
@@ -416,45 +454,43 @@ def test_a_metering_base_counts_every_hash_in_process(forks):
         calls.append(data)
         return DEFAULT_BASE_HASH(data)
     levels = seed_levels(K, params, 0, counting)
-    no_child_left()
-    assert forks == []
+    assert spawns == []
     n = params.leaves
     assert len(calls) == n * (params.P + 1) + n - 1
     assert levels == build_levels(all_leaves(K, params))
 
 
-def test_one_cpu_never_forks(monkeypatch, forks):
+def test_one_cpu_never_forks(monkeypatch, spawns):
+    """Nor starts a helper: the tree is derived in process."""
     params = wide(8192)
     want = build_levels(all_leaves(K, params))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert seed_levels(K, params) == want
-    no_child_left()
-    assert forks == []
+    assert spawns == []
 
 
-def test_a_small_tree_or_a_missing_fork_never_forks(monkeypatch, forks):
+def test_a_small_tree_derives_in_process(spawns):
     small = wide(2048)
     assert seed_levels(K, small) == build_levels(all_leaves(K, small))
-    params = wide(4096)
-    monkeypatch.delattr(os, "fork")
-    assert seed_levels(K, params) == build_levels(all_leaves(K, params))
-    no_child_left()
-    assert forks == []
+    assert spawns == []
 
 
-def test_a_failed_fork_derives_in_process(monkeypatch):
-    params = wide(4096)
+def test_a_helper_that_cannot_start_derives_in_process(monkeypatch):
+    needs_split()
+    merkle._stop_helper()
+    params = wide(merkle._SPLIT_LEAVES)
     want = build_levels(all_leaves(K, params))
 
-    def refused():
+    def refused(*args, **kwargs):
         raise BlockingIOError("no process")
-    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, "posix_spawn", refused)
     fds = len(os.listdir("/proc/self/fd"))
     assert seed_levels(K, params) == want
     assert len(os.listdir("/proc/self/fd")) == fds
+    assert merkle._helper is None
 
 
-def test_bad_seed_or_prf_range_is_refused_before_a_fork(forks):
+def test_bad_seed_or_prf_range_is_refused_before_a_request(spawns):
     params = wide(4096)
     for k, eta in ((K[:15], 0), (K, 2**32 // params.leaves), (K, -1)):
         with pytest.raises(DomainError) as serial:
@@ -462,79 +498,189 @@ def test_bad_seed_or_prf_range_is_refused_before_a_fork(forks):
         with pytest.raises(DomainError) as split:
             seed_levels(k, params, eta)
         assert str(split.value) == str(serial.value)
-    no_child_left()
-    assert forks == []
+    assert spawns == []
 
 
-def test_a_failing_child_costs_the_parent_the_right_half(monkeypatch, forks):
-    params = wide(8192)
-    want = build_levels(all_leaves(K, params))
-    parent, chain_ends = os.getpid(), merkle._chain_ends
-
-    def parent_only(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("child fails")
-        return chain_ends(*args)
-    monkeypatch.setattr(merkle, "_chain_ends", parent_only)
-    assert seed_levels(K, params) == want
-    no_child_left()
-    assert forks == [parent] * splits(params)
-
-
-def test_a_full_answer_from_a_failed_child_is_not_used(monkeypatch, forks):
+def test_a_failing_child_costs_the_parent_the_right_half(monkeypatch,
+                                                         spawns):
+    """A helper that exits at once: its stdin may refuse the request or
+    its stdout end without an answer."""
+    needs_split()
     params = wide(4096)
     want = build_levels(all_leaves(K, params))
-    parent, chain_ends, exit_ = os.getpid(), merkle._chain_ends, os._exit
-    firsts = []
-
-    def logged(k, first, *args):
-        if os.getpid() == parent:
-            firsts.append(first)
-        return chain_ends(k, first, *args)
-    monkeypatch.setattr(merkle, "_chain_ends", logged)
-    monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
+    helper_runs(monkeypatch, "raise SystemExit(1)")
     assert seed_levels(K, params) == want
-    no_child_left()
-    assert firsts == [0, 2048] if splits(params) else [0]
+    assert merkle._helper is None and len(spawns) == 1
+    reaped(spawns[0])
 
 
-def test_a_short_answer_costs_the_parent_the_right_half(monkeypatch, forks):
+def test_a_short_answer_costs_the_parent_the_right_half(monkeypatch, spawns):
+    """The helper echoes the request, sends 64 bytes of digests and
+    exits."""
+    needs_split()
     params = wide(4096)
     want = build_levels(all_leaves(K, params))
-    parent, build = os.getpid(), merkle.build_levels
-
-    def rootless(*args):
-        levels = build(*args)
-        return levels if os.getpid() == parent else levels[:-1]
-    monkeypatch.setattr(merkle, "build_levels", rootless)
+    helper_runs(monkeypatch, (
+        "import sys\n"
+        f"head = sys.stdin.buffer.read({kernels.REQUEST.size})\n"
+        "sys.stdout.buffer.write(head + bytes(64))\n"))
     assert seed_levels(K, params) == want
-    no_child_left()
-    assert forks == [parent] * splits(params)
+    assert merkle._helper is None and len(spawns) == 1
+    reaped(spawns[0])
 
 
-def test_a_failing_parent_raises_and_leaves_no_child(monkeypatch, forks):
-    """The child's answer overfills the pipe; it exits once the parent,
-    failing, closes the read end."""
+def test_an_answer_to_another_request_is_not_used(monkeypatch, spawns):
+    """A helper that answers each request, in full, as if its seed's first
+    byte were another: a stale answer for another seed. Its tree is not the
+    caller's, so the caller stops it and derives the right half."""
+    needs_split()
+    params = wide(4096)
+    want = build_levels(all_leaves(K, params))
+    helper_runs(monkeypatch, (
+        "import io, runpy, sys\n"
+        f"kernels = runpy.run_path({kernels.__file__!r})\n"
+        "size = kernels['REQUEST'].size\n"
+        "while head := sys.stdin.buffer.read(size):\n"
+        "    other = bytes([head[0] ^ 1]) + head[1:]\n"
+        "    kernels['serve'](io.BytesIO(other), sys.stdout.buffer)\n"))
+    assert seed_levels(K, params) == want
+    assert merkle._helper is None and len(spawns) == 1
+    reaped(spawns[0])
+
+
+def test_a_helper_killed_between_two_calls_is_replaced(spawns):
+    """The call after the kill derives the right half in process and reaps
+    the dead helper; the next one starts a fresh helper."""
+    needs_split()
+    params = wide(4096)
+    want = build_levels(all_leaves(K, params))
+    assert seed_levels(K, params) == want
+    os.kill(spawns[0], signal.SIGKILL)
+    assert seed_levels(K, params) == want
+    assert merkle._helper is None
+    reaped(spawns[0])
+    assert seed_levels(K, params) == want
+    assert len(spawns) == 2 and merkle._helper.pid == spawns[1]
+
+
+def test_a_failing_parent_raises_and_leaves_no_child(monkeypatch, spawns):
+    """The helper's answer overfills the pipe; the failing caller stops and
+    reaps the helper, so no answer is left for the next call, which starts
+    a fresh helper and is whole."""
+    needs_split()
     params = wide(8192)
-    parent, chain_ends = os.getpid(), merkle._chain_ends
+    want = build_levels(all_leaves(K, params))
+    chain_ends = merkle._chain_ends
 
-    def child_only(*args):
-        if os.getpid() == parent:
-            raise RuntimeError("parent fails")
-        return chain_ends(*args)
-    monkeypatch.setattr(merkle, "_chain_ends", child_only)
+    def fails(*args):
+        raise RuntimeError("parent fails")
+    monkeypatch.setattr(merkle, "_chain_ends", fails)
     with pytest.raises(RuntimeError, match="parent fails"):
         seed_levels(K, params)
-    no_child_left()
-    assert forks == [parent] * splits(params)
+    assert merkle._helper is None
+    reaped(spawns[0])
+    monkeypatch.setattr(merkle, "_chain_ends", chain_ends)
+    assert seed_levels(K, params) == want
+    assert len(spawns) == 2
+
+
+def test_a_call_while_another_thread_holds_the_helper_derives_in_process(
+        spawns):
+    """Then four threads at once, two calls each, switching often: every
+    tree is whole, and at most one helper serves them."""
+    params = wide(4096)
+    want = build_levels(all_leaves(K, params))
+    held, release = threading.Event(), threading.Event()
+
+    def holder():
+        with merkle._helper_lock:
+            held.set()
+            release.wait(60)
+    thread = threading.Thread(target=holder)
+    thread.start()
+    try:
+        assert held.wait(60)
+        assert seed_levels(K, params) == want
+        assert spawns == []
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    trees = []
+
+    def derive():
+        for _ in range(2):
+            trees.append(seed_levels(K, params))
+    threads = [threading.Thread(target=derive) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert trees == [want] * 8
+    assert len(spawns) <= splits(params)
+
+
+def test_a_forked_child_derives_in_process(spawns):
+    """The child never writes to its parent's helper nor starts one; the
+    parent's helper serves the parent afterwards."""
+    needs_split()
+    params = wide(4096)
+    want = build_levels(all_leaves(K, params))
+    assert seed_levels(K, params) == want
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            ok = (merkle._helper is None and seed_levels(K, params) == want
+                  and merkle._helper is None and len(spawns) == 1)
+        finally:
+            os._exit(0 if ok else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert seed_levels(K, params) == want
+    assert spawns == [merkle._helper.pid]
+
+
+def test_the_helper_exits_at_the_end_of_its_input(spawns):
+    needs_split()
+    seed_levels(K, wide(4096))
+    helper, merkle._helper = merkle._helper, None
+    helper.requests.close()
+    for _ in range(1000):
+        pid, status = os.waitpid(helper.pid, os.WNOHANG)
+        if pid:
+            break
+        time.sleep(0.01)
+    helper.answers.close()
+    assert pid and os.waitstatus_to_exitcode(status) == 0
+
+
+def test_a_process_that_splits_leaves_no_helper_behind():
+    """A process that splits and exits reaps its helper at exit: its pid
+    is gone, not a zombie, once the process has exited."""
+    needs_split()
+    script = ("from otpwallet import merkle\n"
+              "params = merkle.TreeParams(S=128, N=8192, P=1, N_S=8192)\n"
+              "merkle.seed_levels(bytes(16), params)\n"
+              "print(merkle._helper.pid)\n")
+    src = os.path.dirname(os.path.dirname(merkle.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(out), 0)
 
 
 def test_this_host_splits_a_large_tree():
-    """The fork paths above run only where the split does."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        pytest.skip("one CPU or no fork: every seed tree is derived in process")
-    assert splits(wide(4096)) and not splits(wide(2048))
+    """The helper paths above run only where the split does."""
+    needs_split()
+    assert splits(wide(merkle._SPLIT_LEAVES))
+    assert not splits(wide(merkle._SPLIT_LEAVES // 2))
 
 
 # -- derive_root_hash ----------------------------------------------------------------
