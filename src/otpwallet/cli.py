@@ -40,36 +40,39 @@ nothing mined or saved. Without the check, the contract refuses an init
 for its signature, but a confirm, sent unsigned from the edited key's
 account, commits, and the log then replays to another state.
 
-A save appends the new log lines and then writes `world.json`, encoded in
-one pass, to a temp file renamed into place: its only rename. A save that
+Every read and write of the two files goes through one file-operations
+object, `store.FILES`; this module opens, writes, truncates and renames
+nothing itself. A save encodes `world.json` in one pass and hands it and the
+new log lines to `store.commit`, which appends the lines and then writes
+`world.json` to a temp file renamed into place: its only rename. A save that
 fails before the rename leaves the previous world, because bytes past the
 committed length are a torn append, which a load ignores and the next
 save cuts, as a write-ahead log does, and a load never reads the temp
 file, which the next save replaces.
 
-A load reads the log's committed bytes (fewer is an error), hashes them
-once and keeps the hash, so a save hashes only what it appends, and counts
-their lines against the head's action count. It restores the checkpoint
-when its binding is the digest of that hash and its bound fields, every
-balance, nonce, height, timestamp, counter and index height in it is an
-int (the state lines render `400` and `"400"` alike, and the binding
-covers no balance or nonce), the restored ledger hashes to the recorded
-state, and that state holds exactly one contract with a record in its
-current subtree of every initialised operation of that subtree, whose init
-txid the restored index holds. It takes one field as stored: the confirmed
-transfers, a record of the user's that grows with the history and that no
-protocol step reads. Otherwise it replays the log from genesis by
-`World.replay_log`, the one checked replay: it parses the log, checks its
-action count against the head's, replays it, which determinism makes
-bit-exact, and checks that it lands on the recorded state; a replay that
-lands anywhere else is an error. One that lands on it saves a fresh head,
-whatever the command, so the next command restores, also after a write
-whose commit fails; a write that commits saves again. A checkpoint of an
-older layout, such as one that stored the log's digest alone and each
-contract's params, does not bind and loads by one such replay; so does a
-head of an older layout, which bound a separate checkpoint file by its
-digest, a file that is never read. Bootstrap builds its system as the
-replay of no action.
+A load reads `world.json` and then the log's committed bytes (fewer is an
+error) through `store.FILES`, hashes the log's bytes once and keeps the
+hash, so a save hashes only what it appends, and counts their lines against
+the head's action count. It restores the checkpoint when its binding is the
+digest of that hash and its bound fields, every balance, nonce, height,
+timestamp, counter and index height in it is an int (the state lines render
+`400` and `"400"` alike, and the binding covers no balance or nonce), the
+restored ledger hashes to the recorded state, and that state holds exactly
+one contract with a record in its current subtree of every initialised
+operation of that subtree, whose init txid the restored index holds. It
+takes one field as stored: the confirmed transfers, a record of the user's
+that grows with the history and that no protocol step reads. Otherwise it
+replays the log from genesis by `World.replay_log`, the one checked replay:
+it parses the log, checks its action count against the head's, replays it,
+which determinism makes bit-exact, and checks that it lands on the recorded
+state; a replay that lands anywhere else is an error. One that lands on it
+saves a fresh head, whatever the command, so the next command restores,
+also after a write whose commit fails; a write that commits saves again. A
+checkpoint of an older layout, such as one that stored the log's digest
+alone and each contract's params, does not bind and loads by one such
+replay; so does a head of an older layout, which bound a separate
+checkpoint file by its digest, a file that is never read. Bootstrap builds
+its system as the replay of no action.
 
 A restored world holds the chain from its head up; no command reads below
 it, and a Python caller that does (`event_log`, `audit_signatures`, a
@@ -96,10 +99,10 @@ exactly those a save writes, or that holds a value of another type, params
 outside their domain, a negative funding or log length, a seed that is not
 lowercase hex of its size or a mode outside MODES, or whose log holds
 another count of lines than the head records actions, or, when the load
-replays it, does not parse, holds another count of actions, holds two
-actions on one line or logs an action that no command writes: another key
-set, an unknown operation type or mode, or a confirm OTP not of the digest
-size. The log doubles as an audit trail.
+replays it, does not parse as one action per line (a line that holds two
+does not), holds another count of actions or logs an action that no
+command writes: another key set, an unknown operation type or mode, or a
+confirm OTP not of the digest size. The log doubles as an audit trail.
 
 A command pays for its own work and the blocks it adds, not for the
 chain's length. `main` parses with one parser of all nine commands, built
@@ -116,8 +119,9 @@ holds. What it pays for by the tree size N: `root show` derives the N/P
 leaves once, on purpose, as the authenticator's independent display, in
 one process; `op confirm`, `subtree next` and `root rotate` derive the
 client's tree once, at their first proof; and bootstrap derives it too. A
-seed's tree of 4 096 leaves or more has its right half derived in one
-forked child when the process may run on two CPUs (see
+seed's tree of 8 192 leaves or more (`merkle._SPLIT_LEAVES`) has its right
+half derived by the process's one reused helper process
+(`merkle._Helper`) when the process may run on two CPUs (see
 `otpwallet.merkle`); a metering base hash never splits.
 
 Exit codes: 0 success, 1 protocol or state failure (one categorized
@@ -137,7 +141,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import mnemonic, signing
+from . import mnemonic, signing, store
 from .client import ClientStore
 from .contract import OP_TYPES, Revert
 from .hashing import (DEFAULT_BASE_HASH, DomainError, random_seed,
@@ -168,7 +172,6 @@ DEFAULT_STATE_DIR = ".otpwallet"
 DEFAULT_PARAMS_SPEC = "128,16,2,8,1"
 
 WORLD_VERSION = 4
-LOG_NAME = "actions.jsonl"
 MODES = ("secure", "insecure")
 # The keys of `world.json`, besides its version and head, that a restore or
 # a replay reads, and their types (a bool is not an int).
@@ -295,8 +298,7 @@ def _read_log(path: Path, size: int) -> bytes:
     """The log's first `size` bytes, its committed ones: bytes past them
     are a torn append. A missing log is empty."""
     try:
-        with open(path, "rb") as f:
-            log = f.read(size)
+        log = store.FILES.read(path, size)
     except FileNotFoundError:
         log = b""
     except OSError as exc:
@@ -308,31 +310,16 @@ def _read_log(path: Path, size: int) -> bytes:
 
 
 def _parse_log(log: bytes) -> list:
-    """The actions of the committed log bytes, in one parse: a compact JSON
-    line never holds a raw newline, so the lines joined by commas are the
-    items of one array. A line that holds two items, `{...},{...}`, parses
-    too, so the item count must be the line count."""
+    """The actions of the committed log bytes, each line parsed as one: a
+    compact JSON line never holds a raw newline, and a line that holds two
+    actions, `{...},{...}`, does not parse."""
     try:
         if log and not log.endswith(b"\n"):
             raise ValueError("the last line has no newline")
-        actions = json.loads(b"[" + log[:-1].replace(b"\n", b",") + b"]")
+        return list(map(json.loads, log.split(b"\n")[:-1]))
     except ValueError as exc:
         raise CliError("state",
                        f"the action log does not parse: {exc}") from exc
-    lines = log.count(b"\n")
-    if len(actions) != lines:
-        raise CliError("state", f"the action log holds {len(actions)} "
-                                f"actions on {lines} lines")
-    return actions
-
-
-def _append(path: Path, committed: int, lines: bytes) -> None:
-    """Cut the append-only file at `path` to its `committed` bytes, which
-    drops a torn append, and append `lines`. A save never commits more
-    bytes than the file holds, so the cut never pads it."""
-    with open(path, "ab") as f:
-        f.truncate(committed)
-        f.write(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +361,12 @@ class World:
         replayed and checked against the recorded head state. A replay
         that lands on it saves a fresh head, whatever the command, so the
         next command restores; a write saves again at its commit."""
-        path = state_dir / "world.json"
+        path = state_dir / store.WORLD_NAME
         if not path.exists():
             raise CliError("state", f"no wallet state in {state_dir}; "
                                     "run `bootstrap` first")
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(store.FILES.read(path).decode())
             recorded = (data["head"]["state_hash"]
                         if data["version"] == WORLD_VERSION else None)
         except (LookupError, TypeError, ValueError):
@@ -396,7 +383,7 @@ class World:
         if problem:
             raise CliError("state", f"{path}: {problem}")
         checkpoint = head.pop("checkpoint")
-        log = _read_log(state_dir / LOG_NAME, head["log_bytes"])
+        log = _read_log(state_dir / store.LOG_NAME, head["log_bytes"])
         world = cls(state_dir, data, log)
         # The log is parsed only to replay, or when its line count is not
         # the head's, so that a log that does not parse is reported as such
@@ -534,7 +521,7 @@ class World:
 
         def read() -> list:
             try:
-                log = _read_log(self.state_dir / LOG_NAME, size)
+                log = _read_log(self.state_dir / store.LOG_NAME, size)
                 twin = World(self.state_dir, dict(self.data), log)
                 twin.replay_log(log, head)
             except (CliError, ProtocolAbort, ValueError, OSError) as exc:
@@ -544,13 +531,9 @@ class World:
         return read
 
     def save(self) -> None:
-        """Append the lines of the actions in `data["actions"]`, and then
-        write `world.json`, which commits them and holds the head
-        checkpoint, to a temp file renamed into place, and empty the list.
-        The rename is the commit point, so a save that fails before it
-        leaves the previous world: lines appended past the committed length
-        are a torn append."""
-        self.state_dir.mkdir(parents=True, exist_ok=True)
+        """Commit the lines of the actions in `data["actions"]` and
+        `world.json`, which commits them and holds the head checkpoint, by
+        `store.commit`, and empty the list."""
         actions = self.data["actions"]
         lines = b"".join(map(_log_line, actions))
         log_hash = self.log_hash.copy()
@@ -572,10 +555,7 @@ class World:
         world = json.dumps(
             {**fields, "head": {**head, "checkpoint": checkpoint}},
             separators=(",", ":"))
-        _append(self.state_dir / LOG_NAME, self.log_bytes, lines)
-        tmp = self.state_dir / "world.json.tmp"
-        tmp.write_text(world)
-        os.replace(tmp, self.state_dir / "world.json")
+        store.commit(self.state_dir, self.log_bytes, lines, world.encode())
         self.data["head"] = head
         self.log_actions, self.log_bytes = head["actions"], head["log_bytes"]
         self.log_hash = log_hash
@@ -599,7 +579,7 @@ def read_seeds(seed_file: str | None) -> tuple[bytes, bytes]:
     followed by a hex word of 32 bytes (derived from k when absent)."""
     if seed_file:
         try:
-            words = Path(seed_file).read_text().split()
+            words = store.FILES.read(Path(seed_file)).decode().split()
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError("usage", f"cannot read --seed-file: {exc}") from exc
     else:
@@ -619,7 +599,7 @@ def read_seeds(seed_file: str | None) -> tuple[bytes, bytes]:
 
 def cmd_bootstrap(args) -> int:
     state_dir = _state_dir(args)
-    if (state_dir / "world.json").exists():
+    if (state_dir / store.WORLD_NAME).exists():
         raise CliError("state", f"{state_dir} already holds a wallet")
     params = parse_params(args.params if args.params is not None
                           else os.environ.get(PARAMS_ENV, DEFAULT_PARAMS_SPEC))

@@ -1,12 +1,12 @@
 """Shared test harness: a wallet contract driven without the ledger, and
 cache-free references for the contract's state lines, the call codec, and
 the ledger's block entries, chained digest, state hash and checkpoint
-head."""
+head; and a recorder of a CLI world's file operations."""
 
 import json
 import re
 
-from otpwallet import ledger as ledger_mod, signing
+from otpwallet import ledger as ledger_mod, signing, store
 from otpwallet.authenticator import Authenticator
 from otpwallet.client import ClientStore
 from otpwallet.contract import ChainEnv, OpType, Revert, WalletContract
@@ -277,3 +277,37 @@ def write_history(world, slots: int, rng) -> None:
         for action in actions:
             world.apply(action)
             world.data["actions"].append(action)
+
+
+class FileLog(store.Files):
+    """The file operations of a CLI world, each call recorded in `calls`
+    as its method's name, its file's name and the bytes it read or wrote,
+    or, for a rename, the name it gives. Set as `store.FILES`. Of what is
+    appended or written to the file named `torn`, half lands, and then
+    `error` is raised, as on a full disk."""
+
+    def __init__(self, torn=None, error=None):
+        self.calls, self.torn, self.error = [], torn, error
+
+    def read(self, path, size=-1):
+        data = super().read(path, size)
+        self.calls.append(("read", path.name, data))
+        return data
+
+    def append(self, path, committed, data):
+        self.calls.append(("append", path.name, data))
+        if path.name == self.torn:
+            super().append(path, committed, data[: len(data) // 2])
+            raise self.error
+        super().append(path, committed, data)
+
+    def write(self, path, data):
+        self.calls.append(("write", path.name, data))
+        if path.name == self.torn:
+            super().write(path, data[: len(data) // 2])
+            raise self.error
+        super().write(path, data)
+
+    def replace(self, src, dst):
+        self.calls.append(("replace", src.name, dst.name))
+        super().replace(src, dst)

@@ -1,6 +1,7 @@
 """CLI surface: happy path, persistence, exit codes, golden stability."""
 
 import argparse
+import ast
 import errno
 import hashlib
 import json
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from otpwallet import cli, contract as contract_mod, ledger as ledger_mod
+from otpwallet import (cli, contract as contract_mod, ledger as ledger_mod,
+                       store)
 from otpwallet.cli import (
     World,
     main,
@@ -25,7 +27,7 @@ from otpwallet.cli import (
 from otpwallet.client import CONFIRMATION_DEPTH
 from otpwallet.protocols import bootstrap_system
 
-from harness import (block_hashes, depths_waited, reference_entries,
+from harness import (FileLog, block_hashes, depths_waited, reference_entries,
                      reference_state_hash)
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -379,24 +381,11 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         "--addr", "acct:bob", "--param", "5")
     log = (state_dir / "actions.jsonl").read_bytes()
     previous = World.load(state_dir).system.ledger.state_hash()
-    real_write, real_append = Path.write_text, cli._append
 
     # A tear at each file, in the order a save writes them, on a restored
     # world and on a replayed one, whose checkpoint is null.
     for name, restored in [(name, restored) for restored in (True, False)
                            for name in ("actions.jsonl", "world.json.tmp")]:
-        def torn_append(path, committed, lines, name=name):
-            if path.name != name:
-                return real_append(path, committed, lines)
-            real_append(path, committed, lines[: len(lines) // 2])
-            raise OSError("disk full")
-
-        def torn(path, text, *args, name=name, **kwargs):
-            if path.name == name:
-                real_write(path, text[: len(text) // 2], *args, **kwargs)
-                raise OSError("disk full")
-            return real_write(path, text, *args, **kwargs)
-
         if not restored:
             _drop_checkpoint(state_dir)
         replays = _count_replays(monkeypatch)
@@ -404,10 +393,8 @@ def test_a_save_that_fails_partway_keeps_the_previous_world(state, capsys,
         assert replays == ([] if restored else [1]), (name, restored)
         # A replay saved a fresh head before the tear.
         before = (state_dir / "world.json").read_bytes()
-        if name.endswith(".jsonl"):
-            monkeypatch.setattr(cli, "_append", torn_append)
-        else:
-            monkeypatch.setattr(Path, "write_text", torn)
+        monkeypatch.setattr(store, "FILES",
+                            FileLog(torn=name, error=OSError("disk full")))
         with pytest.raises(OSError):
             world.commit({"cmd": "init", "type": "transfer",
                           "addr": "acct:bob", "param": 5})
@@ -1026,14 +1013,14 @@ def test_a_world_without_a_version_2_head_is_a_state_error(history, capsys,
     ("unparsed-line-committed", "the action log does not parse"),
     ("committed-mid-line", "the action log does not parse: the last line "
                            "has no newline"),
-    ("two-actions-on-one-line", "the action log holds 3 actions on 2 lines")])
+    ("two-actions-on-one-line", "the action log does not parse")])
 def test_a_log_of_another_count_is_a_state_error(history, capsys, damage,
                                                  message):
     """A load counts the log's lines against the head before it restores,
-    and parses a log of another count first, so a line that does not parse
-    is reported as such, and so is a line that holds two actions, which
-    the head's count of three would otherwise accept; the command writes
-    nothing."""
+    and parses a log of another count first, one action per line, so a
+    line that does not parse is reported as such, and so is a line that
+    holds two actions, which the head's count of three would otherwise
+    accept; the command writes nothing."""
     state_dir = history
     world_file = state_dir / "world.json"
     data = json.loads(world_file.read_text())
@@ -1124,17 +1111,13 @@ def test_a_world_in_the_older_layout_loads_by_one_replay(history, monkeypatch,
     world_file = state_dir / "world.json"
     recorded = json.loads(world_file.read_text())["head"]["state_hash"]
     old = _older_layout(state_dir)
-    read = []
-    real_read_text, real_open = Path.read_text, open
-    monkeypatch.setattr(Path, "read_text", lambda path, *a, **k: (
-        read.append(path.name), real_read_text(path, *a, **k))[1])
-    monkeypatch.setattr(cli, "open", lambda path, *a, **k: (
-        read.append(Path(path).name), real_open(path, *a, **k))[1],
-        raising=False)
+    files = FileLog()
+    monkeypatch.setattr(store, "FILES", files)
     replays = _count_replays(monkeypatch)
     shown = [run(capsys, "--state-dir", state_dir, "root", "show")
              for _ in range(2)]
     assert replays == [1] and shown[0][0] == 0 and shown[0] == shown[1]
+    read = [name for call, name, _ in files.calls if call == "read"]
     assert "world.json" in read and "checkpoint.json" not in read
     monkeypatch.undo()
     head = json.loads(world_file.read_text())["head"]
@@ -1398,15 +1381,10 @@ def test_an_os_error_is_one_state_line(state, monkeypatch, capsys):
     state_dir, seed_file = state
     run(capsys, "--state-dir", state_dir, "bootstrap", "--seed-file", seed_file)
     before = (state_dir / "world.json").read_bytes()
-    real_write = Path.write_text
-
-    def full(path, text, *args, **kwargs):
-        if path.name == "world.json.tmp":
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real_write(path, text, *args, **kwargs)
-
     with monkeypatch.context() as patched:
-        patched.setattr(Path, "write_text", full)
+        patched.setattr(store, "FILES", FileLog(
+            torn="world.json.tmp",
+            error=OSError(errno.ENOSPC, "No space left on device")))
         code, _, err = run(capsys, "--state-dir", state_dir, "op", "init",
                            "--type", "transfer", "--addr", "acct:bob",
                            "--param", "5")
@@ -1540,51 +1518,92 @@ def test_a_rebound_checkpoint_in_another_layout_loads_by_replay(
     assert _files(state_dir) == STATE_FILES
 
 
-def _written(monkeypatch) -> list:
-    names = []
-    real = Path.write_text
-    monkeypatch.setattr(Path, "write_text", lambda path, text, *a, **k: (
-        names.append(path.name), real(path, text, *a, **k))[1])
-    return names
+def _save(lines: int) -> list:
+    """The file mutations of a save that appends `lines` log lines, in its
+    commit order."""
+    return [("append", "actions.jsonl", lines), ("write", "world.json.tmp"),
+            ("replace", "world.json.tmp", "world.json")]
+
+
+def _mutations(files) -> list:
+    """The calls a FileLog recorded that change a file, as `_save` lists
+    them."""
+    return [(call, name, data.count(b"\n")) if call == "append" else
+            (call, name) if call == "write" else (call, name, data)
+            for call, name, data in files.calls if call != "read"]
 
 
 def test_a_write_replaces_exactly_the_two_files(history, monkeypatch,
                                                capsys):
     """... the log and `world.json`: a write, on a restored world or after
-    a replay, appends its one action to the log, opens no other file in
-    place for writing, and replaces `world.json` through its one temp file
-    and its one rename per save: the commit's, after the replay's."""
+    a replay, appends its one action to the log, writes no other file, and
+    replaces `world.json` through its one temp file and its one rename per
+    save: the commit's, after the replay's, whose append is empty. The
+    commit's save leaves a head that the next load restores."""
     state_dir = history
     log = state_dir / "actions.jsonl"
-    real_open, real_replace = open, os.replace
     for restored in (True, False):
         if not restored:
             _drop_checkpoint(state_dir)
         before = log.read_bytes()
         replays = _count_replays(monkeypatch)
-        written = _written(monkeypatch)
-        opened = []
-        monkeypatch.setattr(cli, "open", lambda path, mode="r", *a, **k: (
-            opened.append((Path(path).name, mode)),
-            real_open(path, mode, *a, **k))[1], raising=False)
-        renamed = []
-        monkeypatch.setattr(os, "replace", lambda src, dst: (
-            renamed.append((Path(src).name, Path(dst).name)),
-            real_replace(src, dst))[1])
+        files = FileLog()
+        monkeypatch.setattr(store, "FILES", files)
         code, _, _ = run(capsys, "--state-dir", state_dir, "op", "init",
                          "--type", "transfer", "--addr", "acct:bob",
                          "--param", "5")
+        World.load(state_dir)
         monkeypatch.undo()
-        saves = 1 if restored else 2
         assert code == 0 and replays == ([] if restored else [1])
-        assert written == ["world.json.tmp"] * saves
-        assert renamed == [("world.json.tmp", "world.json")] * saves
-        assert [(name, mode) for name, mode in opened if mode != "rb"] == [
-            ("actions.jsonl", "ab")] * saves
+        assert _mutations(files) == ([] if restored else _save(0)) + _save(1)
         assert _files(state_dir) == STATE_FILES
         assert log.read_bytes() == before + _line({
             "cmd": "init", "type": "transfer", "addr": "acct:bob",
             "param": 5})
+
+
+@pytest.mark.parametrize("replayed", [False, True])
+def test_the_file_seam_sees_every_mutation_of_each_command(
+        state, capsys, monkeypatch, replayed):
+    """Bootstrap saves an empty append; a write saves its one line; a read
+    saves nothing. On a world whose checkpoint is null each command first
+    saves the replay's head, and so does a write that is then refused."""
+    state_dir, seed_file = state
+    files = FileLog()
+    monkeypatch.setattr(store, "FILES", files)
+    replay = _save(0) if replayed else []
+
+    def mutates(expected, *argv, code=0) -> str:
+        if replayed and (state_dir / "world.json").exists():
+            _drop_checkpoint(state_dir)
+        files.calls.clear()
+        result, out, _ = run(capsys, "--state-dir", state_dir, *argv)
+        assert result == code and _mutations(files) == expected, argv
+        return out
+
+    mutates(_save(0), "bootstrap", "--params", "128,4,1,2,1", "--seed-file",
+            seed_file)
+    for op_id, seal in ((0, ["subtree", "next"]), (2, ["root", "rotate"])):
+        mutates(replay + _save(1), "op", "init", "--type", "transfer",
+                "--addr", "acct:bob", "--param", 5)
+        otp = mutates(replay, "otp", "show", "--op-id", op_id).split()[2]
+        mutates(replay + _save(1), "op", "confirm", "--op-id", op_id,
+                "--otp", otp)
+        mutates(replay + _save(1), *seal)
+    mutates(replay, "root", "show")
+    mutates(replay, "op", "confirm", "--op-id", 99, "--otp", "00" * 16,
+            code=1)
+
+
+def test_the_cli_module_performs_no_file_operation():
+    """Its files are read and written through `store.FILES` alone."""
+    nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text())))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    for node in nodes:
+        if isinstance(node, ast.Attribute):
+            names |= {node.attr, ast.unparse(node)}
+    assert not names & {"open", "os.replace", "write_text", "write_bytes",
+                        "read_text", "read_bytes", "truncate"}
 
 
 def test_an_unknown_operation_type_is_a_usage_error(history, capsys):

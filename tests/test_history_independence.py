@@ -2,15 +2,16 @@
 
 Two worlds, written once per session at the same position in their
 generation but at different depths, run `root show` and `op init` in
-process. Test-local wrappers count the bytes each command reads from and
-writes to each state file, the bytes it JSON-decodes from each and the
-bytes it JSON-encodes, the bytes it hashes with SHA-256 and the operation
-records it builds. The counters that no longer grow with history are
-asserted equal at both depths; the action log is asserted decoded not at
-all, a read command encodes nothing, and SHA-256 reads only the log. The others are not asserted: `world.json`, whose head
-checkpoint lists every `op` line and the oracle lists, is read, decoded
-and written whole, and the whole action log is read and hashed. Not yet
-counted: `truncated_hash` input.
+process. A recorder set as `store.FILES` counts the bytes each command
+reads from and writes to each state file; test-local wrappers count the
+bytes it JSON-decodes from each and the bytes it JSON-encodes, the bytes it
+hashes with SHA-256 and the operation records it builds. The counters that
+no longer grow with history are asserted equal at both depths; the action
+log is asserted decoded not at all, a read command encodes nothing, and
+SHA-256 reads only the log. The others are not asserted: `world.json`,
+whose head checkpoint lists every `op` line and the oracle lists, is read,
+decoded and written whole, and the whole action log is read and hashed. Not
+yet counted: `truncated_hash` input.
 
 Inside one subtree, which no depth pair at `N_S` = 16 reaches far into, a
 contract call's work is counted by the operation-record chunks it
@@ -27,12 +28,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from otpwallet import cli, contract as contract_mod, ledger as ledger_mod
+from otpwallet import (cli, contract as contract_mod, ledger as ledger_mod,
+                       store)
 from otpwallet.cli import World, main, parse_params
 from otpwallet.merkle import TreeParams
 from otpwallet.protocols import bootstrap_system
 
-from harness import World as ContractWorld, chunk_changes, write_history
+from harness import (FileLog, World as ContractWorld, chunk_changes,
+                     write_history)
 
 PARAMS = "128,64,2,16,1"
 N_S = parse_params(PARAMS).N_S
@@ -63,39 +66,6 @@ def worlds(tmp_path_factory) -> dict:
     return dirs
 
 
-class _Counted:
-    """A file of the state dir whose reads and writes are counted."""
-
-    def __init__(self, f, name, counts):
-        self.f, self.name, self.counts = f, name, counts
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def read(self, *args):
-        data = self.f.read(*args)
-        self.counts["read", self.name] += len(data)
-        return data
-
-    def write(self, data):
-        self.counts["written", self.name] += len(data)
-        self.counts["lines", self.name] += data.count(b"\n")
-        return self.f.write(data)
-
-    def truncate(self, *args):
-        return self.f.truncate(*args)
-
-    def seek(self, *args):
-        return self.f.seek(*args)
-
-
-def _name(path) -> str:
-    return Path(path).name.removesuffix(".tmp")
-
-
 class _CountedHash:
     """A SHA-256 object that counts the bytes it is fed."""
 
@@ -119,24 +89,10 @@ DECODERS = {"load": "world.json", "_parse_log": "actions.jsonl"}
 
 def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
     """Run one command in process and count its work."""
-    counts = Counter()
-    real_open, real_loads = open, json.loads
+    counts, files = Counter(), FileLog()
+    real_loads = json.loads
     real_dumps, real_to_json = json.dumps, ledger_mod._to_json
-    real_read, real_write = Path.read_text, Path.write_text
     real_record = contract_mod.OperationRecord
-
-    def counted_open(path, mode="r", *args, **kwargs):
-        return _Counted(real_open(path, mode, *args, **kwargs), _name(path),
-                        counts)
-
-    def read_text(path, *args, **kwargs):
-        text = real_read(path, *args, **kwargs)
-        counts["read", _name(path)] += len(text.encode())
-        return text
-
-    def write_text(path, text, *args, **kwargs):
-        counts["written", _name(path)] += len(text.encode())
-        return real_write(path, text, *args, **kwargs)
 
     def sha256(data=b""):
         counts["sha256"] += len(data)
@@ -162,15 +118,20 @@ def count_work(monkeypatch, state_dir: Path, argv: list) -> Counter:
         return real_loads(data, *args, **kwargs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "open", counted_open, raising=False)
-        patched.setattr(Path, "read_text", read_text)
-        patched.setattr(Path, "write_text", write_text)
+        patched.setattr(store, "FILES", files)
         patched.setattr(cli, "hashlib", SimpleNamespace(sha256=sha256))
         patched.setattr(json, "dumps", dumps)
         patched.setattr(ledger_mod, "_to_json", to_json)
         patched.setattr(contract_mod, "OperationRecord", record)
         patched.setattr(json, "loads", loads)
         assert main(["--state-dir", str(state_dir), *argv]) == 0
+    for call, name, data in files.calls:
+        name = name.removesuffix(".tmp")
+        if call == "read":
+            counts["read", name] += len(data)
+        elif call in ("append", "write"):
+            counts["written", name] += len(data)
+            counts["lines", name] += data.count(b"\n")
     return counts
 
 
